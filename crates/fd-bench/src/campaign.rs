@@ -77,15 +77,6 @@ impl Scenario for E8Scenario {
         plan
     }
 
-    fn execute(&self, plan: &RunPlan) -> RunOutcome {
-        self.execute_observed(plan, None)
-    }
-
-    fn execute_observed(&self, plan: &RunPlan, obs: Option<&fd_obs::Registry>) -> RunOutcome {
-        // One-shot path: a fresh executor builds fresh worlds.
-        E8Executor::default().execute(plan, obs)
-    }
-
     fn monitors(&self) -> Vec<Box<dyn Monitor>> {
         vec![
             NamedMonitor::boxed(fd_obs::keys::CONSENSUS_SAFETY),
@@ -93,12 +84,22 @@ impl Scenario for E8Scenario {
         ]
     }
 
+    fn check_plan(&self, plan: &RunPlan) -> Result<(), String> {
+        let (proto, accepted) = (plan.params.field("proto"), Protocol::ALL.map(proto_key));
+        match proto.as_str() {
+            Some(p) if accepted.contains(&p) => Ok(()),
+            _ => Err(format!(
+                "param `proto` is {proto:?}; expected one of {accepted:?}"
+            )),
+        }
+    }
+
     fn make_executor(&self) -> Box<dyn SeedExecutor + '_> {
         Box::new(E8Executor::default())
     }
 }
 
-/// Per-worker executor for [`E8Scenario`].
+/// Executor for [`E8Scenario`].
 ///
 /// E8 interleaves three protocols, each a distinct generic `World`
 /// instantiation, so the executor holds one world-reusing runner per
@@ -113,19 +114,14 @@ struct E8Executor {
 
 impl SeedExecutor for E8Executor {
     fn execute(&mut self, plan: &RunPlan, obs: Option<&fd_obs::Registry>) -> RunOutcome {
-        let n = plan.n();
-        let sc = fd_consensus::Scenario {
-            seed: plan.seed,
-            crashes: plan.crashes.clone(),
-            proposals: (0..n).map(|i| 100 + i as u64).collect(),
-            horizon: plan.horizon,
-        };
+        let mut sc = fd_consensus::Scenario::failure_free(plan.n(), plan.seed, plan.horizon);
+        sc.crashes.clone_from(&plan.crashes);
         let net = plan.net.clone();
         let r: RunResult = match plan.params.field("proto").as_str() {
+            Some("ec") => self.ec.run(net, &sc, ec_node_hb, obs),
             Some("ct") => self.ct.run(net, &sc, ct_node_hb, obs),
             Some("mr") => self.mr.run(net, &sc, mr_node_leader, obs),
-            // The paper's ◇C algorithm is the default (and "ec").
-            _ => self.ec.run(net, &sc, ec_node_hb, obs),
+            other => panic!("e8 plan names proto {other:?}, which check_plan rejects"),
         };
         RunOutcome {
             n: r.n,

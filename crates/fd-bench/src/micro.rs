@@ -1,4 +1,4 @@
-//! Criterion-style microbenchmarks of the kernel hot paths.
+//! Microbenchmarks of the kernel hot paths.
 //!
 //! Where `campaign::kernel_bench` measures the whole E8 sweep
 //! end-to-end, this suite isolates the three subsystems the hot-path
@@ -6,8 +6,7 @@
 //! so a regression in one shows up as a number, not a guess. The
 //! workload drivers live in [`fd_sim::bench`] (they need crate-private
 //! access); this module only times them: short warm-up, repeated timed
-//! runs, median-of-reps, exactly the shim `criterion` discipline but
-//! returning JSON instead of printing.
+//! runs, median-of-reps, returned as JSON.
 //!
 //! `ecfd bench-kernel` writes the result to `BENCH_micro.json` alongside
 //! `BENCH_kernel.json`.

@@ -92,7 +92,8 @@ pub fn replay(scenario: &dyn Scenario, artifact: &Artifact) -> Result<ReplayResu
             scenario.name()
         ));
     }
-    let outcome = scenario.execute(&artifact.plan);
+    scenario.check_plan(&artifact.plan)?;
+    let outcome = scenario.make_executor().execute(&artifact.plan, None);
     let digest = outcome.trace.digest();
     let check = check_property(&scenario.monitors(), &artifact.property, &outcome)?;
     Ok(ReplayResult {

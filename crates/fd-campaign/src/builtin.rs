@@ -7,11 +7,11 @@
 //! artifact → replay → shrink.
 
 use crate::monitor::{Monitor, NamedMonitor};
-use crate::plan::{RunOutcome, RunPlan};
+use crate::plan::{run_plan, RunOutcome, RunPlan};
 use crate::scenario::{Scenario, SeedExecutor};
 use fd_core::{observe_suspects, observe_trusted, ProcessSet};
 use fd_sim::prelude::*;
-use fd_sim::World;
+use fd_sim::WorldCache;
 
 /// A detector module that is blind to failures: it reports an empty
 /// suspect set forever, while heartbeating so runs still move messages.
@@ -70,15 +70,6 @@ impl Scenario for BlindScenario {
             .with_crash(ProcessId(second), Time::from_millis(200 + seed % 80))
     }
 
-    fn execute(&self, plan: &RunPlan) -> RunOutcome {
-        self.execute_observed(plan, None)
-    }
-
-    fn execute_observed(&self, plan: &RunPlan, obs: Option<&fd_obs::Registry>) -> RunOutcome {
-        // One-shot path: a fresh executor builds a fresh world.
-        BlindExecutor::default().execute(plan, obs)
-    }
-
     fn monitors(&self) -> Vec<Box<dyn Monitor>> {
         vec![NamedMonitor::boxed(fd_obs::keys::FD_STRONG_COMPLETENESS)]
     }
@@ -88,49 +79,18 @@ impl Scenario for BlindScenario {
     }
 }
 
-/// Per-worker executor for [`BlindScenario`]: keeps one world of blind
-/// actors alive and re-arms it with [`World::reset`] between seeds, so
-/// a sweep pays for the queue, actor, and trace allocations once per
-/// worker rather than once per seed.
+/// Executor for [`BlindScenario`]: one reusable world of blind actors.
 #[derive(Default)]
 struct BlindExecutor {
-    /// The cached world plus the identity of the registry it was built
-    /// to report into (`0` = unobserved). A different registry forces a
-    /// rebuild; `None` vs `Some` also differ, so toggling observation
-    /// never reuses a mismatched world.
-    world: Option<(World<BlindActor>, usize)>,
+    world: WorldCache<BlindActor>,
 }
 
 impl SeedExecutor for BlindExecutor {
     fn execute(&mut self, plan: &RunPlan, obs: Option<&fd_obs::Registry>) -> RunOutcome {
-        let key = obs.map_or(0usize, |r| r as *const fd_obs::Registry as usize);
-        match &mut self.world {
-            Some((world, k)) if *k == key => {
-                world.reset(plan.net.clone(), plan.seed, |_, _| BlindActor);
-            }
-            slot => {
-                let mut builder = WorldBuilder::new(plan.net.clone()).seed(plan.seed);
-                if let Some(registry) = obs {
-                    builder = builder.observe(fd_sim::WorldObs::new(registry));
-                }
-                *slot = Some((builder.build(|_, _| BlindActor), key));
-            }
-        }
-        let (world, _) = self.world.as_mut().expect("world just ensured");
-        for &(pid, at) in &plan.crashes {
-            world.schedule_crash(pid, at);
-        }
-        world.run_until_time(plan.horizon);
-        let n = world.n();
-        let (trace, metrics) = world.take_results();
-        RunOutcome {
-            trace,
-            n,
-            end: plan.horizon,
-            decision_latency: None,
-            messages: metrics.sent_total(),
-            events: metrics.events_processed(),
-        }
+        let world = self
+            .world
+            .arm(plan.net.clone(), plan.seed, obs, |_, _| BlindActor);
+        run_plan(world, plan, &[])
     }
 }
 
@@ -169,36 +129,13 @@ mod tests {
     fn every_seed_violates_strong_completeness() {
         let sc = BlindScenario;
         for seed in [0u64, 1, 17, 999] {
-            let plan = sc.plan(seed);
-            let outcome = sc.execute(&plan);
+            let outcome = sc.make_executor().execute(&sc.plan(seed), None);
             let [m] = &sc.monitors()[..] else {
                 panic!("one monitor")
             };
             let err = m.check(&outcome).unwrap_err();
             assert_eq!(err.property, "strong-completeness");
             assert!(outcome.messages > 0, "heartbeats must flow");
-        }
-    }
-
-    /// World reuse is invisible in the results: one executor fed many
-    /// seeds (with `n` changing between them) must produce outcomes
-    /// byte-identical to fresh-world execution of each plan.
-    #[test]
-    fn reused_executor_matches_fresh_worlds() {
-        let sc = BlindScenario;
-        let mut ex = sc.make_executor();
-        for seed in 0..24 {
-            let plan = sc.plan(seed);
-            let reused = ex.execute(&plan, None);
-            let fresh = sc.execute(&plan);
-            assert_eq!(
-                reused.trace.digest(),
-                fresh.trace.digest(),
-                "trace diverged on seed {seed}"
-            );
-            assert_eq!(reused.messages, fresh.messages, "seed {seed}");
-            assert_eq!(reused.events, fresh.events, "seed {seed}");
-            assert_eq!(reused.n, fresh.n, "seed {seed}");
         }
     }
 

@@ -275,25 +275,14 @@ impl<'s> Campaign<'s> {
         self
     }
 
-    /// Execute one seed: plan, run, check. Also used by replay paths.
+    /// Execute one seed: plan, run, check — through a throwaway executor
+    /// and monitor set, the right shape for one-off and replay paths. The
+    /// sweep loop in [`Campaign::run`] instead amortizes both across a
+    /// worker's whole seed stream via [`Campaign::run_seed_with`].
     pub fn run_seed(scenario: &dyn Scenario, seed: u64) -> (SeedResult, Option<Artifact>) {
-        Self::run_seed_observed(scenario, seed, None)
-    }
-
-    /// [`Campaign::run_seed`] with optional kernel instrumentation.
-    ///
-    /// Builds a throwaway executor and monitor set for this one seed —
-    /// the right shape for replay paths. The sweep loop in
-    /// [`Campaign::run`] instead amortizes both across a worker's whole
-    /// seed stream via [`Campaign::run_seed_with`].
-    pub fn run_seed_observed(
-        scenario: &dyn Scenario,
-        seed: u64,
-        obs: Option<&fd_obs::Registry>,
-    ) -> (SeedResult, Option<Artifact>) {
         let mut executor = scenario.make_executor();
         let monitors = scenario.monitors();
-        Self::run_seed_with(scenario, &mut *executor, &monitors, seed, obs)
+        Self::run_seed_with(scenario, &mut *executor, &monitors, seed, None)
     }
 
     /// Execute one seed through a caller-owned executor and monitor set.

@@ -44,6 +44,6 @@ pub use builtin::{builtin_names, builtin_scenario, BlindScenario};
 pub use engine::{Campaign, CampaignReport, SeedResult, SeedTiming, Stats, WorkerStat};
 pub use monitor::{Monitor, NamedMonitor};
 pub use obs_report::{metrics_rows, render_metrics, write_metrics_file};
-pub use plan::{RunOutcome, RunPlan};
+pub use plan::{run_plan, RunOutcome, RunPlan};
 pub use scenario::{Scenario, SeedExecutor};
 pub use shrink::{shrink, ShrinkOutcome};

@@ -1,13 +1,13 @@
 //! Run plans and run outcomes — the serializable contract between a
 //! scenario, the campaign engine, and repro artifacts.
 
-use fd_sim::{NetworkConfig, ProcessId, SimDuration, Time, Trace};
+use fd_sim::{Actor, Intervention, NetworkConfig, ProcessId, SimDuration, Time, Trace, World};
 use serde::{Deserialize, Serialize};
 
 /// Everything needed to reproduce one simulated run, independent of the
 /// process that produced it: the seed, the crash plan, the link
-/// configuration, and the horizon. A scenario's `execute` must be a pure
-/// function of its plan, which is what makes artifacts replayable and
+/// configuration, and the horizon. Executing a plan must be a pure
+/// function of the plan, which is what makes artifacts replayable and
 /// plans shrinkable.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunPlan {
@@ -97,6 +97,36 @@ pub struct RunOutcome {
     /// is a pure function of the plan), so it is safe to compare across
     /// worker counts and instrumentation settings.
     pub events: u64,
+}
+
+/// Run `plan` to its horizon in a freshly armed `world` (see
+/// [`fd_sim::WorldCache::arm`]): schedule the plan's crashes, then the
+/// compiled fault `interventions`, run, and take the results. Every
+/// executor that runs a plan to a fixed horizon goes through here, so
+/// the scheduling order — which fixes event sequence numbers, hence
+/// digests — is defined once.
+pub fn run_plan<A: Actor>(
+    world: &mut World<A>,
+    plan: &RunPlan,
+    interventions: &[(Time, Intervention)],
+) -> RunOutcome {
+    for &(pid, at) in &plan.crashes {
+        world.schedule_crash(pid, at);
+    }
+    for (at, intervention) in interventions {
+        world.schedule_intervention(*at, intervention.clone());
+    }
+    world.run_until_time(plan.horizon);
+    let n = world.n();
+    let (trace, metrics) = world.take_results();
+    RunOutcome {
+        trace,
+        n,
+        end: plan.horizon,
+        decision_latency: None,
+        messages: metrics.sent_total(),
+        events: metrics.events_processed(),
+    }
 }
 
 #[cfg(test)]

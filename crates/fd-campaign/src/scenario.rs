@@ -9,9 +9,10 @@ use crate::plan::{RunOutcome, RunPlan};
 ///
 /// * [`Scenario::plan`] must be a **pure function of the seed** — no
 ///   ambient randomness, no wall-clock.
-/// * [`Scenario::execute`] must be a **pure function of the plan** — two
-///   executions of the same plan produce byte-identical traces (the
-///   engine asserts this indirectly by hashing traces).
+/// * [`SeedExecutor::execute`] must be a **pure function of the plan** —
+///   two executions of the same plan produce byte-identical traces (the
+///   engine asserts this indirectly by hashing traces), whatever the
+///   executor ran before and whether or not it is instrumented.
 ///
 /// Everything the run depends on therefore lives in the serializable
 /// [`RunPlan`], so a failing seed can be shipped as a JSON artifact and
@@ -22,26 +23,6 @@ pub trait Scenario: Send + Sync {
 
     /// Expand a seed into a full run plan.
     fn plan(&self, seed: u64) -> RunPlan;
-
-    /// Execute a plan to completion.
-    fn execute(&self, plan: &RunPlan) -> RunOutcome;
-
-    /// Execute a plan with optional kernel instrumentation recording
-    /// into `obs` (events processed, queue depth high-water mark,
-    /// per-callback timing — see `fd_sim::WorldObs`).
-    ///
-    /// The provided implementation ignores `obs` and runs [`execute`];
-    /// scenarios that build worlds should override it and pass the
-    /// registry to `WorldBuilder::observe`. Either way the contract is
-    /// strict: the outcome must be **byte-identical** to an unobserved
-    /// execution of the same plan — instrumentation may read clocks but
-    /// must never touch simulation state.
-    ///
-    /// [`execute`]: Scenario::execute
-    fn execute_observed(&self, plan: &RunPlan, obs: Option<&fd_obs::Registry>) -> RunOutcome {
-        let _ = obs;
-        self.execute(plan)
-    }
 
     /// The properties checked against every run, in order; the first
     /// violation fails the seed.
@@ -61,43 +42,34 @@ pub trait Scenario: Send + Sync {
         Vec::new()
     }
 
-    /// Build a reusable per-worker execution engine.
-    ///
-    /// Campaign workers call this once each and feed the executor every
-    /// seed they claim, so implementations can cache expensive state
-    /// across runs — typically a fully built [`fd_sim::World`] whose
-    /// allocations are re-armed between seeds with `World::reset`. The
-    /// default wraps [`execute_observed`] and caches nothing.
-    ///
-    /// The determinism contract carries over unchanged: for any plan,
-    /// the executor's outcome must be byte-identical to a fresh-world
-    /// [`execute_observed`] of that plan, regardless of what the
-    /// executor ran before.
-    ///
-    /// [`execute_observed`]: Scenario::execute_observed
-    fn make_executor(&self) -> Box<dyn SeedExecutor + '_> {
-        Box::new(PlanExecutor(self))
+    /// Reject a plan no executor arm can run. Artifacts are outside input:
+    /// `replay` and `shrink` ask this before executing one, so a stale or
+    /// hand-edited params value is an `Err`, not a panic or some other
+    /// run than the one it names. The default accepts every plan.
+    fn check_plan(&self, plan: &RunPlan) -> Result<(), String> {
+        let _ = plan;
+        Ok(())
     }
+
+    /// Build a plan runner: the one way a plan of this scenario executes.
+    ///
+    /// Sweep workers, replay, and the shrinker each call this once and
+    /// feed the executor every plan they run, so implementations cache
+    /// expensive state across runs — typically an [`fd_sim::WorldCache`]
+    /// per actor type, re-armed between plans.
+    fn make_executor(&self) -> Box<dyn SeedExecutor + '_>;
 }
 
-/// A reusable, stateful plan runner owned by one campaign worker.
+/// A reusable, stateful plan runner.
 ///
-/// Unlike [`Scenario::execute_observed`] this takes `&mut self`, which
-/// is what allows a cached `World` to live inside and be reset instead
-/// of rebuilt for every seed. Executors never cross threads: each
-/// worker makes its own.
+/// `&mut self` is what allows a cached `World` to live inside and be
+/// reset instead of rebuilt for every plan. Executors never cross
+/// threads: each worker makes its own.
 pub trait SeedExecutor {
-    /// Execute a plan to completion, optionally instrumented.
+    /// Execute a plan to completion. When `obs` is given, the kernel
+    /// records events processed, queue depth high-water mark, and
+    /// per-callback timing into it (see `fd_sim::WorldObs`) —
+    /// instrumentation may read clocks but must never touch simulation
+    /// state, so the outcome is byte-identical either way.
     fn execute(&mut self, plan: &RunPlan, obs: Option<&fd_obs::Registry>) -> RunOutcome;
-}
-
-/// The cache-nothing executor behind the default
-/// [`Scenario::make_executor`]: delegates every plan straight to
-/// [`Scenario::execute_observed`].
-struct PlanExecutor<'s, S: ?Sized>(&'s S);
-
-impl<S: Scenario + ?Sized> SeedExecutor for PlanExecutor<'_, S> {
-    fn execute(&mut self, plan: &RunPlan, obs: Option<&fd_obs::Registry>) -> RunOutcome {
-        self.0.execute_observed(plan, obs)
-    }
 }

@@ -33,9 +33,14 @@ pub struct ShrinkOutcome {
 /// Errors if the original plan does not actually violate the property
 /// (a stale or hand-edited artifact).
 pub fn shrink(scenario: &dyn Scenario, artifact: &Artifact) -> Result<ShrinkOutcome, String> {
-    let still_fails = |plan: &RunPlan| -> Result<Option<(fd_core::Violation, u64)>, String> {
-        let outcome = scenario.execute(plan);
-        let check = check_property(&scenario.monitors(), &artifact.property, &outcome)?;
+    scenario.check_plan(&artifact.plan)?;
+    // One executor and monitor set for every candidate: a shrink pass is
+    // a sweep over plans, so it reuses worlds exactly like a seed sweep.
+    let mut executor = scenario.make_executor();
+    let monitors = scenario.monitors();
+    let mut still_fails = |plan: &RunPlan| -> Result<Option<(fd_core::Violation, u64)>, String> {
+        let outcome = executor.execute(plan, None);
+        let check = check_property(&monitors, &artifact.property, &outcome)?;
         Ok(check.err().map(|v| (v, outcome.trace.digest())))
     };
 

@@ -34,5 +34,7 @@ pub mod plan;
 pub mod scenario;
 
 pub use compile::compile;
-pub use plan::{ChaosEvent, ChaosKind, ChaosPlan, DetectorKind};
-pub use scenario::{base_net, chaos_plan_of, generate_plan, ChaosScenario, CHAOS};
+pub use plan::{ChaosEvent, ChaosKind, ChaosPlan, DetectorKind, PlanSource};
+pub use scenario::{
+    base_net, chaos_plan_of, generate_plan, push_minority_partition, ChaosScenario, CHAOS,
+};

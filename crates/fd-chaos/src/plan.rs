@@ -203,6 +203,28 @@ impl ChaosPlan {
         evs
     }
 
+    /// The shrinker's chaos move: every legal plan one event smaller,
+    /// labelled. Dropping a crash takes its later restart along (it
+    /// would be orphaned); candidates that fail [`validate`] are skipped.
+    ///
+    /// [`validate`]: ChaosPlan::validate
+    pub fn drop_event_moves(&self) -> Vec<(String, ChaosPlan)> {
+        let mut out = Vec::new();
+        for (i, ev) in self.events.iter().enumerate() {
+            let mut shrunk = self.clone();
+            shrunk.events.remove(i);
+            if let ChaosKind::Crash { pid } = ev.kind {
+                shrunk
+                    .events
+                    .retain(|e| !(e.at >= ev.at && e.kind == (ChaosKind::Restart { pid })));
+            }
+            if shrunk.validate().is_ok() {
+                out.push((format!("drop chaos {}@{}", ev.kind.label(), ev.at), shrunk));
+            }
+        }
+        out
+    }
+
     /// Validate the plan's internal consistency. Compilation refuses
     /// invalid plans; run this early to fail with a readable message
     /// instead of deep inside a campaign worker.
@@ -293,6 +315,32 @@ impl ChaosPlan {
             return Err("plan crashes every process".into());
         }
         Ok(())
+    }
+}
+
+/// Where a chaos-driven scenario gets each seed's fault schedule: a
+/// seed-indexed generator (the registry default) or one fixed,
+/// validated plan run for every seed (`--plan FILE`).
+pub enum PlanSource {
+    /// Expand each seed into its own plan (a pure function of the seed).
+    Generated(fn(u64) -> ChaosPlan),
+    /// Run this plan for every seed; only the RNG streams vary.
+    Fixed(ChaosPlan),
+}
+
+impl PlanSource {
+    /// A fixed source. Errors if `plan` is internally inconsistent.
+    pub fn fixed(plan: ChaosPlan) -> Result<PlanSource, String> {
+        plan.validate()?;
+        Ok(PlanSource::Fixed(plan))
+    }
+
+    /// The fault schedule of `seed`.
+    pub fn plan(&self, seed: u64) -> ChaosPlan {
+        match self {
+            PlanSource::Generated(generate) => generate(seed),
+            PlanSource::Fixed(plan) => plan.clone(),
+        }
     }
 }
 

@@ -17,18 +17,15 @@
 //!   assumption a violation traces back to.
 
 use crate::compile::compile;
-use crate::plan::{ChaosKind, ChaosPlan, DetectorKind};
+use crate::plan::{ChaosKind, ChaosPlan, DetectorKind, PlanSource};
 use fd_campaign::scenario::SeedExecutor;
-use fd_campaign::{Monitor, NamedMonitor, RunOutcome, RunPlan, Scenario};
+use fd_campaign::{run_plan, Monitor, NamedMonitor, RunOutcome, RunPlan, Scenario};
 use fd_core::Standalone;
 use fd_detectors::{
     HeartbeatConfig, HeartbeatDetector, RingConfig, RingDetector, StableLeaderConfig,
     StableLeaderDetector,
 };
-use fd_sim::chaos::Intervention;
-use fd_sim::{
-    Actor, LinkMangler, LinkModel, NetworkConfig, ProcessId, SimDuration, Time, World, WorldBuilder,
-};
+use fd_sim::{LinkMangler, LinkModel, NetworkConfig, ProcessId, SimDuration, Time, WorldCache};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -55,6 +52,29 @@ pub fn base_net(n: usize) -> NetworkConfig {
 /// to under the bounded windows generated here.
 const GENERATED_HORIZON: Time = Time::from_secs(6);
 
+/// Generator building block: isolate a random strict minority of
+/// `plan.n` for a bounded window — opening 100..=`latest_start_ms` ms
+/// in, lasting 100..=400 ms — then heal. The draw order from `rng` is
+/// part of every generated plan's identity; do not reorder it.
+pub fn push_minority_partition(
+    plan: ChaosPlan,
+    rng: &mut SmallRng,
+    latest_start_ms: u64,
+) -> ChaosPlan {
+    let k = rng.gen_range(1..=(plan.n - 1) / 2);
+    let mut pids: Vec<usize> = (0..plan.n).collect();
+    let mut island = Vec::new();
+    for _ in 0..k {
+        island.push(ProcessId(pids.swap_remove(rng.gen_range(0..pids.len()))));
+    }
+    let mainland: Vec<ProcessId> = pids.into_iter().map(ProcessId).collect();
+    let from = Time::from_millis(rng.gen_range(100..=latest_start_ms));
+    let until = from + SimDuration::from_millis(rng.gen_range(100..=400));
+    let groups = vec![island, mainland];
+    plan.push(from, ChaosKind::Partition { groups })
+        .push(until, ChaosKind::Heal)
+}
+
 /// Expand `seed` into a model-legal chaos plan (pure function of the
 /// seed; see the module docs for the legality rules).
 pub fn generate_plan(seed: u64) -> ChaosPlan {
@@ -65,24 +85,7 @@ pub fn generate_plan(seed: u64) -> ChaosPlan {
         .push(Time::from_millis(300), ChaosKind::GstMarker);
 
     if rng.gen_bool(0.75) {
-        // Isolate a strict minority for a bounded window, then heal.
-        let k = rng.gen_range(1..=(n - 1) / 2);
-        let mut pids: Vec<usize> = (0..n).collect();
-        let mut island = Vec::new();
-        for _ in 0..k {
-            island.push(ProcessId(pids.swap_remove(rng.gen_range(0..pids.len()))));
-        }
-        let mainland: Vec<ProcessId> = pids.into_iter().map(ProcessId).collect();
-        let from = Time::from_millis(rng.gen_range(100..=500));
-        let until = from + SimDuration::from_millis(rng.gen_range(100..=400));
-        plan = plan
-            .push(
-                from,
-                ChaosKind::Partition {
-                    groups: vec![island, mainland],
-                },
-            )
-            .push(until, ChaosKind::Heal);
+        plan = push_minority_partition(plan, &mut rng, 500);
     }
 
     if rng.gen_bool(0.6) {
@@ -117,27 +120,21 @@ pub fn generate_plan(seed: u64) -> ChaosPlan {
 
 /// The chaos scenario (registry name `"chaos"`).
 pub struct ChaosScenario {
-    fixed: Option<ChaosPlan>,
+    source: PlanSource,
 }
 
 impl ChaosScenario {
     /// Seed-generated plans (the registry default).
     pub fn generated() -> ChaosScenario {
-        ChaosScenario { fixed: None }
+        ChaosScenario {
+            source: PlanSource::Generated(generate_plan),
+        }
     }
 
     /// Run `plan` for every seed (`--plan FILE`). Errors if the plan is
     /// internally inconsistent.
     pub fn fixed(plan: ChaosPlan) -> Result<ChaosScenario, String> {
-        plan.validate()?;
-        Ok(ChaosScenario { fixed: Some(plan) })
-    }
-
-    fn chaos_plan(&self, seed: u64) -> ChaosPlan {
-        match &self.fixed {
-            Some(p) => p.clone(),
-            None => generate_plan(seed),
-        }
+        PlanSource::fixed(plan).map(|source| ChaosScenario { source })
     }
 }
 
@@ -153,19 +150,8 @@ impl Scenario for ChaosScenario {
     }
 
     fn plan(&self, seed: u64) -> RunPlan {
-        let chaos = self.chaos_plan(seed);
-        RunPlan::new(seed, chaos.horizon, base_net(chaos.n)).with_params(serde::Value::Obj(vec![(
-            "chaos".to_string(),
-            serde_json::to_value(&chaos),
-        )]))
-    }
-
-    fn execute(&self, plan: &RunPlan) -> RunOutcome {
-        self.execute_observed(plan, None)
-    }
-
-    fn execute_observed(&self, plan: &RunPlan, obs: Option<&fd_obs::Registry>) -> RunOutcome {
-        ChaosExecutor::default().execute(plan, obs)
+        let chaos = self.source.plan(seed);
+        RunPlan::new(seed, chaos.horizon, base_net(chaos.n)).with_params(chaos_params(&chaos))
     }
 
     fn monitors(&self) -> Vec<Box<dyn Monitor>> {
@@ -176,28 +162,11 @@ impl Scenario for ChaosScenario {
         let Ok(chaos) = chaos_plan_of(plan) else {
             return Vec::new();
         };
-        let mut out = Vec::new();
-        for (i, ev) in chaos.events.iter().enumerate() {
-            let mut shrunk = chaos.clone();
-            shrunk.events.remove(i);
-            // A crash's later restart would be orphaned — drop the pair.
-            if let ChaosKind::Crash { pid } = ev.kind {
-                shrunk
-                    .events
-                    .retain(|e| !(e.at >= ev.at && e.kind == (ChaosKind::Restart { pid })));
-            }
-            if shrunk.validate().is_err() {
-                continue;
-            }
-            let mut candidate = plan.clone();
-            candidate.params =
-                serde::Value::Obj(vec![("chaos".to_string(), serde_json::to_value(&shrunk))]);
-            out.push((
-                format!("drop chaos {}@{}", ev.kind.label(), ev.at),
-                candidate,
-            ));
-        }
-        out
+        chaos
+            .drop_event_moves()
+            .into_iter()
+            .map(|(label, shrunk)| (label, plan.clone().with_params(chaos_params(&shrunk))))
+            .collect()
     }
 
     fn make_executor(&self) -> Box<dyn SeedExecutor + '_> {
@@ -205,17 +174,20 @@ impl Scenario for ChaosScenario {
     }
 }
 
-/// Per-worker executor: one cached, reusable world per detector family
-/// (each is a distinct generic `World` instantiation), re-armed with
-/// `World::reset` between seeds. Reset restores the base network and
+/// The `RunPlan::params` object embedding `chaos`.
+fn chaos_params(chaos: &ChaosPlan) -> serde::Value {
+    serde::Value::Obj(vec![("chaos".to_string(), serde_json::to_value(chaos))])
+}
+
+/// Executor: one reusable world per detector family (each is a distinct
+/// generic `World` instantiation). A reset restores the base network and
 /// clears all chaos state (mangler, partition count), so reuse is
-/// invisible in the results — the determinism tests compare against
-/// fresh worlds to prove it.
+/// invisible in the results.
 #[derive(Default)]
 struct ChaosExecutor {
-    hb: Option<(World<Standalone<HeartbeatDetector>>, usize)>,
-    ring: Option<(World<Standalone<RingDetector>>, usize)>,
-    leader: Option<(World<Standalone<StableLeaderDetector>>, usize)>,
+    hb: WorldCache<Standalone<HeartbeatDetector>>,
+    ring: WorldCache<Standalone<RingDetector>>,
+    leader: WorldCache<Standalone<StableLeaderDetector>>,
 }
 
 impl SeedExecutor for ChaosExecutor {
@@ -229,76 +201,31 @@ impl SeedExecutor for ChaosExecutor {
         // same-property guard rejects, so the candidate is discarded
         // instead of panicking a worker.
         let interventions = compile(&chaos, &plan.net).unwrap_or_default();
-        let n = plan.n();
+        let (net, seed) = (plan.net.clone(), plan.seed);
         match chaos.detector {
             DetectorKind::Heartbeat => {
-                run_detector(&mut self.hb, plan, &interventions, obs, |pid, _| {
+                let world = self.hb.arm(net, seed, obs, |pid, n| {
                     Standalone(HeartbeatDetector::new(pid, n, HeartbeatConfig::default()))
-                })
+                });
+                run_plan(world, plan, &interventions)
             }
             DetectorKind::Ring => {
-                run_detector(&mut self.ring, plan, &interventions, obs, |pid, _| {
+                let world = self.ring.arm(net, seed, obs, |pid, n| {
                     Standalone(RingDetector::new(pid, n, RingConfig::default()))
-                })
+                });
+                run_plan(world, plan, &interventions)
             }
             DetectorKind::StableLeader => {
-                run_detector(&mut self.leader, plan, &interventions, obs, |pid, _| {
+                let world = self.leader.arm(net, seed, obs, |pid, n| {
                     Standalone(StableLeaderDetector::new(
                         pid,
                         n,
                         StableLeaderConfig::default(),
                     ))
-                })
+                });
+                run_plan(world, plan, &interventions)
             }
         }
-    }
-}
-
-/// Run one plan in the cached world for detector type `A`, building or
-/// resetting as needed (same world-reuse pattern as the other campaign
-/// executors: the cache key is the observation registry's identity, so
-/// toggling instrumentation never reuses a mismatched world).
-fn run_detector<A, F>(
-    slot: &mut Option<(World<A>, usize)>,
-    plan: &RunPlan,
-    interventions: &[(Time, Intervention)],
-    obs: Option<&fd_obs::Registry>,
-    mut make: F,
-) -> RunOutcome
-where
-    A: Actor,
-    F: FnMut(ProcessId, usize) -> A,
-{
-    let key = obs.map_or(0usize, |r| r as *const fd_obs::Registry as usize);
-    match &mut *slot {
-        Some((world, k)) if *k == key => {
-            world.reset(plan.net.clone(), plan.seed, &mut make);
-        }
-        s => {
-            let mut builder = WorldBuilder::new(plan.net.clone()).seed(plan.seed);
-            if let Some(registry) = obs {
-                builder = builder.observe(fd_sim::WorldObs::new(registry));
-            }
-            *s = Some((builder.build(&mut make), key));
-        }
-    }
-    let (world, _) = slot.as_mut().expect("world just ensured");
-    for &(pid, at) in &plan.crashes {
-        world.schedule_crash(pid, at);
-    }
-    for (at, iv) in interventions {
-        world.schedule_intervention(*at, iv.clone());
-    }
-    world.run_until_time(plan.horizon);
-    let n = world.n();
-    let (trace, metrics) = world.take_results();
-    RunOutcome {
-        trace,
-        n,
-        end: plan.horizon,
-        decision_latency: None,
-        messages: metrics.sent_total(),
-        events: metrics.events_processed(),
     }
 }
 
@@ -327,32 +254,15 @@ mod tests {
     fn every_generated_seed_upholds_its_class_after_faults() {
         let sc = ChaosScenario::generated();
         let monitors = sc.monitors();
+        let mut ex = sc.make_executor();
         for seed in 0..30 {
-            let plan = sc.plan(seed);
-            let outcome = sc.execute(&plan);
+            let outcome = ex.execute(&sc.plan(seed), None);
             for m in &monitors {
                 m.check(&outcome).unwrap_or_else(|v| {
                     panic!("seed {seed} ({:?}): {v}", generate_plan(seed).detector)
                 });
             }
             assert!(outcome.messages > 0, "seed {seed} moved no messages");
-        }
-    }
-
-    #[test]
-    fn reused_executor_matches_fresh_worlds() {
-        let sc = ChaosScenario::generated();
-        let mut ex = sc.make_executor();
-        for seed in 0..12 {
-            let plan = sc.plan(seed);
-            let reused = ex.execute(&plan, None);
-            let fresh = sc.execute(&plan);
-            assert_eq!(
-                reused.trace.digest(),
-                fresh.trace.digest(),
-                "trace diverged on seed {seed}"
-            );
-            assert_eq!(reused.events, fresh.events, "seed {seed}");
         }
     }
 

@@ -24,8 +24,8 @@ proptest! {
 
         let original = ChaosScenario::fixed(plan).unwrap();
         let restored = ChaosScenario::fixed(back).unwrap();
-        let a = original.execute(&original.plan(seed));
-        let b = restored.execute(&restored.plan(seed));
+        let a = original.make_executor().execute(&original.plan(seed), None);
+        let b = restored.make_executor().execute(&restored.plan(seed), None);
         prop_assert_eq!(a.trace.digest(), b.trace.digest());
         prop_assert_eq!(a.events, b.events);
     }

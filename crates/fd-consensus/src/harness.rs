@@ -5,7 +5,7 @@ use crate::api::{DecidePayload, RoundProtocol};
 use crate::node::ConsensusNode;
 use fd_core::Component;
 use fd_core::{LeaderOracle, SuspectOracle};
-use fd_sim::{Metrics, NetworkConfig, ProcessId, QueueImpl, Time, Trace, World, WorldBuilder};
+use fd_sim::{Metrics, NetworkConfig, ProcessId, QueueImpl, Time, Trace, WorldCache};
 
 /// A consensus workload description.
 #[derive(Debug, Clone)]
@@ -67,59 +67,21 @@ where
     D: Component + SuspectOracle + LeaderOracle,
     P: RoundProtocol,
 {
-    run_scenario_observed(net, sc, mk_node, None)
-}
-
-/// [`run_scenario`] with optional kernel instrumentation: when `obs` is
-/// given, the world records events processed, queue depth high-water
-/// mark, and per-callback timing into it. The run itself is unaffected —
-/// traces and metrics are byte-identical with or without a registry.
-pub fn run_scenario_observed<D, P>(
-    net: NetworkConfig,
-    sc: &Scenario,
-    mk_node: impl FnMut(ProcessId, usize) -> ConsensusNode<D, P>,
-    obs: Option<&fd_obs::Registry>,
-) -> RunResult
-where
-    D: Component + SuspectOracle + LeaderOracle,
-    P: RoundProtocol,
-{
-    ConsensusRunner::new().run(net, sc, mk_node, obs)
-}
-
-/// [`run_scenario`] on an explicitly chosen event-queue implementation.
-/// Exists for the golden-digest suite, which proves the timer wheel and
-/// the classic binary heap schedule byte-identical runs.
-pub fn run_scenario_with_queue<D, P>(
-    net: NetworkConfig,
-    sc: &Scenario,
-    mk_node: impl FnMut(ProcessId, usize) -> ConsensusNode<D, P>,
-    queue: QueueImpl,
-) -> RunResult
-where
-    D: Component + SuspectOracle + LeaderOracle,
-    P: RoundProtocol,
-{
-    ConsensusRunner::with_queue_impl(queue).run(net, sc, mk_node, None)
+    ConsensusRunner::new().run(net, sc, mk_node, None)
 }
 
 /// A reusable consensus-scenario runner.
 ///
-/// Keeps one [`World`] of `ConsensusNode<D, P>` alive across runs and
-/// re-arms it with [`World::reset`] between scenarios, so a seed sweep
-/// pays the queue/actor/trace allocations once instead of once per
-/// seed. Runs through a reused runner are byte-identical to fresh-world
-/// runs (`run_result_accessors` plus the campaign e2e digests enforce
-/// this end to end).
+/// Keeps one [`World`](fd_sim::World) of `ConsensusNode<D, P>` alive
+/// across runs (an [`fd_sim::WorldCache`]), so a seed sweep pays the
+/// queue/actor/trace allocations once instead of once per seed. Runs
+/// through a reused runner are byte-identical to fresh-world runs.
 pub struct ConsensusRunner<D, P>
 where
     D: Component + SuspectOracle + LeaderOracle,
     P: RoundProtocol,
 {
-    /// Cached world plus the identity of the registry it reports into
-    /// (`0` = unobserved): a different registry forces a rebuild.
-    world: Option<(World<ConsensusNode<D, P>>, usize)>,
-    queue: QueueImpl,
+    world: WorldCache<ConsensusNode<D, P>>,
 }
 
 impl<D, P> Default for ConsensusRunner<D, P>
@@ -139,12 +101,18 @@ where
 {
     /// A runner on the default event-queue implementation.
     pub fn new() -> Self {
-        Self::with_queue_impl(QueueImpl::default())
+        ConsensusRunner {
+            world: WorldCache::default(),
+        }
     }
 
-    /// A runner on an explicit event-queue implementation.
+    /// A runner on an explicit event-queue implementation. Exists for
+    /// the golden-digest suite, which proves the timer wheel and the
+    /// classic binary heap schedule byte-identical runs.
     pub fn with_queue_impl(queue: QueueImpl) -> Self {
-        ConsensusRunner { world: None, queue }
+        ConsensusRunner {
+            world: WorldCache::new(move |builder| builder.queue_impl(queue)),
+        }
     }
 
     /// Run one scenario, reusing the cached world when possible.
@@ -157,20 +125,7 @@ where
     ) -> RunResult {
         let n = net.n();
         assert_eq!(sc.proposals.len(), n, "one proposal per process");
-        let key = obs.map_or(0usize, |r| r as *const fd_obs::Registry as usize);
-        match &mut self.world {
-            Some((world, k)) if *k == key => {
-                world.reset(net, sc.seed, mk_node);
-            }
-            slot => {
-                let mut builder = WorldBuilder::new(net).seed(sc.seed).queue_impl(self.queue);
-                if let Some(registry) = obs {
-                    builder = builder.observe(fd_sim::WorldObs::new(registry));
-                }
-                *slot = Some((builder.build(mk_node), key));
-            }
-        }
-        let (world, _) = self.world.as_mut().expect("world just ensured");
+        let world = self.world.arm(net, sc.seed, obs, mk_node);
         for &(pid, at) in &sc.crashes {
             world.schedule_crash(pid, at);
         }

@@ -37,10 +37,7 @@ pub use api::{majority, ConsensusConfig, DecidePayload, Estimate, ProtocolStep, 
 pub use ct::{rotating_coordinator, CtConsensus, CtMsg};
 pub use ec::{EcConsensus, EcMsg};
 pub use ec_merged::{EcMergedConsensus, EcmMsg};
-pub use harness::{
-    default_net, run_scenario, run_scenario_observed, run_scenario_with_queue, ConsensusRunner,
-    RunResult, Scenario,
-};
+pub use harness::{default_net, run_scenario, ConsensusRunner, RunResult, Scenario};
 pub use mr::{MrConsensus, MrMsg};
 pub use multi::{MultiEc, MultiMsg, MultiNode, MultiNodeMsg, SlotDecide, LOG_APPEND, NOOP};
 pub use node::{ConsensusNode, NodeMsg};

@@ -23,15 +23,16 @@
 use crate::command::{encode, KvOp};
 use crate::replica::{obs, KvConfig, KvReplica};
 use fd_campaign::scenario::SeedExecutor;
-use fd_campaign::{Monitor, RunOutcome, RunPlan, Scenario};
-use fd_chaos::{base_net, compile, ChaosKind, ChaosPlan, DetectorKind};
-use fd_core::{Component, LeaderOracle, SuspectOracle, Violation};
+use fd_campaign::{run_plan, Monitor, RunOutcome, RunPlan, Scenario};
+use fd_chaos::{
+    base_net, compile, push_minority_partition, ChaosKind, ChaosPlan, DetectorKind, PlanSource,
+};
+use fd_core::Violation;
 use fd_detectors::{
     HeartbeatConfig, HeartbeatDetector, LeaderByFirstNonSuspected, RingConfig, RingDetector,
     StableLeaderConfig, StableLeaderDetector,
 };
-use fd_sim::chaos::Intervention;
-use fd_sim::{Actor, ProcessId, SimDuration, Time, Trace, World, WorldBuilder};
+use fd_sim::{ProcessId, SimDuration, Time, Trace, WorldCache};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -95,24 +96,7 @@ pub fn generate_kv_chaos(seed: u64) -> ChaosPlan {
         ChaosPlan::new(n, detector, KV_HORIZON).push(Time::from_millis(300), ChaosKind::GstMarker);
 
     if rng.gen_bool(0.4) {
-        // Isolate a strict minority for a bounded window, then heal.
-        let k = rng.gen_range(1..=(n - 1) / 2);
-        let mut pids: Vec<usize> = (0..n).collect();
-        let mut island = Vec::new();
-        for _ in 0..k {
-            island.push(ProcessId(pids.swap_remove(rng.gen_range(0..pids.len()))));
-        }
-        let mainland: Vec<ProcessId> = pids.into_iter().map(ProcessId).collect();
-        let from = Time::from_millis(rng.gen_range(100..=600));
-        let until = from + SimDuration::from_millis(rng.gen_range(100..=400));
-        plan = plan
-            .push(
-                from,
-                ChaosKind::Partition {
-                    groups: vec![island, mainland],
-                },
-            )
-            .push(until, ChaosKind::Heal);
+        plan = push_minority_partition(plan, &mut rng, 600);
     }
 
     if rng.gen_bool(0.85) {
@@ -161,29 +145,28 @@ pub fn generate_workload(seed: u64, n: usize, horizon: Time) -> KvWorkload {
 
 /// The kv scenario (registry name `"kv"`).
 pub struct KvScenario {
-    fixed: Option<ChaosPlan>,
+    source: PlanSource,
 }
 
 impl KvScenario {
     /// Seed-generated chaos plans (the registry default).
     pub fn generated() -> KvScenario {
-        KvScenario { fixed: None }
+        KvScenario {
+            source: PlanSource::Generated(generate_kv_chaos),
+        }
     }
 
     /// Run `plan`'s fault schedule for every seed (`--plan FILE`);
     /// the workload still varies per seed. Errors if the plan is
     /// internally inconsistent.
     pub fn fixed(plan: ChaosPlan) -> Result<KvScenario, String> {
-        plan.validate()?;
-        Ok(KvScenario { fixed: Some(plan) })
+        PlanSource::fixed(plan).map(|source| KvScenario { source })
     }
+}
 
-    fn chaos_plan(&self, seed: u64) -> ChaosPlan {
-        match &self.fixed {
-            Some(p) => p.clone(),
-            None => generate_kv_chaos(seed),
-        }
-    }
+/// The `RunPlan::params` object embedding `spec`.
+fn kv_params(spec: &KvRunSpec) -> serde::Value {
+    serde::Value::Obj(vec![("kv".to_string(), serde_json::to_value(spec))])
 }
 
 impl Scenario for KvScenario {
@@ -192,25 +175,13 @@ impl Scenario for KvScenario {
     }
 
     fn plan(&self, seed: u64) -> RunPlan {
-        let chaos = self.chaos_plan(seed);
+        let chaos = self.source.plan(seed);
         let workload = generate_workload(seed, chaos.n, chaos.horizon);
-        let spec = KvRunSpec {
-            chaos: chaos.clone(),
+        RunPlan::new(seed, chaos.horizon, base_net(chaos.n)).with_params(kv_params(&KvRunSpec {
+            chaos,
             workload,
             cfg: KvConfig::default(),
-        };
-        RunPlan::new(seed, chaos.horizon, base_net(chaos.n)).with_params(serde::Value::Obj(vec![(
-            "kv".to_string(),
-            serde_json::to_value(&spec),
-        )]))
-    }
-
-    fn execute(&self, plan: &RunPlan) -> RunOutcome {
-        self.execute_observed(plan, None)
-    }
-
-    fn execute_observed(&self, plan: &RunPlan, obs: Option<&fd_obs::Registry>) -> RunOutcome {
-        KvExecutor::default().execute(plan, obs)
+        }))
     }
 
     fn monitors(&self) -> Vec<Box<dyn Monitor>> {
@@ -225,30 +196,14 @@ impl Scenario for KvScenario {
         let Ok(spec) = kv_spec_of(plan) else {
             return Vec::new();
         };
-        let with_spec = |spec: &KvRunSpec| {
-            let mut candidate = plan.clone();
-            candidate.params =
-                serde::Value::Obj(vec![("kv".to_string(), serde_json::to_value(spec))]);
-            candidate
-        };
+        let with_spec = |spec: &KvRunSpec| plan.clone().with_params(kv_params(spec));
         let mut out = Vec::new();
-        // Drop chaos events (a crash takes its dependent restart along).
-        for (i, ev) in spec.chaos.events.iter().enumerate() {
-            let mut shrunk = spec.clone();
-            shrunk.chaos.events.remove(i);
-            if let ChaosKind::Crash { pid } = ev.kind {
-                shrunk
-                    .chaos
-                    .events
-                    .retain(|e| !(e.at >= ev.at && e.kind == (ChaosKind::Restart { pid })));
-            }
-            if shrunk.chaos.validate().is_err() {
-                continue;
-            }
-            out.push((
-                format!("drop chaos {}@{}", ev.kind.label(), ev.at),
-                with_spec(&shrunk),
-            ));
+        for (label, chaos) in spec.chaos.drop_event_moves() {
+            let shrunk = KvRunSpec {
+                chaos,
+                ..spec.clone()
+            };
+            out.push((label, with_spec(&shrunk)));
         }
         // Drop individual client operations.
         for i in 0..spec.workload.ops.len() {
@@ -271,14 +226,13 @@ type HbReplica = KvReplica<LeaderByFirstNonSuspected<HeartbeatDetector>>;
 type RingReplica = KvReplica<LeaderByFirstNonSuspected<RingDetector>>;
 type LeaderReplica = KvReplica<StableLeaderDetector>;
 
-/// Per-worker executor: one cached, reusable world per detector family,
-/// re-armed with `World::reset` between seeds (the same reuse pattern —
-/// and the same obs-registry cache key — as the chaos executor).
+/// Executor: one reusable world per detector family, like the chaos
+/// executor's.
 #[derive(Default)]
 pub struct KvExecutor {
-    hb: Option<(World<HbReplica>, usize)>,
-    ring: Option<(World<RingReplica>, usize)>,
-    leader: Option<(World<LeaderReplica>, usize)>,
+    hb: WorldCache<HbReplica>,
+    ring: WorldCache<RingReplica>,
+    leader: WorldCache<LeaderReplica>,
 }
 
 impl SeedExecutor for KvExecutor {
@@ -288,36 +242,42 @@ impl SeedExecutor for KvExecutor {
         // recovery monitor then has nothing to demand and the shrinker's
         // same-property guard discards the candidate (mirrors chaos).
         let interventions = compile(&spec.chaos, &plan.net).unwrap_or_default();
-        let n = plan.n();
-        let schedules = spec.workload.schedules(n);
+        let schedules = spec.workload.schedules(plan.n());
         let cfg = spec.cfg;
-        match spec.chaos.detector {
-            DetectorKind::Heartbeat => run_kv(&mut self.hb, plan, &interventions, obs, |pid, n| {
-                KvReplica::new(
-                    pid,
-                    n,
-                    LeaderByFirstNonSuspected::new(
-                        HeartbeatDetector::new(pid, n, HeartbeatConfig::default()),
+        let (net, seed) = (plan.net.clone(), plan.seed);
+        let mut outcome = match spec.chaos.detector {
+            DetectorKind::Heartbeat => {
+                let world = self.hb.arm(net, seed, obs, |pid, n| {
+                    KvReplica::new(
+                        pid,
                         n,
-                    ),
-                    cfg,
-                    schedules[pid.index()].clone(),
-                )
-            }),
-            DetectorKind::Ring => run_kv(&mut self.ring, plan, &interventions, obs, |pid, n| {
-                KvReplica::new(
-                    pid,
-                    n,
-                    LeaderByFirstNonSuspected::new(
-                        RingDetector::new(pid, n, RingConfig::default()),
+                        LeaderByFirstNonSuspected::new(
+                            HeartbeatDetector::new(pid, n, HeartbeatConfig::default()),
+                            n,
+                        ),
+                        cfg,
+                        schedules[pid.index()].clone(),
+                    )
+                });
+                run_plan(world, plan, &interventions)
+            }
+            DetectorKind::Ring => {
+                let world = self.ring.arm(net, seed, obs, |pid, n| {
+                    KvReplica::new(
+                        pid,
                         n,
-                    ),
-                    cfg,
-                    schedules[pid.index()].clone(),
-                )
-            }),
+                        LeaderByFirstNonSuspected::new(
+                            RingDetector::new(pid, n, RingConfig::default()),
+                            n,
+                        ),
+                        cfg,
+                        schedules[pid.index()].clone(),
+                    )
+                });
+                run_plan(world, plan, &interventions)
+            }
             DetectorKind::StableLeader => {
-                run_kv(&mut self.leader, plan, &interventions, obs, |pid, n| {
+                let world = self.leader.arm(net, seed, obs, |pid, n| {
                     KvReplica::new(
                         pid,
                         n,
@@ -325,60 +285,15 @@ impl SeedExecutor for KvExecutor {
                         cfg,
                         schedules[pid.index()].clone(),
                     )
-                })
+                });
+                run_plan(world, plan, &interventions)
             }
-        }
-    }
-}
-
-/// Run one plan in the cached world for replica type `A`, building or
-/// resetting as needed.
-fn run_kv<D, F>(
-    slot: &mut Option<(World<KvReplica<D>>, usize)>,
-    plan: &RunPlan,
-    interventions: &[(Time, Intervention)],
-    obs: Option<&fd_obs::Registry>,
-    mut make: F,
-) -> RunOutcome
-where
-    D: Component + SuspectOracle + LeaderOracle,
-    KvReplica<D>: Actor,
-    F: FnMut(ProcessId, usize) -> KvReplica<D>,
-{
-    let key = obs.map_or(0usize, |r| r as *const fd_obs::Registry as usize);
-    match &mut *slot {
-        Some((world, k)) if *k == key => {
-            world.reset(plan.net.clone(), plan.seed, &mut make);
-        }
-        s => {
-            let mut builder = WorldBuilder::new(plan.net.clone()).seed(plan.seed);
-            if let Some(registry) = obs {
-                builder = builder.observe(fd_sim::WorldObs::new(registry));
-            }
-            *s = Some((builder.build(&mut make), key));
-        }
-    }
-    let (world, _) = slot.as_mut().expect("world just ensured");
-    for &(pid, at) in &plan.crashes {
-        world.schedule_crash(pid, at);
-    }
-    for (at, iv) in interventions {
-        world.schedule_intervention(*at, iv.clone());
-    }
-    world.run_until_time(plan.horizon);
-    let n = world.n();
-    let (trace, metrics) = world.take_results();
-    let decision_latency = commit_latencies(&trace)
-        .into_iter()
-        .map(|(_, _, d)| d)
-        .max();
-    RunOutcome {
-        trace,
-        n,
-        end: plan.horizon,
-        decision_latency,
-        messages: metrics.sent_total(),
-        events: metrics.events_processed(),
+        };
+        outcome.decision_latency = commit_latencies(&outcome.trace)
+            .into_iter()
+            .map(|(_, _, d)| d)
+            .max();
+        outcome
     }
 }
 
@@ -544,31 +459,14 @@ mod tests {
     fn generated_seeds_uphold_all_kv_properties() {
         let sc = KvScenario::generated();
         let monitors = sc.monitors();
+        let mut ex = sc.make_executor();
         for seed in 0..12 {
-            let plan = sc.plan(seed);
-            let outcome = sc.execute(&plan);
+            let outcome = ex.execute(&sc.plan(seed), None);
             for m in &monitors {
                 m.check(&outcome)
                     .unwrap_or_else(|v| panic!("seed {seed}: {v}"));
             }
             assert!(outcome.messages > 0, "seed {seed} moved no messages");
-        }
-    }
-
-    #[test]
-    fn reused_executor_matches_fresh_worlds() {
-        let sc = KvScenario::generated();
-        let mut ex = sc.make_executor();
-        for seed in 0..9 {
-            let plan = sc.plan(seed);
-            let reused = ex.execute(&plan, None);
-            let fresh = sc.execute(&plan);
-            assert_eq!(
-                reused.trace.digest(),
-                fresh.trace.digest(),
-                "trace diverged on seed {seed}"
-            );
-            assert_eq!(reused.events, fresh.events, "seed {seed}");
         }
     }
 
@@ -579,6 +477,7 @@ mod tests {
         // the crash must be bounded by the snapshot cadence, not by the
         // length of the decided log.
         let sc = KvScenario::generated();
+        let mut ex = sc.make_executor();
         let mut checked = 0;
         for seed in 0..24 {
             let plan = sc.plan(seed);
@@ -586,7 +485,7 @@ mod tests {
             if spec.chaos.restarted().is_empty() {
                 continue;
             }
-            let outcome = sc.execute(&plan);
+            let outcome = ex.execute(&plan, None);
             for (pid, _, _) in spec.chaos.restarted() {
                 let Some((_, payload)) = outcome.trace.last_observation_of(pid, obs::RECOVERY)
                 else {
@@ -641,9 +540,9 @@ mod tests {
             .push(heal, ChaosKind::Heal);
         let sc = KvScenario::fixed(plan).unwrap();
         let monitors = sc.monitors();
+        let mut ex = sc.make_executor();
         for seed in 0..6 {
-            let plan = sc.plan(seed);
-            let outcome = sc.execute(&plan);
+            let outcome = ex.execute(&sc.plan(seed), None);
             for m in &monitors {
                 m.check(&outcome)
                     .unwrap_or_else(|v| panic!("seed {seed}: {v}"));
@@ -701,9 +600,9 @@ mod tests {
             );
         let sc = KvScenario::fixed(plan).unwrap();
         let monitors = sc.monitors();
+        let mut ex = sc.make_executor();
         for seed in 0..6 {
-            let plan = sc.plan(seed);
-            let outcome = sc.execute(&plan);
+            let outcome = ex.execute(&sc.plan(seed), None);
             for m in &monitors {
                 m.check(&outcome)
                     .unwrap_or_else(|v| panic!("seed {seed}: {v}"));

@@ -51,6 +51,7 @@
 
 pub mod actor;
 pub mod bench;
+pub mod cache;
 pub mod chaos;
 pub mod event;
 pub mod link;
@@ -66,6 +67,7 @@ pub mod trace;
 pub mod world;
 
 pub use actor::{expand_sends, Action, Actor, Context, SimMessage, TimerId, TimerTag};
+pub use cache::WorldCache;
 pub use chaos::{Intervention, NetChange};
 pub use event::QueueImpl;
 pub use link::{DelayDist, LinkMangler, LinkModel};

@@ -204,15 +204,8 @@ impl WorldBuilder {
         self
     }
 
-    /// Enable or disable full trace recording (metrics are always on).
-    /// Shorthand for [`trace_mode`](WorldBuilder::trace_mode) with
-    /// [`TraceMode::Full`] / [`TraceMode::Off`].
-    pub fn record_trace(mut self, on: bool) -> Self {
-        self.trace_mode = if on { TraceMode::Full } else { TraceMode::Off };
-        self
-    }
-
-    /// Select how much of the run the trace records (default: full).
+    /// Select how much of the run the trace records (default: full;
+    /// metrics are always on).
     pub fn trace_mode(mut self, mode: TraceMode) -> Self {
         self.trace_mode = mode;
         self
@@ -245,30 +238,29 @@ impl WorldBuilder {
         self
     }
 
-    /// Instantiate the actors (via `make(pid, n)`) and build the world.
-    pub fn build<A, F>(self, mut make: F) -> World<A>
+    /// Instantiate the actors (via `make(pid, n)`) and build the world:
+    /// an empty world carrying this builder's settings, armed by the same
+    /// [`World::reset`] that re-arms a reused one — so per-run state is
+    /// initialised in exactly one place.
+    pub fn build<A, F>(self, make: F) -> World<A>
     where
         A: Actor,
         F: FnMut(ProcessId, usize) -> A,
     {
-        let n = self.net.n();
-        assert!(n > 0, "a world needs at least one process");
-        let mut metrics = Metrics::default();
-        metrics.presize(n);
         let mut world = World {
-            n,
+            n: 0,
             now: Time::ZERO,
             queue: EventQueue::with_impl(self.queue),
-            actors: (0..n).map(|i| make(ProcessId(i), n)).collect(),
-            rngs: (0..n).map(|i| derive_process_rng(self.seed, i)).collect(),
-            crashed: vec![false; n],
-            epochs: vec![0; n],
-            net: self.net,
-            net_rng: derive_network_rng(self.seed),
+            actors: Vec::new(),
+            rngs: Vec::new(),
+            crashed: Vec::new(),
+            epochs: Vec::new(),
+            net: NetworkConfig::new(0),
+            net_rng: derive_network_rng(0),
             cancelled: HashSet::default(),
             next_timer_id: 0,
             trace: Trace::default(),
-            metrics,
+            metrics: Metrics::default(),
             trace_mode: self.trace_mode,
             max_events: self.max_events,
             obs: self.obs,
@@ -280,10 +272,11 @@ impl WorldBuilder {
             mangler: None,
             partitions_open: 0,
             track_state: self.track_state,
-            proc_hash: vec![0; n],
+            proc_hash: Vec::new(),
             queue_hash: 0,
             env_hash: 0,
         };
+        world.reset(self.net, self.seed, make);
         for (pid, at) in self.crashes {
             world.push_event(at, EventKind::Crash { pid });
         }
@@ -910,7 +903,7 @@ impl<A: Actor> World<A> {
     /// spans and buckets, the actors vector, the action scratch buffer,
     /// and (via a high-water-mark `reserve`) the trace arena. `n` may
     /// change between runs. Equivalent to building a new world with the
-    /// same `record_trace` / `max_events` / instrumentation settings —
+    /// same `trace_mode` / `max_events` / instrumentation settings —
     /// runs after a reset are byte-identical to runs in a fresh world.
     ///
     /// Crashes are not carried over; schedule them with
@@ -1508,7 +1501,7 @@ mod tests {
         let mut w = {
             let net = NetworkConfig::new(2);
             WorldBuilder::new(net)
-                .record_trace(false)
+                .trace_mode(TraceMode::Off)
                 .build(|_, _| PingPong {
                     pings_seen: 0,
                     pongs_seen: 0,
@@ -2065,7 +2058,7 @@ mod annotate_tests {
     #[test]
     fn annotations_respect_trace_switch() {
         let mut w = WorldBuilder::new(crate::topology::NetworkConfig::new(1))
-            .record_trace(false)
+            .trace_mode(TraceMode::Off)
             .build(|_, _| Quiet);
         w.annotate("x", Payload::None);
         let (trace, _) = w.into_results();

@@ -28,37 +28,37 @@ use std::process::ExitCode;
 #[global_allocator]
 static ALLOC: fd_obs::CountingAllocator = fd_obs::CountingAllocator;
 
-const HELP: &str = "\
-ecfd — eventually consistent failure detectors, runnable
-
-USAGE:
-  ecfd consensus [--n N] [--protocol ec|ecm|ct|mr|paxos] [--seed S]
-                 [--crash P@MS ...] [--horizon-ms MS] [--timeline]
-  ecfd detector  [--kind heartbeat|ring|leader|fused|stable|gossip|vcube]
-                 [--n N] [--seed S] [--crash P@MS ...] [--run-ms MS] [--timeline]
-  ecfd log       [--n N] [--commands K] [--seed S] [--crash P@MS ...]
-  ecfd campaign  --scenario NAME [--seeds A..B] [--jobs N] [--artifact-dir DIR]
-                 [--metrics-out FILE]
-  ecfd campaign  --plan FILE [--scenario chaos|kv] [--seeds A..B] [--jobs N]
-                 [--artifact-dir DIR]
-  ecfd campaign  --replay FILE [--shrink] [--metrics-out FILE]
-  ecfd bench-kernel [--seeds N] [--out FILE] [--micro-out FILE]
-                 [--check BASELINE] [--threshold PCT]
-  ecfd bench-scale [--n N ...] [--seeds N] [--out FILE]
-                 [--check BASELINE] [--threshold PCT]
-  ecfd kv-bench  [--seeds N] [--out FILE]
-  ecfd obs-report FILE
-  ecfd lint      [--format human|json] [--deny-warnings] [--rule ID ...]
-                 [--root DIR] [--graph-out FILE] [--graph-format json|dot]
-  ecfd mc        (--detector hb|ring|leader | --protocol ec|ct|paxos|multi | --all)
+/// One `USAGE` entry per element, each starting `  ecfd <subcommand>`.
+const USAGE: &[&str] = &[
+    "  ecfd consensus [--n N] [--protocol ec|ecm|ct|mr|paxos] [--seed S]
+                 [--crash P@MS ...] [--horizon-ms MS] [--timeline]",
+    "  ecfd detector  [--kind heartbeat|ring|leader|fused|stable|gossip|vcube]
+                 [--n N] [--seed S] [--crash P@MS ...] [--run-ms MS] [--timeline]",
+    "  ecfd log       [--n N] [--commands K] [--seed S] [--crash P@MS ...]",
+    "  ecfd campaign  --scenario NAME [--seeds A..B] [--jobs N] [--artifact-dir DIR]
+                 [--metrics-out FILE]",
+    "  ecfd campaign  --plan FILE [--scenario chaos|kv] [--seeds A..B] [--jobs N]
+                 [--artifact-dir DIR]",
+    "  ecfd campaign  --replay FILE [--shrink] [--metrics-out FILE]",
+    "  ecfd bench-kernel [--seeds N] [--out FILE] [--micro-out FILE]
+                 [--check BASELINE] [--threshold PCT]",
+    "  ecfd bench-scale [--n N ...] [--seeds N] [--out FILE]
+                 [--check BASELINE] [--threshold PCT]",
+    "  ecfd kv-bench  [--seeds N] [--out FILE]",
+    "  ecfd obs-report FILE",
+    "  ecfd lint      [--format human|json] [--deny-warnings] [--rule ID ...]
+                 [--root DIR] [--graph-out FILE] [--graph-format json|dot]",
+    "  ecfd mc        (--detector hb|ring|leader | --protocol ec|ct|paxos|multi | --all)
                  [--n N] [--horizon-ms MS] [--depth D] [--crashes K] [--drops L]
                  [--crash-window-ms MS] [--crash-grid-ms MS] [--max-runs R]
                  [--no-por] [--no-dedup] [--por-baseline]
-                 [--witness-dir DIR] [--json FILE]
-  ecfd mc        --replay FILE (--detector X | --protocol X)
-  ecfd classes
-  ecfd help
+                 [--witness-dir DIR] [--json FILE]",
+    "  ecfd mc        --replay FILE (--detector X | --protocol X)",
+    "  ecfd classes",
+    "  ecfd help",
+];
 
+const SIM_OPTIONS: &str = "\
 OPTIONS:
   --n N             number of processes (default 5)
   --protocol X      consensus protocol: ec (the paper's ◇C algorithm, default),
@@ -74,9 +74,11 @@ OPTIONS:
   --max-processes N cap on distinct processes in a --timeline listing
                     (default 64): larger casts degrade to the one-line
                     summary instead of flooding the terminal
+";
 
+const CAMPAIGN_OPTIONS: &str = "\
 CAMPAIGN OPTIONS:
-  --scenario NAME   campaign scenario (e8, chaos, kv, blind)
+  --scenario NAME   campaign scenario (e8, scale, chaos, kv, blind)
   --plan FILE       run a fixed chaos plan (JSON, see crates/fd-chaos/CATALOG.md)
                     for every seed; defaults to --scenario chaos, combine
                     with --scenario kv to drive the replicated KV service
@@ -90,18 +92,9 @@ CAMPAIGN OPTIONS:
   --metrics-out F   write kernel/campaign metrics as JSON Lines to F
                     (render later with `ecfd obs-report F`); per-seed
                     verdicts and digests are identical with or without it
+";
 
-BENCH-SCALE OPTIONS:
-  --n N             restrict the sweep to world size N (repeatable;
-                    default 64, 256, 1024 and 4096)
-  --seeds N         seeds per cell (default 4)
-  --out FILE        write the scale benchmark JSON to FILE
-                    (same shape as the committed BENCH_scale.json)
-  --check BASELINE  compare per-cell events_per_sec against a baseline
-                    BENCH_scale.json; exit nonzero on regression
-  --threshold PCT   allowed events_per_sec drop vs baseline, percent
-                    (default 25)
-
+const BENCH_KERNEL_OPTIONS: &str = "\
 BENCH-KERNEL OPTIONS:
   --seeds N         seeds in the E8 throughput sweep (default 1000)
   --out FILE        write the kernel benchmark JSON to FILE
@@ -112,13 +105,30 @@ BENCH-KERNEL OPTIONS:
                     BENCH_kernel.json; exit nonzero on regression
   --threshold PCT   allowed events_per_sec drop vs baseline, percent
                     (default 25)
+";
 
+const BENCH_SCALE_OPTIONS: &str = "\
+BENCH-SCALE OPTIONS:
+  --n N             restrict the sweep to world size N (repeatable;
+                    default 64, 256, 1024 and 4096)
+  --seeds N         seeds per cell (default 4)
+  --out FILE        write the scale benchmark JSON to FILE
+                    (same shape as the committed BENCH_scale.json)
+  --check BASELINE  compare per-cell events_per_sec against a baseline
+                    BENCH_scale.json; exit nonzero on regression
+  --threshold PCT   allowed events_per_sec drop vs baseline, percent
+                    (default 25)
+";
+
+const KV_BENCH_OPTIONS: &str = "\
 KV-BENCH OPTIONS:
   --seeds N         seeds per detector class in the standard
                     crash/restart plan (default 200)
   --out FILE        write the serving-stack benchmark JSON to FILE
                     (same shape as the committed BENCH_kv.json)
+";
 
+const LINT_OPTIONS: &str = "\
 LINT OPTIONS:
   --format F        report format: human (default) or json
   --deny-warnings   treat warn-level findings as errors (CI runs this)
@@ -132,7 +142,9 @@ LINT OPTIONS:
 
   Exit codes: 0 clean, 1 findings, 2 internal error (bad flags,
   unknown rule ID, unreadable workspace).
+";
 
+const MC_OPTIONS: &str = "\
 MC OPTIONS (bounded exhaustive schedule exploration, see fd-mc):
   --detector X      explore a standalone detector world: hb, ring, leader
   --protocol X      explore a consensus stack: ec (with the retransmission
@@ -162,6 +174,36 @@ MC OPTIONS (bounded exhaustive schedule exploration, see fd-mc):
   Exit codes: 0 exhaustive and clean (replay: reproduced), 1 violations
   found or replay diverged, 2 bad flags / setup errors.
 ";
+
+/// Each options section with the subcommands whose flags it documents.
+const SECTIONS: &[(&[&str], &str)] = &[
+    (&["consensus", "detector", "log"], SIM_OPTIONS),
+    (&["campaign"], CAMPAIGN_OPTIONS),
+    (&["bench-kernel"], BENCH_KERNEL_OPTIONS),
+    (&["bench-scale"], BENCH_SCALE_OPTIONS),
+    (&["kv-bench"], KV_BENCH_OPTIONS),
+    (&["lint"], LINT_OPTIONS),
+    (&["mc"], MC_OPTIONS),
+];
+
+/// The usage text: every subcommand's for `None`, one's for `Some(name)`
+/// (`None` back if there is no such subcommand).
+fn help(cmd: Option<&str>) -> Option<String> {
+    let wanted = |names: &[&str]| cmd.is_none_or(|c| names.contains(&c));
+    let mut usage = String::new();
+    for entry in USAGE {
+        if wanted(&[entry.split_whitespace().nth(1).unwrap_or("")]) {
+            usage = usage + entry + "\n";
+        }
+    }
+    let sections = SECTIONS.iter().filter(|(names, _)| wanted(names));
+    let sections: String = sections.map(|(_, text)| format!("\n{text}")).collect();
+    let title = match cmd {
+        None => "ecfd — eventually consistent failure detectors, runnable\n\n",
+        Some(_) => "",
+    };
+    (!usage.is_empty()).then(|| format!("{title}USAGE:\n{usage}{sections}"))
+}
 
 #[derive(Debug, Default)]
 struct Args {
@@ -1446,76 +1488,46 @@ visited_hits={:<6} capped={:<6} wall={:>6}ms {}",
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
+    let full_help = help(None).unwrap_or_default();
     let Some((cmd, rest)) = argv.split_first() else {
-        print!("{HELP}");
+        print!("{full_help}");
         return ExitCode::FAILURE;
     };
     if matches!(cmd.as_str(), "help" | "--help" | "-h") {
-        print!("{HELP}");
+        print!("{full_help}");
         return ExitCode::SUCCESS;
     }
-    if cmd == "classes" {
-        cmd_classes();
-        return ExitCode::SUCCESS;
-    }
-    if cmd == "bench-kernel" {
-        return match cmd_bench_kernel(rest) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if cmd == "bench-scale" {
-        return match cmd_bench_scale(rest) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if cmd == "kv-bench" {
-        return match cmd_kv_bench(rest) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if cmd == "lint" {
-        return cmd_lint(rest);
-    }
-    if cmd == "mc" {
-        return cmd_mc(rest);
-    }
-    if cmd == "obs-report" {
-        return match cmd_obs_report(rest) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let args = match parse_args(rest) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}\n");
-            eprint!("{HELP}");
-            return ExitCode::FAILURE;
+    if rest.iter().any(|a| a == "--help" || a == "-h") {
+        if let Some(text) = help(Some(cmd)) {
+            print!("{text}");
+            return ExitCode::SUCCESS;
         }
-    };
-    if cmd == "campaign" {
-        return cmd_campaign(&args);
     }
     let result = match cmd.as_str() {
-        "consensus" => cmd_consensus(&args),
-        "detector" => cmd_detector(&args),
-        "log" => cmd_log(&args),
-        other => Err(format!("unknown command {other}")),
+        "classes" => {
+            cmd_classes();
+            Ok(())
+        }
+        "bench-kernel" => cmd_bench_kernel(rest),
+        "bench-scale" => cmd_bench_scale(rest),
+        "kv-bench" => cmd_kv_bench(rest),
+        "obs-report" => cmd_obs_report(rest),
+        "lint" => return cmd_lint(rest),
+        "mc" => return cmd_mc(rest),
+        _ => match parse_args(rest) {
+            Err(e) => {
+                eprintln!("error: {e}\n");
+                eprint!("{full_help}");
+                return ExitCode::FAILURE;
+            }
+            Ok(args) => match cmd.as_str() {
+                "campaign" => return cmd_campaign(&args),
+                "consensus" => cmd_consensus(&args),
+                "detector" => cmd_detector(&args),
+                "log" => cmd_log(&args),
+                other => Err(format!("unknown command {other}")),
+            },
+        },
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,

@@ -119,3 +119,37 @@ fn known_bad_scenario_artifact_replays_and_shrinks() {
         "the minimized counterexample must still fail"
     );
 }
+
+/// A stale or hand-edited artifact that names a class / protocol the
+/// executor has no world for is outside input: `replay` and `shrink`
+/// must return an `Err` naming the param and the accepted values — not
+/// panic, and not silently run some other stack.
+#[test]
+fn replay_rejects_artifacts_naming_an_unknown_class_or_proto() {
+    for (name, param, bogus, accepted) in [
+        ("scale", "class", "gossip", "vcube"),
+        ("e8", "proto", "paxos", "mr"),
+    ] {
+        let scenario = scenario_by_name(name).expect("registered");
+        let mut plan = scenario.plan(0);
+        plan.params = serde::Value::Obj(vec![(param.into(), serde::Value::Str(bogus.into()))]);
+        let artifact = Artifact {
+            scenario: name.into(),
+            seed: 0,
+            property: scenario.monitors()[0].property().to_string(),
+            detail: String::new(),
+            digest: 0,
+            plan,
+        };
+        for result in [
+            replay(scenario.as_ref(), &artifact).map(drop),
+            shrink(scenario.as_ref(), &artifact).map(drop),
+        ] {
+            let msg = result.expect_err("an unknown param value must not run");
+            assert!(
+                msg.contains(param) && msg.contains(bogus) && msg.contains(accepted),
+                "{name}: {msg}"
+            );
+        }
+    }
+}

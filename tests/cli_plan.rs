@@ -1,4 +1,5 @@
-//! CLI contract of `ecfd campaign --plan`: a missing or malformed plan
+//! CLI contracts. Every subcommand answers `--help` / `-h` with its own
+//! usage and exit 0. `ecfd campaign --plan`: a missing or malformed plan
 //! file must exit with code 2 (setup never completed) and a diagnostic
 //! naming the file, distinct from exit 1 (a sweep that ran and found
 //! property violations). A valid plan must drive both the chaos and the
@@ -120,4 +121,41 @@ fn plan_rejects_non_chaos_non_kv_scenarios() {
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("chaos or kv"), "{stderr}");
+}
+
+#[test]
+fn every_subcommand_answers_help_with_its_own_usage() {
+    for sub in [
+        "consensus",
+        "detector",
+        "log",
+        "campaign",
+        "bench-kernel",
+        "bench-scale",
+        "kv-bench",
+        "obs-report",
+        "lint",
+        "mc",
+        "classes",
+    ] {
+        for flag in ["--help", "-h"] {
+            let out = ecfd().args([sub, flag]).output().unwrap();
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert_eq!(
+                out.status.code(),
+                Some(0),
+                "`ecfd {sub} {flag}` must exit 0\nstderr: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            assert!(
+                stdout.starts_with(&format!("USAGE:\n  ecfd {sub}")),
+                "`ecfd {sub} {flag}` must print that subcommand's usage, got: {stdout}"
+            );
+            assert_eq!(
+                stdout.matches("\n  ecfd ").count(),
+                stdout.matches(&format!("\n  ecfd {sub}")).count(),
+                "`ecfd {sub} {flag}` must not list other subcommands: {stdout}"
+            );
+        }
+    }
 }

@@ -12,7 +12,7 @@
 
 use ecfd::bench::campaign::E8Scenario;
 use ecfd::campaign::Scenario as CampaignScenario;
-use ecfd::consensus::{ct_node_hb, ec_node_hb, mr_node_leader, run_scenario_with_queue, RunResult};
+use ecfd::consensus::{ct_node_hb, ec_node_hb, mr_node_leader, ConsensusRunner, RunResult};
 use ecfd::sim::{LinkModel, NetworkConfig, ProcessId, QueueImpl, SimDuration, Time};
 
 mod large_n {
@@ -80,10 +80,11 @@ fn run_e8_seed(seed: u64, queue: QueueImpl) -> RunResult {
         proposals: (0..plan.n()).map(|i| 100 + i as u64).collect(),
         horizon: plan.horizon,
     };
+    let net = plan.net.clone();
     match plan.params.field("proto").as_str() {
-        Some("ct") => run_scenario_with_queue(plan.net.clone(), &sc, ct_node_hb, queue),
-        Some("mr") => run_scenario_with_queue(plan.net.clone(), &sc, mr_node_leader, queue),
-        _ => run_scenario_with_queue(plan.net.clone(), &sc, ec_node_hb, queue),
+        Some("ct") => ConsensusRunner::with_queue_impl(queue).run(net, &sc, ct_node_hb, None),
+        Some("mr") => ConsensusRunner::with_queue_impl(queue).run(net, &sc, mr_node_leader, None),
+        _ => ConsensusRunner::with_queue_impl(queue).run(net, &sc, ec_node_hb, None),
     }
 }
 
@@ -138,8 +139,9 @@ fn wheel_and_classic_queues_agree_on_lossy_links() {
             proposals: (0..n).map(|i| 100 + i as u64).collect(),
             horizon: Time::from_secs(30),
         };
-        let wheel = run_scenario_with_queue(net.clone(), &sc, ec_node_hb, QueueImpl::Wheel);
-        let classic = run_scenario_with_queue(net, &sc, ec_node_hb, QueueImpl::Classic);
+        let run =
+            |queue| ConsensusRunner::with_queue_impl(queue).run(net.clone(), &sc, ec_node_hb, None);
+        let (wheel, classic) = (run(QueueImpl::Wheel), run(QueueImpl::Classic));
         assert_identical(seed, &wheel, &classic);
         assert!(
             wheel
