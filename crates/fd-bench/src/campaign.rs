@@ -134,125 +134,6 @@ impl SeedExecutor for E8Executor {
     }
 }
 
-/// Per-seed wall and throughput summary of one campaign sweep, as a
-/// JSON object (`jobs`, `wall_ns`, `events_per_sec`, p50/p99 per-seed
-/// wall, worker utilization).
-fn sweep_profile(report: &fd_campaign::CampaignReport) -> serde::Value {
-    let wall_ns = u64::try_from(report.wall.as_nanos()).unwrap_or(u64::MAX);
-    let events = report.total_events();
-    let events_per_sec = if wall_ns == 0 {
-        0.0
-    } else {
-        events as f64 / (wall_ns as f64 / 1e9)
-    };
-    let mut fields = vec![
-        ("jobs".to_string(), serde::Value::U128(report.jobs as u128)),
-        ("wall_ns".to_string(), serde::Value::U128(wall_ns.into())),
-        (
-            "events_per_sec".to_string(),
-            serde::Value::F64(events_per_sec),
-        ),
-    ];
-    if let Some(s) = report.seed_wall_stats() {
-        fields.push((
-            "seed_wall_p50_ns".to_string(),
-            serde::Value::U128(s.p50.into()),
-        ));
-        fields.push((
-            "seed_wall_p99_ns".to_string(),
-            serde::Value::U128(s.p99.into()),
-        ));
-    }
-    if let Some(u) = report.worker_utilization() {
-        fields.push(("worker_utilization".to_string(), serde::Value::F64(u)));
-    }
-    serde::Value::Obj(fields)
-}
-
-/// Run the kernel throughput benchmark — an instrumented E8 sweep —
-/// and return the JSON object `all_experiments` writes to
-/// `BENCH_kernel.json`: sweep wall time, total kernel events, and
-/// events/second, plus per-seed wall and worker-utilization summaries.
-///
-/// The headline numbers come from a `jobs = 1` sweep (the scheduling-
-/// noise-free kernel measurement); a second sweep at the machine's
-/// available parallelism lands under `"jobs_n"`. `allocs_per_event`
-/// appears only in binaries that install
-/// [`fd_obs::CountingAllocator`] as the global allocator.
-///
-/// Absolute numbers are machine-dependent; the committed file is a
-/// reference point for spotting kernel regressions on comparable
-/// hardware (the perf-smoke CI job compares against it with a wide
-/// tolerance).
-pub fn kernel_bench(seeds: u64) -> serde::Value {
-    let sc = E8Scenario;
-    let registry = fd_obs::Registry::new();
-    let allocs_before = fd_obs::CountingAllocator::count();
-    let report = fd_campaign::Campaign::new(&sc, 0..seeds)
-        .jobs(1)
-        .observe(&registry)
-        .run();
-    let allocs = fd_obs::CountingAllocator::count().saturating_sub(allocs_before);
-    let wall_ns = u64::try_from(report.wall.as_nanos()).unwrap_or(u64::MAX);
-    let events = report.total_events();
-    let events_per_sec = if wall_ns == 0 {
-        0.0
-    } else {
-        events as f64 / (wall_ns as f64 / 1e9)
-    };
-    let mut fields = vec![
-        ("bench".to_string(), serde::Value::Str("kernel".into())),
-        ("scenario".to_string(), serde::Value::Str(E8.into())),
-        (
-            "queue_impl".to_string(),
-            serde::Value::Str(fd_sim::QueueImpl::default().label().into()),
-        ),
-        ("seeds".to_string(), serde::Value::U128(seeds.into())),
-        ("jobs".to_string(), serde::Value::U128(report.jobs as u128)),
-        ("wall_ns".to_string(), serde::Value::U128(wall_ns.into())),
-        ("events".to_string(), serde::Value::U128(events.into())),
-        (
-            "events_per_sec".to_string(),
-            serde::Value::F64(events_per_sec),
-        ),
-        (
-            "messages".to_string(),
-            serde::Value::U128(report.results.iter().map(|r| r.messages as u128).sum()),
-        ),
-        (
-            "passed".to_string(),
-            serde::Value::U128(report.passed().into()),
-        ),
-        (
-            "failed".to_string(),
-            serde::Value::U128(report.failed().into()),
-        ),
-    ];
-    if allocs > 0 && events > 0 {
-        fields.push((
-            "allocs_per_event".to_string(),
-            serde::Value::F64(allocs as f64 / events as f64),
-        ));
-    }
-    if let Some(s) = report.seed_wall_stats() {
-        fields.push((
-            "seed_wall_p50_ns".to_string(),
-            serde::Value::U128(s.p50.into()),
-        ));
-        fields.push((
-            "seed_wall_p99_ns".to_string(),
-            serde::Value::U128(s.p99.into()),
-        ));
-    }
-    if let Some(u) = report.worker_utilization() {
-        fields.push(("worker_utilization".to_string(), serde::Value::F64(u)));
-    }
-    let jobs_n = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let report_n = fd_campaign::Campaign::new(&sc, 0..seeds).jobs(jobs_n).run();
-    fields.push(("jobs_n".to_string(), sweep_profile(&report_n)));
-    serde::Value::Obj(fields)
-}
-
 /// Look up a campaign scenario by registry name: the experiment
 /// scenarios defined here, then the `fd-campaign` built-ins.
 pub fn scenario_by_name(name: &str) -> Option<Box<dyn Scenario>> {

@@ -1,29 +1,27 @@
-//! Large-n scale benchmark: the three detector cost classes at
-//! n = 64…4096.
+//! Large-n scale cells: the three detector cost classes at
+//! n = 64…4096, as the `scale` campaign scenario.
 //!
 //! The paper's §4 cost comparison — `n²` heartbeats vs the ring's `2n`
 //! vs hierarchical testing's `n·log n` — only *bites* at system sizes
 //! the rest of the workspace never reaches (the consensus experiments
-//! sweep n ≤ 7). This bench runs each cost class at n ∈ {64, 256, 1024,
-//! 4096} under a stable and a fair-lossy network, measuring kernel
-//! throughput (events/second), message volume, and an
-//! observation-digest per cell so any nondeterminism at scale shows up
-//! as a digest drift rather than a silent wrong answer.
+//! sweep n ≤ 7). Each cost class runs at n ∈ {64, 256, 1024, 4096} under
+//! a stable and a fair-lossy network; a cell's event count, message
+//! volume, and observation digest are deterministic, so any
+//! nondeterminism at scale shows up as a digest drift rather than a
+//! silent wrong answer. `tests/scale_e2e.rs` pins all 22 cells in a
+//! golden table (the §4 message-volume numbers EXPERIMENTS.md cites);
+//! host-time throughput of these cells is measured by `benchmark/` only.
 //!
 //! Worlds run with [`TraceMode::ObsOnly`]: detector observations and
 //! crashes are kept (the digest input, and what any checker needs),
 //! per-message trace events are not — at n = 4096 a full trace would be
-//! the benchmark's own quadratic bottleneck.
+//! the run's own quadratic bottleneck.
 //!
 //! The heartbeat class stops at n = 1024: its send burst queues `n²`
 //! simultaneous deliveries (≈ 17 M queued events at 4096 — a gigabyte
 //! of event queue), which is precisely the blow-up the sub-quadratic
 //! detectors exist to avoid. The ring and vCube classes carry the 4096
 //! cells.
-//!
-//! `ecfd bench-scale` drives this and writes `BENCH_scale.json`; the CI
-//! scale-smoke job re-runs the n = 256 column and gates on per-cell
-//! throughput regressions with a wide tolerance.
 
 use fd_campaign::scenario::SeedExecutor;
 use fd_campaign::{run_plan, Monitor, NamedMonitor, RunOutcome, RunPlan, Scenario};
@@ -31,10 +29,8 @@ use fd_detectors::{
     HeartbeatConfig, HeartbeatDetector, RingConfig, RingDetector, VCubeConfig, VCubeDetector,
 };
 use fd_sim::{
-    Actor, LinkModel, NetworkConfig, ProcessId, SimDuration, Time, TraceMode, WorldBuilder,
-    WorldCache,
+    Actor, LinkModel, NetworkConfig, ProcessId, SimDuration, Time, TraceMode, WorldCache,
 };
-use std::time::Instant;
 
 /// The system sizes the scale sweep covers.
 pub const SCALE_SIZES: [usize; 4] = [64, 256, 1024, 4096];
@@ -54,7 +50,7 @@ impl ScaleClass {
     /// Every class, in reporting order.
     pub const ALL: [ScaleClass; 3] = [ScaleClass::Heartbeat, ScaleClass::Ring, ScaleClass::VCube];
 
-    /// Stable registry key (appears in `BENCH_scale.json`).
+    /// Stable registry key (a plan's `class` param).
     pub fn key(self) -> &'static str {
         match self {
             ScaleClass::Heartbeat => "heartbeat",
@@ -68,7 +64,7 @@ impl ScaleClass {
         ScaleClass::ALL.into_iter().find(|c| c.key() == key)
     }
 
-    /// Largest n this class is benched at (see module docs).
+    /// Largest n this class runs at (see module docs).
     fn max_n(self) -> usize {
         match self {
             ScaleClass::Heartbeat => 1024,
@@ -89,14 +85,6 @@ pub enum ScaleNet {
 impl ScaleNet {
     /// Both regimes, in reporting order.
     pub const ALL: [ScaleNet; 2] = [ScaleNet::Stable, ScaleNet::Lossy];
-
-    /// Stable registry key (appears in `BENCH_scale.json`).
-    pub fn key(self) -> &'static str {
-        match self {
-            ScaleNet::Stable => "stable",
-            ScaleNet::Lossy => "lossy",
-        }
-    }
 
     fn config(self, n: usize) -> NetworkConfig {
         match self {
@@ -146,15 +134,22 @@ impl ScaleCell {
         Time::from_millis(base_ms * factor)
     }
 
-    /// Seeds this cell runs given the sweep's base seed count: full at
-    /// n ≤ 256, halved at 1024, one seed at 4096 (the biggest worlds
-    /// dominate wall time; one seed is enough for a throughput number).
-    pub fn seeds(&self, base: u64) -> u64 {
-        match self.n {
-            0..=256 => base,
-            257..=1024 => (base / 2).max(1),
-            _ => 1,
-        }
+    /// The run plan of this cell under `seed`: the cell's network and
+    /// horizon, the whole seed driving the world's RNG streams, and one
+    /// mid-run crash (process n/3 at 2/5 of the horizon) so the
+    /// detectors detect something and the observation digest covers
+    /// real suspicion traffic.
+    pub fn plan(&self, seed: u64) -> RunPlan {
+        let horizon = self.horizon();
+        RunPlan::new(seed, horizon, self.net.config(self.n))
+            .with_crash(
+                ProcessId(self.n / 3),
+                Time::from_millis(horizon.as_millis() * 2 / 5),
+            )
+            .with_params(serde::Value::Obj(vec![(
+                "class".to_string(),
+                serde::Value::Str(self.class.key().to_string()),
+            )]))
     }
 }
 
@@ -176,138 +171,6 @@ pub fn scale_cells(sizes: &[usize]) -> Vec<ScaleCell> {
     cells
 }
 
-/// Measured result of one cell.
-struct CellStats {
-    events: u64,
-    messages: u64,
-    wall_ns: u64,
-    allocs: u64,
-    digest: u64,
-}
-
-/// Run one cell's seeds with the given actor factory; wall time covers
-/// only `run_until_time` (world construction — hundreds of megabytes of
-/// detector state at n = 4096 — is setup, not kernel throughput).
-fn run_cell<A, F>(cell: &ScaleCell, seeds: u64, mk: F) -> CellStats
-where
-    A: Actor,
-    F: Fn(ProcessId, usize) -> A + Copy,
-{
-    let horizon = cell.horizon();
-    // One mid-run crash so the detectors detect something and the
-    // observation digest covers real suspicion traffic.
-    let victim = ProcessId(cell.n / 3);
-    let crash_at = Time::from_millis(horizon.as_millis() * 2 / 5);
-    let mut stats = CellStats {
-        events: 0,
-        messages: 0,
-        wall_ns: 0,
-        allocs: 0,
-        digest: 0,
-    };
-    for seed in 0..seeds {
-        let mut w = WorldBuilder::new(cell.net.config(cell.n))
-            .seed(seed)
-            .trace_mode(TraceMode::ObsOnly)
-            .crash_at(victim, crash_at)
-            .build(mk);
-        let allocs_before = fd_obs::CountingAllocator::count();
-        let t0 = Instant::now();
-        w.run_until_time(horizon);
-        stats.wall_ns += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        stats.allocs += fd_obs::CountingAllocator::count().saturating_sub(allocs_before);
-        stats.events += w.metrics().events_processed();
-        stats.messages += w.metrics().sent_total();
-        let (trace, _) = w.into_results();
-        stats.digest ^= trace.digest().rotate_left(seed as u32);
-    }
-    stats
-}
-
-fn execute_cell(cell: &ScaleCell, seeds: u64) -> CellStats {
-    match cell.class {
-        ScaleClass::Heartbeat => run_cell(cell, seeds, |pid, n| {
-            fd_core::Standalone(HeartbeatDetector::new(pid, n, HeartbeatConfig::default()))
-        }),
-        ScaleClass::Ring => run_cell(cell, seeds, |pid, n| {
-            fd_core::Standalone(RingDetector::new(pid, n, RingConfig::default()))
-        }),
-        ScaleClass::VCube => run_cell(cell, seeds, |pid, n| {
-            fd_core::Standalone(VCubeDetector::new(pid, n, VCubeConfig::default()))
-        }),
-    }
-}
-
-/// Run the scale sweep over the given sizes and return the JSON object
-/// `ecfd bench-scale` writes to `BENCH_scale.json`: one entry per cell
-/// with events, wall time, throughput, message volume, and the folded
-/// observation digest.
-///
-/// Absolute throughput is machine-dependent; the committed file is a
-/// reference for spotting scalability regressions on comparable
-/// hardware. The digests are *not* machine-dependent: a digest change
-/// without an intentional protocol/kernel change is a determinism bug.
-pub fn scale_bench(sizes: &[usize], seeds_base: u64) -> serde::Value {
-    let cells = scale_cells(sizes);
-    let mut rows = Vec::with_capacity(cells.len());
-    for cell in &cells {
-        let seeds = cell.seeds(seeds_base);
-        let s = execute_cell(cell, seeds);
-        let eps = if s.wall_ns == 0 {
-            0.0
-        } else {
-            s.events as f64 / (s.wall_ns as f64 / 1e9)
-        };
-        let mut row = serde::Value::Obj(vec![
-            (
-                "class".to_string(),
-                serde::Value::Str(cell.class.key().into()),
-            ),
-            ("n".to_string(), serde::Value::U128(cell.n as u128)),
-            ("net".to_string(), serde::Value::Str(cell.net.key().into())),
-            ("seeds".to_string(), serde::Value::U128(seeds.into())),
-            (
-                "horizon_ms".to_string(),
-                serde::Value::U128(cell.horizon().as_millis().into()),
-            ),
-            ("events".to_string(), serde::Value::U128(s.events.into())),
-            ("wall_ns".to_string(), serde::Value::U128(s.wall_ns.into())),
-            ("events_per_sec".to_string(), serde::Value::F64(eps)),
-            (
-                "messages".to_string(),
-                serde::Value::U128(s.messages.into()),
-            ),
-            (
-                "digest".to_string(),
-                serde::Value::Str(format!("{:016x}", s.digest)),
-            ),
-        ]);
-        // Meaningful only under a counting global allocator (the `ecfd`
-        // binary installs one; plain test harnesses do not).
-        if s.allocs > 0 && s.events > 0 {
-            if let serde::Value::Obj(fields) = &mut row {
-                fields.push((
-                    "allocs_per_event".to_string(),
-                    serde::Value::F64(s.allocs as f64 / s.events as f64),
-                ));
-            }
-        }
-        rows.push(row);
-    }
-    serde::Value::Obj(vec![
-        ("bench".to_string(), serde::Value::Str("scale".into())),
-        (
-            "queue_impl".to_string(),
-            serde::Value::Str(fd_sim::QueueImpl::default().label().into()),
-        ),
-        (
-            "seeds_base".to_string(),
-            serde::Value::U128(seeds_base.into()),
-        ),
-        ("cells".to_string(), serde::Value::Arr(rows)),
-    ])
-}
-
 /// Registry name of [`ScaleScenario`].
 pub const SCALE: &str = "scale";
 
@@ -315,8 +178,7 @@ pub const SCALE: &str = "scale";
 ///
 /// Seed `s` runs cell `cells[s % cells.len()]` of
 /// [`scale_cells`]`(&SCALE_SIZES)` — so sweeping `0..22` covers every
-/// cell once — with the whole seed driving the world's RNG streams, the
-/// same mid-run crash as the bench, and [`TraceMode::ObsOnly`]. The
+/// cell once — under [`ScaleCell::plan`] and [`TraceMode::ObsOnly`]. The
 /// campaign engine's per-seed digests are the scale determinism
 /// contract: a sweep must be byte-identical across `--jobs`.
 ///
@@ -340,17 +202,7 @@ impl Scenario for ScaleScenario {
     }
 
     fn plan(&self, seed: u64) -> RunPlan {
-        let cell = scale_cell_of(seed);
-        let horizon = cell.horizon();
-        RunPlan::new(seed, horizon, cell.net.config(cell.n))
-            .with_crash(
-                ProcessId(cell.n / 3),
-                Time::from_millis(horizon.as_millis() * 2 / 5),
-            )
-            .with_params(serde::Value::Obj(vec![(
-                "class".to_string(),
-                serde::Value::Str(cell.class.key().to_string()),
-            )]))
+        scale_cell_of(seed).plan(seed)
     }
 
     fn monitors(&self) -> Vec<Box<dyn Monitor>> {
@@ -412,6 +264,7 @@ fn run_scale_plan<A: Actor>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fd_campaign::Campaign;
 
     #[test]
     fn cell_list_is_n_major_and_respects_class_ceilings() {
@@ -428,62 +281,40 @@ mod tests {
     }
 
     #[test]
-    fn seeds_taper_with_n() {
-        let cell = |n| ScaleCell {
-            class: ScaleClass::Ring,
-            n,
-            net: ScaleNet::Stable,
-        };
-        assert_eq!(cell(64).seeds(4), 4);
-        assert_eq!(cell(256).seeds(4), 4);
-        assert_eq!(cell(1024).seeds(4), 2);
-        assert_eq!(cell(4096).seeds(4), 1);
-        assert_eq!(cell(4096).seeds(1), 1);
-    }
-
-    #[test]
     fn small_sweep_produces_consistent_rows() {
-        let v = scale_bench(&[64], 1);
-        let serde::Value::Arr(rows) = v.field("cells") else {
-            panic!("cells must be an array");
-        };
-        assert_eq!(rows.len(), 6); // 3 classes × 2 nets
-        for row in rows {
-            assert!(row.field("events").as_u64().unwrap_or(0) > 0);
-            assert!(row.field("messages").as_u64().unwrap_or(0) > 0);
-            assert!(row.field("events_per_sec").as_f64().unwrap_or(0.0) > 0.0);
-            let digest = row.field("digest").as_str().unwrap_or("");
-            assert_eq!(digest.len(), 16, "digest must be a 64-bit hex string");
+        // Seeds 0..6 are the six n = 64 cells (3 classes × 2 nets).
+        let sweep = || Campaign::new(&ScaleScenario, 0..6).jobs(1).run().results;
+        let rows = sweep();
+        assert_eq!(rows.len(), 6);
+        for r in &rows {
+            assert!(r.passed(), "seed {}: {:?}", r.seed, r.violation);
+            assert!(
+                r.events > 0 && r.messages > 0,
+                "seed {} ran nothing",
+                r.seed
+            );
         }
-        // Same sweep again: digests (unlike wall times) must reproduce.
-        let v2 = scale_bench(&[64], 1);
-        let d = |v: &serde::Value, i: usize| {
-            let serde::Value::Arr(rows) = v.field("cells") else {
-                panic!("cells must be an array");
-            };
-            rows[i].field("digest").as_str().unwrap_or("").to_string()
-        };
-        for i in 0..6 {
-            assert_eq!(d(&v, i), d(&v2, i), "cell {i} digest drifted");
-        }
+        // Same sweep again: digests, events and messages must reproduce.
+        assert_eq!(rows, sweep());
     }
 
     #[test]
     fn message_volume_ranks_heartbeat_over_vcube_over_ring() {
-        let v = scale_bench(&[256], 1);
-        let serde::Value::Arr(rows) = v.field("cells") else {
-            panic!("cells must be an array");
-        };
-        let msgs = |class: &str| {
-            rows.iter()
-                .find(|r| {
-                    r.field("class").as_str() == Some(class)
-                        && r.field("net").as_str() == Some("stable")
+        // The stable n = 256 cell of each class, by its campaign seed.
+        let msgs = |class: ScaleClass| {
+            let seed = (0..22)
+                .find(|&s| {
+                    let c = scale_cell_of(s);
+                    (c.class, c.n, c.net) == (class, 256, ScaleNet::Stable)
                 })
-                .and_then(|r| r.field("messages").as_u64())
-                .unwrap_or(0)
+                .expect("every class has a stable n = 256 cell");
+            Campaign::run_seed(&ScaleScenario, seed).0.messages
         };
-        let (hb, vc, ring) = (msgs("heartbeat"), msgs("vcube"), msgs("ring"));
+        let (hb, vc, ring) = (
+            msgs(ScaleClass::Heartbeat),
+            msgs(ScaleClass::VCube),
+            msgs(ScaleClass::Ring),
+        );
         assert!(
             hb > vc && vc > ring,
             "expected n² > n·log n > n message ranking, got hb={hb} vcube={vc} ring={ring}"

@@ -177,11 +177,6 @@ impl CampaignReport {
         self.results.iter().map(|r| r.events).sum()
     }
 
-    /// Per-seed wall-clock statistics (nanoseconds).
-    pub fn seed_wall_stats(&self) -> Option<Stats> {
-        Stats::from_samples(self.timings.iter().map(|t| t.wall_ns).collect())
-    }
-
     /// Pool utilization in `[0, 1]`: the fraction of `jobs × wall` the
     /// workers spent inside seed runs. Low values mean stragglers or an
     /// undersized seed range; `None` for an empty or instant sweep.

@@ -12,11 +12,14 @@
 //!   replica applies the next log entry (the window in which the service
 //!   accepts ops but commits nothing);
 //! * **catch-up volume** — WAL records replayed locally and log entries
-//!   fetched from peers by the restarted replica, plus the wall time
-//!   from restart to `kv.sync_done`.
+//!   fetched from peers by the restarted replica, plus the simulated
+//!   time from restart to `kv.sync_done`.
 //!
-//! The output lands in `BENCH_kv.json` via `ecfd kv-bench`. Simulated
-//! time, not host time — the numbers are deterministic per seed range.
+//! The output lands in `BENCH_kv.json` via `ecfd kv-bench`. Every number
+//! is simulated time, so the file is an experiment's golden output, not
+//! a timing: it reproduces byte for byte per seed range and CI `cmp`s a
+//! fresh run against the committed file. What this plan costs in host
+//! time is the `kv-failover` workload of the `benchmark/` package.
 
 use crate::replica::obs;
 use crate::scenario::{commit_latencies, kv_spec_of, KvScenario};

@@ -12,8 +12,8 @@
 //! open-loop, seed-deterministic client workload under generated
 //! crash/restart + partition chaos plans — and [`bench`] distills
 //! commit latency (p50/p99/p99.9), failover blackout, and catch-up
-//! replay volume per detector class into `BENCH_kv.json` via
-//! `ecfd kv-bench`.
+//! replay volume per detector class — all in simulated time, hence
+//! byte-reproducible — into `BENCH_kv.json` via `ecfd kv-bench`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -60,9 +60,9 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         id: "UH001",
-        name: "unsafe-outside-allowlist",
+        name: "unsafe-code",
         severity: Severity::Deny,
-        summary: "unsafe code outside the allowlisted fd-obs allocator module",
+        summary: "unsafe code anywhere in the workspace",
     },
     Rule {
         id: "UH002",
@@ -132,14 +132,10 @@ const DET_CRATES: &[&str] = &[
 ];
 
 /// Crates allowed to read the wall clock: the observability layer owns
-/// it, the real-time runtime bridges simulated time to it by design, and
-/// the benchmark harness exists to measure it (all three are outside the
-/// byte-identical-replay boundary).
-const WALL_CLOCK_EXEMPT: &[&str] = &["fd-obs", "fd-runtime", "fd-bench"];
-
-/// Files whose `unsafe` is double-anchored by a scoped
-/// `#[allow(unsafe_code)]` under a crate-level `#![deny(unsafe_code)]`.
-const UNSAFE_ALLOWLIST: &[&str] = &["crates/fd-obs/src/alloc.rs"];
+/// it, and the real-time runtime bridges simulated time to it by design
+/// (both are outside the byte-identical-replay boundary; so is the
+/// `benchmark/` package, which is not part of the linted workspace).
+const WALL_CLOCK_EXEMPT: &[&str] = &["fd-obs", "fd-runtime"];
 
 /// The kernel hot path: files where a panic costs every in-flight
 /// campaign seed, so `unwrap`/`expect` need an explicit invariant.
@@ -580,19 +576,15 @@ fn nd005(ctx: &FileCtx<'_>, rule: &'static Rule, out: &mut Vec<Finding>) {
     }
 }
 
-/// UH001 — `unsafe` anywhere outside the allowlist (tests included).
+/// UH001 — `unsafe` anywhere (tests included).
 fn uh001(ctx: &FileCtx<'_>, rule: &'static Rule, out: &mut Vec<Finding>) {
-    if UNSAFE_ALLOWLIST.contains(&ctx.rel_path) {
-        return;
-    }
     for (i, t) in ctx.toks.iter().enumerate() {
         if t.is_ident("unsafe") {
             out.push(
                 ctx.finding(
                     rule,
                     i,
-                    "`unsafe` outside the allowlisted fd-obs allocator module; every crate \
-                 carries #![forbid(unsafe_code)]"
+                    "`unsafe` in a workspace where every crate carries #![forbid(unsafe_code)]"
                         .to_string(),
                 ),
             );

@@ -23,18 +23,9 @@
 //! trace digests are byte-identical with metrics on or off (the
 //! `campaign_e2e` suite asserts this).
 #![warn(missing_docs)]
-// The workspace-wide `forbid(unsafe_code)` contract relaxes to `deny`
-// here only so the allocator module below can opt back in with a scoped
-// allow; fd-lint rule UH001 keeps the exception pinned to that file.
-#![deny(unsafe_code)]
-
-/// The counting global allocator (the workspace's only `unsafe` code).
-#[allow(unsafe_code)]
-mod alloc;
+#![forbid(unsafe_code)]
 
 pub mod keys;
-
-pub use alloc::CountingAllocator;
 
 use std::collections::BTreeMap;
 use std::fs::File;

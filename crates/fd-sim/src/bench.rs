@@ -1,8 +1,9 @@
 //! Benchmark drivers over the kernel's crate-private hot paths.
 //!
-//! The microbenchmark suite in `fd-bench` (`ecfd bench-kernel`) needs to
-//! time the event queue, the dispatch loop, and trace recording in
-//! isolation, but those internals are deliberately not public API. This
+//! The `benchmark/` package's per-layer metrics (`fd-sim.queue.*`,
+//! `fd-sim.dispatch.flood_ns_per_event`, `fd-sim.trace.fill_ns_per_event`)
+//! need to time the event queue, the dispatch loop, and trace recording
+//! in isolation, but those internals are deliberately not public API. This
 //! module exposes narrow *workload drivers* instead: each runs a fixed,
 //! deterministic amount of work through one subsystem and returns a
 //! checksum so the optimizer cannot discard it. Callers time the whole

@@ -127,16 +127,6 @@ pub enum QueueImpl {
     Classic,
 }
 
-impl QueueImpl {
-    /// Stable label for benchmark JSON.
-    pub fn label(self) -> &'static str {
-        match self {
-            QueueImpl::Wheel => "wheel",
-            QueueImpl::Classic => "classic",
-        }
-    }
-}
-
 /// Ticks per bucket, as a shift: 2^10 = 1024 ticks ≈ 1ms per span.
 const BUCKET_SHIFT: u32 = 10;
 /// Number of wheel slots (power of two). Horizon = 256 × 1024 ticks
@@ -889,9 +879,7 @@ mod tests {
     }
 
     #[test]
-    fn queue_impl_labels() {
-        assert_eq!(QueueImpl::Wheel.label(), "wheel");
-        assert_eq!(QueueImpl::Classic.label(), "classic");
+    fn the_wheel_is_the_default_queue() {
         assert_eq!(QueueImpl::default(), QueueImpl::Wheel);
     }
 }

@@ -22,12 +22,6 @@ use fd_detectors::{
 };
 use std::process::ExitCode;
 
-/// Count heap allocations so `bench-kernel` can report allocs/event.
-/// One relaxed atomic increment per allocation; free for every other
-/// subcommand in practice.
-#[global_allocator]
-static ALLOC: fd_obs::CountingAllocator = fd_obs::CountingAllocator;
-
 /// One `USAGE` entry per element, each starting `  ecfd <subcommand>`.
 const USAGE: &[&str] = &[
     "  ecfd consensus [--n N] [--protocol ec|ecm|ct|mr|paxos] [--seed S]
@@ -40,10 +34,6 @@ const USAGE: &[&str] = &[
     "  ecfd campaign  --plan FILE [--scenario chaos|kv] [--seeds A..B] [--jobs N]
                  [--artifact-dir DIR]",
     "  ecfd campaign  --replay FILE [--shrink] [--metrics-out FILE]",
-    "  ecfd bench-kernel [--seeds N] [--out FILE] [--micro-out FILE]
-                 [--check BASELINE] [--threshold PCT]",
-    "  ecfd bench-scale [--n N ...] [--seeds N] [--out FILE]
-                 [--check BASELINE] [--threshold PCT]",
     "  ecfd kv-bench  [--seeds N] [--out FILE]",
     "  ecfd obs-report FILE",
     "  ecfd lint      [--format human|json] [--deny-warnings] [--rule ID ...]
@@ -92,32 +82,6 @@ CAMPAIGN OPTIONS:
   --metrics-out F   write kernel/campaign metrics as JSON Lines to F
                     (render later with `ecfd obs-report F`); per-seed
                     verdicts and digests are identical with or without it
-";
-
-const BENCH_KERNEL_OPTIONS: &str = "\
-BENCH-KERNEL OPTIONS:
-  --seeds N         seeds in the E8 throughput sweep (default 1000)
-  --out FILE        write the kernel benchmark JSON to FILE
-                    (same shape as the committed BENCH_kernel.json)
-  --micro-out FILE  write the microbenchmark suite JSON to FILE
-                    (default: BENCH_micro.json next to --out)
-  --check BASELINE  compare events_per_sec against a baseline
-                    BENCH_kernel.json; exit nonzero on regression
-  --threshold PCT   allowed events_per_sec drop vs baseline, percent
-                    (default 25)
-";
-
-const BENCH_SCALE_OPTIONS: &str = "\
-BENCH-SCALE OPTIONS:
-  --n N             restrict the sweep to world size N (repeatable;
-                    default 64, 256, 1024 and 4096)
-  --seeds N         seeds per cell (default 4)
-  --out FILE        write the scale benchmark JSON to FILE
-                    (same shape as the committed BENCH_scale.json)
-  --check BASELINE  compare per-cell events_per_sec against a baseline
-                    BENCH_scale.json; exit nonzero on regression
-  --threshold PCT   allowed events_per_sec drop vs baseline, percent
-                    (default 25)
 ";
 
 const KV_BENCH_OPTIONS: &str = "\
@@ -179,8 +143,6 @@ MC OPTIONS (bounded exhaustive schedule exploration, see fd-mc):
 const SECTIONS: &[(&[&str], &str)] = &[
     (&["consensus", "detector", "log"], SIM_OPTIONS),
     (&["campaign"], CAMPAIGN_OPTIONS),
-    (&["bench-kernel"], BENCH_KERNEL_OPTIONS),
-    (&["bench-scale"], BENCH_SCALE_OPTIONS),
     (&["kv-bench"], KV_BENCH_OPTIONS),
     (&["lint"], LINT_OPTIONS),
     (&["mc"], MC_OPTIONS),
@@ -741,277 +703,6 @@ fn cmd_obs_report(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Flags of `ecfd bench-kernel` (parsed separately from [`Args`]:
-/// `--seeds` is a count here, not a range).
-#[derive(Debug)]
-struct BenchArgs {
-    seeds: u64,
-    out: Option<String>,
-    micro_out: Option<String>,
-    check: Option<String>,
-    threshold: f64,
-}
-
-fn parse_bench_args(argv: &[String]) -> Result<BenchArgs, String> {
-    let mut a = BenchArgs {
-        seeds: 1000,
-        out: None,
-        micro_out: None,
-        check: None,
-        threshold: 25.0,
-    };
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut take = || it.next().ok_or_else(|| format!("{flag} needs a value"));
-        match flag.as_str() {
-            "--seeds" => {
-                a.seeds = take()?.parse().map_err(|e| format!("--seeds: {e}"))?;
-                if a.seeds == 0 {
-                    return Err("--seeds must be at least 1".into());
-                }
-            }
-            "--out" => a.out = Some(take()?.clone()),
-            "--micro-out" => a.micro_out = Some(take()?.clone()),
-            "--check" => a.check = Some(take()?.clone()),
-            "--threshold" => {
-                a.threshold = take()?.parse().map_err(|e| format!("--threshold: {e}"))?;
-                if !(0.0..=100.0).contains(&a.threshold) {
-                    return Err("--threshold must be a percentage in 0..=100".into());
-                }
-            }
-            other => return Err(format!("unknown bench-kernel flag {other}")),
-        }
-    }
-    Ok(a)
-}
-
-/// Run the kernel throughput benchmark plus the microbenchmark suite,
-/// optionally writing both JSON files and gating against a committed
-/// baseline (the CI perf-smoke job runs this with `--check`).
-fn cmd_bench_kernel(rest: &[String]) -> Result<(), String> {
-    let a = parse_bench_args(rest)?;
-    println!("bench-kernel: e8 sweep over {} seeds …", a.seeds);
-    let bench = fd_bench::campaign::kernel_bench(a.seeds);
-    let eps = bench
-        .field("events_per_sec")
-        .as_f64()
-        .ok_or("kernel bench produced no events_per_sec")?;
-    println!(
-        "kernel: {} events in {:.3}s — {:.0} events/s (queue {}, jobs 1; p50 {}ns p99 {}ns per seed)",
-        bench.field("events").as_u64().unwrap_or(0),
-        bench.field("wall_ns").as_u64().unwrap_or(0) as f64 / 1e9,
-        eps,
-        bench.field("queue_impl").as_str().unwrap_or("?"),
-        bench.field("seed_wall_p50_ns").as_u64().unwrap_or(0),
-        bench.field("seed_wall_p99_ns").as_u64().unwrap_or(0),
-    );
-    if let Some(ape) = bench.field("allocs_per_event").as_f64() {
-        println!("kernel: {ape:.2} heap allocations per event");
-    }
-    let micro = fd_bench::micro::micro_bench();
-    if let serde::Value::Arr(rows) = micro.field("entries") {
-        for row in rows {
-            println!(
-                "micro: {:<28} {:>8.1} ns/op  ({:.0} ops/s)",
-                row.field("id").as_str().unwrap_or("?"),
-                row.field("ns_per_op").as_f64().unwrap_or(0.0),
-                row.field("ops_per_sec").as_f64().unwrap_or(0.0),
-            );
-        }
-    }
-    if let Some(path) = &a.out {
-        write_json(path, &bench)?;
-        println!("kernel json: {path}");
-        let micro_path = a.micro_out.clone().unwrap_or_else(|| {
-            std::path::Path::new(path)
-                .with_file_name("BENCH_micro.json")
-                .display()
-                .to_string()
-        });
-        write_json(&micro_path, &micro)?;
-        println!("micro json: {micro_path}");
-    } else if let Some(micro_path) = &a.micro_out {
-        write_json(micro_path, &micro)?;
-        println!("micro json: {micro_path}");
-    }
-    if let Some(baseline_path) = &a.check {
-        let text =
-            std::fs::read_to_string(baseline_path).map_err(|e| format!("{baseline_path}: {e}"))?;
-        let baseline: serde::Value =
-            serde_json::from_str(&text).map_err(|e| format!("{baseline_path}: {e}"))?;
-        let base_eps = baseline
-            .field("events_per_sec")
-            .as_f64()
-            .ok_or_else(|| format!("{baseline_path}: no events_per_sec field"))?;
-        let floor = base_eps * (1.0 - a.threshold / 100.0);
-        if eps < floor {
-            return Err(format!(
-                "kernel regression: {eps:.0} events/s is more than {}% below the \
-                 baseline {base_eps:.0} (floor {floor:.0}) from {baseline_path}",
-                a.threshold
-            ));
-        }
-        println!(
-            "check: {eps:.0} events/s vs baseline {base_eps:.0} — within {}% ✓",
-            a.threshold
-        );
-    }
-    Ok(())
-}
-
-/// Flags of `ecfd bench-scale`.
-#[derive(Debug)]
-struct ScaleArgs {
-    sizes: Vec<usize>,
-    seeds: u64,
-    out: Option<String>,
-    check: Option<String>,
-    threshold: f64,
-}
-
-fn parse_scale_args(argv: &[String]) -> Result<ScaleArgs, String> {
-    let mut a = ScaleArgs {
-        sizes: Vec::new(),
-        seeds: 4,
-        out: None,
-        check: None,
-        threshold: 25.0,
-    };
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut take = || it.next().ok_or_else(|| format!("{flag} needs a value"));
-        match flag.as_str() {
-            "--n" => {
-                let n: usize = take()?.parse().map_err(|e| format!("--n: {e}"))?;
-                if n == 0 || n > fd_core::MAX_PROCESSES {
-                    return Err(format!("--n must be in 1..={}", fd_core::MAX_PROCESSES));
-                }
-                a.sizes.push(n);
-            }
-            "--seeds" => {
-                a.seeds = take()?.parse().map_err(|e| format!("--seeds: {e}"))?;
-                if a.seeds == 0 {
-                    return Err("--seeds must be at least 1".into());
-                }
-            }
-            "--out" => a.out = Some(take()?.clone()),
-            "--check" => a.check = Some(take()?.clone()),
-            "--threshold" => {
-                a.threshold = take()?.parse().map_err(|e| format!("--threshold: {e}"))?;
-                if !(0.0..=100.0).contains(&a.threshold) {
-                    return Err("--threshold must be a percentage in 0..=100".into());
-                }
-            }
-            other => return Err(format!("unknown bench-scale flag {other}")),
-        }
-    }
-    if a.sizes.is_empty() {
-        a.sizes = fd_bench::scale::SCALE_SIZES.to_vec();
-    }
-    Ok(a)
-}
-
-/// Run the large-n scale benchmark (heartbeat / ring / vCube at
-/// n = 64…4096, stable and lossy nets), optionally writing
-/// `BENCH_scale.json` and gating against a committed baseline. The gate
-/// checks per-cell throughput within `--threshold` percent *and* — for
-/// cells run with the baseline's seed count — exact observation-digest
-/// equality, so behavioral drift at scale fails even when it is fast.
-fn cmd_bench_scale(rest: &[String]) -> Result<(), String> {
-    let a = parse_scale_args(rest)?;
-    println!(
-        "bench-scale: sizes {:?}, {} base seeds per cell …",
-        a.sizes, a.seeds
-    );
-    let bench = fd_bench::scale::scale_bench(&a.sizes, a.seeds);
-    let serde::Value::Arr(cells) = bench.field("cells") else {
-        return Err("scale bench produced no cells".into());
-    };
-    for c in cells {
-        println!(
-            "{:<10} n={:<5} {:<7} {:>12} events in {:>7.3}s — {:>9.0} events/s ({} msgs, digest {})",
-            c.field("class").as_str().unwrap_or("?"),
-            c.field("n").as_u64().unwrap_or(0),
-            c.field("net").as_str().unwrap_or("?"),
-            c.field("events").as_u64().unwrap_or(0),
-            c.field("wall_ns").as_u64().unwrap_or(0) as f64 / 1e9,
-            c.field("events_per_sec").as_f64().unwrap_or(0.0),
-            c.field("messages").as_u64().unwrap_or(0),
-            c.field("digest").as_str().unwrap_or("?"),
-        );
-        if let Some(ape) = c.field("allocs_per_event").as_f64() {
-            println!("{:<10} {ape:.2} heap allocations per event", "");
-        }
-    }
-    if let Some(path) = &a.out {
-        write_json(path, &bench)?;
-        println!("scale json: {path}");
-    }
-    if let Some(baseline_path) = &a.check {
-        let text =
-            std::fs::read_to_string(baseline_path).map_err(|e| format!("{baseline_path}: {e}"))?;
-        let baseline: serde::Value =
-            serde_json::from_str(&text).map_err(|e| format!("{baseline_path}: {e}"))?;
-        let serde::Value::Arr(base_cells) = baseline.field("cells") else {
-            return Err(format!("{baseline_path}: no cells array"));
-        };
-        let mut compared = 0usize;
-        let mut failures = Vec::new();
-        for c in cells {
-            let key = |v: &serde::Value| {
-                (
-                    v.field("class").as_str().unwrap_or("?").to_string(),
-                    v.field("n").as_u64().unwrap_or(0),
-                    v.field("net").as_str().unwrap_or("?").to_string(),
-                )
-            };
-            let Some(b) = base_cells.iter().find(|b| key(b) == key(c)) else {
-                continue; // cell not in the baseline (different --n set)
-            };
-            compared += 1;
-            let (class, n, net) = key(c);
-            let eps = c.field("events_per_sec").as_f64().unwrap_or(0.0);
-            let base_eps = b.field("events_per_sec").as_f64().unwrap_or(0.0);
-            let floor = base_eps * (1.0 - a.threshold / 100.0);
-            if eps < floor {
-                failures.push(format!(
-                    "{class} n={n} {net}: {eps:.0} events/s is more than {}% below the \
-                     baseline {base_eps:.0} (floor {floor:.0})",
-                    a.threshold
-                ));
-            }
-            if c.field("seeds").as_u64() == b.field("seeds").as_u64()
-                && c.field("digest").as_str() != b.field("digest").as_str()
-            {
-                failures.push(format!(
-                    "{class} n={n} {net}: digest {} differs from baseline {} — \
-                     nondeterminism or an unrecorded behavior change (regenerate \
-                     with --out {baseline_path} if intentional)",
-                    c.field("digest").as_str().unwrap_or("?"),
-                    b.field("digest").as_str().unwrap_or("?"),
-                ));
-            }
-        }
-        if compared == 0 {
-            return Err(format!(
-                "{baseline_path}: no overlapping cells with this sweep — nothing checked"
-            ));
-        }
-        if !failures.is_empty() {
-            return Err(format!(
-                "scale regression ({} of {compared} cells):\n  {}",
-                failures.len(),
-                failures.join("\n  ")
-            ));
-        }
-        println!(
-            "check: {compared} cells within {}% of {baseline_path}, digests match ✓",
-            a.threshold
-        );
-    }
-    Ok(())
-}
-
 /// Run the replicated-KV serving-stack benchmark: every detector class
 /// over N seeds of the standard crash/restart plan, reporting commit
 /// latency, failover blackout, and catch-up volume (`BENCH_kv.json`).
@@ -1508,26 +1199,29 @@ fn main() -> ExitCode {
             cmd_classes();
             Ok(())
         }
-        "bench-kernel" => cmd_bench_kernel(rest),
-        "bench-scale" => cmd_bench_scale(rest),
         "kv-bench" => cmd_kv_bench(rest),
         "obs-report" => cmd_obs_report(rest),
         "lint" => return cmd_lint(rest),
         "mc" => return cmd_mc(rest),
-        _ => match parse_args(rest) {
-            Err(e) => {
-                eprintln!("error: {e}\n");
-                eprint!("{full_help}");
-                return ExitCode::FAILURE;
-            }
-            Ok(args) => match cmd.as_str() {
+        "campaign" | "consensus" | "detector" | "log" => {
+            let args = match parse_args(rest) {
+                Ok(args) => args,
+                Err(e) => {
+                    eprintln!("error: {e}\n");
+                    eprint!("{}", help(Some(cmd)).unwrap_or_default());
+                    // A campaign that never started is a setup error
+                    // (2), not a seed that violated a property (1).
+                    return ExitCode::from(if cmd == "campaign" { 2 } else { 1 });
+                }
+            };
+            match cmd.as_str() {
                 "campaign" => return cmd_campaign(&args),
                 "consensus" => cmd_consensus(&args),
                 "detector" => cmd_detector(&args),
-                "log" => cmd_log(&args),
-                other => Err(format!("unknown command {other}")),
-            },
-        },
+                _ => cmd_log(&args),
+            }
+        }
+        other => Err(format!("unknown command {other}")),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,

@@ -1,9 +1,10 @@
 //! CLI contracts. Every subcommand answers `--help` / `-h` with its own
-//! usage and exit 0. `ecfd campaign --plan`: a missing or malformed plan
-//! file must exit with code 2 (setup never completed) and a diagnostic
-//! naming the file, distinct from exit 1 (a sweep that ran and found
-//! property violations). A valid plan must drive both the chaos and the
-//! kv scenarios.
+//! usage and exit 0; a name that is not a subcommand is "unknown
+//! command" whatever flags follow. `ecfd campaign`: a bad flag, or a
+//! missing or malformed `--plan` file, must exit with code 2 (setup
+//! never completed) and a short diagnostic, distinct from exit 1 (a
+//! sweep that ran and found property violations). A valid plan must
+//! drive both the chaos and the kv scenarios.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -130,8 +131,6 @@ fn every_subcommand_answers_help_with_its_own_usage() {
         "detector",
         "log",
         "campaign",
-        "bench-kernel",
-        "bench-scale",
         "kv-bench",
         "obs-report",
         "lint",
@@ -158,4 +157,69 @@ fn every_subcommand_answers_help_with_its_own_usage() {
             );
         }
     }
+}
+
+#[test]
+fn non_subcommands_are_unknown_commands_whatever_flags_follow() {
+    // The two timing subcommands deleted in favour of `benchmark/` (names
+    // assembled so a grep for them finds only history), and a typo whose
+    // flags must not be parsed first.
+    let cases = ["kernel", "scale"].map(|s| (format!("bench-{s}"), "--help"));
+    for (sub, flag) in cases.into_iter().chain([("bogus".to_string(), "--n")]) {
+        let out = ecfd().args([sub.as_str(), flag, "x"]).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "`ecfd {sub} {flag} x`");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            format!("error: unknown command {sub}\n")
+        );
+    }
+}
+
+#[test]
+fn campaign_flag_errors_exit_2_with_the_campaign_usage_only() {
+    let usage = ecfd().args(["campaign", "--help"]).output().unwrap().stdout;
+    let usage = String::from_utf8_lossy(&usage);
+    for bad in [["--seeds", "5..5"], ["--seeds", "10..5"], ["--jobs", "0"]] {
+        let out = ecfd()
+            .args(["campaign", "--scenario", "e8"])
+            .args(bad)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "`ecfd campaign {bad:?}` never started a sweep, so it must exit 2, not 1\n{stderr}"
+        );
+        let (error, rest) = stderr.split_once("\n\n").expect("error line, blank, usage");
+        assert!(
+            error.starts_with("error: ") && error.contains(bad[0]) && !error.contains('\n'),
+            "one `error:` line naming the flag, got: {error}"
+        );
+        assert_eq!(
+            rest, usage,
+            "then `ecfd campaign --help`, not the global help"
+        );
+        assert!(stderr.lines().count() < 30, "{stderr}");
+    }
+}
+
+#[test]
+fn a_failing_seed_still_exits_1() {
+    // The `blind` scenario's detector never suspects anyone, so its
+    // completeness monitor fails on every seed: the sweep ran, exit 1.
+    let dir = scratch("blind-artifacts");
+    let out = ecfd()
+        .args(["campaign", "--scenario", "blind", "--seeds", "0..1"])
+        .args(["--jobs", "1", "--artifact-dir", dir.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "stdout: {}\nstderr: {}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stderr).contains("violated a property"));
 }

@@ -1,16 +1,17 @@
 //! End-to-end tests of the large-n scale surface: the `scale` campaign
 //! scenario's determinism contract (byte-identical per-seed results
-//! whatever the worker count), and the three detector cost classes run
-//! through the full property checkers at sizes the rest of the test
-//! suite never reaches.
+//! whatever the worker count), the golden table of every cell's event
+//! count, message volume and observation digest, and the three detector
+//! cost classes run through the full property checkers at sizes the
+//! rest of the test suite never reaches.
 //!
 //! The checker sweeps use *completeness-sized* horizons — long enough
 //! for suspicion to fully disseminate (hop-by-hop on the ring, that is
-//! O(n) poll periods) — unlike the throughput-sized horizons of
-//! `bench-scale`, which only demand weak completeness.
+//! O(n) poll periods) — unlike the event-volume-sized horizons of the
+//! scale cells themselves, which only demand weak completeness.
 
-use ecfd::bench::scale::{scale_cell_of, ScaleClass};
-use ecfd::campaign::Campaign;
+use ecfd::bench::scale::{scale_cell_of, ScaleCell, ScaleClass, ScaleNet, ScaleScenario};
+use ecfd::campaign::{Campaign, Scenario};
 use ecfd::core::{FdClass, FdRun, ProcessSet, Standalone};
 use ecfd::detectors::{
     HeartbeatConfig, HeartbeatDetector, RingConfig, RingDetector, VCubeConfig, VCubeDetector,
@@ -148,4 +149,85 @@ fn full_scale_sweep_is_deterministic_across_jobs() {
     let parallel = Campaign::new(scenario.as_ref(), 0..22).jobs(4).run();
     assert_eq!(serial.results, parallel.results);
     assert_eq!(serial.failed(), 0, "full scale sweep must be clean");
+}
+
+/// One golden row: `(class, n, net, seeds, events, messages, digest)` —
+/// the cell run for seeds `0..seeds`, events and messages summed, each
+/// seed's observation digest rotated left by the seed and XOR-folded.
+type Row = (ScaleClass, usize, ScaleNet, u64, u64, u64, u64);
+
+/// Every cell of the scale family. These are the paper's §4 message
+/// costs at scale (EXPERIMENTS.md cites this table): per ×4 in n the
+/// heartbeat volume grows ≈×17 per unit time, vCube ≈×5, the ring ≈×4.
+/// Events, messages and digests are machine-independent; a row that
+/// moves without an intentional protocol or kernel change is a
+/// determinism bug.
+#[rustfmt::skip] // one row per line, the shape the failure message prints
+const GOLDEN: [Row; 22] = {
+    use {ScaleClass::*, ScaleNet::*};
+    [
+        (Heartbeat, 64, Stable, 4, 836884, 814716, 0xfa6a8dfa34801106),
+        (Heartbeat, 64, Lossy, 4, 716961, 814716, 0x87c29963a56b903d),
+        (Ring, 64, Stable, 4, 1270378, 509830, 0xb1d42cd0495cddf4),
+        (Ring, 64, Lossy, 4, 1162541, 473061, 0x5910aafeda23c768),
+        (VCube, 64, Stable, 4, 835214, 773384, 0x81432258472f9665),
+        (VCube, 64, Lossy, 4, 358892, 348289, 0x9a9897e8e13a5f6a),
+        (Heartbeat, 256, Stable, 4, 5271460, 5470260, 0x61f6e51c0e4fdedc),
+        (Heartbeat, 256, Lossy, 4, 4489482, 5470260, 0xf74acedcd18cecbb),
+        (Ring, 256, Stable, 4, 2044144, 819244, 0xaf246ec79c3da2e7),
+        (Ring, 256, Lossy, 4, 1873020, 762578, 0x86399aa946f8bfea),
+        (VCube, 256, Stable, 4, 1755115, 1661472, 0x4af5b3cfe72f2f6e),
+        (VCube, 256, Lossy, 4, 977338, 1035404, 0xed44d96ad27c0007),
+        (Heartbeat, 1024, Stable, 2, 21000170, 23031822, 0x98d023a4bcdd087b),
+        (Heartbeat, 1024, Lossy, 2, 17857594, 23031822, 0x651110970a28d2e7),
+        (Ring, 1024, Stable, 2, 2047032, 820998, 0xb74acd37886143c1),
+        (Ring, 1024, Lossy, 2, 1877617, 766759, 0x6e4d862c6e9dace2),
+        (VCube, 1024, Stable, 2, 2166057, 2085131, 0x83ae4b9fcfa8a4d9),
+        (VCube, 1024, Lossy, 2, 1341736, 1475072, 0xe7b8f3e995a0c972),
+        (Ring, 4096, Stable, 1, 1228652, 495575, 0xd378ea33f9d89708),
+        (Ring, 4096, Lossy, 1, 1128080, 464881, 0x920af016a7b0ea25),
+        (VCube, 4096, Stable, 1, 1540576, 1530073, 0x36c2f3b87c35c6df),
+        (VCube, 4096, Lossy, 1, 1113688, 1293205, 0x696bdf24edb44bc9),
+    ]
+};
+
+/// Re-run the golden rows whose n satisfies `pick` through the scale
+/// scenario's executor and compare every column.
+fn check_golden_rows(pick: impl Fn(usize) -> bool) {
+    let mut executor = ScaleScenario.make_executor();
+    let mut drifted = String::new();
+    for want in GOLDEN.iter().filter(|row| pick(row.1)) {
+        let &(class, n, net, seeds, ..) = want;
+        let cell = ScaleCell { class, n, net };
+        let (mut events, mut messages, mut digest) = (0, 0, 0u64);
+        for seed in 0..seeds {
+            let outcome = executor.execute(&cell.plan(seed), None);
+            events += outcome.events;
+            messages += outcome.messages;
+            digest ^= outcome.trace.digest().rotate_left(seed as u32);
+        }
+        if (class, n, net, seeds, events, messages, digest) != *want {
+            drifted += &format!(
+                "        ({class:?}, {n}, {net:?}, {seeds}, {events}, {messages}, {digest:#018x}),\n"
+            );
+        }
+    }
+    assert!(
+        drifted.is_empty(),
+        "golden rows drifted; if the change is intentional, paste these observed rows over \
+         theirs in GOLDEN:\n{drifted}"
+    );
+}
+
+#[test]
+fn golden_rows_hold_at_n_64() {
+    check_golden_rows(|n| n == 64);
+}
+
+/// Sixteen cells up to n = 4096 (≈2 GB peak) — release only:
+/// `cargo test --release --test scale_e2e -- --ignored golden_rows`.
+#[test]
+#[ignore]
+fn golden_rows_hold_at_n_256_and_up() {
+    check_golden_rows(|n| n >= 256);
 }
