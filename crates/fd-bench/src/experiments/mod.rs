@@ -1,6 +1,6 @@
 //! One module per experiment in DESIGN.md's index. Every module exposes
-//! `run() -> Vec<Table>`; the `e*` binaries print them, and
-//! EXPERIMENTS.md records paper-vs-measured.
+//! `run() -> Vec<Table>`; [`ALL`] names them, `ecfd experiments [E1 …
+//! E10]` prints them, and EXPERIMENTS.md records paper-vs-measured.
 
 pub mod e1;
 pub mod e10;
@@ -15,18 +15,19 @@ pub mod e9;
 
 use crate::table::Table;
 
-/// Run every experiment, in order (the `all_experiments` binary).
-pub fn run_all() -> Vec<Table> {
-    let mut out = Vec::new();
-    out.extend(e1::run());
-    out.extend(e2::run());
-    out.extend(e3::run());
-    out.extend(e4::run());
-    out.extend(e5::run());
-    out.extend(e6::run());
-    out.extend(e7::run());
-    out.extend(e8::run());
-    out.extend(e9::run());
-    out.extend(e10::run());
-    out
-}
+/// An experiment's regenerator: the tables EXPERIMENTS.md records.
+pub type Run = fn() -> Vec<Table>;
+
+/// Every experiment, in index order: its id and its regenerator.
+pub static ALL: [(&str, Run); 10] = [
+    ("e1", e1::run),
+    ("e2", e2::run),
+    ("e3", e3::run),
+    ("e4", e4::run),
+    ("e5", e5::run),
+    ("e6", e6::run),
+    ("e7", e7::run),
+    ("e8", e8::run),
+    ("e9", e9::run),
+    ("e10", e10::run),
+];

@@ -1,11 +1,12 @@
 //! # fd-bench — the experiment harness
 //!
 //! Regenerates every analytical table/claim of the paper's evaluation
-//! (§4 costs, §5.4 comparison, Theorems 1–3). Each experiment has a
-//! binary (`cargo run -p fd-bench --bin e1_messages_per_round`, …) and a
-//! library entry point (used by the binaries and the integration tests).
-//! `all_experiments` runs the lot. Host-time measurement lives in the
-//! standalone `benchmark/` package, not here.
+//! (§4 costs, §5.4 comparison, Theorems 1–3). Each experiment is a
+//! library entry point in [`experiments`], listed in
+//! [`experiments::ALL`]; `ecfd experiments [E1 … E10]` prints them (no
+//! ids = all ten, in order) and the integration tests call them
+//! directly. Host-time measurement lives in the standalone `benchmark/`
+//! package, not here.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -133,9 +133,3 @@ pub fn run_scripted(
         }),
     }
 }
-
-/// The protocol-message count of a run (decision broadcasts excluded, as
-/// in the paper's accounting).
-pub fn protocol_messages(r: &fd_consensus::RunResult, proto: Protocol) -> u64 {
-    r.messages_with_prefix(proto.prefix())
-}

@@ -1,8 +1,8 @@
 //! Smoke tests over the experiment harness: every experiment module must
 //! keep producing well-formed tables with the expected row structure.
-//! (The binaries themselves are not exercised by `cargo test`, so this
-//! guards the experiment code against bit-rot; the full sweeps run via
-//! `all_experiments`.)
+//! (The full sweeps run via `ecfd experiments`, which `cargo test` does
+//! not exercise — CI smoke-runs that front end with `ecfd experiments
+//! e2` — so this guards the experiment code against bit-rot.)
 
 use fd_bench::experiments;
 

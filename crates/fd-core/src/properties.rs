@@ -74,7 +74,6 @@ pub struct FdRun<'a> {
     n: usize,
     end: Time,
     suspects_tag: &'a str,
-    trusted_tag: &'a str,
 }
 
 impl<'a> FdRun<'a> {
@@ -87,7 +86,6 @@ impl<'a> FdRun<'a> {
             n,
             end,
             suspects_tag: obs::SUSPECTS,
-            trusted_tag: obs::TRUSTED,
         }
     }
 
@@ -96,12 +94,6 @@ impl<'a> FdRun<'a> {
     /// transformation's ◇P output) that must be checked independently.
     pub fn with_suspects_tag(mut self, tag: &'a str) -> Self {
         self.suspects_tag = tag;
-        self
-    }
-
-    /// Read trusted processes from a custom observation tag instead.
-    pub fn with_trusted_tag(mut self, tag: &'a str) -> Self {
-        self.trusted_tag = tag;
         self
     }
 
@@ -165,7 +157,7 @@ impl<'a> FdRun<'a> {
     /// `p`'s trusted-process history.
     pub fn trusted_history(&self, p: ProcessId) -> Vec<(Time, ProcessId)> {
         self.trace
-            .observations_of(p, self.trusted_tag)
+            .observations_of(p, obs::TRUSTED)
             .filter_map(|(t, pl)| pl.as_pid().map(|q| (t, q)))
             .collect()
     }
@@ -173,7 +165,7 @@ impl<'a> FdRun<'a> {
     /// `p`'s final trusted process, if it ever emitted one.
     pub fn final_trusted(&self, p: ProcessId) -> Option<ProcessId> {
         self.trace
-            .last_observation_of(p, self.trusted_tag)
+            .last_observation_of(p, obs::TRUSTED)
             .and_then(|(_, pl)| pl.as_pid())
     }
 
@@ -188,7 +180,7 @@ impl<'a> FdRun<'a> {
                 last = Some(last.map_or(t, |l: Time| l.max(t)));
             }
         }
-        for (t, p, _) in self.trace.observations(self.trusted_tag) {
+        for (t, p, _) in self.trace.observations(obs::TRUSTED) {
             if correct.contains(p) {
                 last = Some(last.map_or(t, |l: Time| l.max(t)));
             }
@@ -534,11 +526,6 @@ impl<'a> ConsensusRun<'a> {
     /// Largest round in which any process decided.
     pub fn max_decision_round(&self) -> Option<u64> {
         self.decisions().into_iter().map(|(_, _, _, r)| r).max()
-    }
-
-    /// Time at which the last correct process decided.
-    pub fn last_decision_time(&self) -> Option<Time> {
-        self.decisions().into_iter().map(|(_, t, _, _)| t).max()
     }
 
     /// Uniform agreement: no two processes (correct or faulty) decide

@@ -28,7 +28,7 @@
 
 use crate::replay::{Choice, CpRecord, Replayer};
 use crate::witness::{shrink_witness, Witness};
-use fd_chaos::{ChaosKind, DetectorKind};
+use fd_chaos::DetectorKind;
 use fd_core::properties::run_named_check;
 use fd_sim::{ProcessId, SchedWorld, SimDuration, Time, Trace};
 use serde::Serialize;
@@ -490,13 +490,4 @@ pub fn explore(target: &McTarget, cfg: &McConfig) -> McReport {
         complete: !truncated,
         final_digests: final_digests.into_iter().collect(),
     }
-}
-
-/// Build the `ChaosKind::Crash` events of a crash schedule — the form
-/// witnesses embed so campaign tooling can read them.
-pub fn schedule_to_chaos(schedule: &[(ProcessId, Time)]) -> Vec<(Time, ChaosKind)> {
-    schedule
-        .iter()
-        .map(|&(pid, at)| (at, ChaosKind::Crash { pid }))
-        .collect()
 }

@@ -3,7 +3,7 @@
 //! The simulator in `fd-sim` is the measurement instrument; this crate is
 //! the existence proof that the protocol code is not simulator-only. A
 //! [`Runtime`] spawns one OS thread per process, connects them with
-//! crossbeam channels, drives [`fd_sim::Actor`] callbacks against the
+//! `std::sync::mpsc` channels, drives [`fd_sim::Actor`] callbacks against the
 //! wall clock (timers via `recv_timeout`), and interprets the very same
 //! [`fd_sim::Action`] stream the kernel does. Crash-stop failures are a
 //! control message that makes a thread drop its actor and go silent.

@@ -1,12 +1,11 @@
 //! The threaded executor.
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use fd_sim::{Action, Actor, Context, Payload, ProcessId, Time, TimerTag};
-use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BinaryHeap, HashSet};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -194,6 +193,9 @@ pub struct Runtime<A: Actor> {
     senders: Vec<Sender<Event<A>>>,
     handles: Vec<JoinHandle<Option<A>>>,
     delayer: Option<JoinHandle<()>>,
+    /// Every update is a single `push`, so the log is valid at every
+    /// step: a poisoned lock (an actor thread panicked) is recovered,
+    /// not propagated, and what the others observed stays readable.
     observations: Arc<Mutex<Vec<RtObservation>>>,
     start: Instant,
     n: usize,
@@ -215,13 +217,13 @@ where
         let mut senders = Vec::with_capacity(n);
         let mut receivers = Vec::with_capacity(n);
         for _ in 0..n {
-            let (tx, rx) = unbounded::<Event<A>>();
+            let (tx, rx) = channel::<Event<A>>();
             senders.push(tx);
             receivers.push(rx);
         }
         // One delayer thread services all processes when delays are on.
         let (delayer, delay_tx) = if cfg.delay.is_some() {
-            let (tx, rx) = unbounded::<Parked<A>>();
+            let (tx, rx) = channel::<Parked<A>>();
             let peers = senders.clone();
             (
                 Some(std::thread::spawn(move || delayer_loop(rx, peers))),
@@ -279,13 +281,17 @@ where
 
     /// Snapshot of all observations so far.
     pub fn observations(&self) -> Vec<RtObservation> {
-        self.observations.lock().clone()
+        self.observations
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// The last observation with `tag` by `pid`, if any.
     pub fn last_observation(&self, pid: ProcessId, tag: &str) -> Option<RtObservation> {
         self.observations
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .rev()
             .find(|o| o.pid == pid && o.tag == tag)
@@ -464,12 +470,15 @@ where
                         cancelled.insert(timer_id_raw(id));
                     }
                     Action::Observe { tag, payload } => {
-                        observations.lock().push(RtObservation {
-                            at: now(start),
-                            pid: me,
-                            tag,
-                            payload,
-                        });
+                        observations
+                            .lock()
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .push(RtObservation {
+                                at: now(start),
+                                pid: me,
+                                tag,
+                                payload,
+                            });
                     }
                 }
             }

@@ -265,14 +265,13 @@ impl<M> TimerWheel<M> {
     /// the whole same-instant batch — the kernel's per-timestamp
     /// processing loop calls this instead of `pop_due` per event.
     fn pop_due_batch(&mut self, bound: Time, out: &mut Vec<QueuedEvent<M>>) -> usize {
-        if !self.ensure_current() {
-            return 0;
-        }
+        // An empty queue is the `(None, None)` arm below.
+        self.ensure_current();
         let t = match (self.current.get(self.cur_head), self.inserts.peek()) {
             (Some(c), Some(i)) => c.at.min(i.at),
             (Some(c), None) => c.at,
             (None, Some(i)) => i.at,
-            (None, None) => unreachable!("ensure_current returned true"),
+            (None, None) => return 0,
         };
         if t > bound {
             return 0;
@@ -284,12 +283,12 @@ impl<M> TimerWheel<M> {
             let ev = match (cur_due, ins_due) {
                 (true, false) => self.take_current_head(),
                 (false, true) => {
-                    // fd-lint: allow(UH002, reason = "ins_due peeked a non-empty heap")
+                    // fd-lint: allow(UH002, HP001, reason = "ins_due peeked a non-empty heap")
                     self.inserts.pop().expect("ins_due implies non-empty")
                 }
                 (true, true) => {
                     if self.next_is_insert() {
-                        // fd-lint: allow(UH002, reason = "ins_due peeked a non-empty heap")
+                        // fd-lint: allow(UH002, HP001, reason = "ins_due peeked a non-empty heap")
                         self.inserts.pop().expect("ins_due implies non-empty")
                     } else {
                         self.take_current_head()
@@ -508,7 +507,7 @@ impl<M> EventQueue<M> {
                     if e.at != t {
                         break;
                     }
-                    // fd-lint: allow(UH002, reason = "peek just returned Some on the same heap")
+                    // fd-lint: allow(UH002, HP001, reason = "peek just returned Some on the same heap")
                     out.push(heap.pop().expect("peeked non-empty"));
                 }
                 out.len() - start

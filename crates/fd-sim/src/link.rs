@@ -391,11 +391,6 @@ impl LinkMangler {
             skew: SimDuration(1),
         }
     }
-
-    /// Whether this mangler can ever alter a delivery.
-    pub fn is_noop(&self) -> bool {
-        self.drop <= 0.0 && self.duplicate <= 0.0 && self.reorder <= 0.0
-    }
 }
 
 #[cfg(test)]

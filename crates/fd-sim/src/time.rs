@@ -91,11 +91,6 @@ impl SimDuration {
     pub fn saturating_mul(self, k: u64) -> SimDuration {
         SimDuration(self.0.saturating_mul(k))
     }
-
-    /// Halve the span (rounding down).
-    pub fn halved(self) -> SimDuration {
-        SimDuration(self.0 / 2)
-    }
 }
 
 impl Add<SimDuration> for Time {

@@ -113,14 +113,6 @@ impl NetworkConfig {
         self.overrides.insert((from, to), model);
     }
 
-    /// Remove the override on one directed link, restoring it to the
-    /// default model. A no-op if the link has no override. Used by heal
-    /// interventions when the original configuration had no per-link
-    /// override to restore.
-    pub fn clear_link(&mut self, from: ProcessId, to: ProcessId) {
-        self.overrides.remove(&(from, to));
-    }
-
     /// The model governing the directed link `from → to`.
     #[inline]
     pub fn link(&self, from: ProcessId, to: ProcessId) -> &LinkModel {

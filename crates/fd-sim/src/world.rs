@@ -813,16 +813,6 @@ impl<A: Actor> World<A> {
         }
     }
 
-    /// Process a single event. Returns its time, or `None` if the queue
-    /// was empty.
-    // fd-lint: hot_path
-    pub fn step(&mut self) -> Option<Time> {
-        self.ensure_started();
-        let ev = self.queue.pop()?;
-        self.process(ev);
-        Some(self.now)
-    }
-
     /// Run every event scheduled at or before `until`, then advance the
     /// clock to `until`.
     ///
@@ -834,6 +824,7 @@ impl<A: Actor> World<A> {
     /// next batch in exactly the order a one-at-a-time loop would see —
     /// and it amortizes queue bookkeeping over whole broadcast fan-ins,
     /// which at large n share one delivery instant thousands of ways.
+    // fd-lint: hot_path
     pub fn run_until_time(&mut self, until: Time) {
         self.ensure_started();
         let mut batch = std::mem::take(&mut self.batch);
@@ -868,18 +859,6 @@ impl<A: Actor> World<A> {
         }
         self.now = self.now.max(deadline);
         false
-    }
-
-    /// Run until no events remain at all — quiescence — or the event
-    /// budget trips. Returns the time of the last processed event.
-    /// Protocols with self-rearming timers never quiesce; use
-    /// [`run_until_time`](World::run_until_time) for those.
-    pub fn run_to_quiescence(&mut self) -> Time {
-        self.ensure_started();
-        while let Some(ev) = self.queue.pop() {
-            self.process(ev);
-        }
-        self.now
     }
 
     /// Consume the world, returning its trace and metrics.
@@ -1439,24 +1418,15 @@ mod tests {
     }
 
     /// The batched `run_until_time` loop must be indistinguishable from
-    /// a one-event-at-a-time `step` loop: same trace bytes, same
-    /// metrics, same final clock.
+    /// the one-event-at-a-time `run_until` loop (`pop_due` per event):
+    /// same trace bytes, same metrics, same final clock.
     #[test]
     fn batched_run_matches_step_loop() {
         let mut batched = two_node_world(17);
         let mut stepped = two_node_world(17);
         let until = Time::from_millis(80);
         batched.run_until_time(until);
-        stepped.ensure_started();
-        loop {
-            match stepped.queue.peek_time() {
-                Some(t) if t <= until => {
-                    stepped.step();
-                }
-                _ => break,
-            }
-        }
-        stepped.now = stepped.now.max(until);
+        assert!(!stepped.run_until(until, |_| false));
         assert_eq!(batched.trace().digest(), stepped.trace().digest());
         assert_eq!(
             batched.metrics().events_processed(),

@@ -1,7 +1,8 @@
 //! `ecfd` — scenario driver CLI.
 //!
-//! Run consensus instances, failure detectors, or a replicated log over
-//! the deterministic simulator, straight from the command line:
+//! Run consensus instances, failure detectors, a replicated log, seed
+//! campaigns, the model checker, the determinism lint or the paper's
+//! experiments over the deterministic simulator:
 //!
 //! ```bash
 //! ecfd consensus --n 7 --protocol ec --crash 2@50 --seed 9 --timeline
@@ -10,8 +11,12 @@
 //! ecfd classes
 //! ```
 //!
-//! Argument parsing is hand-rolled (the workspace deliberately has no CLI
-//! dependency); `--help` prints the grammar.
+//! The whole command line is one table, [`COMMANDS`]: a row per
+//! subcommand holding its usage synopsis, the flags *it* accepts, its
+//! positional arguments and its `run` function. [`parse`] walks argv
+//! against a row, [`help`] renders rows, [`Matches`] does the typed
+//! reads, and `main` maps every outcome to its exit code. (The
+//! workspace deliberately has no CLI dependency.)
 
 use ecfd::prelude::*;
 use fd_consensus::{ConsensusNode, EcMergedConsensus, MultiEc, MultiNode};
@@ -20,412 +25,546 @@ use fd_detectors::{
     FusedConfig, FusedDetector, HeartbeatDetector, OmegaGossip, OmegaGossipConfig, OmegaGossipNode,
     RingDetector, StableLeaderConfig, StableLeaderDetector, VCubeConfig, VCubeDetector,
 };
+use std::fmt::Display;
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::process::ExitCode;
+use std::str::FromStr;
 
-/// One `USAGE` entry per element, each starting `  ecfd <subcommand>`.
-const USAGE: &[&str] = &[
-    "  ecfd consensus [--n N] [--protocol ec|ecm|ct|mr|paxos] [--seed S]
-                 [--crash P@MS ...] [--horizon-ms MS] [--timeline]",
-    "  ecfd detector  [--kind heartbeat|ring|leader|fused|stable|gossip|vcube]
-                 [--n N] [--seed S] [--crash P@MS ...] [--run-ms MS] [--timeline]",
-    "  ecfd log       [--n N] [--commands K] [--seed S] [--crash P@MS ...]",
-    "  ecfd campaign  --scenario NAME [--seeds A..B] [--jobs N] [--artifact-dir DIR]
-                 [--metrics-out FILE]",
-    "  ecfd campaign  --plan FILE [--scenario chaos|kv] [--seeds A..B] [--jobs N]
-                 [--artifact-dir DIR]",
-    "  ecfd campaign  --replay FILE [--shrink] [--metrics-out FILE]",
-    "  ecfd kv-bench  [--seeds N] [--out FILE]",
-    "  ecfd obs-report FILE",
-    "  ecfd lint      [--format human|json] [--deny-warnings] [--rule ID ...]
-                 [--root DIR] [--graph-out FILE] [--graph-format json|dot]",
-    "  ecfd mc        (--detector hb|ring|leader | --protocol ec|ct|paxos|multi | --all)
-                 [--n N] [--horizon-ms MS] [--depth D] [--crashes K] [--drops L]
-                 [--crash-window-ms MS] [--crash-grid-ms MS] [--max-runs R]
-                 [--no-por] [--no-dedup] [--por-baseline]
-                 [--witness-dir DIR] [--json FILE]",
-    "  ecfd mc        --replay FILE (--detector X | --protocol X)",
-    "  ecfd classes",
-    "  ecfd help",
+/// One flag of one subcommand: its name, the placeholder for its value
+/// in the help (empty for a switch), the value read when the flag is
+/// absent (the help prints it) and its help text.
+struct Flag(
+    &'static str,
+    &'static str,
+    Option<&'static str>,
+    &'static str,
+);
+
+/// One subcommand.
+struct Cmd {
+    name: &'static str,
+    run: fn(&Matches) -> Result<(), Stop>,
+    /// Positional arguments: what they are, at least and at most how many.
+    args: (&'static str, usize, usize),
+    /// One entry per usage form: what follows `ecfd <name>`.
+    usage: &'static [&'static str],
+    flags: &'static [Flag],
+}
+
+const NO_ARGS: (&str, usize, usize) = ("", 0, 0);
+
+/// The flags `consensus`, `detector` and `log` have in common.
+#[rustfmt::skip]
+impl Flag {
+    const N: Flag = Flag("--n", "N", Some("5"), "number of processes");
+    const SEED: Flag = Flag("--seed", "S", Some("42"), "run seed; same seed ⇒ identical run");
+    const CRASH: Flag = Flag("--crash", "P@MS", None, "crash process P at MS milliseconds (repeatable)");
+    const HORIZON_MS: Flag = Flag("--horizon-ms", "MS", Some("10000"), "give up if not done by then");
+    const TIMELINE: Flag = Flag("--timeline", "", None, "print the chronological observation timeline");
+    const MAX_PROCESSES: Flag = Flag("--max-processes", "N", Some("64"),
+        "cap on distinct processes in a --timeline listing: larger\n\
+         casts degrade to the one-line summary instead of flooding\n\
+         the terminal");
+}
+
+/// The command line: one row per subcommand, laid out by hand so that a
+/// flag reads as one entry.
+#[rustfmt::skip]
+static COMMANDS: &[Cmd] = &[
+    Cmd {
+        name: "consensus", run: cmd_consensus, args: NO_ARGS,
+        usage: &["[--n N] [--protocol ec|ecm|ct|mr|paxos] [--seed S] [--crash P@MS ...]\n\
+                  [--horizon-ms MS] [--timeline] [--max-processes N]"],
+        flags: &[
+            Flag::N,
+            Flag("--protocol", "X", Some("ec"),
+                "consensus protocol: ec (the paper's ◇C algorithm),\n\
+                 ecm (merged Phase 0/1 variant), ct (Chandra–Toueg ◇S),\n\
+                 mr (Mostefaoui–Raynal Ω), paxos (single-decree synod)"),
+            Flag::SEED, Flag::CRASH, Flag::HORIZON_MS, Flag::TIMELINE, Flag::MAX_PROCESSES,
+        ],
+    },
+    Cmd {
+        name: "detector", run: cmd_detector, args: NO_ARGS,
+        usage: &["[--kind heartbeat|ring|leader|fused|stable|gossip|vcube] [--n N]\n\
+                  [--seed S] [--crash P@MS ...] [--run-ms MS] [--timeline]\n\
+                  [--max-processes N]"],
+        flags: &[
+            Flag("--kind", "X", Some("heartbeat"), "failure detector family"),
+            Flag::N, Flag::SEED, Flag::CRASH,
+            Flag("--run-ms", "MS", Some("3000"), "detector run length"),
+            Flag::TIMELINE, Flag::MAX_PROCESSES,
+        ],
+    },
+    Cmd {
+        name: "log", run: cmd_log, args: NO_ARGS,
+        usage: &["[--n N] [--commands K] [--seed S] [--crash P@MS ...] [--horizon-ms MS]"],
+        flags: &[
+            Flag::N,
+            Flag("--commands", "K", Some("6"), "commands submitted to the replicated log"),
+            Flag::SEED, Flag::CRASH, Flag::HORIZON_MS,
+        ],
+    },
+    Cmd {
+        name: "campaign", run: cmd_campaign, args: NO_ARGS,
+        usage: &[
+            "--scenario NAME [--seeds A..B] [--jobs N] [--artifact-dir DIR]\n\
+             [--metrics-out FILE]",
+            "--plan FILE [--scenario chaos|kv] [--seeds A..B] [--jobs N]\n\
+             [--artifact-dir DIR] [--metrics-out FILE]",
+            "--replay FILE [--shrink] [--metrics-out FILE]",
+        ],
+        flags: &[
+            Flag("--scenario", "NAME", None, "campaign scenario (e8, scale, chaos, kv, blind)"),
+            Flag("--plan", "FILE", None,
+                "run a fixed chaos plan (JSON, see crates/fd-chaos/CATALOG.md)\n\
+                 for every seed; defaults to --scenario chaos, combine\n\
+                 with --scenario kv to drive the replicated KV service\n\
+                 under the plan"),
+            Flag("--seeds", "A..B", Some("0..100"), "seed range to sweep, half-open"),
+            Flag("--jobs", "N", None, "worker threads (default: all cores)"),
+            Flag("--artifact-dir", "DIR", Some("target/campaign"),
+                "where failing seeds write repro JSON"),
+            Flag("--replay", "FILE", None, "re-execute a repro artifact instead of sweeping"),
+            Flag("--shrink", "", None, "after a replay, greedily minimize the counterexample"),
+            Flag("--metrics-out", "FILE", None,
+                "write kernel/campaign metrics as JSON Lines to FILE\n\
+                 (render later with `ecfd obs-report FILE`); per-seed\n\
+                 verdicts and digests are identical with or without it"),
+        ],
+    },
+    Cmd {
+        name: "kv-bench", run: cmd_kv_bench, args: NO_ARGS,
+        usage: &["[--seeds N] [--out FILE]"],
+        flags: &[
+            Flag("--seeds", "N", Some("200"),
+                "seeds per detector class in the standard\n\
+                 crash/restart plan"),
+            Flag("--out", "FILE", None,
+                "write the serving-stack benchmark JSON to FILE\n\
+                 (same shape as the committed BENCH_kv.json)"),
+        ],
+    },
+    Cmd {
+        name: "obs-report", run: cmd_obs_report,
+        args: ("exactly one argument: the metrics JSONL file", 1, 1),
+        usage: &["FILE"],
+        flags: &[],
+    },
+    Cmd {
+        name: "experiments", run: cmd_experiments, args: ("experiment ids", 0, usize::MAX),
+        usage: &["[E1 ... E10]"],
+        flags: &[],
+    },
+    Cmd {
+        name: "lint", run: cmd_lint, args: NO_ARGS,
+        usage: &["[--format human|json] [--deny-warnings] [--rule ID ...] [--root DIR]\n\
+                  [--graph-out FILE] [--graph-format json|dot]"],
+        flags: &[
+            Flag("--format", "F", Some("human"), "report format: human or json"),
+            Flag("--deny-warnings", "", None, "treat warn-level findings as errors (CI runs this)"),
+            Flag("--rule", "ID", None,
+                "run only the named rule (repeatable; see\n\
+                 crates/fd-lint/RULES.md for the catalog)"),
+            Flag("--root", "DIR", None,
+                "workspace root to scan (default: nearest ancestor\n\
+                 with a [workspace] Cargo.toml)"),
+            Flag("--graph-out", "FILE", None,
+                "also dump the workspace call graph the HP rules\n\
+                 reason over (hot-path roots marked)"),
+            Flag("--graph-format", "F", Some("json"), "call-graph dump format: json or dot"),
+        ],
+    },
+    Cmd {
+        name: "mc", run: cmd_mc, args: NO_ARGS,
+        usage: &[
+            "(--detector hb|ring|leader | --protocol ec|ct|paxos|multi | --all)\n\
+             [--n N] [--horizon-ms MS] [--depth D] [--crashes K] [--drops L]\n\
+             [--crash-window-ms MS] [--crash-grid-ms MS] [--max-runs R]\n\
+             [--no-por] [--no-dedup] [--por-baseline]\n\
+             [--witness-dir DIR] [--json FILE]",
+            "--replay FILE (--detector X | --protocol X)",
+        ],
+        flags: &[
+            Flag("--detector", "X", None, "explore a standalone detector world: hb, ring, leader"),
+            Flag("--protocol", "X", None,
+                "explore a consensus stack: ec (with the retransmission\n\
+                 watchdog), ct, paxos, or the multi replicated log"),
+            Flag("--all", "", None, "explore every detector class and every protocol"),
+            Flag("--n", "N", Some("3"),
+                "processes; exhaustive exploration is meant for\n\
+                 n=3..4"),
+            Flag("--horizon-ms", "MS", Some("300"), "run horizon per execution"),
+            Flag("--depth", "D", Some("6"),
+                "recorded choice points per run; nondeterminism past\n\
+                 the cap is resolved canonically"),
+            Flag("--crashes", "K", Some("0"),
+                "max crash victims per schedule, placed exhaustively\n\
+                 on the time grid"),
+            Flag("--drops", "L", Some("0"), "max forced message losses per run"),
+            Flag("--crash-window-ms", "MS", Some("100"), "crash placement window"),
+            Flag("--crash-grid-ms", "MS", Some("25"), "crash placement grid step"),
+            Flag("--max-runs", "R", Some("200000"),
+                "hard cap on executions; exceeding it reports a\n\
+                 truncated (non-exhaustive) search"),
+            Flag("--no-por", "", None, "disable sleep-set partial-order reduction"),
+            Flag("--no-dedup", "", None, "disable visited-state pruning"),
+            Flag("--por-baseline", "", None, "also run with POR off and report the reduction factor"),
+            Flag("--witness-dir", "DIR", Some("target/mc-witnesses"),
+                "where violation witnesses are written"),
+            Flag("--json", "FILE", None, "write the full exploration reports as JSON"),
+            Flag("--replay", "FILE", None,
+                "replay a witness JSON byte-identically instead of\n\
+                 exploring (target flags select the world to replay on)"),
+        ],
+    },
+    Cmd { name: "classes", run: cmd_classes, args: NO_ARGS, usage: &[""], flags: &[] },
+    Cmd {
+        name: "help", run: cmd_help, args: ("a subcommand", 0, 1),
+        usage: &["[SUBCOMMAND]"],
+        flags: &[],
+    },
 ];
 
-const SIM_OPTIONS: &str = "\
-OPTIONS:
-  --n N             number of processes (default 5)
-  --protocol X      consensus protocol: ec (the paper's ◇C algorithm, default),
-                    ecm (merged Phase 0/1 variant), ct (Chandra–Toueg ◇S),
-                    mr (Mostefaoui–Raynal Ω), paxos (single-decree synod)
-  --kind X          failure detector family (default heartbeat)
-  --seed S          run seed (default 42); same seed ⇒ identical run
-  --crash P@MS      crash process P at MS milliseconds (repeatable)
-  --horizon-ms MS   consensus give-up horizon (default 10000)
-  --run-ms MS       detector run length (default 3000)
-  --commands K      commands submitted to the replicated log (default 6)
-  --timeline        print the chronological observation timeline
-  --max-processes N cap on distinct processes in a --timeline listing
-                    (default 64): larger casts degrade to the one-line
-                    summary instead of flooding the terminal
+const EXIT_CODES: &str = "
+EXIT CODES:
+  0  ran clean
+  1  ran and found something: a violated property, a lint finding, no
+     decision before the horizon, a stale or diverged replay
+  2  nothing ran: unknown command, bad flag or value, unreadable file,
+     unknown rule, scenario or experiment
 ";
 
-const CAMPAIGN_OPTIONS: &str = "\
-CAMPAIGN OPTIONS:
-  --scenario NAME   campaign scenario (e8, scale, chaos, kv, blind)
-  --plan FILE       run a fixed chaos plan (JSON, see crates/fd-chaos/CATALOG.md)
-                    for every seed; defaults to --scenario chaos, combine
-                    with --scenario kv to drive the replicated KV service
-                    under the plan. A missing or malformed plan file
-                    exits with code 2 and a file/parse diagnostic.
-  --seeds A..B      seed range to sweep, half-open (default 0..100)
-  --jobs N          worker threads (default: all cores)
-  --artifact-dir D  where failing seeds write repro JSON (default target/campaign)
-  --replay FILE     re-execute a repro artifact instead of sweeping
-  --shrink          after a replay, greedily minimize the counterexample
-  --metrics-out F   write kernel/campaign metrics as JSON Lines to F
-                    (render later with `ecfd obs-report F`); per-seed
-                    verdicts and digests are identical with or without it
-";
-
-const KV_BENCH_OPTIONS: &str = "\
-KV-BENCH OPTIONS:
-  --seeds N         seeds per detector class in the standard
-                    crash/restart plan (default 200)
-  --out FILE        write the serving-stack benchmark JSON to FILE
-                    (same shape as the committed BENCH_kv.json)
-";
-
-const LINT_OPTIONS: &str = "\
-LINT OPTIONS:
-  --format F        report format: human (default) or json
-  --deny-warnings   treat warn-level findings as errors (CI runs this)
-  --rule ID         run only the named rule (repeatable; see
-                    crates/fd-lint/RULES.md for the catalog)
-  --root DIR        workspace root to scan (default: nearest ancestor
-                    with a [workspace] Cargo.toml)
-  --graph-out FILE  also dump the workspace call graph the HP rules
-                    reason over (hot-path roots marked)
-  --graph-format F  call-graph dump format: json (default) or dot
-
-  Exit codes: 0 clean, 1 findings, 2 internal error (bad flags,
-  unknown rule ID, unreadable workspace).
-";
-
-const MC_OPTIONS: &str = "\
-MC OPTIONS (bounded exhaustive schedule exploration, see fd-mc):
-  --detector X      explore a standalone detector world: hb, ring, leader
-  --protocol X      explore a consensus stack: ec (with the retransmission
-                    watchdog), ct, paxos, or the multi replicated log
-  --all             explore every detector class and every protocol
-  --n N             processes (default 3; exhaustive exploration is meant
-                    for n=3..4)
-  --horizon-ms MS   run horizon per execution (default 300)
-  --depth D         recorded choice points per run; nondeterminism past
-                    the cap is resolved canonically (default 6)
-  --crashes K       max crash victims per schedule, placed exhaustively
-                    on the time grid (default 0)
-  --drops L         max forced message losses per run (default 0)
-  --crash-window-ms MS  crash placement window (default 100)
-  --crash-grid-ms MS    crash placement grid step (default 25)
-  --max-runs R      hard cap on executions; exceeding it reports a
-                    truncated (non-exhaustive) search (default 200000)
-  --no-por          disable sleep-set partial-order reduction
-  --no-dedup        disable visited-state pruning
-  --por-baseline    also run with POR off and report the reduction factor
-  --witness-dir D   where violation witnesses are written
-                    (default target/mc-witnesses)
-  --json FILE       write the full exploration reports as JSON
-  --replay FILE     replay a witness JSON byte-identically instead of
-                    exploring (target flags select the world to replay on)
-
-  Exit codes: 0 exhaustive and clean (replay: reproduced), 1 violations
-  found or replay diverged, 2 bad flags / setup errors.
-";
-
-/// Each options section with the subcommands whose flags it documents.
-const SECTIONS: &[(&[&str], &str)] = &[
-    (&["consensus", "detector", "log"], SIM_OPTIONS),
-    (&["campaign"], CAMPAIGN_OPTIONS),
-    (&["kv-bench"], KV_BENCH_OPTIONS),
-    (&["lint"], LINT_OPTIONS),
-    (&["mc"], MC_OPTIONS),
-];
-
-/// The usage text: every subcommand's for `None`, one's for `Some(name)`
-/// (`None` back if there is no such subcommand).
-fn help(cmd: Option<&str>) -> Option<String> {
-    let wanted = |names: &[&str]| cmd.is_none_or(|c| names.contains(&c));
-    let mut usage = String::new();
-    for entry in USAGE {
-        if wanted(&[entry.split_whitespace().nth(1).unwrap_or("")]) {
-            usage = usage + entry + "\n";
+/// The help text: every subcommand's usage for `None`, one subcommand's
+/// usage and options for `Some`.
+fn help(cmd: Option<&Cmd>) -> String {
+    let mut out = String::new();
+    if cmd.is_none() {
+        out += "ecfd — eventually consistent failure detectors, runnable\n\n";
+    }
+    out += "USAGE:\n";
+    for c in COMMANDS {
+        if cmd.is_none_or(|one| one.name == c.name) {
+            for form in c.usage {
+                let line = format!(
+                    "  ecfd {:<9} {}",
+                    c.name,
+                    form.replace('\n', "\n                 ")
+                );
+                out = out + line.trim_end() + "\n";
+            }
         }
     }
-    let sections = SECTIONS.iter().filter(|(names, _)| wanted(names));
-    let sections: String = sections.map(|(_, text)| format!("\n{text}")).collect();
-    let title = match cmd {
-        None => "ecfd — eventually consistent failure detectors, runnable\n\n",
-        Some(_) => "",
-    };
-    (!usage.is_empty()).then(|| format!("{title}USAGE:\n{usage}{sections}"))
+    match cmd {
+        None => out = out + "\nOptions: ecfd <subcommand> --help\n" + EXIT_CODES,
+        Some(c) => {
+            if !c.flags.is_empty() {
+                out += "\nOPTIONS:\n";
+            }
+            for &Flag(name, metavar, default, text) in c.flags {
+                let mut text = text.replace('\n', "\n                    ");
+                if let Some(d) = default {
+                    text += &format!(" (default {d})");
+                }
+                let head = format!("{name} {metavar}");
+                out += &format!("  {:<17} {text}\n", head.trim_end());
+            }
+        }
+    }
+    out
 }
 
-#[derive(Debug, Default)]
-struct Args {
-    n: usize,
-    seed: u64,
-    protocol: String,
-    kind: String,
-    crashes: Vec<(usize, u64)>,
-    horizon_ms: u64,
-    run_ms: u64,
-    commands: u64,
-    timeline: bool,
-    scenario: String,
-    seeds: (u64, u64),
-    jobs: usize,
-    artifact_dir: String,
-    replay: Option<String>,
-    plan: Option<String>,
-    shrink: bool,
-    metrics_out: Option<String>,
-    max_processes: usize,
+/// Why a subcommand stopped short of "ran clean". `main` turns this into
+/// the process exit code, and nothing else does.
+#[derive(Debug)]
+enum Stop {
+    /// Exit 1: it ran and found something. The message is empty when
+    /// stdout already carries the report.
+    Found(String),
+    /// Exit 2: nothing ran. `true` when a bad flag or value is why: the
+    /// subcommand's usage then follows the message.
+    Nothing(String, bool),
 }
 
-fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut a = Args {
-        n: 5,
-        seed: 42,
-        protocol: "ec".into(),
-        kind: "heartbeat".into(),
-        horizon_ms: 10_000,
-        run_ms: 3_000,
-        commands: 6,
-        seeds: (0, 100),
-        jobs: std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1),
-        artifact_dir: "target/campaign".into(),
-        max_processes: 64,
-        ..Args::default()
+fn found(e: impl Display) -> Stop {
+    Stop::Found(e.to_string())
+}
+
+fn setup(e: impl Display) -> Stop {
+    Stop::Nothing(e.to_string(), false)
+}
+
+fn usage(e: impl Display) -> Stop {
+    Stop::Nothing(e.to_string(), true)
+}
+
+/// What [`parse`] made of one subcommand's argv.
+struct Matches<'a> {
+    cmd: &'static Cmd,
+    /// `(flag, value)` in argv order; a switch's value is empty.
+    given: Vec<(&'static str, &'a str)>,
+    args: Vec<&'a str>,
+    help: bool,
+}
+
+/// Walk `argv` (what follows the subcommand name) against `cmd`'s row.
+fn parse<'a>(cmd: &'static Cmd, argv: &'a [String]) -> Result<Matches<'a>, Stop> {
+    let mut m = Matches {
+        cmd,
+        given: Vec::new(),
+        args: Vec::new(),
+        help: false,
     };
     let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut take = || it.next().ok_or_else(|| format!("{flag} needs a value"));
-        match flag.as_str() {
-            "--n" => a.n = take()?.parse().map_err(|e| format!("--n: {e}"))?,
-            "--seed" => a.seed = take()?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--protocol" => a.protocol = take()?.clone(),
-            "--kind" => a.kind = take()?.clone(),
-            "--horizon-ms" => {
-                a.horizon_ms = take()?.parse().map_err(|e| format!("--horizon-ms: {e}"))?
-            }
-            "--run-ms" => a.run_ms = take()?.parse().map_err(|e| format!("--run-ms: {e}"))?,
-            "--commands" => a.commands = take()?.parse().map_err(|e| format!("--commands: {e}"))?,
-            "--timeline" => a.timeline = true,
-            "--max-processes" => {
-                a.max_processes = take()?
-                    .parse()
-                    .map_err(|e| format!("--max-processes: {e}"))?;
-                if a.max_processes == 0 {
-                    return Err("--max-processes must be at least 1".into());
-                }
-            }
-            "--scenario" => a.scenario = take()?.clone(),
-            "--seeds" => {
-                let spec = take()?;
-                let (lo, hi) = spec
-                    .split_once("..")
-                    .ok_or_else(|| format!("--seeds wants A..B (half-open), got {spec}"))?;
-                a.seeds = (
-                    lo.parse().map_err(|e| format!("--seeds start: {e}"))?,
-                    hi.parse().map_err(|e| format!("--seeds end: {e}"))?,
-                );
-                if a.seeds.0 >= a.seeds.1 {
-                    return Err(format!(
-                        "--seeds: empty range {spec} (half-open A..B needs B > A)"
-                    ));
-                }
-            }
-            "--jobs" => {
-                a.jobs = take()?.parse().map_err(|e| format!("--jobs: {e}"))?;
-                if a.jobs == 0 {
-                    return Err("--jobs must be at least 1".into());
-                }
-            }
-            "--artifact-dir" => a.artifact_dir = take()?.clone(),
-            "--replay" => a.replay = Some(take()?.clone()),
-            "--plan" => a.plan = Some(take()?.clone()),
-            "--shrink" => a.shrink = true,
-            "--metrics-out" => a.metrics_out = Some(take()?.clone()),
-            "--crash" => {
-                let spec = take()?;
-                let (p, ms) = spec
-                    .split_once('@')
-                    .ok_or_else(|| format!("--crash wants P@MS, got {spec}"))?;
-                a.crashes.push((
-                    p.parse().map_err(|e| format!("--crash process: {e}"))?,
-                    ms.parse().map_err(|e| format!("--crash time: {e}"))?,
-                ));
-            }
-            other => return Err(format!("unknown flag {other}")),
+    while let Some(arg) = it.next() {
+        if arg == "--help" || arg == "-h" {
+            m.help = true;
+            return Ok(m);
         }
-    }
-    if a.n == 0 || a.n > fd_core::MAX_PROCESSES {
-        return Err(format!("--n must be in 1..={}", fd_core::MAX_PROCESSES));
-    }
-    for &(p, _) in &a.crashes {
-        if p >= a.n {
-            return Err(format!("--crash process p{p} out of range for n={}", a.n));
+        if !arg.starts_with("--") {
+            m.args.push(arg);
+            continue;
         }
+        let flag = cmd.flags.iter().find(|flag| flag.0 == arg);
+        let &Flag(name, metavar, ..) =
+            flag.ok_or_else(|| usage(format!("{} has no flag {arg}", cmd.name)))?;
+        let value = match metavar {
+            "" => "",
+            _ => it
+                .next()
+                .ok_or_else(|| usage(format!("{arg} needs a value")))?,
+        };
+        m.given.push((name, value));
     }
-    if 2 * a.crashes.len() >= a.n {
-        eprintln!(
-            "warning: {} crashes with n={} violates f < n/2 — liveness not guaranteed",
-            a.crashes.len(),
-            a.n
-        );
+    let (what, at_least, at_most) = cmd.args;
+    if let Some(extra) = m.args.get(at_most) {
+        let name = cmd.name;
+        return Err(usage(format!("{name}: unexpected argument {extra}")));
     }
-    Ok(a)
+    if m.args.len() < at_least {
+        return Err(usage(format!("{} wants {what}", cmd.name)));
+    }
+    Ok(m)
 }
 
-fn scenario_of(a: &Args) -> Scenario {
-    let mut sc = Scenario::failure_free(a.n, a.seed, Time::from_millis(a.horizon_ms));
-    for &(p, ms) in &a.crashes {
+/// Parse one value of flag `name`, naming the flag in the error.
+fn typed<T: FromStr<Err: Display>>(name: &str, raw: &str) -> Result<T, Stop> {
+    raw.parse().map_err(|e| usage(format!("{name}: {e}")))
+}
+
+impl<'a> Matches<'a> {
+    /// Every value given for `name`, in argv order.
+    fn all(&self, name: &'static str) -> impl Iterator<Item = &'a str> + '_ {
+        let given = self.given.iter().filter(move |(flag, _)| *flag == name);
+        given.map(|&(_, value)| value)
+    }
+
+    fn has(&self, name: &'static str) -> bool {
+        self.all(name).next().is_some()
+    }
+
+    /// The last value given for `name`, else the row's default, parsed;
+    /// `None` when there is neither.
+    fn opt<T: FromStr<Err: Display>>(&self, name: &'static str) -> Result<Option<T>, Stop> {
+        let flag = self.cmd.flags.iter().find(|flag| flag.0 == name);
+        let Flag(_, _, default, _) =
+            flag.expect("a subcommand reads only the flags its row declares");
+        let raw = self.all(name).last().or(*default);
+        raw.map(|raw| typed(name, raw)).transpose()
+    }
+
+    fn get<T: FromStr<Err: Display>>(&self, name: &'static str) -> Result<T, Stop> {
+        self.opt(name)?
+            .ok_or_else(|| usage(format!("{name} is required")))
+    }
+}
+
+/// A `--seeds A..B` value: a non-empty half-open range.
+struct Seeds(std::ops::Range<u64>);
+
+impl FromStr for Seeds {
+    type Err = String;
+    fn from_str(s: &str) -> Result<Seeds, String> {
+        let (lo, hi) = s
+            .split_once("..")
+            .ok_or_else(|| format!("wants A..B (half-open), got {s}"))?;
+        let lo: u64 = lo.parse().map_err(|e| format!("start: {e}"))?;
+        let hi: u64 = hi.parse().map_err(|e| format!("end: {e}"))?;
+        if lo >= hi {
+            return Err(format!("empty range {s} (half-open A..B needs B > A)"));
+        }
+        Ok(Seeds(lo..hi))
+    }
+}
+
+/// `--n`, bounded by what a [`ProcessSet`] can hold.
+fn process_count(m: &Matches) -> Result<usize, Stop> {
+    let n = m.get("--n")?;
+    if n == 0 || n > fd_core::MAX_PROCESSES {
+        let max = fd_core::MAX_PROCESSES;
+        return Err(usage(format!("--n must be in 1..={max}")));
+    }
+    Ok(n)
+}
+
+/// What `consensus`, `detector` and `log` have in common: a cast, a seed
+/// and a crash plan.
+struct Sim {
+    n: usize,
+    seed: u64,
+    crashes: Vec<(usize, u64)>,
+}
+
+impl Sim {
+    fn read(m: &Matches) -> Result<Sim, Stop> {
+        let n = process_count(m)?;
+        let mut crashes = Vec::new();
+        for spec in m.all("--crash") {
+            let (p, ms) = spec
+                .split_once('@')
+                .ok_or_else(|| usage(format!("--crash wants P@MS, got {spec}")))?;
+            let (p, ms) = (typed("--crash process", p)?, typed("--crash time", ms)?);
+            if p >= n {
+                let e = format!("--crash process p{p} out of range for n={n}");
+                return Err(usage(e));
+            }
+            crashes.push((p, ms));
+        }
+        if 2 * crashes.len() >= n {
+            eprintln!(
+                "warning: {} crashes with n={n} violates f < n/2 — liveness not guaranteed",
+                crashes.len(),
+            );
+        }
+        Ok(Sim {
+            n,
+            seed: m.get("--seed")?,
+            crashes,
+        })
+    }
+
+    /// A world builder over the default network with the crash plan set.
+    fn builder(&self) -> WorldBuilder {
+        let mut b = WorldBuilder::new(default_net(self.n)).seed(self.seed);
+        for &(p, ms) in &self.crashes {
+            b = b.crash_at(ProcessId(p), Time::from_millis(ms));
+        }
+        b
+    }
+}
+
+/// `--timeline [--max-processes N]`: the cap to render under, if asked.
+fn timeline_cap(m: &Matches) -> Result<Option<usize>, Stop> {
+    let cap: NonZeroUsize = m.get("--max-processes")?;
+    Ok(m.has("--timeline").then_some(cap.get()))
+}
+
+fn print_timeline(trace: &fd_sim::Trace, cap: Option<usize>) {
+    if let Some(cap) = cap {
+        println!("\ntimeline:");
+        let timeline = fd_sim::Timeline::new(trace).max_processes(cap);
+        print!("{}", timeline.render());
+    }
+}
+
+/// The ◇C detector most stacks here run on: heartbeat ◇P plus the
+/// first-non-suspected leader rule.
+fn hb_leader(pid: ProcessId, n: usize) -> LeaderByFirstNonSuspected<HeartbeatDetector> {
+    LeaderByFirstNonSuspected::new(
+        HeartbeatDetector::new(pid, n, HeartbeatConfig::default()),
+        n,
+    )
+}
+
+fn cmd_consensus(m: &Matches) -> Result<(), Stop> {
+    let Sim { n, seed, crashes } = Sim::read(m)?;
+    let protocol: String = m.get("--protocol")?;
+    let timeline = timeline_cap(m)?;
+    let mut sc = Scenario::failure_free(n, seed, Time::from_millis(m.get("--horizon-ms")?));
+    for &(p, ms) in &crashes {
         sc = sc.with_crash(ProcessId(p), Time::from_millis(ms));
     }
-    sc
-}
-
-fn print_timeline(trace: &fd_sim::Trace, max_processes: usize) {
-    println!("\ntimeline:");
-    print!(
-        "{}",
-        fd_sim::Timeline::new(trace)
-            .max_processes(max_processes)
-            .render()
-    );
-}
-
-fn cmd_consensus(a: &Args) -> Result<(), String> {
-    let sc = scenario_of(a);
-    println!(
-        "consensus: protocol={} n={} seed={} crashes={:?}",
-        a.protocol, a.n, a.seed, a.crashes
-    );
-    let r = match a.protocol.as_str() {
-        "ec" => run_scenario(default_net(a.n), &sc, fd_consensus::ec_node_hb),
-        "ct" => run_scenario(default_net(a.n), &sc, fd_consensus::ct_node_hb),
-        "mr" => run_scenario(default_net(a.n), &sc, fd_consensus::mr_node_leader),
-        "paxos" => run_scenario(default_net(a.n), &sc, fd_consensus::paxos_node_leader),
-        "ecm" => run_scenario(default_net(a.n), &sc, |pid, n| {
-            ConsensusNode::new(
-                pid,
-                LeaderByFirstNonSuspected::new(
-                    HeartbeatDetector::new(pid, n, HeartbeatConfig::default()),
-                    n,
-                ),
-                EcMergedConsensus::new(pid, n, ConsensusConfig::default()),
-            )
+    let r = match protocol.as_str() {
+        "ec" => run_scenario(default_net(n), &sc, fd_consensus::ec_node_hb),
+        "ct" => run_scenario(default_net(n), &sc, fd_consensus::ct_node_hb),
+        "mr" => run_scenario(default_net(n), &sc, fd_consensus::mr_node_leader),
+        "paxos" => run_scenario(default_net(n), &sc, fd_consensus::paxos_node_leader),
+        "ecm" => run_scenario(default_net(n), &sc, |pid, n| {
+            let protocol = EcMergedConsensus::new(pid, n, ConsensusConfig::default());
+            ConsensusNode::new(pid, hb_leader(pid, n), protocol)
         }),
-        other => return Err(format!("unknown protocol {other} (ec|ecm|ct|mr|paxos)")),
+        other => return Err(usage(format!("--protocol: unknown protocol {other}"))),
     };
+    println!("consensus: protocol={protocol} n={n} seed={seed} crashes={crashes:?}");
     if !r.all_decided {
-        return Err(
-            "no decision before the horizon (crashed majority, or horizon too small)".into(),
-        );
+        return Err(found(
+            "no decision before the horizon (crashed majority, or horizon too small)",
+        ));
     }
-    let check = ConsensusRun::new(&r.trace, a.n);
-    check.check_all().map_err(|v| v.to_string())?;
+    ConsensusRun::new(&r.trace, n).check_all().map_err(found)?;
     println!(
         "decided {} in round {} at {} ({} protocol messages)",
         r.decided_value(),
-        r.max_decision_round().unwrap(),
-        r.decide_time.unwrap(),
+        r.max_decision_round().expect("all_decided"),
+        r.decide_time.expect("all_decided"),
         r.metrics.sent_total(),
     );
     println!("uniform agreement + validity + integrity + termination verified ✓");
-    if a.timeline {
-        print_timeline(&r.trace, a.max_processes);
-    }
+    print_timeline(&r.trace, timeline);
     Ok(())
 }
 
-fn cmd_detector(a: &Args) -> Result<(), String> {
-    println!(
-        "detector: kind={} n={} seed={} crashes={:?}",
-        a.kind, a.n, a.seed, a.crashes
-    );
-    let net = default_net(a.n);
-    let mut b = WorldBuilder::new(net).seed(a.seed);
-    for &(p, ms) in &a.crashes {
-        b = b.crash_at(ProcessId(p), Time::from_millis(ms));
-    }
-    let end = Time::from_millis(a.run_ms);
-    let (trace, metrics) = match a.kind.as_str() {
-        "heartbeat" => {
-            let mut w = b.build(|pid, n| {
-                Standalone(LeaderByFirstNonSuspected::new(
-                    HeartbeatDetector::new(pid, n, HeartbeatConfig::default()),
-                    n,
-                ))
-            });
-            w.run_until_time(end);
-            w.into_results()
-        }
-        "ring" => {
-            let mut w = b.build(|pid, n| {
-                Standalone(LeaderByFirstNonSuspected::new(
-                    RingDetector::new(pid, n, RingConfig::default()),
-                    n,
-                ))
-            });
-            w.run_until_time(end);
-            w.into_results()
-        }
-        "leader" => {
-            let mut w =
-                b.build(|pid, n| Standalone(LeaderDetector::new(pid, n, LeaderConfig::default())));
-            w.run_until_time(end);
-            w.into_results()
-        }
-        "fused" => {
-            let mut w =
-                b.build(|pid, n| Standalone(FusedDetector::new(pid, n, FusedConfig::default())));
-            w.run_until_time(end);
-            w.into_results()
-        }
-        "stable" => {
-            let mut w = b.build(|pid, n| {
-                Standalone(StableLeaderDetector::new(
-                    pid,
-                    n,
-                    StableLeaderConfig::default(),
-                ))
-            });
-            w.run_until_time(end);
-            w.into_results()
-        }
-        "gossip" => {
-            let mut w = b.build(|pid, n| {
-                OmegaGossipNode::new(
-                    HeartbeatDetector::new(pid, n, HeartbeatConfig::default()),
-                    OmegaGossip::new(pid, n, OmegaGossipConfig::default()),
-                )
-            });
-            w.run_until_time(end);
-            w.into_results()
-        }
-        "vcube" => {
-            let mut w = b.build(|pid, n| {
-                Standalone(LeaderByFirstNonSuspected::new(
-                    VCubeDetector::new(pid, n, VCubeConfig::default()),
-                    n,
-                ))
-            });
-            w.run_until_time(end);
-            w.into_results()
-        }
-        other => return Err(format!("unknown detector {other}")),
+/// Run a detector-only world to `end` and hand back what it recorded.
+fn detect<A: fd_sim::Actor>(
+    b: WorldBuilder,
+    end: Time,
+    make: impl FnMut(ProcessId, usize) -> A,
+) -> (fd_sim::Trace, fd_sim::Metrics) {
+    let mut w = b.build(make);
+    w.run_until_time(end);
+    w.into_results()
+}
+
+fn cmd_detector(m: &Matches) -> Result<(), Stop> {
+    let sim = Sim::read(m)?;
+    let kind: String = m.get("--kind")?;
+    let timeline = timeline_cap(m)?;
+    let end = Time::from_millis(m.get("--run-ms")?);
+    let b = sim.builder();
+    let (trace, metrics) = match kind.as_str() {
+        "heartbeat" => detect(b, end, |pid, n| Standalone(hb_leader(pid, n))),
+        "ring" => detect(b, end, |pid, n| {
+            let ring = RingDetector::new(pid, n, RingConfig::default());
+            Standalone(LeaderByFirstNonSuspected::new(ring, n))
+        }),
+        "leader" => detect(b, end, |pid, n| {
+            Standalone(LeaderDetector::new(pid, n, LeaderConfig::default()))
+        }),
+        "fused" => detect(b, end, |pid, n| {
+            Standalone(FusedDetector::new(pid, n, FusedConfig::default()))
+        }),
+        "stable" => detect(b, end, |pid, n| {
+            Standalone(StableLeaderDetector::new(
+                pid,
+                n,
+                StableLeaderConfig::default(),
+            ))
+        }),
+        "gossip" => detect(b, end, |pid, n| {
+            OmegaGossipNode::new(
+                HeartbeatDetector::new(pid, n, HeartbeatConfig::default()),
+                OmegaGossip::new(pid, n, OmegaGossipConfig::default()),
+            )
+        }),
+        "vcube" => detect(b, end, |pid, n| {
+            let vcube = VCubeDetector::new(pid, n, VCubeConfig::default());
+            Standalone(LeaderByFirstNonSuspected::new(vcube, n))
+        }),
+        other => return Err(usage(format!("--kind: unknown detector {other}"))),
     };
-    let run = FdRun::new(&trace, a.n, end);
+    let Sim { n, seed, crashes } = sim;
+    println!("detector: kind={kind} n={n} seed={seed} crashes={crashes:?}");
+    let run = FdRun::new(&trace, n, end);
     println!("{}", fd_sim::trace_summary(&trace));
     for p in run.correct().iter() {
         println!(
@@ -446,49 +585,38 @@ fn cmd_detector(a: &Args) -> Result<(), String> {
         }
     }
     println!("  total messages: {}", metrics.sent_total());
-    if a.timeline {
-        print_timeline(&trace, a.max_processes);
-    }
+    print_timeline(&trace, timeline);
     Ok(())
 }
 
-fn cmd_log(a: &Args) -> Result<(), String> {
-    println!(
-        "replicated log: n={} commands={} seed={} crashes={:?}",
-        a.n, a.commands, a.seed, a.crashes
-    );
-    let mut b = WorldBuilder::new(default_net(a.n)).seed(a.seed);
-    for &(p, ms) in &a.crashes {
-        b = b.crash_at(ProcessId(p), Time::from_millis(ms));
-    }
-    let mut w = b.build(|pid, n| {
-        MultiNode::new(
-            pid,
-            LeaderByFirstNonSuspected::new(
-                HeartbeatDetector::new(pid, n, HeartbeatConfig::default()),
-                n,
-            ),
-            MultiEc::new(pid, n, ConsensusConfig::default()),
-        )
+fn cmd_log(m: &Matches) -> Result<(), Stop> {
+    let sim = Sim::read(m)?;
+    let commands: u64 = m.get("--commands")?;
+    let horizon = Time::from_millis(m.get("--horizon-ms")?);
+    let Sim { n, seed, crashes } = &sim;
+    println!("replicated log: n={n} commands={commands} seed={seed} crashes={crashes:?}");
+    let mut w = sim.builder().build(|pid, n| {
+        let log = MultiEc::new(pid, n, ConsensusConfig::default());
+        MultiNode::new(pid, hb_leader(pid, n), log)
     });
-    for k in 0..a.commands {
-        let submitter = (k as usize) % a.n;
+    for k in 0..commands {
+        let submitter = (k as usize) % n;
         let cmd = 1000 + k;
         w.interact(ProcessId(submitter), move |node, ctx| node.submit(ctx, cmd));
     }
-    let crashed: Vec<usize> = a.crashes.iter().map(|&(p, _)| p).collect();
-    let survivor_cmds: Vec<u64> = (0..a.commands)
-        .filter(|&k| !crashed.contains(&((k as usize) % a.n)))
+    let crashed: Vec<usize> = crashes.iter().map(|&(p, _)| p).collect();
+    let survivor_cmds: Vec<u64> = (0..commands)
+        .filter(|&k| !crashed.contains(&((k as usize) % n)))
         .map(|k| 1000 + k)
         .collect();
-    let done = w.run_until(Time::from_millis(a.horizon_ms), |w| {
+    let done = w.run_until(horizon, |w| {
         w.correct().iter().all(|&p| {
             let vals: Vec<u64> = w.actor(p).log().iter().map(|(_, v)| *v).collect();
             survivor_cmds.iter().all(|c| vals.contains(c))
         })
     });
     if !done {
-        return Err("log did not converge before the horizon".into());
+        return Err(found("log did not converge before the horizon"));
     }
     let reference_pid = *w.correct().first().expect("a survivor");
     let log = w.actor(ProcessId(reference_pid.index())).log();
@@ -503,40 +631,15 @@ fn cmd_log(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Campaign failures that must map to distinct process exit codes:
-/// "a seed violated a property" (1) and "the sweep never started —
-/// bad plan file, unknown scenario" (2) mean different things to CI.
-enum CampaignError {
-    /// Setup never completed: unreadable/unparseable plan file, unknown
-    /// scenario name, contradictory flags. Exit code 2.
-    Setup(String),
-    /// The sweep (or replay) ran and found failures. Exit code 1.
-    Run(String),
-}
-
-fn cmd_campaign(a: &Args) -> ExitCode {
-    match run_campaign(a) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(CampaignError::Run(e)) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-        Err(CampaignError::Setup(e)) => {
-            eprintln!("error: {e}");
-            ExitCode::from(2)
-        }
-    }
-}
-
 /// Load the fixed plan behind `--plan` and wrap it in the scenario
 /// `--scenario` picked (chaos by default, `kv` for the KV service).
-/// Every failure here is a [`CampaignError::Setup`]: the file is
-/// missing, unreadable, not JSON, not a chaos plan, or illegal.
-fn plan_scenario(a: &Args, path: &str) -> Result<Box<dyn fd_campaign::Scenario>, CampaignError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CampaignError::Setup(format!("--plan {path}: {e}")))?;
-    let plan: fd_chaos::ChaosPlan = serde_json::from_str(&text)
-        .map_err(|e| CampaignError::Setup(format!("--plan {path}: not a chaos plan: {e}")))?;
+/// Every failure here is a [`setup`] stop: the file is missing,
+/// unreadable, not JSON, not a chaos plan, or illegal.
+fn plan_scenario(scenario: &str, path: &str) -> Result<Box<dyn fd_campaign::Scenario>, Stop> {
+    let in_plan = |e: &dyn Display| setup(format!("--plan {path}: {e}"));
+    let text = std::fs::read_to_string(path).map_err(|e| in_plan(&e))?;
+    let plan: fd_chaos::ChaosPlan =
+        serde_json::from_str(&text).map_err(|e| in_plan(&format!("not a chaos plan: {e}")))?;
     println!(
         "fixed chaos plan {path}: n={} detector={:?} horizon={} events={}",
         plan.n,
@@ -544,135 +647,127 @@ fn plan_scenario(a: &Args, path: &str) -> Result<Box<dyn fd_campaign::Scenario>,
         plan.horizon,
         plan.events.len()
     );
-    match a.scenario.as_str() {
+    match scenario {
         "" | fd_chaos::CHAOS => Ok(Box::new(
-            fd_chaos::ChaosScenario::fixed(plan)
-                .map_err(|e| CampaignError::Setup(format!("--plan {path}: {e}")))?,
+            fd_chaos::ChaosScenario::fixed(plan).map_err(|e| in_plan(&e))?,
         )),
-        fd_kv::KV => {
-            Ok(Box::new(fd_kv::KvScenario::fixed(plan).map_err(|e| {
-                CampaignError::Setup(format!("--plan {path}: {e}"))
-            })?))
-        }
-        other => Err(CampaignError::Setup(format!(
+        fd_kv::KV => Ok(Box::new(
+            fd_kv::KvScenario::fixed(plan).map_err(|e| in_plan(&e))?,
+        )),
+        other => Err(setup(format!(
             "--plan drives the chaos or kv scenario; it cannot combine with --scenario {other:?}"
         ))),
     }
 }
 
-fn run_campaign(a: &Args) -> Result<(), CampaignError> {
+/// `campaign --replay FILE [--shrink] [--metrics-out FILE]`.
+fn replay_artifact(path: &str, shrink: bool, metrics_out: Option<&str>) -> Result<(), Stop> {
+    let path = std::path::Path::new(path);
+    let artifact = fd_campaign::Artifact::load(path).map_err(setup)?;
+    let scenario = fd_bench::campaign::scenario_by_name(&artifact.scenario).ok_or_else(|| {
+        let name = &artifact.scenario;
+        setup(format!("artifact names unknown scenario {name:?}"))
+    })?;
+    println!(
+        "replaying {}: scenario {} seed {} property {}",
+        path.display(),
+        artifact.scenario,
+        artifact.seed,
+        artifact.property
+    );
+    let r = fd_campaign::replay(scenario.as_ref(), &artifact).map_err(found)?;
+    match &r.violation {
+        Some(detail) => println!("violation reproduced ✓  {detail}"),
+        None => println!("violation did NOT reproduce"),
+    }
+    println!(
+        "trace digest {:#018x} ({})",
+        r.digest,
+        if r.digest_matches {
+            "matches artifact"
+        } else {
+            "DIFFERS from artifact"
+        }
+    );
+    if shrink {
+        if !r.reproduced() {
+            return Err(found("refusing to shrink: the violation did not reproduce"));
+        }
+        let out = fd_campaign::shrink(scenario.as_ref(), &artifact).map_err(found)?;
+        println!(
+            "shrunk in {} accepted steps ({} attempts):",
+            out.applied.len(),
+            out.attempts
+        );
+        for step in &out.applied {
+            println!("  - {step}");
+        }
+        if let Some(metrics_path) = metrics_out {
+            let registry = fd_obs::Registry::new();
+            registry
+                .counter(fd_obs::keys::CAMPAIGN_SHRINK_STEPS)
+                .add(out.applied.len() as u64);
+            registry
+                .counter(fd_obs::keys::CAMPAIGN_SHRINK_ATTEMPTS)
+                .add(out.attempts as u64);
+            fd_obs::write_jsonl_file(metrics_path.as_ref(), &registry.snapshot())
+                .map_err(|e| found(format!("{metrics_path}: {e}")))?;
+            println!("metrics: {metrics_path}");
+        }
+        let min = artifact_sibling(path, &out.artifact).map_err(found)?;
+        println!("minimal counterexample: {}", min.display());
+    }
+    if r.reproduced() {
+        Ok(())
+    } else {
+        Err(found("artifact is stale"))
+    }
+}
+
+fn cmd_campaign(m: &Matches) -> Result<(), Stop> {
     use fd_bench::campaign::{scenario_by_name, scenario_names};
 
-    if let Some(path) = &a.replay {
-        let path = std::path::Path::new(path);
-        let artifact = fd_campaign::Artifact::load(path).map_err(CampaignError::Setup)?;
-        let scenario = scenario_by_name(&artifact.scenario).ok_or_else(|| {
-            CampaignError::Setup(format!(
-                "artifact names unknown scenario {:?}",
-                artifact.scenario
-            ))
-        })?;
-        println!(
-            "replaying {}: scenario {} seed {} property {}",
-            path.display(),
-            artifact.scenario,
-            artifact.seed,
-            artifact.property
-        );
-        let r = fd_campaign::replay(scenario.as_ref(), &artifact).map_err(CampaignError::Run)?;
-        match &r.violation {
-            Some(detail) => println!("violation reproduced ✓  {detail}"),
-            None => println!("violation did NOT reproduce"),
-        }
-        println!(
-            "trace digest {:#018x} ({})",
-            r.digest,
-            if r.digest_matches {
-                "matches artifact"
-            } else {
-                "DIFFERS from artifact"
-            }
-        );
-        if a.shrink {
-            if !r.reproduced() {
-                return Err(CampaignError::Run(
-                    "refusing to shrink: the violation did not reproduce".into(),
-                ));
-            }
-            let out =
-                fd_campaign::shrink(scenario.as_ref(), &artifact).map_err(CampaignError::Run)?;
-            println!(
-                "shrunk in {} accepted steps ({} attempts):",
-                out.applied.len(),
-                out.attempts
-            );
-            for step in &out.applied {
-                println!("  - {step}");
-            }
-            if let Some(metrics_path) = &a.metrics_out {
-                let registry = fd_obs::Registry::new();
-                registry
-                    .counter(fd_obs::keys::CAMPAIGN_SHRINK_STEPS)
-                    .add(out.applied.len() as u64);
-                registry
-                    .counter(fd_obs::keys::CAMPAIGN_SHRINK_ATTEMPTS)
-                    .add(out.attempts as u64);
-                let metrics_path = std::path::Path::new(metrics_path);
-                fd_obs::write_jsonl_file(metrics_path, &registry.snapshot())
-                    .map_err(|e| CampaignError::Run(format!("{}: {e}", metrics_path.display())))?;
-                println!("metrics: {}", metrics_path.display());
-            }
-            let min = artifact_sibling(path, &out.artifact).map_err(CampaignError::Run)?;
-            println!("minimal counterexample: {}", min.display());
-        }
-        return if r.reproduced() {
-            Ok(())
-        } else {
-            Err(CampaignError::Run("artifact is stale".into()))
-        };
+    let metrics_out: Option<String> = m.opt("--metrics-out")?;
+    if let Some(path) = m.opt::<String>("--replay")? {
+        return replay_artifact(&path, m.has("--shrink"), metrics_out.as_deref());
     }
+    let name = m.opt::<String>("--scenario")?.unwrap_or_default();
+    let Seeds(seeds) = m.get("--seeds")?;
+    let jobs = match m.opt::<NonZeroUsize>("--jobs")? {
+        Some(jobs) => jobs,
+        None => std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN),
+    };
+    let artifact_dir: String = m.get("--artifact-dir")?;
 
-    let scenario: Box<dyn fd_campaign::Scenario> = if let Some(path) = &a.plan {
-        plan_scenario(a, path)?
+    let scenario: Box<dyn fd_campaign::Scenario> = if let Some(path) = m.opt::<String>("--plan")? {
+        plan_scenario(&name, &path)?
     } else {
-        if a.scenario.is_empty() {
-            return Err(CampaignError::Setup(format!(
-                "--scenario is required (known: {})",
-                scenario_names().join(", ")
-            )));
+        let known = scenario_names().join(", ");
+        if name.is_empty() {
+            return Err(setup(format!("--scenario is required (known: {known})")));
         }
-        scenario_by_name(&a.scenario).ok_or_else(|| {
-            CampaignError::Setup(format!(
-                "unknown scenario {:?} (known: {})",
-                a.scenario,
-                scenario_names().join(", ")
-            ))
-        })?
+        scenario_by_name(&name)
+            .ok_or_else(|| setup(format!("unknown scenario {name:?} (known: {known})")))?
     };
     let registry = fd_obs::Registry::new();
-    let mut campaign = fd_campaign::Campaign::new(scenario.as_ref(), a.seeds.0..a.seeds.1)
-        .jobs(a.jobs)
-        .artifact_dir(&a.artifact_dir);
-    if a.metrics_out.is_some() {
+    let mut campaign = fd_campaign::Campaign::new(scenario.as_ref(), seeds)
+        .jobs(jobs.get())
+        .artifact_dir(&artifact_dir);
+    if metrics_out.is_some() {
         campaign = campaign.observe(&registry);
     }
     let report = campaign.run();
     print!("{}", report.render());
-    if let Some(metrics_path) = &a.metrics_out {
-        let metrics_path = std::path::Path::new(metrics_path);
-        fd_campaign::write_metrics_file(metrics_path, &report, &registry)
-            .map_err(|e| CampaignError::Run(format!("{}: {e}", metrics_path.display())))?;
-        println!("metrics: {}", metrics_path.display());
+    if let Some(metrics_path) = &metrics_out {
+        fd_campaign::write_metrics_file(metrics_path.as_ref(), &report, &registry)
+            .map_err(|e| found(format!("{metrics_path}: {e}")))?;
+        println!("metrics: {metrics_path}");
     }
     if report.failed() > 0 {
-        Err(CampaignError::Run(format!(
-            "{} of {} seeds violated a property",
-            report.failed(),
-            report.results.len()
-        )))
-    } else {
-        Ok(())
+        let (failed, of) = (report.failed(), report.results.len());
+        return Err(found(format!("{failed} of {of} seeds violated a property")));
     }
+    Ok(())
 }
 
 /// Write a shrunk artifact next to the one it came from, `-min` suffixed.
@@ -690,15 +785,11 @@ fn artifact_sibling(
     Ok(path)
 }
 
-/// Render a metrics JSONL file written by `campaign --metrics-out`.
-fn cmd_obs_report(rest: &[String]) -> Result<(), String> {
-    let [path] = rest else {
-        return Err("obs-report wants exactly one argument: the metrics JSONL file".into());
-    };
-    let path = std::path::Path::new(path);
-    let rows = fd_obs::read_jsonl_file(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let text =
-        fd_campaign::render_metrics(&rows).map_err(|e| format!("{}: {e}", path.display()))?;
+fn cmd_obs_report(m: &Matches) -> Result<(), Stop> {
+    let path = std::path::Path::new(m.args[0]);
+    let in_file = |e: &dyn Display| setup(format!("{}: {e}", path.display()));
+    let rows = fd_obs::read_jsonl_file(path).map_err(|e| in_file(&e))?;
+    let text = fd_campaign::render_metrics(&rows).map_err(|e| in_file(&e))?;
     print!("{text}");
     Ok(())
 }
@@ -706,25 +797,11 @@ fn cmd_obs_report(rest: &[String]) -> Result<(), String> {
 /// Run the replicated-KV serving-stack benchmark: every detector class
 /// over N seeds of the standard crash/restart plan, reporting commit
 /// latency, failover blackout, and catch-up volume (`BENCH_kv.json`).
-fn cmd_kv_bench(rest: &[String]) -> Result<(), String> {
-    let mut seeds = 200u64;
-    let mut out: Option<String> = None;
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let mut take = || it.next().ok_or_else(|| format!("{flag} needs a value"));
-        match flag.as_str() {
-            "--seeds" => {
-                seeds = take()?.parse().map_err(|e| format!("--seeds: {e}"))?;
-                if seeds == 0 {
-                    return Err("--seeds must be at least 1".into());
-                }
-            }
-            "--out" => out = Some(take()?.clone()),
-            other => return Err(format!("unknown kv-bench flag {other}")),
-        }
-    }
+fn cmd_kv_bench(m: &Matches) -> Result<(), Stop> {
+    let seeds: NonZeroU64 = m.get("--seeds")?;
+    let out: Option<String> = m.opt("--out")?;
     println!("kv-bench: standard crash/restart plan, {seeds} seeds per detector class …");
-    let bench = fd_kv::kv_bench(seeds);
+    let bench = fd_kv::kv_bench(seeds.get());
     if let serde::Value::Obj(detectors) = bench.field("detectors") {
         for (key, d) in detectors {
             let commit = d.field("commit_us");
@@ -741,126 +818,84 @@ fn cmd_kv_bench(rest: &[String]) -> Result<(), String> {
         }
     }
     if let Some(path) = &out {
-        write_json(path, &bench)?;
+        let json = serde_json::to_string_pretty(&bench).map_err(setup)?;
+        std::fs::write(path, json + "\n").map_err(|e| setup(format!("{path}: {e}")))?;
         println!("kv json: {path}");
     }
     Ok(())
 }
 
-/// Flags of `ecfd lint` (parsed separately from [`Args`]).
-#[derive(Debug, PartialEq)]
-struct LintArgs {
-    format: LintFormat,
-    deny_warnings: bool,
-    rules: Vec<String>,
-    root: Option<String>,
-    graph_out: Option<String>,
-    graph_format: fd_lint::GraphFormat,
-}
-
-#[derive(Debug, PartialEq, Eq)]
-enum LintFormat {
-    Human,
-    Json,
-}
-
-fn parse_lint_args(argv: &[String]) -> Result<LintArgs, String> {
-    let mut a = LintArgs {
-        format: LintFormat::Human,
-        deny_warnings: false,
-        rules: Vec::new(),
-        root: None,
-        graph_out: None,
-        graph_format: fd_lint::GraphFormat::Json,
-    };
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut take = || it.next().ok_or_else(|| format!("{flag} needs a value"));
-        match flag.as_str() {
-            "--format" => {
-                a.format = match take()?.as_str() {
-                    "human" => LintFormat::Human,
-                    "json" => LintFormat::Json,
-                    other => return Err(format!("--format must be human or json, got {other}")),
-                }
-            }
-            "--deny-warnings" => a.deny_warnings = true,
-            "--rule" => a.rules.push(take()?.clone()),
-            "--root" => a.root = Some(take()?.clone()),
-            "--graph-out" => a.graph_out = Some(take()?.clone()),
-            "--graph-format" => {
-                a.graph_format = match take()?.as_str() {
-                    "json" => fd_lint::GraphFormat::Json,
-                    "dot" => fd_lint::GraphFormat::Dot,
-                    other => {
-                        return Err(format!("--graph-format must be json or dot, got {other}"))
-                    }
-                }
-            }
-            other => return Err(format!("unknown lint flag {other}")),
+fn cmd_experiments(m: &Matches) -> Result<(), Stop> {
+    use fd_bench::experiments::ALL;
+    let mut chosen = Vec::new();
+    for id in &m.args {
+        let known = ALL.iter().find(|(name, _)| name.eq_ignore_ascii_case(id));
+        chosen.push(known.ok_or_else(|| {
+            let ids = ALL.map(|(name, _)| name).join(", ");
+            usage(format!("unknown experiment {id} (known: {ids})"))
+        })?);
+    }
+    if chosen.is_empty() {
+        chosen.extend(&ALL);
+    }
+    for (_, run) in chosen {
+        for table in run() {
+            table.emit();
         }
     }
-    Ok(a)
+    Ok(())
 }
 
-/// Run the determinism analyzer over the workspace. Returns the process
-/// exit code directly because, unlike the other subcommands, "findings
-/// exist" (1) and "the linter itself failed" (2) must stay distinct.
-fn cmd_lint(rest: &[String]) -> ExitCode {
-    let a = match parse_lint_args(rest) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
+/// Run the determinism analyzer over the workspace; findings are
+/// [`Stop::Found`], a linter that could not run is a [`setup`] stop.
+fn cmd_lint(m: &Matches) -> Result<(), Stop> {
+    let render: fn(&fd_lint::Report) -> String = match m.get::<String>("--format")?.as_str() {
+        "human" => |report| report.render_human(),
+        "json" => |report| report.render_json() + "\n",
+        other => {
+            let e = format!("--format must be human or json, got {other}");
+            return Err(usage(e));
         }
     };
-    let opts = fd_lint::Options { rules: a.rules };
-    let root = match &a.root {
+    let graph_format = match m.get::<String>("--graph-format")?.as_str() {
+        "json" => fd_lint::GraphFormat::Json,
+        "dot" => fd_lint::GraphFormat::Dot,
+        other => {
+            let e = format!("--graph-format must be json or dot, got {other}");
+            return Err(usage(e));
+        }
+    };
+    let opts = fd_lint::Options {
+        rules: m.all("--rule").map(String::from).collect(),
+    };
+    let root = match m.opt::<String>("--root")? {
         Some(dir) => std::path::PathBuf::from(dir),
         None => {
             let cwd = std::env::current_dir().unwrap_or_else(|_| std::path::PathBuf::from("."));
-            match fd_lint::find_workspace_root(&cwd) {
-                Ok(root) => root,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::from(2);
-                }
-            }
+            fd_lint::find_workspace_root(&cwd).map_err(setup)?
         }
     };
-    let report = match fd_lint::lint_workspace(&root, &opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    if let Some(path) = &a.graph_out {
-        let graph = match fd_lint::dump_graph(&root, a.graph_format) {
-            Ok(g) => g,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        if let Err(e) = std::fs::write(path, graph) {
-            eprintln!("error: writing {path}: {e}");
-            return ExitCode::from(2);
-        }
+    let report = fd_lint::lint_workspace(&root, &opts).map_err(setup)?;
+    if let Some(path) = m.opt::<String>("--graph-out")? {
+        let graph = fd_lint::dump_graph(&root, graph_format).map_err(setup)?;
+        std::fs::write(&path, graph).map_err(|e| setup(format!("writing {path}: {e}")))?;
     }
-    match a.format {
-        LintFormat::Human => print!("{}", report.render_human()),
-        LintFormat::Json => println!("{}", report.render_json()),
+    print!("{}", render(&report));
+    match report.exit_code(m.has("--deny-warnings")) {
+        0 => Ok(()),
+        _ => Err(Stop::Found(String::new())),
     }
-    ExitCode::from(report.exit_code(a.deny_warnings))
 }
 
-fn write_json(path: &str, v: &serde::Value) -> Result<(), String> {
-    let json = serde_json::to_string_pretty(v).map_err(|e| e.to_string())?;
-    std::fs::write(path, json + "\n").map_err(|e| format!("{path}: {e}"))
+/// `help [SUBCOMMAND]`: that subcommand's help; the global help for
+/// none or for a name that is not one.
+fn cmd_help(m: &Matches) -> Result<(), Stop> {
+    let about = m.args.first();
+    print!("{}", help(COMMANDS.iter().find(|c| Some(&c.name) == about)));
+    Ok(())
 }
 
-fn cmd_classes() {
+fn cmd_classes(_: &Matches) -> Result<(), Stop> {
     println!("failure-detector classes (Fig. 1 + Ω + the paper's ◇C):\n");
     for class in FdClass::ALL {
         let comp = class
@@ -877,141 +912,55 @@ fn cmd_classes() {
         let psy = class.implementable_from(FdClass::EventuallyConsistent, PartiallySynchronous);
         println!("  {class:<3}  async={asy:<5}  partial-synchrony={psy}");
     }
+    Ok(())
 }
 
-#[derive(Debug)]
-struct McArgs {
-    detector: Option<String>,
-    protocol: Option<String>,
-    all: bool,
-    n: usize,
-    horizon_ms: u64,
-    cfg: fd_mc::McConfig,
-    por_baseline: bool,
-    witness_dir: String,
-    json: Option<String>,
-    replay: Option<String>,
-}
-
-fn parse_mc_args(argv: &[String]) -> Result<McArgs, String> {
-    let mut a = McArgs {
-        detector: None,
-        protocol: None,
-        all: false,
-        n: 3,
-        horizon_ms: 300,
-        cfg: fd_mc::McConfig {
-            depth: 6,
-            ..fd_mc::McConfig::default()
-        },
-        por_baseline: false,
-        witness_dir: "target/mc-witnesses".into(),
-        json: None,
-        replay: None,
-    };
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut take = || it.next().ok_or_else(|| format!("{flag} needs a value"));
-        match flag.as_str() {
-            "--detector" => a.detector = Some(take()?.clone()),
-            "--protocol" => a.protocol = Some(take()?.clone()),
-            "--all" => a.all = true,
-            "--n" => a.n = take()?.parse().map_err(|e| format!("--n: {e}"))?,
-            "--horizon-ms" => {
-                a.horizon_ms = take()?.parse().map_err(|e| format!("--horizon-ms: {e}"))?
-            }
-            "--depth" => a.cfg.depth = take()?.parse().map_err(|e| format!("--depth: {e}"))?,
-            "--crashes" => {
-                a.cfg.crashes = take()?.parse().map_err(|e| format!("--crashes: {e}"))?
-            }
-            "--drops" => a.cfg.drops = take()?.parse().map_err(|e| format!("--drops: {e}"))?,
-            "--crash-window-ms" => {
-                let ms: u64 = take()?
-                    .parse()
-                    .map_err(|e| format!("--crash-window-ms: {e}"))?;
-                a.cfg.crash_window = Time::from_millis(ms);
-            }
-            "--crash-grid-ms" => {
-                let ms: u64 = take()?
-                    .parse()
-                    .map_err(|e| format!("--crash-grid-ms: {e}"))?;
-                if ms == 0 {
-                    return Err("--crash-grid-ms must be at least 1".into());
-                }
-                a.cfg.crash_grid = SimDuration::from_millis(ms);
-            }
-            "--max-runs" => {
-                a.cfg.max_runs = take()?.parse().map_err(|e| format!("--max-runs: {e}"))?
-            }
-            "--no-por" => a.cfg.por = false,
-            "--no-dedup" => a.cfg.dedup = false,
-            "--por-baseline" => a.por_baseline = true,
-            "--witness-dir" => a.witness_dir = take()?.clone(),
-            "--json" => a.json = Some(take()?.clone()),
-            "--replay" => a.replay = Some(take()?.clone()),
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    if a.n == 0 || a.n > fd_core::MAX_PROCESSES {
-        return Err(format!("--n must be in 1..={}", fd_core::MAX_PROCESSES));
-    }
-    if !a.all && a.detector.is_none() && a.protocol.is_none() {
-        return Err("pick a target: --detector, --protocol, or --all".into());
-    }
-    Ok(a)
-}
-
-/// The targets an `ecfd mc` invocation explores, in order.
-fn mc_targets(a: &McArgs) -> Result<Vec<fd_mc::McTarget>, String> {
+/// The targets `--detector` / `--protocol` / `--all` name, in order.
+fn mc_targets(m: &Matches, n: usize, horizon: Time) -> Result<Vec<fd_mc::McTarget>, Stop> {
     use fd_bench::mc::{detector_kind, detector_target, protocol_target, McProtocol};
-    let horizon = Time::from_millis(a.horizon_ms);
     let mut out = Vec::new();
-    if a.all {
+    if m.has("--all") {
         for kind in fd_chaos::DetectorKind::ALL {
-            out.push(detector_target(kind, a.n, horizon));
+            out.push(detector_target(kind, n, horizon));
         }
         for proto in McProtocol::ALL {
-            out.push(protocol_target(proto, a.n, horizon));
+            out.push(protocol_target(proto, n, horizon));
         }
         return Ok(out);
     }
-    if let Some(name) = &a.detector {
-        let kind = detector_kind(name).ok_or_else(|| format!("--detector: unknown kind {name}"))?;
-        out.push(detector_target(kind, a.n, horizon));
+    if let Some(name) = m.opt::<String>("--detector")? {
+        let kind = detector_kind(&name);
+        let kind = kind.ok_or_else(|| usage(format!("--detector: unknown kind {name}")))?;
+        out.push(detector_target(kind, n, horizon));
     }
-    if let Some(name) = &a.protocol {
-        let proto = McProtocol::parse(name)
-            .ok_or_else(|| format!("--protocol: unknown protocol {name}"))?;
-        out.push(protocol_target(proto, a.n, horizon));
+    if let Some(name) = m.opt::<String>("--protocol")? {
+        let proto = McProtocol::parse(&name);
+        let proto = proto.ok_or_else(|| usage(format!("--protocol: unknown protocol {name}")))?;
+        out.push(protocol_target(proto, n, horizon));
+    }
+    if out.is_empty() {
+        return Err(usage("pick a target: --detector, --protocol, or --all"));
     }
     Ok(out)
 }
 
-fn cmd_mc_replay(a: &McArgs, path: &str) -> Result<bool, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let w = fd_mc::Witness::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
-    let rebuilt = McArgs {
-        detector: a.detector.clone(),
-        protocol: a.protocol.clone(),
-        all: false,
-        n: w.n,
-        horizon_ms: 0, // overwritten with the witness's horizon below
-        cfg: a.cfg.clone(),
-        por_baseline: false,
-        witness_dir: a.witness_dir.clone(),
-        json: None,
-        replay: None,
-    };
-    let mut targets = mc_targets(&rebuilt)?;
-    let mut target = targets.remove(0);
-    target.horizon = w.horizon;
+/// `mc --replay FILE`: re-execute a witness on the one target named.
+fn mc_replay(m: &Matches, cfg: &fd_mc::McConfig, path: &str) -> Result<(), Stop> {
+    if m.has("--all") || (m.has("--detector") == m.has("--protocol")) {
+        return Err(usage(
+            "--replay wants exactly one of --detector / --protocol",
+        ));
+    }
+    let text = std::fs::read_to_string(path).map_err(|e| setup(format!("{path}: {e}")))?;
+    let w = fd_mc::Witness::from_json(&text).map_err(|e| setup(format!("{path}: {e}")))?;
+    let target = mc_targets(m, w.n, w.horizon)?.remove(0);
     if target.name != w.target {
         eprintln!(
             "warning: witness was recorded on {:?}, replaying on {:?}",
             w.target, target.name
         );
     }
-    let outcome = fd_mc::replay_witness(&target, &a.cfg, &w);
+    let outcome = fd_mc::replay_witness(&target, cfg, &w);
     println!(
         "replay {}: property {} — digest {:#018x} ({}), violation {}",
         w.target,
@@ -1031,7 +980,11 @@ fn cmd_mc_replay(a: &McArgs, path: &str) -> Result<bool, String> {
     if let Some(d) = &outcome.detail {
         println!("  {d}");
     }
-    Ok(outcome.reproduced && outcome.violated)
+    if outcome.reproduced && outcome.violated {
+        Ok(())
+    } else {
+        Err(Stop::Found(String::new()))
+    }
 }
 
 /// One target's exploration, timed, with the optional POR-off baseline.
@@ -1042,38 +995,28 @@ struct McCell {
     baseline_runs: Option<usize>,
 }
 
-fn cmd_mc(rest: &[String]) -> ExitCode {
-    let a = match parse_mc_args(rest) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
+fn cmd_mc(m: &Matches) -> Result<(), Stop> {
+    let n = process_count(m)?;
+    let horizon_ms: u64 = m.get("--horizon-ms")?;
+    let cfg = fd_mc::McConfig {
+        depth: m.get("--depth")?,
+        drops: m.get("--drops")?,
+        crashes: m.get("--crashes")?,
+        crash_window: Time::from_millis(m.get("--crash-window-ms")?),
+        crash_grid: SimDuration::from_millis(m.get::<NonZeroU64>("--crash-grid-ms")?.get()),
+        por: !m.has("--no-por"),
+        dedup: !m.has("--no-dedup"),
+        max_runs: m.get("--max-runs")?,
     };
-    if let Some(path) = &a.replay {
-        if a.all || (a.detector.is_some() == a.protocol.is_some()) {
-            eprintln!("error: --replay wants exactly one of --detector / --protocol");
-            return ExitCode::from(2);
-        }
-        return match cmd_mc_replay(&a, path) {
-            Ok(true) => ExitCode::SUCCESS,
-            Ok(false) => ExitCode::FAILURE,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::from(2)
-            }
-        };
+    let witness_dir: String = m.get("--witness-dir")?;
+    let json_out: Option<String> = m.opt("--json")?;
+    if let Some(path) = m.opt::<String>("--replay")? {
+        return mc_replay(m, &cfg, &path);
     }
-    let targets = match mc_targets(&a) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let targets = mc_targets(m, n, Time::from_millis(horizon_ms))?;
     println!(
-        "mc: n={} horizon={}ms depth={} crashes={} drops={} por={} dedup={}",
-        a.n, a.horizon_ms, a.cfg.depth, a.cfg.crashes, a.cfg.drops, a.cfg.por, a.cfg.dedup
+        "mc: n={n} horizon={horizon_ms}ms depth={} crashes={} drops={} por={} dedup={}",
+        cfg.depth, cfg.crashes, cfg.drops, cfg.por, cfg.dedup
     );
     let mut cells = Vec::new();
     let mut any_violation = false;
@@ -1081,20 +1024,15 @@ fn cmd_mc(rest: &[String]) -> ExitCode {
     for target in &targets {
         // fd-lint: allow(ND002, reason = "wall-clock timing for the mc report; exploration results, witnesses, and digests never read it")
         let start = std::time::Instant::now();
-        let report = fd_mc::explore(target, &a.cfg);
+        let report = fd_mc::explore(target, &cfg);
         let wall_ms = start.elapsed().as_millis() as u64;
-        let baseline_runs = if a.por_baseline {
-            let off = fd_mc::explore(
-                target,
-                &fd_mc::McConfig {
-                    por: false,
-                    ..a.cfg.clone()
-                },
-            );
-            Some(off.stats.runs)
-        } else {
-            None
-        };
+        let baseline_runs = m.has("--por-baseline").then(|| {
+            let por_off = fd_mc::McConfig {
+                por: false,
+                ..cfg.clone()
+            };
+            fd_mc::explore(target, &por_off).stats.runs
+        });
         let s = &report.stats;
         print!(
             "  {:<12} runs={:<7} schedules={:<4} states={:<6} cps={:<7} sleep_skips={:<7} \
@@ -1119,30 +1057,18 @@ visited_hits={:<6} capped={:<6} wall={:>6}ms {}",
             print!(" por-reduction={factor:.2}x");
         }
         println!();
-        if !report.complete {
-            any_truncated = true;
-        }
+        any_truncated |= !report.complete;
         if !report.violations.is_empty() {
             any_violation = true;
-            if let Err(e) = std::fs::create_dir_all(&a.witness_dir) {
-                eprintln!("error: {}: {e}", a.witness_dir);
-                return ExitCode::from(2);
-            }
+            std::fs::create_dir_all(&witness_dir)
+                .map_err(|e| setup(format!("{witness_dir}: {e}")))?;
             for v in &report.violations {
-                let file = format!(
-                    "{}/{}-{}.json",
-                    a.witness_dir,
-                    report.target,
-                    v.property.replace('.', "-")
-                );
+                let property = v.property.replace('.', "-");
+                let file = format!("{witness_dir}/{}-{property}.json", report.target);
                 println!("    VIOLATION {}: {}", v.property, v.detail);
-                match std::fs::write(&file, v.witness.to_json() + "\n") {
-                    Ok(()) => println!("    witness: {file}"),
-                    Err(e) => {
-                        eprintln!("error: {file}: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
+                std::fs::write(&file, v.witness.to_json() + "\n")
+                    .map_err(|e| setup(format!("{file}: {e}")))?;
+                println!("    witness: {file}");
             }
         }
         cells.push(McCell {
@@ -1151,134 +1077,117 @@ visited_hits={:<6} capped={:<6} wall={:>6}ms {}",
             baseline_runs,
         });
     }
-    if let Some(path) = &a.json {
-        let json = match serde_json::to_string_pretty(&cells) {
-            Ok(j) => j,
-            Err(e) => {
-                eprintln!("error: serializing report: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        if let Err(e) = std::fs::write(path, json + "\n") {
-            eprintln!("error: {path}: {e}");
-            return ExitCode::from(2);
-        }
+    if let Some(path) = &json_out {
+        let json = serde_json::to_string_pretty(&cells)
+            .map_err(|e| setup(format!("serializing report: {e}")))?;
+        std::fs::write(path, json + "\n").map_err(|e| setup(format!("{path}: {e}")))?;
         println!("report: {path}");
     }
     if any_violation {
         println!("mc: violations found — witnesses written");
-        ExitCode::FAILURE
-    } else if any_truncated {
+        return Err(Stop::Found(String::new()));
+    }
+    if any_truncated {
         println!("mc: clean but truncated (raise --max-runs for an exhaustive verdict)");
-        ExitCode::SUCCESS
     } else {
         println!("mc: exhaustive within budgets, no violations");
-        ExitCode::SUCCESS
     }
+    Ok(())
 }
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let full_help = help(None).unwrap_or_default();
-    let Some((cmd, rest)) = argv.split_first() else {
-        print!("{full_help}");
-        return ExitCode::FAILURE;
+    let name = match argv.first().map(String::as_str) {
+        Some("--help" | "-h") => Some("help"),
+        name => name,
     };
-    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
-        print!("{full_help}");
-        return ExitCode::SUCCESS;
-    }
-    if rest.iter().any(|a| a == "--help" || a == "-h") {
-        if let Some(text) = help(Some(cmd)) {
-            print!("{text}");
-            return ExitCode::SUCCESS;
-        }
-    }
-    let result = match cmd.as_str() {
-        "classes" => {
-            cmd_classes();
-            Ok(())
-        }
-        "kv-bench" => cmd_kv_bench(rest),
-        "obs-report" => cmd_obs_report(rest),
-        "lint" => return cmd_lint(rest),
-        "mc" => return cmd_mc(rest),
-        "campaign" | "consensus" | "detector" | "log" => {
-            let args = match parse_args(rest) {
-                Ok(args) => args,
-                Err(e) => {
-                    eprintln!("error: {e}\n");
-                    eprint!("{}", help(Some(cmd)).unwrap_or_default());
-                    // A campaign that never started is a setup error
-                    // (2), not a seed that violated a property (1).
-                    return ExitCode::from(if cmd == "campaign" { 2 } else { 1 });
-                }
-            };
-            match cmd.as_str() {
-                "campaign" => return cmd_campaign(&args),
-                "consensus" => cmd_consensus(&args),
-                "detector" => cmd_detector(&args),
-                _ => cmd_log(&args),
+    let cmd = name.and_then(|name| COMMANDS.iter().find(|c| c.name == name));
+    let outcome = match (name, cmd) {
+        (None, _) => Err(usage("no subcommand given")),
+        (Some(name), None) => Err(setup(format!("unknown command {name}"))),
+        (_, Some(c)) => parse(c, &argv[1..]).and_then(|m| {
+            if m.help {
+                print!("{}", help(cmd));
+                return Ok(());
             }
-        }
-        other => Err(format!("unknown command {other}")),
+            (c.run)(&m)
+        }),
     };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
+    ExitCode::from(match outcome {
+        Ok(()) => 0,
+        Err(Stop::Found(e)) => {
+            if !e.is_empty() {
+                eprintln!("error: {e}");
+            }
+            1
         }
-    }
+        Err(Stop::Nothing(e, show_usage)) => {
+            eprintln!("error: {e}");
+            if show_usage {
+                eprint!("\n{}", help(cmd));
+            }
+            2
+        }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parse(s: &str) -> Result<Args, String> {
-        let argv: Vec<String> = s.split_whitespace().map(String::from).collect();
-        parse_args(&argv)
+    fn row(name: &str) -> &'static Cmd {
+        COMMANDS.iter().find(|c| c.name == name).expect("a row")
     }
 
-    fn parse_lint(s: &str) -> Result<LintArgs, String> {
-        let argv: Vec<String> = s.split_whitespace().map(String::from).collect();
-        parse_lint_args(&argv)
+    fn argv(s: &str) -> Vec<String> {
+        s.split_whitespace().map(String::from).collect()
+    }
+
+    /// Whether `sub` refuses `args`, at parse time or at its first typed
+    /// read (every `run` reads its flags before it does anything).
+    fn refused(sub: &str, args: &str) -> bool {
+        let args = argv(args);
+        let stop = parse(row(sub), &args).and_then(|m| (m.cmd.run)(&m));
+        matches!(stop, Err(Stop::Nothing(_, true)))
     }
 
     #[test]
     fn lint_defaults() {
-        let a = parse_lint("").unwrap();
-        assert_eq!(a.format, LintFormat::Human);
-        assert!(!a.deny_warnings);
-        assert!(a.rules.is_empty());
-        assert!(a.root.is_none());
-        assert!(a.graph_out.is_none());
-        assert_eq!(a.graph_format, fd_lint::GraphFormat::Json);
+        let args = argv("");
+        let m = parse(row("lint"), &args).unwrap();
+        assert_eq!(m.get::<String>("--format").unwrap(), "human");
+        assert!(!m.has("--deny-warnings"));
+        assert_eq!(m.all("--rule").count(), 0);
+        assert_eq!(m.opt::<String>("--root").unwrap(), None);
+        assert_eq!(m.opt::<String>("--graph-out").unwrap(), None);
+        assert_eq!(m.get::<String>("--graph-format").unwrap(), "json");
     }
 
     #[test]
     fn lint_full_flag_set() {
-        let a = parse_lint(
+        let args = argv(
             "--format json --deny-warnings --rule ND001 --rule UH002 --root /x \
              --graph-out g.dot --graph-format dot",
-        )
-        .unwrap();
-        assert_eq!(a.format, LintFormat::Json);
-        assert!(a.deny_warnings);
-        assert_eq!(a.rules, vec!["ND001".to_string(), "UH002".to_string()]);
-        assert_eq!(a.root.as_deref(), Some("/x"));
-        assert_eq!(a.graph_out.as_deref(), Some("g.dot"));
-        assert_eq!(a.graph_format, fd_lint::GraphFormat::Dot);
+        );
+        let m = parse(row("lint"), &args).unwrap();
+        assert_eq!(m.get::<String>("--format").unwrap(), "json");
+        assert!(m.has("--deny-warnings"));
+        assert_eq!(m.all("--rule").collect::<Vec<_>>(), ["ND001", "UH002"]);
+        assert_eq!(m.opt::<String>("--root").unwrap().as_deref(), Some("/x"));
+        assert_eq!(
+            m.opt::<String>("--graph-out").unwrap().as_deref(),
+            Some("g.dot")
+        );
+        assert_eq!(m.get::<String>("--graph-format").unwrap(), "dot");
     }
 
     #[test]
     fn lint_rejects_bad_flags() {
-        assert!(parse_lint("--format yaml").is_err());
-        assert!(parse_lint("--rule").is_err());
-        assert!(parse_lint("--frmt json").is_err());
-        assert!(parse_lint("--graph-format svg").is_err());
-        assert!(parse_lint("--graph-out").is_err());
+        assert!(refused("lint", "--format yaml"));
+        assert!(refused("lint", "--rule"));
+        assert!(refused("lint", "--frmt json"));
+        assert!(refused("lint", "--graph-format svg"));
+        assert!(refused("lint", "--graph-out"));
     }
 
     #[test]
@@ -1293,62 +1202,111 @@ mod tests {
 
     #[test]
     fn defaults() {
-        let a = parse("").unwrap();
-        assert_eq!(a.n, 5);
-        assert_eq!(a.seed, 42);
-        assert_eq!(a.protocol, "ec");
-        assert!(a.crashes.is_empty());
+        let args = argv("");
+        let m = parse(row("consensus"), &args).unwrap();
+        let sim = Sim::read(&m).unwrap();
+        assert_eq!((sim.n, sim.seed), (5, 42));
+        assert_eq!(m.get::<String>("--protocol").unwrap(), "ec");
+        assert!(sim.crashes.is_empty());
+        let args = argv("--all");
+        let m = parse(row("mc"), &args).unwrap();
+        assert_eq!(process_count(&m).unwrap(), 3, "mc has its own --n default");
     }
 
     #[test]
     fn full_flag_set() {
-        let a = parse("--n 7 --protocol ct --seed 9 --crash 2@50 --crash 3@75 --timeline").unwrap();
-        assert_eq!(a.n, 7);
-        assert_eq!(a.protocol, "ct");
-        assert_eq!(a.seed, 9);
-        assert_eq!(a.crashes, vec![(2, 50), (3, 75)]);
-        assert!(a.timeline);
+        let args = argv("--n 7 --protocol ct --seed 9 --crash 2@50 --crash 3@75 --timeline");
+        let m = parse(row("consensus"), &args).unwrap();
+        let sim = Sim::read(&m).unwrap();
+        assert_eq!((sim.n, sim.seed), (7, 9));
+        assert_eq!(m.get::<String>("--protocol").unwrap(), "ct");
+        assert_eq!(sim.crashes, vec![(2, 50), (3, 75)]);
+        assert_eq!(timeline_cap(&m).unwrap(), Some(64));
     }
 
     #[test]
     fn campaign_flags() {
-        let a = parse("--scenario e8 --seeds 10..1000 --jobs 4 --artifact-dir /tmp/art").unwrap();
-        assert_eq!(a.scenario, "e8");
-        assert_eq!(a.seeds, (10, 1000));
-        assert_eq!(a.jobs, 4);
-        assert_eq!(a.artifact_dir, "/tmp/art");
-        assert!(a.replay.is_none());
-        let a = parse("--replay target/campaign/x.json --shrink").unwrap();
-        assert_eq!(a.replay.as_deref(), Some("target/campaign/x.json"));
-        assert!(a.shrink);
+        let args = argv("--scenario e8 --seeds 10..1000 --jobs 4 --artifact-dir /tmp/art");
+        let m = parse(row("campaign"), &args).unwrap();
+        assert_eq!(m.get::<String>("--scenario").unwrap(), "e8");
+        assert_eq!(m.get::<Seeds>("--seeds").unwrap().0, 10..1000);
+        assert_eq!(m.get::<NonZeroUsize>("--jobs").unwrap().get(), 4);
+        assert_eq!(m.get::<String>("--artifact-dir").unwrap(), "/tmp/art");
+        assert_eq!(m.opt::<String>("--replay").unwrap(), None);
+        let args = argv("--replay target/campaign/x.json --shrink");
+        let m = parse(row("campaign"), &args).unwrap();
+        assert_eq!(
+            m.opt::<String>("--replay").unwrap().as_deref(),
+            Some("target/campaign/x.json")
+        );
+        assert!(m.has("--shrink"));
     }
 
     #[test]
     fn bad_campaign_flags_rejected() {
-        assert!(parse("--seeds 5").is_err(), "not a range");
-        assert!(parse("--seeds a..b").is_err(), "not numbers");
-        assert!(parse("--seeds 9..2").is_err(), "reversed range");
-        let e = parse("--seeds 3..3").unwrap_err();
+        assert!(refused("campaign", "--seeds 5"), "not a range");
+        assert!(refused("campaign", "--seeds a..b"), "not numbers");
+        assert!(refused("campaign", "--seeds 9..2"), "reversed range");
+        let args = argv("--seeds 3..3");
+        let m = parse(row("campaign"), &args).unwrap();
+        let Err(Stop::Nothing(e, true)) = m.get::<Seeds>("--seeds") else {
+            panic!("an empty half-open range must be rejected");
+        };
         assert!(
-            e.contains("empty range") && e.contains("B > A"),
+            e.starts_with("--seeds") && e.contains("empty range") && e.contains("B > A"),
             "empty half-open range must be rejected with a clear message, got: {e}"
         );
-        assert!(parse("--jobs 0").is_err());
-        assert!(parse("--jobs many").is_err());
+        assert!(refused("campaign", "--scenario e8 --jobs 0"));
+        assert!(refused("campaign", "--scenario e8 --jobs many"));
     }
 
     #[test]
     fn metrics_out_flag_parses() {
-        let a = parse("--scenario e8 --seeds 0..8 --metrics-out /tmp/m.jsonl").unwrap();
-        assert_eq!(a.metrics_out.as_deref(), Some("/tmp/m.jsonl"));
-        assert!(parse("--metrics-out").is_err(), "needs a value");
+        let args = argv("--scenario e8 --seeds 0..8 --metrics-out /tmp/m.jsonl");
+        let m = parse(row("campaign"), &args).unwrap();
+        assert_eq!(
+            m.opt::<String>("--metrics-out").unwrap().as_deref(),
+            Some("/tmp/m.jsonl")
+        );
+        assert!(refused("campaign", "--metrics-out"), "needs a value");
     }
 
     #[test]
     fn bad_crash_spec_rejected() {
-        assert!(parse("--crash nope").is_err());
-        assert!(parse("--crash 9@10").is_err(), "out of range for default n");
-        assert!(parse("--n 0").is_err());
-        assert!(parse("--mystery 1").is_err());
+        assert!(refused("consensus", "--crash nope"));
+        assert!(
+            refused("consensus", "--crash 9@10"),
+            "out of range for default n"
+        );
+        assert!(refused("consensus", "--n 0"));
+        assert!(refused("consensus", "--mystery 1"));
+    }
+
+    /// Every `ecfd …` line the docs print must still parse against the
+    /// table (flag names and arity; nothing runs).
+    #[test]
+    fn documented_command_lines_parse() {
+        let docs = [
+            include_str!("../../README.md"),
+            include_str!("../../EXPERIMENTS.md"),
+            include_str!("../../crates/fd-chaos/CATALOG.md"),
+        ];
+        let mut checked = 0;
+        for line in docs.iter().flat_map(|doc| doc.lines()) {
+            if !line.starts_with("ecfd ") {
+                continue;
+            }
+            let args = argv(line.split('#').next().unwrap_or(line));
+            let cmd = COMMANDS.iter().find(|c| c.name == args[1]);
+            let cmd = cmd.unwrap_or_else(|| panic!("no subcommand in `{line}`"));
+            if let Err(stop) = parse(cmd, &args[2..]) {
+                panic!("documented `{line}` no longer parses: {stop:?}");
+            }
+            checked += 1;
+        }
+        assert!(
+            checked >= 20,
+            "only {checked} documented command lines found"
+        );
     }
 }
