@@ -25,7 +25,7 @@ use fd_broadcast::{RbMsg, ReliableBroadcast};
 use fd_core::Component;
 use fd_core::{EventuallyConsistentOracle, LeaderOracle, SubCtx, SuspectOracle};
 use fd_sim::{Actor, Context, Payload, ProcessId, SimMessage, TimerTag};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Observation tag for log appends: payload `U64Pair(slot, value)`.
 pub use fd_obs::keys::MULTI_APPEND as LOG_APPEND;
@@ -78,23 +78,45 @@ impl SimMessage for MultiMsg {
 /// Decision broadcast payload: `(slot, value, round)`.
 pub type SlotDecide = (u64, u64, u64);
 
+/// Everything a node knows about one log slot.
+#[derive(Debug, Default)]
+struct Slot {
+    /// The slot's consensus instance, created on first touch.
+    instance: Option<EcConsensus>,
+    /// The command this node proposed here, if it proposed.
+    proposed: Option<u64>,
+    /// The slot's decision, once known.
+    decided: Option<DecidePayload>,
+}
+
 /// The multiplexer of per-slot [`EcConsensus`] instances.
 #[derive(Debug)]
 pub struct MultiEc {
     me: ProcessId,
     n: usize,
     cfg: ConsensusConfig,
-    instances: BTreeMap<u64, EcConsensus>,
-    /// Slots we have proposed in.
-    proposed: BTreeMap<u64, u64>,
-    /// The decided log.
-    log: BTreeMap<u64, DecidePayload>,
+    /// Per-slot state, indexed by slot number. Nothing is ever removed
+    /// or unset — a slot's `proposed` and `decided` only go from `None`
+    /// to `Some` — and slots are opened in order (the depth-1 pipeline),
+    /// so above the base the table is dense (a node recovered at base
+    /// `b` carries `b` empty entries below it) and every per-message
+    /// probe is one index.
+    slots: Vec<Slot>,
     /// Client commands waiting for a slot.
     pending: VecDeque<u64>,
     /// First slot this node tracks. Slots below `base` were decided
     /// before its horizon — learned wholesale via snapshot catch-up —
     /// so it neither stores nor proposes in them.
     base: u64,
+    /// The log frontier: every slot in `base..first_undecided` is
+    /// decided, `first_undecided` itself is not. A monotone cursor —
+    /// `slots` is fill-only and `base` only rises, so neither frontier
+    /// can move back, and both are advanced where those change instead
+    /// of being rescanned from `base` on every query.
+    first_undecided: u64,
+    /// The proposal frontier: every slot in `base..next_unproposed` is
+    /// decided or proposed in, `next_unproposed` itself is neither.
+    next_unproposed: u64,
 }
 
 impl MultiEc {
@@ -104,35 +126,39 @@ impl MultiEc {
             me,
             n,
             cfg,
-            instances: BTreeMap::new(),
-            proposed: BTreeMap::new(),
-            log: BTreeMap::new(),
+            slots: Vec::new(),
             pending: VecDeque::new(),
             base: 0,
+            first_undecided: 0,
+            next_unproposed: 0,
         }
     }
 
     /// The decided log so far: contiguous from [`base`](MultiEc::base)
     /// up to the first undecided slot.
     pub fn log(&self) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
-        for slot in self.base.. {
-            match self.log.get(&slot) {
-                Some((v, _)) => out.push((slot, *v)),
-                None => break,
-            }
-        }
-        out
+        (self.base..self.first_undecided)
+            .map(|slot| {
+                let (value, _) = self
+                    .decided(slot)
+                    .expect("slots below the frontier are decided");
+                (slot, value)
+            })
+            .collect()
     }
 
     /// The decision of `slot`, if known (even out of order).
     pub fn decided(&self, slot: u64) -> Option<DecidePayload> {
-        self.log.get(&slot).copied()
+        self.slots.get(slot as usize)?.decided
     }
 
-    /// Number of commands still waiting to be proposed.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
+    /// The table entry of `slot`, growing the table to reach it.
+    fn slot_mut(&mut self, slot: u64) -> &mut Slot {
+        let i = slot as usize;
+        if i >= self.slots.len() {
+            self.slots.resize_with(i + 1, Slot::default);
+        }
+        &mut self.slots[i]
     }
 
     /// First slot this node tracks (0 unless raised by catch-up).
@@ -148,6 +174,24 @@ impl MultiEc {
     pub fn raise_base(&mut self, base: u64) {
         if base > self.base {
             self.base = base;
+            self.first_undecided = self.first_undecided.max(base);
+            self.next_unproposed = self.next_unproposed.max(base);
+            self.advance_frontiers();
+        }
+    }
+
+    /// Move both frontiers past every slot that is now filled. Each slot
+    /// is stepped over once in the life of the log, so callers pay O(1)
+    /// amortised — and call this only when an insert lands *on* a
+    /// frontier (or the base jumps), the only ways one can move.
+    fn advance_frontiers(&mut self) {
+        while self.decided(self.first_undecided).is_some() {
+            self.first_undecided += 1;
+        }
+        while self.decided(self.next_unproposed).is_some()
+            || self.proposed_in(self.next_unproposed).is_some()
+        {
+            self.next_unproposed += 1;
         }
     }
 
@@ -170,12 +214,15 @@ impl MultiEc {
 
     /// Whether this node has proposed in `slot`, and with which command.
     pub fn proposed_in(&self, slot: u64) -> Option<u64> {
-        self.proposed.get(&slot).copied()
+        self.slots.get(slot as usize)?.proposed
     }
 
     /// Record that this node proposed `command` in `slot`.
     pub fn mark_proposed(&mut self, slot: u64, command: u64) {
-        self.proposed.insert(slot, command);
+        self.slot_mut(slot).proposed = Some(command);
+        if slot == self.next_unproposed {
+            self.advance_frontiers();
+        }
     }
 
     /// Record the decision of `slot`. Returns `true` if it is news
@@ -183,30 +230,38 @@ impl MultiEc {
     /// caller appends to its application log exactly when this is true,
     /// which makes duplicate `SlotDecide` deliveries idempotent.
     pub fn record_decision(&mut self, slot: u64, value: u64, round: u64) -> bool {
-        if slot < self.base || self.log.contains_key(&slot) {
+        if slot < self.base || self.decided(slot).is_some() {
             return false;
         }
-        self.log.insert(slot, (value, round));
+        self.slot_mut(slot).decided = Some((value, round));
+        if slot == self.first_undecided || slot == self.next_unproposed {
+            self.advance_frontiers();
+        }
         true
     }
 
     /// The first slot at or above [`base`](MultiEc::base) with no
     /// recorded decision — the log frontier.
     pub fn first_undecided(&self) -> u64 {
-        let mut slot = self.base;
-        while self.log.contains_key(&slot) {
-            slot += 1;
-        }
-        slot
+        self.first_undecided
     }
 
-    /// The first slot this node neither decided nor proposed in.
+    /// The first slot at or above [`base`](MultiEc::base) this node
+    /// neither decided nor proposed in.
     pub fn next_unproposed_slot(&self) -> u64 {
-        let mut slot = self.base;
-        while self.log.contains_key(&slot) || self.proposed.contains_key(&slot) {
-            slot += 1;
+        self.next_unproposed
+    }
+
+    /// The depth-1 pipeline step both hosts drive: if a command is
+    /// waiting and the slot before the proposal frontier is decided (or
+    /// the frontier sits on the tracking base), take the head-of-queue
+    /// command and name the slot to propose it in.
+    pub fn next_proposal(&mut self) -> Option<(u64, u64)> {
+        let slot = self.next_unproposed;
+        if self.pending.is_empty() || (slot > self.base && self.decided(slot - 1).is_none()) {
+            return None;
         }
-        slot
+        self.pending.pop_front().map(|command| (slot, command))
     }
 
     /// The consensus instance of `slot`, created on first touch.
@@ -214,9 +269,9 @@ impl MultiEc {
         let me = self.me;
         let n = self.n;
         let cfg = self.cfg.clone();
-        self.instances
-            .entry(slot)
-            .or_insert_with(|| EcConsensus::new(me, n, cfg))
+        self.slot_mut(slot)
+            .instance
+            .get_or_insert_with(|| EcConsensus::new(me, n, cfg))
     }
 }
 
@@ -304,17 +359,9 @@ where
     /// Propose pending commands for free slots (one outstanding slot at a
     /// time, the classic SMR pipeline of depth 1).
     fn drive(&mut self, ctx: &mut Context<'_, MultiNodeMsg<D::Msg>>) {
-        if self.multi.pending.front().is_none() {
-            return;
+        if let Some((slot, command)) = self.multi.next_proposal() {
+            self.propose_in_slot(ctx, slot, command, true);
         }
-        let slot = self.multi.next_unproposed_slot();
-        // Depth-1 pipeline: only propose for `slot` if every earlier slot
-        // (down to the tracking base) is decided.
-        if slot > self.multi.base && !self.multi.log.contains_key(&(slot - 1)) {
-            return;
-        }
-        let command = self.multi.pending.pop_front().expect("checked");
-        self.propose_in_slot(ctx, slot, command, true);
     }
 
     /// A message/timer arrived for a slot we never proposed in: another
@@ -322,10 +369,10 @@ where
     /// slot) or a NOOP, so the slot's coordinator can gather a majority
     /// of real estimates.
     fn ensure_proposed(&mut self, ctx: &mut Context<'_, MultiNodeMsg<D::Msg>>, slot: u64) {
-        if self.multi.proposed.contains_key(&slot) || self.multi.log.contains_key(&slot) {
+        if self.multi.proposed_in(slot).is_some() || self.multi.decided(slot).is_some() {
             return;
         }
-        let command = self.multi.pending.pop_front().unwrap_or(NOOP);
+        let command = self.multi.pop_pending().unwrap_or(NOOP);
         self.propose_in_slot(ctx, slot, command, false);
     }
 
@@ -347,7 +394,7 @@ where
                 }
             }
         }
-        self.multi.proposed.insert(slot, command);
+        self.multi.mark_proposed(slot, command);
         let fd = self.fd.output();
         let ns = slot_ns(slot);
         let wrap = move |m: EcMsg| MultiNodeMsg::Cons(MultiMsg { slot, inner: m });
@@ -614,6 +661,62 @@ mod tests {
         assert_eq!(m.log(), vec![(5, 55)]);
         m.raise_base(2);
         assert_eq!(m.base(), 5, "raise_base never lowers the base");
+    }
+
+    /// The frontiers as they were computed before they were cursors: a
+    /// scan from the base over the public per-slot queries. Test oracle.
+    fn scanned_frontiers(m: &MultiEc) -> (u64, u64) {
+        let mut undecided = m.base();
+        while m.decided(undecided).is_some() {
+            undecided += 1;
+        }
+        let mut unproposed = m.base();
+        while m.decided(unproposed).is_some() || m.proposed_in(unproposed).is_some() {
+            unproposed += 1;
+        }
+        (undecided, unproposed)
+    }
+
+    proptest::proptest! {
+        /// Random interleavings of the three operations that can move a
+        /// frontier — including decisions and proposals far ahead of,
+        /// on, and behind the cursors, duplicates, and bases raised both
+        /// past the cursors and below them — leave both cursors, the
+        /// contiguous log and the depth-1 gate equal to the scan.
+        #[test]
+        fn frontier_cursors_equal_the_naive_scan(
+            ops in proptest::prop::collection::vec((0u8..8, 0u64..24), 1..80),
+        ) {
+            let mut m = MultiEc::new(ProcessId(0), 4, ConsensusConfig::default());
+            for (step, &(op, slot)) in ops.iter().enumerate() {
+                match op {
+                    0..=2 => m.mark_proposed(slot, 100 + slot),
+                    3..=6 => {
+                        let news = m.decided(slot).is_none() && slot >= m.base();
+                        proptest::prop_assert_eq!(m.record_decision(slot, 200 + slot, 1), news);
+                    }
+                    _ => m.raise_base(slot),
+                }
+                let (undecided, unproposed) = scanned_frontiers(&m);
+                proptest::prop_assert_eq!(
+                    (m.first_undecided(), m.next_unproposed_slot()),
+                    (undecided, unproposed),
+                    "after step {} of {:?}", step, ops
+                );
+                let log: Vec<(u64, u64)> =
+                    (m.base()..undecided).map(|s| (s, 200 + s)).collect();
+                proptest::prop_assert_eq!(m.log(), log);
+                // The depth-1 gate: a waiting command goes to the
+                // proposal frontier exactly when the slot before it is
+                // decided or the frontier is the base.
+                m.push_pending(7);
+                let open = unproposed == m.base() || m.decided(unproposed - 1).is_some();
+                proptest::prop_assert_eq!(m.next_proposal(), open.then_some((unproposed, 7)));
+                if !open {
+                    proptest::prop_assert_eq!(m.pop_pending(), Some(7));
+                }
+            }
+        }
     }
 
     /// NOOP gap fill: a replica with an empty command queue that learns

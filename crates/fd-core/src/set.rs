@@ -276,7 +276,11 @@ impl ProcessSet {
 
     /// Members as a sorted `Vec` (for trace payloads).
     pub fn to_vec(&self) -> Vec<ProcessId> {
-        self.iter().collect()
+        // `iter` is a `from_fn` with no size hint: collecting it grows
+        // the buffer by doubling, five times for a 42-member set.
+        let mut members = Vec::with_capacity(self.len());
+        members.extend(self.iter());
+        members
     }
 
     /// Wordwise combination with the small/small fast path; collapses a

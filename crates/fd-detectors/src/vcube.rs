@@ -88,6 +88,14 @@ impl SimMessage for VCubeMsg {
 
 const TIMER_ROUND: u32 = 0;
 
+/// Bits of a packed eviction key holding the process id: every id a
+/// [`ProcessSet`] can hold fits.
+const PID_BITS: u32 = fd_core::MAX_PROCESSES.ilog2();
+
+/// `news_slot` entry of a process with no entry in `news`. The buffer
+/// never holds more than `news_cap()` ≤ 4·64 + 8 entries, far below it.
+const NO_NEWS: u16 = u16::MAX;
+
 /// The hierarchical detector (see module docs).
 #[derive(Debug)]
 pub struct VCubeDetector {
@@ -105,8 +113,19 @@ pub struct VCubeDetector {
     outstanding: Vec<(ProcessId, Time)>,
     /// Recent news to share in acks: `(pid, ts, round_added)`. Entries
     /// retire after `dim + 2` rounds; receivers re-share what they learn,
-    /// so retention only needs to cover one dissemination hop.
+    /// so retention only needs to cover one dissemination hop. The
+    /// *order* is protocol state: acks list news in it, and the order a
+    /// receiver merges in decides which of its own entries the cap
+    /// evicts.
     news: Vec<(ProcessId, u64, u64)>,
+    /// Where each process sits in `news` ([`NO_NEWS`] = nowhere), so
+    /// re-sharing a process already in the buffer is one load instead
+    /// of a scan. Index = pid, like `ts`.
+    news_slot: Vec<u16>,
+    /// The buffer of the last ack received, emptied: the next reply is
+    /// built in it, so a process that tests about as often as it is
+    /// tested allocates no ack payloads.
+    spare_ack: Vec<(ProcessId, u64)>,
     /// Testing rounds completed (drives news retirement).
     round: u64,
     /// Suspect-set changed since the last observation was emitted.
@@ -132,6 +151,8 @@ impl VCubeDetector {
             timeouts,
             outstanding: Vec::new(),
             news: Vec::new(),
+            news_slot: vec![NO_NEWS; n],
+            spare_ack: Vec::new(),
             round: 0,
             dirty: false,
         }
@@ -197,27 +218,65 @@ impl VCubeDetector {
         4 * self.dim + 8
     }
 
+    /// Point `news_slot` at `p`'s (new) position in `news`.
+    fn set_news_slot(&mut self, p: ProcessId, at: u16) {
+        if let Some(slot) = self.news_slot.get_mut(p.index()) {
+            *slot = at;
+        }
+    }
+
     /// (Re-)share `j`'s current timestamp in upcoming acks.
     fn push_news(&mut self, j: ProcessId) {
         // fd-lint: allow(HP001, reason = "ts has one slot per process; pid index < n by construction")
         let t = self.ts[j.index()];
-        match self.news.iter_mut().find(|(p, _, _)| *p == j) {
-            Some(entry) => {
-                entry.1 = t;
-                entry.2 = self.round;
-            }
-            None => {
-                if self.news.len() >= self.news_cap() {
-                    // Evict the stalest entry (oldest round, then lowest
-                    // pid for determinism) to stay within the cap.
-                    if let Some(idx) = (0..self.news.len())
-                        // fd-lint: allow(HP001, reason = "i ranges over 0..news.len() in the eviction scan")
-                        .min_by_key(|&i| (self.news[i].2, self.news[i].0.index()))
-                    {
-                        self.news.swap_remove(idx);
-                    }
+        let at = self.news_slot.get(j.index()).copied().unwrap_or(NO_NEWS);
+        if let Some(entry) = self.news.get_mut(at as usize) {
+            entry.1 = t;
+            entry.2 = self.round;
+            return;
+        }
+        if self.news.len() >= self.news_cap() {
+            // Evict the stalest entry (oldest round, then lowest pid for
+            // determinism) to stay within the cap. Round and pid pack
+            // into one word in that order (exact while the round count
+            // is below 2^51: at the default 10 ms period, past the end
+            // of simulated time), and the last entry takes the freed
+            // position.
+            let stalest = self
+                .news
+                .iter()
+                .enumerate()
+                .min_by_key(|&(_, &(p, _, added))| (added << PID_BITS) | p.index() as u64);
+            if let Some((idx, &(evicted, _, _))) = stalest {
+                self.news.swap_remove(idx);
+                self.set_news_slot(evicted, NO_NEWS);
+                if let Some(&(moved, _, _)) = self.news.get(idx) {
+                    self.set_news_slot(moved, idx as u16);
                 }
-                self.news.push((j, t, self.round));
+            }
+        }
+        self.set_news_slot(j, self.news.len() as u16);
+        self.news.push((j, t, self.round));
+    }
+
+    /// Drop news older than the retention window, keeping the order of
+    /// what stays.
+    fn retire_news(&mut self) {
+        let retention = self.dim as u64 + 2;
+        let round = self.round;
+        let slots = &mut self.news_slot;
+        self.news.retain(|&(p, _, added)| {
+            let keep = round - added <= retention;
+            if !keep {
+                if let Some(slot) = slots.get_mut(p.index()) {
+                    *slot = NO_NEWS;
+                }
+            }
+            keep
+        });
+        for (at, &(p, _, _)) in self.news.iter().enumerate() {
+            if let Some(slot) = slots.get_mut(p.index()) {
+                *slot = at as u16;
             }
         }
     }
@@ -282,10 +341,7 @@ impl VCubeDetector {
             }
         }
         self.round += 1;
-        let retention = self.dim as u64 + 2;
-        let round = self.round;
-        self.news
-            .retain(|&(_, _, added)| round - added <= retention);
+        self.retire_news();
     }
 
     fn emit_if_dirty<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, VCubeMsg>) {
@@ -330,19 +386,20 @@ impl Component for VCubeDetector {
             VCubeMsg::Test => {
                 // A test is proof of life; answer with our recent news.
                 self.mark_up(from);
-                let news: Vec<(ProcessId, u64)> =
-                    // fd-lint: allow(HP002, reason = "one news snapshot per test ack, paced by the test round timer")
-                    self.news.iter().map(|&(p, t, _)| (p, t)).collect();
+                let mut news = std::mem::take(&mut self.spare_ack);
+                news.extend(self.news.iter().map(|&(p, t, _)| (p, t)));
                 ctx.send(from, VCubeMsg::Ack { news });
             }
-            VCubeMsg::Ack { news } => {
+            VCubeMsg::Ack { mut news } => {
                 self.outstanding.retain(|&(t, _)| t != from);
                 self.mark_up(from);
-                for (p, t) in news {
+                for &(p, t) in &news {
                     if p.index() < self.n {
                         self.merge_news(p, t);
                     }
                 }
+                news.clear();
+                self.spare_ack = news;
             }
         }
         self.emit_if_dirty(ctx);
@@ -388,6 +445,113 @@ mod tests {
         w.run_until_time(end);
         let (trace, _) = w.into_results();
         (trace, end)
+    }
+
+    /// The news buffer as it was kept before the per-pid index: a linear
+    /// find, an eviction scan over `(round, pid)` tuples, a plain
+    /// `retain`. Test oracle.
+    struct ScannedNews {
+        news: Vec<(ProcessId, u64, u64)>,
+        cap: usize,
+        retention: u64,
+        evictions: usize,
+    }
+
+    impl ScannedNews {
+        fn push(&mut self, j: ProcessId, t: u64, round: u64) {
+            match self.news.iter_mut().find(|(p, _, _)| *p == j) {
+                Some(entry) => {
+                    entry.1 = t;
+                    entry.2 = round;
+                }
+                None => {
+                    if self.news.len() >= self.cap {
+                        let idx = (0..self.news.len())
+                            .min_by_key(|&i| (self.news[i].2, self.news[i].0.index()))
+                            .unwrap();
+                        self.news.swap_remove(idx);
+                        self.evictions += 1;
+                    }
+                    self.news.push((j, t, round));
+                }
+            }
+        }
+
+        fn retire(&mut self, round: u64) {
+            let retention = self.retention;
+            self.news
+                .retain(|&(_, _, added)| round - added <= retention);
+        }
+    }
+
+    /// Replay `ops` — `(kind, pid, timestamp offset)` triples over local
+    /// detections, proofs of life, merged ack entries (rumours about
+    /// ourselves included) and round ends — on a detector and on the
+    /// scanned buffer, which is told of a re-share exactly when the op
+    /// moved the process's timestamp. After every op the two buffers
+    /// must hold the same entries in the same order and `news_slot`
+    /// must index them. Returns how many cap evictions the replay hit.
+    fn replay_against_scanned_news(n: usize, ops: &[(u8, usize, u64)]) -> usize {
+        let me = ProcessId(n / 2);
+        let mut d = VCubeDetector::new(me, n, VCubeConfig::default());
+        let mut old = ScannedNews {
+            news: Vec::new(),
+            cap: d.news_cap(),
+            retention: d.dim as u64 + 2,
+            evictions: 0,
+        };
+        // Few enough distinct processes that re-shares hit the buffer,
+        // enough that the cap (where n allows) overflows.
+        let pool = n.min(2 * d.news_cap());
+        for &(kind, pid, offset) in ops {
+            let p = ProcessId(pid % pool);
+            let before = d.ts[p.index()];
+            match kind {
+                0 => {
+                    d.round += 1;
+                    d.retire_news();
+                    old.retire(d.round);
+                }
+                1..=4 if p != me => d.mark_down(p),
+                5..=7 if p != me => d.mark_up(p),
+                _ => d.merge_news(p, before + offset),
+            }
+            if d.ts[p.index()] != before {
+                old.push(p, d.ts[p.index()], d.round);
+            }
+            assert_eq!(d.news, old.news, "n = {n}, after {kind} on {p:?}");
+            for (at, &(q, _, _)) in d.news.iter().enumerate() {
+                assert_eq!(d.news_slot[q.index()], at as u16, "slot of {q:?}");
+            }
+            let indexed = d.news_slot.iter().filter(|&&s| s != NO_NEWS).count();
+            assert_eq!(indexed, d.news.len(), "stale news_slot entries");
+        }
+        old.evictions
+    }
+
+    proptest::proptest! {
+        /// The indexed news buffer is the scanned one: same contents,
+        /// same order, through cap evictions and retirement, at a size
+        /// whose cap exceeds n (8: cap 20, never full) and at sizes that
+        /// overflow caps 32 and 56.
+        #[test]
+        fn indexed_news_equals_the_scanned_buffer(
+            ops in proptest::prop::collection::vec((0u8..24, 0usize..4096, 0u64..4), 1..400),
+        ) {
+            for n in [8, 64, 4096] {
+                replay_against_scanned_news(n, &ops);
+            }
+        }
+    }
+
+    /// The differential above is only worth its name if the cap is hit:
+    /// one local detection per process of the pool overflows it.
+    #[test]
+    fn scanned_news_replay_reaches_cap_evictions() {
+        let sweep: Vec<(u8, usize, u64)> = (0..200).map(|i| (1 + (i % 9) as u8, i, 1)).collect();
+        assert_eq!(replay_against_scanned_news(8, &sweep), 0, "cap 20 > n = 8");
+        assert!(replay_against_scanned_news(64, &sweep) > 0, "cap 32");
+        assert!(replay_against_scanned_news(4096, &sweep) > 0, "cap 56");
     }
 
     #[test]

@@ -291,15 +291,12 @@ where
     /// depth-1 pipeline of [`MultiNode`](fd_consensus::MultiNode)),
     /// unless catch-up has proposing gated off.
     fn drive(&mut self, ctx: &mut Context<'_, KvMsg<D::Msg>>) {
-        if self.syncing || self.multi.pending_len() == 0 {
+        if self.syncing {
             return;
         }
-        let slot = self.multi.next_unproposed_slot();
-        if slot > self.multi.base() && self.multi.decided(slot - 1).is_none() {
-            return;
+        if let Some((slot, command)) = self.multi.next_proposal() {
+            self.propose_in_slot(ctx, slot, command, true);
         }
-        let command = self.multi.pop_pending().expect("checked pending_len");
-        self.propose_in_slot(ctx, slot, command, true);
     }
 
     fn ensure_proposed(&mut self, ctx: &mut Context<'_, KvMsg<D::Msg>>, slot: u64) {

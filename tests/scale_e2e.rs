@@ -191,12 +191,12 @@ const GOLDEN: [Row; 22] = {
     ]
 };
 
-/// Re-run the golden rows whose n satisfies `pick` through the scale
-/// scenario's executor and compare every column.
-fn check_golden_rows(pick: impl Fn(usize) -> bool) {
+/// Re-run the golden rows `pick` selects through the scale scenario's
+/// executor and compare every column.
+fn check_golden_rows(pick: impl Fn(ScaleClass, usize) -> bool) {
     let mut executor = ScaleScenario.make_executor();
     let mut drifted = String::new();
-    for want in GOLDEN.iter().filter(|row| pick(row.1)) {
+    for want in GOLDEN.iter().filter(|row| pick(row.0, row.1)) {
         let &(class, n, net, seeds, ..) = want;
         let cell = ScaleCell { class, n, net };
         let (mut events, mut messages, mut digest) = (0, 0, 0u64);
@@ -219,15 +219,31 @@ fn check_golden_rows(pick: impl Fn(usize) -> bool) {
     );
 }
 
-#[test]
-fn golden_rows_hold_at_n_64() {
-    check_golden_rows(|n| n == 64);
+/// The vCube rows CI's `test` job re-runs on every push: tier-1 pins
+/// vCube at n = 64 only (`dim` 6, news cap 32); these four pin caps 40
+/// and 48, where the order of cap evictions sets the digest.
+fn vcube_mid(class: ScaleClass, n: usize) -> bool {
+    class == ScaleClass::VCube && (n == 256 || n == 1024)
 }
 
-/// Sixteen cells up to n = 4096 (≈2 GB peak) — release only:
-/// `cargo test --release --test scale_e2e -- --ignored golden_rows`.
+#[test]
+fn golden_rows_hold_at_n_64() {
+    check_golden_rows(|_, n| n == 64);
+}
+
+/// Four cells, ≈ 6 M events — release only:
+/// `cargo test --release --test scale_e2e -- --ignored golden_rows_hold_for_vcube`.
+#[test]
+#[ignore]
+fn golden_rows_hold_for_vcube_at_n_256_and_1024() {
+    check_golden_rows(vcube_mid);
+}
+
+/// The other twelve large cells, up to n = 4096 (≈2 GB peak) — release
+/// only: `cargo test --release --test scale_e2e -- --ignored golden_rows`
+/// (the filter takes the vCube test above along).
 #[test]
 #[ignore]
 fn golden_rows_hold_at_n_256_and_up() {
-    check_golden_rows(|n| n >= 256);
+    check_golden_rows(|class, n| n >= 256 && !vcube_mid(class, n));
 }
