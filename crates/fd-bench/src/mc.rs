@@ -19,8 +19,8 @@
 //! forced losses a single dropped message wedges a round forever (the
 //! PR 6 fd-kv wedge, rediscovered here exhaustively rather than by
 //! seed luck). The watchdog is what makes `--drops 1` exploration of
-//! EC terminate cleanly; the `#[cfg(test)]` constructor that disables
-//! it is the seeded-bug regression the acceptance test hunts.
+//! EC terminate cleanly; the test-module constructor that disables it
+//! is the seeded-bug regression the acceptance test hunts.
 
 use fd_chaos::DetectorKind;
 use fd_consensus::{
@@ -114,6 +114,14 @@ const MC_REPAIR_NS: u32 = 0x4d43; // "MC"
 /// How often an undecided [`McEcNode`] retransmits its stalled phase.
 const REPAIR_PERIOD: SimDuration = SimDuration::from_millis(20);
 
+/// The heartbeat-based ◇C detector the EC, CT and log targets run on.
+fn hb_leader(pid: ProcessId, n: usize) -> LeaderByFirstNonSuspected<HeartbeatDetector> {
+    LeaderByFirstNonSuspected::new(
+        HeartbeatDetector::new(pid, n, HeartbeatConfig::default()),
+        n,
+    )
+}
+
 /// The EC node under exploration, with its liveness repair.
 type EcHbNode = ConsensusNode<LeaderByFirstNonSuspected<HeartbeatDetector>, EcConsensus>;
 
@@ -134,24 +142,9 @@ impl McEcNode {
         McEcNode::build(me, n, true)
     }
 
-    /// The seeded-bug configuration: no retransmission, so a single
-    /// forced loss wedges a round forever — exactly the fd-kv wedge of
-    /// PR 6, reintroduced for the model checker to find.
-    #[cfg(test)]
-    pub(crate) fn without_retransmit(me: ProcessId, n: usize) -> McEcNode {
-        McEcNode::build(me, n, false)
-    }
-
     fn build(me: ProcessId, n: usize, retransmit: bool) -> McEcNode {
         McEcNode {
-            inner: ConsensusNode::new(
-                me,
-                LeaderByFirstNonSuspected::new(
-                    HeartbeatDetector::new(me, n, HeartbeatConfig::default()),
-                    n,
-                ),
-                EcConsensus::new(me, n, fast_poll()),
-            ),
+            inner: ConsensusNode::new(me, hb_leader(me, n), EcConsensus::new(me, n, fast_poll())),
             retransmit,
         }
     }
@@ -190,78 +183,19 @@ impl Actor for McEcNode {
     }
 }
 
-fn ec_world_with(n: usize, make: impl Fn(ProcessId) -> McEcNode) -> Box<dyn SchedWorld> {
+/// A protocol world on the model-checking network: `make` builds each
+/// node and `start` hands it its input, `100 + pid`, before the first
+/// event fires.
+fn protocol_world<A: Actor>(
+    n: usize,
+    make: impl Fn(ProcessId) -> A,
+    start: impl Fn(&mut A, &mut Context<'_, A::Msg>, u64),
+) -> Box<dyn SchedWorld> {
     let mut world = WorldBuilder::new(mc_net(n))
         .track_state(true)
         .build(|pid, _| make(pid));
     for i in 0..n {
-        world.interact(ProcessId(i), move |node, ctx| {
-            node.propose(ctx, 100 + i as u64)
-        });
-    }
-    Box::new(world)
-}
-
-fn ec_world(n: usize) -> Box<dyn SchedWorld> {
-    ec_world_with(n, move |pid| McEcNode::new(pid, n))
-}
-
-fn ct_world(n: usize) -> Box<dyn SchedWorld> {
-    let mut world = WorldBuilder::new(mc_net(n))
-        .track_state(true)
-        .build(|pid, _| {
-            ConsensusNode::new(
-                pid,
-                LeaderByFirstNonSuspected::new(
-                    HeartbeatDetector::new(pid, n, HeartbeatConfig::default()),
-                    n,
-                ),
-                CtConsensus::new(pid, n, fast_poll()),
-            )
-        });
-    for i in 0..n {
-        world.interact(ProcessId(i), move |node, ctx| {
-            node.propose(ctx, 100 + i as u64)
-        });
-    }
-    Box::new(world)
-}
-
-fn paxos_world(n: usize) -> Box<dyn SchedWorld> {
-    let mut world = WorldBuilder::new(mc_net(n))
-        .track_state(true)
-        .build(|pid, _| {
-            ConsensusNode::new(
-                pid,
-                LeaderDetector::new(pid, n, LeaderConfig::default()),
-                PaxosConsensus::new(pid, n, fast_poll()),
-            )
-        });
-    for i in 0..n {
-        world.interact(ProcessId(i), move |node, ctx| {
-            node.propose(ctx, 100 + i as u64)
-        });
-    }
-    Box::new(world)
-}
-
-fn multi_world(n: usize) -> Box<dyn SchedWorld> {
-    let mut world = WorldBuilder::new(mc_net(n))
-        .track_state(true)
-        .build(|pid, _| {
-            MultiNode::new(
-                pid,
-                LeaderByFirstNonSuspected::new(
-                    HeartbeatDetector::new(pid, n, HeartbeatConfig::default()),
-                    n,
-                ),
-                MultiEc::new(pid, n, fast_poll()),
-            )
-        });
-    for i in 0..n {
-        world.interact(ProcessId(i), move |node, ctx| {
-            node.submit(ctx, 100 + i as u64)
-        });
+        world.interact(ProcessId(i), |node, ctx| start(node, ctx, 100 + i as u64));
     }
     Box::new(world)
 }
@@ -332,10 +266,31 @@ pub fn protocol_target(proto: McProtocol, n: usize, horizon: Time) -> McTarget {
         detector,
         properties,
         factory: Box::new(move || match proto {
-            McProtocol::Ec => ec_world(n),
-            McProtocol::Ct => ct_world(n),
-            McProtocol::Paxos => paxos_world(n),
-            McProtocol::Multi => multi_world(n),
+            McProtocol::Ec => protocol_world(n, |pid| McEcNode::new(pid, n), McEcNode::propose),
+            McProtocol::Ct => protocol_world(
+                n,
+                |pid| {
+                    ConsensusNode::new(
+                        pid,
+                        hb_leader(pid, n),
+                        CtConsensus::new(pid, n, fast_poll()),
+                    )
+                },
+                ConsensusNode::propose,
+            ),
+            McProtocol::Paxos => protocol_world(
+                n,
+                |pid| {
+                    let fd = LeaderDetector::new(pid, n, LeaderConfig::default());
+                    ConsensusNode::new(pid, fd, PaxosConsensus::new(pid, n, fast_poll()))
+                },
+                ConsensusNode::propose,
+            ),
+            McProtocol::Multi => protocol_world(
+                n,
+                |pid| MultiNode::new(pid, hb_leader(pid, n), MultiEc::new(pid, n, fast_poll())),
+                MultiNode::submit,
+            ),
         }),
     }
 }
@@ -345,6 +300,15 @@ mod tests {
     use super::*;
     use fd_mc::{explore, run_one, McConfig};
     use fd_sim::CanonicalScheduler;
+
+    impl McEcNode {
+        /// The seeded-bug configuration: no retransmission, so a single
+        /// forced loss wedges a round forever — exactly the fd-kv wedge
+        /// of PR 6, reintroduced for the model checker to find.
+        fn without_retransmit(me: ProcessId, n: usize) -> McEcNode {
+            McEcNode::build(me, n, false)
+        }
+    }
 
     /// Satellite 3: the model checker's first-explored branch (empty
     /// choice script) is byte-identical to the wheel's canonical
@@ -405,7 +369,11 @@ mod tests {
             detector: DetectorKind::Heartbeat,
             properties: vec![keys::CONSENSUS_TERMINATION],
             factory: Box::new(move || {
-                ec_world_with(n, move |pid| McEcNode::without_retransmit(pid, n))
+                protocol_world(
+                    n,
+                    |pid| McEcNode::without_retransmit(pid, n),
+                    McEcNode::propose,
+                )
             }),
         }
     }

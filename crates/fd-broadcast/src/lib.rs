@@ -1,15 +1,13 @@
-//! # fd-broadcast — broadcast primitives
+//! # fd-broadcast — the broadcast primitive
 //!
 //! The Reliable Broadcast primitive the paper's consensus algorithm uses
-//! to disseminate decisions (§5, third task of Fig. 4), plus a Uniform
-//! Reliable Broadcast extension. Both are components designed to be
-//! hosted on a node next to a failure detector and a consensus module.
+//! to disseminate decisions (§5, third task of Fig. 4): a component
+//! designed to be hosted on a node next to a failure detector and a
+//! consensus module.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod reliable;
-pub mod uniform;
 
 pub use reliable::{Delivery, RbMsg, ReliableBroadcast};
-pub use uniform::{UniformBroadcast, UrbMsg};

@@ -97,11 +97,6 @@ impl<P: Clone + fmt::Debug + 'static> ReliableBroadcast<P> {
     pub fn take_delivered(&mut self) -> Vec<Delivery<P>> {
         self.delivered.drain(..).collect()
     }
-
-    /// Whether `(origin, seq)` has been seen (delivered or relayed).
-    pub fn has_seen(&self, origin: ProcessId, seq: u64) -> bool {
-        self.seen.contains(&(origin, seq))
-    }
 }
 
 impl<P: Clone + fmt::Debug + 'static> Component for ReliableBroadcast<P> {
@@ -206,7 +201,11 @@ mod tests {
         for i in 0..n {
             let got = delivered_of(w.actor(ProcessId(i)));
             assert_eq!(got.len(), 2, "p{i} delivered {got:?}");
-            assert!(w.actor(ProcessId(i)).inner().has_seen(ProcessId(2), 0));
+            assert!(w
+                .actor(ProcessId(i))
+                .inner()
+                .seen
+                .contains(&(ProcessId(2), 0)));
         }
     }
 

@@ -79,6 +79,37 @@ impl ReplayResult {
     pub fn reproduced(&self) -> bool {
         self.violation.is_some()
     }
+
+    /// Human-readable summary (what `ecfd campaign --replay` prints):
+    /// which artifact was replayed from where, whether the violation
+    /// came back, and whether the trace digest still matches.
+    pub fn render(&self, path: &Path, artifact: &Artifact) -> String {
+        use std::fmt::Write;
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "replaying {}: scenario {} seed {} property {}",
+            path.display(),
+            artifact.scenario,
+            artifact.seed,
+            artifact.property
+        );
+        let _ = match &self.violation {
+            Some(detail) => writeln!(out, "violation reproduced ✓  {detail}"),
+            None => writeln!(out, "violation did NOT reproduce"),
+        };
+        let _ = writeln!(
+            out,
+            "trace digest {:#018x} ({})",
+            self.digest,
+            if self.digest_matches {
+                "matches artifact"
+            } else {
+                "DIFFERS from artifact"
+            }
+        );
+        out
+    }
 }
 
 /// Re-execute an artifact's plan under `scenario` and re-check the
@@ -138,6 +169,40 @@ mod tests {
         assert!(
             replayed.digest_matches,
             "replay must regenerate the identical trace"
+        );
+    }
+
+    #[test]
+    fn replay_result_renders_header_verdict_and_digest() {
+        let artifact = Artifact {
+            scenario: "blind".into(),
+            seed: 3,
+            property: "fd.strong_completeness".into(),
+            detail: String::new(),
+            digest: 0xab,
+            plan: RunPlan::new(3, fd_sim::Time::from_secs(1), fd_sim::NetworkConfig::new(2)),
+        };
+        let reproduced = ReplayResult {
+            violation: Some("p1 never suspected p0".into()),
+            digest: 0xab,
+            digest_matches: true,
+        };
+        assert_eq!(
+            reproduced.render(Path::new("a/blind-seed3.json"), &artifact),
+            "replaying a/blind-seed3.json: scenario blind seed 3 property fd.strong_completeness\n\
+             violation reproduced ✓  p1 never suspected p0\n\
+             trace digest 0x00000000000000ab (matches artifact)\n"
+        );
+        let stale = ReplayResult {
+            violation: None,
+            digest: 0xcd,
+            digest_matches: false,
+        };
+        let text = stale.render(Path::new("x.json"), &artifact);
+        assert!(text.contains("\nviolation did NOT reproduce\n"), "{text}");
+        assert!(
+            text.ends_with("trace digest 0x00000000000000cd (DIFFERS from artifact)\n"),
+            "{text}"
         );
     }
 

@@ -151,12 +151,6 @@ impl CampaignReport {
         self.results.len() as u64 - self.passed()
     }
 
-    /// The pass/fail vector, seed-ordered — convenient for asserting that
-    /// different `--jobs` values agree run-for-run.
-    pub fn pass_vector(&self) -> Vec<bool> {
-        self.results.iter().map(|r| r.passed()).collect()
-    }
-
     /// Decision-latency statistics (ticks) over the runs that decided.
     pub fn latency_stats(&self) -> Option<Stats> {
         Stats::from_samples(
@@ -484,7 +478,6 @@ mod tests {
         assert_eq!(report.results.len(), 4);
         // Every blind seed has crashes nobody suspects: all fail.
         assert_eq!(report.failed(), 4);
-        assert_eq!(report.pass_vector(), vec![false; 4]);
         let text = report.render();
         assert!(text.contains("passed 0 / failed 4"), "{text}");
         assert!(text.contains("fd.strong_completeness"), "{text}");

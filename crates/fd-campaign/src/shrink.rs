@@ -29,6 +29,26 @@ pub struct ShrinkOutcome {
     pub attempts: usize,
 }
 
+impl ShrinkOutcome {
+    /// Human-readable summary (what `ecfd campaign --replay --shrink`
+    /// prints): the step and attempt counts, then one line per accepted
+    /// simplification.
+    pub fn render(&self) -> String {
+        use std::fmt::Write;
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "shrunk in {} accepted steps ({} attempts):",
+            self.applied.len(),
+            self.attempts
+        );
+        for step in &self.applied {
+            let _ = writeln!(out, "  - {step}");
+        }
+        out
+    }
+}
+
 /// Greedily minimize `artifact`'s plan while its property keeps failing.
 /// Errors if the original plan does not actually violate the property
 /// (a stale or hand-edited artifact).
@@ -194,6 +214,26 @@ mod tests {
         artifact.plan.crashes.clear();
         let err = shrink(&sc, &artifact).unwrap_err();
         assert!(err.contains("does not violate"), "{err}");
+    }
+
+    #[test]
+    fn outcome_renders_counts_then_one_line_per_step() {
+        let out = ShrinkOutcome {
+            artifact: Artifact {
+                scenario: "blind".into(),
+                seed: 1,
+                property: "fd.strong_completeness".into(),
+                detail: String::new(),
+                digest: 0,
+                plan: RunPlan::new(1, Time::from_secs(1), fd_sim::NetworkConfig::new(2)),
+            },
+            applied: vec!["drop crash of p3".into(), "halve horizon".into()],
+            attempts: 9,
+        };
+        assert_eq!(
+            out.render(),
+            "shrunk in 2 accepted steps (9 attempts):\n  - drop crash of p3\n  - halve horizon\n"
+        );
     }
 
     #[test]

@@ -71,17 +71,6 @@ impl ProtocolStep {
             broadcast_decision: Some((value, round)),
         }
     }
-
-    /// Merge two steps (at most one may carry a decision).
-    pub fn merge(self, other: ProtocolStep) -> ProtocolStep {
-        match (self.broadcast_decision, other.broadcast_decision) {
-            (Some(_), Some(_)) => panic!("two decisions in one callback"),
-            (Some(d), None) | (None, Some(d)) => ProtocolStep {
-                broadcast_decision: Some(d),
-            },
-            (None, None) => ProtocolStep::none(),
-        }
-    }
 }
 
 /// Timing knobs shared by the protocols.
@@ -181,20 +170,5 @@ mod tests {
         let c = Estimate { value: 9, ts: 3 };
         assert_eq!(Estimate::newer_of(a, c), c);
         assert_eq!(Estimate::newer_of(c, a), c);
-    }
-
-    #[test]
-    fn step_merge() {
-        let none = ProtocolStep::none();
-        let d = ProtocolStep::decide(7, 2);
-        assert_eq!(none.merge(d), d);
-        assert_eq!(d.merge(none), d);
-        assert_eq!(none.merge(none), none);
-    }
-
-    #[test]
-    #[should_panic(expected = "two decisions")]
-    fn step_merge_rejects_double_decision() {
-        let _ = ProtocolStep::decide(1, 1).merge(ProtocolStep::decide(2, 1));
     }
 }

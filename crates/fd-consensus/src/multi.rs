@@ -246,12 +246,6 @@ impl MultiEc {
         self.first_undecided
     }
 
-    /// The first slot at or above [`base`](MultiEc::base) this node
-    /// neither decided nor proposed in.
-    pub fn next_unproposed_slot(&self) -> u64 {
-        self.next_unproposed
-    }
-
     /// The depth-1 pipeline step both hosts drive: if a command is
     /// waiting and the slot before the proposal frontier is decided (or
     /// the frontier sits on the tracking base), take the head-of-queue
@@ -655,7 +649,7 @@ mod tests {
             !m.record_decision(3, 33, 1),
             "below-base slots are not news"
         );
-        assert_eq!(m.next_unproposed_slot(), 5);
+        assert_eq!(m.next_unproposed, 5);
         assert_eq!(m.first_undecided(), 5);
         assert!(m.record_decision(5, 55, 1));
         assert_eq!(m.log(), vec![(5, 55)]);
@@ -699,7 +693,7 @@ mod tests {
                 }
                 let (undecided, unproposed) = scanned_frontiers(&m);
                 proptest::prop_assert_eq!(
-                    (m.first_undecided(), m.next_unproposed_slot()),
+                    (m.first_undecided(), m.next_unproposed),
                     (undecided, unproposed),
                     "after step {} of {:?}", step, ops
                 );

@@ -515,14 +515,6 @@ impl<'a> ConsensusRun<'a> {
             .collect()
     }
 
-    /// The decision of `p`, if it decided.
-    pub fn decision_of(&self, p: ProcessId) -> Option<(u64, u64)> {
-        self.decisions()
-            .into_iter()
-            .find(|(q, _, _, _)| *q == p)
-            .map(|(_, _, v, r)| (v, r))
-    }
-
     /// Largest round in which any process decided.
     pub fn max_decision_round(&self) -> Option<u64> {
         self.decisions().into_iter().map(|(_, _, _, r)| r).max()
@@ -842,7 +834,6 @@ mod tests {
         let run = ConsensusRun::new(&tr, 3);
         run.check_all().unwrap();
         assert_eq!(run.max_decision_round(), Some(2));
-        assert_eq!(run.decision_of(ProcessId(0)), Some((9, 1)));
     }
 
     #[test]

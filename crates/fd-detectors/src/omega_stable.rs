@@ -105,11 +105,6 @@ impl StableLeaderDetector {
         self.changes
     }
 
-    /// The punish count currently recorded for `q`.
-    pub fn punish_count(&self, q: ProcessId) -> u64 {
-        self.punish[q.index()]
-    }
-
     fn compute_leader(&self) -> ProcessId {
         // argmin (punish, id) over unsuspected processes; fall back to
         // self if everything is suspected (cannot happen for `me`).
@@ -235,6 +230,13 @@ mod tests {
     use super::*;
     use fd_core::{FdClass, FdRun, Standalone};
     use fd_sim::{LinkModel, NetworkConfig, Time, WorldBuilder};
+
+    impl StableLeaderDetector {
+        /// The punish count currently recorded for `q`.
+        fn punish_count(&self, q: ProcessId) -> u64 {
+            self.punish[q.index()]
+        }
+    }
 
     fn jitter_net(n: usize) -> NetworkConfig {
         NetworkConfig::new(n).with_default(LinkModel::reliable_uniform(

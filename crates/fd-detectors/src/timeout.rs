@@ -104,15 +104,9 @@ impl TimeoutTable {
         next
     }
 
-    /// How many times `q`'s timeout has been increased — i.e. how many
-    /// mistakes the detector made about `q`. Theorem 1's argument predicts
-    /// this is bounded under partial synchrony.
-    pub fn increases(&self, q: ProcessId) -> u32 {
-        let idx = q.index() as u32;
-        self.grown.iter().find(|e| e.0 == idx).map_or(0, |e| e.2)
-    }
-
-    /// Total mistakes across all peers.
+    /// Total timeout increases across all peers — i.e. how many mistakes
+    /// the detector made. Theorem 1's argument predicts this is bounded
+    /// under partial synchrony.
     pub fn total_increases(&self) -> u64 {
         self.grown.iter().map(|e| e.2 as u64).sum()
     }
@@ -131,7 +125,6 @@ mod tests {
         assert_eq!(t.increase(ProcessId(1)), SimDuration::from_millis(20));
         // Other peers are untouched.
         assert_eq!(t.get(ProcessId(0)), SimDuration::from_millis(10));
-        assert_eq!(t.increases(ProcessId(1)), 2);
         assert_eq!(t.total_increases(), 2);
     }
 

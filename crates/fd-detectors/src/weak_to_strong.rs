@@ -15,6 +15,7 @@
 //! bundled [`WeakToStrongNode`] pairs it with a neighbour-monitoring
 //! restricted heartbeat, the canonical ◇W example.
 
+// fd-lint: allow(API001, reason = "the §3 ◇W→◇S construction of the class hierarchy: no stack needs it, tests/class_hierarchy.rs checks it")
 use fd_core::{Component, LeaderOracle, ProcessSet, SubCtx, SuspectOracle};
 use fd_sim::{Actor, Context, ProcessId, SimDuration, SimMessage, TimerTag};
 
@@ -239,19 +240,6 @@ impl<D: Component + SuspectOracle> Actor for WeakToStrongNode<D> {
     }
 }
 
-// The amplified node has no leader output; provide one via the §3 recipe
-// (first non-suspected) for callers that want a ◇C on top.
-impl<D: Component + SuspectOracle> WeakToStrongNode<D> {
-    /// The §3 leader recipe applied to the amplified output.
-    pub fn first_non_suspected(&self, n: usize) -> ProcessId {
-        self.amp
-            .suspected()
-            .complement(n)
-            .first()
-            .unwrap_or(ProcessId(0))
-    }
-}
-
 /// Helper so tests can treat the node as a leader oracle too.
 impl<D: Component + SuspectOracle> LeaderOracle for WeakToStrongNode<D> {
     fn trusted(&self) -> ProcessId {
@@ -273,6 +261,17 @@ mod tests {
     use crate::heartbeat::{HeartbeatConfig, HeartbeatDetector};
     use fd_core::FdRun;
     use fd_sim::{LinkModel, NetworkConfig, Time, WorldBuilder};
+
+    impl<D: Component + SuspectOracle> WeakToStrongNode<D> {
+        /// The §3 leader recipe applied to the amplified output.
+        fn first_non_suspected(&self, n: usize) -> ProcessId {
+            self.amp
+                .suspected()
+                .complement(n)
+                .first()
+                .unwrap_or(ProcessId(0))
+        }
+    }
 
     /// Each process monitors only its ring successor — weak completeness
     /// only (see the heartbeat tests).

@@ -666,7 +666,7 @@ where
                 continue;
             }
             // record_decision keeps the consensus log in step (so
-            // next_unproposed_slot is right) and dedupes for us.
+            // the proposal frontier is right) and dedupes for us.
             if self.multi.record_decision(slot, cmd, 0) {
                 ctx.observe(LOG_APPEND, Payload::U64Pair(slot, cmd));
                 if let Some(mine) = self.multi.proposed_in(slot) {

@@ -38,6 +38,7 @@
 mod graph;
 mod items;
 mod obskeys;
+mod orphan;
 mod report;
 mod rules;
 mod scan;
@@ -203,11 +204,18 @@ pub fn lint_source(rel_path: &str, src: &str, opts: &Options) -> Vec<Finding> {
 
 /// Analyze a set of in-memory sources as one workspace: per-file rules,
 /// then the cross-file phase (hot-path reachability over the call
-/// graph, obs-key registry consistency), then the suppression pass.
+/// graph, obs-key registry consistency, orphan modules), then the
+/// suppression pass. Files under `benchmark/` are read as call sites by
+/// the orphan rule and otherwise ignored — the package is outside the
+/// linted workspace (it owns the wall clock).
 /// This is the whole engine; [`lint_workspace`] is a directory walk in
 /// front of it.
 pub fn analyze_sources(files: &[SourceFile], opts: &Options) -> Report {
-    let models: Vec<FileModel> = files.iter().map(FileModel::build).collect();
+    let build = |callers: bool| -> Vec<FileModel> {
+        let wanted = files.iter().filter(|f| caller_only(&f.rel_path) == callers);
+        wanted.map(FileModel::build).collect()
+    };
+    let (models, callers) = (build(false), build(true));
     let active = active_rules(opts);
     let mut findings = Vec::new();
 
@@ -254,6 +262,9 @@ pub fn analyze_sources(files: &[SourceFile], opts: &Options) -> Report {
     let (obs001, obs002) = (by_id("OBS001"), by_id("OBS002"));
     if obs001.is_some() || obs002.is_some() {
         obskeys::run_obs_rules(&models, obs001, obs002, &mut findings);
+    }
+    if let Some(api001) = by_id("API001") {
+        orphan::run_orphan_rule(&models, &callers, api001, &mut findings);
     }
 
     // Phase 3: suppressions. A reasoned allow naming the rule silences
@@ -367,14 +378,15 @@ pub fn analyze_sources(files: &[SourceFile], opts: &Options) -> Report {
     Report {
         findings,
         rules_run: active.iter().map(|r| r.id.to_string()).collect(),
-        files_scanned: files.len(),
+        files_scanned: models.len(),
     }
 }
 
 /// Lint every first-party `.rs` file under `root` (a workspace
-/// checkout). Scans `crates/`, `src/`, `tests/`, and `examples/`;
-/// skips `target/` and the vendored `shims/` (third-party API subsets,
-/// anchored by their own `#![forbid(unsafe_code)]`).
+/// checkout). Scans `crates/`, `src/`, `tests/`, and `examples/`, plus
+/// `benchmark/src` as API001 call sites only; skips `target/` and the
+/// vendored `shims/` (third-party API subsets, anchored by their own
+/// `#![forbid(unsafe_code)]`).
 pub fn lint_workspace(root: &Path, opts: &Options) -> Result<Report, LintError> {
     validate_rule_ids(&opts.rules)?;
     let sources = collect_sources(root)?;
@@ -400,7 +412,11 @@ pub fn dump_graph(root: &Path, format: GraphFormat) -> Result<String, LintError>
 
 /// [`dump_graph`] over in-memory sources (engine tests).
 pub fn dump_graph_sources(files: &[SourceFile], format: GraphFormat) -> String {
-    let models: Vec<FileModel> = files.iter().map(FileModel::build).collect();
+    let models: Vec<FileModel> = files
+        .iter()
+        .filter(|f| !caller_only(&f.rel_path))
+        .map(FileModel::build)
+        .collect();
     let gfiles: Vec<graph::GraphFile<'_>> = models
         .iter()
         .map(|m| graph::GraphFile {
@@ -421,7 +437,7 @@ pub fn dump_graph_sources(files: &[SourceFile], format: GraphFormat) -> String {
 /// path.
 fn collect_sources(root: &Path) -> Result<Vec<SourceFile>, LintError> {
     let mut files = Vec::new();
-    for top in ["crates", "src", "tests", "examples"] {
+    for top in ["crates", "src", "tests", "examples", "benchmark/src"] {
         let dir = root.join(top);
         if dir.is_dir() {
             collect_rs(&dir, &mut files)
@@ -486,6 +502,11 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
         }
     }
     Ok(())
+}
+
+/// Files scanned as API001 call sites but never linted.
+fn caller_only(rel: &str) -> bool {
+    rel.starts_with("benchmark/")
 }
 
 /// The crate a workspace-relative path belongs to.

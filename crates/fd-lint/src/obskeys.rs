@@ -16,10 +16,7 @@
 //! literals are findings: reference the generated const so typos are
 //! compile errors, not vacuous monitors. Unknown keys get a
 //! nearest-match suggestion (edit distance), because the failure this
-//! rule exists for is `fd.weak_completness`. Dynamic per-process runtime
-//! keys (`rt.p3.send_ns`) are out of scope: `rt` is deliberately not a
-//! registered namespace, and the `fd_obs::keys::rt_*` helpers own that
-//! shape.
+//! rule exists for is `fd.weak_completness`.
 //!
 //! ## OBS002 — obs-key-drift (warn)
 //!
@@ -355,7 +352,8 @@ pub(crate) fn run_obs_rules(
     }
 }
 
-fn finding_at(rule: &'static Rule, f: &FileModel, t: &Tok, message: String) -> Finding {
+/// An unsuppressed `rule` finding in `f`, anchored at token `t`.
+pub(crate) fn finding_at(rule: &'static Rule, f: &FileModel, t: &Tok, message: String) -> Finding {
     Finding {
         rule: rule.id.to_string(),
         name: rule.name.to_string(),

@@ -38,7 +38,7 @@ pub const RULES: &[Rule] = &[
         id: "ND002",
         name: "wall-clock",
         severity: Severity::Deny,
-        summary: "wall-clock time (Instant::now/SystemTime) outside fd-obs and fd-runtime",
+        summary: "wall-clock time (Instant::now/SystemTime) outside fd-obs",
     },
     Rule {
         id: "ND003",
@@ -107,6 +107,12 @@ pub const RULES: &[Rule] = &[
         summary: "empty wildcard arm (`_ => {}`) in a protocol-message receive match",
     },
     Rule {
+        id: "API001",
+        name: "orphan-module",
+        severity: Severity::Warn,
+        summary: "no top-level pub item of the file is named in any other file's non-test code",
+    },
+    Rule {
         id: "SUP001",
         name: "invalid-suppression",
         severity: Severity::Deny,
@@ -132,10 +138,9 @@ const DET_CRATES: &[&str] = &[
 ];
 
 /// Crates allowed to read the wall clock: the observability layer owns
-/// it, and the real-time runtime bridges simulated time to it by design
-/// (both are outside the byte-identical-replay boundary; so is the
+/// it (it is outside the byte-identical-replay boundary; so is the
 /// `benchmark/` package, which is not part of the linted workspace).
-const WALL_CLOCK_EXEMPT: &[&str] = &["fd-obs", "fd-runtime"];
+const WALL_CLOCK_EXEMPT: &[&str] = &["fd-obs"];
 
 /// The kernel hot path: files where a panic costs every in-flight
 /// campaign seed, so `unwrap`/`expect` need an explicit invariant.
@@ -230,8 +235,9 @@ pub fn run_rules(ctx: &FileCtx<'_>, active: &[&'static Rule]) -> Vec<Finding> {
             "UH002" => uh002(ctx, rule, &mut out),
             "UH003" => uh003(ctx, rule, &mut out),
             "MSG001" => msg001(ctx, rule, &mut out),
-            // SUP001 is emitted by the suppression pass; HP001/HP002 and
-            // OBS001/OBS002 run in the cross-file phase (graph / obskeys).
+            // SUP001 is emitted by the suppression pass; HP001/HP002,
+            // OBS001/OBS002 and API001 run in the cross-file phase
+            // (graph / obskeys / orphan).
             _ => {}
         }
     }
@@ -370,7 +376,7 @@ fn nd001(ctx: &FileCtx<'_>, rule: &'static Rule, out: &mut Vec<Finding>) {
     }
 }
 
-/// ND002 — wall-clock reads outside fd-obs / fd-runtime.
+/// ND002 — wall-clock reads outside fd-obs.
 fn nd002(ctx: &FileCtx<'_>, rule: &'static Rule, out: &mut Vec<Finding>) {
     if WALL_CLOCK_EXEMPT.contains(&ctx.crate_name) {
         return;

@@ -175,3 +175,99 @@ fn reply() {}
     assert_eq!(msg.len(), 1, "{:?}", report.findings);
     assert_eq!((msg[0].line, msg[0].col), (9, 9));
 }
+
+// ---------------------------------------------------------------- API001
+
+const ORPHAN: &str = "pub struct Widget;\npub fn make() -> Widget { Widget }\n";
+
+/// Lint `crates/fd-kv/src/widget.rs` (contents `widget`) next to one
+/// other file, returning the unsuppressed API001 and SUP001 findings.
+fn orphan_run(widget: &str, other: (&str, &str)) -> (Vec<Finding>, Vec<Finding>) {
+    let report = analyze_sources(
+        &[
+            file("crates/fd-kv/src/widget.rs", widget),
+            file(other.0, other.1),
+        ],
+        &Options::default(),
+    );
+    let of = |rule| {
+        deny_hits(&report.findings, rule)
+            .into_iter()
+            .cloned()
+            .collect()
+    };
+    (of("API001"), of("SUP001"))
+}
+
+#[test]
+fn a_file_nobody_names_is_an_orphan_and_a_reexport_or_a_test_does_not_save_it() {
+    // The crate root re-exports it, its own tests and an integration
+    // test call it, a comment and a string mention it: none is a caller.
+    let widget =
+        format!("{ORPHAN}#[cfg(test)]\nmod tests {{ #[test] fn t() {{ super::make(); }} }}\n");
+    let root = "pub mod widget;\npub use widget::{make, Widget};\n\
+                // make() builds a Widget\nfn f() -> &'static str { \"Widget\" }\n";
+    let (api, _) = orphan_run(&widget, ("crates/fd-kv/src/lib.rs", root));
+    assert_eq!(api.len(), 1, "{api:?}");
+    assert_eq!(
+        (api[0].file.as_str(), api[0].line, api[0].col),
+        ("crates/fd-kv/src/widget.rs", 1, 1)
+    );
+    assert!(
+        api[0].message.contains("Widget, make"),
+        "{}",
+        api[0].message
+    );
+    let test_caller = "fn t() { fd_kv::widget::make(); }\n";
+    let (api, _) = orphan_run(ORPHAN, ("tests/widget_e2e.rs", test_caller));
+    assert_eq!(api.len(), 1, "integration tests are not callers: {api:?}");
+}
+
+#[test]
+fn a_file_called_from_another_crate_the_benchmark_or_an_example_is_not_an_orphan() {
+    let caller = "fn f() { let _ = fd_kv::widget::make(); }\n";
+    for path in [
+        "crates/fd-core/src/user.rs",
+        "benchmark/src/layers.rs",
+        "examples/quickstart.rs",
+    ] {
+        let (api, _) = orphan_run(ORPHAN, (path, caller));
+        assert!(api.is_empty(), "{path} calls it: {api:?}");
+    }
+    // The benchmark package is read for call sites, never linted: its
+    // wall-clock read is not an ND002 finding and it is not counted.
+    let timed = "fn f() { let _ = (fd_kv::widget::make(), std::time::Instant::now()); }\n";
+    let report = analyze_sources(
+        &[
+            file("crates/fd-kv/src/widget.rs", ORPHAN),
+            file("benchmark/src/layers.rs", timed),
+        ],
+        &Options::default(),
+    );
+    assert!(report.findings.is_empty(), "{:?}", report.findings);
+    assert_eq!(report.files_scanned, 1);
+}
+
+#[test]
+fn a_reasoned_allow_keeps_an_orphan_and_a_stale_one_is_sup001() {
+    let allowed = format!(
+        "//! Kept on purpose.\n\n\
+         // fd-lint: allow(API001, reason = \"paper construction, exercised by tests only\")\n{ORPHAN}"
+    );
+    let bystander = ("crates/fd-core/src/user.rs", "fn unrelated() {}\n");
+    let (api, sup) = orphan_run(&allowed, bystander);
+    assert!(api.is_empty() && sup.is_empty(), "{api:?} {sup:?}");
+    // Once something calls the file the allow suppresses nothing.
+    let caller = (
+        "crates/fd-core/src/user.rs",
+        "fn f() { fd_kv::widget::make(); }\n",
+    );
+    let (api, sup) = orphan_run(&allowed, caller);
+    assert!(api.is_empty(), "{api:?}");
+    assert_eq!(sup.len(), 1, "{sup:?}");
+    assert!(
+        sup[0].message.contains("suppresses nothing"),
+        "{}",
+        sup[0].message
+    );
+}

@@ -159,6 +159,69 @@ pub struct McReport {
     pub final_digests: Vec<u64>,
 }
 
+impl McReport {
+    /// This target's block of `ecfd mc` output: the counters line — with
+    /// the caller-measured wall time and, when a POR-off baseline was
+    /// run, the reduction factor — then two lines per violation naming
+    /// the property and its [`witness_file`](McReport::witness_file).
+    pub fn render(&self, wall_ms: u64, baseline_runs: Option<usize>, witness_dir: &str) -> String {
+        use std::fmt::Write;
+        let s = &self.stats;
+        let mut out = String::new();
+        let _ = write!(
+            out,
+            "  {:<12} runs={:<7} schedules={:<4} states={:<6} cps={:<7} sleep_skips={:<7} \
+visited_hits={:<6} capped={:<6} wall={:>6}ms {}",
+            self.target,
+            s.runs,
+            s.schedules,
+            s.distinct_states,
+            s.choice_points,
+            s.sleep_skips,
+            s.visited_hits,
+            s.depth_capped_runs,
+            wall_ms,
+            if self.complete {
+                "exhaustive"
+            } else {
+                "TRUNCATED"
+            },
+        );
+        if let Some(b) = baseline_runs {
+            let factor = b as f64 / s.runs.max(1) as f64;
+            let _ = write!(out, " por-reduction={factor:.2}x");
+        }
+        out.push('\n');
+        for v in &self.violations {
+            let _ = writeln!(out, "    VIOLATION {}: {}", v.property, v.detail);
+            let _ = writeln!(out, "    witness: {}", self.witness_file(witness_dir, v));
+        }
+        out
+    }
+
+    /// Where `ecfd mc` writes `v`'s witness under `witness_dir`.
+    pub fn witness_file(&self, witness_dir: &str, v: &FoundViolation) -> String {
+        let property = v.property.replace('.', "-");
+        format!("{witness_dir}/{}-{property}.json", self.target)
+    }
+
+    /// The closing verdict line of `ecfd mc` over every explored target.
+    pub fn render_verdict<'a>(reports: impl IntoIterator<Item = &'a McReport>) -> &'static str {
+        let (mut violated, mut truncated) = (false, false);
+        for r in reports {
+            violated |= !r.violations.is_empty();
+            truncated |= !r.complete;
+        }
+        if violated {
+            "mc: violations found — witnesses written\n"
+        } else if truncated {
+            "mc: clean but truncated (raise --max-runs for an exhaustive verdict)\n"
+        } else {
+            "mc: exhaustive within budgets, no violations\n"
+        }
+    }
+}
+
 /// One failed named check on an explored run.
 #[derive(Debug, Clone)]
 pub struct CheckFailure {

@@ -357,4 +357,80 @@ mod tests {
         assert!(report.stats.truncated);
         assert!(report.stats.runs <= 3);
     }
+
+    /// `ecfd mc`'s per-target block and verdict line, on a hand-built
+    /// report: column layout, the POR factor, the violation pair, and
+    /// the three verdicts in precedence order.
+    #[test]
+    fn report_renders_the_target_block_and_the_verdict() {
+        let mut clean = McReport {
+            target: "ec-n3".into(),
+            n: 3,
+            stats: ExploreStats {
+                runs: 40,
+                schedules: 1,
+                distinct_states: 12,
+                choice_points: 14,
+                sleep_skips: 9,
+                visited_hits: 2,
+                depth_capped_runs: 40,
+                ..ExploreStats::default()
+            },
+            violations: vec![],
+            complete: true,
+            final_digests: vec![],
+        };
+        assert_eq!(
+            clean.render(7, Some(100), "w"),
+            "  ec-n3        runs=40      schedules=1    states=12     cps=14      sleep_skips=9       \
+visited_hits=2      capped=40     wall=     7ms exhaustive por-reduction=2.50x\n"
+        );
+        assert_eq!(
+            McReport::render_verdict([&clean]),
+            "mc: exhaustive within budgets, no violations\n"
+        );
+        clean.complete = false;
+        assert!(clean.render(7, None, "w").ends_with("ms TRUNCATED\n"));
+        let truncated = clean;
+        assert!(McReport::render_verdict([&truncated]).starts_with("mc: clean but truncated"));
+
+        let horizon = Time::from_millis(20);
+        let witness = Witness {
+            target: "race-decide".into(),
+            n: 3,
+            horizon,
+            plan: fd_chaos::ChaosPlan::new(3, fd_chaos::DetectorKind::Heartbeat, horizon),
+            choices: vec![],
+            property: "consensus.agreement".into(),
+            detail: "p1 decided 7, p2 decided 2".into(),
+            trace_digest: 0,
+        };
+        let violated = McReport {
+            target: "race-decide".into(),
+            n: 3,
+            stats: ExploreStats::default(),
+            violations: vec![FoundViolation {
+                property: witness.property.clone(),
+                detail: witness.detail.clone(),
+                witness,
+            }],
+            complete: true,
+            final_digests: vec![],
+        };
+        let text = violated.render(0, None, "target/w");
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 3, "{text}");
+        assert_eq!(
+            lines[1],
+            "    VIOLATION consensus.agreement: p1 decided 7, p2 decided 2"
+        );
+        assert_eq!(
+            lines[2],
+            "    witness: target/w/race-decide-consensus-agreement.json"
+        );
+        assert_eq!(
+            McReport::render_verdict([&truncated, &violated]),
+            "mc: violations found — witnesses written\n"
+        );
+    }
 }

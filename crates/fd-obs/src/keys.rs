@@ -20,9 +20,6 @@
 //!   non-test code; reference the const (directly or through a
 //!   re-exporting convenience module such as `fd_sim::chaos` or
 //!   `fd_core::obs`) instead.
-//! - Per-process runtime keys (`rt.p<i>.send_ns`, …) are parameterized;
-//!   build them with [`rt_send_ns`] and friends rather than ad-hoc
-//!   `format!` calls.
 
 /// What role a registered key plays — this decides which cross-file
 /// consistency rules `fd-lint` applies to it.
@@ -259,8 +256,6 @@ obs_keys! {
     Kind OMEGA_GOSSIP = "omega.gossip";
     /// Reliable broadcast envelope.
     Kind RB_MSG = "rb.msg";
-    /// Uniform reliable broadcast envelope.
-    Kind URB_MSG = "urb.msg";
     /// Fused detector: leader-list share.
     Kind FUSED_LEADERLIST = "fused.leaderlist";
     /// Fused detector: alive beat.
@@ -285,28 +280,6 @@ obs_keys! {
     Kind KV_SYNC_REQ = "kv.sync_req";
     /// KV catch-up: snapshot/log-tail response.
     Kind KV_SYNC_RESP = "kv.sync_resp";
-}
-
-/// Look an entry up by its key string.
-pub fn lookup(key: &str) -> Option<&'static KeyEntry> {
-    ALL.iter().find(|(_, k, _)| *k == key)
-}
-
-/// Per-process runtime histogram: time spent handing a message to the
-/// transport, nanoseconds.
-pub fn rt_send_ns(p: usize) -> String {
-    format!("rt.p{p}.send_ns")
-}
-
-/// Per-process runtime histogram: send-to-deliver latency, nanoseconds.
-pub fn rt_recv_latency_ns(p: usize) -> String {
-    format!("rt.p{p}.recv_latency_ns")
-}
-
-/// Per-process runtime histogram: how late a timer fired past its
-/// deadline, nanoseconds.
-pub fn rt_timer_drift_ns(p: usize) -> String {
-    format!("rt.p{p}.timer_drift_ns")
 }
 
 #[cfg(test)]
@@ -346,22 +319,5 @@ mod tests {
         for (name, _, _) in ALL {
             assert!(seen.insert(*name), "duplicate const name {name}");
         }
-    }
-
-    #[test]
-    fn lookup_finds_registered_keys_only() {
-        let (name, key, cat) = lookup("sim.events").expect("registered");
-        assert_eq!(
-            (*name, *key, *cat),
-            ("SIM_EVENTS", SIM_EVENTS, KeyCategory::Metric)
-        );
-        assert!(lookup("fd.weak_completness").is_none(), "typo must miss");
-    }
-
-    #[test]
-    fn rt_key_helpers_follow_the_documented_shape() {
-        assert_eq!(rt_send_ns(3), "rt.p3.send_ns");
-        assert_eq!(rt_recv_latency_ns(0), "rt.p0.recv_latency_ns");
-        assert_eq!(rt_timer_drift_ns(12), "rt.p12.timer_drift_ns");
     }
 }

@@ -3,7 +3,7 @@
 //! The workspace needs a perf trajectory (ROADMAP: "runs as fast as the
 //! hardware allows") without pulling in `metrics`/`tracing` stacks the
 //! offline build cannot fetch. This crate provides the minimal vocabulary
-//! the kernel, runtime and campaign layers need:
+//! the kernel and campaign layers need:
 //!
 //! - [`Counter`] — monotonically increasing `u64` (events processed,
 //!   messages sent).

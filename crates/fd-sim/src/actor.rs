@@ -54,20 +54,8 @@ impl TimerTag {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimerId(pub(crate) u64);
 
-impl TimerId {
-    /// The raw unique key — for alternate executors that keep their own
-    /// cancellation sets.
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-}
-
-/// An action queued by an actor callback.
-///
-/// The simulation kernel applies these itself; alternate executors (the
-/// threaded runtime in `fd-runtime`) construct a [`Context`] via
-/// [`Context::for_executor`], run a callback, and interpret the drained
-/// actions against their own transport and clock.
+/// An action queued by an actor callback; the simulation kernel applies
+/// it after the callback returns.
 #[derive(Debug)]
 pub enum Action<M> {
     /// Send `msg` to `to`.
@@ -155,10 +143,11 @@ pub struct Context<'a, M> {
 }
 
 impl<'a, M> Context<'a, M> {
-    /// Build a context for an alternate executor (e.g. the threaded
-    /// runtime). The executor owns the `actions` buffer and interprets
-    /// its contents after the callback returns; `next_timer_id` must be
-    /// monotonically maintained across calls so [`TimerId`]s stay unique.
+    /// Build a context outside a [`World`](crate::World): the protocol
+    /// unit tests in other crates drive one component's callbacks by hand
+    /// and assert on the drained `actions` (see [`expand_sends`]).
+    /// `next_timer_id` must be monotonically maintained across calls so
+    /// [`TimerId`]s stay unique.
     pub fn for_executor(
         me: ProcessId,
         n: usize,

@@ -71,15 +71,6 @@ impl DelayDist {
         }
     }
 
-    /// The largest delay this distribution can produce.
-    pub fn upper_bound(&self) -> SimDuration {
-        match *self {
-            DelayDist::Constant(d) => d,
-            DelayDist::Uniform { max, .. } => max,
-            DelayDist::Spiky { max, spike_max, .. } => max.max(spike_max),
-        }
-    }
-
     /// Whether sampling this distribution never consumes the RNG —
     /// exactly the [`DelayDist::Constant`] case (a degenerate uniform
     /// still draws). Model-checked worlds require RNG-free delays: the
@@ -381,18 +372,6 @@ pub struct LinkMangler {
     pub skew: SimDuration,
 }
 
-impl LinkMangler {
-    /// A mangler that perturbs nothing (all probabilities zero).
-    pub fn noop() -> LinkMangler {
-        LinkMangler {
-            drop: 0.0,
-            duplicate: 0.0,
-            reorder: 0.0,
-            skew: SimDuration(1),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -531,7 +510,6 @@ mod tests {
             .filter(|_| d.sample(&mut r) > SimDuration(10))
             .count();
         assert!(spikes > 1000 && spikes < 2000, "spike count {spikes}");
-        assert_eq!(d.upper_bound(), SimDuration(1000));
     }
 }
 

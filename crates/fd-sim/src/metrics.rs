@@ -206,16 +206,6 @@ impl Metrics {
             .sum()
     }
 
-    /// Messages sent in the given round, all kinds.
-    pub fn sent_in_round(&self, round: u64) -> u64 {
-        self.sent_by_kind_round
-            // fd-lint: allow(ND001, reason = "order-insensitive sum over the FxHashMap kept for the per-send hot path; the fold is commutative")
-            .iter()
-            .filter(|((_, r), _)| *r == round)
-            .map(|(_, v)| *v)
-            .sum()
-    }
-
     /// All round numbers that appear in round-tagged sends, sorted.
     pub fn rounds(&self) -> Vec<u64> {
         // fd-lint: allow(ND001, reason = "projection of the hot-path FxHashMap is sorted and deduped before anyone observes it")
@@ -261,7 +251,7 @@ mod tests {
         assert_eq!(m.sent_of_kind("hb"), 1);
         assert_eq!(m.sent_of_kind("est"), 3);
         assert_eq!(m.sent_of_kind_in_round("est", 1), 2);
-        assert_eq!(m.sent_in_round(2), 1);
+        assert_eq!(m.sent_of_kind_in_round("est", 2), 1);
         assert_eq!(m.rounds(), vec![1, 2]);
         assert_eq!(m.sent_by(ProcessId(1)), 2);
         assert_eq!(m.sent_by(ProcessId(9)), 0);

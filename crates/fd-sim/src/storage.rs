@@ -66,7 +66,6 @@ pub struct SimDisk {
     /// A staged whole-image swap (`None` = none staged).
     staged: Option<Vec<u8>>,
     fsyncs: u64,
-    appended: u64,
 }
 
 impl SimDisk {
@@ -79,7 +78,6 @@ impl SimDisk {
     /// [`fsync`](SimDisk::fsync).
     pub fn append(&mut self, bytes: &[u8]) {
         self.pending.extend_from_slice(bytes);
-        self.appended += bytes.len() as u64;
     }
 
     /// Stage an atomic whole-image replacement (write-temp-then-rename).
@@ -134,11 +132,6 @@ impl SimDisk {
     /// Number of fsyncs since creation (reporting only).
     pub fn fsyncs(&self) -> u64 {
         self.fsyncs
-    }
-
-    /// Total bytes ever appended (reporting only).
-    pub fn appended_bytes(&self) -> u64 {
-        self.appended
     }
 }
 
@@ -204,7 +197,6 @@ mod tests {
         let mut d = SimDisk::new();
         d.append(b"12345");
         d.append(b"678");
-        assert_eq!(d.appended_bytes(), 8);
         assert_eq!(d.pending_len(), 8);
     }
 }

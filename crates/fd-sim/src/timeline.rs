@@ -2,16 +2,14 @@
 //!
 //! Debugging a distributed protocol means reading event orderings. The
 //! [`Timeline`] builder turns a recorded [`Trace`] into an annotated,
-//! filterable, chronological listing:
+//! chronological listing of its observations and crashes (per-message
+//! events are counted by [`summary`], not listed):
 //!
 //! ```text
 //! [   25.000ms] ✖ p3 crashed
 //! [   43.120ms] p0  fd.suspects → {p3}
-//! [   51.007ms] p0 → p4  ec.proposition (round 1)
 //! ```
 
-use crate::process::ProcessId;
-use crate::time::Time;
 use crate::trace::{Payload, Trace, TraceKind};
 use std::fmt::Write as _;
 
@@ -33,48 +31,19 @@ use std::fmt::Write as _;
 /// ```
 pub struct Timeline<'a> {
     trace: &'a Trace,
-    from: Time,
-    until: Time,
-    include_messages: bool,
-    include_drops: bool,
     tags: Option<Vec<&'a str>>,
-    processes: Option<Vec<ProcessId>>,
     max_processes: Option<usize>,
 }
 
 impl<'a> Timeline<'a> {
-    /// Render everything by default: observations and crashes, but not
-    /// the (usually overwhelming) per-message events.
+    /// Render every observation and crash, but not the (usually
+    /// overwhelming) per-message events.
     pub fn new(trace: &'a Trace) -> Timeline<'a> {
         Timeline {
             trace,
-            from: Time::ZERO,
-            until: Time::MAX,
-            include_messages: false,
-            include_drops: false,
             tags: None,
-            processes: None,
             max_processes: None,
         }
-    }
-
-    /// Restrict to events in `[from, until]`.
-    pub fn between(mut self, from: Time, until: Time) -> Self {
-        self.from = from;
-        self.until = until;
-        self
-    }
-
-    /// Include message send/delivery events.
-    pub fn with_messages(mut self) -> Self {
-        self.include_messages = true;
-        self
-    }
-
-    /// Include message drops.
-    pub fn with_drops(mut self) -> Self {
-        self.include_drops = true;
-        self
     }
 
     /// Only show observations with these tags.
@@ -83,67 +52,34 @@ impl<'a> Timeline<'a> {
         self
     }
 
-    /// Only show events involving these processes.
-    pub fn only_processes(mut self, ps: &[ProcessId]) -> Self {
-        self.processes = Some(ps.to_vec());
-        self
-    }
-
-    /// Degrade to the one-line [`summary`] when the (post-filter) trace
-    /// involves more than `max` distinct processes. A per-process
-    /// listing of an n = 4096 world is unreadable and can run to
-    /// hundreds of megabytes; above the threshold a summary is the
-    /// honest rendering. An explicit `only_processes` filter counts
-    /// only the selected processes, so zooming into a few processes of
-    /// a huge world still renders fully.
+    /// Degrade to the one-line [`summary`] when the trace involves
+    /// more than `max` distinct processes. A per-process listing of an
+    /// n = 4096 world is unreadable and can run to hundreds of
+    /// megabytes; above the threshold a summary is the honest rendering.
     pub fn max_processes(mut self, max: usize) -> Self {
         self.max_processes = Some(max);
         self
     }
 
-    /// Distinct processes the (filtered) rendering would touch.
+    /// Distinct processes the rendering would touch.
     fn distinct_processes(&self) -> usize {
         let mut seen = std::collections::BTreeSet::new();
         for ev in self.trace.events() {
-            if ev.at < self.from || ev.at > self.until {
-                continue;
-            }
             match &ev.kind {
                 TraceKind::Observation { pid, tag, .. } => {
-                    if !tag.starts_with("chaos.") && self.wants_process(*pid) {
+                    if !tag.starts_with("chaos.") {
                         seen.insert(*pid);
                     }
                 }
                 TraceKind::Crashed { pid } => {
-                    if self.wants_process(*pid) {
-                        seen.insert(*pid);
-                    }
+                    seen.insert(*pid);
                 }
-                TraceKind::Sent { from, to, .. } | TraceKind::Delivered { from, to, .. } => {
-                    if self.include_messages {
-                        for p in [*from, *to] {
-                            if self.wants_process(p) {
-                                seen.insert(p);
-                            }
-                        }
-                    }
-                }
-                TraceKind::Dropped { from, to, .. } => {
-                    if self.include_drops {
-                        for p in [*from, *to] {
-                            if self.wants_process(p) {
-                                seen.insert(p);
-                            }
-                        }
-                    }
-                }
+                TraceKind::Sent { .. }
+                | TraceKind::Delivered { .. }
+                | TraceKind::Dropped { .. } => {}
             }
         }
         seen.len()
-    }
-
-    fn wants_process(&self, p: ProcessId) -> bool {
-        self.processes.as_ref().is_none_or(|ps| ps.contains(&p))
     }
 
     fn fmt_payload(p: &Payload) -> String {
@@ -170,8 +106,8 @@ impl<'a> Timeline<'a> {
             if distinct > max {
                 return format!(
                     "{} distinct processes exceed the {} per-process listing \
-                     limit; showing the summary instead (narrow with a \
-                     process filter for a full listing)\n{}\n",
+                     limit; showing the summary instead (raise the limit \
+                     for a full listing)\n{}\n",
                     distinct,
                     max,
                     summary(self.trace)
@@ -180,9 +116,6 @@ impl<'a> Timeline<'a> {
         }
         let mut out = String::new();
         for ev in self.trace.events() {
-            if ev.at < self.from || ev.at > self.until {
-                continue;
-            }
             // Formatted lazily: most events are filtered out below, and
             // formatting the stamp for them is wasted work.
             let stamp = || format!("[{:>10.3}ms]", ev.at.ticks() as f64 / 1000.0);
@@ -196,8 +129,8 @@ impl<'a> Timeline<'a> {
                     // Chaos interventions (partition cuts, heals, GST
                     // markers, …) are environment-wide bands, not
                     // per-process output: they render as full-width
-                    // annotations and ignore the process filter (the
-                    // `p0` attribution is a harness artifact).
+                    // annotations (the `p0` attribution is a harness
+                    // artifact).
                     if tag.starts_with("chaos.") {
                         let p = Self::fmt_payload(payload);
                         let body = if p.is_empty() {
@@ -208,9 +141,6 @@ impl<'a> Timeline<'a> {
                         let _ = writeln!(out, "{} ══ {body} ══", stamp());
                         continue;
                     }
-                    if !self.wants_process(*pid) {
-                        continue;
-                    }
                     let _ = writeln!(
                         out,
                         "{} {pid}  {tag} → {}",
@@ -219,56 +149,11 @@ impl<'a> Timeline<'a> {
                     );
                 }
                 TraceKind::Crashed { pid } => {
-                    if !self.wants_process(*pid) {
-                        continue;
-                    }
                     let _ = writeln!(out, "{} ✖ {pid} crashed", stamp());
                 }
-                TraceKind::Sent {
-                    from,
-                    to,
-                    kind,
-                    round,
-                } => {
-                    if !self.include_messages
-                        || !(self.wants_process(*from) || self.wants_process(*to))
-                    {
-                        continue;
-                    }
-                    let r = round.map(|r| format!(" (round {r})")).unwrap_or_default();
-                    let _ = writeln!(out, "{} {from} → {to}  {kind}{r}", stamp());
-                }
-                TraceKind::Delivered {
-                    from,
-                    to,
-                    kind,
-                    round,
-                } => {
-                    if !self.include_messages
-                        || !(self.wants_process(*from) || self.wants_process(*to))
-                    {
-                        continue;
-                    }
-                    let r = round.map(|r| format!(" (round {r})")).unwrap_or_default();
-                    let _ = writeln!(out, "{} {from} ⇒ {to}  {kind}{r} delivered", stamp());
-                }
-                TraceKind::Dropped {
-                    from,
-                    to,
-                    kind,
-                    reason,
-                } => {
-                    if !self.include_drops
-                        || !(self.wants_process(*from) || self.wants_process(*to))
-                    {
-                        continue;
-                    }
-                    let _ = writeln!(
-                        out,
-                        "{} {from} ⊘ {to}  {kind} dropped ({reason:?})",
-                        stamp()
-                    );
-                }
+                TraceKind::Sent { .. }
+                | TraceKind::Delivered { .. }
+                | TraceKind::Dropped { .. } => {}
             }
         }
         out
@@ -300,6 +185,8 @@ pub fn summary(trace: &Trace) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::process::ProcessId;
+    use crate::time::Time;
     use crate::trace::{DropReason, TraceEvent};
 
     fn sample() -> Trace {
@@ -346,23 +233,6 @@ mod tests {
         ])
     }
 
-    /// A filter combination that rejects every event must render *no*
-    /// output at all — zero lines, empty string. (Regression: the stamp
-    /// used to be formatted before the filters ran; laziness is only
-    /// safe because nothing of the stamp can leak for filtered events.)
-    #[test]
-    fn fully_filtered_trace_renders_zero_lines() {
-        let tr = sample();
-        // p9 appears nowhere in the sample trace.
-        let out = Timeline::new(&tr)
-            .with_messages()
-            .with_drops()
-            .only_processes(&[ProcessId(9)])
-            .render();
-        assert_eq!(out.lines().count(), 0);
-        assert_eq!(out, "");
-    }
-
     #[test]
     fn default_shows_observations_and_crashes_only() {
         let tr = sample();
@@ -374,31 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn messages_and_drops_opt_in() {
-        let tr = sample();
-        let out = Timeline::new(&tr).with_messages().with_drops().render();
-        assert!(out.contains("p0 → p1  hb"));
-        assert!(out.contains("(round 3) delivered"));
-        assert!(out.contains("dropped (ReceiverCrashed)"));
-        assert_eq!(out.lines().count(), 5);
-    }
-
-    #[test]
-    fn filters_compose() {
-        let tr = sample();
-        let out = Timeline::new(&tr)
-            .with_messages()
-            .only_processes(&[ProcessId(2)])
-            .between(Time::from_millis(4), Time::from_millis(10))
-            .render();
-        assert!(out.contains("p2 crashed"));
-        assert!(
-            !out.contains("fd.trusted"),
-            "p0's observation filtered out:\n{out}"
-        );
-    }
-
-    #[test]
     fn tag_filter() {
         let tr = sample();
         let out = Timeline::new(&tr).only_tags(&["nope"]).render();
@@ -406,9 +251,7 @@ mod tests {
         assert!(out.contains("crashed"), "crashes are not tag-filtered");
     }
 
-    /// A two-cut chaos plan renders partition and heal bands in order,
-    /// and the bands survive a process filter that would hide ordinary
-    /// `p0` observations (the attribution pid is a harness artifact).
+    /// A two-cut chaos plan renders partition and heal bands in order.
     #[test]
     fn chaos_bands_render_for_a_two_cut_plan() {
         let tr = Trace::from_events(vec![
@@ -464,17 +307,13 @@ mod tests {
             lines[4].contains("══ chaos.gst ══"),
             "empty payload renders without a gap: {out}"
         );
-        // Bands are environment-wide: a filter to p9 keeps them.
-        let filtered = Timeline::new(&tr).only_processes(&[ProcessId(9)]).render();
-        assert_eq!(filtered.lines().count(), 5, "{filtered}");
-        // But an explicit tag filter still applies.
+        // An explicit tag filter still applies.
         let tagged = Timeline::new(&tr).only_tags(&["chaos.gst"]).render();
         assert_eq!(tagged.lines().count(), 1, "{tagged}");
     }
 
     /// Above the `max_processes` threshold the renderer degrades to the
-    /// one-line summary; an explicit process filter re-enables the full
-    /// listing (zooming in is exactly what the filter is for).
+    /// one-line summary.
     #[test]
     fn max_processes_degrades_to_summary() {
         let tr = Trace::from_events(
@@ -497,13 +336,6 @@ mod tests {
         // Under the limit: full listing.
         let full = Timeline::new(&tr).max_processes(100).render();
         assert_eq!(full.lines().count(), 100);
-        // A process filter narrows the distinct count below the limit.
-        let zoomed = Timeline::new(&tr)
-            .max_processes(10)
-            .only_processes(&[ProcessId(3), ProcessId(7)])
-            .render();
-        assert_eq!(zoomed.lines().count(), 2, "{zoomed}");
-        assert!(zoomed.contains("p3"), "{zoomed}");
     }
 
     #[test]

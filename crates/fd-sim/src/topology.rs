@@ -171,47 +171,6 @@ impl NetworkConfig {
             overrides: self.overrides.iter().map(|(k, m)| (*k, f(m))).collect(),
         }
     }
-
-    /// Whether every link (default, loopback, and overrides) satisfies
-    /// the §4 fairness condition — see [`LinkModel::is_fair`].
-    ///
-    /// Liveness properties (completeness, Ω agreement, consensus
-    /// termination) are only guaranteed by the paper's algorithms when
-    /// the links they depend on are fair; scenarios that deliberately
-    /// include permanently dead links should expect those checks to
-    /// fail. This is the whole-network audit entry point: it
-    /// distinguishes "every link is fair" from the weaker "no link is
-    /// lossy", which a dead link also fails but for a different reason.
-    pub fn all_links_fair(&self) -> bool {
-        self.default.is_fair()
-            && self.loopback.is_fair()
-            && self.overrides.values().all(|m| m.is_fair())
-    }
-
-    /// An upper bound on post-stabilization delay across all links, if one
-    /// exists (used by tests to size "run long enough" margins).
-    pub fn max_delay_bound(&self) -> Option<SimDuration> {
-        fn bound_of(m: &LinkModel) -> Option<SimDuration> {
-            match m {
-                LinkModel::Reliable { delay } => Some(delay.upper_bound()),
-                LinkModel::EventuallyTimely { bound, .. } => Some(*bound),
-                LinkModel::FairLossy { .. } | LinkModel::Dead => None,
-                // A phased link is bounded iff its *final* phase is (the
-                // earlier phases end; "post-stabilization" is the last one).
-                LinkModel::Phased(sched) => {
-                    bound_of(&sched.phases().last().expect("schedules are non-empty").1)
-                }
-            }
-        }
-        let mut max = bound_of(&self.default)?;
-        for m in self.overrides.values() {
-            match bound_of(m) {
-                Some(b) => max = max.max(b),
-                None => return None,
-            }
-        }
-        Some(max)
-    }
 }
 
 // Hand-written serde impls: the override map is keyed by a tuple, which
@@ -313,34 +272,6 @@ mod tests {
         }
         // Unrelated links keep the default.
         assert_eq!(*cfg.link(ProcessId(0), ProcessId(1)), LinkModel::default());
-    }
-
-    #[test]
-    fn max_delay_bound_none_with_lossy_links() {
-        let cfg = NetworkConfig::new(2).with_default(LinkModel::fair_lossy(
-            SimDuration(1),
-            SimDuration(2),
-            0.1,
-        ));
-        assert_eq!(cfg.max_delay_bound(), None);
-        let cfg = NetworkConfig::new(2).with_default(LinkModel::reliable_const(SimDuration(9)));
-        assert_eq!(cfg.max_delay_bound(), Some(SimDuration(9)));
-    }
-
-    #[test]
-    fn all_links_fair_rejects_any_dead_link() {
-        let cfg = NetworkConfig::new(3);
-        assert!(cfg.all_links_fair(), "default network is fair everywhere");
-        let cfg = NetworkConfig::new(3).with_default(LinkModel::fair_lossy(
-            SimDuration(1),
-            SimDuration(2),
-            0.9,
-        ));
-        assert!(cfg.all_links_fair(), "heavy loss is still fair");
-        // A single dead override breaks whole-network fairness even
-        // though every link individually passes `is_lossy`-style checks.
-        let cfg = cfg.with_link(ProcessId(0), ProcessId(1), LinkModel::Dead);
-        assert!(!cfg.all_links_fair());
     }
 
     #[test]

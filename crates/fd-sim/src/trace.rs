@@ -342,17 +342,6 @@ impl Trace {
         }
         h.finish()
     }
-
-    /// Count sent messages matching a predicate on `(kind, round)`.
-    pub fn count_sent(&self, mut pred: impl FnMut(&'static str, Option<u64>) -> bool) -> u64 {
-        self.events
-            .iter()
-            .filter(|e| match e.kind {
-                TraceKind::Sent { kind, round, .. } => pred(kind, round),
-                _ => false,
-            })
-            .count() as u64
-    }
 }
 
 /// Incremental FNV-1a (64-bit) with length-prefixed strings, so the
@@ -493,13 +482,6 @@ mod tests {
         assert_eq!(at, Time(5));
         assert_eq!(pl.as_pid(), Some(ProcessId(0)));
         assert!(t.last_observation_of(ProcessId(2), "leader").is_none());
-    }
-
-    #[test]
-    fn count_sent_with_predicate() {
-        let t = sample();
-        assert_eq!(t.count_sent(|k, _| k == "hb"), 1);
-        assert_eq!(t.count_sent(|k, _| k == "nope"), 0);
     }
 
     #[test]

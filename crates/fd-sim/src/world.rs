@@ -65,16 +65,18 @@ pub struct WorldObs {
     queue_depth_hwm: Arc<fd_obs::Gauge>,
     /// `sim.callback_ns`: wall-clock nanoseconds per actor callback
     /// (`on_start` / `on_message` / `on_timer` / `interact`), including
-    /// applying the actions it queued. Sampled 1-in-[`CALLBACK_SAMPLE`]
-    /// to keep the sweep overhead within budget (the two `Instant::now`
-    /// reads dominate the instrumentation cost); the sampling counter is
-    /// deterministic, so which callbacks get timed never depends on wall
-    /// time.
+    /// applying the actions it queued. Sampled on average
+    /// 1-in-[`CALLBACK_SAMPLE`] to keep the sweep overhead within budget
+    /// (the two `Instant::now` reads dominate the instrumentation cost);
+    /// the sampler is deterministic, so which callbacks get timed never
+    /// depends on wall time or on any simulation RNG stream.
     callback_ns: Arc<fd_obs::Histogram>,
-    /// Callbacks dispatched so far, for the sampling decision. Lives in
-    /// the per-world handle (not the shared histogram) so worlds sample
+    /// Callbacks still to skip before the next timed one. Lives in the
+    /// per-world handle (not the shared histogram) so worlds sample
     /// independently of each other.
-    callback_tick: std::cell::Cell<u64>,
+    callback_skip: std::cell::Cell<u64>,
+    /// State of the private xorshift that draws the skips.
+    sampler_rng: std::cell::Cell<u64>,
     /// This world's own queue-depth high-water mark. The shared gauge is
     /// only touched when this rises, so the steady-state per-event cost
     /// is a comparison, not an atomic RMW.
@@ -91,8 +93,11 @@ pub struct WorldObs {
     partitions_active: Arc<fd_obs::Gauge>,
 }
 
-/// Every how-many-th callback `sim.callback_ns` times (a power of two).
+/// One callback in how many `sim.callback_ns` times, on average.
 pub const CALLBACK_SAMPLE: u64 = 32;
+
+/// Seed of every world's callback sampler (any non-zero constant).
+const SAMPLER_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
 
 impl WorldObs {
     /// Resolve the kernel metrics in `registry`.
@@ -102,7 +107,8 @@ impl WorldObs {
             pending_events: std::cell::Cell::new(0),
             queue_depth_hwm: registry.gauge(fd_obs::keys::SIM_QUEUE_DEPTH_HWM),
             callback_ns: registry.histogram(fd_obs::keys::SIM_CALLBACK_NS),
-            callback_tick: std::cell::Cell::new(0),
+            callback_skip: std::cell::Cell::new(0),
+            sampler_rng: std::cell::Cell::new(SAMPLER_SEED),
             local_hwm: std::cell::Cell::new(0),
             chaos_dropped: registry.counter(fd_obs::keys::CHAOS_MSGS_DROPPED),
             chaos_duplicated: registry.counter(fd_obs::keys::CHAOS_MSGS_DUPLICATED),
@@ -111,11 +117,24 @@ impl WorldObs {
         }
     }
 
-    /// Deterministic 1-in-[`CALLBACK_SAMPLE`] decision.
+    /// Deterministic sampling decision. The gap from one timed callback
+    /// to the next is drawn uniformly from `1..=2·CALLBACK_SAMPLE − 1` —
+    /// mean [`CALLBACK_SAMPLE`], so scaling the sampled total by it stays
+    /// unbiased — because a fixed stride aliases with periodic worlds:
+    /// every 32nd callback of an n = 4 round-robin is the same process.
     fn sample_callback(&self) -> bool {
-        let tick = self.callback_tick.get();
-        self.callback_tick.set(tick.wrapping_add(1));
-        tick & (CALLBACK_SAMPLE - 1) == 0
+        let skip = self.callback_skip.get();
+        if skip > 0 {
+            self.callback_skip.set(skip - 1);
+            return false;
+        }
+        let mut x = self.sampler_rng.get();
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        self.sampler_rng.set(x);
+        self.callback_skip.set(x % (2 * CALLBACK_SAMPLE - 1));
+        true
     }
 
     /// Record one processed event at queue depth `depth`.
@@ -137,7 +156,8 @@ impl Clone for WorldObs {
             pending_events: std::cell::Cell::new(0),
             queue_depth_hwm: Arc::clone(&self.queue_depth_hwm),
             callback_ns: Arc::clone(&self.callback_ns),
-            callback_tick: std::cell::Cell::new(0),
+            callback_skip: std::cell::Cell::new(0),
+            sampler_rng: std::cell::Cell::new(SAMPLER_SEED),
             local_hwm: std::cell::Cell::new(0),
             chaos_dropped: Arc::clone(&self.chaos_dropped),
             chaos_duplicated: Arc::clone(&self.chaos_duplicated),
@@ -1415,6 +1435,29 @@ mod tests {
         assert_eq!(events.get(), bare.metrics().events_processed());
         assert!(registry.gauge(fd_obs::keys::SIM_QUEUE_DEPTH_HWM).get() >= 1);
         assert!(registry.histogram(fd_obs::keys::SIM_CALLBACK_NS).count() > 0);
+    }
+
+    /// The callback sampler must not alias with periodic worlds: timed
+    /// callbacks spread over every residue class of the callback index,
+    /// at the advertised mean rate. (A fixed stride of 32 puts every
+    /// sample in class 0, mod 4 and mod 32 alike.)
+    #[test]
+    fn callback_sampler_spreads_over_residue_classes() {
+        let obs = WorldObs::new(&fd_obs::Registry::new());
+        let (mut mod4, mut mod32) = ([0u32; 4], [0u32; 32]);
+        for i in 0..32_000usize {
+            if obs.sample_callback() {
+                mod4[i % 4] += 1;
+                mod32[i % 32] += 1;
+            }
+        }
+        let total: u32 = mod4.iter().sum();
+        assert!((800..=1200).contains(&total), "mean gap is 32: {total}");
+        for (class, &hits) in mod4.iter().enumerate() {
+            let share = hits as f64 / total as f64;
+            assert!((0.15..=0.35).contains(&share), "mod 4 = {class}: {share}");
+        }
+        assert!(mod32.iter().all(|&hits| hits > 0), "{mod32:?}");
     }
 
     /// The batched `run_until_time` loop must be indistinguishable from

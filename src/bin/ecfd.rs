@@ -668,40 +668,14 @@ fn replay_artifact(path: &str, shrink: bool, metrics_out: Option<&str>) -> Resul
         let name = &artifact.scenario;
         setup(format!("artifact names unknown scenario {name:?}"))
     })?;
-    println!(
-        "replaying {}: scenario {} seed {} property {}",
-        path.display(),
-        artifact.scenario,
-        artifact.seed,
-        artifact.property
-    );
     let r = fd_campaign::replay(scenario.as_ref(), &artifact).map_err(found)?;
-    match &r.violation {
-        Some(detail) => println!("violation reproduced ✓  {detail}"),
-        None => println!("violation did NOT reproduce"),
-    }
-    println!(
-        "trace digest {:#018x} ({})",
-        r.digest,
-        if r.digest_matches {
-            "matches artifact"
-        } else {
-            "DIFFERS from artifact"
-        }
-    );
+    print!("{}", r.render(path, &artifact));
     if shrink {
         if !r.reproduced() {
             return Err(found("refusing to shrink: the violation did not reproduce"));
         }
         let out = fd_campaign::shrink(scenario.as_ref(), &artifact).map_err(found)?;
-        println!(
-            "shrunk in {} accepted steps ({} attempts):",
-            out.applied.len(),
-            out.attempts
-        );
-        for step in &out.applied {
-            println!("  - {step}");
-        }
+        print!("{}", out.render());
         if let Some(metrics_path) = metrics_out {
             let registry = fd_obs::Registry::new();
             registry
@@ -1019,8 +993,6 @@ fn cmd_mc(m: &Matches) -> Result<(), Stop> {
         cfg.depth, cfg.crashes, cfg.drops, cfg.por, cfg.dedup
     );
     let mut cells = Vec::new();
-    let mut any_violation = false;
-    let mut any_truncated = false;
     for target in &targets {
         // fd-lint: allow(ND002, reason = "wall-clock timing for the mc report; exploration results, witnesses, and digests never read it")
         let start = std::time::Instant::now();
@@ -1033,44 +1005,16 @@ fn cmd_mc(m: &Matches) -> Result<(), Stop> {
             };
             fd_mc::explore(target, &por_off).stats.runs
         });
-        let s = &report.stats;
-        print!(
-            "  {:<12} runs={:<7} schedules={:<4} states={:<6} cps={:<7} sleep_skips={:<7} \
-visited_hits={:<6} capped={:<6} wall={:>6}ms {}",
-            report.target,
-            s.runs,
-            s.schedules,
-            s.distinct_states,
-            s.choice_points,
-            s.sleep_skips,
-            s.visited_hits,
-            s.depth_capped_runs,
-            wall_ms,
-            if report.complete {
-                "exhaustive"
-            } else {
-                "TRUNCATED"
-            },
-        );
-        if let Some(b) = baseline_runs {
-            let factor = b as f64 / s.runs.max(1) as f64;
-            print!(" por-reduction={factor:.2}x");
-        }
-        println!();
-        any_truncated |= !report.complete;
         if !report.violations.is_empty() {
-            any_violation = true;
             std::fs::create_dir_all(&witness_dir)
                 .map_err(|e| setup(format!("{witness_dir}: {e}")))?;
             for v in &report.violations {
-                let property = v.property.replace('.', "-");
-                let file = format!("{witness_dir}/{}-{property}.json", report.target);
-                println!("    VIOLATION {}: {}", v.property, v.detail);
+                let file = report.witness_file(&witness_dir, v);
                 std::fs::write(&file, v.witness.to_json() + "\n")
                     .map_err(|e| setup(format!("{file}: {e}")))?;
-                println!("    witness: {file}");
             }
         }
+        print!("{}", report.render(wall_ms, baseline_runs, &witness_dir));
         cells.push(McCell {
             report,
             wall_ms,
@@ -1083,14 +1027,10 @@ visited_hits={:<6} capped={:<6} wall={:>6}ms {}",
         std::fs::write(path, json + "\n").map_err(|e| setup(format!("{path}: {e}")))?;
         println!("report: {path}");
     }
-    if any_violation {
-        println!("mc: violations found — witnesses written");
+    let reports = || cells.iter().map(|c| &c.report);
+    print!("{}", fd_mc::McReport::render_verdict(reports()));
+    if reports().any(|r| !r.violations.is_empty()) {
         return Err(Stop::Found(String::new()));
-    }
-    if any_truncated {
-        println!("mc: clean but truncated (raise --max-runs for an exhaustive verdict)");
-    } else {
-        println!("mc: exhaustive within budgets, no violations");
     }
     Ok(())
 }

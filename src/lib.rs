@@ -36,14 +36,14 @@
 //! | [`sim`] | deterministic discrete-event simulator (processes, links, crashes, traces) |
 //! | [`core`] | process sets, detector classes, query traits, property checkers |
 //! | [`detectors`] | heartbeat ◇P, ring ◇S, candidate Ω/◇C, ◇C→◇P, ◇W→◇S, fused stack |
-//! | [`broadcast`] | Reliable / Uniform Reliable Broadcast |
+//! | [`broadcast`] | Reliable Broadcast (the R-broadcast of §5) |
 //! | [`consensus`] | ◇C consensus + CT ◇S + MR Ω protocols, nodes, scenario harness |
-//! | [`runtime`] | threaded wall-clock executor for the same actors |
 //! | [`campaign`] | parallel seed sweeps, property monitors, repro artifacts, shrinking |
 //! | [`chaos`] | declarative fault schedules (partitions, churn, mangling) compiled to kernel interventions |
 //! | [`kv`] | durable replicated KV service on the consensus log: WAL, snapshots, crash catch-up |
 //! | [`obs`] | counters/gauges/histograms, scoped spans, JSONL metrics export |
 //! | [`bench`] | experiment harness regenerating the paper's tables (incl. campaign scenarios) |
+//! | [`lint`] | static determinism analyzer behind `ecfd lint` |
 //! | [`mc`] | bounded exhaustive schedule exploration (model checking) with replayable witnesses |
 
 #![warn(missing_docs)]
@@ -57,9 +57,9 @@ pub use fd_consensus as consensus;
 pub use fd_core as core;
 pub use fd_detectors as detectors;
 pub use fd_kv as kv;
+pub use fd_lint as lint;
 pub use fd_mc as mc;
 pub use fd_obs as obs;
-pub use fd_runtime as runtime;
 pub use fd_sim as sim;
 
 /// One-stop imports for examples and applications.
