@@ -246,7 +246,8 @@ impl McProtocol {
 }
 
 /// An exploration target for one protocol stack at `n` processes, with
-/// proposals `100 + pid` injected before the first event fires.
+/// proposals `100 + pid` injected before the first event fires (the
+/// replicated log's p0 submits a second command, 200, as well).
 ///
 /// EC and CT check the full consensus contract
 /// ([`keys::CONSENSUS_ALL`]); the replicated log checks per-slot
@@ -286,10 +287,20 @@ pub fn protocol_target(proto: McProtocol, n: usize, horizon: Time) -> McTarget {
                 },
                 ConsensusNode::propose,
             ),
+            // p0 queues a second command behind its first. Its first
+            // loses slot 0 to a higher pid's (equal lengths), returns to
+            // the head of the queue, and the two go out as one batch in
+            // slot 1: a batch of two, formed by a requeue, is in every
+            // explored run.
             McProtocol::Multi => protocol_world(
                 n,
                 |pid| MultiNode::new(pid, hb_leader(pid, n), MultiEc::new(pid, n, fast_poll())),
-                MultiNode::submit,
+                |node, ctx, command| {
+                    node.submit(ctx, command);
+                    if command == 100 {
+                        node.submit(ctx, 200);
+                    }
+                },
             ),
         }),
     }
@@ -359,6 +370,26 @@ mod tests {
                 exec.violations.iter().map(|f| f.check).collect::<Vec<_>>()
             );
         }
+    }
+
+    /// The replicated-log target carries a batch of two: p0's first
+    /// command loses slot 0, rejoins the queue ahead of its second, and
+    /// both are proposed — and decided — together in slot 1.
+    #[test]
+    fn the_log_target_forms_a_batch_of_two_from_a_requeue() {
+        let target = protocol_target(McProtocol::Multi, 3, Time::from_millis(300));
+        let exec = run_one(&target, &McConfig::default(), &[], &[]);
+        assert!(exec.violations.is_empty());
+        let proposed_by_p0: Vec<(u64, u64)> = exec
+            .trace
+            .observations_of(ProcessId(0), keys::MULTI_PROPOSE)
+            .filter_map(|(_, payload)| payload.as_u64_pair())
+            .collect();
+        assert_eq!(
+            proposed_by_p0,
+            vec![(0, 1), (1, 2)],
+            "(slot, batch length) of p0's proposals"
+        );
     }
 
     fn seeded_bug_target(n: usize, horizon: Time) -> McTarget {

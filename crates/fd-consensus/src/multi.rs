@@ -5,15 +5,51 @@
 //! instances, one per log slot. [`MultiEc`] multiplexes any number of
 //! [`EcConsensus`] instances over one node — messages and timers are
 //! tagged with the slot — and drives itself: each replica queues client
-//! commands with [`MultiNode::submit`], proposes its head-of-queue
-//! command for the next slot, and advances when the slot's decision
-//! arrives by Reliable Broadcast. All correct replicas end up with the
-//! identical decided log.
+//! commands with [`MultiNode::submit`], proposes its **whole pending
+//! queue as one batch** for the next slot, and advances when the slot's
+//! decision arrives by Reliable Broadcast. All correct replicas end up
+//! with the identical decided log.
+//!
+//! # Names and bodies
+//!
+//! The paper prices its algorithm per decision (§5.4), so the log's
+//! throughput is commands per decision times decisions per second. The
+//! consensus underneath stays Figs. 3–4 over a `u64`; what changes is
+//! what the `u64` means. A slot's consensus value is the **name** of a
+//! batch, `len << 16 | (pid + 1)` — unique within the slot because a
+//! process proposes there at most once — and [`NOOP`] (0) names the
+//! empty batch. The **body** (the commands, in their submitter's FIFO
+//! order) rides beside the name on every slot message that carries a
+//! value: a non-null estimate, a non-null proposition, and the
+//! `SlotDecide` broadcast. So *whoever holds a name holds its body*, by
+//! construction: there is no fetch protocol and no extra message type.
+//! [`MultiEc::with_instance`] is the one place a body is attached to an
+//! outgoing message, [`MultiEc::on_message`] the one place an incoming
+//! one is kept. Batching is natural — a batch of one at light load,
+//! whatever has queued up under backlog — with no timer and no knob.
+//!
+//! **The order of names is the scheduling policy.** The estimate
+//! selection breaks timestamp ties by value order
+//! ([`Estimate::newer_of`](crate::api::Estimate::newer_of)), so on a
+//! contended slot the largest name wins. Names are length-major: the
+//! longest queue drains first, the losers return to the head of their
+//! queues in order and are longer — hence ahead — next time. (Pid-major
+//! names let the highest pid win every contended slot and starved the
+//! rest; ranking the raw command words, as the single-command log did,
+//! served the backlog newest-first by opcode.)
+//!
+//! The pipeline is still **depth 1**: a replica opens slot *s* only when
+//! every earlier slot has decided. Batching raises commands per
+//! decision; overlapping decisions is a separate step. (A replica can
+//! still have two batches in flight — it joins slot *s* + 1, which a
+//! faster peer opened, before it learns how *s* went — and those two can
+//! pass each other, as two single commands always could: a submitter's
+//! order holds within a batch, not across overlapping ones.)
 //!
 //! The multiplexer is deliberately built on the ◇C algorithm rather
 //! than being generic over [`RoundProtocol`]: it relies on the property
 //! that *every* replica's estimate reaches the slot coordinator (Phase
-//! 1), so a command submitted at any replica can win its slot without
+//! 1), so a batch submitted at any replica can win its slot without
 //! extra machinery. A leader-proposes-its-own-value protocol (e.g. the
 //! Paxos synod in [`crate::paxos`]) would additionally need client
 //! command *forwarding* to the leader — the Multi-Paxos design — which
@@ -22,12 +58,17 @@
 use crate::api::{ConsensusConfig, DecidePayload, ProtocolStep, RoundProtocol};
 use crate::ec::{EcConsensus, EcMsg};
 use fd_broadcast::{RbMsg, ReliableBroadcast};
-use fd_core::Component;
+use fd_core::{Component, FdOutput};
 use fd_core::{EventuallyConsistentOracle, LeaderOracle, SubCtx, SuspectOracle};
-use fd_sim::{Actor, Context, Payload, ProcessId, SimMessage, TimerTag};
+use fd_sim::{Actor, Context, Fnv, Payload, ProcessId, SimMessage, TimerTag};
 use std::collections::VecDeque;
+use std::rc::Rc;
 
-/// Observation tag for log appends: payload `U64Pair(slot, value)`.
+/// Observation tag for log appends: payload `U64Pair(slot, fold)` with
+/// `fold` a digest of the decided batch's commands, once per slot per
+/// process. Folding the commands rather than announcing the name is
+/// what lets `multi.log_agreement` catch two replicas that agree on a
+/// slot's name but hold different bodies for it.
 pub use fd_obs::keys::MULTI_APPEND as LOG_APPEND;
 
 /// Timer-namespace base for slot instances: slot `s` uses `MULTI_NS_BASE + s`.
@@ -37,10 +78,7 @@ pub const MULTI_NS_BASE: u32 = 0x1000_0000;
 pub const MAX_SLOT: u64 = (u32::MAX - MULTI_NS_BASE) as u64;
 
 /// The timer namespace of log slot `slot` (`MULTI_NS_BASE + slot`).
-/// Public so hosts other than [`MultiNode`] — e.g. the `fd-kv` replica,
-/// which multiplexes the same per-slot instances next to its own sync
-/// protocol — route slot timers identically.
-pub fn slot_ns(slot: u64) -> u32 {
+fn slot_ns(slot: u64) -> u32 {
     assert!(
         slot <= MAX_SLOT,
         "log slot {slot} exceeds the namespace encoding (MAX_SLOT = {MAX_SLOT})"
@@ -48,14 +86,73 @@ pub fn slot_ns(slot: u64) -> u32 {
     MULTI_NS_BASE + slot as u32
 }
 
-/// The no-op command a replica proposes when it is pulled into a slot it
-/// has no pending command for. Consensus needs a majority of real
-/// (non-null) estimates to propose, so bystander replicas must
-/// contribute *something*; applications skip `NOOP` entries when
-/// applying the log. NOOP is the *smallest* value so the estimate
-/// selection's value tie-break always prefers a real command — a slot
-/// decides NOOP only when nobody had anything to propose.
+/// The name of the empty batch, and the single log entry an empty slot
+/// contributes to [`MultiEc::log`]. A replica pulled into a slot it has
+/// nothing queued for proposes it: consensus needs a majority of real
+/// (non-null) estimates, so bystanders must contribute *something*.
+/// NOOP is the *smallest* name, so the estimate selection's value
+/// tie-break always prefers a real batch — a slot decides NOOP only
+/// when nobody had anything to propose.
 pub const NOOP: u64 = 0;
+
+/// The commands a batch holds, in their submitter's FIFO order. `None`
+/// is the empty batch ([`NOOP`]'s body), so an idle slot allocates
+/// nothing.
+pub type Body = Option<Rc<[u64]>>;
+
+/// The commands of `body` (none for the empty batch).
+pub fn commands(body: &Body) -> &[u64] {
+    body.as_deref().unwrap_or(&[])
+}
+
+/// A digest of the commands of `body`, in order — what `multi.append`
+/// announces for a decided slot.
+fn fold_body(body: &Body) -> u64 {
+    let mut h = Fnv::new();
+    for &command in commands(body) {
+        h.u64(command);
+    }
+    h.finish()
+}
+
+/// The name of `pid`'s batch of `len` commands: length-major (see the
+/// module doc for why), the proposer in the low 16 bits.
+fn batch_name(pid: ProcessId, len: usize) -> u64 {
+    if len == 0 {
+        NOOP
+    } else {
+        (len as u64) << 16 | (pid.index() as u64 + 1)
+    }
+}
+
+/// How many commands the batch called `name` holds.
+fn batch_len(name: u64) -> u64 {
+    name >> 16
+}
+
+/// The batch name `msg` carries, if it carries a value.
+fn named(msg: &EcMsg) -> Option<u64> {
+    match msg {
+        EcMsg::Estimate { est: Some(e), .. } => Some(e.value),
+        EcMsg::Proposition { value: Some(v), .. } => Some(*v),
+        EcMsg::Coordinator { .. }
+        | EcMsg::Estimate { est: None, .. }
+        | EcMsg::Proposition { value: None, .. }
+        | EcMsg::Ack { .. }
+        | EcMsg::Nack { .. } => None,
+    }
+}
+
+/// The body held under `name` (nothing is held, or needed, for [`NOOP`]).
+fn body_of(held: &[(u64, Rc<[u64]>)], name: u64) -> Body {
+    (name != NOOP).then(|| {
+        let (_, body) = held
+            .iter()
+            .find(|(n, _)| *n == name)
+            .expect("whoever holds a batch name holds its body");
+        body.clone()
+    })
+}
 
 /// A slot-tagged consensus message.
 #[derive(Debug, Clone)]
@@ -64,6 +161,9 @@ pub struct MultiMsg {
     pub slot: u64,
     /// The instance-level message.
     pub inner: EcMsg,
+    /// The body of the batch `inner` names, when it names a non-empty
+    /// one (a non-null estimate or proposition).
+    pub body: Body,
 }
 
 impl SimMessage for MultiMsg {
@@ -75,18 +175,22 @@ impl SimMessage for MultiMsg {
     }
 }
 
-/// Decision broadcast payload: `(slot, value, round)`.
-pub type SlotDecide = (u64, u64, u64);
+/// Decision broadcast payload: `(slot, name, round, body)`.
+pub type SlotDecide = (u64, u64, u64, Body);
 
 /// Everything a node knows about one log slot.
 #[derive(Debug, Default)]
 struct Slot {
     /// The slot's consensus instance, created on first touch.
     instance: Option<EcConsensus>,
-    /// The command this node proposed here, if it proposed.
+    /// The name of the batch this node proposed here, if it proposed.
     proposed: Option<u64>,
     /// The slot's decision, once known.
     decided: Option<DecidePayload>,
+    /// The bodies this node holds for the slot, by name: its own batch
+    /// and every one a peer's message carried (at most one per
+    /// process) while the slot is open, just the decided one after.
+    bodies: Vec<(u64, Rc<[u64]>)>,
 }
 
 /// The multiplexer of per-slot [`EcConsensus`] instances.
@@ -122,6 +226,7 @@ pub struct MultiEc {
 impl MultiEc {
     /// Create the multiplexer for process `me` of `n`.
     pub fn new(me: ProcessId, n: usize, cfg: ConsensusConfig) -> MultiEc {
+        assert!(n < 1 << 16, "batch names keep the proposer in 16 bits");
         MultiEc {
             me,
             n,
@@ -134,22 +239,34 @@ impl MultiEc {
         }
     }
 
-    /// The decided log so far: contiguous from [`base`](MultiEc::base)
-    /// up to the first undecided slot.
+    /// The decided log so far, contiguous from [`base`](MultiEc::base)
+    /// up to the first undecided slot: one `(slot, command)` entry per
+    /// decided command, in slot then batch order, and one
+    /// `(slot, NOOP)` for a slot that decided the empty batch.
     pub fn log(&self) -> Vec<(u64, u64)> {
-        (self.base..self.first_undecided)
-            .map(|slot| {
-                let (value, _) = self
-                    .decided(slot)
-                    .expect("slots below the frontier are decided");
-                (slot, value)
-            })
-            .collect()
+        let mut log = Vec::new();
+        for slot in self.base..self.first_undecided {
+            let (name, _) = self
+                .decided(slot)
+                .expect("slots below the frontier are decided");
+            match self.body(slot, name) {
+                None => log.push((slot, NOOP)),
+                Some(body) => log.extend(body.iter().map(|&command| (slot, command))),
+            }
+        }
+        log
     }
 
-    /// The decision of `slot`, if known (even out of order).
+    /// The decision of `slot`, if known (even out of order):
+    /// `(batch name, round)`.
     pub fn decided(&self, slot: u64) -> Option<DecidePayload> {
         self.slots.get(slot as usize)?.decided
+    }
+
+    /// The body this node holds under `name` in `slot` — its own
+    /// proposal's, or the slot's decision's.
+    pub fn body(&self, slot: u64, name: u64) -> Body {
+        body_of(&self.slots.get(slot as usize)?.bodies, name)
     }
 
     /// The table entry of `slot`, growing the table to reach it.
@@ -201,39 +318,60 @@ impl MultiEc {
         self.pending.push_back(command);
     }
 
-    /// Take the head-of-queue command, if any.
-    pub fn pop_pending(&mut self) -> Option<u64> {
-        self.pending.pop_front()
-    }
-
-    /// Put a command back at the *head* of the queue — the re-queue path
-    /// for a command that lost its slot to another replica's.
-    pub fn requeue_front(&mut self, command: u64) {
-        self.pending.push_front(command);
-    }
-
-    /// Whether this node has proposed in `slot`, and with which command.
+    /// Whether this node has proposed in `slot`, and the name of the
+    /// batch it proposed.
     pub fn proposed_in(&self, slot: u64) -> Option<u64> {
         self.slots.get(slot as usize)?.proposed
     }
 
-    /// Record that this node proposed `command` in `slot`.
-    pub fn mark_proposed(&mut self, slot: u64, command: u64) {
-        self.slot_mut(slot).proposed = Some(command);
+    fn mark_proposed(&mut self, slot: u64, name: u64) {
+        self.slot_mut(slot).proposed = Some(name);
         if slot == self.next_unproposed {
             self.advance_frontiers();
         }
     }
 
+    /// Count `slot` as proposed in, with nothing: the proposer rotation
+    /// skips it and the pending queue stays where it is. For slots a
+    /// host must never vote in (a recovered replica's quarantine).
+    pub fn abstain(&mut self, slot: u64) {
+        self.mark_proposed(slot, NOOP);
+    }
+
+    /// Make the whole pending queue this node's batch for `slot` (the
+    /// empty batch if nothing is waiting) and return its name.
+    fn take_batch(&mut self, slot: u64) -> u64 {
+        let name = batch_name(self.me, self.pending.len());
+        if name != NOOP {
+            let body = Rc::from(&*self.pending.make_contiguous());
+            self.pending.clear();
+            self.slot_mut(slot).bodies.push((name, body));
+        }
+        self.mark_proposed(slot, name);
+        name
+    }
+
     /// Record the decision of `slot`. Returns `true` if it is news
-    /// (not below [`base`](MultiEc::base), not already recorded) — the
-    /// caller appends to its application log exactly when this is true,
-    /// which makes duplicate `SlotDecide` deliveries idempotent.
-    pub fn record_decision(&mut self, slot: u64, value: u64, round: u64) -> bool {
+    /// (not below [`base`](MultiEc::base), not already recorded), which
+    /// makes duplicate `SlotDecide` deliveries idempotent. A batch of
+    /// this node's that lost the slot returns to the head of the queue,
+    /// in order; of the bodies held for the slot only the decided one
+    /// is kept.
+    fn record_decision(&mut self, slot: u64, name: u64, round: u64, body: &Body) -> bool {
         if slot < self.base || self.decided(slot).is_some() {
             return false;
         }
-        self.slot_mut(slot).decided = Some((value, round));
+        let entry = self.slot_mut(slot);
+        entry.decided = Some((name, round));
+        let lost = entry
+            .proposed
+            .filter(|&mine| mine != name)
+            .and_then(|mine| body_of(&entry.bodies, mine));
+        entry.bodies.clear();
+        entry.bodies.extend(body.iter().map(|b| (name, b.clone())));
+        for &command in commands(&lost).iter().rev() {
+            self.pending.push_front(command);
+        }
         if slot == self.first_undecided || slot == self.next_unproposed {
             self.advance_frontiers();
         }
@@ -246,26 +384,110 @@ impl MultiEc {
         self.first_undecided
     }
 
-    /// The depth-1 pipeline step both hosts drive: if a command is
-    /// waiting and the slot before the proposal frontier is decided (or
-    /// the frontier sits on the tracking base), take the head-of-queue
-    /// command and name the slot to propose it in.
-    pub fn next_proposal(&mut self) -> Option<(u64, u64)> {
+    /// The depth-1 pipeline gate both hosts drive: the slot to open
+    /// next, if a command is waiting and the slot before the proposal
+    /// frontier is decided (or the frontier sits on the tracking base).
+    pub fn next_proposal(&self) -> Option<u64> {
         let slot = self.next_unproposed;
-        if self.pending.is_empty() || (slot > self.base && self.decided(slot - 1).is_none()) {
-            return None;
-        }
-        self.pending.pop_front().map(|command| (slot, command))
+        let open = slot == self.base || self.decided(slot - 1).is_some();
+        (open && !self.pending.is_empty()).then_some(slot)
     }
 
-    /// The consensus instance of `slot`, created on first touch.
-    pub fn instance(&mut self, slot: u64) -> &mut EcConsensus {
-        let me = self.me;
-        let n = self.n;
-        let cfg = self.cfg.clone();
-        self.slot_mut(slot)
-            .instance
-            .get_or_insert_with(|| EcConsensus::new(me, n, cfg))
+    /// Run `f` on the consensus instance of `slot` (created on first
+    /// touch) under a context that tags what it sends with the slot,
+    /// lifts it into the host's message type with `lift`, and attaches
+    /// the body of the batch it names — the only place a body joins an
+    /// outgoing message.
+    pub fn with_instance<N: SimMessage, R>(
+        &mut self,
+        ctx: &mut Context<'_, N>,
+        slot: u64,
+        lift: fn(MultiMsg) -> N,
+        f: impl FnOnce(&mut EcConsensus, &mut SubCtx<'_, '_, N, EcMsg>) -> R,
+    ) -> R {
+        let (me, n, cfg) = (self.me, self.n, self.cfg.clone());
+        let Slot {
+            instance, bodies, ..
+        } = self.slot_mut(slot);
+        let instance = instance.get_or_insert_with(|| EcConsensus::new(me, n, cfg));
+        let wrap = |inner: EcMsg| {
+            let body = named(&inner).and_then(|name| body_of(bodies, name));
+            lift(MultiMsg { slot, inner, body })
+        };
+        f(instance, &mut SubCtx::new(ctx, &wrap, slot_ns(slot)))
+    }
+
+    /// Propose in `slot` with everything that is waiting (see
+    /// [`next_proposal`](MultiEc::next_proposal) for *when*). A
+    /// non-empty batch is announced on `multi.propose`.
+    pub fn propose<N: SimMessage>(
+        &mut self,
+        ctx: &mut Context<'_, N>,
+        slot: u64,
+        fd: FdOutput,
+        lift: fn(MultiMsg) -> N,
+    ) -> ProtocolStep {
+        let name = self.take_batch(slot);
+        if name != NOOP {
+            ctx.observe(
+                api_obs::PROPOSE_SLOT,
+                Payload::U64Pair(slot, batch_len(name)),
+            );
+        }
+        self.with_instance(ctx, slot, lift, |inst, sub| inst.on_propose(sub, name, fd))
+    }
+
+    /// Route a slot message into its instance, first keeping the body
+    /// it carries (an open slot holds one body per name it has seen).
+    pub fn on_message<N: SimMessage>(
+        &mut self,
+        ctx: &mut Context<'_, N>,
+        from: ProcessId,
+        msg: MultiMsg,
+        fd: FdOutput,
+        lift: fn(MultiMsg) -> N,
+    ) -> ProtocolStep {
+        let MultiMsg { slot, inner, body } = msg;
+        if let (Some(name), Some(body)) = (named(&inner), body) {
+            let entry = self.slot_mut(slot);
+            if entry.decided.is_none() && entry.bodies.iter().all(|(n, _)| *n != name) {
+                entry.bodies.push((name, body));
+            }
+        }
+        self.with_instance(ctx, slot, lift, |inst, sub| {
+            inst.on_message(sub, from, inner, fd)
+        })
+    }
+
+    /// The decision `step` asks the host to R-broadcast for `slot`, with
+    /// its body attached.
+    pub fn decision_of(&self, slot: u64, step: ProtocolStep) -> Option<SlotDecide> {
+        let (name, round) = step.broadcast_decision?;
+        Some((slot, name, round, self.body(slot, name)))
+    }
+
+    /// A slot's decision reached this node, by R-delivery or a peer's
+    /// catch-up reply: record it (see `record_decision`), announce it on
+    /// `multi.append` and, if `close`, hand it to the slot's instance
+    /// (Fig. 4, Task 3). Returns `false`, having done nothing, when the
+    /// decision is not news.
+    pub fn learn_decision<N: SimMessage>(
+        &mut self,
+        ctx: &mut Context<'_, N>,
+        (slot, name, round, body): &SlotDecide,
+        close: bool,
+        lift: fn(MultiMsg) -> N,
+    ) -> bool {
+        if !self.record_decision(*slot, *name, *round, body) {
+            return false;
+        }
+        ctx.observe(LOG_APPEND, Payload::U64Pair(*slot, fold_body(body)));
+        if close {
+            self.with_instance(ctx, *slot, lift, |inst, sub| {
+                inst.on_decide_delivered(sub, *name, *round)
+            });
+        }
+        true
     }
 }
 
@@ -279,7 +501,7 @@ pub enum MultiNodeMsg<F> {
     /// Slot-tagged consensus traffic.
     Cons(MultiMsg),
     /// "Slot `s` is open": the initiating replica tells everyone to
-    /// propose in it (their pending command or a NOOP), so the slot's
+    /// propose in it (their pending batch or a NOOP), so the slot's
     /// eventual coordinator — which may have had nothing to propose —
     /// starts its Phase 0.
     Open {
@@ -336,50 +558,50 @@ where
         MultiNode { fd, rb, multi }
     }
 
-    /// Queue a client command. It is proposed for the next free slot; if
-    /// another replica's command wins that slot, it is automatically
-    /// re-queued, so every submitted command is eventually decided
-    /// (at-least-once; deduplication is the application's concern).
+    /// Queue a client command. It joins this replica's batch for the
+    /// next free slot; if another replica's batch wins that slot, the
+    /// batch is automatically re-queued, so every submitted command is
+    /// eventually decided (at-least-once; deduplication is the
+    /// application's concern).
     pub fn submit(&mut self, ctx: &mut Context<'_, MultiNodeMsg<D::Msg>>, command: u64) {
         self.multi.push_pending(command);
         self.drive(ctx);
     }
 
-    /// The replica's decided log (contiguous prefix).
+    /// The replica's decided log (contiguous prefix, one entry per
+    /// command: see [`MultiEc::log`]).
     pub fn log(&self) -> Vec<(u64, u64)> {
         self.multi.log()
     }
 
-    /// Propose pending commands for free slots (one outstanding slot at a
-    /// time, the classic SMR pipeline of depth 1).
+    /// Propose what is pending for the next free slot (one outstanding
+    /// slot at a time, the classic SMR pipeline of depth 1).
     fn drive(&mut self, ctx: &mut Context<'_, MultiNodeMsg<D::Msg>>) {
-        if let Some((slot, command)) = self.multi.next_proposal() {
-            self.propose_in_slot(ctx, slot, command, true);
+        if let Some(slot) = self.multi.next_proposal() {
+            self.propose_in_slot(ctx, slot, true);
         }
     }
 
     /// A message/timer arrived for a slot we never proposed in: another
-    /// replica opened it. Join with our pending command (it may win the
+    /// replica opened it. Join with our pending batch (it may win the
     /// slot) or a NOOP, so the slot's coordinator can gather a majority
     /// of real estimates.
     fn ensure_proposed(&mut self, ctx: &mut Context<'_, MultiNodeMsg<D::Msg>>, slot: u64) {
         if self.multi.proposed_in(slot).is_some() || self.multi.decided(slot).is_some() {
             return;
         }
-        let command = self.multi.pop_pending().unwrap_or(NOOP);
-        self.propose_in_slot(ctx, slot, command, false);
+        self.propose_in_slot(ctx, slot, false);
     }
 
     fn propose_in_slot(
         &mut self,
         ctx: &mut Context<'_, MultiNodeMsg<D::Msg>>,
         slot: u64,
-        command: u64,
         announce: bool,
     ) {
         if announce {
             // Tell every replica the slot exists; each joins with its own
-            // pending command or a NOOP. Without this, a slot whose
+            // pending batch or a NOOP. Without this, a slot whose
             // eventual coordinator has nothing to propose never starts.
             for i in 0..ctx.n() {
                 let q = ProcessId(i);
@@ -388,16 +610,9 @@ where
                 }
             }
         }
-        self.multi.mark_proposed(slot, command);
         let fd = self.fd.output();
-        let ns = slot_ns(slot);
-        let wrap = move |m: EcMsg| MultiNodeMsg::Cons(MultiMsg { slot, inner: m });
-        let step = {
-            let inst = self.multi.instance(slot);
-            inst.on_propose(&mut SubCtx::new(ctx, &wrap, ns), command, fd)
-        };
+        let step = self.multi.propose(ctx, slot, fd, MultiNodeMsg::Cons);
         self.apply_step(ctx, slot, step);
-        ctx.observe(api_obs::PROPOSE_SLOT, Payload::U64Pair(slot, command));
     }
 
     fn apply_step(
@@ -406,34 +621,18 @@ where
         slot: u64,
         step: ProtocolStep,
     ) {
-        if let Some((value, round)) = step.broadcast_decision {
+        if let Some(decide) = self.multi.decision_of(slot, step) {
             let ns = self.rb.ns();
-            self.rb.broadcast(
-                &mut SubCtx::new(ctx, &MultiNodeMsg::Rb, ns),
-                (slot, value, round),
-            );
+            self.rb
+                .broadcast(&mut SubCtx::new(ctx, &MultiNodeMsg::Rb, ns), decide);
         }
         self.drain_deliveries(ctx);
     }
 
     fn drain_deliveries(&mut self, ctx: &mut Context<'_, MultiNodeMsg<D::Msg>>) {
-        let deliveries = self.rb.take_delivered();
-        for d in deliveries {
-            let (slot, value, round) = d.payload;
-            if !self.multi.record_decision(slot, value, round) {
-                continue;
-            }
-            ctx.observe(LOG_APPEND, Payload::U64Pair(slot, value));
-            // Our command lost this slot: re-queue it for the next one.
-            if let Some(mine) = self.multi.proposed_in(slot) {
-                if mine != value && mine != NOOP {
-                    self.multi.requeue_front(mine);
-                }
-            }
-            let ns = slot_ns(slot);
-            let wrap = move |m: EcMsg| MultiNodeMsg::Cons(MultiMsg { slot, inner: m });
-            let inst = self.multi.instance(slot);
-            inst.on_decide_delivered(&mut SubCtx::new(ctx, &wrap, ns), value, round);
+        for d in self.rb.take_delivered() {
+            self.multi
+                .learn_decision(ctx, &d.payload, true, MultiNodeMsg::Cons);
         }
         // A decision may have unblocked the next slot.
         self.drive(ctx);
@@ -468,15 +667,13 @@ where
             MultiNodeMsg::Open { slot } => {
                 self.ensure_proposed(ctx, slot);
             }
-            MultiNodeMsg::Cons(MultiMsg { slot, inner }) => {
+            MultiNodeMsg::Cons(msg) => {
+                let slot = msg.slot;
                 self.ensure_proposed(ctx, slot);
                 let fd = self.fd.output();
-                let ns = slot_ns(slot);
-                let wrap = move |m: EcMsg| MultiNodeMsg::Cons(MultiMsg { slot, inner: m });
-                let step = {
-                    let inst = self.multi.instance(slot);
-                    inst.on_message(&mut SubCtx::new(ctx, &wrap, ns), from, inner, fd)
-                };
+                let step = self
+                    .multi
+                    .on_message(ctx, from, msg, fd, MultiNodeMsg::Cons);
                 self.apply_step(ctx, slot, step);
             }
         }
@@ -492,11 +689,11 @@ where
         } else if tag.ns >= MULTI_NS_BASE {
             let slot = (tag.ns - MULTI_NS_BASE) as u64;
             let fd = self.fd.output();
-            let wrap = move |m: EcMsg| MultiNodeMsg::Cons(MultiMsg { slot, inner: m });
-            let step = {
-                let inst = self.multi.instance(slot);
-                inst.on_timer(&mut SubCtx::new(ctx, &wrap, tag.ns), tag.kind, tag.data, fd)
-            };
+            let step = self
+                .multi
+                .with_instance(ctx, slot, MultiNodeMsg::Cons, |inst, sub| {
+                    inst.on_timer(sub, tag.kind, tag.data, fd)
+                });
             self.apply_step(ctx, slot, step);
         } else {
             debug_assert_eq!(tag.ns, self.rb.ns(), "timer for an unknown namespace");
@@ -506,7 +703,8 @@ where
 
 /// Observation tags specific to the multiplexer.
 pub mod api_obs {
-    /// A replica proposed `U64Pair(slot, command)`.
+    /// A replica proposed a non-empty batch:
+    /// `U64Pair(slot, commands in the batch)`.
     pub use fd_obs::keys::MULTI_PROPOSE as PROPOSE_SLOT;
 }
 
@@ -622,39 +820,69 @@ mod tests {
         }
     }
 
+    /// The batch `pid` would propose from a queue holding `commands`:
+    /// its name and its body.
+    fn batch(pid: usize, commands: &[u64]) -> (u64, Body) {
+        (
+            batch_name(ProcessId(pid), commands.len()),
+            (!commands.is_empty()).then(|| commands.into()),
+        )
+    }
+
     #[test]
     fn record_decision_tolerates_out_of_order_and_duplicates() {
         let mut m = MultiEc::new(ProcessId(0), 4, ConsensusConfig::default());
+        let (n0, b0) = batch(1, &[20]);
+        let (n1, b1) = batch(2, &[21, 23]);
+        let (n2, b2) = batch(3, &[22]);
         // Slot 2 arrives first: known, but not part of the contiguous log.
-        assert!(m.record_decision(2, 22, 1));
+        assert!(m.record_decision(2, n2, 1, &b2));
         assert_eq!(m.first_undecided(), 0);
         assert!(m.log().is_empty(), "no contiguous prefix yet");
-        assert!(m.record_decision(0, 20, 1));
+        assert!(m.record_decision(0, n0, 1, &b0));
         assert_eq!(m.first_undecided(), 1);
         assert_eq!(m.log(), vec![(0, 20)]);
         // A duplicate delivery of slot 0 — even claiming a different
-        // value — is rejected and the original decision stands.
-        assert!(!m.record_decision(0, 99, 2));
-        assert_eq!(m.decided(0), Some((20, 1)));
-        assert!(m.record_decision(1, 21, 3));
+        // batch — is rejected and the original decision stands.
+        assert!(!m.record_decision(0, n1, 2, &b1));
+        assert_eq!(m.decided(0), Some((n0, 1)));
+        assert!(m.record_decision(1, n1, 3, &b1));
         assert_eq!(m.first_undecided(), 3);
-        assert_eq!(m.log(), vec![(0, 20), (1, 21), (2, 22)]);
+        // One log entry per command: slot 1 decided a batch of two.
+        assert_eq!(m.log(), vec![(0, 20), (1, 21), (1, 23), (2, 22)]);
     }
 
     #[test]
     fn raised_base_excludes_caught_up_slots() {
         let mut m = MultiEc::new(ProcessId(1), 4, ConsensusConfig::default());
         m.raise_base(5);
+        let (n3, b3) = batch(0, &[33]);
         assert!(
-            !m.record_decision(3, 33, 1),
+            !m.record_decision(3, n3, 1, &b3),
             "below-base slots are not news"
         );
         assert_eq!(m.next_unproposed, 5);
         assert_eq!(m.first_undecided(), 5);
-        assert!(m.record_decision(5, 55, 1));
+        let (n5, b5) = batch(0, &[55]);
+        assert!(m.record_decision(5, n5, 1, &b5));
         assert_eq!(m.log(), vec![(5, 55)]);
         m.raise_base(2);
         assert_eq!(m.base(), 5, "raise_base never lowers the base");
+    }
+
+    /// An empty slot is one `(slot, NOOP)` log entry, and names order
+    /// length-major with NOOP below every real batch.
+    #[test]
+    fn names_rank_by_length_then_proposer_and_noop_is_smallest() {
+        let (long_low_pid, _) = batch(0, &[1, 2, 3]);
+        let (short_high_pid, _) = batch(3, &[4, 5]);
+        let (short_low_pid, _) = batch(1, &[6, 7]);
+        assert!(long_low_pid > short_high_pid && short_high_pid > short_low_pid);
+        assert!(short_low_pid > NOOP);
+        assert_eq!(batch(2, &[]), (NOOP, None));
+        let mut m = MultiEc::new(ProcessId(0), 4, ConsensusConfig::default());
+        assert!(m.record_decision(0, NOOP, 1, &None));
+        assert_eq!(m.log(), vec![(0, NOOP)]);
     }
 
     /// The frontiers as they were computed before they were cursors: a
@@ -682,12 +910,17 @@ mod tests {
             ops in proptest::prop::collection::vec((0u8..8, 0u64..24), 1..80),
         ) {
             let mut m = MultiEc::new(ProcessId(0), 4, ConsensusConfig::default());
+            proptest::prop_assert_eq!(m.next_proposal(), None, "nothing waiting, nothing to open");
+            // `abstain` marks proposals without taking the queue, so one
+            // waiting command probes the gate after every step.
+            m.push_pending(7);
             for (step, &(op, slot)) in ops.iter().enumerate() {
                 match op {
-                    0..=2 => m.mark_proposed(slot, 100 + slot),
+                    0..=2 => m.abstain(slot),
                     3..=6 => {
                         let news = m.decided(slot).is_none() && slot >= m.base();
-                        proptest::prop_assert_eq!(m.record_decision(slot, 200 + slot, 1), news);
+                        let (name, body) = batch(1, &[200 + slot]);
+                        proptest::prop_assert_eq!(m.record_decision(slot, name, 1, &body), news);
                     }
                     _ => m.raise_base(slot),
                 }
@@ -703,12 +936,69 @@ mod tests {
                 // The depth-1 gate: a waiting command goes to the
                 // proposal frontier exactly when the slot before it is
                 // decided or the frontier is the base.
-                m.push_pending(7);
                 let open = unproposed == m.base() || m.decided(unproposed - 1).is_some();
-                proptest::prop_assert_eq!(m.next_proposal(), open.then_some((unproposed, 7)));
-                if !open {
-                    proptest::prop_assert_eq!(m.pop_pending(), Some(7));
+                proptest::prop_assert_eq!(m.next_proposal(), open.then_some(unproposed));
+            }
+        }
+
+        /// Random interleavings of push, take (the pipeline's proposal,
+        /// or a join of a slot a peer opened while an earlier batch is
+        /// still in flight), lose-and-requeue and decide, with slots
+        /// resolved in any order: no command is ever lost or duplicated.
+        /// And while each batch comes back before the next is taken —
+        /// all the depth-1 pipeline does on its own — decided, in-flight
+        /// and queued commands together stay in submission order. (Two
+        /// batches in flight at once can pass each other, as two single
+        /// commands always could.)
+        #[test]
+        fn batches_conserve_commands_and_their_order(
+            ops in proptest::prop::collection::vec((0u8..8, 0usize..4), 1..120),
+        ) {
+            let me = 2;
+            let mut m = MultiEc::new(ProcessId(me), 4, ConsensusConfig::default());
+            let mut submitted = 0u64;
+            let mut next_slot = 0u64;
+            let mut in_flight: Vec<u64> = Vec::new();
+            let mut won: Vec<u64> = Vec::new();
+            let mut overlapped = false;
+            for &(op, pick) in &ops {
+                match op {
+                    0..=2 => {
+                        submitted += 1;
+                        m.push_pending(submitted);
+                    }
+                    3..=4 => {
+                        if m.take_batch(next_slot) != NOOP {
+                            overlapped |= !in_flight.is_empty();
+                            in_flight.push(next_slot);
+                        }
+                        next_slot += 1;
+                    }
+                    _ if in_flight.is_empty() => {}
+                    5..=6 => {
+                        // A peer's batch takes the slot.
+                        let slot = in_flight.remove(pick % in_flight.len());
+                        let (name, body) = batch(me + 1, &[u64::MAX; 2]);
+                        proptest::prop_assert!(m.record_decision(slot, name, 1, &body));
+                    }
+                    _ => {
+                        let slot = in_flight.remove(pick % in_flight.len());
+                        let name = m.proposed_in(slot).expect("taken");
+                        let body = m.body(slot, name);
+                        proptest::prop_assert!(m.record_decision(slot, name, 1, &body));
+                        won.extend_from_slice(commands(&body));
+                    }
                 }
+                let mut all = won.clone();
+                for &slot in &in_flight {
+                    let name = m.proposed_in(slot).expect("taken");
+                    all.extend_from_slice(commands(&m.body(slot, name)));
+                }
+                all.extend(&m.pending);
+                if overlapped {
+                    all.sort_unstable();
+                }
+                proptest::prop_assert_eq!(all, (1..=submitted).collect::<Vec<_>>());
             }
         }
     }
@@ -758,16 +1048,24 @@ mod tests {
                 TraceKind::Observation {
                     pid,
                     tag,
-                    payload: Payload::U64Pair(slot, value),
-                } if pid == ProcessId(0) && tag == LOG_APPEND => Some((slot, value)),
+                    payload: Payload::U64Pair(slot, fold),
+                } if pid == ProcessId(0) && tag == LOG_APPEND => Some((slot, fold)),
                 _ => None,
             })
             .collect();
+        // What each slot of the log should have announced: the fold of
+        // its commands (of nothing, for a NOOP slot).
         let log = w.actor(ProcessId(0)).log();
-        for entry in &log {
+        for slot in 0..=log.last().expect("a non-empty log").0 {
+            let decided: Vec<u64> = log
+                .iter()
+                .filter(|(s, v)| *s == slot && *v != NOOP)
+                .map(|(_, v)| *v)
+                .collect();
+            let (_, body) = batch(0, &decided);
             assert!(
-                appended.contains(entry),
-                "log entry {entry:?} was never announced on multi.append"
+                appended.contains(&(slot, fold_body(&body))),
+                "slot {slot} ({decided:?}) was never announced on multi.append"
             );
         }
         let announced = appended.len();
@@ -782,6 +1080,51 @@ mod tests {
             )),
             "submissions must be announced on multi.propose"
         );
+        // Every announcement carries its batch's length, and together
+        // they cover at least the three submissions.
+        let proposed: u64 = w
+            .trace()
+            .events()
+            .iter()
+            .filter_map(|e| match e.kind {
+                TraceKind::Observation {
+                    tag,
+                    payload: Payload::U64Pair(_, len),
+                    ..
+                } if tag == api_obs::PROPOSE_SLOT => Some(len),
+                _ => None,
+            })
+            .inspect(|&len| assert!(len >= 1, "an empty batch is not announced"))
+            .sum();
+        assert!(proposed >= n as u64);
+    }
+
+    /// `multi.append` announces the fold of the decided *commands*, so
+    /// `multi.log_agreement` sees through names: two replicas handed
+    /// the same name for a slot but different bodies (a seeded fault —
+    /// the protocol never does this) disagree visibly, while the same
+    /// deliveries with equal bodies pass.
+    #[test]
+    fn log_agreement_catches_a_body_mismatch_under_equal_names() {
+        let run = |at_p0: &[u64], at_p1: &[u64]| {
+            let mut w = world(3, 206);
+            for (pid, commands) in [(0, at_p0), (1, at_p1)] {
+                let (name, _) = batch(2, &[70, 71]);
+                let (_, body) = batch(2, commands);
+                let decide = RbMsg {
+                    origin: ProcessId(2),
+                    seq: 0,
+                    payload: (0, name, 1, body),
+                };
+                w.interact(ProcessId(pid), move |node, ctx| {
+                    node.on_message(ctx, ProcessId(2), MultiNodeMsg::Rb(decide));
+                });
+            }
+            fd_core::ConsensusRun::new(w.trace(), 3).check_multi_log_agreement()
+        };
+        run(&[70, 71], &[70, 71]).expect("equal bodies agree");
+        let err = run(&[70, 71], &[70, 72]).expect_err("a differing body must be caught");
+        assert!(err.to_string().contains("slot 0"), "{err}");
     }
 
     /// Duplicate `SlotDecide` deliveries and reordered decision traffic
@@ -853,8 +1196,10 @@ mod tests {
         });
         assert!(done);
         let log = w.actor(ProcessId(0)).log();
+        // The first command goes out alone; the three that queued up
+        // behind it share the next slot as one batch.
         let slots: Vec<u64> = log.iter().map(|(s, _)| *s).collect();
-        assert_eq!(slots, vec![0, 1, 2, 3]);
+        assert_eq!(slots, vec![0, 1, 1, 1]);
         // Single submitter ⇒ commands appear in submission order.
         let vals: Vec<u64> = log.iter().map(|(_, v)| *v).collect();
         assert_eq!(vals, vec![1000, 1001, 1002, 1003]);

@@ -598,10 +598,10 @@ impl<'a> ConsensusRun<'a> {
     }
 
     /// Slot-wise agreement for multi-instance consensus: no two
-    /// `multi.append` observations bind different commands to the same
-    /// slot, and no single process appends to a slot twice. This is the
-    /// per-slot projection of Uniform Agreement — the safety property the
-    /// replicated log (fd-kv) builds on.
+    /// `multi.append` observations bind different batches — each is
+    /// announced as the fold of its commands — to the same slot, and no
+    /// process appends to a slot twice. The per-slot projection of Uniform
+    /// Agreement: the safety property the replicated log (fd-kv) builds on.
     pub fn check_multi_log_agreement(&self) -> CheckResult {
         let mut chosen: std::collections::BTreeMap<u64, (ProcessId, u64)> =
             std::collections::BTreeMap::new();

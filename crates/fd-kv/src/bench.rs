@@ -8,6 +8,9 @@
 //! * **commit latency** (submit → durable ack) p50/p99/p99.9 — the
 //!   end-to-end figure: consensus round-trips *plus* the group-commit
 //!   fsync;
+//! * **operations per batch** — the length of every non-empty batch a
+//!   replica proposed for a slot (`multi.propose`): 1 at this plan's
+//!   light load, more wherever a backlog formed (behind the blackout);
 //! * **failover blackout** — how long after the crash until a surviving
 //!   replica applies the next log entry (the window in which the service
 //!   accepts ops but commits nothing);
@@ -73,6 +76,7 @@ fn bench_detector(detector: DetectorKind, seeds: u64) -> serde::Value {
     let sc = KvScenario::fixed(standard_plan(detector)).expect("standard plan is legal");
     let mut ex = sc.make_executor();
     let mut commit_us: Vec<u64> = Vec::new();
+    let mut batch_ops: Vec<u64> = Vec::new();
     let mut blackout_us: Vec<u64> = Vec::new();
     let mut replayed: Vec<u64> = Vec::new();
     let mut fetched: Vec<u64> = Vec::new();
@@ -88,6 +92,9 @@ fn bench_detector(detector: DetectorKind, seeds: u64) -> serde::Value {
         }
         for (_, _, d) in commit_latencies(&outcome.trace) {
             commit_us.push(d.ticks());
+        }
+        for (_, _, payload) in outcome.trace.observations(fd_obs::keys::MULTI_PROPOSE) {
+            batch_ops.extend(payload.as_u64_pair().map(|(_slot, len)| len));
         }
         // Blackout: first post-crash apply at a *surviving* replica.
         let first_apply_after = outcome
@@ -115,6 +122,10 @@ fn bench_detector(detector: DetectorKind, seeds: u64) -> serde::Value {
         (
             "commit_us".to_string(),
             stats_value(Stats::from_samples(commit_us)),
+        ),
+        (
+            "batch_ops".to_string(),
+            stats_value(Stats::from_samples(batch_ops)),
         ),
         (
             "blackout_us".to_string(),
@@ -217,6 +228,10 @@ mod tests {
             assert!(
                 d.field("commit_us").field("count").as_u64().unwrap_or(0) > 0,
                 "{key}: no commit samples"
+            );
+            assert!(
+                d.field("batch_ops").field("min").as_u64().unwrap_or(0) >= 1,
+                "{key}: every proposed batch counted holds at least one op"
             );
             assert_eq!(
                 d.field("violations").as_u64(),

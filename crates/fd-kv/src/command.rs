@@ -1,12 +1,13 @@
-//! The KV command codec: one operation packed into the `u64` a log slot
-//! carries.
+//! The KV command codec: one operation packed into a `u64` command word.
 //!
-//! `fd-consensus::multi` decides plain `u64` values, so KV operations
-//! travel as bit-packed words. The opcode lives in the top two bits and
-//! is never zero, which keeps every encoded command distinct from the
-//! reserved [`NOOP`](fd_consensus::NOOP) (0) gap-filler *and* larger
-//! than it — the estimate tie-break prefers real commands over NOOPs by
-//! value order.
+//! `fd-consensus::multi` moves opaque `u64` command words — a log slot
+//! decides a *batch* of them — so KV operations travel bit-packed. The
+//! opcode lives in the top two bits and is never zero, which keeps
+//! every encoded command distinct from the reserved
+//! [`NOOP`](fd_consensus::NOOP) (0), the log entry of an empty slot.
+//! Which batch wins a contended slot is settled by batch *names*
+//! (length, then proposer), never by comparing command words — so
+//! neither the opcode nor the uid ranks one client's op above another's.
 //!
 //! Layout (most-significant first):
 //!
@@ -123,8 +124,8 @@ mod tests {
 
     #[test]
     fn commands_exceed_noop_in_value_order() {
-        // The estimate tie-break picks the larger value, so every real
-        // command must out-rank the gap-filler.
+        // NOOP (0) is reserved for empty slots; the non-zero opcode in the
+        // top bits puts every real command above it.
         let word = encode(0, KvOp::Get { key: 0 });
         assert!(word > fd_consensus::NOOP);
     }

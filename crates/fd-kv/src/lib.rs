@@ -2,9 +2,9 @@
 //!
 //! The serving stack the paper's introduction motivates: each replica
 //! drives the slot-multiplexed ◇C consensus of
-//! [`fd-consensus::multi`](fd_consensus::multi) — log slots carry
-//! bit-packed KV commands ([`command`]) — over a per-replica durability
-//! module: an append-only CRC-framed WAL ([`wal`]), periodic atomic
+//! [`fd-consensus::multi`](fd_consensus::multi) — each log slot decides
+//! a batch of bit-packed KV commands ([`command`]) — over a per-replica
+//! durability module: an append-only CRC-framed WAL ([`wal`]), periodic atomic
 //! snapshots with log compaction ([`store`]), and crash-restart
 //! catch-up from a peer's snapshot + log tail ([`replica`]).
 //!

@@ -96,10 +96,11 @@ obs_keys! {
     Obs CONSENSUS_PROPOSE = "consensus.propose";
     /// Consensus decision: payload `U64Pair` (value, round).
     Obs CONSENSUS_DECIDE = "consensus.decide";
-    /// Multi-instance replica proposed `U64Pair(slot, command)`.
+    /// Multi-instance replica proposed a non-empty batch:
+    /// `U64Pair(slot, commands in the batch)`.
     Obs MULTI_PROPOSE = "multi.propose";
-    /// A command was appended to the replicated log:
-    /// `U64Pair(slot, command)`.
+    /// A slot's batch was appended to the replicated log:
+    /// `U64Pair(slot, fold of the batch's commands)`.
     Obs MULTI_APPEND = "multi.append";
     /// An amplified ◇P suspect-set change (distinct from the inner ◇C
     /// detector's `fd.suspects`): payload `Pids`.

@@ -8,9 +8,10 @@
 //! Five replicas run continuously in one world. Each replica hosts a ◇C
 //! failure detector, a Reliable Broadcast module, and a *multiplexer* of
 //! ◇C-consensus instances — one per log slot. Clients submit commands at
-//! different replicas concurrently; every slot is decided by Uniform
-//! Consensus, losing commands are re-queued, and replicas crash along the
-//! way. All correct replicas end up applying the identical sequence.
+//! different replicas concurrently; every slot decides, by Uniform
+//! Consensus, one replica's whole batch of waiting commands, losing
+//! batches are re-queued, and replicas crash along the way. All correct
+//! replicas end up applying the identical sequence.
 
 use ecfd::prelude::*;
 use fd_consensus::{ConsensusNode, MultiEc, MultiNode, NOOP};
@@ -76,8 +77,9 @@ fn main() {
 
     let reference = world.actor(ProcessId(0)).log();
     println!(
-        "replicated log at p0 ({} slots, decided in {}):",
+        "replicated log at p0 ({} entries in {} slots, decided in {}):",
         reference.len(),
+        reference.last().map_or(0, |(slot, _)| slot + 1),
         world.now()
     );
     for (slot, v) in &reference {

@@ -620,7 +620,12 @@ fn cmd_log(m: &Matches) -> Result<(), Stop> {
     }
     let reference_pid = *w.correct().first().expect("a survivor");
     let log = w.actor(ProcessId(reference_pid.index())).log();
-    println!("log at {reference_pid} ({} slots, {}):", log.len(), w.now());
+    let slots = log.last().map_or(0, |(slot, _)| slot + 1);
+    println!(
+        "log at {reference_pid} ({} entries in {slots} slots, {}):",
+        log.len(),
+        w.now()
+    );
     for (slot, v) in &log {
         if *v == fd_consensus::NOOP {
             println!("  [{slot}] (noop)");
@@ -779,12 +784,15 @@ fn cmd_kv_bench(m: &Matches) -> Result<(), Stop> {
     if let serde::Value::Obj(detectors) = bench.field("detectors") {
         for (key, d) in detectors {
             let commit = d.field("commit_us");
+            let batch = d.field("batch_ops");
             let blackout = d.field("blackout_us");
             println!(
-                "{key:<14} commit p50 {:>7}us p99 {:>7}us p99.9 {:>7}us | blackout p50 {:>7}us p99 {:>7}us | violations {}",
+                "{key:<14} commit p50 {:>7}us p99 {:>7}us p99.9 {:>7}us | ops/batch mean {:.2} p99 {} | blackout p50 {:>7}us p99 {:>7}us | violations {}",
                 commit.field("p50").as_u64().unwrap_or(0),
                 commit.field("p99").as_u64().unwrap_or(0),
                 commit.field("p999").as_u64().unwrap_or(0),
+                batch.field("mean").as_f64().unwrap_or(0.0),
+                batch.field("p99").as_u64().unwrap_or(0),
                 blackout.field("p50").as_u64().unwrap_or(0),
                 blackout.field("p99").as_u64().unwrap_or(0),
                 d.field("violations").as_u64().unwrap_or(0),
