@@ -10,7 +10,8 @@
 //!   stop — the channel goes *quiescent* instead of retrying forever.
 
 use crate::table::Table;
-use fd_detectors::{HbCounterConfig, QuiescentNode};
+use fd_core::Stack;
+use fd_detectors::{HbCounterConfig, HeartbeatCounter, QuiescentChannel};
 use fd_sim::{LinkModel, NetworkConfig, ProcessId, SimDuration, Time, WorldBuilder};
 
 /// Run the experiment.
@@ -39,15 +40,21 @@ pub fn run() -> Vec<Table> {
             if crashed {
                 b = b.crash_at(ProcessId(1), Time::ZERO);
             }
-            let mut w = b.build(|_, n| QuiescentNode::new(n, HbCounterConfig::default()));
+            let mut w = b.build(|_, n| {
+                let cfg = HbCounterConfig::default();
+                Stack::new(
+                    HeartbeatCounter::new(n, cfg.clone()),
+                    QuiescentChannel::new(cfg),
+                )
+            });
             w.interact(ProcessId(0), |node, ctx| {
-                node.send(ctx, ProcessId(1), 42);
+                node.with_above(ctx, |qc, ctx, hb| qc.send(ctx, ProcessId(1), 42, hb));
             });
             w.run_until_time(Time::from_secs(2));
-            let tx_2s = w.actor(ProcessId(0)).qc.transmissions(ProcessId(1), 0);
+            let tx_2s = w.actor(ProcessId(0)).above.transmissions(ProcessId(1), 0);
             w.run_until_time(Time::from_secs(8));
-            let tx_8s = w.actor(ProcessId(0)).qc.transmissions(ProcessId(1), 0);
-            let delivered = w.actor(ProcessId(0)).qc.pending_len() == 0;
+            let tx_8s = w.actor(ProcessId(0)).above.transmissions(ProcessId(1), 0);
+            let delivered = w.actor(ProcessId(0)).above.pending_len() == 0;
             t.row(vec![
                 if crashed { "crashed" } else { "correct" }.into(),
                 format!("{loss:.1}"),

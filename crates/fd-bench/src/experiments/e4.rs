@@ -16,10 +16,10 @@
 //! suspects it.
 
 use crate::table::{fmt_num, Table};
-use fd_core::{obs, Standalone};
+use fd_core::{obs, Stack, Standalone};
 use fd_detectors::{
-    EcToEp, EcToEpConfig, EcToEpNode, FusedConfig, FusedDetector, HeartbeatConfig,
-    HeartbeatDetector, LeaderConfig, LeaderDetector, RingConfig, RingDetector, EP_SUSPECTS_OUT,
+    EcToEp, EcToEpConfig, FusedConfig, FusedDetector, HeartbeatConfig, HeartbeatDetector,
+    LeaderConfig, LeaderDetector, RingConfig, RingDetector, EP_SUSPECTS_OUT,
 };
 use fd_sim::{Actor, LinkModel, NetworkConfig, ProcessId, SimDuration, Time, WorldBuilder};
 
@@ -132,7 +132,7 @@ pub fn run() -> Vec<Table> {
         let m = measure(
             n,
             |pid, n| {
-                EcToEpNode::new(
+                Stack::new(
                     LeaderDetector::new(pid, n, LeaderConfig::default()),
                     EcToEp::new(pid, n, EcToEpConfig::default()),
                 )

@@ -11,10 +11,8 @@
 //! number of Task-4 mistakes.
 
 use crate::table::Table;
-use fd_core::{FdClass, FdRun};
-use fd_detectors::{
-    EcToEp, EcToEpConfig, EcToEpNode, LeaderConfig, LeaderDetector, EP_SUSPECTS_OUT,
-};
+use fd_core::{FdClass, FdRun, Stack};
+use fd_detectors::{EcToEp, EcToEpConfig, LeaderConfig, LeaderDetector, EP_SUSPECTS_OUT};
 use fd_sim::{LinkModel, NetworkConfig, ProcessId, SimDuration, Time, WorldBuilder};
 
 fn stack_net(n: usize, leader: ProcessId, gst: Time, out_drop: f64) -> NetworkConfig {
@@ -69,14 +67,14 @@ pub fn run() -> Vec<Table> {
                     b = b.crash_at(ProcessId(c), Time::from_millis(200 + 100 * c as u64));
                 }
                 let mut w = b.build(|pid, n| {
-                    EcToEpNode::new(
+                    Stack::new(
                         LeaderDetector::new(pid, n, LeaderConfig::default()),
                         EcToEp::new(pid, n, EcToEpConfig::default()),
                     )
                 });
                 let end = Time::from_secs(8);
                 w.run_until_time(end);
-                let mistakes = w.actor(leader).ep.mistakes();
+                let mistakes = w.actor(leader).above.mistakes();
                 let (trace, _) = w.into_results();
                 let run = FdRun::new(&trace, n, end).with_suspects_tag(EP_SUSPECTS_OUT);
                 let holds = run.check_class(FdClass::EventuallyPerfect);

@@ -17,10 +17,10 @@
 use crate::scenarios::{const_delay_net, fast_poll, jitter_net, stable_fd};
 use crate::table::{fmt_num, Table};
 use fd_consensus::{run_scenario, scripted_node, EcConsensus, EcMergedConsensus, Scenario};
-use fd_core::{FdRun, Standalone};
+use fd_core::{FdRun, Stack, Standalone};
 use fd_detectors::{
     HeartbeatConfig, HeartbeatDetector, LeaderConfig, LeaderDetector, OmegaGossip,
-    OmegaGossipConfig, OmegaGossipNode, StableLeaderConfig, StableLeaderDetector,
+    OmegaGossipConfig, StableLeaderConfig, StableLeaderDetector,
 };
 use fd_sim::{LinkModel, NetworkConfig, ProcessId, SimDuration, Time, WorldBuilder};
 
@@ -158,7 +158,7 @@ fn e9c() -> Table {
         // reduction's own gossip (the heartbeat substrate is charged to
         // the underlying detector, as §3 does).
         let mut w = WorldBuilder::new(net.clone()).seed(1).build(|pid, n| {
-            OmegaGossipNode::new(
+            Stack::new(
                 HeartbeatDetector::new(pid, n, HeartbeatConfig::default()),
                 OmegaGossip::new(pid, n, OmegaGossipConfig::default()),
             )

@@ -128,7 +128,7 @@ type EcHbNode = ConsensusNode<LeaderByFirstNonSuspected<HeartbeatDetector>, EcCo
 /// An [`EcHbNode`](crate::mc) wrapped with a retransmission watchdog.
 ///
 /// While undecided, the node re-sends its outstanding round message
-/// every [`REPAIR_PERIOD`] (the same repair fd-kv runs per stalled
+/// every `REPAIR_PERIOD` (the same repair fd-kv runs per stalled
 /// slot). Retransmits are byte-identical duplicates, so the wrapper
 /// cannot affect safety — only restore liveness under forced losses.
 pub struct McEcNode {

@@ -15,7 +15,7 @@
 //!
 //! When a seed violates a property, the engine emits a JSON [`Artifact`]
 //! holding the full plan; [`replay`] re-executes it (verifying a
-//! byte-identical trace via digest) and [`shrink`] greedily minimizes it
+//! byte-identical trace via digest) and [`shrink()`] greedily minimizes it
 //! — dropping crashes, shortening the horizon, removing processes,
 //! reducing link loss — while the violation persists.
 //!

@@ -163,13 +163,6 @@ fn reduce_loss(model: &LinkModel) -> LinkModel {
             pre_delay: *pre_delay,
             pre_drop: halve(*pre_drop),
         },
-        LinkModel::Phased(sched) => LinkModel::phased(
-            sched
-                .phases()
-                .iter()
-                .map(|(t, m)| (*t, reduce_loss(m)))
-                .collect(),
-        ),
         other => other.clone(),
     }
 }

@@ -3,7 +3,7 @@
 //! The adversary, made declarative. A [`ChaosPlan`] describes one fault
 //! schedule — timed partitions and heals, message mangling windows,
 //! crash/restart churn, GST markers — as plain serializable data;
-//! [`compile`] lowers it to `fd-sim` kernel interventions that fire
+//! [`compile()`] lowers it to `fd-sim` kernel interventions that fire
 //! through the ordinary event queue, so a chaos run replays
 //! byte-identically from its JSON plan alone. [`ChaosScenario`] plugs
 //! the whole thing into the `fd-campaign` engine: thousand-seed sweeps,

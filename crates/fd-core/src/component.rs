@@ -9,9 +9,16 @@
 //!
 //! The host wraps the kernel [`Context`] in a [`SubCtx`] that injects the
 //! component's messages into the node's combined message enum, so each
-//! component is written once and reused both standalone (via
-//! [`Standalone`]) and composed (via a hand-written host actor that
-//! matches on its message enum).
+//! component is written once and reused under any host. Two hosts live
+//! here: [`Standalone`] (the node *is* the component) and [`Stack`] (a
+//! detector with one module [`Over`] it — §2.1's "a process interacts
+//! only with its local failure detection module", so the upper module
+//! is handed `&D` on every callback and reads whichever output it needs:
+//! `trusted()`, `suspected()`, a counter vector). A detector adapter that
+//! adds no messages of its own needs neither: it wraps the inner
+//! `Component` and forwards (`fd-detectors::omega`). The consensus and KV
+//! nodes (`fd-consensus::node`, `fd-kv::replica`) keep their own
+//! three-module hosts.
 
 use fd_sim::{
     Actor, Context, Payload, ProcessId, SimDuration, SimMessage, Time, TimerId, TimerTag,
@@ -194,6 +201,143 @@ impl<C> std::ops::DerefMut for Standalone<C> {
     }
 }
 
+/// The module stacked over a detector `D` in a [`Stack`]: the callbacks
+/// of a [`Component`], each also handed the co-located lower module —
+/// read-only, in its *current* state — which is the module's whole
+/// interface to the detector (§2.1).
+pub trait Over<D>: 'static {
+    /// The message type this module exchanges with its peers.
+    type Msg: SimMessage;
+
+    /// The timer namespace this module owns; must differ from `D`'s.
+    fn ns(&self) -> u32;
+
+    /// Invoked once at time zero, after `below` has started.
+    fn on_start<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, Self::Msg>, below: &D);
+
+    /// Invoked when one of this module's messages arrives from `from`.
+    fn on_message<N: SimMessage>(
+        &mut self,
+        ctx: &mut SubCtx<'_, '_, N, Self::Msg>,
+        from: ProcessId,
+        msg: Self::Msg,
+        below: &D,
+    );
+
+    /// Invoked when one of this module's timers fires.
+    fn on_timer<N: SimMessage>(
+        &mut self,
+        ctx: &mut SubCtx<'_, '_, N, Self::Msg>,
+        kind: u32,
+        data: u64,
+        below: &D,
+    );
+}
+
+/// The node message of a [`Stack`]: the lower module's messages plus the
+/// upper module's, each keeping its own `kind()` and `round()`.
+#[derive(Debug, Clone)]
+pub enum StackMsg<A, B> {
+    /// A message of the lower module.
+    Below(A),
+    /// A message of the upper module.
+    Above(B),
+}
+
+impl<A: SimMessage, B: SimMessage> SimMessage for StackMsg<A, B> {
+    fn kind(&self) -> &'static str {
+        match self {
+            StackMsg::Below(m) => m.kind(),
+            StackMsg::Above(m) => m.kind(),
+        }
+    }
+    fn round(&self) -> Option<u64> {
+        match self {
+            StackMsg::Below(m) => m.round(),
+            StackMsg::Above(m) => m.round(),
+        }
+    }
+}
+
+/// A node hosting a detector `D` and one module `U` over it. `below`
+/// starts first; a timer goes to `below` iff it carries `below`'s
+/// namespace, else to `above`.
+pub struct Stack<D, U> {
+    /// The lower module (the detector).
+    pub below: D,
+    /// The upper module (a transformation, reduction or channel).
+    pub above: U,
+}
+
+impl<D: Component, U: Over<D>> Stack<D, U> {
+    /// Build the node from its two modules. Panics if they claim the
+    /// same timer namespace.
+    pub fn new(below: D, above: U) -> Self {
+        assert_ne!(
+            below.ns(),
+            above.ns(),
+            "components must own distinct timer namespaces"
+        );
+        Stack { below, above }
+    }
+
+    /// Call into the upper module from outside the event loop (via
+    /// `World::interact`), with its scoped context and the lower module.
+    pub fn with_above<R>(
+        &mut self,
+        ctx: &mut Context<'_, StackMsg<D::Msg, U::Msg>>,
+        f: impl FnOnce(&mut U, &mut SubCtx<'_, '_, StackMsg<D::Msg, U::Msg>, U::Msg>, &D) -> R,
+    ) -> R {
+        let ns = self.above.ns();
+        f(
+            &mut self.above,
+            &mut SubCtx::new(ctx, &StackMsg::Above, ns),
+            &self.below,
+        )
+    }
+}
+
+impl<D: Component, U: Over<D>> Actor for Stack<D, U> {
+    type Msg = StackMsg<D::Msg, U::Msg>;
+
+    fn on_start(&mut self, ctx: &mut Context<'_, Self::Msg>) {
+        let ns = self.below.ns();
+        self.below
+            .on_start(&mut SubCtx::new(ctx, &StackMsg::Below, ns));
+        self.with_above(ctx, |above, ctx, below| above.on_start(ctx, below));
+    }
+
+    fn on_message(&mut self, ctx: &mut Context<'_, Self::Msg>, from: ProcessId, msg: Self::Msg) {
+        match msg {
+            StackMsg::Below(m) => {
+                let ns = self.below.ns();
+                self.below
+                    .on_message(&mut SubCtx::new(ctx, &StackMsg::Below, ns), from, m);
+            }
+            StackMsg::Above(m) => {
+                self.with_above(ctx, |above, ctx, below| {
+                    above.on_message(ctx, from, m, below)
+                });
+            }
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_, Self::Msg>, tag: TimerTag) {
+        if tag.ns == self.below.ns() {
+            self.below.on_timer(
+                &mut SubCtx::new(ctx, &StackMsg::Below, tag.ns),
+                tag.kind,
+                tag.data,
+            );
+        } else {
+            debug_assert_eq!(tag.ns, self.above.ns());
+            self.with_above(ctx, |above, ctx, below| {
+                above.on_timer(ctx, tag.kind, tag.data, below)
+            });
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,6 +400,146 @@ mod tests {
             let heard = w.actor(ProcessId(i)).heard;
             assert!(heard >= 10, "p{i} heard only {heard}");
         }
+    }
+
+    /// Lower toy: `ticks` is 1 after start and grows by one every 10 ms.
+    struct Clock {
+        ticks: u64,
+    }
+
+    impl Component for Clock {
+        type Msg = Tick;
+        fn ns(&self) -> u32 {
+            7
+        }
+        fn on_start<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, Tick>) {
+            self.ticks = 1;
+            ctx.set_timer(SimDuration::from_millis(10), 0, 0);
+        }
+        fn on_message<N: SimMessage>(
+            &mut self,
+            _: &mut SubCtx<'_, '_, N, Tick>,
+            _: ProcessId,
+            _: Tick,
+        ) {
+        }
+        fn on_timer<N: SimMessage>(
+            &mut self,
+            ctx: &mut SubCtx<'_, '_, N, Tick>,
+            kind: u32,
+            _: u64,
+        ) {
+            assert_eq!(kind, 0, "the probe's timer reached the clock");
+            self.ticks += 1;
+            ctx.send_to_others(Tick(1));
+            ctx.set_timer(SimDuration::from_millis(10), 0, 0);
+        }
+    }
+
+    #[derive(Clone, Debug)]
+    struct Ping;
+    impl SimMessage for Ping {
+        fn kind(&self) -> &'static str {
+            "ping"
+        }
+    }
+
+    /// Upper toy: on every callback, records the instant and the clock
+    /// reading it was handed.
+    struct Probe {
+        ns: u32,
+        seen: Vec<(&'static str, Time, u64)>,
+    }
+
+    impl Over<Clock> for Probe {
+        type Msg = Ping;
+        fn ns(&self) -> u32 {
+            self.ns
+        }
+        fn on_start<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, Ping>, clock: &Clock) {
+            self.seen.push(("start", ctx.now(), clock.ticks));
+            ctx.set_timer(SimDuration::from_millis(7), 1, 0);
+        }
+        fn on_message<N: SimMessage>(
+            &mut self,
+            ctx: &mut SubCtx<'_, '_, N, Ping>,
+            _: ProcessId,
+            _: Ping,
+            clock: &Clock,
+        ) {
+            self.seen.push(("message", ctx.now(), clock.ticks));
+        }
+        fn on_timer<N: SimMessage>(
+            &mut self,
+            ctx: &mut SubCtx<'_, '_, N, Ping>,
+            kind: u32,
+            _: u64,
+            clock: &Clock,
+        ) {
+            assert_eq!(kind, 1, "the clock's timer reached the probe");
+            self.seen.push(("timer", ctx.now(), clock.ticks));
+            ctx.send_to_others(Ping);
+            ctx.set_timer(SimDuration::from_millis(7), 1, 0);
+        }
+    }
+
+    fn probe_over_clock(ns: u32) -> Stack<Clock, Probe> {
+        Stack::new(
+            Clock { ticks: 0 },
+            Probe {
+                ns,
+                seen: Vec::new(),
+            },
+        )
+    }
+
+    #[test]
+    fn the_upper_module_sees_the_lower_modules_current_state() {
+        let net = NetworkConfig::new(2).with_default(fd_sim::LinkModel::reliable_const(
+            SimDuration::from_millis(1),
+        ));
+        let mut w = WorldBuilder::new(net).build(|_, _| probe_over_clock(8));
+        // Clock timers at 10, 20, 30, 40; probe timers at 7, 14, .., 42,
+        // each answered by the peer's ping one millisecond later.
+        w.run_until_time(Time::from_millis(45));
+        let node = w.actor(ProcessId(0));
+        assert_eq!(node.below.ticks, 5, "four clock timers, none misrouted");
+        let count = |what| node.above.seen.iter().filter(|s| s.0 == what).count();
+        assert_eq!(
+            (count("start"), count("timer"), count("message")),
+            (1, 6, 6)
+        );
+        assert_eq!(
+            node.above.seen[0],
+            ("start", Time::ZERO, 1),
+            "below starts first"
+        );
+        for &(what, at, ticks) in &node.above.seen {
+            assert_eq!(ticks, 1 + at.as_millis() / 10, "{what} at {at}");
+        }
+        // Both modules' messages keep their own kind under `StackMsg`.
+        assert_eq!(w.metrics().sent_of_kind("tick"), 2 * 4);
+        assert_eq!(w.metrics().sent_of_kind("ping"), 2 * 6);
+
+        // `with_above` lends the same view to a caller outside the loop.
+        w.interact(ProcessId(0), |node, ctx| {
+            let ticks = node.with_above(ctx, |_probe, ctx, clock| {
+                ctx.send(ProcessId(1), Ping);
+                clock.ticks
+            });
+            assert_eq!(ticks, 5);
+        });
+        w.run_until_time(Time::from_millis(47));
+        assert_eq!(
+            w.actor(ProcessId(1)).above.seen.last(),
+            Some(&("message", Time::from_millis(46), 5))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "distinct timer namespaces")]
+    fn a_stack_rejects_equal_namespaces() {
+        let _ = probe_over_clock(7);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //!   new ◇C of Definition 1) with their reducibility relations;
 //! * [`SuspectOracle`] / [`LeaderOracle`] — the local query interface a
 //!   process uses to interrogate its attached detector module;
-//! * [`Component`] / [`SubCtx`] / [`Standalone`] — composition machinery
-//!   so a detector, a broadcast module and a consensus module can share
-//!   one simulated node;
+//! * [`Component`] / [`SubCtx`] / [`Standalone`] / [`Stack`] — composition
+//!   machinery so a detector, a broadcast module and a consensus module
+//!   can share one simulated node;
 //! * [`properties`] — finite-trace checkers for every completeness,
 //!   accuracy, leadership, and consensus property in the paper.
 
@@ -23,7 +23,7 @@ pub mod properties;
 pub mod set;
 
 pub use classes::{Accuracy, Completeness, FdClass, SystemModel};
-pub use component::{Component, Standalone, SubCtx};
+pub use component::{Component, Over, Stack, StackMsg, Standalone, SubCtx};
 pub use detector::{
     obs, observe_suspects, observe_trusted, EventuallyConsistentOracle, FdOutput, LeaderOracle,
     SuspectOracle,
@@ -34,7 +34,7 @@ pub use set::{ProcessSet, MAX_PROCESSES};
 /// Convenient glob-import for downstream crates and examples.
 pub mod prelude {
     pub use crate::classes::{FdClass, SystemModel};
-    pub use crate::component::{Component, Standalone, SubCtx};
+    pub use crate::component::{Component, Stack, Standalone, SubCtx};
     pub use crate::detector::{
         obs, EventuallyConsistentOracle, FdOutput, LeaderOracle, SuspectOracle,
     };

@@ -227,10 +227,14 @@ impl<'a> FdRun<'a> {
     }
 
     /// Weak completeness: eventually every crashed process is permanently
-    /// suspected by **some** correct process.
+    /// suspected by **some** correct process. Vacuous when no process is
+    /// correct (as strong completeness then is).
     pub fn check_weak_completeness(&self) -> CheckResult {
         let crashed = self.crashed();
         let correct = self.correct();
+        if correct.is_empty() {
+            return Ok(());
+        }
         for q in crashed.iter() {
             let found = correct.iter().any(|p| self.final_suspects(p).contains(q));
             if !found {
@@ -260,9 +264,14 @@ impl<'a> FdRun<'a> {
     }
 
     /// Eventual weak accuracy: there is a time after which **some**
-    /// correct process is never suspected by any correct process.
+    /// correct process is never suspected by any correct process. Vacuous
+    /// when no process is correct (as strong accuracy then is): an
+    /// everyone-crashes run must not satisfy ◇P yet violate ◇S.
     pub fn check_eventual_weak_accuracy(&self) -> CheckResult {
         let correct = self.correct();
+        if correct.is_empty() {
+            return Ok(());
+        }
         let candidate = correct
             .iter()
             .find(|q| correct.iter().all(|p| !self.final_suspects(p).contains(*q)));
@@ -782,6 +791,28 @@ mod tests {
         ]);
         let run = FdRun::new(&tr, 3, Time(100));
         assert!(run.check_eventual_weak_accuracy().is_err());
+    }
+
+    #[test]
+    fn every_class_is_vacuous_when_no_process_is_correct() {
+        // Both processes crash while still suspecting each other. Were
+        // the two "some correct process" clauses false over the empty set
+        // while the "every correct process" ones hold, ◇P would hold and
+        // ◇Q, ◇S, ◇W, ◇C — all weaker (§3) — be violated.
+        let tr = Trace::from_events(vec![
+            obs_ev(5, 0, obs::SUSPECTS, pids(&[1])),
+            obs_ev(5, 1, obs::SUSPECTS, pids(&[0])),
+            crash_ev(10, 0),
+            crash_ev(20, 1),
+        ]);
+        let run = FdRun::new(&tr, 2, Time(100));
+        assert!(run.correct().is_empty());
+        run.check_eventual_weak_accuracy().unwrap();
+        run.check_weak_completeness().unwrap();
+        for class in FdClass::ALL {
+            run.check_class(class)
+                .unwrap_or_else(|v| panic!("{class}: {v}"));
+        }
     }
 
     #[test]

@@ -21,14 +21,14 @@
 //! assumed about other links — eventually only the leader's links carry
 //! messages (2(n−1) per period).
 //!
-//! The component takes the current `D.trusted` value as a parameter on
-//! every callback (the flat-host pattern): the surrounding node queries
-//! its co-located ◇C module — exactly the paper's "the algorithm only
-//! uses detector D to query for its trusted process".
+//! [`EcToEp`] is the upper half of a [`Stack`](fd_core::Stack): every
+//! callback receives the co-located detector `D` and reads `D.trusted`
+//! on its first line — exactly the paper's "the algorithm only uses
+//! detector D to query for its trusted process".
 
 use crate::timeout::TimeoutTable;
-use fd_core::{Component, LeaderOracle, ProcessSet, SubCtx, SuspectOracle};
-use fd_sim::{Actor, Context, ProcessId, SimDuration, SimMessage, Time, TimerTag};
+use fd_core::{LeaderOracle, Over, ProcessSet, SubCtx, SuspectOracle};
+use fd_sim::{ProcessId, SimDuration, SimMessage, Time};
 
 /// Observation tag under which the transformation publishes its ◇P
 /// output (distinct from the inner ◇C detector's `fd.suspects`).
@@ -117,11 +117,6 @@ impl EcToEp {
         }
     }
 
-    /// Timer namespace of this component.
-    pub fn ns(&self) -> u32 {
-        crate::ns::EC_TO_EP
-    }
-
     /// Total Task-4 timeout increases (mistakes) so far. Theorem 1's
     /// argument bounds this under partial synchrony.
     pub fn mistakes(&self) -> u64 {
@@ -160,13 +155,18 @@ impl EcToEp {
             self.last_emitted = Some(out);
         }
     }
+}
+
+impl<D: LeaderOracle> Over<D> for EcToEp {
+    type Msg = EpMsg;
+
+    fn ns(&self) -> u32 {
+        crate::ns::EC_TO_EP
+    }
 
     /// Startup: arm the three periodic tasks.
-    pub fn on_start<N: SimMessage>(
-        &mut self,
-        ctx: &mut SubCtx<'_, '_, N, EpMsg>,
-        leader: ProcessId,
-    ) {
+    fn on_start<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, EpMsg>, fd: &D) {
+        let leader = fd.trusted();
         let now = ctx.now();
         for t in &mut self.last_heard {
             *t = now;
@@ -179,13 +179,14 @@ impl EcToEp {
     }
 
     /// Message handler (Tasks 4 and 5).
-    pub fn on_message<N: SimMessage>(
+    fn on_message<N: SimMessage>(
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, EpMsg>,
         from: ProcessId,
         msg: EpMsg,
-        leader: ProcessId,
+        fd: &D,
     ) {
+        let leader = fd.trusted();
         self.note_leadership(ctx, leader);
         match msg {
             EpMsg::Alive => {
@@ -208,13 +209,14 @@ impl EcToEp {
     }
 
     /// Timer handler (Tasks 1, 2 and 3).
-    pub fn on_timer<N: SimMessage>(
+    fn on_timer<N: SimMessage>(
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, EpMsg>,
         kind: u32,
         _data: u64,
-        leader: ProcessId,
+        fd: &D,
     ) {
+        let leader = fd.trusted();
         self.note_leadership(ctx, leader);
         match kind {
             TIMER_LIST => {
@@ -266,125 +268,17 @@ impl SuspectOracle for EcToEp {
     }
 }
 
-/// Combined node message: the inner ◇C detector's messages plus the
-/// transformation's.
-#[derive(Debug, Clone)]
-pub enum StackMsg<A, B> {
-    /// A message of the inner failure detector.
-    Fd(A),
-    /// A message of the stacked (transformation) component.
-    Ep(B),
-}
-
-impl<A: SimMessage, B: SimMessage> SimMessage for StackMsg<A, B> {
-    fn kind(&self) -> &'static str {
-        match self {
-            StackMsg::Fd(m) => m.kind(),
-            StackMsg::Ep(m) => m.kind(),
-        }
-    }
-    fn round(&self) -> Option<u64> {
-        match self {
-            StackMsg::Fd(m) => m.round(),
-            StackMsg::Ep(m) => m.round(),
-        }
-    }
-}
-
-/// A ready-made node hosting a ◇C detector `D` plus the Fig. 2
-/// transformation, wired exactly as the paper prescribes: the
-/// transformation queries `D.trusted` and nothing else.
-pub struct EcToEpNode<D: Component> {
-    /// The inner ◇C (or Ω) detector.
-    pub fd: D,
-    /// The transformation module.
-    pub ep: EcToEp,
-}
-
-impl<D: Component + LeaderOracle> EcToEpNode<D> {
-    /// Build the node from its two modules.
-    pub fn new(fd: D, ep: EcToEp) -> Self {
-        assert_ne!(
-            fd.ns(),
-            ep.ns(),
-            "components must own distinct timer namespaces"
-        );
-        EcToEpNode { fd, ep }
-    }
-}
-
-impl<D: Component + LeaderOracle> SuspectOracle for EcToEpNode<D> {
-    /// The node's ◇P output (the transformation's list).
-    fn suspected(&self) -> ProcessSet {
-        self.ep.suspected()
-    }
-}
-
-impl<D: Component + LeaderOracle> LeaderOracle for EcToEpNode<D> {
-    fn trusted(&self) -> ProcessId {
-        self.fd.trusted()
-    }
-}
-
-impl<D: Component + LeaderOracle> Actor for EcToEpNode<D> {
-    type Msg = StackMsg<D::Msg, EpMsg>;
-
-    fn on_start(&mut self, ctx: &mut Context<'_, Self::Msg>) {
-        let ns = self.fd.ns();
-        self.fd.on_start(&mut SubCtx::new(ctx, &StackMsg::Fd, ns));
-        let leader = self.fd.trusted();
-        let ns = self.ep.ns();
-        self.ep
-            .on_start(&mut SubCtx::new(ctx, &StackMsg::Ep, ns), leader);
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<'_, Self::Msg>, from: ProcessId, msg: Self::Msg) {
-        match msg {
-            StackMsg::Fd(m) => {
-                let ns = self.fd.ns();
-                self.fd
-                    .on_message(&mut SubCtx::new(ctx, &StackMsg::Fd, ns), from, m);
-            }
-            StackMsg::Ep(m) => {
-                let leader = self.fd.trusted();
-                let ns = self.ep.ns();
-                self.ep
-                    .on_message(&mut SubCtx::new(ctx, &StackMsg::Ep, ns), from, m, leader);
-            }
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_, Self::Msg>, tag: TimerTag) {
-        if tag.ns == self.fd.ns() {
-            self.fd.on_timer(
-                &mut SubCtx::new(ctx, &StackMsg::Fd, tag.ns),
-                tag.kind,
-                tag.data,
-            );
-        } else {
-            debug_assert_eq!(tag.ns, self.ep.ns());
-            let leader = self.fd.trusted();
-            self.ep.on_timer(
-                &mut SubCtx::new(ctx, &StackMsg::Ep, tag.ns),
-                tag.kind,
-                tag.data,
-                leader,
-            );
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::leader::{LeaderConfig, LeaderDetector};
-    use fd_core::{FdClass, FdRun};
+    use fd_core::{Component, FdClass, FdRun, Stack};
     use fd_sim::{LinkModel, NetworkConfig, Time, WorldBuilder};
 
-    type Node = EcToEpNode<LeaderDetector>;
+    type Node = Stack<LeaderDetector, EcToEp>;
 
     fn build_node(pid: ProcessId, n: usize) -> Node {
-        EcToEpNode::new(
+        Stack::new(
             LeaderDetector::new(pid, n, LeaderConfig::default()),
             EcToEp::new(pid, n, EcToEpConfig::default()),
         )
@@ -489,9 +383,9 @@ mod tests {
             .seed(55)
             .build(build_node);
         w.run_until_time(Time::from_secs(2));
-        let mistakes_2s = w.actor(ProcessId(0)).ep.mistakes();
+        let mistakes_2s = w.actor(ProcessId(0)).above.mistakes();
         w.run_until_time(Time::from_secs(6));
-        let mistakes_6s = w.actor(ProcessId(0)).ep.mistakes();
+        let mistakes_6s = w.actor(ProcessId(0)).above.mistakes();
         // After GST (200ms) + timeout growth, no new mistakes accumulate.
         assert_eq!(
             mistakes_2s, mistakes_6s,
@@ -551,7 +445,7 @@ mod tests {
             ) {
             }
         }
-        let _ = EcToEpNode::new(
+        let _ = Stack::new(
             BadNs(LeaderDetector::new(
                 ProcessId(0),
                 3,

@@ -22,11 +22,11 @@
 //!   timeout detector may be wrong forever, and "retransmit forever" is
 //!   the only safe policy without counter evidence).
 //!
-//! [`QuiescentChannel`] implements exactly that protocol;
-//! [`QuiescentNode`] hosts the counter detector and the channel together.
+//! [`QuiescentChannel`] implements exactly that protocol, as the upper
+//! half of a [`Stack`](fd_core::Stack) over [`HeartbeatCounter`].
 
-use fd_core::{Component, SubCtx};
-use fd_sim::{Actor, Context, Payload, ProcessId, SimDuration, SimMessage, TimerTag};
+use fd_core::{Component, Over, SubCtx};
+use fd_sim::{Payload, ProcessId, SimDuration, SimMessage};
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Configuration of the [`HeartbeatCounter`] detector.
@@ -179,11 +179,6 @@ impl QuiescentChannel {
         }
     }
 
-    /// Timer namespace of this component.
-    pub fn ns(&self) -> u32 {
-        crate::ns::QUIESCENT
-    }
-
     /// Number of not-yet-acknowledged messages.
     pub fn pending_len(&self) -> usize {
         self.pending.len()
@@ -219,12 +214,13 @@ impl QuiescentChannel {
     }
 
     /// Reliably send `payload` to `to`; returns the sequence number.
+    /// Callable through [`Stack::with_above`](fd_core::Stack::with_above).
     pub fn send<N: SimMessage>(
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, QcMsg>,
         to: ProcessId,
         payload: u64,
-        hb: &[u64],
+        hb: &HeartbeatCounter,
     ) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -235,21 +231,34 @@ impl QuiescentChannel {
             sent_at_hb: 0,
         });
         let idx = self.pending.len() - 1;
-        self.transmit(ctx, idx, hb);
+        self.transmit(ctx, idx, hb.counters());
         seq
+    }
+}
+
+impl Over<HeartbeatCounter> for QuiescentChannel {
+    type Msg = QcMsg;
+
+    fn ns(&self) -> u32 {
+        crate::ns::QUIESCENT
     }
 
     /// Startup: arm the retry scan.
-    pub fn on_start<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, QcMsg>) {
+    fn on_start<N: SimMessage>(
+        &mut self,
+        ctx: &mut SubCtx<'_, '_, N, QcMsg>,
+        _hb: &HeartbeatCounter,
+    ) {
         ctx.set_timer(self.cfg.period, TIMER_RETRY, 0);
     }
 
     /// Handle channel traffic.
-    pub fn on_message<N: SimMessage>(
+    fn on_message<N: SimMessage>(
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, QcMsg>,
         from: ProcessId,
         msg: QcMsg,
+        _hb: &HeartbeatCounter,
     ) {
         match msg {
             QcMsg::Data { seq, payload } => {
@@ -269,14 +278,15 @@ impl QuiescentChannel {
 
     /// Periodic retry scan: retransmit exactly the pending messages whose
     /// receiver shows fresh heartbeat evidence.
-    pub fn on_timer<N: SimMessage>(
+    fn on_timer<N: SimMessage>(
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, QcMsg>,
         kind: u32,
         _data: u64,
-        hb: &[u64],
+        hb: &HeartbeatCounter,
     ) {
         debug_assert_eq!(kind, TIMER_RETRY);
+        let hb = hb.counters();
         for idx in 0..self.pending.len() {
             if hb[self.pending[idx].to.index()] > self.pending[idx].sent_at_hb {
                 self.transmit(ctx, idx, hb);
@@ -286,101 +296,29 @@ impl QuiescentChannel {
     }
 }
 
-/// Combined node message for [`QuiescentNode`].
-#[derive(Debug, Clone)]
-pub enum QcNodeMsg {
-    /// Heartbeat traffic.
-    Hb(HbBeat),
-    /// Channel traffic.
-    Qc(QcMsg),
-}
-
-impl SimMessage for QcNodeMsg {
-    fn kind(&self) -> &'static str {
-        match self {
-            QcNodeMsg::Hb(m) => m.kind(),
-            QcNodeMsg::Qc(m) => m.kind(),
-        }
-    }
-}
-
-/// A node hosting the Heartbeat counter detector and the quiescent
-/// channel — the full \[1\] stack.
-pub struct QuiescentNode {
-    /// The timeout-free detector.
-    pub hb: HeartbeatCounter,
-    /// The reliable channel endpoint.
-    pub qc: QuiescentChannel,
-}
-
-impl QuiescentNode {
-    /// Build the node for one process of `n`.
-    pub fn new(n: usize, cfg: HbCounterConfig) -> QuiescentNode {
-        QuiescentNode {
-            hb: HeartbeatCounter::new(n, cfg.clone()),
-            qc: QuiescentChannel::new(cfg),
-        }
-    }
-
-    /// Reliably send `payload` to `to` (callable via `World::interact`).
-    pub fn send(&mut self, ctx: &mut Context<'_, QcNodeMsg>, to: ProcessId, payload: u64) -> u64 {
-        let ns = self.qc.ns();
-        // fd-lint: allow(HP002, reason = "interactive reliable-send API, one snapshot per user call; not the per-delivery path")
-        let hb = self.hb.counters().to_vec();
-        self.qc
-            .send(&mut SubCtx::new(ctx, &QcNodeMsg::Qc, ns), to, payload, &hb)
-    }
-}
-
-impl Actor for QuiescentNode {
-    type Msg = QcNodeMsg;
-
-    fn on_start(&mut self, ctx: &mut Context<'_, QcNodeMsg>) {
-        let ns = self.hb.ns();
-        self.hb.on_start(&mut SubCtx::new(ctx, &QcNodeMsg::Hb, ns));
-        let ns = self.qc.ns();
-        self.qc.on_start(&mut SubCtx::new(ctx, &QcNodeMsg::Qc, ns));
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<'_, QcNodeMsg>, from: ProcessId, msg: QcNodeMsg) {
-        match msg {
-            QcNodeMsg::Hb(m) => {
-                let ns = self.hb.ns();
-                self.hb
-                    .on_message(&mut SubCtx::new(ctx, &QcNodeMsg::Hb, ns), from, m);
-            }
-            QcNodeMsg::Qc(m) => {
-                let ns = self.qc.ns();
-                self.qc
-                    .on_message(&mut SubCtx::new(ctx, &QcNodeMsg::Qc, ns), from, m);
-            }
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_, QcNodeMsg>, tag: TimerTag) {
-        if tag.ns == self.hb.ns() {
-            self.hb.on_timer(
-                &mut SubCtx::new(ctx, &QcNodeMsg::Hb, tag.ns),
-                tag.kind,
-                tag.data,
-            );
-        } else {
-            debug_assert_eq!(tag.ns, self.qc.ns());
-            let hb = self.hb.counters().to_vec();
-            self.qc.on_timer(
-                &mut SubCtx::new(ctx, &QcNodeMsg::Qc, tag.ns),
-                tag.kind,
-                tag.data,
-                &hb,
-            );
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fd_core::Stack;
     use fd_sim::{LinkModel, NetworkConfig, Time, WorldBuilder};
+
+    type Node = Stack<HeartbeatCounter, QuiescentChannel>;
+
+    /// The full \[1\] stack for one process of `n`.
+    fn node(_: ProcessId, n: usize) -> Node {
+        let cfg = HbCounterConfig::default();
+        Stack::new(
+            HeartbeatCounter::new(n, cfg.clone()),
+            QuiescentChannel::new(cfg),
+        )
+    }
+
+    /// Reliably send `payload` from `from` to `to`.
+    fn send(w: &mut fd_sim::World<Node>, from: ProcessId, to: ProcessId, payload: u64) {
+        w.interact(from, |node, ctx| {
+            node.with_above(ctx, |qc, ctx, hb| qc.send(ctx, to, payload, hb));
+        });
+    }
 
     fn lossy_net(n: usize, drop: f64) -> NetworkConfig {
         NetworkConfig::new(n).with_default(LinkModel::fair_lossy(
@@ -396,18 +334,18 @@ mod tests {
         let mut w = WorldBuilder::new(lossy_net(n, 0.2))
             .seed(111)
             .crash_at(ProcessId(2), Time::from_millis(300))
-            .build(|_, n| QuiescentNode::new(n, HbCounterConfig::default()));
+            .build(node);
         w.run_until_time(Time::from_secs(1));
-        let crashed_at_1s = w.actor(ProcessId(0)).hb.counter(ProcessId(2));
-        let correct_at_1s = w.actor(ProcessId(0)).hb.counter(ProcessId(1));
+        let crashed_at_1s = w.actor(ProcessId(0)).below.counter(ProcessId(2));
+        let correct_at_1s = w.actor(ProcessId(0)).below.counter(ProcessId(1));
         w.run_until_time(Time::from_secs(3));
         assert_eq!(
-            w.actor(ProcessId(0)).hb.counter(ProcessId(2)),
+            w.actor(ProcessId(0)).below.counter(ProcessId(2)),
             crashed_at_1s,
             "a crashed process's counter must freeze"
         );
         assert!(
-            w.actor(ProcessId(0)).hb.counter(ProcessId(1)) > correct_at_1s + 100,
+            w.actor(ProcessId(0)).below.counter(ProcessId(1)) > correct_at_1s + 100,
             "a correct process's counter keeps growing"
         );
     }
@@ -417,16 +355,12 @@ mod tests {
         // 70% loss on every link: retransmissions driven by heartbeat
         // evidence must still get the message through, exactly once.
         let n = 2;
-        let mut w = WorldBuilder::new(lossy_net(n, 0.7))
-            .seed(112)
-            .build(|_, n| QuiescentNode::new(n, HbCounterConfig::default()));
-        w.interact(ProcessId(0), |node, ctx| {
-            node.send(ctx, ProcessId(1), 4242);
-        });
+        let mut w = WorldBuilder::new(lossy_net(n, 0.7)).seed(112).build(node);
+        send(&mut w, ProcessId(0), ProcessId(1), 4242);
         let got = w.run_until(Time::from_secs(30), |w| {
             // Peek receiver state through the trace-free accessor.
             w.actor(ProcessId(1))
-                .qc
+                .above
                 .received
                 .contains(&(ProcessId(0), 0))
         });
@@ -434,7 +368,7 @@ mod tests {
         // Exactly-once delivery even though Data was retransmitted.
         let mut rx = w
             .actor(ProcessId(1))
-            .qc
+            .above
             .delivered
             .iter()
             .copied()
@@ -460,7 +394,7 @@ mod tests {
             .count();
         assert_eq!(announced, 1, "one qc.delivered observation per delivery");
         assert!(
-            w.actor(ProcessId(0)).qc.transmissions(ProcessId(1), 0) >= 2,
+            w.actor(ProcessId(0)).above.transmissions(ProcessId(1), 0) >= 2,
             "loss must have forced retransmissions"
         );
     }
@@ -475,17 +409,15 @@ mod tests {
         let mut w = WorldBuilder::new(lossy_net(n, 0.3))
             .seed(113)
             .crash_at(ProcessId(1), Time::ZERO)
-            .build(|_, n| QuiescentNode::new(n, HbCounterConfig::default()));
-        w.interact(ProcessId(0), |node, ctx| {
-            node.send(ctx, ProcessId(1), 7);
-        });
+            .build(node);
+        send(&mut w, ProcessId(0), ProcessId(1), 7);
         w.run_until_time(Time::from_secs(2));
-        let tx_at_2s = w.actor(ProcessId(0)).qc.transmissions(ProcessId(1), 0);
+        let tx_at_2s = w.actor(ProcessId(0)).above.transmissions(ProcessId(1), 0);
         w.run_until_time(Time::from_secs(6));
-        let tx_at_6s = w.actor(ProcessId(0)).qc.transmissions(ProcessId(1), 0);
+        let tx_at_6s = w.actor(ProcessId(0)).above.transmissions(ProcessId(1), 0);
         assert_eq!(tx_at_2s, tx_at_6s, "retransmissions must stop (quiescence)");
         assert_eq!(
-            w.actor(ProcessId(0)).qc.pending_len(),
+            w.actor(ProcessId(0)).above.pending_len(),
             1,
             "still unacked, but silent"
         );
@@ -496,21 +428,17 @@ mod tests {
         // Lost acks cause duplicate Data; the receiver re-acks and the
         // sender's pending set eventually empties.
         let n = 2;
-        let mut w = WorldBuilder::new(lossy_net(n, 0.6))
-            .seed(114)
-            .build(|_, n| QuiescentNode::new(n, HbCounterConfig::default()));
+        let mut w = WorldBuilder::new(lossy_net(n, 0.6)).seed(114).build(node);
         for k in 0..5u64 {
-            w.interact(ProcessId(0), move |node, ctx| {
-                node.send(ctx, ProcessId(1), 100 + k);
-            });
+            send(&mut w, ProcessId(0), ProcessId(1), 100 + k);
         }
         let emptied = w.run_until(Time::from_secs(30), |w| {
-            w.actor(ProcessId(0)).qc.pending_len() == 0
+            w.actor(ProcessId(0)).above.pending_len() == 0
         });
         assert!(emptied, "all five messages must eventually be acked");
         let mut payloads: Vec<u64> = w
             .actor(ProcessId(1))
-            .qc
+            .above
             .delivered
             .iter()
             .map(|(_, _, v)| *v)

@@ -18,8 +18,14 @@
 //! | [`vcube`] | hierarchical hypercube testing (VCube/adaptive-DSD lineage) | ◇P | `≤ 2n·⌈log₂ n⌉` |
 //! | [`scripted`] | oracle detectors for adversarial runs | any (by construction) | `0` |
 //!
-//! All are [`fd_core::Component`]s; they run standalone (detector-only
-//! worlds) or composed with broadcast/consensus modules on one node.
+//! The detectors are [`fd_core::Component`]s: they run
+//! [`Standalone`](fd_core::Standalone) (detector-only worlds) or composed
+//! with broadcast/consensus modules on one node. The four modules that
+//! exchange messages of their own *on top of* a detector —
+//! [`ec_to_ep`], [`weak_to_strong`], [`omega_gossip`] and
+//! [`hb_counter`]'s channel — implement [`fd_core::Over`] and run as the
+//! upper half of a [`fd_core::Stack`]; the message-free [`omega`]
+//! adapters wrap their detector instead.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -71,28 +77,25 @@ pub mod ns {
     pub const CONSENSUS: u32 = 9;
 }
 
-pub use ec_to_ep::{EcToEp, EcToEpConfig, EcToEpNode, EpMsg, StackMsg, EP_SUSPECTS_OUT};
+pub use ec_to_ep::{EcToEp, EcToEpConfig, EpMsg, EP_SUSPECTS_OUT};
 pub use fused::{FusedConfig, FusedDetector, FusedMsg};
 pub use hb_counter::{
-    HbBeat, HbCounterConfig, HeartbeatCounter, QcMsg, QcNodeMsg, QuiescentChannel, QuiescentNode,
-    QC_DELIVERED,
+    HbBeat, HbCounterConfig, HeartbeatCounter, QcMsg, QuiescentChannel, QC_DELIVERED,
 };
 pub use heartbeat::{HeartbeatConfig, HeartbeatDetector, HeartbeatMsg};
 pub use leader::{LeaderAlive, LeaderConfig, LeaderDetector};
 pub use omega::{LeaderByFirstNonSuspected, SuspectAllButLeader};
-pub use omega_gossip::{GossipMsg, OmegaGossip, OmegaGossipConfig, OmegaGossipNode};
+pub use omega_gossip::{GossipMsg, OmegaGossip, OmegaGossipConfig};
 pub use omega_stable::{StableAlive, StableLeaderConfig, StableLeaderDetector};
 pub use ring::{RingConfig, RingDetector, RingMsg};
 pub use scripted::{NoMsg, ScriptedDetector};
 pub use timeout::{GrowthPolicy, TimeoutTable};
 pub use vcube::{VCubeConfig, VCubeDetector, VCubeMsg};
-pub use weak_to_strong::{
-    W2sMsg, WeakToStrong, WeakToStrongConfig, WeakToStrongNode, W2S_SUSPECTS_OUT,
-};
+pub use weak_to_strong::{W2sMsg, WeakToStrong, WeakToStrongConfig, W2S_SUSPECTS_OUT};
 
 /// Convenient glob-import for downstream crates and examples.
 pub mod prelude {
-    pub use crate::ec_to_ep::{EcToEp, EcToEpConfig, EcToEpNode, EP_SUSPECTS_OUT};
+    pub use crate::ec_to_ep::{EcToEp, EcToEpConfig, EP_SUSPECTS_OUT};
     pub use crate::fused::{FusedConfig, FusedDetector};
     pub use crate::heartbeat::{HeartbeatConfig, HeartbeatDetector};
     pub use crate::leader::{LeaderConfig, LeaderDetector};

@@ -23,8 +23,8 @@
 //! the paper's "fortunately, there are ◇S failure detectors that can be
 //! used to build a ◇C failure detector at no additional cost."
 
-use fd_core::{Component, LeaderOracle, ProcessSet, SubCtx, SuspectOracle};
-use fd_sim::{Actor, Context, ProcessId, SimDuration, SimMessage, TimerTag};
+use fd_core::{LeaderOracle, Over, SubCtx, SuspectOracle};
+use fd_sim::{ProcessId, SimDuration, SimMessage};
 
 /// Configuration of the [`OmegaGossip`] reduction.
 #[derive(Debug, Clone)]
@@ -53,8 +53,9 @@ impl SimMessage for GossipMsg {
 
 const TIMER_GOSSIP: u32 = 0;
 
-/// The counter-gossip Ω module (flat-host: the surrounding node feeds it
-/// the local suspect view on every callback).
+/// The counter-gossip Ω module: the upper half of a
+/// [`Stack`](fd_core::Stack) over any suspect-based detector `D` — suspects
+/// from `D`, `trusted` from the gossip, together a ◇C detector.
 #[derive(Debug)]
 pub struct OmegaGossip {
     me: ProcessId,
@@ -78,11 +79,6 @@ impl OmegaGossip {
         }
     }
 
-    /// Timer namespace of this component.
-    pub fn ns(&self) -> u32 {
-        crate::ns::OMEGA_GOSSIP
-    }
-
     /// The accusation counter currently recorded for `q`.
     pub fn counter(&self, q: ProcessId) -> u64 {
         self.counters[q.index()]
@@ -103,19 +99,28 @@ impl OmegaGossip {
             ctx.observe(fd_core::obs::TRUSTED, fd_sim::Payload::Pid(next));
         }
     }
+}
+
+impl<D: SuspectOracle> Over<D> for OmegaGossip {
+    type Msg = GossipMsg;
+
+    fn ns(&self) -> u32 {
+        crate::ns::OMEGA_GOSSIP
+    }
 
     /// Startup: arm the gossip timer.
-    pub fn on_start<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, GossipMsg>) {
+    fn on_start<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, GossipMsg>, _fd: &D) {
         ctx.set_timer(self.cfg.period, TIMER_GOSSIP, 0);
         self.refresh(ctx);
     }
 
     /// Merge a peer's counters.
-    pub fn on_message<N: SimMessage>(
+    fn on_message<N: SimMessage>(
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, GossipMsg>,
         _from: ProcessId,
         msg: GossipMsg,
+        _fd: &D,
     ) {
         for (mine, theirs) in self.counters.iter_mut().zip(msg.0.iter()) {
             *mine = (*mine).max(*theirs);
@@ -123,17 +128,17 @@ impl OmegaGossip {
         self.refresh(ctx);
     }
 
-    /// Periodic accusation + gossip, given the local detector's current
-    /// suspect view.
-    pub fn on_timer<N: SimMessage>(
+    /// Periodic accusation of everyone the local detector currently
+    /// suspects, then gossip.
+    fn on_timer<N: SimMessage>(
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, GossipMsg>,
         kind: u32,
         _data: u64,
-        local_suspects: ProcessSet,
+        fd: &D,
     ) {
         debug_assert_eq!(kind, TIMER_GOSSIP);
-        for q in local_suspects.iter() {
+        for q in fd.suspected().iter() {
             if q != self.me {
                 self.counters[q.index()] += 1;
             }
@@ -150,109 +155,14 @@ impl LeaderOracle for OmegaGossip {
     }
 }
 
-/// Combined node message for [`OmegaGossipNode`].
-#[derive(Debug, Clone)]
-pub enum OgNodeMsg<A> {
-    /// A message of the underlying suspect detector.
-    Fd(A),
-    /// A gossip message of the Ω reduction.
-    Gossip(GossipMsg),
-}
-
-impl<A: SimMessage> SimMessage for OgNodeMsg<A> {
-    fn kind(&self) -> &'static str {
-        match self {
-            OgNodeMsg::Fd(m) => m.kind(),
-            OgNodeMsg::Gossip(m) => m.kind(),
-        }
-    }
-}
-
-/// A node hosting a suspect-based detector `D` plus the Ω reduction —
-/// together a ◇C detector (suspects from `D`, trusted from the gossip).
-pub struct OmegaGossipNode<D: Component> {
-    /// The suspect source (any ◇W or ◇S detector).
-    pub fd: D,
-    /// The Ω reduction.
-    pub omega: OmegaGossip,
-}
-
-impl<D: Component + SuspectOracle> OmegaGossipNode<D> {
-    /// Build the node from its two modules.
-    pub fn new(fd: D, omega: OmegaGossip) -> Self {
-        assert_ne!(
-            fd.ns(),
-            omega.ns(),
-            "components must own distinct timer namespaces"
-        );
-        OmegaGossipNode { fd, omega }
-    }
-}
-
-impl<D: Component + SuspectOracle> SuspectOracle for OmegaGossipNode<D> {
-    fn suspected(&self) -> ProcessSet {
-        self.fd.suspected()
-    }
-}
-
-impl<D: Component + SuspectOracle> LeaderOracle for OmegaGossipNode<D> {
-    fn trusted(&self) -> ProcessId {
-        self.omega.trusted()
-    }
-}
-
-impl<D: Component + SuspectOracle> Actor for OmegaGossipNode<D> {
-    type Msg = OgNodeMsg<D::Msg>;
-
-    fn on_start(&mut self, ctx: &mut Context<'_, Self::Msg>) {
-        let ns = self.fd.ns();
-        self.fd.on_start(&mut SubCtx::new(ctx, &OgNodeMsg::Fd, ns));
-        let ns = self.omega.ns();
-        self.omega
-            .on_start(&mut SubCtx::new(ctx, &OgNodeMsg::Gossip, ns));
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<'_, Self::Msg>, from: ProcessId, msg: Self::Msg) {
-        match msg {
-            OgNodeMsg::Fd(m) => {
-                let ns = self.fd.ns();
-                self.fd
-                    .on_message(&mut SubCtx::new(ctx, &OgNodeMsg::Fd, ns), from, m);
-            }
-            OgNodeMsg::Gossip(m) => {
-                let ns = self.omega.ns();
-                self.omega
-                    .on_message(&mut SubCtx::new(ctx, &OgNodeMsg::Gossip, ns), from, m);
-            }
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_, Self::Msg>, tag: TimerTag) {
-        if tag.ns == self.fd.ns() {
-            self.fd.on_timer(
-                &mut SubCtx::new(ctx, &OgNodeMsg::Fd, tag.ns),
-                tag.kind,
-                tag.data,
-            );
-        } else {
-            debug_assert_eq!(tag.ns, self.omega.ns());
-            let local = self.fd.suspected();
-            self.omega.on_timer(
-                &mut SubCtx::new(ctx, &OgNodeMsg::Gossip, tag.ns),
-                tag.kind,
-                tag.data,
-                local,
-            );
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::heartbeat::{HeartbeatConfig, HeartbeatDetector};
-    use fd_core::{FdClass, FdRun};
+    use fd_core::{FdClass, FdRun, ProcessSet, Stack};
     use fd_sim::{LinkModel, NetworkConfig, Time, WorldBuilder};
+
+    type Node = Stack<HeartbeatDetector, OmegaGossip>;
 
     fn jitter_net(n: usize) -> NetworkConfig {
         NetworkConfig::new(n).with_default(LinkModel::reliable_uniform(
@@ -262,16 +172,16 @@ mod tests {
     }
 
     /// Ω over a full heartbeat ◇P source.
-    fn ep_node(pid: ProcessId, n: usize) -> OmegaGossipNode<HeartbeatDetector> {
-        OmegaGossipNode::new(
+    fn ep_node(pid: ProcessId, n: usize) -> Node {
+        Stack::new(
             HeartbeatDetector::new(pid, n, HeartbeatConfig::default()),
             OmegaGossip::new(pid, n, OmegaGossipConfig::default()),
         )
     }
 
     /// Ω over a neighbour-monitoring ◇W source (weak completeness only).
-    fn weak_node(pid: ProcessId, n: usize) -> OmegaGossipNode<HeartbeatDetector> {
-        OmegaGossipNode::new(
+    fn weak_node(pid: ProcessId, n: usize) -> Node {
+        Stack::new(
             HeartbeatDetector::restricted(
                 pid,
                 n,
@@ -329,12 +239,12 @@ mod tests {
             .crash_at(ProcessId(2), Time::from_millis(100))
             .build(ep_node);
         w.run_until_time(Time::from_secs(1));
-        let at_1s = w.actor(ProcessId(0)).omega.counter(ProcessId(2));
+        let at_1s = w.actor(ProcessId(0)).above.counter(ProcessId(2));
         w.run_until_time(Time::from_secs(3));
-        let at_3s = w.actor(ProcessId(0)).omega.counter(ProcessId(2));
+        let at_3s = w.actor(ProcessId(0)).above.counter(ProcessId(2));
         assert!(at_3s > at_1s, "a crashed process's counter keeps growing");
         // While the eventual leader's counter is bounded (0 here).
-        assert_eq!(w.actor(ProcessId(1)).omega.counter(ProcessId(0)), 0);
+        assert_eq!(w.actor(ProcessId(1)).above.counter(ProcessId(0)), 0);
     }
 
     #[test]

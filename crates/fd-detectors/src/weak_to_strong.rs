@@ -10,14 +10,14 @@
 //! unsuspected-by-its-monitor process keeps being cleared everywhere each
 //! time its own gossip arrives.
 //!
-//! The amplifier is a component that takes the local (weak) suspect view
-//! as a callback parameter, so any source detector can feed it — the
-//! bundled [`WeakToStrongNode`] pairs it with a neighbour-monitoring
-//! restricted heartbeat, the canonical ◇W example.
+//! The amplifier is the upper half of a [`Stack`](fd_core::Stack) over
+//! any source detector `D` and reads `D.suspected` — the local (weak)
+//! view — on every callback; the tests pair it with a
+//! neighbour-monitoring restricted heartbeat, the canonical ◇W example.
 
 // fd-lint: allow(API001, reason = "the §3 ◇W→◇S construction of the class hierarchy: no stack needs it, tests/class_hierarchy.rs checks it")
-use fd_core::{Component, LeaderOracle, ProcessSet, SubCtx, SuspectOracle};
-use fd_sim::{Actor, Context, ProcessId, SimDuration, SimMessage, TimerTag};
+use fd_core::{Over, ProcessSet, SubCtx, SuspectOracle};
+use fd_sim::{ProcessId, SimDuration, SimMessage};
 
 /// Observation tag under which the amplifier publishes its ◇S output.
 pub use fd_obs::keys::W2S_SUSPECTS_OUT;
@@ -70,11 +70,6 @@ impl WeakToStrong {
         }
     }
 
-    /// Timer namespace of this component.
-    pub fn ns(&self) -> u32 {
-        crate::ns::WEAK_TO_STRONG
-    }
-
     fn absorb_local(&mut self, local: ProcessSet) {
         self.output = &self.output | &local;
         self.output.remove(self.me);
@@ -89,25 +84,29 @@ impl WeakToStrong {
             self.last_emitted = Some(self.output.clone());
         }
     }
+}
+
+impl<D: SuspectOracle> Over<D> for WeakToStrong {
+    type Msg = W2sMsg;
+
+    fn ns(&self) -> u32 {
+        crate::ns::WEAK_TO_STRONG
+    }
 
     /// Startup: arm the gossip timer.
-    pub fn on_start<N: SimMessage>(
-        &mut self,
-        ctx: &mut SubCtx<'_, '_, N, W2sMsg>,
-        local: ProcessSet,
-    ) {
-        self.absorb_local(local);
+    fn on_start<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, W2sMsg>, weak: &D) {
+        self.absorb_local(weak.suspected());
         ctx.set_timer(self.cfg.period, TIMER_GOSSIP, 0);
         self.emit_if_changed(ctx);
     }
 
     /// Merge a peer's gossip.
-    pub fn on_message<N: SimMessage>(
+    fn on_message<N: SimMessage>(
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, W2sMsg>,
         from: ProcessId,
         msg: W2sMsg,
-        local: ProcessSet,
+        weak: &D,
     ) {
         let theirs: ProcessSet = msg.0.iter().collect();
         self.output = &self.output | &theirs;
@@ -116,20 +115,20 @@ impl WeakToStrong {
         // suspicions don't linger via our own earlier gossip.
         self.output.remove(from);
         self.output.remove(self.me);
-        self.absorb_local(local);
+        self.absorb_local(weak.suspected());
         self.emit_if_changed(ctx);
     }
 
     /// Periodic gossip.
-    pub fn on_timer<N: SimMessage>(
+    fn on_timer<N: SimMessage>(
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, W2sMsg>,
         kind: u32,
         _data: u64,
-        local: ProcessSet,
+        weak: &D,
     ) {
         debug_assert_eq!(kind, TIMER_GOSSIP);
-        self.absorb_local(local);
+        self.absorb_local(weak.suspected());
         ctx.send_to_others(W2sMsg(self.output.to_vec()));
         ctx.set_timer(self.cfg.period, TIMER_GOSSIP, 0);
         self.emit_if_changed(ctx);
@@ -142,136 +141,12 @@ impl SuspectOracle for WeakToStrong {
     }
 }
 
-/// Combined node message for [`WeakToStrongNode`].
-#[derive(Debug, Clone)]
-pub enum W2sNodeMsg<A> {
-    /// A message of the weak source detector.
-    Weak(A),
-    /// A gossip message of the amplifier.
-    Gossip(W2sMsg),
-}
-
-impl<A: SimMessage> SimMessage for W2sNodeMsg<A> {
-    fn kind(&self) -> &'static str {
-        match self {
-            W2sNodeMsg::Weak(m) => m.kind(),
-            W2sNodeMsg::Gossip(m) => m.kind(),
-        }
-    }
-}
-
-/// A node hosting a weak source detector `D` plus the amplifier.
-pub struct WeakToStrongNode<D: Component> {
-    /// The ◇W source.
-    pub weak: D,
-    /// The amplifier.
-    pub amp: WeakToStrong,
-}
-
-impl<D: Component + SuspectOracle> WeakToStrongNode<D> {
-    /// Build the node from its two modules.
-    pub fn new(weak: D, amp: WeakToStrong) -> Self {
-        assert_ne!(
-            weak.ns(),
-            amp.ns(),
-            "components must own distinct timer namespaces"
-        );
-        WeakToStrongNode { weak, amp }
-    }
-}
-
-impl<D: Component + SuspectOracle> SuspectOracle for WeakToStrongNode<D> {
-    /// The amplified (◇S) output.
-    fn suspected(&self) -> ProcessSet {
-        self.amp.suspected()
-    }
-}
-
-impl<D: Component + SuspectOracle> Actor for WeakToStrongNode<D> {
-    type Msg = W2sNodeMsg<D::Msg>;
-
-    fn on_start(&mut self, ctx: &mut Context<'_, Self::Msg>) {
-        let ns = self.weak.ns();
-        self.weak
-            .on_start(&mut SubCtx::new(ctx, &W2sNodeMsg::Weak, ns));
-        let local = self.weak.suspected();
-        let ns = self.amp.ns();
-        self.amp
-            .on_start(&mut SubCtx::new(ctx, &W2sNodeMsg::Gossip, ns), local);
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<'_, Self::Msg>, from: ProcessId, msg: Self::Msg) {
-        match msg {
-            W2sNodeMsg::Weak(m) => {
-                let ns = self.weak.ns();
-                self.weak
-                    .on_message(&mut SubCtx::new(ctx, &W2sNodeMsg::Weak, ns), from, m);
-            }
-            W2sNodeMsg::Gossip(m) => {
-                let local = self.weak.suspected();
-                let ns = self.amp.ns();
-                self.amp.on_message(
-                    &mut SubCtx::new(ctx, &W2sNodeMsg::Gossip, ns),
-                    from,
-                    m,
-                    local,
-                );
-            }
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_, Self::Msg>, tag: TimerTag) {
-        if tag.ns == self.weak.ns() {
-            self.weak.on_timer(
-                &mut SubCtx::new(ctx, &W2sNodeMsg::Weak, tag.ns),
-                tag.kind,
-                tag.data,
-            );
-        } else {
-            debug_assert_eq!(tag.ns, self.amp.ns());
-            let local = self.weak.suspected();
-            self.amp.on_timer(
-                &mut SubCtx::new(ctx, &W2sNodeMsg::Gossip, tag.ns),
-                tag.kind,
-                tag.data,
-                local,
-            );
-        }
-    }
-}
-
-/// Helper so tests can treat the node as a leader oracle too.
-impl<D: Component + SuspectOracle> LeaderOracle for WeakToStrongNode<D> {
-    fn trusted(&self) -> ProcessId {
-        // `n` is not stored; derive from the set width via complement over
-        // MAX_PROCESSES — instead, expose first non-suspected among all
-        // possible ids by scanning from p0 upward.
-        let s = self.amp.suspected();
-        let mut i = 0;
-        while s.contains(ProcessId(i)) {
-            i += 1;
-        }
-        ProcessId(i)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::heartbeat::{HeartbeatConfig, HeartbeatDetector};
-    use fd_core::FdRun;
+    use fd_core::{FdRun, Stack};
     use fd_sim::{LinkModel, NetworkConfig, Time, WorldBuilder};
-
-    impl<D: Component + SuspectOracle> WeakToStrongNode<D> {
-        /// The §3 leader recipe applied to the amplified output.
-        fn first_non_suspected(&self, n: usize) -> ProcessId {
-            self.amp
-                .suspected()
-                .complement(n)
-                .first()
-                .unwrap_or(ProcessId(0))
-        }
-    }
 
     /// Each process monitors only its ring successor — weak completeness
     /// only (see the heartbeat tests).
@@ -285,8 +160,8 @@ mod tests {
         )
     }
 
-    fn node(pid: ProcessId, n: usize) -> WeakToStrongNode<HeartbeatDetector> {
-        WeakToStrongNode::new(
+    fn node(pid: ProcessId, n: usize) -> Stack<HeartbeatDetector, WeakToStrong> {
+        Stack::new(
             neighbour_weak(pid, n),
             WeakToStrong::new(pid, WeakToStrongConfig::default()),
         )
@@ -344,9 +219,10 @@ mod tests {
             .crash_at(ProcessId(0), Time::from_millis(100))
             .build(node);
         w.run_until_time(Time::from_secs(2));
+        // The §3 leader recipe applied to the amplified output.
         for p in 1..n {
-            assert_eq!(w.actor(ProcessId(p)).first_non_suspected(n), ProcessId(1));
-            assert_eq!(w.actor(ProcessId(p)).trusted(), ProcessId(1));
+            let amplified = w.actor(ProcessId(p)).above.suspected();
+            assert_eq!(amplified.complement(n).first(), Some(ProcessId(1)));
         }
     }
 }

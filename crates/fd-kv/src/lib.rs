@@ -10,7 +10,7 @@
 //!
 //! The [`scenario`] module registers the `kv` campaign scenario — an
 //! open-loop, seed-deterministic client workload under generated
-//! crash/restart + partition chaos plans — and [`bench`] distills
+//! crash/restart + partition chaos plans — and [`mod@bench`] distills
 //! commit latency (p50/p99/p99.9), failover blackout, and catch-up
 //! replay volume per detector class — all in simulated time, hence
 //! byte-reproducible — into `BENCH_kv.json` via `ecfd kv-bench`.

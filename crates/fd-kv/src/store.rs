@@ -84,7 +84,7 @@ impl KvStore {
         out
     }
 
-    /// Decode a snapshot produced by [`encode_snapshot`]: the store,
+    /// Decode a snapshot produced by [`KvStore::encode_snapshot`]: the store,
     /// the apply cursor, and the digest. `None` on any framing or CRC
     /// mismatch — a recovery then falls back to an empty store and full
     /// catch-up rather than trusting torn bytes.
@@ -168,6 +168,50 @@ mod tests {
         bytes[last] ^= 0xff;
         assert_eq!(KvStore::decode_snapshot(&bytes), None, "bad crc");
         assert_eq!(KvStore::decode_snapshot(&[1, 2, 3]), None, "short input");
+    }
+
+    proptest::proptest! {
+        /// Arbitrary bytes; arbitrary bytes given a near-miss entry count
+        /// and re-sealed with their own CRC, so the framing check behind
+        /// the CRC gate is reached; and a valid image with one byte
+        /// damaged. `decode_snapshot` never panics, returns a store only
+        /// under a good CRC and a count that matches the length, and
+        /// never accepts the damage.
+        #[test]
+        fn decode_snapshot_never_panics_and_never_trusts_a_bad_image(
+            noise in proptest::prop::collection::vec(0u8..=255, 0..96),
+            skew in 0u32..3,
+            puts in proptest::prop::collection::vec((0u16..=u16::MAX, 0u16..=u16::MAX), 0..12),
+            at in proptest::any::<usize>(),
+            flip in 1u8..=255,
+        ) {
+            if let Some(split) = noise.len().checked_sub(4) {
+                let sealed = crc32(&noise[..split]).to_le_bytes() == noise[split..];
+                proptest::prop_assert!(KvStore::decode_snapshot(&noise).is_none() || sealed);
+            }
+
+            let mut body = noise;
+            let mut fits = false;
+            if let Some(entries) = body.len().checked_sub(20) {
+                let count = ((entries / 4) as u32).wrapping_add(skew).wrapping_sub(1);
+                body[16..20].copy_from_slice(&count.to_le_bytes());
+                fits = entries == 4 * count as usize;
+            }
+            body.extend_from_slice(&crc32(&body).to_le_bytes());
+            proptest::prop_assert_eq!(KvStore::decode_snapshot(&body).is_some(), fits);
+
+            let mut store = KvStore::new();
+            for (key, value) in puts {
+                store.apply(KvOp::Put { key, value });
+            }
+            let mut image = store.encode_snapshot(at as u64, !(at as u64));
+            proptest::prop_assert!(KvStore::decode_snapshot(&image).is_some());
+            let at = at % image.len();
+            image[at] ^= flip;
+            proptest::prop_assert_eq!(KvStore::decode_snapshot(&image), None);
+            image.truncate(at);
+            proptest::prop_assert_eq!(KvStore::decode_snapshot(&image), None);
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! * [`McTarget`] — a deterministic world factory plus the named
 //!   properties (see `fd_core::properties::NAMED_CHECKS` and
 //!   PROPERTIES.md) every explored run must satisfy.
-//! * [`explore`] — the bounded DFS over scheduler nondeterminism,
+//! * [`explore()`] — the bounded DFS over scheduler nondeterminism,
 //!   pruned by sleep-set partial-order reduction and a state-digest
 //!   visited set (both switchable, both soundness-tested).
 //! * [`Witness`] — a violation's replayable counterexample: a

@@ -6,7 +6,7 @@
 //! and every seed "passes" because the property was never evaluated.
 //! PR 6's round-wedge class was exactly this failure mode one layer
 //! down (a silently dropped message instead of a silently missed key).
-//! This module closes the gap: the [`obs_keys!`] macro generates one
+//! This module closes the gap: the `obs_keys!` macro generates one
 //! `pub const` per key *and* the [`ALL`] table the `fd-lint` OBS001 /
 //! OBS002 rules check against, so "key exists", "key is emitted", and
 //! "key is consumed" are machine-checked at build time.

@@ -35,7 +35,7 @@ impl Lcg {
     }
 }
 
-/// Push/pop `events` timer events through an [`EventQueue`] of the chosen
+/// Push/pop `events` timer events through an `EventQueue` of the chosen
 /// implementation, interleaving bursts of pushes with draining pops the
 /// way the kernel does (schedule a handful of sends and timers, then
 /// consume). Delays are mostly within the wheel horizon with a 1-in-64

@@ -1,6 +1,6 @@
 //! The kernel event queue.
 //!
-//! Two interchangeable implementations live behind [`EventQueue`], both
+//! Two interchangeable implementations live behind `EventQueue`, both
 //! delivering events in strict `(time, sequence)` order — the
 //! monotonically increasing sequence number breaks ties
 //! deterministically, so two events scheduled for the same instant fire

@@ -118,50 +118,6 @@ pub enum LinkModel {
     /// scenarios (not part of the paper's model, but useful for testing
     /// that completeness does not depend on a particular link).
     Dead,
-    /// Piecewise behaviour over time: `phases[i].1` governs sends at
-    /// instants in `[phases[i].0, phases[i+1].0)`. Expresses burst
-    /// partitions, heal events, or degradation schedules that the purely
-    /// probabilistic models cannot (e.g. "dead from 200 ms to 500 ms,
-    /// reliable otherwise"). Phases must start at `Time::ZERO` and be
-    /// strictly increasing.
-    Phased(PhaseSchedule),
-}
-
-/// The schedule of a [`LinkModel::Phased`] link.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PhaseSchedule {
-    phases: Vec<(Time, LinkModel)>,
-}
-
-impl PhaseSchedule {
-    /// Build a schedule. Panics if empty, not starting at time zero, not
-    /// strictly increasing, or nested.
-    pub fn new(phases: Vec<(Time, LinkModel)>) -> PhaseSchedule {
-        assert!(!phases.is_empty(), "schedule must have at least one phase");
-        assert_eq!(phases[0].0, Time::ZERO, "schedule must start at time zero");
-        for w in phases.windows(2) {
-            assert!(w[0].0 < w[1].0, "phase times must be strictly increasing");
-        }
-        assert!(
-            phases
-                .iter()
-                .all(|(_, m)| !matches!(m, LinkModel::Phased(_))),
-            "phased links cannot nest"
-        );
-        PhaseSchedule { phases }
-    }
-
-    /// The model governing a send at `now`.
-    pub fn at(&self, now: Time) -> &LinkModel {
-        let idx = self.phases.partition_point(|(t, _)| *t <= now);
-        // fd-lint: allow(HP001, reason = "PhaseSchedule::new asserts a Time::ZERO first phase, so partition_point returns at least 1")
-        &self.phases[idx - 1].1
-    }
-
-    /// The phases, for bound computations.
-    pub fn phases(&self) -> &[(Time, LinkModel)] {
-        &self.phases
-    }
 }
 
 impl LinkModel {
@@ -206,40 +162,6 @@ impl LinkModel {
         }
     }
 
-    /// A piecewise-scheduled link (see [`LinkModel::Phased`]).
-    pub fn phased(phases: Vec<(Time, LinkModel)>) -> LinkModel {
-        LinkModel::Phased(PhaseSchedule::new(phases))
-    }
-
-    /// A link that behaves like `healthy` except during `[from, until)`,
-    /// when it is dead — a burst partition that heals.
-    ///
-    /// ```
-    /// use fd_sim::{LinkModel, SimDuration, Time};
-    /// use fd_sim::rng::derive_network_rng;
-    ///
-    /// let link = LinkModel::partitioned_during(
-    ///     LinkModel::reliable_const(SimDuration::from_millis(2)),
-    ///     Time::from_millis(100),
-    ///     Time::from_millis(200),
-    /// );
-    /// let mut rng = derive_network_rng(0);
-    /// assert!(link.deliver_at(Time::from_millis(50), &mut rng).is_some());
-    /// assert!(link.deliver_at(Time::from_millis(150), &mut rng).is_none());
-    /// assert!(link.deliver_at(Time::from_millis(250), &mut rng).is_some());
-    /// ```
-    pub fn partitioned_during(healthy: LinkModel, from: Time, until: Time) -> LinkModel {
-        assert!(
-            Time::ZERO < from && from < until,
-            "partition window must be (0, from, until)"
-        );
-        LinkModel::phased(vec![
-            (Time::ZERO, healthy.clone()),
-            (from, LinkModel::Dead),
-            (until, healthy),
-        ])
-    }
-
     /// Given a send at `now`, decide when (if ever) the message arrives.
     pub fn deliver_at(&self, now: Time, rng: &mut SmallRng) -> Option<Time> {
         match *self {
@@ -269,7 +191,6 @@ impl LinkModel {
                 }
             }
             LinkModel::Dead => None,
-            LinkModel::Phased(ref sched) => sched.at(now).deliver_at(now, rng),
         }
     }
 
@@ -283,7 +204,6 @@ impl LinkModel {
             LinkModel::Reliable { delay } => delay.is_rng_free(),
             LinkModel::Dead => true,
             LinkModel::EventuallyTimely { .. } | LinkModel::FairLossy { .. } => false,
-            LinkModel::Phased(ref sched) => sched.phases().iter().all(|(_, m)| m.is_rng_free()),
         }
     }
 
@@ -300,7 +220,6 @@ impl LinkModel {
             LinkModel::EventuallyTimely { pre_drop, .. } => pre_drop > 0.0,
             LinkModel::FairLossy { drop, .. } => drop > 0.0,
             LinkModel::Dead => true,
-            LinkModel::Phased(ref sched) => sched.phases.iter().any(|(_, m)| m.is_lossy()),
         }
     }
 
@@ -318,19 +237,12 @@ impl LinkModel {
     /// * Fair-lossy links are fair iff `drop < 1` — independent drops
     ///   then deliver infinitely often almost surely.
     /// * Dead links are not fair.
-    /// * Phased links inherit the fairness of their final phase, which
-    ///   governs all sends from its start onward (a partition that heals
-    ///   is fair; a link that eventually dies is not).
     pub fn is_fair(&self) -> bool {
         match *self {
             LinkModel::Reliable { .. } => true,
             LinkModel::EventuallyTimely { .. } => true,
             LinkModel::FairLossy { drop, .. } => drop < 1.0,
             LinkModel::Dead => false,
-            LinkModel::Phased(ref sched) => {
-                let (_, last) = sched.phases.last().expect("schedules are non-empty");
-                last.is_fair()
-            }
         }
     }
 }
@@ -510,104 +422,5 @@ mod tests {
             .filter(|_| d.sample(&mut r) > SimDuration(10))
             .count();
         assert!(spikes > 1000 && spikes < 2000, "spike count {spikes}");
-    }
-}
-
-#[cfg(test)]
-mod phased_tests {
-    use super::*;
-    use crate::rng::derive_network_rng;
-
-    #[test]
-    fn schedule_selects_by_time() {
-        let sched = PhaseSchedule::new(vec![
-            (Time::ZERO, LinkModel::reliable_const(SimDuration(5))),
-            (Time::from_millis(100), LinkModel::Dead),
-            (
-                Time::from_millis(200),
-                LinkModel::reliable_const(SimDuration(9)),
-            ),
-        ]);
-        assert_eq!(
-            *sched.at(Time::ZERO),
-            LinkModel::reliable_const(SimDuration(5))
-        );
-        assert_eq!(
-            *sched.at(Time::from_millis(99)),
-            LinkModel::reliable_const(SimDuration(5))
-        );
-        assert_eq!(*sched.at(Time::from_millis(100)), LinkModel::Dead);
-        assert_eq!(*sched.at(Time::from_millis(150)), LinkModel::Dead);
-        assert_eq!(
-            *sched.at(Time::from_millis(500)),
-            LinkModel::reliable_const(SimDuration(9))
-        );
-    }
-
-    #[test]
-    fn partition_window_drops_then_heals() {
-        let m = LinkModel::partitioned_during(
-            LinkModel::reliable_const(SimDuration(3)),
-            Time::from_millis(10),
-            Time::from_millis(20),
-        );
-        let mut rng = derive_network_rng(1);
-        assert!(m.deliver_at(Time::from_millis(5), &mut rng).is_some());
-        assert!(m.deliver_at(Time::from_millis(10), &mut rng).is_none());
-        assert!(m.deliver_at(Time::from_millis(19), &mut rng).is_none());
-        assert!(m.deliver_at(Time::from_millis(20), &mut rng).is_some());
-    }
-
-    #[test]
-    fn phased_lossiness_is_the_union() {
-        let healthy = LinkModel::reliable_const(SimDuration(1));
-        assert!(LinkModel::partitioned_during(
-            healthy.clone(),
-            Time::from_millis(1),
-            Time::from_millis(2)
-        )
-        .is_lossy());
-        let m = LinkModel::phased(vec![(Time::ZERO, healthy)]);
-        assert!(!m.is_lossy());
-    }
-
-    /// Fairness of a phased link follows its *final* phase — the one
-    /// governing all sends from some point on.
-    #[test]
-    fn phased_fairness_follows_the_final_phase() {
-        let healthy = LinkModel::reliable_const(SimDuration(1));
-        let heals = LinkModel::partitioned_during(
-            healthy.clone(),
-            Time::from_millis(1),
-            Time::from_millis(2),
-        );
-        assert!(
-            heals.is_lossy() && heals.is_fair(),
-            "a partition that heals is fair despite the dead window"
-        );
-        let dies = LinkModel::phased(vec![
-            (Time::ZERO, healthy),
-            (Time::from_millis(1), LinkModel::Dead),
-        ]);
-        assert!(
-            !dies.is_fair(),
-            "a link that eventually dies forever is not fair"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot nest")]
-    fn nesting_rejected() {
-        let inner = LinkModel::phased(vec![(Time::ZERO, LinkModel::Dead)]);
-        let _ = LinkModel::phased(vec![(Time::ZERO, inner)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn non_monotone_schedule_rejected() {
-        let _ = PhaseSchedule::new(vec![
-            (Time::ZERO, LinkModel::Dead),
-            (Time::ZERO, LinkModel::Dead),
-        ]);
     }
 }

@@ -13,8 +13,8 @@
 use ecfd::prelude::*;
 use fd_core::Standalone;
 use fd_detectors::{
-    FusedConfig, FusedDetector, HeartbeatDetector, OmegaGossip, OmegaGossipConfig, OmegaGossipNode,
-    RingDetector, StableLeaderConfig, StableLeaderDetector,
+    FusedConfig, FusedDetector, HeartbeatDetector, OmegaGossip, OmegaGossipConfig, RingDetector,
+    StableLeaderConfig, StableLeaderDetector,
 };
 use fd_sim::Trace;
 
@@ -87,7 +87,7 @@ fn main() {
     report("fused ◇C+◇P (§4)", &t, &m, end);
 
     let (t, m, end) = scenario_world(|pid, n| {
-        OmegaGossipNode::new(
+        Stack::new(
             HeartbeatDetector::new(pid, n, HeartbeatConfig::default()),
             OmegaGossip::new(pid, n, OmegaGossipConfig::default()),
         )

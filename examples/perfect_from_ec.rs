@@ -7,7 +7,6 @@
 //! ```
 
 use ecfd::prelude::*;
-use fd_detectors::ec_to_ep::{EcToEp, EcToEpConfig, EcToEpNode};
 
 fn main() {
     let n = 5;
@@ -44,7 +43,8 @@ fn main() {
         .crash_at(ProcessId(2), Time::from_millis(500))
         .crash_at(ProcessId(4), Time::from_millis(900))
         .build(|pid, n| {
-            EcToEpNode::new(
+            // The transformation stacked over the ◇C detector it queries.
+            Stack::new(
                 LeaderDetector::new(pid, n, LeaderConfig::default()),
                 EcToEp::new(pid, n, EcToEpConfig::default()),
             )
@@ -55,7 +55,7 @@ fn main() {
 
     println!("Fig. 2 stack: [16]-leader ◇C + transformation, GST = {gst}, 30% output loss");
     println!("p2 crashes @500ms, p4 @900ms\n");
-    let mistakes = world.actor(leader).ep.mistakes();
+    let mistakes = world.actor(leader).above.mistakes();
     let (trace, metrics) = world.into_results();
 
     let run = FdRun::new(&trace, n, end).with_suspects_tag(EP_SUSPECTS_OUT);

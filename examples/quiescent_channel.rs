@@ -12,7 +12,7 @@
 //! stream goes silent instead of retrying forever.
 
 use ecfd::prelude::*;
-use fd_detectors::{HbCounterConfig, QuiescentNode};
+use fd_detectors::{HbCounterConfig, HeartbeatCounter, QuiescentChannel};
 
 fn main() {
     let n = 3;
@@ -24,28 +24,36 @@ fn main() {
     let mut world = WorldBuilder::new(net)
         .seed(21)
         .crash_at(ProcessId(2), Time::ZERO)
-        .build(|_, n| QuiescentNode::new(n, HbCounterConfig::default()));
+        .build(|_, n| {
+            // The full [1] stack: the channel over the counter detector.
+            let cfg = HbCounterConfig::default();
+            Stack::new(
+                HeartbeatCounter::new(n, cfg.clone()),
+                QuiescentChannel::new(cfg),
+            )
+        });
 
     println!("60% loss on every link; p2 is crashed from the start\n");
     world.interact(ProcessId(0), |node, ctx| {
-        node.send(ctx, ProcessId(1), 1111);
-        node.send(ctx, ProcessId(2), 2222);
+        node.with_above(ctx, |channel, ctx, hb| {
+            channel.send(ctx, ProcessId(1), 1111, hb);
+            channel.send(ctx, ProcessId(2), 2222, hb);
+        });
     });
 
     for checkpoint_s in [2u64, 5, 10] {
         world.run_until_time(Time::from_secs(checkpoint_s));
-        let p0 = world.actor(ProcessId(0));
+        let channel = &world.actor(ProcessId(0)).above;
         println!(
             "t={checkpoint_s}s: tx→p1(correct)={}, tx→p2(crashed)={}, unacked={}",
-            p0.qc.transmissions(ProcessId(1), 0),
-            p0.qc.transmissions(ProcessId(2), 1),
-            p0.qc.pending_len(),
+            channel.transmissions(ProcessId(1), 0),
+            channel.transmissions(ProcessId(2), 1),
+            channel.pending_len(),
         );
     }
 
-    let p0 = world.actor(ProcessId(0));
     assert_eq!(
-        p0.qc.pending_len(),
+        world.actor(ProcessId(0)).above.pending_len(),
         1,
         "only the message to the crashed p2 stays unacked"
     );

@@ -363,9 +363,10 @@ impl<'a> Parser<'a> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
         if !is_float {
-            if let Some(rest) = text.strip_prefix('-') {
-                if let Ok(x) = rest.parse::<u64>() {
-                    return Ok(Value::I64(-(x as i64)));
+            if text.starts_with('-') {
+                // Below `i64::MIN` falls through to the float parse.
+                if let Ok(x) = text.parse::<i64>() {
+                    return Ok(Value::I64(x));
                 }
             } else if let Ok(x) = text.parse::<u128>() {
                 return Ok(Value::U128(x));
@@ -419,6 +420,16 @@ mod tests {
         assert_eq!(v, Value::U128(big));
         let exact: u128 = from_value(&v).unwrap();
         assert_eq!(exact, big);
+    }
+
+    #[test]
+    fn negative_integers_at_the_i64_edge() {
+        // Parsed as `i64` whole: negating a parsed magnitude overflows here.
+        let min: Value = from_str("-9223372036854775808").unwrap();
+        assert_eq!(min, Value::I64(i64::MIN));
+        let below: Value = from_str("-9223372036854775809").unwrap();
+        assert_eq!(below, Value::F64(-9223372036854775809.0));
+        assert!(from_str::<Value>("-").is_err());
     }
 
     #[test]

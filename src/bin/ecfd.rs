@@ -22,8 +22,8 @@ use ecfd::prelude::*;
 use fd_consensus::{ConsensusNode, EcMergedConsensus, MultiEc, MultiNode};
 use fd_core::Standalone;
 use fd_detectors::{
-    FusedConfig, FusedDetector, HeartbeatDetector, OmegaGossip, OmegaGossipConfig, OmegaGossipNode,
-    RingDetector, StableLeaderConfig, StableLeaderDetector, VCubeConfig, VCubeDetector,
+    FusedConfig, FusedDetector, HeartbeatDetector, OmegaGossip, OmegaGossipConfig, RingDetector,
+    StableLeaderConfig, StableLeaderDetector, VCubeConfig, VCubeDetector,
 };
 use std::fmt::Display;
 use std::num::{NonZeroU64, NonZeroUsize};
@@ -551,7 +551,7 @@ fn cmd_detector(m: &Matches) -> Result<(), Stop> {
             ))
         }),
         "gossip" => detect(b, end, |pid, n| {
-            OmegaGossipNode::new(
+            Stack::new(
                 HeartbeatDetector::new(pid, n, HeartbeatConfig::default()),
                 OmegaGossip::new(pid, n, OmegaGossipConfig::default()),
             )

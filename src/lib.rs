@@ -42,7 +42,7 @@
 //! | [`chaos`] | declarative fault schedules (partitions, churn, mangling) compiled to kernel interventions |
 //! | [`kv`] | durable replicated KV service on the consensus log: WAL, snapshots, crash catch-up |
 //! | [`obs`] | counters/gauges/histograms, scoped spans, JSONL metrics export |
-//! | [`bench`] | experiment harness regenerating the paper's tables (incl. campaign scenarios) |
+//! | [`mod@bench`] | experiment harness regenerating the paper's tables (incl. campaign scenarios) |
 //! | [`lint`] | static determinism analyzer behind `ecfd lint` |
 //! | [`mc`] | bounded exhaustive schedule exploration (model checking) with replayable witnesses |
 

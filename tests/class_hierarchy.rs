@@ -122,29 +122,63 @@ fn reducibility_table_matches_what_the_implementations_exhibit() {
 }
 
 #[test]
+fn the_hierarchy_survives_a_run_with_no_correct_process() {
+    // `ecfd detector --kind ring --n 2 --crash 0@10 --crash 1@20`: every
+    // process crashes, so "every correct process" clauses are vacuous
+    // and "some correct process" clauses must be too — §3's ◇P ⊆ ◇C (and
+    // every other inclusion of Fig. 1) holds on the verdicts themselves,
+    // whatever the run, or the CLI prints "◇P: holds" above "◇C: violated".
+    let n = 2;
+    let end = Time::from_millis(200);
+    let mut w = WorldBuilder::new(default_net(n))
+        .seed(42)
+        .crash_at(ProcessId(0), Time::from_millis(10))
+        .crash_at(ProcessId(1), Time::from_millis(20))
+        .build(|pid, n| {
+            Standalone(LeaderByFirstNonSuspected::new(
+                RingDetector::new(pid, n, RingConfig::default()),
+                n,
+            ))
+        });
+    w.run_until_time(end);
+    let (trace, _) = w.into_results();
+    let run = FdRun::new(&trace, n, end);
+    assert!(run.correct().is_empty());
+    run.check_class(FdClass::EventuallyPerfect).unwrap();
+    for weaker in FdClass::ALL {
+        run.check_class(weaker)
+            .unwrap_or_else(|v| panic!("◇P holds but {weaker}: {v}"));
+    }
+}
+
+#[test]
 fn detectors_recover_from_a_healed_partition() {
     // A real burst partition (not probabilistic loss): p0 is cut off from
     // everyone in both directions for 400 ms, then the network heals.
     // The heartbeat detector must (a) suspect p0 during the partition and
     // (b) fully recover — eventual strong accuracy is about exactly this.
+    use fd_chaos::{ChaosKind, ChaosPlan, DetectorKind};
     use fd_detectors::{HeartbeatConfig, HeartbeatDetector};
     let n = 4;
-    let healthy =
-        LinkModel::reliable_uniform(SimDuration::from_millis(1), SimDuration::from_millis(3));
-    let cut = LinkModel::partitioned_during(
-        healthy.clone(),
-        Time::from_millis(300),
-        Time::from_millis(700),
-    );
-    let mut net = NetworkConfig::new(n).with_default(healthy);
-    for i in 1..n {
-        net = net
-            .with_link(ProcessId(0), ProcessId(i), cut.clone())
-            .with_link(ProcessId(i), ProcessId(0), cut.clone());
-    }
-    let mut w = WorldBuilder::new(net)
+    let end = Time::from_secs(4);
+    let net = NetworkConfig::new(n).with_default(LinkModel::reliable_uniform(
+        SimDuration::from_millis(1),
+        SimDuration::from_millis(3),
+    ));
+    let plan = ChaosPlan::new(n, DetectorKind::Heartbeat, end)
+        .push(
+            Time::from_millis(300),
+            ChaosKind::Partition {
+                groups: vec![vec![ProcessId(0)], (1..n).map(ProcessId).collect()],
+            },
+        )
+        .push(Time::from_millis(700), ChaosKind::Heal);
+    let mut w = WorldBuilder::new(net.clone())
         .seed(0xC0FFEE)
         .build(|pid, n| Standalone(HeartbeatDetector::new(pid, n, HeartbeatConfig::default())));
+    for (at, intervention) in fd_chaos::compile(&plan, &net).unwrap() {
+        w.schedule_intervention(at, intervention);
+    }
     // Mid-partition: p0 must be suspected by the others (and vice versa).
     w.run_until_time(Time::from_millis(650));
     for i in 1..n {
@@ -159,7 +193,6 @@ fn detectors_recover_from_a_healed_partition() {
         "p0 suspects everyone"
     );
     // After healing + timeout growth: full recovery, ◇P holds.
-    let end = Time::from_secs(4);
     w.run_until_time(end);
     let (trace, _) = w.into_results();
     let run = FdRun::new(&trace, n, end);

@@ -124,30 +124,36 @@ fn consensus_survives_a_burst_partition_of_the_leader() {
     // The leader p0 is cut off in both directions from 20 ms to 250 ms —
     // mid-round-1. Leadership must move (or be re-established after the
     // heal) and consensus still terminate and agree.
+    use fd_chaos::{ChaosKind, ChaosPlan, DetectorKind};
     let n = 5;
-    let healthy =
-        LinkModel::reliable_uniform(SimDuration::from_millis(1), SimDuration::from_millis(4));
-    let cut = LinkModel::partitioned_during(
-        healthy.clone(),
-        Time::from_millis(20),
-        Time::from_millis(250),
-    );
-    let mut net = NetworkConfig::new(n).with_default(healthy);
-    for i in 1..n {
-        net = net
-            .with_link(ProcessId(0), ProcessId(i), cut.clone())
-            .with_link(ProcessId(i), ProcessId(0), cut.clone());
+    let horizon = Time::from_secs(30);
+    let net = default_net(n);
+    let plan = ChaosPlan::new(n, DetectorKind::Heartbeat, horizon)
+        .push(
+            Time::from_millis(20),
+            ChaosKind::Partition {
+                groups: vec![vec![ProcessId(0)], (1..n).map(ProcessId).collect()],
+            },
+        )
+        .push(Time::from_millis(250), ChaosKind::Heal);
+    let mut w = WorldBuilder::new(net.clone()).seed(78).build(ec_node_hb);
+    for (at, intervention) in fd_chaos::compile(&plan, &net).unwrap() {
+        w.schedule_intervention(at, intervention);
     }
-    let sc = Scenario::failure_free(n, 78, Time::from_secs(30));
-    let r = run_scenario(net, &sc, ec_node_hb);
+    for i in 0..n {
+        w.interact(ProcessId(i), |node, ctx| node.propose(ctx, 100 + i as u64));
+    }
+    let all_decided = w.run_until(horizon, |w| {
+        (0..n).all(|i| w.actor(ProcessId(i)).decision().is_some())
+    });
     assert!(
-        r.all_decided,
+        all_decided,
         "partition must not prevent termination after healing"
     );
-    check_all(&r);
+    ConsensusRun::new(w.trace(), n).check_all().unwrap();
     // p0 was only partitioned, never crashed: it must decide too.
     assert!(
-        r.decisions[0].is_some(),
+        w.actor(ProcessId(0)).decision().is_some(),
         "the partitioned leader catches up after the heal"
     );
 }

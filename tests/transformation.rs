@@ -3,7 +3,6 @@
 //! for its trusted process", so any ◇C (indeed any Ω) must work.
 
 use ecfd::prelude::*;
-use fd_detectors::ec_to_ep::{EcToEp, EcToEpConfig, EcToEpNode};
 use fd_detectors::{HeartbeatConfig, HeartbeatDetector, LeaderConfig, LeaderDetector};
 
 fn jitter(n: usize) -> NetworkConfig {
@@ -20,7 +19,7 @@ fn fig2_over_the_candidate_leader_detector() {
         .seed(61)
         .crash_at(ProcessId(3), Time::from_millis(250))
         .build(|pid, n| {
-            EcToEpNode::new(
+            Stack::new(
                 LeaderDetector::new(pid, n, LeaderConfig::default()),
                 EcToEp::new(pid, n, EcToEpConfig::default()),
             )
@@ -42,7 +41,7 @@ fn fig2_over_a_heartbeat_based_ec_detector() {
         .seed(62)
         .crash_at(ProcessId(1), Time::from_millis(300))
         .build(|pid, n| {
-            EcToEpNode::new(
+            Stack::new(
                 LeaderByFirstNonSuspected::new(
                     HeartbeatDetector::new(pid, n, HeartbeatConfig::default()),
                     n,
@@ -69,7 +68,7 @@ fn fig2_output_beats_the_poor_accuracy_of_its_own_base() {
     // *improves* accuracy, which is its entire point.
     let n = 4;
     let mut w = WorldBuilder::new(jitter(n)).seed(63).build(|pid, n| {
-        EcToEpNode::new(
+        Stack::new(
             LeaderDetector::new(pid, n, LeaderConfig::default()),
             EcToEp::new(pid, n, EcToEpConfig::default()),
         )
@@ -115,7 +114,7 @@ fn eventually_only_the_leaders_links_carry_messages() {
     let n = 6;
     let leader = ProcessId(0);
     let mut w = WorldBuilder::new(jitter(n)).seed(64).build(|pid, n| {
-        EcToEpNode::new(
+        Stack::new(
             LeaderDetector::new(pid, n, LeaderConfig::default()),
             EcToEp::new(pid, n, EcToEpConfig::default()),
         )
@@ -151,7 +150,7 @@ fn fig2_over_the_stable_leader_detector() {
         .seed(65)
         .crash_at(ProcessId(2), Time::from_millis(300))
         .build(|pid, n| {
-            EcToEpNode::new(
+            Stack::new(
                 StableLeaderDetector::new(pid, n, StableLeaderConfig::default()),
                 EcToEp::new(pid, n, EcToEpConfig::default()),
             )
