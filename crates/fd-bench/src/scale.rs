@@ -128,7 +128,10 @@ impl ScaleCell {
         };
         let factor = match self.class {
             ScaleClass::Heartbeat => 1,
-            ScaleClass::VCube => 5,
+            // A crash is suspected after five unanswered 30 ms attempts:
+            // at n = 4096 (crash at 120 ms of 300) its testers get there
+            // at ≈ 275 ms. Half this factor ends the run before they do.
+            ScaleClass::VCube => 10,
             ScaleClass::Ring => 20,
         };
         Time::from_millis(base_ms * factor)

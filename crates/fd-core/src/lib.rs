@@ -11,7 +11,9 @@
 //!   machinery so a detector, a broadcast module and a consensus module
 //!   can share one simulated node;
 //! * [`properties`] — finite-trace checkers for every completeness,
-//!   accuracy, leadership, and consensus property in the paper.
+//!   accuracy, leadership, and consensus property in the paper;
+//! * [`qos`] — how fast and how often a detector is wrong on the way
+//!   there: detection time, mistake rate, mistake duration.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -20,6 +22,7 @@ pub mod classes;
 pub mod component;
 pub mod detector;
 pub mod properties;
+pub mod qos;
 pub mod set;
 
 pub use classes::{Accuracy, Completeness, FdClass, SystemModel};
@@ -29,6 +32,7 @@ pub use detector::{
     SuspectOracle,
 };
 pub use properties::{run_named_check, CheckResult, ConsensusRun, FdRun, Violation, NAMED_CHECKS};
+pub use qos::{nearest_rank, DetectorQos};
 pub use set::{ProcessSet, MAX_PROCESSES};
 
 /// Convenient glob-import for downstream crates and examples.

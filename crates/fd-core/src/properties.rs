@@ -70,10 +70,10 @@ pub type CheckResult = Result<(), Violation>;
 /// assert_eq!(run.detection_latency(ProcessId(1)), Some(fd_sim::SimDuration(30)));
 /// ```
 pub struct FdRun<'a> {
-    trace: &'a Trace,
-    n: usize,
-    end: Time,
-    suspects_tag: &'a str,
+    pub(crate) trace: &'a Trace,
+    pub(crate) n: usize,
+    pub(crate) end: Time,
+    pub(crate) suspects_tag: &'a str,
 }
 
 impl<'a> FdRun<'a> {

@@ -58,7 +58,8 @@ const NO_ARGS: (&str, usize, usize) = ("", 0, 0);
 impl Flag {
     const N: Flag = Flag("--n", "N", Some("5"), "number of processes");
     const SEED: Flag = Flag("--seed", "S", Some("42"), "run seed; same seed ⇒ identical run");
-    const CRASH: Flag = Flag("--crash", "P@MS", None, "crash process P at MS milliseconds (repeatable)");
+    const CRASH: Flag = Flag("--crash", "P@MS", None,
+        "crash process P at MS milliseconds, fractions allowed (repeatable)");
     const HORIZON_MS: Flag = Flag("--horizon-ms", "MS", Some("10000"), "give up if not done by then");
     const TIMELINE: Flag = Flag("--timeline", "", None, "print the chronological observation timeline");
     const MAX_PROCESSES: Flag = Flag("--max-processes", "N", Some("64"),
@@ -87,12 +88,15 @@ static COMMANDS: &[Cmd] = &[
     Cmd {
         name: "detector", run: cmd_detector, args: NO_ARGS,
         usage: &["[--kind heartbeat|ring|leader|fused|stable|gossip|vcube] [--n N]\n\
-                  [--seed S] [--crash P@MS ...] [--run-ms MS] [--timeline]\n\
+                  [--seed S] [--crash P@MS ...] [--run-ms MS] [--loss P] [--timeline]\n\
                   [--max-processes N]"],
         flags: &[
             Flag("--kind", "X", Some("heartbeat"), "failure detector family"),
             Flag::N, Flag::SEED, Flag::CRASH,
             Flag("--run-ms", "MS", Some("3000"), "detector run length"),
+            Flag("--loss", "P", None,
+                "fair-lossy links instead of reliable ones: each message\n\
+                 is dropped with probability P, the rest take 1–8 ms"),
             Flag::TIMELINE, Flag::MAX_PROCESSES,
         ],
     },
@@ -412,7 +416,7 @@ fn process_count(m: &Matches) -> Result<usize, Stop> {
 struct Sim {
     n: usize,
     seed: u64,
-    crashes: Vec<(usize, u64)>,
+    crashes: Vec<(usize, Time)>,
 }
 
 impl Sim {
@@ -423,12 +427,16 @@ impl Sim {
             let (p, ms) = spec
                 .split_once('@')
                 .ok_or_else(|| usage(format!("--crash wants P@MS, got {spec}")))?;
-            let (p, ms) = (typed("--crash process", p)?, typed("--crash time", ms)?);
+            let (p, ms): (usize, f64) = (typed("--crash process", p)?, typed("--crash time", ms)?);
             if p >= n {
                 let e = format!("--crash process p{p} out of range for n={n}");
                 return Err(usage(e));
             }
-            crashes.push((p, ms));
+            if !(0.0..=1e12).contains(&ms) {
+                return Err(usage(format!("--crash time {ms} is not a time in ms")));
+            }
+            // Fractions reach down to the kernel's microsecond tick.
+            crashes.push((p, Time((ms * 1e3).round() as u64)));
         }
         if 2 * crashes.len() >= n {
             eprintln!(
@@ -443,13 +451,20 @@ impl Sim {
         })
     }
 
-    /// A world builder over the default network with the crash plan set.
-    fn builder(&self) -> WorldBuilder {
-        let mut b = WorldBuilder::new(default_net(self.n)).seed(self.seed);
-        for &(p, ms) in &self.crashes {
-            b = b.crash_at(ProcessId(p), Time::from_millis(ms));
+    /// A world builder over `net` with the crash plan set.
+    fn builder(&self, net: NetworkConfig) -> WorldBuilder {
+        let mut b = WorldBuilder::new(net).seed(self.seed);
+        for &(p, at) in &self.crashes {
+            b = b.crash_at(ProcessId(p), at);
         }
         b
+    }
+
+    /// The crash plan as `[(process, ms), …]`.
+    fn crash_list(&self) -> String {
+        let each = self.crashes.iter();
+        let each = each.map(|(p, at)| format!("({p}, {})", at.ticks() as f64 / 1e3));
+        format!("[{}]", each.collect::<Vec<_>>().join(", "))
     }
 }
 
@@ -477,12 +492,14 @@ fn hb_leader(pid: ProcessId, n: usize) -> LeaderByFirstNonSuspected<HeartbeatDet
 }
 
 fn cmd_consensus(m: &Matches) -> Result<(), Stop> {
-    let Sim { n, seed, crashes } = Sim::read(m)?;
+    let sim = Sim::read(m)?;
+    let crashes = sim.crash_list();
+    let Sim { n, seed, .. } = sim;
     let protocol: String = m.get("--protocol")?;
     let timeline = timeline_cap(m)?;
     let mut sc = Scenario::failure_free(n, seed, Time::from_millis(m.get("--horizon-ms")?));
-    for &(p, ms) in &crashes {
-        sc = sc.with_crash(ProcessId(p), Time::from_millis(ms));
+    for &(p, at) in &sim.crashes {
+        sc = sc.with_crash(ProcessId(p), at);
     }
     let r = match protocol.as_str() {
         "ec" => run_scenario(default_net(n), &sc, fd_consensus::ec_node_hb),
@@ -495,7 +512,7 @@ fn cmd_consensus(m: &Matches) -> Result<(), Stop> {
         }),
         other => return Err(usage(format!("--protocol: unknown protocol {other}"))),
     };
-    println!("consensus: protocol={protocol} n={n} seed={seed} crashes={crashes:?}");
+    println!("consensus: protocol={protocol} n={n} seed={seed} crashes={crashes}");
     if !r.all_decided {
         return Err(found(
             "no decision before the horizon (crashed majority, or horizon too small)",
@@ -530,7 +547,15 @@ fn cmd_detector(m: &Matches) -> Result<(), Stop> {
     let kind: String = m.get("--kind")?;
     let timeline = timeline_cap(m)?;
     let end = Time::from_millis(m.get("--run-ms")?);
-    let b = sim.builder();
+    let net = match m.opt::<f64>("--loss")? {
+        None => default_net(sim.n),
+        Some(p) if (0.0..1.0).contains(&p) => {
+            let (min, max) = (SimDuration::from_millis(1), SimDuration::from_millis(8));
+            NetworkConfig::new(sim.n).with_default(LinkModel::fair_lossy(min, max, p))
+        }
+        Some(p) => return Err(usage(format!("--loss {p} is not a probability below 1"))),
+    };
+    let b = sim.builder(net);
     let (trace, metrics) = match kind.as_str() {
         "heartbeat" => detect(b, end, |pid, n| Standalone(hb_leader(pid, n))),
         "ring" => detect(b, end, |pid, n| {
@@ -562,8 +587,9 @@ fn cmd_detector(m: &Matches) -> Result<(), Stop> {
         }),
         other => return Err(usage(format!("--kind: unknown detector {other}"))),
     };
-    let Sim { n, seed, crashes } = sim;
-    println!("detector: kind={kind} n={n} seed={seed} crashes={crashes:?}");
+    let crashes = sim.crash_list();
+    let Sim { n, seed, .. } = sim;
+    println!("detector: kind={kind} n={n} seed={seed} crashes={crashes}");
     let run = FdRun::new(&trace, n, end);
     println!("{}", fd_sim::trace_summary(&trace));
     for p in run.correct().iter() {
@@ -585,6 +611,26 @@ fn cmd_detector(m: &Matches) -> Result<(), Stop> {
         }
     }
     println!("  total messages: {}", metrics.sent_total());
+    let qos = run.qos();
+    let ms = |sorted: &[u64], per_mille| match fd_core::nearest_rank(sorted, per_mille) {
+        Some(us) => format!("{:.3}", us as f64 / 1e3),
+        None => "-".to_string(),
+    };
+    println!(
+        "  detection time: p50 {} ms, p95 {} ms ({} of {} pairs, share {:.3})",
+        ms(&qos.detection_us, 500),
+        ms(&qos.detection_us, 950),
+        qos.detection_us.len(),
+        qos.pairs,
+        qos.detected_share(),
+    );
+    println!(
+        "  mistakes: {} ({:.3} per process-second), duration p50 {} ms, p95 {} ms",
+        qos.false_suspicions,
+        qos.mistake_rate(),
+        ms(&qos.mistake_us, 500),
+        ms(&qos.mistake_us, 950),
+    );
     print_timeline(&trace, timeline);
     Ok(())
 }
@@ -593,9 +639,9 @@ fn cmd_log(m: &Matches) -> Result<(), Stop> {
     let sim = Sim::read(m)?;
     let commands: u64 = m.get("--commands")?;
     let horizon = Time::from_millis(m.get("--horizon-ms")?);
-    let Sim { n, seed, crashes } = &sim;
-    println!("replicated log: n={n} commands={commands} seed={seed} crashes={crashes:?}");
-    let mut w = sim.builder().build(|pid, n| {
+    let (Sim { n, seed, .. }, crashes) = (&sim, sim.crash_list());
+    println!("replicated log: n={n} commands={commands} seed={seed} crashes={crashes}");
+    let mut w = sim.builder(default_net(sim.n)).build(|pid, n| {
         let log = MultiEc::new(pid, n, ConsensusConfig::default());
         MultiNode::new(pid, hb_leader(pid, n), log)
     });
@@ -604,7 +650,7 @@ fn cmd_log(m: &Matches) -> Result<(), Stop> {
         let cmd = 1000 + k;
         w.interact(ProcessId(submitter), move |node, ctx| node.submit(ctx, cmd));
     }
-    let crashed: Vec<usize> = crashes.iter().map(|&(p, _)| p).collect();
+    let crashed: Vec<usize> = sim.crashes.iter().map(|&(p, _)| p).collect();
     let survivor_cmds: Vec<u64> = (0..commands)
         .filter(|&k| !crashed.contains(&((k as usize) % n)))
         .map(|k| 1000 + k)
@@ -1163,12 +1209,16 @@ mod tests {
 
     #[test]
     fn full_flag_set() {
-        let args = argv("--n 7 --protocol ct --seed 9 --crash 2@50 --crash 3@75 --timeline");
+        let args = argv("--n 7 --protocol ct --seed 9 --crash 2@50 --crash 3@75.25 --timeline");
         let m = parse(row("consensus"), &args).unwrap();
         let sim = Sim::read(&m).unwrap();
         assert_eq!((sim.n, sim.seed), (7, 9));
         assert_eq!(m.get::<String>("--protocol").unwrap(), "ct");
-        assert_eq!(sim.crashes, vec![(2, 50), (3, 75)]);
+        assert_eq!(
+            sim.crashes,
+            vec![(2, Time::from_millis(50)), (3, Time(75_250))]
+        );
+        assert_eq!(sim.crash_list(), "[(2, 50), (3, 75.25)]");
         assert_eq!(timeline_cap(&m).unwrap(), Some(64));
     }
 
@@ -1226,6 +1276,9 @@ mod tests {
             refused("consensus", "--crash 9@10"),
             "out of range for default n"
         );
+        assert!(refused("consensus", "--crash 1@-5"), "before time zero");
+        assert!(refused("consensus", "--crash 1@NaN"));
+        assert!(refused("detector", "--loss 1"), "a link that drops all");
         assert!(refused("consensus", "--n 0"));
         assert!(refused("consensus", "--mystery 1"));
     }

@@ -170,24 +170,24 @@ const GOLDEN: [Row; 22] = {
         (Heartbeat, 64, Lossy, 4, 716961, 814716, 0x87c29963a56b903d),
         (Ring, 64, Stable, 4, 1270378, 509830, 0xb1d42cd0495cddf4),
         (Ring, 64, Lossy, 4, 1162541, 473061, 0x5910aafeda23c768),
-        (VCube, 64, Stable, 4, 835214, 773384, 0x81432258472f9665),
-        (VCube, 64, Lossy, 4, 358892, 348289, 0x9a9897e8e13a5f6a),
+        (VCube, 64, Stable, 4, 1669434, 1544192, 0x2a655b12e91d500c),
+        (VCube, 64, Lossy, 4, 777789, 766911, 0xd95d0e4fd034eda8),
         (Heartbeat, 256, Stable, 4, 5271460, 5470260, 0x61f6e51c0e4fdedc),
         (Heartbeat, 256, Lossy, 4, 4489482, 5470260, 0xf74acedcd18cecbb),
         (Ring, 256, Stable, 4, 2044144, 819244, 0xaf246ec79c3da2e7),
         (Ring, 256, Lossy, 4, 1873020, 762578, 0x86399aa946f8bfea),
-        (VCube, 256, Stable, 4, 1755115, 1661472, 0x4af5b3cfe72f2f6e),
-        (VCube, 256, Lossy, 4, 977338, 1035404, 0xed44d96ad27c0007),
+        (VCube, 256, Stable, 4, 3507125, 3311325, 0x27090b3f3ceaa2b1),
+        (VCube, 256, Lossy, 4, 1747415, 1821635, 0x3806c336e4f156f8),
         (Heartbeat, 1024, Stable, 2, 21000170, 23031822, 0x98d023a4bcdd087b),
         (Heartbeat, 1024, Lossy, 2, 17857594, 23031822, 0x651110970a28d2e7),
         (Ring, 1024, Stable, 2, 2047032, 820998, 0xb74acd37886143c1),
         (Ring, 1024, Lossy, 2, 1877617, 766759, 0x6e4d862c6e9dace2),
-        (VCube, 1024, Stable, 2, 2166057, 2085131, 0x83ae4b9fcfa8a4d9),
-        (VCube, 1024, Lossy, 2, 1341736, 1475072, 0xe7b8f3e995a0c972),
+        (VCube, 1024, Stable, 2, 4326960, 4143723, 0x0a2a78dc9650e2d9),
+        (VCube, 1024, Lossy, 2, 2631207, 2877456, 0x5a66f0ae9a82b8bb),
         (Ring, 4096, Stable, 1, 1228652, 495575, 0xd378ea33f9d89708),
         (Ring, 4096, Lossy, 1, 1128080, 464881, 0x920af016a7b0ea25),
-        (VCube, 4096, Stable, 1, 1540576, 1530073, 0x36c2f3b87c35c6df),
-        (VCube, 4096, Lossy, 1, 1113688, 1293205, 0x696bdf24edb44bc9),
+        (VCube, 4096, Stable, 1, 3072097, 3000183, 0x7955b7d4e2eb045a),
+        (VCube, 4096, Lossy, 1, 1746685, 1973285, 0x3988821149dc8163),
     ]
 };
 
@@ -220,8 +220,9 @@ fn check_golden_rows(pick: impl Fn(ScaleClass, usize) -> bool) {
 }
 
 /// The vCube rows CI's `test` job re-runs on every push: tier-1 pins
-/// vCube at n = 64 only (`dim` 6, news cap 32); these four pin caps 40
-/// and 48, where the order of cap evictions sets the digest.
+/// vCube at n = 64 only (`dim` 6); these four pin `dim` 8 and 10, and
+/// their lossy halves the retry path of a test (cap evictions, which
+/// used to set these digests, are rare now that few tests fail).
 fn vcube_mid(class: ScaleClass, n: usize) -> bool {
     class == ScaleClass::VCube && (n == 256 || n == 1024)
 }
@@ -231,7 +232,7 @@ fn golden_rows_hold_at_n_64() {
     check_golden_rows(|_, n| n == 64);
 }
 
-/// Four cells, ≈ 6 M events — release only:
+/// Four cells, ≈ 12 M events — release only:
 /// `cargo test --release --test scale_e2e -- --ignored golden_rows_hold_for_vcube`.
 #[test]
 #[ignore]
