@@ -821,22 +821,15 @@ where
     type Msg = KvMsg<D::Msg>;
 
     fn on_start(&mut self, ctx: &mut Context<'_, Self::Msg>) {
-        let recovery = self.starts > 0;
-        self.starts += 1;
-        if recovery {
+        // Detector first, cold or warm: its soft state survives a pause
+        // (it re-adapts on its own), but its timers died with the epoch.
+        let ns = self.fd.ns();
+        self.fd.on_start(&mut SubCtx::new(ctx, &KvMsg::Fd, ns));
+        if self.starts > 0 {
             self.recover(ctx);
-        } else {
-            let ns = self.fd.ns();
-            self.fd.on_start(&mut SubCtx::new(ctx, &KvMsg::Fd, ns));
         }
+        self.starts += 1;
         self.arm_arrivals(ctx);
-        if recovery {
-            // The detector's soft state survived the pause (it re-adapts
-            // on its own), but its timers died with the epoch: restart
-            // its heartbeat machinery.
-            let ns = self.fd.ns();
-            self.fd.on_start(&mut SubCtx::new(ctx, &KvMsg::Fd, ns));
-        }
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, Self::Msg>, from: ProcessId, msg: Self::Msg) {
