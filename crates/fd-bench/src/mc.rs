@@ -24,10 +24,9 @@
 
 use fd_chaos::DetectorKind;
 use fd_consensus::{
-    ConsensusNode, CtConsensus, EcConsensus, MultiEc, MultiNode, NodeMsg, PaxosConsensus,
-    RoundProtocol,
+    ConsensusNode, CtConsensus, Decider, EcConsensus, Log, MultiEc, PaxosConsensus, RoundProtocol,
 };
-use fd_core::{EventuallyConsistentOracle, FdClass, Standalone, SubCtx};
+use fd_core::{EventuallyConsistentOracle, FdClass, Stack, StackMsg, Standalone};
 use fd_detectors::{
     HeartbeatConfig, HeartbeatDetector, LeaderByFirstNonSuspected, LeaderConfig, LeaderDetector,
     RingConfig, RingDetector, StableLeaderConfig, StableLeaderDetector,
@@ -125,7 +124,9 @@ fn hb_leader(pid: ProcessId, n: usize) -> LeaderByFirstNonSuspected<HeartbeatDet
 /// The EC node under exploration, with its liveness repair.
 type EcHbNode = ConsensusNode<LeaderByFirstNonSuspected<HeartbeatDetector>, EcConsensus>;
 
-/// An [`EcHbNode`](crate::mc) wrapped with a retransmission watchdog.
+/// An [`EcHbNode`](crate::mc) wrapped with a retransmission watchdog
+/// (an actor of its own until ROADMAP 2(c) moves retransmission into a
+/// link layer).
 ///
 /// While undecided, the node re-sends its outstanding round message
 /// every `REPAIR_PERIOD` (the same repair fd-kv runs per stalled
@@ -143,15 +144,17 @@ impl McEcNode {
     }
 
     fn build(me: ProcessId, n: usize, retransmit: bool) -> McEcNode {
+        let ec = EcConsensus::new(me, n, fast_poll());
         McEcNode {
-            inner: ConsensusNode::new(me, hb_leader(me, n), EcConsensus::new(me, n, fast_poll())),
+            inner: Stack::new(hb_leader(me, n), Decider::new(me, ec)),
             retransmit,
         }
     }
 
     /// Propose a value (call through `World::interact`).
     pub fn propose(&mut self, ctx: &mut Context<'_, <Self as Actor>::Msg>, value: u64) {
-        self.inner.propose(ctx, value);
+        self.inner
+            .with_above(ctx, |d, ctx, fd| d.propose(ctx, value, fd));
     }
 }
 
@@ -169,12 +172,13 @@ impl Actor for McEcNode {
 
     fn on_timer(&mut self, ctx: &mut Context<'_, Self::Msg>, tag: TimerTag) {
         if tag.ns == MC_REPAIR_NS {
-            if self.retransmit && self.inner.decision().is_none() {
-                let fd = self.inner.fd.output();
-                let ns = self.inner.cons.ns();
-                self.inner
-                    .cons
-                    .retransmit(&mut SubCtx::new(ctx, &NodeMsg::Cons, ns), &fd);
+            if self.retransmit && self.inner.above.decision().is_none() {
+                self.inner.with_above(ctx, |decider, ctx, fd| {
+                    let ec = &mut decider.cons;
+                    ctx.scoped(StackMsg::Above, ec.ns(), |sub| {
+                        ec.retransmit(sub, &fd.output())
+                    });
+                });
             }
             ctx.set_timer(REPAIR_PERIOD, TimerTag::new(MC_REPAIR_NS, 0, 0));
         } else {
@@ -210,7 +214,7 @@ pub enum McProtocol {
     Ct,
     /// Single-decree Paxos over the candidate-based Ω detector.
     Paxos,
-    /// The ◇C-multiplexing replicated log ([`MultiNode`]).
+    /// The ◇C-multiplexing replicated log ([`fd_consensus::MultiNode`]).
     Multi,
 }
 
@@ -271,21 +275,19 @@ pub fn protocol_target(proto: McProtocol, n: usize, horizon: Time) -> McTarget {
             McProtocol::Ct => protocol_world(
                 n,
                 |pid| {
-                    ConsensusNode::new(
-                        pid,
-                        hb_leader(pid, n),
-                        CtConsensus::new(pid, n, fast_poll()),
-                    )
+                    let ct = CtConsensus::new(pid, n, fast_poll());
+                    Stack::new(hb_leader(pid, n), Decider::new(pid, ct))
                 },
-                ConsensusNode::propose,
+                |node, ctx, v| node.with_above(ctx, |d, ctx, fd| d.propose(ctx, v, fd)),
             ),
             McProtocol::Paxos => protocol_world(
                 n,
                 |pid| {
                     let fd = LeaderDetector::new(pid, n, LeaderConfig::default());
-                    ConsensusNode::new(pid, fd, PaxosConsensus::new(pid, n, fast_poll()))
+                    let paxos = PaxosConsensus::new(pid, n, fast_poll());
+                    Stack::new(fd, Decider::new(pid, paxos))
                 },
-                ConsensusNode::propose,
+                |node, ctx, v| node.with_above(ctx, |d, ctx, fd| d.propose(ctx, v, fd)),
             ),
             // p0 queues a second command behind its first. Its first
             // loses slot 0 to a higher pid's (equal lengths), returns to
@@ -294,12 +296,17 @@ pub fn protocol_target(proto: McProtocol, n: usize, horizon: Time) -> McTarget {
             // explored run.
             McProtocol::Multi => protocol_world(
                 n,
-                |pid| MultiNode::new(pid, hb_leader(pid, n), MultiEc::new(pid, n, fast_poll())),
+                |pid| {
+                    let multi = MultiEc::new(pid, n, fast_poll());
+                    Stack::new(hb_leader(pid, n), Log::new(pid, multi))
+                },
                 |node, ctx, command| {
-                    node.submit(ctx, command);
-                    if command == 100 {
-                        node.submit(ctx, 200);
-                    }
+                    node.with_above(ctx, |log, ctx, fd| {
+                        log.submit(ctx, command, fd);
+                        if command == 100 {
+                            log.submit(ctx, 200, fd);
+                        }
+                    })
                 },
             ),
         }),

@@ -1,11 +1,12 @@
 //! The common shape of the round-based consensus protocols.
 //!
-//! All three protocols in this crate — the paper's ◇C algorithm, the
-//! Chandra–Toueg ◇S baseline, and the Mostefaoui–Raynal Ω baseline —
-//! share the same skeleton: a process proposes a value, the protocol runs
-//! asynchronous rounds driven by messages and a polling timer (which
-//! re-evaluates wait conditions whenever the failure detector's output may
-//! have changed), and decisions are disseminated by Reliable Broadcast.
+//! All five protocols in this crate — the paper's ◇C algorithm and its
+//! §5.4 merged variant, the Chandra–Toueg ◇S and Mostefaoui–Raynal Ω
+//! baselines, and the Paxos synod — share the same skeleton: a process
+//! proposes a value, the protocol runs asynchronous rounds driven by
+//! messages and a polling timer (which re-evaluates wait conditions
+//! whenever the failure detector's output may have changed), and
+//! decisions are disseminated by Reliable Broadcast.
 //!
 //! A protocol is a [`RoundProtocol`]: it receives the co-located failure
 //! detector's current [`FdOutput`] on every callback (the paper's "a
@@ -91,8 +92,8 @@ impl Default for ConsensusConfig {
     }
 }
 
-/// A round-based consensus protocol, hostable on a
-/// [`ConsensusNode`](crate::node::ConsensusNode).
+/// A round-based consensus protocol, hostable in a
+/// [`Decider`](crate::node::Decider).
 pub trait RoundProtocol: 'static {
     /// The protocol's wire messages.
     type Msg: SimMessage;

@@ -131,7 +131,9 @@ where
         }
 
         for (i, &v) in sc.proposals.iter().enumerate() {
-            world.interact(ProcessId(i), |node, ctx| node.propose(ctx, v));
+            world.interact(ProcessId(i), |node, ctx| {
+                node.with_above(ctx, |decider, ctx, fd| decider.propose(ctx, v, fd))
+            });
         }
 
         // The predicate runs after every event, so it must not allocate:
@@ -139,15 +141,15 @@ where
         let decided = world.run_until(sc.horizon, |w| {
             (0..w.n()).all(|i| {
                 let p = ProcessId(i);
-                w.is_crashed(p) || w.actor(p).decision().is_some()
+                w.is_crashed(p) || w.actor(p).above.decision().is_some()
             })
         });
         let decide_time = decided.then(|| world.now());
         let decisions: Vec<Option<DecidePayload>> = (0..n)
-            .map(|i| world.actor(ProcessId(i)).decision())
+            .map(|i| world.actor(ProcessId(i)).above.decision())
             .collect();
         let final_rounds: Vec<u64> = (0..n)
-            .map(|i| world.actor(ProcessId(i)).cons.round())
+            .map(|i| world.actor(ProcessId(i)).above.cons.round())
             .collect();
         let all_decided = decided;
         let (trace, metrics) = world.take_results();

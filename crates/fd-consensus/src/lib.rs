@@ -15,10 +15,12 @@
 //! * [`PaxosConsensus`] — the single-decree synod of \[13\], driven by
 //!   the same Ω output (the §1.2 "similar approaches" reference point).
 //!
-//! A [`ConsensusNode`] hosts a detector, a Reliable Broadcast module and
-//! one protocol; [`MultiNode`] multiplexes ◇C instances into a live
-//! replicated log; the [`harness`] runs whole scenarios. §5.4's
-//! comparison table falls out of [`harness::RunResult`]'s metrics.
+//! Every node is an [`fd_core::Stack`] — a detector, and one module over
+//! it: a [`ConsensusNode`]'s is a [`Decider`] (one protocol and its
+//! Reliable Broadcast), a [`MultiNode`]'s is a [`Log`] (◇C instances
+//! multiplexed into a live replicated log); the [`harness`] runs whole
+//! scenarios. §5.4's comparison table falls out of
+//! [`harness::RunResult`]'s metrics.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -39,10 +41,11 @@ pub use ec::{EcConsensus, EcMsg};
 pub use ec_merged::{EcMergedConsensus, EcmMsg};
 pub use harness::{default_net, run_scenario, ConsensusRunner, RunResult, Scenario};
 pub use mr::{MrConsensus, MrMsg};
-pub use multi::{MultiEc, MultiMsg, MultiNode, MultiNodeMsg, SlotDecide, LOG_APPEND, NOOP};
-pub use node::{ConsensusNode, NodeMsg};
+pub use multi::{Log, LogMsg, MultiEc, MultiMsg, MultiNode, SlotDecide, LOG_APPEND, NOOP};
+pub use node::{ConsensusNode, Decider};
 pub use paxos::{PaxosConsensus, PaxosMsg};
 
+use fd_core::Stack;
 use fd_detectors::{
     HeartbeatConfig, HeartbeatDetector, LeaderByFirstNonSuspected, LeaderConfig, LeaderDetector,
     ScriptedDetector,
@@ -79,52 +82,49 @@ pub type MrLeaderRunner = ConsensusRunner<LeaderDetector, MrConsensus>;
 
 /// Build an [`EcNodeHb`].
 pub fn ec_node_hb(me: ProcessId, n: usize) -> EcNodeHb {
-    ConsensusNode::new(
-        me,
+    Stack::new(
         LeaderByFirstNonSuspected::new(
             HeartbeatDetector::new(me, n, HeartbeatConfig::default()),
             n,
         ),
-        EcConsensus::new(me, n, ConsensusConfig::default()),
+        Decider::new(me, EcConsensus::new(me, n, ConsensusConfig::default())),
     )
 }
 
 /// Build an [`EcNodeLeader`].
 pub fn ec_node_leader(me: ProcessId, n: usize) -> EcNodeLeader {
-    ConsensusNode::new(
-        me,
+    Stack::new(
         LeaderDetector::new(me, n, LeaderConfig::default()),
-        EcConsensus::new(me, n, ConsensusConfig::default()),
+        Decider::new(me, EcConsensus::new(me, n, ConsensusConfig::default())),
     )
 }
 
 /// Build a [`CtNodeHb`].
 pub fn ct_node_hb(me: ProcessId, n: usize) -> CtNodeHb {
-    ConsensusNode::new(
-        me,
+    Stack::new(
         LeaderByFirstNonSuspected::new(
             HeartbeatDetector::new(me, n, HeartbeatConfig::default()),
             n,
         ),
-        CtConsensus::new(me, n, ConsensusConfig::default()),
+        Decider::new(me, CtConsensus::new(me, n, ConsensusConfig::default())),
     )
 }
 
 /// Build an [`MrNodeLeader`] that only knows `f < n/2`.
 pub fn mr_node_leader(me: ProcessId, n: usize) -> MrNodeLeader {
-    ConsensusNode::new(
-        me,
+    let cons = MrConsensus::with_unknown_f(me, n, ConsensusConfig::default());
+    Stack::new(
         LeaderDetector::new(me, n, LeaderConfig::default()),
-        MrConsensus::with_unknown_f(me, n, ConsensusConfig::default()),
+        Decider::new(me, cons),
     )
 }
 
 /// Build a [`PaxosNodeLeader`].
 pub fn paxos_node_leader(me: ProcessId, n: usize) -> PaxosNodeLeader {
-    ConsensusNode::new(
-        me,
+    let cons = PaxosConsensus::new(me, n, ConsensusConfig::default());
+    Stack::new(
         LeaderDetector::new(me, n, LeaderConfig::default()),
-        PaxosConsensus::new(me, n, ConsensusConfig::default()),
+        Decider::new(me, cons),
     )
 }
 
@@ -134,5 +134,5 @@ pub fn scripted_node<P: RoundProtocol>(
     fd: ScriptedDetector,
     cons: P,
 ) -> ScriptedNode<P> {
-    ConsensusNode::new(me, fd, cons)
+    Stack::new(fd, Decider::new(me, cons))
 }

@@ -5,7 +5,7 @@
 //! instances, one per log slot. [`MultiEc`] multiplexes any number of
 //! [`EcConsensus`] instances over one node — messages and timers are
 //! tagged with the slot — and drives itself: each replica queues client
-//! commands with [`MultiNode::submit`], proposes its **whole pending
+//! commands with [`Log::submit`], proposes its **whole pending
 //! queue as one batch** for the next slot, and advances when the slot's
 //! decision arrives by Reliable Broadcast. All correct replicas end up
 //! with the identical decided log.
@@ -58,9 +58,8 @@
 use crate::api::{ConsensusConfig, DecidePayload, ProtocolStep, RoundProtocol};
 use crate::ec::{EcConsensus, EcMsg};
 use fd_broadcast::{RbMsg, ReliableBroadcast};
-use fd_core::{Component, FdOutput};
-use fd_core::{EventuallyConsistentOracle, LeaderOracle, SubCtx, SuspectOracle};
-use fd_sim::{Actor, Context, Fnv, Payload, ProcessId, SimMessage, TimerTag};
+use fd_core::{Component, EventuallyConsistentOracle, FdOutput, Over, Stack, SubCtx};
+use fd_sim::{Fnv, Payload, ProcessId, SimMessage, TimerTag};
 use std::collections::VecDeque;
 use std::rc::Rc;
 
@@ -398,11 +397,11 @@ impl MultiEc {
     /// lifts it into the host's message type with `lift`, and attaches
     /// the body of the batch it names — the only place a body joins an
     /// outgoing message.
-    pub fn with_instance<N: SimMessage, R>(
+    pub fn with_instance<N: SimMessage, M, R>(
         &mut self,
-        ctx: &mut Context<'_, N>,
+        ctx: &mut SubCtx<'_, '_, N, M>,
         slot: u64,
-        lift: fn(MultiMsg) -> N,
+        lift: fn(MultiMsg) -> M,
         f: impl FnOnce(&mut EcConsensus, &mut SubCtx<'_, '_, N, EcMsg>) -> R,
     ) -> R {
         let (me, n, cfg) = (self.me, self.n, self.cfg.clone());
@@ -410,22 +409,22 @@ impl MultiEc {
             instance, bodies, ..
         } = self.slot_mut(slot);
         let instance = instance.get_or_insert_with(|| EcConsensus::new(me, n, cfg));
-        let wrap = |inner: EcMsg| {
+        let inject = |inner: EcMsg| {
             let body = named(&inner).and_then(|name| body_of(bodies, name));
             lift(MultiMsg { slot, inner, body })
         };
-        f(instance, &mut SubCtx::new(ctx, &wrap, slot_ns(slot)))
+        ctx.scoped(inject, slot_ns(slot), |sub| f(instance, sub))
     }
 
     /// Propose in `slot` with everything that is waiting (see
     /// [`next_proposal`](MultiEc::next_proposal) for *when*). A
     /// non-empty batch is announced on `multi.propose`.
-    pub fn propose<N: SimMessage>(
+    pub fn propose<N: SimMessage, M>(
         &mut self,
-        ctx: &mut Context<'_, N>,
+        ctx: &mut SubCtx<'_, '_, N, M>,
         slot: u64,
         fd: FdOutput,
-        lift: fn(MultiMsg) -> N,
+        lift: fn(MultiMsg) -> M,
     ) -> ProtocolStep {
         let name = self.take_batch(slot);
         if name != NOOP {
@@ -439,13 +438,13 @@ impl MultiEc {
 
     /// Route a slot message into its instance, first keeping the body
     /// it carries (an open slot holds one body per name it has seen).
-    pub fn on_message<N: SimMessage>(
+    pub fn on_message<N: SimMessage, M>(
         &mut self,
-        ctx: &mut Context<'_, N>,
+        ctx: &mut SubCtx<'_, '_, N, M>,
         from: ProcessId,
         msg: MultiMsg,
         fd: FdOutput,
-        lift: fn(MultiMsg) -> N,
+        lift: fn(MultiMsg) -> M,
     ) -> ProtocolStep {
         let MultiMsg { slot, inner, body } = msg;
         if let (Some(name), Some(body)) = (named(&inner), body) {
@@ -471,12 +470,12 @@ impl MultiEc {
     /// `multi.append` and, if `close`, hand it to the slot's instance
     /// (Fig. 4, Task 3). Returns `false`, having done nothing, when the
     /// decision is not news.
-    pub fn learn_decision<N: SimMessage>(
+    pub fn learn_decision<N: SimMessage, M>(
         &mut self,
-        ctx: &mut Context<'_, N>,
+        ctx: &mut SubCtx<'_, '_, N, M>,
         (slot, name, round, body): &SlotDecide,
         close: bool,
-        lift: fn(MultiMsg) -> N,
+        lift: fn(MultiMsg) -> M,
     ) -> bool {
         if !self.record_decision(*slot, *name, *round, body) {
             return false;
@@ -491,11 +490,9 @@ impl MultiEc {
     }
 }
 
-/// Combined node message of a [`MultiNode`].
+/// What a [`Log`] exchanges with its peers.
 #[derive(Debug, Clone)]
-pub enum MultiNodeMsg<F> {
-    /// Failure-detector traffic.
-    Fd(F),
+pub enum LogMsg {
     /// Slot-decision broadcasts.
     Rb(RbMsg<SlotDecide>),
     /// Slot-tagged consensus traffic.
@@ -510,60 +507,60 @@ pub enum MultiNodeMsg<F> {
     },
 }
 
-impl<F: SimMessage> SimMessage for MultiNodeMsg<F> {
+impl SimMessage for LogMsg {
     fn kind(&self) -> &'static str {
         match self {
-            MultiNodeMsg::Fd(m) => m.kind(),
-            MultiNodeMsg::Rb(m) => m.kind(),
-            MultiNodeMsg::Cons(m) => m.kind(),
-            MultiNodeMsg::Open { .. } => fd_obs::keys::MULTI_OPEN,
+            LogMsg::Rb(m) => m.kind(),
+            LogMsg::Cons(m) => m.kind(),
+            LogMsg::Open { .. } => fd_obs::keys::MULTI_OPEN,
         }
     }
     fn round(&self) -> Option<u64> {
         match self {
-            MultiNodeMsg::Fd(m) => m.round(),
-            MultiNodeMsg::Rb(_) => None,
-            MultiNodeMsg::Cons(m) => m.round(),
-            MultiNodeMsg::Open { .. } => None,
+            LogMsg::Cons(m) => m.round(),
+            LogMsg::Rb(_) | LogMsg::Open { .. } => None,
         }
     }
 }
 
-/// A replica: detector + Reliable Broadcast + the consensus multiplexer.
-pub struct MultiNode<D: Component> {
-    /// The ◇C failure-detection module.
-    pub fd: D,
+/// A replica: a ◇C detector with a [`Log`] over it. Build it with
+/// `Stack::new(fd, Log::new(me, multi))`.
+pub type MultiNode<D> = Stack<D, Log>;
+
+/// The replicated log over a detector: Reliable Broadcast + the
+/// consensus multiplexer, driving itself.
+pub struct Log {
     /// Slot-decision dissemination.
     pub rb: ReliableBroadcast<SlotDecide>,
     /// The per-slot consensus instances.
     pub multi: MultiEc,
+    /// The detector's output as of the current callback: every entry
+    /// point reads it afresh, nothing keeps it across callbacks.
+    fd: FdOutput,
 }
 
-impl<D> MultiNode<D>
-where
-    D: Component + SuspectOracle + LeaderOracle,
-{
-    /// Assemble a replica.
-    pub fn new(me: ProcessId, fd: D, multi: MultiEc) -> Self {
-        let rb = ReliableBroadcast::new(me);
-        assert_ne!(
-            fd.ns(),
-            rb.ns(),
-            "components must own distinct timer namespaces"
-        );
-        assert!(
-            fd.ns() < MULTI_NS_BASE && rb.ns() < MULTI_NS_BASE,
-            "ns clash with slot range"
-        );
-        MultiNode { fd, rb, multi }
+impl Log {
+    /// Assemble the module for process `me`.
+    pub fn new(me: ProcessId, multi: MultiEc) -> Self {
+        Log {
+            rb: ReliableBroadcast::new(me),
+            multi,
+            fd: FdOutput::default(),
+        }
     }
 
-    /// Queue a client command. It joins this replica's batch for the
-    /// next free slot; if another replica's batch wins that slot, the
-    /// batch is automatically re-queued, so every submitted command is
-    /// eventually decided (at-least-once; deduplication is the
-    /// application's concern).
-    pub fn submit(&mut self, ctx: &mut Context<'_, MultiNodeMsg<D::Msg>>, command: u64) {
+    /// Queue a client command (through [`Stack::with_above`]). It joins
+    /// this replica's batch for the next free slot; if another replica's
+    /// batch wins that slot, the batch is automatically re-queued, so
+    /// every submitted command is eventually decided (at-least-once;
+    /// deduplication is the application's concern).
+    pub fn submit<N: SimMessage>(
+        &mut self,
+        ctx: &mut SubCtx<'_, '_, N, LogMsg>,
+        command: u64,
+        fd: &impl EventuallyConsistentOracle,
+    ) {
+        self.fd = fd.output();
         self.multi.push_pending(command);
         self.drive(ctx);
     }
@@ -576,7 +573,7 @@ where
 
     /// Propose what is pending for the next free slot (one outstanding
     /// slot at a time, the classic SMR pipeline of depth 1).
-    fn drive(&mut self, ctx: &mut Context<'_, MultiNodeMsg<D::Msg>>) {
+    fn drive<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, LogMsg>) {
         if let Some(slot) = self.multi.next_proposal() {
             self.propose_in_slot(ctx, slot, true);
         }
@@ -586,16 +583,16 @@ where
     /// replica opened it. Join with our pending batch (it may win the
     /// slot) or a NOOP, so the slot's coordinator can gather a majority
     /// of real estimates.
-    fn ensure_proposed(&mut self, ctx: &mut Context<'_, MultiNodeMsg<D::Msg>>, slot: u64) {
+    fn ensure_proposed<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, LogMsg>, slot: u64) {
         if self.multi.proposed_in(slot).is_some() || self.multi.decided(slot).is_some() {
             return;
         }
         self.propose_in_slot(ctx, slot, false);
     }
 
-    fn propose_in_slot(
+    fn propose_in_slot<N: SimMessage>(
         &mut self,
-        ctx: &mut Context<'_, MultiNodeMsg<D::Msg>>,
+        ctx: &mut SubCtx<'_, '_, N, LogMsg>,
         slot: u64,
         announce: bool,
     ) {
@@ -606,97 +603,97 @@ where
             for i in 0..ctx.n() {
                 let q = ProcessId(i);
                 if q != ctx.me() {
-                    ctx.send(q, MultiNodeMsg::Open { slot });
+                    ctx.send(q, LogMsg::Open { slot });
                 }
             }
         }
-        let fd = self.fd.output();
-        let step = self.multi.propose(ctx, slot, fd, MultiNodeMsg::Cons);
+        let step = self.multi.propose(ctx, slot, self.fd.clone(), LogMsg::Cons);
         self.apply_step(ctx, slot, step);
     }
 
-    fn apply_step(
+    fn apply_step<N: SimMessage>(
         &mut self,
-        ctx: &mut Context<'_, MultiNodeMsg<D::Msg>>,
+        ctx: &mut SubCtx<'_, '_, N, LogMsg>,
         slot: u64,
         step: ProtocolStep,
     ) {
         if let Some(decide) = self.multi.decision_of(slot, step) {
-            let ns = self.rb.ns();
-            self.rb
-                .broadcast(&mut SubCtx::new(ctx, &MultiNodeMsg::Rb, ns), decide);
+            let rb = &mut self.rb;
+            ctx.scoped(LogMsg::Rb, rb.ns(), |sub| rb.broadcast(sub, decide));
         }
         self.drain_deliveries(ctx);
     }
 
-    fn drain_deliveries(&mut self, ctx: &mut Context<'_, MultiNodeMsg<D::Msg>>) {
+    fn drain_deliveries<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, LogMsg>) {
         for d in self.rb.take_delivered() {
             self.multi
-                .learn_decision(ctx, &d.payload, true, MultiNodeMsg::Cons);
+                .learn_decision(ctx, &d.payload, true, LogMsg::Cons);
         }
         // A decision may have unblocked the next slot.
         self.drive(ctx);
     }
 }
 
-impl<D> Actor for MultiNode<D>
-where
-    D: Component + SuspectOracle + LeaderOracle,
-{
-    type Msg = MultiNodeMsg<D::Msg>;
+impl<D: EventuallyConsistentOracle + 'static> Over<D> for Log {
+    type Msg = LogMsg;
 
-    fn on_start(&mut self, ctx: &mut Context<'_, Self::Msg>) {
-        let ns = self.fd.ns();
-        self.fd
-            .on_start(&mut SubCtx::new(ctx, &MultiNodeMsg::Fd, ns));
+    /// The log arms no timer of its own; its slots' and its broadcast
+    /// module's are the namespaces it [`owns`](Over::owns).
+    fn ns(&self) -> u32 {
+        self.rb.ns()
     }
 
-    fn on_message(&mut self, ctx: &mut Context<'_, Self::Msg>, from: ProcessId, msg: Self::Msg) {
+    fn owns(&self, ns: u32) -> bool {
+        ns == self.rb.ns() || ns >= MULTI_NS_BASE
+    }
+
+    fn on_start<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, LogMsg>, _: &D) {
+        let rb = &mut self.rb;
+        ctx.scoped(LogMsg::Rb, rb.ns(), |sub| rb.on_start(sub));
+    }
+
+    fn on_message<N: SimMessage>(
+        &mut self,
+        ctx: &mut SubCtx<'_, '_, N, LogMsg>,
+        from: ProcessId,
+        msg: LogMsg,
+        fd: &D,
+    ) {
+        self.fd = fd.output();
         match msg {
-            MultiNodeMsg::Fd(m) => {
-                let ns = self.fd.ns();
-                self.fd
-                    .on_message(&mut SubCtx::new(ctx, &MultiNodeMsg::Fd, ns), from, m);
-            }
-            MultiNodeMsg::Rb(m) => {
-                let ns = self.rb.ns();
-                self.rb
-                    .on_message(&mut SubCtx::new(ctx, &MultiNodeMsg::Rb, ns), from, m);
+            LogMsg::Rb(m) => {
+                let rb = &mut self.rb;
+                ctx.scoped(LogMsg::Rb, rb.ns(), |sub| rb.on_message(sub, from, m));
                 self.drain_deliveries(ctx);
             }
-            MultiNodeMsg::Open { slot } => {
-                self.ensure_proposed(ctx, slot);
-            }
-            MultiNodeMsg::Cons(msg) => {
+            LogMsg::Open { slot } => self.ensure_proposed(ctx, slot),
+            LogMsg::Cons(msg) => {
                 let slot = msg.slot;
                 self.ensure_proposed(ctx, slot);
-                let fd = self.fd.output();
                 let step = self
                     .multi
-                    .on_message(ctx, from, msg, fd, MultiNodeMsg::Cons);
+                    .on_message(ctx, from, msg, self.fd.clone(), LogMsg::Cons);
                 self.apply_step(ctx, slot, step);
             }
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, Self::Msg>, tag: TimerTag) {
-        if tag.ns == self.fd.ns() {
-            self.fd.on_timer(
-                &mut SubCtx::new(ctx, &MultiNodeMsg::Fd, tag.ns),
-                tag.kind,
-                tag.data,
-            );
-        } else if tag.ns >= MULTI_NS_BASE {
+    fn on_timer<N: SimMessage>(
+        &mut self,
+        ctx: &mut SubCtx<'_, '_, N, LogMsg>,
+        tag: TimerTag,
+        fd: &D,
+    ) {
+        // Only slot instances arm timers; the broadcast module has none.
+        if tag.ns >= MULTI_NS_BASE {
+            self.fd = fd.output();
             let slot = (tag.ns - MULTI_NS_BASE) as u64;
-            let fd = self.fd.output();
             let step = self
                 .multi
-                .with_instance(ctx, slot, MultiNodeMsg::Cons, |inst, sub| {
-                    inst.on_timer(sub, tag.kind, tag.data, fd)
+                .with_instance(ctx, slot, LogMsg::Cons, |inst, sub| {
+                    inst.on_timer(sub, tag.kind, tag.data, self.fd.clone())
                 });
             self.apply_step(ctx, slot, step);
-        } else {
-            debug_assert_eq!(tag.ns, self.rb.ns(), "timer for an unknown namespace");
         }
     }
 }
@@ -712,19 +709,19 @@ pub mod api_obs {
 mod tests {
     use super::*;
     use crate::ConsensusConfig;
+    use fd_core::StackMsg;
     use fd_detectors::{HeartbeatConfig, HeartbeatDetector, LeaderByFirstNonSuspected};
-    use fd_sim::{Time, World, WorldBuilder};
+    use fd_sim::{Actor, Time, World, WorldBuilder};
 
     type Replica = MultiNode<LeaderByFirstNonSuspected<HeartbeatDetector>>;
 
     fn replica(pid: ProcessId, n: usize) -> Replica {
-        MultiNode::new(
-            pid,
+        Stack::new(
             LeaderByFirstNonSuspected::new(
                 HeartbeatDetector::new(pid, n, HeartbeatConfig::default()),
                 n,
             ),
-            MultiEc::new(pid, n, ConsensusConfig::default()),
+            Log::new(pid, MultiEc::new(pid, n, ConsensusConfig::default())),
         )
     }
 
@@ -732,6 +729,14 @@ mod tests {
         WorldBuilder::new(crate::harness::default_net(n))
             .seed(seed)
             .build(replica)
+    }
+
+    fn submit(
+        node: &mut Replica,
+        ctx: &mut fd_sim::Context<'_, <Replica as Actor>::Msg>,
+        cmd: u64,
+    ) {
+        node.with_above(ctx, |log, ctx, fd| log.submit(ctx, cmd, fd));
     }
 
     /// All submitted commands, for containment checks.
@@ -749,7 +754,7 @@ mod tests {
         for i in 0..n {
             for k in 0..3u64 {
                 let cmd = (i as u64 + 1) * 100 + k;
-                w.interact(ProcessId(i), move |node, ctx| node.submit(ctx, cmd));
+                w.interact(ProcessId(i), move |node, ctx| submit(node, ctx, cmd));
             }
         }
         // Losing commands re-queue, so eventually every submitted command
@@ -760,20 +765,20 @@ mod tests {
             all.iter().all(|c| vals.contains(c))
         };
         let done = w.run_until(Time::from_secs(120), |w| {
-            (0..n).all(|i| contains_all(&w.actor(ProcessId(i)).log()))
+            (0..n).all(|i| contains_all(&w.actor(ProcessId(i)).above.log()))
         });
         assert!(
             done,
             "logs did not fill: {:?}",
             (0..n)
-                .map(|i| w.actor(ProcessId(i)).log().len())
+                .map(|i| w.actor(ProcessId(i)).above.log().len())
                 .collect::<Vec<_>>()
         );
         // Logs agree on every common slot (replicas may be at different
         // lengths, but never disagree).
-        let reference = w.actor(ProcessId(0)).log();
+        let reference = w.actor(ProcessId(0)).above.log();
         for i in 1..n {
-            let log = w.actor(ProcessId(i)).log();
+            let log = w.actor(ProcessId(i)).above.log();
             let common = reference.len().min(log.len());
             assert_eq!(&log[..common], &reference[..common], "p{i} log diverged");
         }
@@ -790,7 +795,7 @@ mod tests {
         for i in 0..n {
             for k in 0..2u64 {
                 let cmd = (i as u64 + 1) * 10 + k;
-                w.interact(ProcessId(i), move |node, ctx| node.submit(ctx, cmd));
+                w.interact(ProcessId(i), move |node, ctx| submit(node, ctx, cmd));
             }
         }
         w.schedule_crash(ProcessId(4), Time::from_millis(30));
@@ -804,6 +809,7 @@ mod tests {
             (0..3).all(|i| {
                 let vals: Vec<u64> = w
                     .actor(ProcessId(i))
+                    .above
                     .log()
                     .iter()
                     .map(|(_, v)| *v)
@@ -812,9 +818,9 @@ mod tests {
             })
         });
         assert!(done, "surviving replicas stalled");
-        let reference = w.actor(ProcessId(0)).log();
+        let reference = w.actor(ProcessId(0)).above.log();
         for i in 1..3 {
-            let log = w.actor(ProcessId(i)).log();
+            let log = w.actor(ProcessId(i)).above.log();
             let common = reference.len().min(log.len());
             assert_eq!(&log[..common], &reference[..common], "p{i} prefix diverged");
         }
@@ -1012,10 +1018,10 @@ mod tests {
         let mut w = world(n, 204);
         w.run_until_time(Time::from_millis(20));
         w.interact(ProcessId(2), |node, ctx| {
-            node.on_message(ctx, ProcessId(0), MultiNodeMsg::Open { slot: 0 });
+            node.on_message(ctx, ProcessId(0), StackMsg::Above(LogMsg::Open { slot: 0 }));
         });
         assert_eq!(
-            w.actor(ProcessId(2)).multi.proposed_in(0),
+            w.actor(ProcessId(2)).above.multi.proposed_in(0),
             Some(NOOP),
             "bystander must gap-fill the opened slot with NOOP"
         );
@@ -1033,10 +1039,10 @@ mod tests {
         let mut w = world(n, 209);
         for i in 0..n {
             let cmd = (i as u64 + 1) * 100;
-            w.interact(ProcessId(i), move |node, ctx| node.submit(ctx, cmd));
+            w.interact(ProcessId(i), move |node, ctx| submit(node, ctx, cmd));
         }
         let done = w.run_until(Time::from_secs(60), |w| {
-            (0..n).all(|i| w.actor(ProcessId(i)).log().len() >= n)
+            (0..n).all(|i| w.actor(ProcessId(i)).above.log().len() >= n)
         });
         assert!(done, "replicas stalled before deciding all submissions");
 
@@ -1055,7 +1061,7 @@ mod tests {
             .collect();
         // What each slot of the log should have announced: the fold of
         // its commands (of nothing, for a NOOP slot).
-        let log = w.actor(ProcessId(0)).log();
+        let log = w.actor(ProcessId(0)).above.log();
         for slot in 0..=log.last().expect("a non-empty log").0 {
             let decided: Vec<u64> = log
                 .iter()
@@ -1117,7 +1123,7 @@ mod tests {
                     payload: (0, name, 1, body),
                 };
                 w.interact(ProcessId(pid), move |node, ctx| {
-                    node.on_message(ctx, ProcessId(2), MultiNodeMsg::Rb(decide));
+                    node.on_message(ctx, ProcessId(2), StackMsg::Above(LogMsg::Rb(decide)));
                 });
             }
             fd_core::ConsensusRun::new(w.trace(), 3).check_multi_log_agreement()
@@ -1151,7 +1157,7 @@ mod tests {
         for i in 0..2 {
             for k in 0..3u64 {
                 let cmd = (i as u64 + 1) * 100 + k;
-                w.interact(ProcessId(i), move |node, ctx| node.submit(ctx, cmd));
+                w.interact(ProcessId(i), move |node, ctx| submit(node, ctx, cmd));
             }
         }
         let all = submitted(2, 3);
@@ -1159,6 +1165,7 @@ mod tests {
             (0..n).all(|i| {
                 let vals: Vec<u64> = w
                     .actor(ProcessId(i))
+                    .above
                     .log()
                     .iter()
                     .map(|(_, v)| *v)
@@ -1167,16 +1174,16 @@ mod tests {
             })
         });
         assert!(done, "logs did not converge under the mangler");
-        let reference = w.actor(ProcessId(0)).log();
+        let reference = w.actor(ProcessId(0)).above.log();
         for i in 1..n {
-            let log = w.actor(ProcessId(i)).log();
+            let log = w.actor(ProcessId(i)).above.log();
             let common = reference.len().min(log.len());
             assert_eq!(&log[..common], &reference[..common], "p{i} log diverged");
         }
         // Duplicated deliveries never duplicate a decided command.
         for i in 0..n {
             let mut seen = std::collections::HashSet::new();
-            for (_, v) in w.actor(ProcessId(i)).log() {
+            for (_, v) in w.actor(ProcessId(i)).above.log() {
                 if v != NOOP {
                     assert!(seen.insert(v), "command {v} decided twice at p{i}");
                 }
@@ -1189,13 +1196,13 @@ mod tests {
         let n = 4;
         let mut w = world(n, 203);
         for k in 0..4u64 {
-            w.interact(ProcessId(0), move |node, ctx| node.submit(ctx, 1000 + k));
+            w.interact(ProcessId(0), move |node, ctx| submit(node, ctx, 1000 + k));
         }
         let done = w.run_until(Time::from_secs(30), |w| {
-            w.actor(ProcessId(0)).log().len() >= 4
+            w.actor(ProcessId(0)).above.log().len() >= 4
         });
         assert!(done);
-        let log = w.actor(ProcessId(0)).log();
+        let log = w.actor(ProcessId(0)).above.log();
         // The first command goes out alone; the three that queued up
         // behind it share the next slot as one batch.
         let slots: Vec<u64> = log.iter().map(|(s, _)| *s).collect();

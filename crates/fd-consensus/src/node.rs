@@ -4,86 +4,56 @@
 //! This mirrors the paper's architecture exactly: the consensus algorithm
 //! queries its *local* failure-detection module (never the network) and
 //! hands decisions to the Reliable Broadcast primitive, whose deliveries
-//! trigger the decide task (Fig. 4).
+//! trigger the decide task (Fig. 4). The host is [`Stack`]: the detector
+//! below, and above it a [`Decider`] — the protocol and the broadcast
+//! module it decides through.
 
-use crate::api::{DecidePayload, RoundProtocol};
+use crate::api::{DecidePayload, ProtocolStep, RoundProtocol};
 use fd_broadcast::{RbMsg, ReliableBroadcast};
-use fd_core::Component;
-use fd_core::{EventuallyConsistentOracle, LeaderOracle, SubCtx, SuspectOracle};
-use fd_sim::{Actor, Context, ProcessId, SimMessage, TimerTag};
+use fd_core::{Component, EventuallyConsistentOracle, Over, Stack, StackMsg, SubCtx};
+use fd_sim::{ProcessId, SimMessage, TimerTag};
 
-/// Combined message type of a consensus node.
-#[derive(Debug, Clone)]
-pub enum NodeMsg<F, C> {
-    /// Failure-detector traffic.
-    Fd(F),
-    /// Decision broadcasts.
-    Rb(RbMsg<DecidePayload>),
-    /// Consensus protocol traffic.
-    Cons(C),
-}
+/// A process running detector `D` and consensus protocol `P`. Build it
+/// with `Stack::new(fd, Decider::new(me, cons))`.
+pub type ConsensusNode<D, P> = Stack<D, Decider<P>>;
 
-impl<F: SimMessage, C: SimMessage> SimMessage for NodeMsg<F, C> {
-    fn kind(&self) -> &'static str {
-        match self {
-            NodeMsg::Fd(m) => m.kind(),
-            NodeMsg::Rb(m) => m.kind(),
-            NodeMsg::Cons(m) => m.kind(),
-        }
-    }
-    fn round(&self) -> Option<u64> {
-        match self {
-            NodeMsg::Fd(m) => m.round(),
-            NodeMsg::Rb(_) => None,
-            NodeMsg::Cons(m) => m.round(),
-        }
-    }
-}
+/// What a [`Decider`] over protocol messages `C` sends: decision
+/// broadcasts below, protocol traffic above.
+type Msg<C> = StackMsg<RbMsg<DecidePayload>, C>;
 
-/// A process running detector `D` and consensus protocol `P`.
-pub struct ConsensusNode<D: Component, P: RoundProtocol> {
-    /// The failure-detection module.
-    pub fd: D,
+/// A consensus protocol and the Reliable Broadcast it decides through:
+/// the module over the detector in a [`ConsensusNode`].
+pub struct Decider<P> {
     /// The decision dissemination module.
     pub rb: ReliableBroadcast<DecidePayload>,
     /// The consensus protocol.
     pub cons: P,
 }
 
-impl<D, P> ConsensusNode<D, P>
-where
-    D: Component + SuspectOracle + LeaderOracle,
-    P: RoundProtocol,
-{
-    /// Assemble a node from its modules.
-    pub fn new(me: ProcessId, fd: D, cons: P) -> Self {
+impl<P: RoundProtocol> Decider<P> {
+    /// Assemble the module for process `me`.
+    pub fn new(me: ProcessId, cons: P) -> Self {
         let rb = ReliableBroadcast::new(me);
         assert_ne!(
-            fd.ns(),
-            cons.ns(),
-            "components must own distinct timer namespaces"
-        );
-        assert_ne!(
-            fd.ns(),
-            rb.ns(),
-            "components must own distinct timer namespaces"
-        );
-        assert_ne!(
             cons.ns(),
             rb.ns(),
             "components must own distinct timer namespaces"
         );
-        ConsensusNode { fd, rb, cons }
+        Decider { rb, cons }
     }
 
-    /// Propose a value. Call through
+    /// Propose a value. Call through [`Stack::with_above`] under
     /// [`World::interact`](fd_sim::World::interact).
-    pub fn propose(&mut self, ctx: &mut Context<'_, NodeMsg<D::Msg, P::Msg>>, value: u64) {
-        let fd = self.fd.output();
-        let ns = self.cons.ns();
-        let step = self
-            .cons
-            .on_propose(&mut SubCtx::new(ctx, &NodeMsg::Cons, ns), value, fd);
+    pub fn propose<N: SimMessage>(
+        &mut self,
+        ctx: &mut SubCtx<'_, '_, N, Msg<P::Msg>>,
+        value: u64,
+        fd: &impl EventuallyConsistentOracle,
+    ) {
+        let (cons, fd) = (&mut self.cons, fd.output());
+        let step = ctx.scoped(StackMsg::Above, cons.ns(), |sub| {
+            cons.on_propose(sub, value, fd)
+        });
         self.apply_step(ctx, step);
     }
 
@@ -92,86 +62,76 @@ where
         self.cons.decision()
     }
 
-    fn apply_step(
+    /// R-broadcast the decision `step` reached, if any, then hand every
+    /// decision R-delivered so far (its own included) to the protocol.
+    fn apply_step<N: SimMessage>(
         &mut self,
-        ctx: &mut Context<'_, NodeMsg<D::Msg, P::Msg>>,
-        step: crate::api::ProtocolStep,
+        ctx: &mut SubCtx<'_, '_, N, Msg<P::Msg>>,
+        step: ProtocolStep,
     ) {
+        let Decider { rb, cons } = self;
         if let Some(payload) = step.broadcast_decision {
-            let ns = self.rb.ns();
-            self.rb
-                .broadcast(&mut SubCtx::new(ctx, &NodeMsg::Rb, ns), payload);
+            ctx.scoped(StackMsg::Below, rb.ns(), |sub| rb.broadcast(sub, payload));
         }
-        self.drain_deliveries(ctx);
-    }
-
-    fn drain_deliveries(&mut self, ctx: &mut Context<'_, NodeMsg<D::Msg, P::Msg>>) {
-        for d in self.rb.take_delivered() {
+        for d in rb.take_delivered() {
             let (value, round) = d.payload;
-            let ns = self.cons.ns();
-            self.cons
-                .on_decide_delivered(&mut SubCtx::new(ctx, &NodeMsg::Cons, ns), value, round);
+            ctx.scoped(StackMsg::Above, cons.ns(), |sub| {
+                cons.on_decide_delivered(sub, value, round)
+            });
         }
     }
 }
 
-impl<D, P> Actor for ConsensusNode<D, P>
-where
-    D: Component + SuspectOracle + LeaderOracle,
-    P: RoundProtocol,
-{
-    type Msg = NodeMsg<D::Msg, P::Msg>;
+impl<D: EventuallyConsistentOracle + 'static, P: RoundProtocol> Over<D> for Decider<P> {
+    type Msg = Msg<P::Msg>;
 
-    fn on_start(&mut self, ctx: &mut Context<'_, Self::Msg>) {
-        let ns = self.fd.ns();
-        self.fd.on_start(&mut SubCtx::new(ctx, &NodeMsg::Fd, ns));
-        let ns = self.rb.ns();
-        self.rb.on_start(&mut SubCtx::new(ctx, &NodeMsg::Rb, ns));
-        // The consensus protocol starts on propose().
+    fn ns(&self) -> u32 {
+        self.cons.ns()
     }
 
-    fn on_message(&mut self, ctx: &mut Context<'_, Self::Msg>, from: ProcessId, msg: Self::Msg) {
-        match msg {
-            NodeMsg::Fd(m) => {
-                let ns = self.fd.ns();
-                self.fd
-                    .on_message(&mut SubCtx::new(ctx, &NodeMsg::Fd, ns), from, m);
-            }
-            NodeMsg::Rb(m) => {
-                let ns = self.rb.ns();
-                self.rb
-                    .on_message(&mut SubCtx::new(ctx, &NodeMsg::Rb, ns), from, m);
-                self.drain_deliveries(ctx);
-            }
-            NodeMsg::Cons(m) => {
-                let fd = self.fd.output();
-                let ns = self.cons.ns();
-                let step =
-                    self.cons
-                        .on_message(&mut SubCtx::new(ctx, &NodeMsg::Cons, ns), from, m, fd);
-                self.apply_step(ctx, step);
-            }
-        }
+    fn owns(&self, ns: u32) -> bool {
+        ns == self.cons.ns() || ns == self.rb.ns()
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, Self::Msg>, tag: TimerTag) {
-        if tag.ns == self.fd.ns() {
-            self.fd.on_timer(
-                &mut SubCtx::new(ctx, &NodeMsg::Fd, tag.ns),
-                tag.kind,
-                tag.data,
-            );
-        } else if tag.ns == self.cons.ns() {
-            let fd = self.fd.output();
-            let step = self.cons.on_timer(
-                &mut SubCtx::new(ctx, &NodeMsg::Cons, tag.ns),
-                tag.kind,
-                tag.data,
-                fd,
-            );
+    /// The consensus protocol starts on [`propose`](Decider::propose).
+    fn on_start<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, Self::Msg>, _: &D) {
+        let rb = &mut self.rb;
+        ctx.scoped(StackMsg::Below, rb.ns(), |sub| rb.on_start(sub));
+    }
+
+    fn on_message<N: SimMessage>(
+        &mut self,
+        ctx: &mut SubCtx<'_, '_, N, Self::Msg>,
+        from: ProcessId,
+        msg: Self::Msg,
+        fd: &D,
+    ) {
+        let Decider { rb, cons } = self;
+        let step = match msg {
+            StackMsg::Below(m) => {
+                ctx.scoped(StackMsg::Below, rb.ns(), |sub| rb.on_message(sub, from, m));
+                ProtocolStep::none()
+            }
+            StackMsg::Above(m) => ctx.scoped(StackMsg::Above, cons.ns(), |sub| {
+                cons.on_message(sub, from, m, fd.output())
+            }),
+        };
+        self.apply_step(ctx, step);
+    }
+
+    fn on_timer<N: SimMessage>(
+        &mut self,
+        ctx: &mut SubCtx<'_, '_, N, Self::Msg>,
+        tag: TimerTag,
+        fd: &D,
+    ) {
+        // The broadcast module arms no timers.
+        if tag.ns == self.cons.ns() {
+            let cons = &mut self.cons;
+            let step = ctx.scoped(StackMsg::Above, tag.ns, |sub| {
+                cons.on_timer(sub, tag.kind, tag.data, fd.output())
+            });
             self.apply_step(ctx, step);
-        } else {
-            debug_assert_eq!(tag.ns, self.rb.ns(), "timer for an unknown namespace");
         }
     }
 }

@@ -3,9 +3,9 @@
 
 use fd_consensus::{
     ct_node_hb, ec_node_hb, ec_node_leader, mr_node_leader, run_scenario, scripted_node,
-    ConsensusConfig, CtConsensus, EcConsensus, MrConsensus, RunResult, Scenario,
+    ConsensusConfig, CtConsensus, Decider, EcConsensus, MrConsensus, RunResult, Scenario,
 };
-use fd_core::ConsensusRun;
+use fd_core::{ConsensusRun, Stack};
 use fd_detectors::ScriptedDetector;
 use fd_sim::{NetworkConfig, ProcessId, SimDuration, Time};
 
@@ -273,10 +273,9 @@ fn mr_with_exact_f_collects_more_replies() {
     let n = 5;
     let sc = Scenario::failure_free(n, 33, Time::from_secs(5));
     let r = run_scenario(net(n), &sc, |pid, n| {
-        fd_consensus::ConsensusNode::new(
-            pid,
+        Stack::new(
             fd_detectors::LeaderDetector::new(pid, n, fd_detectors::LeaderConfig::default()),
-            MrConsensus::new(pid, n, 1, ConsensusConfig::default()),
+            Decider::new(pid, MrConsensus::new(pid, n, 1, ConsensusConfig::default())),
         )
     });
     assert!(r.all_decided);
@@ -353,13 +352,15 @@ fn ec_merged_with_real_detector_and_crashes() {
         .with_crash(ProcessId(0), Time::from_millis(20))
         .with_crash(ProcessId(4), Time::from_millis(45));
     let r = run_scenario(net(n), &sc, |pid, n| {
-        fd_consensus::ConsensusNode::new(
-            pid,
+        Stack::new(
             LeaderByFirstNonSuspected::new(
                 HeartbeatDetector::new(pid, n, HeartbeatConfig::default()),
                 n,
             ),
-            EcMergedConsensus::new(pid, n, ConsensusConfig::default()),
+            Decider::new(
+                pid,
+                EcMergedConsensus::new(pid, n, ConsensusConfig::default()),
+            ),
         )
     });
     assert!(r.all_decided, "merged variant must survive f=2 crashes");
@@ -375,10 +376,12 @@ fn ec_merged_safety_across_seeds() {
             Time::from_millis(5 + seed * 13),
         );
         let r = run_scenario(net(n), &sc, |pid, n| {
-            fd_consensus::ConsensusNode::new(
-                pid,
+            Stack::new(
                 fd_detectors::LeaderDetector::new(pid, n, fd_detectors::LeaderConfig::default()),
-                EcMergedConsensus::new(pid, n, ConsensusConfig::default()),
+                Decider::new(
+                    pid,
+                    EcMergedConsensus::new(pid, n, ConsensusConfig::default()),
+                ),
             )
         });
         check(&r);
@@ -468,10 +471,12 @@ fn node_rejects_component_namespace_collisions() {
         fn on_timer<N: SimMessage>(&mut self, _: &mut SubCtx<'_, '_, N, NoMsg2>, _: u32, _: u64) {}
     }
 
-    let _ = fd_consensus::ConsensusNode::new(
-        ProcessId(0),
+    let _ = Stack::new(
         BadNs,
-        EcConsensus::new(ProcessId(0), 3, ConsensusConfig::default()),
+        Decider::new(
+            ProcessId(0),
+            EcConsensus::new(ProcessId(0), 3, ConsensusConfig::default()),
+        ),
     );
 }
 

@@ -16,9 +16,10 @@
 //! is handed `&D` on every callback and reads whichever output it needs:
 //! `trusted()`, `suspected()`, a counter vector). A detector adapter that
 //! adds no messages of its own needs neither: it wraps the inner
-//! `Component` and forwards (`fd-detectors::omega`). The consensus and KV
-//! nodes (`fd-consensus::node`, `fd-kv::replica`) keep their own
-//! three-module hosts.
+//! `Component` and forwards (`fd-detectors::omega`). An upper module that
+//! hosts modules of its own — the consensus, log and KV modules each
+//! carry a Reliable Broadcast — hands them a [`SubCtx::scoped`] view and
+//! says which of their timer namespaces it [`owns`](Over::owns).
 
 use fd_sim::{
     Actor, Context, Payload, ProcessId, SimDuration, SimMessage, Time, TimerId, TimerTag,
@@ -109,6 +110,19 @@ impl<'a, 'w, N, C> SubCtx<'a, 'w, N, C> {
     /// Record a trace observation.
     pub fn observe(&mut self, tag: &'static str, payload: Payload) {
         self.inner.observe(tag, payload);
+    }
+
+    /// Run `f` under the view of a module nested inside this one: its
+    /// messages are `inject`ed into this component's, its timers carry
+    /// `ns`.
+    pub fn scoped<C2, R>(
+        &mut self,
+        inject: impl Fn(C2) -> C,
+        ns: u32,
+        f: impl FnOnce(&mut SubCtx<'_, 'w, N, C2>) -> R,
+    ) -> R {
+        let outer = self.wrap;
+        f(&mut SubCtx::new(self.inner, &|m| outer(inject(m)), ns))
     }
 }
 
@@ -209,8 +223,14 @@ pub trait Over<D>: 'static {
     /// The message type this module exchanges with its peers.
     type Msg: SimMessage;
 
-    /// The timer namespace this module owns; must differ from `D`'s.
+    /// The timer namespace this module arms its own timers in.
     fn ns(&self) -> u32;
+
+    /// Whether timers in `ns` are routed to this module: its own, and
+    /// those of every module it hosts. Must be false for `D`'s.
+    fn owns(&self, ns: u32) -> bool {
+        ns == self.ns()
+    }
 
     /// Invoked once at time zero, after `below` has started.
     fn on_start<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, Self::Msg>, below: &D);
@@ -224,12 +244,13 @@ pub trait Over<D>: 'static {
         below: &D,
     );
 
-    /// Invoked when one of this module's timers fires.
+    /// Invoked when a timer in a namespace this module [`owns`](Over::owns)
+    /// fires. `ctx` is scoped to the module's own namespace whichever
+    /// one `tag` carries.
     fn on_timer<N: SimMessage>(
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, Self::Msg>,
-        kind: u32,
-        data: u64,
+        tag: TimerTag,
         below: &D,
     );
 }
@@ -259,9 +280,9 @@ impl<A: SimMessage, B: SimMessage> SimMessage for StackMsg<A, B> {
     }
 }
 
-/// A node hosting a detector `D` and one module `U` over it. `below`
-/// starts first; a timer goes to `below` iff it carries `below`'s
-/// namespace, else to `above`.
+/// A node hosting a detector `D` and one module `U` over it — the only
+/// host a detector has. `below` starts first; a timer goes to `below`
+/// iff it carries `below`'s namespace, else to `above`.
 pub struct Stack<D, U> {
     /// The lower module (the detector).
     pub below: D,
@@ -270,12 +291,11 @@ pub struct Stack<D, U> {
 }
 
 impl<D: Component, U: Over<D>> Stack<D, U> {
-    /// Build the node from its two modules. Panics if they claim the
-    /// same timer namespace.
+    /// Build the node from its two modules. Panics if `above` claims
+    /// `below`'s timer namespace.
     pub fn new(below: D, above: U) -> Self {
-        assert_ne!(
-            below.ns(),
-            above.ns(),
+        assert!(
+            !above.owns(below.ns()),
             "components must own distinct timer namespaces"
         );
         Stack { below, above }
@@ -330,10 +350,8 @@ impl<D: Component, U: Over<D>> Actor for Stack<D, U> {
                 tag.data,
             );
         } else {
-            debug_assert_eq!(tag.ns, self.above.ns());
-            self.with_above(ctx, |above, ctx, below| {
-                above.on_timer(ctx, tag.kind, tag.data, below)
-            });
+            debug_assert!(self.above.owns(tag.ns), "timer for an unknown namespace");
+            self.with_above(ctx, |above, ctx, below| above.on_timer(ctx, tag, below));
         }
     }
 }
@@ -472,11 +490,10 @@ mod tests {
         fn on_timer<N: SimMessage>(
             &mut self,
             ctx: &mut SubCtx<'_, '_, N, Ping>,
-            kind: u32,
-            _: u64,
+            tag: TimerTag,
             clock: &Clock,
         ) {
-            assert_eq!(kind, 1, "the clock's timer reached the probe");
+            assert_eq!(tag.kind, 1, "the clock's timer reached the probe");
             self.seen.push(("timer", ctx.now(), clock.ticks));
             ctx.send_to_others(Ping);
             ctx.set_timer(SimDuration::from_millis(7), 1, 0);
@@ -540,6 +557,114 @@ mod tests {
     #[should_panic(expected = "distinct timer namespaces")]
     fn a_stack_rejects_equal_namespaces() {
         let _ = probe_over_clock(7);
+    }
+
+    /// Upper toy hosting a [`Gossip`] two `scoped` views deep, in
+    /// namespace `leaf_ns`, beside a timer of its own in namespace 20.
+    struct Nest {
+        leaf: Gossip,
+        leaf_ns: u32,
+        fired: Vec<TimerTag>,
+    }
+
+    const OWN: TimerTag = TimerTag::new(20, 1, 0xfeed);
+
+    impl Nest {
+        fn new(leaf_ns: u32) -> Nest {
+            Nest {
+                leaf: Gossip {
+                    period: SimDuration::from_millis(10),
+                    heard: 0,
+                },
+                leaf_ns,
+                fired: Vec::new(),
+            }
+        }
+
+        fn with_leaf<N: SimMessage>(
+            &mut self,
+            ctx: &mut SubCtx<'_, '_, N, <Nest as Over<Clock>>::Msg>,
+            f: impl FnOnce(&mut Gossip, &mut SubCtx<'_, '_, N, Tick>),
+        ) {
+            let (leaf, ns) = (&mut self.leaf, self.leaf_ns);
+            ctx.scoped(StackMsg::Above, 21, |mid| {
+                mid.scoped(StackMsg::Above, ns, |sub| f(leaf, sub))
+            });
+        }
+    }
+
+    impl Over<Clock> for Nest {
+        type Msg = StackMsg<Ping, StackMsg<Ping, Tick>>;
+        fn ns(&self) -> u32 {
+            OWN.ns
+        }
+        fn owns(&self, ns: u32) -> bool {
+            ns == OWN.ns || ns == self.leaf_ns
+        }
+        fn on_start<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, Self::Msg>, _: &Clock) {
+            self.with_leaf(ctx, |leaf, sub| leaf.on_start(sub));
+            ctx.set_timer(SimDuration::from_millis(7), OWN.kind, OWN.data);
+        }
+        fn on_message<N: SimMessage>(
+            &mut self,
+            ctx: &mut SubCtx<'_, '_, N, Self::Msg>,
+            from: ProcessId,
+            msg: Self::Msg,
+            _: &Clock,
+        ) {
+            let StackMsg::Above(StackMsg::Above(tick)) = msg else {
+                panic!("only the leaf sends: {msg:?}");
+            };
+            self.with_leaf(ctx, |leaf, sub| leaf.on_message(sub, from, tick));
+        }
+        fn on_timer<N: SimMessage>(
+            &mut self,
+            ctx: &mut SubCtx<'_, '_, N, Self::Msg>,
+            tag: TimerTag,
+            _: &Clock,
+        ) {
+            self.fired.push(tag);
+            if tag.ns == self.leaf_ns {
+                self.with_leaf(ctx, |leaf, sub| leaf.on_timer(sub, tag.kind, tag.data));
+                // The view this module was handed is its own, whichever
+                // timer fired: re-arming here lands in namespace 20.
+                ctx.set_timer(SimDuration::from_millis(7), OWN.kind, OWN.data);
+            }
+        }
+    }
+
+    #[test]
+    fn a_nested_module_keeps_its_kind_and_its_namespace() {
+        let net = NetworkConfig::new(2).with_default(fd_sim::LinkModel::reliable_const(
+            SimDuration::from_millis(1),
+        ));
+        let mut w =
+            WorldBuilder::new(net).build(|_, _| Stack::new(Clock { ticks: 0 }, Nest::new(22)));
+        w.run_until_time(Time::from_millis(45));
+        let node = w.actor(ProcessId(0));
+        // The clock's four timers (namespace 7) never reached the nest,
+        // and the nest's and the leaf's each came back tag intact: the
+        // nest's own at 7 ms, then one 7 ms after each leaf timer but
+        // the last (17, 27, 37), the leaf's at 10, 20, 30, 40.
+        assert_eq!(node.below.ticks, 5);
+        let leaf = TimerTag::new(22, 0, 0);
+        assert_eq!(
+            node.above.fired,
+            [OWN, leaf, OWN, leaf, OWN, leaf, OWN, leaf]
+        );
+        // Two views down, the leaf's messages still count under its own
+        // `kind()` (beside the clock's, which shares the type), and the
+        // peer's reached the leaf, not the clock.
+        assert_eq!(w.metrics().sent_of_kind("tick"), 2 * 4 + 2 * 4);
+        assert_eq!(node.above.leaf.heard, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "distinct timer namespaces")]
+    fn a_stack_rejects_an_upper_module_that_owns_the_detectors_namespace() {
+        // The nest's own namespace is 20; it is the hosted leaf's that
+        // collides with the clock's 7.
+        let _ = Stack::new(Clock { ticks: 0 }, Nest::new(7));
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub trait EventuallyConsistentOracle: SuspectOracle + LeaderOracle {
 impl<T: SuspectOracle + LeaderOracle> EventuallyConsistentOracle for T {}
 
 /// A point-in-time snapshot of a detector module's output.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FdOutput {
     /// The suspected set (empty for pure Ω detectors that only trust).
     pub suspected: ProcessSet,

@@ -28,7 +28,7 @@
 
 use crate::timeout::TimeoutTable;
 use fd_core::{LeaderOracle, Over, ProcessSet, SubCtx, SuspectOracle};
-use fd_sim::{ProcessId, SimDuration, SimMessage, Time};
+use fd_sim::{ProcessId, SimDuration, SimMessage, Time, TimerTag};
 
 /// Observation tag under which the transformation publishes its ◇P
 /// output (distinct from the inner ◇C detector's `fd.suspects`).
@@ -212,13 +212,12 @@ impl<D: LeaderOracle> Over<D> for EcToEp {
     fn on_timer<N: SimMessage>(
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, EpMsg>,
-        kind: u32,
-        _data: u64,
+        tag: TimerTag,
         fd: &D,
     ) {
         let leader = fd.trusted();
         self.note_leadership(ctx, leader);
-        match kind {
+        match tag.kind {
             TIMER_LIST => {
                 // Task 1: only self-believed leaders broadcast.
                 if self.was_leader {
@@ -256,7 +255,7 @@ impl<D: LeaderOracle> Over<D> for EcToEp {
                 }
                 ctx.set_timer(self.cfg.check_period, TIMER_CHECK, 0);
             }
-            _ => unreachable!("unknown ec_to_ep timer kind {kind}"),
+            _ => unreachable!("unknown ec_to_ep timer kind {}", tag.kind),
         }
         self.emit_if_changed(ctx);
     }

@@ -26,7 +26,7 @@
 //! half of a [`Stack`](fd_core::Stack) over [`HeartbeatCounter`].
 
 use fd_core::{Component, Over, SubCtx};
-use fd_sim::{Payload, ProcessId, SimDuration, SimMessage};
+use fd_sim::{Payload, ProcessId, SimDuration, SimMessage, TimerTag};
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Configuration of the [`HeartbeatCounter`] detector.
@@ -281,11 +281,10 @@ impl Over<HeartbeatCounter> for QuiescentChannel {
     fn on_timer<N: SimMessage>(
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, QcMsg>,
-        kind: u32,
-        _data: u64,
+        tag: TimerTag,
         hb: &HeartbeatCounter,
     ) {
-        debug_assert_eq!(kind, TIMER_RETRY);
+        debug_assert_eq!(tag.kind, TIMER_RETRY);
         let hb = hb.counters();
         for idx in 0..self.pending.len() {
             if hb[self.pending[idx].to.index()] > self.pending[idx].sent_at_hb {

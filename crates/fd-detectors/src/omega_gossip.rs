@@ -24,7 +24,7 @@
 //! used to build a ◇C failure detector at no additional cost."
 
 use fd_core::{LeaderOracle, Over, SubCtx, SuspectOracle};
-use fd_sim::{ProcessId, SimDuration, SimMessage};
+use fd_sim::{ProcessId, SimDuration, SimMessage, TimerTag};
 
 /// Configuration of the [`OmegaGossip`] reduction.
 #[derive(Debug, Clone)]
@@ -133,11 +133,10 @@ impl<D: SuspectOracle> Over<D> for OmegaGossip {
     fn on_timer<N: SimMessage>(
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, GossipMsg>,
-        kind: u32,
-        _data: u64,
+        tag: TimerTag,
         fd: &D,
     ) {
-        debug_assert_eq!(kind, TIMER_GOSSIP);
+        debug_assert_eq!(tag.kind, TIMER_GOSSIP);
         for q in fd.suspected().iter() {
             if q != self.me {
                 self.counters[q.index()] += 1;

@@ -17,7 +17,7 @@
 
 // fd-lint: allow(API001, reason = "the §3 ◇W→◇S construction of the class hierarchy: no stack needs it, tests/class_hierarchy.rs checks it")
 use fd_core::{Over, ProcessSet, SubCtx, SuspectOracle};
-use fd_sim::{ProcessId, SimDuration, SimMessage};
+use fd_sim::{ProcessId, SimDuration, SimMessage, TimerTag};
 
 /// Observation tag under which the amplifier publishes its ◇S output.
 pub use fd_obs::keys::W2S_SUSPECTS_OUT;
@@ -123,11 +123,10 @@ impl<D: SuspectOracle> Over<D> for WeakToStrong {
     fn on_timer<N: SimMessage>(
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, W2sMsg>,
-        kind: u32,
-        _data: u64,
+        tag: TimerTag,
         weak: &D,
     ) {
-        debug_assert_eq!(kind, TIMER_GOSSIP);
+        debug_assert_eq!(tag.kind, TIMER_GOSSIP);
         self.absorb_local(weak.suspected());
         ctx.send_to_others(W2sMsg(self.output.to_vec()));
         ctx.set_timer(self.cfg.period, TIMER_GOSSIP, 0);

@@ -27,7 +27,7 @@ pub mod wal;
 
 pub use bench::{kv_bench, standard_plan};
 pub use command::{decode, encode, uid_of, KvOp, MAX_UID};
-pub use replica::{KvConfig, KvMsg, KvReplica, KV_NS};
+pub use replica::{Kv, KvConfig, KvMsg, KvReplica, KV_NS};
 pub use scenario::{
     commit_latencies, generate_kv_chaos, generate_workload, kv_spec_of, KvRunSpec, KvScenario,
     KvWorkload, KV,

@@ -1,9 +1,9 @@
 //! The replicated KV node: consensus log + durability + catch-up.
 //!
-//! [`KvReplica`] is a host actor in the [`MultiNode`](fd_consensus::MultiNode)
-//! mold — detector, Reliable Broadcast, and the per-slot consensus
-//! multiplexer — extended with the serving stack the paper's §1
-//! motivates but never builds:
+//! A [`KvReplica`] is a [`Stack`]: a ◇C detector, and over it [`Kv`] —
+//! Reliable Broadcast and the per-slot consensus multiplexer, driven
+//! like [`fd_consensus::Log`] drives them, extended with the serving
+//! stack the paper's §1 motivates but never builds:
 //!
 //! * **Apply pipeline.** A slot decides a *batch* of commands (see
 //!   [`fd_consensus::multi`]). Decisions land in `entries` and are
@@ -38,10 +38,8 @@ use crate::wal::{self, WalRecord};
 use fd_broadcast::{RbMsg, ReliableBroadcast};
 use fd_consensus::multi::{commands, Body, MULTI_NS_BASE};
 use fd_consensus::{ConsensusConfig, MultiEc, MultiMsg, ProtocolStep, RoundProtocol, SlotDecide};
-use fd_core::{Component, EventuallyConsistentOracle, LeaderOracle, SubCtx, SuspectOracle};
-use fd_sim::{
-    Actor, Context, Payload, ProcessId, SimDisk, SimMessage, StorageConfig, Time, TimerTag,
-};
+use fd_core::{Component, EventuallyConsistentOracle, FdOutput, Over, Stack, SubCtx};
+use fd_sim::{Payload, ProcessId, SimDisk, SimMessage, StorageConfig, Time, TimerTag};
 use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -97,16 +95,14 @@ impl Default for KvConfig {
     }
 }
 
-/// Combined node message of a [`KvReplica`].
+/// What a [`Kv`] exchanges with its peers.
 #[derive(Debug, Clone)]
-pub enum KvMsg<F> {
-    /// Failure-detector traffic.
-    Fd(F),
+pub enum KvMsg {
     /// Slot-decision broadcasts.
     Rb(RbMsg<SlotDecide>),
     /// Slot-tagged consensus traffic.
     Cons(MultiMsg),
-    /// "Slot `s` is open" (see [`fd_consensus::MultiNodeMsg::Open`]).
+    /// "Slot `s` is open" (see [`fd_consensus::LogMsg::Open`]).
     Open {
         /// The opened slot.
         slot: u64,
@@ -136,10 +132,9 @@ pub enum KvMsg<F> {
     },
 }
 
-impl<F: SimMessage> SimMessage for KvMsg<F> {
+impl SimMessage for KvMsg {
     fn kind(&self) -> &'static str {
         match self {
-            KvMsg::Fd(m) => m.kind(),
             KvMsg::Rb(m) => m.kind(),
             KvMsg::Cons(m) => m.kind(),
             KvMsg::Open { .. } => fd_obs::keys::MULTI_OPEN,
@@ -149,18 +144,22 @@ impl<F: SimMessage> SimMessage for KvMsg<F> {
     }
     fn round(&self) -> Option<u64> {
         match self {
-            KvMsg::Fd(m) => m.round(),
             KvMsg::Cons(m) => m.round(),
             _ => None,
         }
     }
 }
 
-/// One replica of the KV service. Generic over the failure detector
-/// exactly like [`MultiNode`](fd_consensus::MultiNode).
-pub struct KvReplica<D: Component> {
+/// One replica of the KV service: a ◇C detector with a [`Kv`] over it.
+/// Build it with `Stack::new(fd, Kv::new(..))`.
+pub type KvReplica<D> = Stack<D, Kv>;
+
+/// The serving stack over a detector (see the module doc).
+pub struct Kv {
     me: ProcessId,
-    fd: D,
+    /// The detector's output as of the current callback: every entry
+    /// point reads it afresh, nothing keeps it across callbacks.
+    fd: FdOutput,
     rb: ReliableBroadcast<SlotDecide>,
     multi: MultiEc,
     cfg: KvConfig,
@@ -211,24 +210,18 @@ pub struct KvReplica<D: Component> {
     snap_applied: u64,
 }
 
-impl<D> KvReplica<D>
-where
-    D: Component + SuspectOracle + LeaderOracle,
-{
-    /// Assemble a replica with its per-seed arrival schedule.
-    pub fn new(me: ProcessId, n: usize, fd: D, cfg: KvConfig, schedule: Vec<(Time, u64)>) -> Self {
+impl Kv {
+    /// Assemble the module with its per-seed arrival schedule.
+    pub fn new(me: ProcessId, n: usize, cfg: KvConfig, schedule: Vec<(Time, u64)>) -> Self {
         let rb = ReliableBroadcast::new(me);
-        assert!(
-            fd.ns() < MULTI_NS_BASE && rb.ns() < MULTI_NS_BASE && KV_NS < MULTI_NS_BASE,
-            "ns clash with slot range"
-        );
-        assert!(
-            fd.ns() != rb.ns() && fd.ns() != KV_NS && rb.ns() != KV_NS,
+        assert_ne!(
+            rb.ns(),
+            KV_NS,
             "components must own distinct timer namespaces"
         );
-        KvReplica {
+        Kv {
             me,
-            fd,
+            fd: FdOutput::default(),
             rb,
             multi: MultiEc::new(me, n, ConsensusConfig::default()),
             cfg,
@@ -280,7 +273,7 @@ where
 
     // ---- submission & proposing ------------------------------------
 
-    fn submit(&mut self, ctx: &mut Context<'_, KvMsg<D::Msg>>, cmd: u64) {
+    fn submit<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, KvMsg>, cmd: u64) {
         let uid = uid_of(cmd);
         self.submitted.insert(uid);
         ctx.observe(obs::SUBMIT, Payload::U64Pair(uid, cmd));
@@ -291,7 +284,7 @@ where
     /// Propose what is pending for the next free slot (the depth-1
     /// pipeline of [`MultiNode`](fd_consensus::MultiNode)), unless
     /// catch-up has proposing gated off.
-    fn drive(&mut self, ctx: &mut Context<'_, KvMsg<D::Msg>>) {
+    fn drive<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, KvMsg>) {
         if self.syncing {
             return;
         }
@@ -300,7 +293,7 @@ where
         }
     }
 
-    fn ensure_proposed(&mut self, ctx: &mut Context<'_, KvMsg<D::Msg>>, slot: u64) {
+    fn ensure_proposed<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, KvMsg>, slot: u64) {
         // Below-base slots are decided-elsewhere: a snapshot adoption
         // compacted their decisions *and* this replica's Join markers
         // away, so joining a fresh instance here could re-decide a
@@ -316,7 +309,12 @@ where
         self.propose_in_slot(ctx, slot, false);
     }
 
-    fn propose_in_slot(&mut self, ctx: &mut Context<'_, KvMsg<D::Msg>>, slot: u64, announce: bool) {
+    fn propose_in_slot<N: SimMessage>(
+        &mut self,
+        ctx: &mut SubCtx<'_, '_, N, KvMsg>,
+        slot: u64,
+        announce: bool,
+    ) {
         // Durable participation marker *before* the first message of
         // this slot leaves (sends are queued actions, applied after
         // this callback returns, so the fsync strictly precedes them).
@@ -332,19 +330,22 @@ where
                 }
             }
         }
-        let fd = self.fd.output();
-        let step = self.multi.propose(ctx, slot, fd, KvMsg::Cons);
+        let step = self.multi.propose(ctx, slot, self.fd.clone(), KvMsg::Cons);
         self.apply_step(ctx, slot, step);
         // Watchdog from the very first proposal: a slot can wedge before
         // any decision ever reaches try_apply's arm_repair.
         self.arm_repair(ctx);
     }
 
-    fn apply_step(&mut self, ctx: &mut Context<'_, KvMsg<D::Msg>>, slot: u64, step: ProtocolStep) {
+    fn apply_step<N: SimMessage>(
+        &mut self,
+        ctx: &mut SubCtx<'_, '_, N, KvMsg>,
+        slot: u64,
+        step: ProtocolStep,
+    ) {
         if let Some(decide) = self.multi.decision_of(slot, step) {
-            let ns = self.rb.ns();
-            self.rb
-                .broadcast(&mut SubCtx::new(ctx, &KvMsg::Rb, ns), decide);
+            let rb = &mut self.rb;
+            ctx.scoped(KvMsg::Rb, rb.ns(), |sub| rb.broadcast(sub, decide));
         }
         self.drain_deliveries(ctx);
     }
@@ -356,7 +357,11 @@ where
     /// re-queues a losing batch of ours and closes the instance — only
     /// if this replica votes in the slot) and queue it for apply.
     /// `false` if it was not news.
-    fn learn_decision(&mut self, ctx: &mut Context<'_, KvMsg<D::Msg>>, decide: SlotDecide) -> bool {
+    fn learn_decision<N: SimMessage>(
+        &mut self,
+        ctx: &mut SubCtx<'_, '_, N, KvMsg>,
+        decide: SlotDecide,
+    ) -> bool {
         let slot = decide.0;
         let votes = !self.quarantined.contains(&slot) && self.joined.contains(&slot);
         if !self.multi.learn_decision(ctx, &decide, votes, KvMsg::Cons) {
@@ -369,7 +374,7 @@ where
         true
     }
 
-    fn drain_deliveries(&mut self, ctx: &mut Context<'_, KvMsg<D::Msg>>) {
+    fn drain_deliveries<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, KvMsg>) {
         for d in self.rb.take_delivered() {
             self.learn_decision(ctx, d.payload);
         }
@@ -379,7 +384,7 @@ where
 
     /// Apply every contiguously decided slot, WAL-logging each, then
     /// snapshot if due.
-    fn try_apply(&mut self, ctx: &mut Context<'_, KvMsg<D::Msg>>) {
+    fn try_apply<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, KvMsg>) {
         let mut progressed = false;
         while let Some((name, body)) = self.entries.get(&self.applied).cloned() {
             let slot = self.applied;
@@ -419,18 +424,16 @@ where
         self.applied = slot + 1;
     }
 
-    fn arm_fsync(&mut self, ctx: &mut Context<'_, KvMsg<D::Msg>>) {
+    fn arm_fsync<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, KvMsg>) {
         if self.fsync_armed || !self.wal_disk.dirty() {
             return;
         }
         self.fsync_armed = true;
-        ctx.set_timer(
-            self.cfg.storage.fsync_interval + self.cfg.storage.fsync_cost,
-            TimerTag::new(KV_NS, TIMER_FSYNC, 0),
-        );
+        let after = self.cfg.storage.fsync_interval + self.cfg.storage.fsync_cost;
+        ctx.set_timer(after, TIMER_FSYNC, 0);
     }
 
-    fn on_fsync(&mut self, ctx: &mut Context<'_, KvMsg<D::Msg>>) {
+    fn on_fsync<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, KvMsg>) {
         self.fsync_armed = false;
         self.wal_disk.fsync();
         for (uid, slot) in std::mem::take(&mut self.unacked) {
@@ -467,9 +470,9 @@ where
     /// snapshot) — answer `from` with the decision (as a `SyncResp`)
     /// and report `true`. `SyncResp` never generates consensus traffic,
     /// so this cannot loop.
-    fn reply_if_decided(
+    fn reply_if_decided<N: SimMessage>(
         &mut self,
-        ctx: &mut Context<'_, KvMsg<D::Msg>>,
+        ctx: &mut SubCtx<'_, '_, N, KvMsg>,
         from: ProcessId,
         slot: u64,
     ) -> bool {
@@ -520,20 +523,20 @@ where
             .collect()
     }
 
-    fn arm_repair(&mut self, ctx: &mut Context<'_, KvMsg<D::Msg>>) {
+    fn arm_repair<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, KvMsg>) {
         if self.syncing || self.repair_armed || (!self.has_gap() && self.stalled_slots().is_empty())
         {
             return;
         }
         self.repair_armed = true;
-        ctx.set_timer(self.cfg.sync_retry, TimerTag::new(KV_NS, TIMER_REPAIR, 0));
+        ctx.set_timer(self.cfg.sync_retry, TIMER_REPAIR, 0);
     }
 
     /// The liveness watchdog over lossy links: re-request decisions the
     /// apply pipeline is missing, and retransmit the outstanding phase
     /// message of every still-undecided slot this replica votes in (the
     /// round protocol itself never re-sends).
-    fn on_repair(&mut self, ctx: &mut Context<'_, KvMsg<D::Msg>>) {
+    fn on_repair<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, KvMsg>) {
         self.repair_armed = false;
         if self.syncing {
             return;
@@ -543,7 +546,6 @@ where
                 from_slot: self.applied,
             });
         }
-        let fd = self.fd.output();
         for slot in self.stalled_slots() {
             // Re-announce the slot: if the original Open broadcast was
             // lost, a peer — possibly the very coordinator the round is
@@ -553,15 +555,15 @@ where
             ctx.send_to_others(KvMsg::Open { slot });
             self.multi
                 .with_instance(ctx, slot, KvMsg::Cons, |inst, sub| {
-                    inst.retransmit(sub, &fd)
+                    inst.retransmit(sub, &self.fd)
                 });
         }
         self.arm_repair(ctx);
     }
 
-    fn serve_sync(
+    fn serve_sync<N: SimMessage>(
         &mut self,
-        ctx: &mut Context<'_, KvMsg<D::Msg>>,
+        ctx: &mut SubCtx<'_, '_, N, KvMsg>,
         from: ProcessId,
         from_slot: u64,
     ) {
@@ -593,9 +595,9 @@ where
         );
     }
 
-    fn on_sync_resp(
+    fn on_sync_resp<N: SimMessage>(
         &mut self,
-        ctx: &mut Context<'_, KvMsg<D::Msg>>,
+        ctx: &mut SubCtx<'_, '_, N, KvMsg>,
         from: ProcessId,
         snap: Option<Vec<u8>>,
         entries: Vec<(u64, u64, Body)>,
@@ -695,7 +697,7 @@ where
         self.drive(ctx);
     }
 
-    fn finish_sync(&mut self, ctx: &mut Context<'_, KvMsg<D::Msg>>) {
+    fn finish_sync<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, KvMsg>) {
         self.syncing = false;
         self.sync_claims.clear();
         self.multi.raise_base(self.applied);
@@ -714,11 +716,11 @@ where
 
     // ---- start & recovery -------------------------------------------
 
-    fn arm_arrivals(&mut self, ctx: &mut Context<'_, KvMsg<D::Msg>>) {
+    fn arm_arrivals<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, KvMsg>) {
         let now = ctx.now();
         for (idx, &(at, _)) in self.schedule.iter().enumerate() {
             if at > now {
-                ctx.set_timer(at - now, TimerTag::new(KV_NS, TIMER_ARRIVAL, idx as u64));
+                ctx.set_timer(at - now, TIMER_ARRIVAL, idx as u64);
             }
         }
     }
@@ -726,7 +728,7 @@ where
     /// Crash recovery: truncate the disks the way a real crash would,
     /// rebuild the store from snapshot + WAL, quarantine pre-crash
     /// votes, and start catch-up.
-    fn recover(&mut self, ctx: &mut Context<'_, KvMsg<D::Msg>>) {
+    fn recover<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, KvMsg>) {
         // The crash tears the unsynced WAL tail at a seed-deterministic
         // point; a staged snapshot rename that never fsynced is gone.
         let torn = {
@@ -807,24 +809,27 @@ where
         ctx.send_to_others(KvMsg::SyncReq {
             from_slot: self.applied,
         });
-        ctx.set_timer(
-            self.cfg.sync_retry,
-            TimerTag::new(KV_NS, TIMER_SYNC_RETRY, 0),
-        );
+        ctx.set_timer(self.cfg.sync_retry, TIMER_SYNC_RETRY, 0);
     }
 }
 
-impl<D> Actor for KvReplica<D>
-where
-    D: Component + SuspectOracle + LeaderOracle,
-{
-    type Msg = KvMsg<D::Msg>;
+impl<D: EventuallyConsistentOracle + 'static> Over<D> for Kv {
+    type Msg = KvMsg;
 
-    fn on_start(&mut self, ctx: &mut Context<'_, Self::Msg>) {
-        // Detector first, cold or warm: its soft state survives a pause
-        // (it re-adapts on its own), but its timers died with the epoch.
-        let ns = self.fd.ns();
-        self.fd.on_start(&mut SubCtx::new(ctx, &KvMsg::Fd, ns));
+    fn ns(&self) -> u32 {
+        KV_NS
+    }
+
+    fn owns(&self, ns: u32) -> bool {
+        ns == KV_NS || ns == self.rb.ns() || ns >= MULTI_NS_BASE
+    }
+
+    /// A warm start (`starts > 0`) is a crash recovery. The detector has
+    /// already restarted: its soft state survives a pause (it re-adapts
+    /// on its own), but its timers died with the epoch.
+    fn on_start<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, KvMsg>, _: &D) {
+        let rb = &mut self.rb;
+        ctx.scoped(KvMsg::Rb, rb.ns(), |sub| rb.on_start(sub));
         if self.starts > 0 {
             self.recover(ctx);
         }
@@ -832,17 +837,18 @@ where
         self.arm_arrivals(ctx);
     }
 
-    fn on_message(&mut self, ctx: &mut Context<'_, Self::Msg>, from: ProcessId, msg: Self::Msg) {
+    fn on_message<N: SimMessage>(
+        &mut self,
+        ctx: &mut SubCtx<'_, '_, N, KvMsg>,
+        from: ProcessId,
+        msg: KvMsg,
+        fd: &D,
+    ) {
+        self.fd = fd.output();
         match msg {
-            KvMsg::Fd(m) => {
-                let ns = self.fd.ns();
-                self.fd
-                    .on_message(&mut SubCtx::new(ctx, &KvMsg::Fd, ns), from, m);
-            }
             KvMsg::Rb(m) => {
-                let ns = self.rb.ns();
-                self.rb
-                    .on_message(&mut SubCtx::new(ctx, &KvMsg::Rb, ns), from, m);
+                let rb = &mut self.rb;
+                ctx.scoped(KvMsg::Rb, rb.ns(), |sub| rb.on_message(sub, from, m));
                 self.drain_deliveries(ctx);
             }
             KvMsg::Open { slot } => {
@@ -873,8 +879,9 @@ where
                 if !self.syncing && !self.quarantined.contains(&slot) {
                     self.ensure_proposed(ctx, slot);
                 }
-                let fd = self.fd.output();
-                let step = self.multi.on_message(ctx, from, msg, fd, KvMsg::Cons);
+                let step = self
+                    .multi
+                    .on_message(ctx, from, msg, self.fd.clone(), KvMsg::Cons);
                 self.apply_step(ctx, slot, step);
             }
             KvMsg::SyncReq { from_slot } => {
@@ -891,14 +898,14 @@ where
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, Self::Msg>, tag: TimerTag) {
-        if tag.ns == self.fd.ns() {
-            self.fd.on_timer(
-                &mut SubCtx::new(ctx, &KvMsg::Fd, tag.ns),
-                tag.kind,
-                tag.data,
-            );
-        } else if tag.ns == KV_NS {
+    fn on_timer<N: SimMessage>(
+        &mut self,
+        ctx: &mut SubCtx<'_, '_, N, KvMsg>,
+        tag: TimerTag,
+        fd: &D,
+    ) {
+        self.fd = fd.output();
+        if tag.ns == KV_NS {
             match tag.kind {
                 TIMER_ARRIVAL => {
                     let cmd = self.schedule[tag.data as usize].1;
@@ -911,10 +918,7 @@ where
                         ctx.send_to_others(KvMsg::SyncReq {
                             from_slot: self.applied,
                         });
-                        ctx.set_timer(
-                            self.cfg.sync_retry,
-                            TimerTag::new(KV_NS, TIMER_SYNC_RETRY, 0),
-                        );
+                        ctx.set_timer(self.cfg.sync_retry, TIMER_SYNC_RETRY, 0);
                     }
                 }
                 _ => debug_assert!(false, "unknown kv timer kind {}", tag.kind),
@@ -924,15 +928,12 @@ where
             if self.syncing || slot < self.multi.base() || self.quarantined.contains(&slot) {
                 return;
             }
-            let fd = self.fd.output();
             let step = self
                 .multi
                 .with_instance(ctx, slot, KvMsg::Cons, |inst, sub| {
-                    inst.on_timer(sub, tag.kind, tag.data, fd)
+                    inst.on_timer(sub, tag.kind, tag.data, self.fd.clone())
                 });
             self.apply_step(ctx, slot, step);
-        } else {
-            debug_assert_eq!(tag.ns, self.rb.ns(), "timer for an unknown namespace");
         }
     }
 }
@@ -942,8 +943,9 @@ mod tests {
     use super::*;
     use crate::command::{encode, KvOp};
     use fd_chaos::{base_net, compile, ChaosKind, ChaosPlan, DetectorKind};
+    use fd_core::StackMsg;
     use fd_detectors::{HeartbeatConfig, HeartbeatDetector, LeaderByFirstNonSuspected};
-    use fd_sim::{World, WorldBuilder};
+    use fd_sim::{Actor, World, WorldBuilder};
 
     type TestReplica = KvReplica<LeaderByFirstNonSuspected<HeartbeatDetector>>;
 
@@ -957,15 +959,12 @@ mod tests {
         schedules: Vec<Vec<(Time, u64)>>,
     ) -> World<TestReplica> {
         WorldBuilder::new(base_net(n)).seed(7).build(&mut |pid, n| {
-            KvReplica::new(
-                pid,
-                n,
+            Stack::new(
                 LeaderByFirstNonSuspected::new(
                     HeartbeatDetector::new(pid, n, HeartbeatConfig::default()),
                     n,
                 ),
-                cfg,
-                schedules[pid.index()].clone(),
+                Kv::new(pid, n, cfg, schedules[pid.index()].clone()),
             )
         })
     }
@@ -983,18 +982,18 @@ mod tests {
             r.on_message(
                 ctx,
                 ProcessId(1),
-                KvMsg::SyncResp {
+                StackMsg::Above(KvMsg::SyncResp {
                     snap: Some(snapshot_at(10)),
                     entries: Vec::new(),
                     frontier: 10,
                     authoritative: true,
-                },
+                }),
             );
         });
         let (mut applied, mut base) = (0, 0);
         world.interact(ProcessId(0), |r, _| {
-            applied = r.applied();
-            base = r.multi().base();
+            applied = r.above.applied();
+            base = r.above.multi().base();
         });
         assert_eq!(applied, 10);
         assert_eq!(base, 10, "snapshot adoption raises the base");
@@ -1009,15 +1008,17 @@ mod tests {
         // marker for it, so joining a fresh instance could re-decide a
         // globally decided slot. It must answer with sync data instead.
         world.interact(ProcessId(0), |r, ctx| {
-            r.on_message(ctx, ProcessId(1), KvMsg::Open { slot: 3 });
+            r.on_message(ctx, ProcessId(1), StackMsg::Above(KvMsg::Open { slot: 3 }));
         });
         let mut proposed = None;
-        world.interact(ProcessId(0), |r, _| proposed = r.multi().proposed_in(3));
+        world.interact(ProcessId(0), |r, _| {
+            proposed = r.above.multi().proposed_in(3)
+        });
         assert_eq!(proposed, None, "below-base slot must never be proposed in");
         // The reply fast-forwards the requester instead.
         world.run_until_time(Time::from_millis(500));
         let mut p1_applied = 0;
-        world.interact(ProcessId(1), |r, _| p1_applied = r.applied());
+        world.interact(ProcessId(1), |r, _| p1_applied = r.above.applied());
         assert_eq!(
             p1_applied, 10,
             "the Open sender is caught up via the snapshot"
@@ -1032,15 +1033,17 @@ mod tests {
             r.on_message(
                 ctx,
                 ProcessId(1),
-                KvMsg::Cons(MultiMsg {
+                StackMsg::Above(KvMsg::Cons(MultiMsg {
                     slot: 3,
                     inner: fd_consensus::EcMsg::Coordinator { round: 1 },
                     body: None,
-                }),
+                })),
             );
         });
         let mut proposed = None;
-        world.interact(ProcessId(0), |r, _| proposed = r.multi().proposed_in(3));
+        world.interact(ProcessId(0), |r, _| {
+            proposed = r.above.multi().proposed_in(3)
+        });
         assert_eq!(
             proposed, None,
             "a Cons message for a below-base slot must not revive it"
@@ -1068,7 +1071,8 @@ mod tests {
         world.run_until_time(Time::from_millis(300));
         let mut proposed = None;
         world.interact(ProcessId(0), |r, _| {
-            proposed = r.multi().proposed_in(0).map(|name| r.multi().body(0, name));
+            let multi = r.above.multi();
+            proposed = multi.proposed_in(0).map(|name| multi.body(0, name));
         });
         assert_eq!(
             proposed.as_ref().map(commands),
@@ -1105,11 +1109,13 @@ mod tests {
         let mut world = make_world(3, vec![Vec::new(); 3]);
         let cmd = encode(5, KvOp::Put { key: 2, value: 7 });
         world.interact(ProcessId(0), |r, ctx| {
-            r.submitted.insert(5);
-            // Slot 6 decided this replica's batch; slots 0..6 are unknown.
-            assert!(r.learn_decision(ctx, (6, 0x1_0001, 1, Some([cmd].into()))));
-            r.try_apply(ctx);
-            assert_eq!(r.applied, 0, "stuck behind the hole");
+            r.with_above(ctx, |r, ctx, _| {
+                r.submitted.insert(5);
+                // Slot 6 decided this replica's batch; slots 0..6 are unknown.
+                assert!(r.learn_decision(ctx, (6, 0x1_0001, 1, Some([cmd].into()))));
+                r.try_apply(ctx);
+                assert_eq!(r.applied, 0, "stuck behind the hole");
+            })
         });
         adopt_snapshot(&mut world);
         let (trace, _) = world.take_results();
@@ -1153,7 +1159,7 @@ mod tests {
             }
         }
         let frontier = chain.len() as u64 - 1;
-        let image = world.actor(ProcessId(0)).wal_disk.durable().to_vec();
+        let image = world.actor(ProcessId(0)).above.wal_disk.durable().to_vec();
         let (records, valid) = wal::recover(&image);
         assert_eq!(valid, image.len(), "the settled WAL has no torn tail");
         let seals = |records: &[WalRecord]| {
@@ -1178,10 +1184,11 @@ mod tests {
         for cut in 0..=image.len() {
             let whole_slots = seals(&wal::recover(&image[..cut]).0);
             world.interact(ProcessId(0), |r, ctx| {
+                let r = &mut r.above;
                 r.wal_disk = SimDisk::new();
                 r.wal_disk.append(&image[..cut]);
                 r.wal_disk.fsync();
-                r.recover(ctx);
+                r.recover(&mut SubCtx::new(ctx, &StackMsg::Above, KV_NS));
                 assert_eq!(r.applied, whole_slots, "cut at byte {cut}");
                 assert_eq!(
                     r.digest, chain[r.applied as usize],
@@ -1191,12 +1198,13 @@ mod tests {
             let now = world.now();
             world.run_until_time(now + settle);
             world.interact(ProcessId(0), |r, ctx| {
+                let r = &mut r.above;
                 assert!(!r.syncing, "cut at byte {cut}: catch-up never finished");
                 assert_eq!((r.applied, r.digest), (frontier, chain[frontier as usize]));
                 assert_eq!(r.fetched, frontier - whole_slots, "the rest came by sync");
                 // Crash again: the slots logged after the cut sit behind
                 // complete records, so local replay alone finds them all.
-                r.recover(ctx);
+                r.recover(&mut SubCtx::new(ctx, &StackMsg::Above, KV_NS));
                 assert_eq!(
                     (r.applied, r.digest),
                     (frontier, chain[frontier as usize]),

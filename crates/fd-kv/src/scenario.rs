@@ -21,13 +21,13 @@
 //! every restarted replica finishes snapshot/log catch-up.
 
 use crate::command::{encode, KvOp};
-use crate::replica::{obs, KvConfig, KvReplica};
+use crate::replica::{obs, Kv, KvConfig, KvReplica};
 use fd_campaign::scenario::SeedExecutor;
 use fd_campaign::{run_plan, Monitor, RunOutcome, RunPlan, Scenario};
 use fd_chaos::{
     base_net, compile, push_minority_partition, ChaosKind, ChaosPlan, DetectorKind, PlanSource,
 };
-use fd_core::Violation;
+use fd_core::{Stack, Violation};
 use fd_detectors::{
     HeartbeatConfig, HeartbeatDetector, LeaderByFirstNonSuspected, RingConfig, RingDetector,
     StableLeaderConfig, StableLeaderDetector,
@@ -55,11 +55,16 @@ pub struct KvWorkload {
 
 impl KvWorkload {
     /// Split into per-replica arrival schedules (the form
-    /// [`KvReplica::new`] takes).
+    /// [`Kv::new`] takes). An op addressed to a replica at or past `n`
+    /// is dropped: the campaign shrinker cuts `n` without knowing the
+    /// workload, and the executor runs such a desynced candidate for
+    /// the same-property guard to judge.
     pub fn schedules(&self, n: usize) -> Vec<Vec<(Time, u64)>> {
         let mut out = vec![Vec::new(); n];
         for &(pid, at, cmd) in &self.ops {
-            out[pid].push((at, cmd));
+            if let Some(schedule) = out.get_mut(pid) {
+                schedule.push((at, cmd));
+            }
         }
         out
     }
@@ -245,46 +250,26 @@ impl SeedExecutor for KvExecutor {
         let schedules = spec.workload.schedules(plan.n());
         let cfg = spec.cfg;
         let (net, seed) = (plan.net.clone(), plan.seed);
+        let kv = |pid: ProcessId, n| Kv::new(pid, n, cfg, schedules[pid.index()].clone());
         let mut outcome = match spec.chaos.detector {
             DetectorKind::Heartbeat => {
                 let world = self.hb.arm(net, seed, obs, |pid, n| {
-                    KvReplica::new(
-                        pid,
-                        n,
-                        LeaderByFirstNonSuspected::new(
-                            HeartbeatDetector::new(pid, n, HeartbeatConfig::default()),
-                            n,
-                        ),
-                        cfg,
-                        schedules[pid.index()].clone(),
-                    )
+                    let hb = HeartbeatDetector::new(pid, n, HeartbeatConfig::default());
+                    Stack::new(LeaderByFirstNonSuspected::new(hb, n), kv(pid, n))
                 });
                 run_plan(world, plan, &interventions)
             }
             DetectorKind::Ring => {
                 let world = self.ring.arm(net, seed, obs, |pid, n| {
-                    KvReplica::new(
-                        pid,
-                        n,
-                        LeaderByFirstNonSuspected::new(
-                            RingDetector::new(pid, n, RingConfig::default()),
-                            n,
-                        ),
-                        cfg,
-                        schedules[pid.index()].clone(),
-                    )
+                    let ring = RingDetector::new(pid, n, RingConfig::default());
+                    Stack::new(LeaderByFirstNonSuspected::new(ring, n), kv(pid, n))
                 });
                 run_plan(world, plan, &interventions)
             }
             DetectorKind::StableLeader => {
                 let world = self.leader.arm(net, seed, obs, |pid, n| {
-                    KvReplica::new(
-                        pid,
-                        n,
-                        StableLeaderDetector::new(pid, n, StableLeaderConfig::default()),
-                        cfg,
-                        schedules[pid.index()].clone(),
-                    )
+                    let leader = StableLeaderDetector::new(pid, n, StableLeaderConfig::default());
+                    Stack::new(leader, kv(pid, n))
                 });
                 run_plan(world, plan, &interventions)
             }
@@ -630,6 +615,78 @@ mod tests {
                     || shrunk.workload.ops.len() < spec.workload.ops.len()
             );
         }
+    }
+
+    /// ROADMAP item 3, recorded not fixed: p0, cut off from the rest,
+    /// joins slot 0 alone (its WAL `Join` marker is durable), crashes,
+    /// and restarts after the heal with slot 0 quarantined — it will
+    /// never vote there again. But it is the lowest pid, so once it is
+    /// back every process trusts it: the one replica that will never
+    /// coordinate slot 0. The pipeline is depth 1, so no later slot
+    /// opens and nothing submitted anywhere commits for the rest of the
+    /// run. The fix is a protocol decision — a quarantined replica must
+    /// stop being its slot's leader, or remember its rounds. Found as
+    /// seed 2787 of `ecfd campaign --scenario kv --seeds 0..3000`.
+    #[test]
+    #[ignore = "ROADMAP 3: quarantined leader"]
+    fn a_quarantined_leader_does_not_wedge_the_service() {
+        let p0 = ProcessId(0);
+        let rest = vec![ProcessId(1), ProcessId(2), ProcessId(3)];
+        let plan = ChaosPlan::new(4, DetectorKind::Heartbeat, KV_HORIZON)
+            .push(
+                Time::from_millis(200),
+                ChaosKind::Partition {
+                    groups: vec![vec![p0], rest],
+                },
+            )
+            .push(Time::from_millis(300), ChaosKind::GstMarker)
+            .push(Time::from_millis(400), ChaosKind::Crash { pid: p0 })
+            .push(Time::from_millis(600), ChaosKind::Heal)
+            .push(Time::from_millis(900), ChaosKind::Restart { pid: p0 });
+        let sc = KvScenario::fixed(plan).unwrap();
+        let plan = sc.plan(0);
+        let mut spec = kv_spec_of(&plan).unwrap();
+        spec.workload.ops = vec![
+            (0, Time::from_millis(300), encode(0, KvOp::Get { key: 0 })),
+            (2, Time::from_millis(1500), encode(1, KvOp::Get { key: 0 })),
+        ];
+        let outcome = sc
+            .make_executor()
+            .execute(&plan.with_params(kv_params(&spec)), None);
+        CommittedMonitor.check(&outcome).unwrap();
+    }
+
+    /// The campaign shrinker cuts `n` knowing nothing of the workload.
+    /// A candidate whose ops address the removed replica must run and
+    /// be judged — here discarded: without the op nothing is violated —
+    /// not index out of bounds.
+    #[test]
+    fn shrinking_a_four_replica_artifact_survives_the_cut_to_three() {
+        let calm = ChaosPlan::new(4, DetectorKind::Heartbeat, KV_HORIZON)
+            .push(Time::from_millis(300), ChaosKind::GstMarker);
+        let sc = KvScenario::fixed(calm).unwrap();
+        let plan = sc.plan(0);
+        let mut spec = kv_spec_of(&plan).unwrap();
+        // One op, at the last replica, a millisecond before the horizon:
+        // too late to commit whatever the protocol does.
+        let late = Time(KV_HORIZON.ticks() - 1_000);
+        spec.workload.ops = vec![(3, late, encode(0, KvOp::Get { key: 0 }))];
+        let plan = plan.with_params(kv_params(&spec));
+        let outcome = sc.make_executor().execute(&plan, None);
+        let violation = CommittedMonitor
+            .check(&outcome)
+            .expect_err("the late op cannot commit");
+        let artifact = fd_campaign::Artifact {
+            scenario: KV.to_string(),
+            seed: 0,
+            property: violation.property.to_string(),
+            detail: violation.to_string(),
+            digest: outcome.trace.digest(),
+            plan,
+        };
+        let shrunk = fd_campaign::shrink(&sc, &artifact).expect("the artifact violates");
+        assert_eq!(shrunk.artifact.plan.n(), 4, "{}", shrunk.render());
+        assert_eq!(shrunk.artifact.property, fd_obs::keys::KV_COMMITTED);
     }
 
     /// Overload order: 300 ops/s for one second at four heartbeat-class

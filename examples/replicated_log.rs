@@ -14,19 +14,18 @@
 //! replicas end up applying the identical sequence.
 
 use ecfd::prelude::*;
-use fd_consensus::{ConsensusNode, MultiEc, MultiNode, NOOP};
+use fd_consensus::{ConsensusNode, Log, MultiEc, MultiNode, NOOP};
 use fd_detectors::HeartbeatDetector;
 
 type Replica = MultiNode<LeaderByFirstNonSuspected<HeartbeatDetector>>;
 
 fn replica(pid: ProcessId, n: usize) -> Replica {
-    MultiNode::new(
-        pid,
+    Stack::new(
         LeaderByFirstNonSuspected::new(
             HeartbeatDetector::new(pid, n, HeartbeatConfig::default()),
             n,
         ),
-        MultiEc::new(pid, n, ConsensusConfig::default()),
+        Log::new(pid, MultiEc::new(pid, n, ConsensusConfig::default())),
     )
 }
 
@@ -41,7 +40,9 @@ fn main() {
         for k in 0..3u64 {
             let cmd = (i as u64 + 1) * 100 + k;
             all_commands.push(cmd);
-            world.interact(ProcessId(i), move |node, ctx| node.submit(ctx, cmd));
+            world.interact(ProcessId(i), move |node, ctx| {
+                node.with_above(ctx, |log, ctx, fd| log.submit(ctx, cmd, fd))
+            });
         }
     }
     println!(
@@ -66,6 +67,7 @@ fn main() {
         (0..3).all(|i| {
             let vals: Vec<u64> = w
                 .actor(ProcessId(i))
+                .above
                 .log()
                 .iter()
                 .map(|(_, v)| *v)
@@ -75,7 +77,7 @@ fn main() {
     });
     assert!(done, "log did not converge");
 
-    let reference = world.actor(ProcessId(0)).log();
+    let reference = world.actor(ProcessId(0)).above.log();
     println!(
         "replicated log at p0 ({} entries in {} slots, decided in {}):",
         reference.len(),
@@ -92,7 +94,7 @@ fn main() {
 
     // Agreement: every survivor's log is a prefix-consistent copy.
     for i in 1..3 {
-        let log = world.actor(ProcessId(i)).log();
+        let log = world.actor(ProcessId(i)).above.log();
         let common = reference.len().min(log.len());
         assert_eq!(&log[..common], &reference[..common], "replica {i} diverged");
     }

@@ -19,7 +19,7 @@
 //! workspace deliberately has no CLI dependency.)
 
 use ecfd::prelude::*;
-use fd_consensus::{ConsensusNode, EcMergedConsensus, MultiEc, MultiNode};
+use fd_consensus::{Decider, EcMergedConsensus, Log, MultiEc};
 use fd_core::Standalone;
 use fd_detectors::{
     FusedConfig, FusedDetector, HeartbeatDetector, OmegaGossip, OmegaGossipConfig, RingDetector,
@@ -508,7 +508,7 @@ fn cmd_consensus(m: &Matches) -> Result<(), Stop> {
         "paxos" => run_scenario(default_net(n), &sc, fd_consensus::paxos_node_leader),
         "ecm" => run_scenario(default_net(n), &sc, |pid, n| {
             let protocol = EcMergedConsensus::new(pid, n, ConsensusConfig::default());
-            ConsensusNode::new(pid, hb_leader(pid, n), protocol)
+            Stack::new(hb_leader(pid, n), Decider::new(pid, protocol))
         }),
         other => return Err(usage(format!("--protocol: unknown protocol {other}"))),
     };
@@ -643,12 +643,14 @@ fn cmd_log(m: &Matches) -> Result<(), Stop> {
     println!("replicated log: n={n} commands={commands} seed={seed} crashes={crashes}");
     let mut w = sim.builder(default_net(sim.n)).build(|pid, n| {
         let log = MultiEc::new(pid, n, ConsensusConfig::default());
-        MultiNode::new(pid, hb_leader(pid, n), log)
+        Stack::new(hb_leader(pid, n), Log::new(pid, log))
     });
     for k in 0..commands {
         let submitter = (k as usize) % n;
         let cmd = 1000 + k;
-        w.interact(ProcessId(submitter), move |node, ctx| node.submit(ctx, cmd));
+        w.interact(ProcessId(submitter), move |node, ctx| {
+            node.with_above(ctx, |log, ctx, fd| log.submit(ctx, cmd, fd))
+        });
     }
     let crashed: Vec<usize> = sim.crashes.iter().map(|&(p, _)| p).collect();
     let survivor_cmds: Vec<u64> = (0..commands)
@@ -657,7 +659,7 @@ fn cmd_log(m: &Matches) -> Result<(), Stop> {
         .collect();
     let done = w.run_until(horizon, |w| {
         w.correct().iter().all(|&p| {
-            let vals: Vec<u64> = w.actor(p).log().iter().map(|(_, v)| *v).collect();
+            let vals: Vec<u64> = w.actor(p).above.log().iter().map(|(_, v)| *v).collect();
             survivor_cmds.iter().all(|c| vals.contains(c))
         })
     });
@@ -665,7 +667,7 @@ fn cmd_log(m: &Matches) -> Result<(), Stop> {
         return Err(found("log did not converge before the horizon"));
     }
     let reference_pid = *w.correct().first().expect("a survivor");
-    let log = w.actor(ProcessId(reference_pid.index())).log();
+    let log = w.actor(ProcessId(reference_pid.index())).above.log();
     let slots = log.last().map_or(0, |(slot, _)| slot + 1);
     println!(
         "log at {reference_pid} ({} entries in {slots} slots, {}):",

@@ -2,16 +2,15 @@
 //! partially synchronous links, staggered proposals, larger systems.
 
 use ecfd::prelude::*;
-use fd_consensus::{ConsensusNode, EcConsensus};
+use fd_consensus::{ConsensusNode, Decider, EcConsensus};
 use fd_detectors::{RingConfig, RingDetector};
 
 type RingEcNode = ConsensusNode<LeaderByFirstNonSuspected<RingDetector>, EcConsensus>;
 
 fn ring_ec_node(pid: ProcessId, n: usize) -> RingEcNode {
-    ConsensusNode::new(
-        pid,
+    Stack::new(
         LeaderByFirstNonSuspected::new(RingDetector::new(pid, n, RingConfig::default()), n),
-        EcConsensus::new(pid, n, ConsensusConfig::default()),
+        Decider::new(pid, EcConsensus::new(pid, n, ConsensusConfig::default())),
     )
 }
 
@@ -60,13 +59,19 @@ fn staggered_proposals_still_terminate() {
     let mut world = builder.build(ec_node_hb);
     for i in 0..4 {
         world.interact(ProcessId(i), move |node, ctx| {
-            node.propose(ctx, 10 + i as u64)
+            node.with_above(ctx, |decider, ctx, fd| {
+                decider.propose(ctx, 10 + i as u64, fd)
+            })
         });
     }
     world.run_until_time(Time::from_millis(200));
-    world.interact(ProcessId(4), |node, ctx| node.propose(ctx, 14));
+    world.interact(ProcessId(4), |node, ctx| {
+        node.with_above(ctx, |decider, ctx, fd| decider.propose(ctx, 14, fd))
+    });
     let decided = world.run_until(Time::from_secs(20), |w| {
-        w.correct().iter().all(|&p| w.actor(p).decision().is_some())
+        w.correct()
+            .iter()
+            .all(|&p| w.actor(p).above.decision().is_some())
     });
     assert!(decided, "staggered run failed to decide");
     let (trace, _) = world.into_results();
@@ -141,10 +146,14 @@ fn consensus_survives_a_burst_partition_of_the_leader() {
         w.schedule_intervention(at, intervention);
     }
     for i in 0..n {
-        w.interact(ProcessId(i), |node, ctx| node.propose(ctx, 100 + i as u64));
+        w.interact(ProcessId(i), |node, ctx| {
+            node.with_above(ctx, |decider, ctx, fd| {
+                decider.propose(ctx, 100 + i as u64, fd)
+            })
+        });
     }
     let all_decided = w.run_until(horizon, |w| {
-        (0..n).all(|i| w.actor(ProcessId(i)).decision().is_some())
+        (0..n).all(|i| w.actor(ProcessId(i)).above.decision().is_some())
     });
     assert!(
         all_decided,
@@ -153,7 +162,7 @@ fn consensus_survives_a_burst_partition_of_the_leader() {
     ConsensusRun::new(w.trace(), n).check_all().unwrap();
     // p0 was only partitioned, never crashed: it must decide too.
     assert!(
-        w.actor(ProcessId(0)).decision().is_some(),
+        w.actor(ProcessId(0)).above.decision().is_some(),
         "the partitioned leader catches up after the heal"
     );
 }

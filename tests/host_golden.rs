@@ -1,0 +1,116 @@
+//! The refactoring licence for the three protocol hosts: one seeded run
+//! of each — the five consensus protocols and the replicated log, each
+//! with a crash, and the standard crash-restart KV plan per detector
+//! class — pinned to the trace digest and message count the hand-written
+//! actor it replaced (`ConsensusNode`, `MultiNode`, `KvReplica`, now
+//! aliases of `fd_core::Stack`) produced for the same run.
+//!
+//! `GOLDEN` was recorded at d40b337 (the parent, plus the one restart
+//! order the KV rows depend on) by running this file there with
+//! `Stack::new(fd, Decider::new(pid, p))` spelled `ConsensusNode::new(pid,
+//! fd, p)`, `Stack::new(fd, Log::new(pid, m))` spelled `MultiNode::new(pid,
+//! fd, m)` and `with_above(..submit..)` spelled `node.submit(ctx, cmd)`:
+//! `cargo test --test host_golden -- --nocapture`. A row that moves
+//! means start order, timer routing, send order, an RNG draw or a
+//! `kind()` string changed — never re-record it to make this test pass.
+
+use ecfd::prelude::*;
+use fd_chaos::DetectorKind;
+use fd_consensus::{Decider, EcMergedConsensus, Log, MultiEc, PaxosConsensus};
+use fd_detectors::HeartbeatDetector;
+use fd_kv::{standard_plan, KvScenario};
+
+/// `(host, Trace::digest(), messages sent)`.
+const GOLDEN: [(&str, u64, u64); 9] = [
+    ("ec", 0x98fd97aae4556d93, 142),
+    ("ecm", 0x1413027f78d1dde8, 199),
+    ("ct", 0xc0a894b8046f720f, 80),
+    ("mr", 0x1ee528e343137700, 80),
+    ("paxos", 0xe240c8c68ae5169b, 46),
+    ("log", 0xca789fc9b3353c91, 1806),
+    ("kv-heartbeat", 0xdfb69716300464c4, 9638),
+    ("kv-ring", 0x78a411f460cbd5b4, 6594),
+    ("kv-stable-leader", 0x971807d5ba71ecd9, 9638),
+];
+
+fn hb_leader(pid: ProcessId, n: usize) -> LeaderByFirstNonSuspected<HeartbeatDetector> {
+    LeaderByFirstNonSuspected::new(
+        HeartbeatDetector::new(pid, n, HeartbeatConfig::default()),
+        n,
+    )
+}
+
+/// Five processes, the round-one coordinator crashing mid-protocol.
+fn consensus<D, P>(
+    seed: u64,
+    make: impl FnMut(ProcessId, usize) -> ConsensusNode<D, P>,
+) -> (u64, u64)
+where
+    D: Component + SuspectOracle + LeaderOracle,
+    P: RoundProtocol,
+{
+    let sc = Scenario::failure_free(5, seed, Time::from_secs(10))
+        .with_crash(ProcessId(0), Time::from_millis(5));
+    let r = run_scenario(default_net(5), &sc, make);
+    assert!(r.all_decided);
+    (r.trace.digest(), r.metrics.sent_total())
+}
+
+/// Six commands over five replicas, one of them crashing at 40 ms.
+fn log() -> (u64, u64) {
+    let mut w = WorldBuilder::new(default_net(5))
+        .seed(0x1065)
+        .crash_at(ProcessId(1), Time::from_millis(40))
+        .build(|pid, n| {
+            let multi = MultiEc::new(pid, n, ConsensusConfig::default());
+            Stack::new(hb_leader(pid, n), Log::new(pid, multi))
+        });
+    for k in 0..6u64 {
+        w.interact(ProcessId(k as usize % 5), move |node, ctx| {
+            node.with_above(ctx, |log, ctx, fd| log.submit(ctx, 1000 + k, fd))
+        });
+    }
+    w.run_until_time(Time::from_secs(1));
+    let (trace, metrics) = w.into_results();
+    (trace.digest(), metrics.sent_total())
+}
+
+/// The standard crash-restart plan (`BENCH_kv.json`'s) under `detector`.
+fn kv(detector: DetectorKind) -> (u64, u64) {
+    use fd_campaign::Scenario as _;
+    let sc = KvScenario::fixed(standard_plan(detector)).expect("standard plan is legal");
+    let outcome = sc.make_executor().execute(&sc.plan(0x4b56), None);
+    (outcome.trace.digest(), outcome.messages)
+}
+
+#[test]
+fn the_protocol_hosts_replay_the_actors_they_replaced() {
+    let got = [
+        consensus(0x4057, ec_node_hb),
+        consensus(0x4058, |pid, n| {
+            let ecm = EcMergedConsensus::new(pid, n, ConsensusConfig::default());
+            Stack::new(hb_leader(pid, n), Decider::new(pid, ecm))
+        }),
+        consensus(0x4059, ct_node_hb),
+        consensus(0x405a, mr_node_leader),
+        consensus(0x405b, |pid, n| {
+            let fd = LeaderDetector::new(pid, n, LeaderConfig::default());
+            let paxos = PaxosConsensus::new(pid, n, ConsensusConfig::default());
+            Stack::new(fd, Decider::new(pid, paxos))
+        }),
+        log(),
+        kv(DetectorKind::Heartbeat),
+        kv(DetectorKind::Ring),
+        kv(DetectorKind::StableLeader),
+    ];
+    let mut drifted = String::new();
+    for (&(name, digest, sent), got) in GOLDEN.iter().zip(got) {
+        if got != (digest, sent) {
+            drifted += &format!("    (\"{name}\", {:#018x}, {}),\n", got.0, got.1);
+        }
+    }
+    assert!(
+        drifted.is_empty(),
+        "digest or message count moved; this run's rows:\n{drifted}"
+    );
+}

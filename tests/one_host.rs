@@ -1,0 +1,55 @@
+//! One way to assemble a node: outside test code, the workspace
+//! implements `fd_sim::Actor` for the two `fd-core` hosts, two synthetic
+//! load generators, and one wrapper on its way out — nothing else. A
+//! protocol that wants a node of its own implements `Over<D>` and is
+//! hosted by `Stack`; a new hand-written host fails here.
+
+use std::fs;
+use std::path::{Path, PathBuf};
+
+/// `(file, implementing type)`.
+const HOSTS: [(&str, &str); 5] = [
+    ("crates/fd-bench/src/mc.rs", "McEcNode"), // until ROADMAP 2(c)
+    ("crates/fd-campaign/src/builtin.rs", "BlindActor"),
+    ("crates/fd-core/src/component.rs", "Stack"),
+    ("crates/fd-core/src/component.rs", "Standalone"),
+    ("crates/fd-sim/src/bench.rs", "Flooder"),
+];
+
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn only_the_listed_types_implement_actor_outside_tests() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for krate in fs::read_dir(root.join("crates")).expect("crates/ exists") {
+        rust_files(&krate.unwrap().path().join("src"), &mut files);
+    }
+    let mut found = Vec::new();
+    for file in files {
+        let src = fs::read_to_string(&file).unwrap();
+        let shipped = src.split("#[cfg(test)]").next().unwrap();
+        for line in shipped.lines().filter(|l| l.starts_with("impl")) {
+            if let Some((_, host)) = line.split_once(" Actor for ") {
+                let name: String = host.chars().take_while(|c| c.is_alphanumeric()).collect();
+                let rel = file.strip_prefix(root).unwrap().to_str().unwrap();
+                found.push((rel.replace('\\', "/"), name));
+            }
+        }
+    }
+    found.sort();
+    let found: Vec<(&str, &str)> = found.iter().map(|(f, t)| (&**f, &**t)).collect();
+    assert_eq!(
+        found, HOSTS,
+        "left: `impl Actor for` on disk, right: allowed"
+    );
+}

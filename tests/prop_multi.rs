@@ -5,7 +5,7 @@
 //! survivor is eventually decided exactly once per submission.
 
 use ecfd::prelude::*;
-use fd_consensus::{ConsensusConfig, MultiEc, MultiNode, NOOP};
+use fd_consensus::{ConsensusConfig, Log, MultiEc, MultiNode, NOOP};
 use fd_detectors::HeartbeatDetector;
 use fd_sim::chaos::{Intervention, NetChange, MANGLE};
 use fd_sim::link::LinkMangler;
@@ -15,13 +15,12 @@ use proptest::prelude::*;
 type Replica = MultiNode<LeaderByFirstNonSuspected<HeartbeatDetector>>;
 
 fn replica(pid: ProcessId, n: usize) -> Replica {
-    MultiNode::new(
-        pid,
+    Stack::new(
         LeaderByFirstNonSuspected::new(
             HeartbeatDetector::new(pid, n, HeartbeatConfig::default()),
             n,
         ),
-        MultiEc::new(pid, n, ConsensusConfig::default()),
+        Log::new(pid, MultiEc::new(pid, n, ConsensusConfig::default())),
     )
 }
 
@@ -77,7 +76,7 @@ fn check_log_properties(plan: &LogPlan, mangler: Option<LinkMangler>) -> Result<
             survivor_cmds.push(cmd);
         }
         w.interact(ProcessId(replica_idx), move |node, ctx| {
-            node.submit(ctx, cmd)
+            node.with_above(ctx, |log, ctx, fd| log.submit(ctx, cmd, fd))
         });
     }
     if let Some((victim, at)) = plan.crash {
@@ -90,6 +89,7 @@ fn check_log_properties(plan: &LogPlan, mangler: Option<LinkMangler>) -> Result<
         survivors.iter().all(|&i| {
             let vals: Vec<u64> = w
                 .actor(ProcessId(i))
+                .above
                 .log()
                 .iter()
                 .map(|(_, v)| *v)
@@ -102,7 +102,7 @@ fn check_log_properties(plan: &LogPlan, mangler: Option<LinkMangler>) -> Result<
     // Prefix consistency across every pair of survivors.
     let logs: Vec<Vec<(u64, u64)>> = survivors
         .iter()
-        .map(|&i| w.actor(ProcessId(i)).log())
+        .map(|&i| w.actor(ProcessId(i)).above.log())
         .collect();
     for a in 0..logs.len() {
         for b in a + 1..logs.len() {

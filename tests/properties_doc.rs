@@ -6,8 +6,7 @@
 //! and a catalog entry without a monitor is a claim nothing checks.
 //! This test diffs the document against the generated key registry in
 //! both directions, and verifies that every checker anchor the
-//! document cites points at a real file, a real line, and the named
-//! function.
+//! document cites names a real file and an item that file defines.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -88,54 +87,43 @@ fn documented_monitors_match_named_checks() {
     }
 }
 
-/// Every `path:line` anchor in PROPERTIES.md must point inside the
-/// repo, at a line that exists, within a few lines of a Rust item
-/// (`fn`/`struct`). Three lines of slack: the cited line is the item
-/// itself, but doc-comment edits above it shouldn't break the build.
+/// Every `path::item` anchor in PROPERTIES.md must name a file inside
+/// the repo that defines a `fn` or `struct` called `item` — by name, so
+/// code moving within the file never stales the document.
 #[test]
 fn checker_anchors_point_at_real_code() {
     let doc = properties_md();
-    let mut anchors = Vec::new();
-    for line in doc.lines() {
-        // Match markdown-link anchors of the form
-        // [`crates/.../file.rs:123`](crates/.../file.rs).
-        let mut rest = line;
-        while let Some(start) = rest.find("[`crates/") {
-            let tail = &rest[start + 2..];
-            let Some(end) = tail.find('`') else { break };
-            let anchor = &tail[..end];
-            if let Some((path, line_no)) = anchor.rsplit_once(':') {
-                if let Ok(no) = line_no.parse::<usize>() {
-                    anchors.push((path.to_string(), no));
-                }
-            }
-            rest = &tail[end..];
-        }
-    }
+    // Markdown-link anchors of the form
+    // [`crates/.../file.rs::item`](crates/.../file.rs).
+    let anchors: Vec<(&str, &str)> = doc
+        .split("[`crates/")
+        .skip(1)
+        .filter_map(|tail| tail.split('`').next()?.split_once("::"))
+        .collect();
     assert!(
         anchors.len() >= 20,
-        "expected at least one file:line anchor per catalog entry, found {}",
+        "expected at least one file::item anchor per catalog entry, found {}",
         anchors.len()
     );
-    for (path, line_no) in anchors {
-        let full = repo_root().join(&path);
-        let src = fs::read_to_string(&full)
+    assert_eq!(
+        doc.matches(".rs:").count(),
+        doc.matches(".rs::").count(),
+        "PROPERTIES.md cites a `file.rs:LINE`; cite `file.rs::item`"
+    );
+    for (path, item) in anchors {
+        let path = format!("crates/{path}");
+        let src = fs::read_to_string(repo_root().join(&path))
             .unwrap_or_else(|e| panic!("PROPERTIES.md cites missing file {path}: {e}"));
-        let lines: Vec<&str> = src.lines().collect();
+        let defines = |kw: &str| {
+            src.match_indices(&format!("{kw} {item}"))
+                .any(|(at, found)| {
+                    !src[at + found.len()..].starts_with(|c: char| c.is_alphanumeric() || c == '_')
+                })
+        };
         assert!(
-            line_no <= lines.len(),
-            "PROPERTIES.md cites {path}:{line_no} but the file has {} lines",
-            lines.len()
-        );
-        let lo = line_no.saturating_sub(4);
-        let hi = (line_no + 3).min(lines.len());
-        let window = &lines[lo..hi];
-        assert!(
-            window
-                .iter()
-                .any(|l| l.contains("fn ") || l.contains("struct ") || l.contains("NAMED_CHECKS")),
-            "PROPERTIES.md cites {path}:{line_no}, but no fn/struct is within 3 lines — \
-             the checker moved; update the anchor"
+            defines("fn") || defines("struct"),
+            "PROPERTIES.md cites {path}::{item}, but the file defines no such fn or struct — \
+             the checker was renamed or moved; update the anchor"
         );
     }
 }
