@@ -26,9 +26,9 @@
 //! on its first line — exactly the paper's "the algorithm only uses
 //! detector D to query for its trusted process".
 
-use crate::timeout::TimeoutTable;
+use crate::timeout::Watch;
 use fd_core::{LeaderOracle, Over, ProcessSet, SubCtx, SuspectOracle};
-use fd_sim::{ProcessId, SimDuration, SimMessage, Time, TimerTag};
+use fd_sim::{ProcessId, SimDuration, SimMessage, TimerTag};
 
 /// Observation tag under which the transformation publishes its ◇P
 /// output (distinct from the inner ◇C detector's `fd.suspects`).
@@ -41,8 +41,6 @@ pub struct EcToEpConfig {
     pub list_period: SimDuration,
     /// Task 2 period (`Φ`): I-AM-ALIVE towards the trusted process.
     pub alive_period: SimDuration,
-    /// Task 3 check period.
-    pub check_period: SimDuration,
     /// Initial per-peer timeout (`Δ_p(q)`).
     pub initial_timeout: SimDuration,
     /// Additive increment applied by Task 4.
@@ -54,7 +52,6 @@ impl Default for EcToEpConfig {
         EcToEpConfig {
             list_period: SimDuration::from_millis(10),
             alive_period: SimDuration::from_millis(10),
-            check_period: SimDuration::from_millis(5),
             initial_timeout: SimDuration::from_millis(40),
             timeout_increment: SimDuration::from_millis(25),
         }
@@ -81,7 +78,6 @@ impl SimMessage for EpMsg {
 
 const TIMER_LIST: u32 = 0;
 const TIMER_ALIVE: u32 = 1;
-const TIMER_CHECK: u32 = 2;
 
 /// The Fig. 2 transformation component.
 #[derive(Debug)]
@@ -93,8 +89,9 @@ pub struct EcToEp {
     local_list: ProcessSet,
     /// Task 5's adopted list (meaningful while another process leads).
     adopted: ProcessSet,
-    last_heard: Vec<Time>,
-    timeouts: TimeoutTable,
+    /// Task 3's deadlines: every unsuspected peer while this process
+    /// leads, nobody otherwise.
+    watch: Watch,
     /// Leadership view at the last callback, to detect transitions.
     was_leader: bool,
     last_emitted: Option<ProcessSet>,
@@ -103,15 +100,13 @@ pub struct EcToEp {
 impl EcToEp {
     /// Create the transformation module for process `me` of `n`.
     pub fn new(me: ProcessId, n: usize, cfg: EcToEpConfig) -> EcToEp {
-        let timeouts = TimeoutTable::additive(n, cfg.initial_timeout, cfg.timeout_increment);
         EcToEp {
             me,
             n,
+            watch: Watch::new(n, n, cfg.initial_timeout, cfg.timeout_increment),
             cfg,
             local_list: ProcessSet::new(),
             adopted: ProcessSet::new(),
-            last_heard: vec![Time::ZERO; n],
-            timeouts,
             was_leader: false,
             last_emitted: None,
         }
@@ -120,7 +115,7 @@ impl EcToEp {
     /// Total Task-4 timeout increases (mistakes) so far. Theorem 1's
     /// argument bounds this under partial synchrony.
     pub fn mistakes(&self) -> u64 {
-        self.timeouts.total_increases()
+        self.watch.timeouts.total_increases()
     }
 
     fn output(&self) -> ProcessSet {
@@ -131,19 +126,25 @@ impl EcToEp {
         }
     }
 
+    /// The peers Task 3 watches under `leader`: as leader, everyone
+    /// this process does not suspect; otherwise nobody.
+    fn watched_under(&self, leader: ProcessId) -> ProcessSet {
+        if leader != self.me {
+            return ProcessSet::new();
+        }
+        self.local_list.complement(self.n)
+    }
+
     fn note_leadership<N: SimMessage>(
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, EpMsg>,
         leader: ProcessId,
     ) {
         let is_leader = leader == self.me;
-        if is_leader && !self.was_leader {
+        if is_leader != self.was_leader {
             // Fresh leadership: give every peer a full timeout window
-            // before Task 3 may suspect it.
-            let now = ctx.now();
-            for t in &mut self.last_heard {
-                *t = now;
-            }
+            // before Task 3 may suspect it. Lost: watch nobody.
+            self.watch.watch_only(ctx, self.watched_under(leader));
         }
         self.was_leader = is_leader;
     }
@@ -167,14 +168,10 @@ impl<D: LeaderOracle> Over<D> for EcToEp {
     /// Startup: arm the three periodic tasks.
     fn on_start<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, EpMsg>, fd: &D) {
         let leader = fd.trusted();
-        let now = ctx.now();
-        for t in &mut self.last_heard {
-            *t = now;
-        }
         self.was_leader = leader == self.me;
         ctx.set_timer(self.cfg.list_period, TIMER_LIST, 0);
         ctx.set_timer(self.cfg.alive_period, TIMER_ALIVE, 0);
-        ctx.set_timer(self.cfg.check_period, TIMER_CHECK, 0);
+        self.watch.watch_only(ctx, self.watched_under(leader));
         self.emit_if_changed(ctx);
     }
 
@@ -191,9 +188,12 @@ impl<D: LeaderOracle> Over<D> for EcToEp {
         match msg {
             EpMsg::Alive => {
                 // Task 4: revoke mistakes and grow the timeout.
-                self.last_heard[from.index()] = ctx.now();
+                self.watch.heard(from, ctx.now());
                 if self.local_list.remove(from) {
-                    self.timeouts.increase(from);
+                    self.watch.timeouts.increase(from);
+                    if self.was_leader {
+                        self.watch.watch(ctx, from);
+                    }
                 }
             }
             EpMsg::Suspects(list) => {
@@ -238,22 +238,11 @@ impl<D: LeaderOracle> Over<D> for EcToEp {
                 }
                 ctx.set_timer(self.cfg.alive_period, TIMER_ALIVE, 0);
             }
-            TIMER_CHECK => {
-                // Task 3: the leader suspects silent peers. The leader
-                // never suspects itself.
-                if self.was_leader {
-                    let now = ctx.now();
-                    for i in 0..self.n {
-                        let q = ProcessId(i);
-                        if q != self.me
-                            && !self.local_list.contains(q)
-                            && now.since(self.last_heard[q.index()]) > self.timeouts.get(q)
-                        {
-                            self.local_list.insert(q);
-                        }
-                    }
-                }
-                ctx.set_timer(self.cfg.check_period, TIMER_CHECK, 0);
+            Watch::TIMER => {
+                // Task 3: the leader suspects silent peers (never itself;
+                // a process that stopped leading watches nobody).
+                let silent = self.watch.fire(ctx);
+                self.local_list.extend(silent.iter());
             }
             _ => unreachable!("unknown ec_to_ep timer kind {}", tag.kind),
         }

@@ -21,9 +21,9 @@
 //!
 //! Outputs: `trusted` (Ω) and a ◇P-quality `suspected` list.
 
-use crate::timeout::TimeoutTable;
+use crate::timeout::Watch;
 use fd_core::{Component, LeaderOracle, ProcessSet, SubCtx, SuspectOracle};
-use fd_sim::{ProcessId, SimDuration, SimMessage, Time};
+use fd_sim::{ProcessId, SimDuration, SimMessage};
 
 /// Configuration of the [`FusedDetector`].
 #[derive(Debug, Clone)]
@@ -32,8 +32,6 @@ pub struct FusedConfig {
     pub period: SimDuration,
     /// I-AM-ALIVE period.
     pub alive_period: SimDuration,
-    /// Timeout check period (both leader-liveness and peer monitoring).
-    pub check_period: SimDuration,
     /// Initial timeout for both tables.
     pub initial_timeout: SimDuration,
     /// Additive increment after mistakes.
@@ -45,7 +43,6 @@ impl Default for FusedConfig {
         FusedConfig {
             period: SimDuration::from_millis(10),
             alive_period: SimDuration::from_millis(10),
-            check_period: SimDuration::from_millis(5),
             initial_timeout: SimDuration::from_millis(40),
             timeout_increment: SimDuration::from_millis(25),
         }
@@ -72,7 +69,6 @@ impl SimMessage for FusedMsg {
 
 const TIMER_BROADCAST: u32 = 0;
 const TIMER_ALIVE: u32 = 1;
-const TIMER_CHECK: u32 = 2;
 
 /// Fused Ω + ◇P detector at `2(n−1)` messages per period.
 #[derive(Debug)]
@@ -83,13 +79,14 @@ pub struct FusedDetector {
     // --- candidate election state (as in LeaderDetector) ---
     timed_out: ProcessSet,
     candidate: ProcessId,
-    leader_last_heard: Time,
-    leader_timeouts: TimeoutTable,
+    /// Watches the candidate, unless that is this process.
+    leader_watch: Watch,
     // --- ◇P list state (as in EcToEp) ---
     local_list: ProcessSet,
     adopted: ProcessSet,
-    peer_last_heard: Vec<Time>,
-    peer_timeouts: TimeoutTable,
+    /// Watches every unsuspected peer while this process leads. The two
+    /// watches share one timer kind: either may own a given fire.
+    peer_watch: Watch,
     was_leader: bool,
     last_emitted_suspects: Option<ProcessSet>,
 }
@@ -97,20 +94,17 @@ pub struct FusedDetector {
 impl FusedDetector {
     /// Create the detector for process `me` of `n`.
     pub fn new(me: ProcessId, n: usize, cfg: FusedConfig) -> FusedDetector {
-        let leader_timeouts = TimeoutTable::additive(n, cfg.initial_timeout, cfg.timeout_increment);
-        let peer_timeouts = TimeoutTable::additive(n, cfg.initial_timeout, cfg.timeout_increment);
+        let (initial, increment) = (cfg.initial_timeout, cfg.timeout_increment);
         FusedDetector {
             me,
             n,
             cfg,
             timed_out: ProcessSet::new(),
             candidate: ProcessId(0),
-            leader_last_heard: Time::ZERO,
-            leader_timeouts,
+            leader_watch: Watch::new(n, 1, initial, increment),
             local_list: ProcessSet::new(),
             adopted: ProcessSet::new(),
-            peer_last_heard: vec![Time::ZERO; n],
-            peer_timeouts,
+            peer_watch: Watch::new(n, n, initial, increment),
             was_leader: false,
             last_emitted_suspects: None,
         }
@@ -121,22 +115,31 @@ impl FusedDetector {
         self.candidate == self.me
     }
 
+    /// Whom each watch covers under the current candidate: the
+    /// candidate itself, or — when that is this process — every peer it
+    /// does not suspect.
+    fn watched(&self) -> (ProcessSet, ProcessSet) {
+        if !self.is_self_leader() {
+            return (ProcessSet::singleton(self.candidate), ProcessSet::new());
+        }
+        (ProcessSet::new(), self.local_list.complement(self.n))
+    }
+
     fn recompute_candidate<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, FusedMsg>) {
         self.timed_out.remove(self.me);
         let next = self.timed_out.complement(self.n).first().unwrap_or(self.me);
         if next != self.candidate {
             self.candidate = next;
-            self.leader_last_heard = ctx.now();
+            // A new candidate, and a fresh leader's peers, start from a
+            // full timeout window.
+            let (candidate, peers) = self.watched();
+            self.leader_watch.watch_only(ctx, candidate);
+            if self.is_self_leader() != self.was_leader {
+                self.peer_watch.watch_only(ctx, peers);
+            }
             ctx.observe(fd_core::obs::TRUSTED, fd_sim::Payload::Pid(next));
         }
-        let is_leader = self.is_self_leader();
-        if is_leader && !self.was_leader {
-            let now = ctx.now();
-            for t in &mut self.peer_last_heard {
-                *t = now;
-            }
-        }
-        self.was_leader = is_leader;
+        self.was_leader = self.is_self_leader();
     }
 
     fn emit_suspects_if_changed<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, FusedMsg>) {
@@ -172,13 +175,11 @@ impl Component for FusedDetector {
     }
 
     fn on_start<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, FusedMsg>) {
-        let now = ctx.now();
-        self.leader_last_heard = now;
-        for t in &mut self.peer_last_heard {
-            *t = now;
-        }
         self.candidate = self.timed_out.complement(self.n).first().unwrap_or(self.me);
         self.was_leader = self.is_self_leader();
+        let (candidate, peers) = self.watched();
+        self.leader_watch.watch_only(ctx, candidate);
+        self.peer_watch.watch_only(ctx, peers);
         ctx.observe(fd_core::obs::TRUSTED, fd_sim::Payload::Pid(self.candidate));
         self.emit_suspects_if_changed(ctx);
         if self.was_leader {
@@ -186,7 +187,6 @@ impl Component for FusedDetector {
         }
         ctx.set_timer(self.cfg.period, TIMER_BROADCAST, 0);
         ctx.set_timer(self.cfg.alive_period, TIMER_ALIVE, 0);
-        ctx.set_timer(self.cfg.check_period, TIMER_CHECK, 0);
     }
 
     fn on_message<N: SimMessage>(
@@ -198,11 +198,11 @@ impl Component for FusedDetector {
         match msg {
             FusedMsg::LeaderList(list) => {
                 if self.timed_out.remove(from) {
-                    self.leader_timeouts.increase(from);
+                    self.leader_watch.timeouts.increase(from);
                 }
                 self.recompute_candidate(ctx);
                 if from == self.candidate {
-                    self.leader_last_heard = ctx.now();
+                    self.leader_watch.heard(from, ctx.now());
                     // Task 5: adopt the leader's list.
                     self.adopted = list.iter().collect();
                     self.adopted.remove(self.me);
@@ -210,9 +210,12 @@ impl Component for FusedDetector {
             }
             FusedMsg::Alive => {
                 // Tasks 3–4 input: the leader tracks everyone.
-                self.peer_last_heard[from.index()] = ctx.now();
+                self.peer_watch.heard(from, ctx.now());
                 if self.local_list.remove(from) {
-                    self.peer_timeouts.increase(from);
+                    self.peer_watch.timeouts.increase(from);
+                    if self.is_self_leader() {
+                        self.peer_watch.watch(ctx, from);
+                    }
                 }
             }
         }
@@ -244,30 +247,15 @@ impl Component for FusedDetector {
                 }
                 ctx.set_timer(self.cfg.alive_period, TIMER_ALIVE, 0);
             }
-            TIMER_CHECK => {
-                let now = ctx.now();
+            Watch::TIMER => {
                 // Leader liveness.
-                if !self.is_self_leader()
-                    && now.since(self.leader_last_heard) > self.leader_timeouts.get(self.candidate)
-                {
-                    self.timed_out.insert(self.candidate);
+                if let Some(silent) = self.leader_watch.fire(ctx).first() {
+                    self.timed_out.insert(silent);
                     self.recompute_candidate(ctx);
                 }
                 // Peer monitoring (leader only).
-                if self.is_self_leader() {
-                    self.was_leader = true;
-                    for i in 0..self.n {
-                        let q = ProcessId(i);
-                        if q != self.me
-                            && !self.local_list.contains(q)
-                            && now.since(self.peer_last_heard[q.index()])
-                                > self.peer_timeouts.get(q)
-                        {
-                            self.local_list.insert(q);
-                        }
-                    }
-                }
-                ctx.set_timer(self.cfg.check_period, TIMER_CHECK, 0);
+                let silent = self.peer_watch.fire(ctx);
+                self.local_list.extend(silent.iter());
             }
             _ => unreachable!("unknown fused timer kind {kind}"),
         }

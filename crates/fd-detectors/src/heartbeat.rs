@@ -3,8 +3,9 @@
 //!
 //! Every process periodically sends `HEARTBEAT` to the peers in its
 //! `send_to` set and monitors the peers in its `monitor` set: a peer that
-//! stays silent past its adaptive timeout is suspected; a heartbeat from a
-//! suspected peer revokes the suspicion and grows that peer's timeout.
+//! stays silent past its adaptive timeout is suspected, at its deadline
+//! (`timeout::Watch`); a heartbeat from a suspected peer revokes the
+//! suspicion and grows that peer's timeout.
 //!
 //! With the default full sets this implements ◇P under partial synchrony
 //! at a cost of `n(n−1)` messages per period — the baseline the paper's
@@ -13,17 +14,15 @@
 //! used as the ◇W source for the completeness-amplification
 //! transformation.
 
-use crate::timeout::TimeoutTable;
+use crate::timeout::Watch;
 use fd_core::{Component, ProcessSet, SubCtx, SuspectOracle};
-use fd_sim::{ProcessId, SimDuration, SimMessage, Time};
+use fd_sim::{ProcessId, SimDuration, SimMessage};
 
 /// Configuration of a [`HeartbeatDetector`].
 #[derive(Debug, Clone)]
 pub struct HeartbeatConfig {
     /// Heartbeat send period (`Φ` in the paper's analysis).
     pub period: SimDuration,
-    /// How often silence is checked against the timeouts.
-    pub check_period: SimDuration,
     /// Initial per-peer timeout.
     pub initial_timeout: SimDuration,
     /// Additive timeout increment applied after each false suspicion.
@@ -34,7 +33,6 @@ impl Default for HeartbeatConfig {
     fn default() -> Self {
         HeartbeatConfig {
             period: SimDuration::from_millis(10),
-            check_period: SimDuration::from_millis(5),
             initial_timeout: SimDuration::from_millis(30),
             timeout_increment: SimDuration::from_millis(20),
         }
@@ -52,7 +50,6 @@ impl SimMessage for HeartbeatMsg {
 }
 
 const TIMER_SEND: u32 = 0;
-const TIMER_CHECK: u32 = 1;
 
 /// All-to-all (or restricted) heartbeat failure detector.
 #[derive(Debug)]
@@ -71,8 +68,7 @@ pub struct HeartbeatDetector {
     /// with thousands of identical sends per period.
     full_fanout: bool,
     monitor: ProcessSet,
-    last_heard: Vec<Time>,
-    timeouts: TimeoutTable,
+    watch: Watch,
     suspected: ProcessSet,
     started: bool,
 }
@@ -94,18 +90,16 @@ impl HeartbeatDetector {
         monitor: ProcessSet,
     ) -> HeartbeatDetector {
         assert!(!monitor.contains(me), "a process does not monitor itself");
-        let timeouts = TimeoutTable::additive(n, cfg.initial_timeout, cfg.timeout_increment);
         let full_fanout = send_to == ProcessSet::singleton(me).complement(n);
         HeartbeatDetector {
             me,
             n,
+            watch: Watch::new(n, n, cfg.initial_timeout, cfg.timeout_increment),
             cfg,
             ns: crate::ns::HEARTBEAT,
             send_to,
             full_fanout,
             monitor,
-            last_heard: vec![Time::ZERO; n],
-            timeouts,
             suspected: ProcessSet::new(),
             started: false,
         }
@@ -113,24 +107,7 @@ impl HeartbeatDetector {
 
     /// Total timeout increases — the number of mistakes made so far.
     pub fn mistakes(&self) -> u64 {
-        self.timeouts.total_increases()
-    }
-
-    fn check<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, HeartbeatMsg>) {
-        let now = ctx.now();
-        let mut changed = false;
-        for q in self.monitor.iter() {
-            if !self.suspected.contains(q)
-                // fd-lint: allow(HP001, reason = "last_heard has one slot per process; monitored pids are < n by construction")
-                && now.since(self.last_heard[q.index()]) > self.timeouts.get(q)
-            {
-                self.suspected.insert(q);
-                changed = true;
-            }
-        }
-        if changed {
-            self.emit(ctx);
-        }
+        self.watch.timeouts.total_increases()
     }
 
     fn beat<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, HeartbeatMsg>) {
@@ -167,13 +144,9 @@ impl Component for HeartbeatDetector {
 
     fn on_start<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, HeartbeatMsg>) {
         self.started = true;
-        let now = ctx.now();
-        for t in &mut self.last_heard {
-            *t = now;
-        }
         self.beat(ctx);
         ctx.set_timer(self.cfg.period, TIMER_SEND, 0);
-        ctx.set_timer(self.cfg.check_period, TIMER_CHECK, 0);
+        self.watch.watch_only(ctx, &self.monitor - &self.suspected);
         self.emit(ctx);
     }
 
@@ -184,12 +157,12 @@ impl Component for HeartbeatDetector {
         from: ProcessId,
         _msg: HeartbeatMsg,
     ) {
-        // fd-lint: allow(HP001, reason = "last_heard has one slot per process; from.index() < n by construction")
-        self.last_heard[from.index()] = ctx.now();
+        self.watch.heard(from, ctx.now());
         if self.suspected.remove(from) {
             // Mistake: grow the timeout so `from` is eventually never
             // falsely suspected again (the ◇-accuracy mechanism).
-            self.timeouts.increase(from);
+            self.watch.timeouts.increase(from);
+            self.watch.watch(ctx, from);
             self.emit(ctx);
         }
     }
@@ -206,9 +179,12 @@ impl Component for HeartbeatDetector {
                 self.beat(ctx);
                 ctx.set_timer(self.cfg.period, TIMER_SEND, 0);
             }
-            TIMER_CHECK => {
-                self.check(ctx);
-                ctx.set_timer(self.cfg.check_period, TIMER_CHECK, 0);
+            Watch::TIMER => {
+                let expired = self.watch.fire(ctx);
+                if !expired.is_empty() {
+                    self.suspected.extend(expired.iter());
+                    self.emit(ctx);
+                }
             }
             // fd-lint: allow(HP001, reason = "timer kinds are set only by this detector; an unknown kind is a corrupted world and must halt loudly")
             _ => unreachable!("unknown heartbeat timer kind {kind}"),

@@ -24,17 +24,15 @@
 //! the figure §4 quotes when it builds ◇C "on top of the ◇S algorithm
 //! proposed in \[16\]".
 
-use crate::timeout::TimeoutTable;
+use crate::timeout::Watch;
 use fd_core::{Component, LeaderOracle, ProcessSet, SubCtx, SuspectOracle};
-use fd_sim::{ProcessId, SimDuration, SimMessage, Time};
+use fd_sim::{ProcessId, SimDuration, SimMessage};
 
 /// Configuration of a [`LeaderDetector`].
 #[derive(Debug, Clone)]
 pub struct LeaderConfig {
     /// Leader broadcast period.
     pub period: SimDuration,
-    /// How often the candidate timeout is checked.
-    pub check_period: SimDuration,
     /// Initial candidate timeout.
     pub initial_timeout: SimDuration,
     /// Additive timeout increment after a false suspicion.
@@ -45,7 +43,6 @@ impl Default for LeaderConfig {
     fn default() -> Self {
         LeaderConfig {
             period: SimDuration::from_millis(10),
-            check_period: SimDuration::from_millis(5),
             initial_timeout: SimDuration::from_millis(40),
             timeout_increment: SimDuration::from_millis(25),
         }
@@ -63,7 +60,6 @@ impl SimMessage for LeaderAlive {
 }
 
 const TIMER_SEND: u32 = 0;
-const TIMER_CHECK: u32 = 1;
 
 /// Candidate-based Ω/◇C detector.
 #[derive(Debug)]
@@ -74,22 +70,20 @@ pub struct LeaderDetector {
     /// Processes locally timed out as candidates.
     timed_out: ProcessSet,
     candidate: ProcessId,
-    last_heard: Time,
-    timeouts: TimeoutTable,
+    /// Watches the candidate, unless that is this process.
+    watch: Watch,
 }
 
 impl LeaderDetector {
     /// Create the detector for process `me` of `n`.
     pub fn new(me: ProcessId, n: usize, cfg: LeaderConfig) -> LeaderDetector {
-        let timeouts = TimeoutTable::additive(n, cfg.initial_timeout, cfg.timeout_increment);
         LeaderDetector {
             me,
             n,
+            watch: Watch::new(n, 1, cfg.initial_timeout, cfg.timeout_increment),
             cfg,
             timed_out: ProcessSet::new(),
             candidate: ProcessId(0),
-            last_heard: Time::ZERO,
-            timeouts,
         }
     }
 
@@ -108,7 +102,8 @@ impl LeaderDetector {
         let next = self.first_candidate();
         if next != self.candidate {
             self.candidate = next;
-            self.last_heard = ctx.now();
+            self.watch
+                .watch_only(ctx, ProcessSet::singleton(self.candidate));
             ctx.observe(fd_core::obs::TRUSTED, fd_sim::Payload::Pid(next));
             self.emit_suspects(ctx);
         }
@@ -149,15 +144,15 @@ impl Component for LeaderDetector {
     }
 
     fn on_start<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, LeaderAlive>) {
-        self.last_heard = ctx.now();
         self.candidate = self.first_candidate();
+        self.watch
+            .watch_only(ctx, ProcessSet::singleton(self.candidate));
         ctx.observe(fd_core::obs::TRUSTED, fd_sim::Payload::Pid(self.candidate));
         self.emit_suspects(ctx);
         if self.is_self_leader() {
             ctx.send_to_others(LeaderAlive);
         }
         ctx.set_timer(self.cfg.period, TIMER_SEND, 0);
-        ctx.set_timer(self.cfg.check_period, TIMER_CHECK, 0);
     }
 
     fn on_message<N: SimMessage>(
@@ -169,15 +164,10 @@ impl Component for LeaderDetector {
         if self.timed_out.remove(from) {
             // We had wrongly demoted `from`: grow its timeout so the
             // mistake is not repeated forever.
-            self.timeouts.increase(from);
-        }
-        if from == self.candidate {
-            self.last_heard = ctx.now();
+            self.watch.timeouts.increase(from);
         }
         self.recompute(ctx);
-        if from == self.candidate {
-            self.last_heard = ctx.now();
-        }
+        self.watch.heard(from, ctx.now());
     }
 
     fn on_timer<N: SimMessage>(
@@ -193,14 +183,11 @@ impl Component for LeaderDetector {
                 }
                 ctx.set_timer(self.cfg.period, TIMER_SEND, 0);
             }
-            TIMER_CHECK => {
-                if !self.is_self_leader()
-                    && ctx.now().since(self.last_heard) > self.timeouts.get(self.candidate)
-                {
-                    self.timed_out.insert(self.candidate);
+            Watch::TIMER => {
+                if let Some(silent) = self.watch.fire(ctx).first() {
+                    self.timed_out.insert(silent);
                     self.recompute(ctx);
                 }
-                ctx.set_timer(self.cfg.check_period, TIMER_CHECK, 0);
             }
             _ => unreachable!("unknown leader timer kind {kind}"),
         }

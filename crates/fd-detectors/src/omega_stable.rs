@@ -23,17 +23,16 @@
 //!
 //! [`LeaderDetector`]: crate::leader::LeaderDetector
 
-use crate::timeout::TimeoutTable;
+use crate::timeout::Watch;
 use fd_core::{Component, LeaderOracle, ProcessSet, SubCtx, SuspectOracle};
-use fd_sim::{ProcessId, SimDuration, SimMessage, Time};
+use fd_sim::{ProcessId, SimDuration, SimMessage};
+use std::rc::Rc;
 
 /// Configuration of a [`StableLeaderDetector`].
 #[derive(Debug, Clone)]
 pub struct StableLeaderConfig {
     /// Heartbeat period.
     pub period: SimDuration,
-    /// Timeout check period.
-    pub check_period: SimDuration,
     /// Initial per-peer timeout.
     pub initial_timeout: SimDuration,
     /// Additive timeout increment after a false suspicion.
@@ -44,7 +43,6 @@ impl Default for StableLeaderConfig {
     fn default() -> Self {
         StableLeaderConfig {
             period: SimDuration::from_millis(10),
-            check_period: SimDuration::from_millis(5),
             initial_timeout: SimDuration::from_millis(40),
             timeout_increment: SimDuration::from_millis(25),
         }
@@ -55,8 +53,9 @@ impl Default for StableLeaderConfig {
 #[derive(Debug, Clone)]
 pub struct StableAlive {
     /// The sender's current (gossiped) punish counters, indexed by
-    /// process id.
-    pub punish: Vec<u64>,
+    /// process id. Shared by every copy of the broadcast and by the
+    /// sender, which replaces its vector when a counter rises.
+    pub punish: Rc<[u64]>,
 }
 
 impl SimMessage for StableAlive {
@@ -66,7 +65,6 @@ impl SimMessage for StableAlive {
 }
 
 const TIMER_SEND: u32 = 0;
-const TIMER_CHECK: u32 = 1;
 
 /// Stable Ω/◇C detector: leadership ranked by `(punish, id)`.
 #[derive(Debug)]
@@ -74,10 +72,9 @@ pub struct StableLeaderDetector {
     me: ProcessId,
     n: usize,
     cfg: StableLeaderConfig,
-    punish: Vec<u64>,
+    punish: Rc<[u64]>,
     suspected: ProcessSet,
-    last_heard: Vec<Time>,
-    timeouts: TimeoutTable,
+    watch: Watch,
     leader: ProcessId,
     /// Leadership changes observed locally (instrumentation for E9).
     changes: u64,
@@ -86,15 +83,13 @@ pub struct StableLeaderDetector {
 impl StableLeaderDetector {
     /// Create the detector for process `me` of `n`.
     pub fn new(me: ProcessId, n: usize, cfg: StableLeaderConfig) -> StableLeaderDetector {
-        let timeouts = TimeoutTable::additive(n, cfg.initial_timeout, cfg.timeout_increment);
         StableLeaderDetector {
             me,
             n,
+            watch: Watch::new(n, n, cfg.initial_timeout, cfg.timeout_increment),
             cfg,
-            punish: vec![0; n],
+            punish: vec![0; n].into(),
             suspected: ProcessSet::new(),
-            last_heard: vec![Time::ZERO; n],
-            timeouts,
             leader: ProcessId(0),
             changes: 0,
         }
@@ -152,10 +147,6 @@ impl Component for StableLeaderDetector {
     }
 
     fn on_start<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, StableAlive>) {
-        let now = ctx.now();
-        for t in &mut self.last_heard {
-            *t = now;
-        }
         self.leader = self.compute_leader();
         ctx.observe(fd_core::obs::TRUSTED, fd_sim::Payload::Pid(self.leader));
         self.emit_suspects(ctx);
@@ -163,7 +154,8 @@ impl Component for StableLeaderDetector {
             punish: self.punish.clone(),
         });
         ctx.set_timer(self.cfg.period, TIMER_SEND, 0);
-        ctx.set_timer(self.cfg.check_period, TIMER_CHECK, 0);
+        self.watch
+            .watch_only(ctx, self.suspected.complement(self.n));
     }
 
     fn on_message<N: SimMessage>(
@@ -172,16 +164,24 @@ impl Component for StableLeaderDetector {
         from: ProcessId,
         msg: StableAlive,
     ) {
-        self.last_heard[from.index()] = ctx.now();
-        // Merge punish vectors (monotone max-gossip).
-        for (mine, theirs) in self.punish.iter_mut().zip(msg.punish.iter()) {
-            *mine = (*mine).max(*theirs);
+        self.watch.heard(from, ctx.now());
+        // Merge punish vectors (monotone max-gossip). The leader is a
+        // function of the counters and the suspect set: it is looked
+        // for again only when one of them moved.
+        let both = || msg.punish.iter().zip(self.punish.iter());
+        let raised = both().any(|(theirs, mine)| theirs > mine);
+        if raised {
+            self.punish = both().map(|(theirs, mine)| *theirs.max(mine)).collect();
         }
-        if self.suspected.remove(from) {
-            self.timeouts.increase(from);
+        let revoked = self.suspected.remove(from);
+        if revoked {
+            self.watch.timeouts.increase(from);
+            self.watch.watch(ctx, from);
             self.emit_suspects(ctx);
         }
-        self.refresh_leader(ctx);
+        if raised || revoked {
+            self.refresh_leader(ctx);
+        }
     }
 
     fn on_timer<N: SimMessage>(
@@ -197,28 +197,20 @@ impl Component for StableLeaderDetector {
                 });
                 ctx.set_timer(self.cfg.period, TIMER_SEND, 0);
             }
-            TIMER_CHECK => {
-                let now = ctx.now();
-                let mut changed = false;
-                for i in 0..self.n {
-                    let q = ProcessId(i);
-                    if q != self.me
-                        && !self.suspected.contains(q)
-                        && now.since(self.last_heard[i]) > self.timeouts.get(q)
-                    {
-                        self.suspected.insert(q);
-                        // The demotion that buys stability: a process
-                        // that ever times out is permanently ranked
-                        // behind every process that never did.
-                        self.punish[i] += 1;
-                        changed = true;
+            Watch::TIMER => {
+                let expired = self.watch.fire(ctx);
+                if !expired.is_empty() {
+                    self.suspected.extend(expired.iter());
+                    // The demotion that buys stability: a process
+                    // that ever times out is permanently ranked
+                    // behind every process that never did.
+                    let punish = Rc::make_mut(&mut self.punish);
+                    for q in expired.iter() {
+                        punish[q.index()] += 1;
                     }
-                }
-                if changed {
                     self.emit_suspects(ctx);
                     self.refresh_leader(ctx);
                 }
-                ctx.set_timer(self.cfg.check_period, TIMER_CHECK, 0);
             }
             _ => unreachable!("unknown stable-leader timer kind {kind}"),
         }

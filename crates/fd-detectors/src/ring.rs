@@ -30,17 +30,15 @@
 //!
 //! [`LeaderByFirstNonSuspected`]: crate::omega::LeaderByFirstNonSuspected
 
-use crate::timeout::TimeoutTable;
+use crate::timeout::Watch;
 use fd_core::{Component, ProcessSet, SubCtx, SuspectOracle};
-use fd_sim::{ProcessId, SimDuration, SimMessage, Time};
+use fd_sim::{ProcessId, SimDuration, SimMessage};
 
 /// Configuration of a [`RingDetector`].
 #[derive(Debug, Clone)]
 pub struct RingConfig {
     /// Poll period.
     pub period: SimDuration,
-    /// How often the target timeout is checked.
-    pub check_period: SimDuration,
     /// Initial target timeout.
     pub initial_timeout: SimDuration,
     /// Additive timeout increment after a false suspicion.
@@ -51,7 +49,6 @@ impl Default for RingConfig {
     fn default() -> Self {
         RingConfig {
             period: SimDuration::from_millis(10),
-            check_period: SimDuration::from_millis(5),
             initial_timeout: SimDuration::from_millis(40),
             timeout_increment: SimDuration::from_millis(25),
         }
@@ -80,7 +77,6 @@ impl SimMessage for RingMsg {
 }
 
 const TIMER_POLL: u32 = 0;
-const TIMER_CHECK: u32 = 1;
 
 /// Ring-based ◇P-quality failure detector.
 #[derive(Debug)]
@@ -89,21 +85,19 @@ pub struct RingDetector {
     n: usize,
     cfg: RingConfig,
     suspected: ProcessSet,
-    last_heard: Time,
-    timeouts: TimeoutTable,
+    /// Watches the monitored predecessor, one target at a time.
+    watch: Watch,
 }
 
 impl RingDetector {
     /// Create the detector for process `me` of `n`.
     pub fn new(me: ProcessId, n: usize, cfg: RingConfig) -> RingDetector {
-        let timeouts = TimeoutTable::additive(n, cfg.initial_timeout, cfg.timeout_increment);
         RingDetector {
             me,
             n,
+            watch: Watch::new(n, 1, cfg.initial_timeout, cfg.timeout_increment),
             cfg,
             suspected: ProcessSet::new(),
-            last_heard: Time::ZERO,
-            timeouts,
         }
     }
 
@@ -174,7 +168,11 @@ impl RingDetector {
         // Keep the local view for the ring segment we monitor ourselves
         // (the processes strictly between the responder and us); adopt the
         // upstream view for everyone else. Never suspect ourselves or the
-        // (evidently alive) responder.
+        // (evidently alive) responder. In steady state the responder is
+        // the direct predecessor and its list is ours: nothing to merge.
+        if list.iter().copied().eq(self.suspected.iter()) {
+            return;
+        }
         // fd-lint: allow(HP002, reason = "one set per poll reply, paced by the poll timer")
         let upstream: ProcessSet = list.iter().collect();
         let local_segment = self.between(from);
@@ -202,10 +200,10 @@ impl Component for RingDetector {
     }
 
     fn on_start<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, RingMsg>) {
-        self.last_heard = ctx.now();
         self.poll_target(ctx);
         ctx.set_timer(self.cfg.period, TIMER_POLL, 0);
-        ctx.set_timer(self.cfg.check_period, TIMER_CHECK, 0);
+        self.watch
+            .watch_only(ctx, ProcessSet::singleton(self.monitored_predecessor()));
         self.emit(ctx);
     }
 
@@ -231,13 +229,14 @@ impl Component for RingDetector {
                     // False suspicion revoked: grow the timeout so the
                     // mistake is eventually never repeated (the
                     // ◇-accuracy mechanism).
-                    self.timeouts.increase(from);
+                    self.watch.timeouts.increase(from);
                     // Moving the monitor forward again: fresh window.
-                    self.last_heard = ctx.now();
+                    self.watch
+                        .watch_only(ctx, ProcessSet::singleton(self.monitored_predecessor()));
                     self.emit(ctx);
                 }
                 if self.monitored_predecessor() == from {
-                    self.last_heard = ctx.now();
+                    self.watch.heard(from, ctx.now());
                     self.adopt_list(ctx, from, suspects);
                 }
             }
@@ -256,18 +255,16 @@ impl Component for RingDetector {
                 self.poll_target(ctx);
                 ctx.set_timer(self.cfg.period, TIMER_POLL, 0);
             }
-            TIMER_CHECK => {
-                let target = self.monitored_predecessor();
-                if target != self.me && ctx.now().since(self.last_heard) > self.timeouts.get(target)
-                {
+            Watch::TIMER => {
+                if let Some(target) = self.watch.fire(ctx).first() {
                     self.suspected.insert(target);
                     // Give the next candidate a fresh monitoring window
                     // and poll it immediately.
-                    self.last_heard = ctx.now();
+                    self.watch
+                        .watch_only(ctx, ProcessSet::singleton(self.monitored_predecessor()));
                     self.poll_target(ctx);
                     self.emit(ctx);
                 }
-                ctx.set_timer(self.cfg.check_period, TIMER_CHECK, 0);
             }
             // fd-lint: allow(HP001, reason = "timer kinds are set only by this detector; an unknown kind is a corrupted world and must halt loudly")
             _ => unreachable!("unknown ring timer kind {kind}"),

@@ -87,11 +87,13 @@ static COMMANDS: &[Cmd] = &[
     },
     Cmd {
         name: "detector", run: cmd_detector, args: NO_ARGS,
-        usage: &["[--kind heartbeat|ring|leader|fused|stable|gossip|vcube] [--n N]\n\
+        usage: &["[--kind heartbeat|ring|leader|fused|transform|stable|gossip|vcube] [--n N]\n\
                   [--seed S] [--crash P@MS ...] [--run-ms MS] [--loss P] [--timeline]\n\
                   [--max-processes N]"],
         flags: &[
-            Flag("--kind", "X", Some("heartbeat"), "failure detector family"),
+            Flag("--kind", "X", Some("heartbeat"),
+                "failure detector family (transform: the paper's Fig. 2,\n\
+                 ◇C → ◇P over the leader detector)"),
             Flag::N, Flag::SEED, Flag::CRASH,
             Flag("--run-ms", "MS", Some("3000"), "detector run length"),
             Flag("--loss", "P", None,
@@ -568,6 +570,12 @@ fn cmd_detector(m: &Matches) -> Result<(), Stop> {
         "fused" => detect(b, end, |pid, n| {
             Standalone(FusedDetector::new(pid, n, FusedConfig::default()))
         }),
+        "transform" => detect(b, end, |pid, n| {
+            Stack::new(
+                LeaderDetector::new(pid, n, LeaderConfig::default()),
+                EcToEp::new(pid, n, EcToEpConfig::default()),
+            )
+        }),
         "stable" => detect(b, end, |pid, n| {
             Standalone(StableLeaderDetector::new(
                 pid,
@@ -590,7 +598,11 @@ fn cmd_detector(m: &Matches) -> Result<(), Stop> {
     let crashes = sim.crash_list();
     let Sim { n, seed, .. } = sim;
     println!("detector: kind={kind} n={n} seed={seed} crashes={crashes}");
-    let run = FdRun::new(&trace, n, end);
+    let mut run = FdRun::new(&trace, n, end);
+    if kind == "transform" {
+        // The ◇P list Fig. 2 builds, not the ◇C one below it.
+        run = run.with_suspects_tag(EP_SUSPECTS_OUT);
+    }
     println!("{}", fd_sim::trace_summary(&trace));
     for p in run.correct().iter() {
         println!(
@@ -611,6 +623,13 @@ fn cmd_detector(m: &Matches) -> Result<(), Stop> {
         }
     }
     println!("  total messages: {}", metrics.sent_total());
+    // What is not a delivery is a timer, bar the handful of crash and
+    // fault events and the messages that reached a crashed process.
+    let (events, deliveries) = (metrics.events_processed(), metrics.delivered_total());
+    println!(
+        "  events: {events} (timers {}, deliveries {deliveries})",
+        events - deliveries
+    );
     let qos = run.qos();
     let ms = |sorted: &[u64], per_mille| match fd_core::nearest_rank(sorted, per_mille) {
         Some(us) => format!("{:.3}", us as f64 / 1e3),

@@ -166,26 +166,26 @@ type Row = (ScaleClass, usize, ScaleNet, u64, u64, u64, u64);
 const GOLDEN: [Row; 22] = {
     use {ScaleClass::*, ScaleNet::*};
     [
-        (Heartbeat, 64, Stable, 4, 836884, 814716, 0xfa6a8dfa34801106),
-        (Heartbeat, 64, Lossy, 4, 716961, 814716, 0x87c29963a56b903d),
-        (Ring, 64, Stable, 4, 1270378, 509830, 0xb1d42cd0495cddf4),
-        (Ring, 64, Lossy, 4, 1162541, 473061, 0x5910aafeda23c768),
+        (Heartbeat, 64, Stable, 4, 817612, 814716, 0x2e1b61683596b19f),
+        (Heartbeat, 64, Lossy, 4, 709627, 814716, 0xf80e3cf35fbe0bb4),
+        (Ring, 64, Stable, 4, 837211, 509836, 0xc5478293dc4a1feb),
+        (Ring, 64, Lossy, 4, 703179, 473430, 0xd292e2673ddec0a7),
         (VCube, 64, Stable, 4, 1669434, 1544192, 0x2a655b12e91d500c),
         (VCube, 64, Lossy, 4, 777789, 766911, 0xd95d0e4fd034eda8),
-        (Heartbeat, 256, Stable, 4, 5271460, 5470260, 0x61f6e51c0e4fdedc),
-        (Heartbeat, 256, Lossy, 4, 4489482, 5470260, 0xf74acedcd18cecbb),
-        (Ring, 256, Stable, 4, 2044144, 819244, 0xaf246ec79c3da2e7),
-        (Ring, 256, Lossy, 4, 1873020, 762578, 0x86399aa946f8bfea),
+        (Heartbeat, 256, Stable, 4, 5239792, 5470260, 0x61ecaadfbbdd9910),
+        (Heartbeat, 256, Lossy, 4, 4517495, 5470260, 0xa49ca13fc85e9b0d),
+        (Ring, 256, Stable, 4, 1345751, 819244, 0x4b4af72b0cbe4ef5),
+        (Ring, 256, Lossy, 4, 1143191, 763377, 0x77099925143baf32),
         (VCube, 256, Stable, 4, 3507125, 3311325, 0x27090b3f3ceaa2b1),
         (VCube, 256, Lossy, 4, 1747415, 1821635, 0x3806c336e4f156f8),
-        (Heartbeat, 1024, Stable, 2, 21000170, 23031822, 0x98d023a4bcdd087b),
-        (Heartbeat, 1024, Lossy, 2, 17857594, 23031822, 0x651110970a28d2e7),
-        (Ring, 1024, Stable, 2, 2047032, 820998, 0xb74acd37886143c1),
-        (Ring, 1024, Lossy, 2, 1877617, 766759, 0x6e4d862c6e9dace2),
+        (Heartbeat, 1024, Stable, 2, 20967422, 23031822, 0xbef7a309bd9d4bfb),
+        (Heartbeat, 1024, Lossy, 2, 18000807, 23031822, 0xa708c1dd1daeab15),
+        (Ring, 1024, Stable, 2, 1346607, 820998, 0xc10cf8c111c0b540),
+        (Ring, 1024, Lossy, 2, 1158835, 768596, 0xaf462c800dad1097),
         (VCube, 1024, Stable, 2, 4326960, 4143723, 0x0a2a78dc9650e2d9),
         (VCube, 1024, Lossy, 2, 2631207, 2877456, 0x5a66f0ae9a82b8bb),
-        (Ring, 4096, Stable, 1, 1228652, 495575, 0xd378ea33f9d89708),
-        (Ring, 4096, Lossy, 1, 1128080, 464881, 0x920af016a7b0ea25),
+        (Ring, 4096, Stable, 1, 806163, 495575, 0xd699ba114300edb8),
+        (Ring, 4096, Lossy, 1, 708126, 467976, 0x500d7d3155973065),
         (VCube, 4096, Stable, 1, 3072097, 3000183, 0x7955b7d4e2eb045a),
         (VCube, 4096, Lossy, 1, 1746685, 1973285, 0x3988821149dc8163),
     ]
@@ -233,18 +233,28 @@ fn golden_rows_hold_at_n_64() {
 }
 
 /// Four cells, ≈ 12 M events — release only:
-/// `cargo test --release --test scale_e2e -- --ignored golden_rows_hold_for_vcube`.
+/// `cargo test --release --test scale_e2e -- --ignored golden_rows_hold_for`
+/// (the filter takes the next test along, as CI's `test` job does).
 #[test]
 #[ignore]
 fn golden_rows_hold_for_vcube_at_n_256_and_1024() {
     check_golden_rows(vcube_mid);
 }
 
-/// The other twelve large cells, up to n = 4096 (≈2 GB peak) — release
+/// The heartbeat and ring rows at n = 256 (four cells, ≈ 14 M events):
+/// their suspicions fall on deadlines, not on a 5 ms grid, and CI's
+/// `test` job re-runs them beside the vCube rows — release only.
+#[test]
+#[ignore]
+fn golden_rows_hold_for_heartbeat_and_ring_at_n_256() {
+    check_golden_rows(|class, n| class != ScaleClass::VCube && n == 256);
+}
+
+/// The other eight large cells, up to n = 4096 (≈2 GB peak) — release
 /// only: `cargo test --release --test scale_e2e -- --ignored golden_rows`
-/// (the filter takes the vCube test above along).
+/// (the filter takes the two tests above along).
 #[test]
 #[ignore]
 fn golden_rows_hold_at_n_256_and_up() {
-    check_golden_rows(|class, n| n >= 256 && !vcube_mid(class, n));
+    check_golden_rows(|class, n| n >= 1024 && !vcube_mid(class, n));
 }

@@ -10,6 +10,12 @@
 //! `cargo test --test stack_golden -- --nocapture`. A row that moves
 //! means start order, timer routing, send order or a `kind()` string
 //! changed — never re-record it to make this test pass.
+//!
+//! The one dated exception, 2026-10-04 (PR 23, "a timeout is a
+//! deadline"; see `tests/host_golden.rs`'s header): the three rows whose
+//! run has a crash were re-recorded once — the victim is suspected at
+//! its deadline, not at the next 5 ms check — with message counts
+//! unchanged; `quiescent` (no timeout detector in it) did not move.
 
 use ecfd::prelude::*;
 use fd_detectors::{
@@ -19,9 +25,9 @@ use fd_detectors::{
 
 /// `(stack, Trace::digest(), Metrics::sent_total())`.
 const GOLDEN: [(&str, u64, u64); 4] = [
-    ("ec_to_ep", 0x6df4215fb7e0f715, 2215),
-    ("weak_to_strong", 0xeeec7dfdf2988840, 4075),
-    ("omega_gossip", 0x69e01d22d08a57a1, 6572),
+    ("ec_to_ep", 0x1318be4fb0e5d9c6, 2215),
+    ("weak_to_strong", 0x623653f05fabbf34, 4075),
+    ("omega_gossip", 0xdfc5e983032bea59, 6572),
     ("quiescent", 0x8f61743fc1205fa6, 814),
 ];
 
