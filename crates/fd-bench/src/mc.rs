@@ -24,7 +24,7 @@
 
 use fd_chaos::DetectorKind;
 use fd_consensus::{
-    ConsensusNode, CtConsensus, Decider, EcConsensus, Log, MultiEc, PaxosConsensus, RoundProtocol,
+    ConsensusNode, CtConsensus, Decider, Ec, EcConsensus, Log, MultiEc, PaxosConsensus,
 };
 use fd_core::{EventuallyConsistentOracle, FdClass, Stack, StackMsg, Standalone};
 use fd_detectors::{
@@ -122,7 +122,7 @@ fn hb_leader(pid: ProcessId, n: usize) -> LeaderByFirstNonSuspected<HeartbeatDet
 }
 
 /// The EC node under exploration, with its liveness repair.
-type EcHbNode = ConsensusNode<LeaderByFirstNonSuspected<HeartbeatDetector>, EcConsensus>;
+type EcHbNode = ConsensusNode<LeaderByFirstNonSuspected<HeartbeatDetector>, Ec>;
 
 /// An [`EcHbNode`](crate::mc) wrapped with a retransmission watchdog
 /// (an actor of its own until ROADMAP 2(c) moves retransmission into a

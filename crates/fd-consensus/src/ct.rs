@@ -20,9 +20,11 @@
 //! waits never use accuracy information (no "wait for every unsuspected
 //! process").
 
-use crate::api::{majority, ConsensusConfig, DecidePayload, Estimate, ProtocolStep, RoundProtocol};
-use fd_core::{obs, FdOutput, SubCtx};
-use fd_sim::{Payload, ProcessId, SimMessage};
+use crate::api::{
+    majority, newest_estimate, ConsensusConfig, Estimate, ProtocolStep, Round, RoundProtocol,
+};
+use fd_core::{FdOutput, SubCtx};
+use fd_sim::{ProcessId, SimMessage};
 use std::collections::BTreeMap;
 
 /// Wire messages of the Chandra–Toueg consensus.
@@ -85,19 +87,16 @@ enum Phase {
     Done,
 }
 
-const TIMER_POLL: u32 = 0;
-
 /// The rotating coordinator of round `r` (rounds are 1-based).
 pub fn rotating_coordinator(round: u64, n: usize) -> ProcessId {
     ProcessId(((round - 1) % n as u64) as usize)
 }
 
-/// The Chandra–Toueg ◇S consensus state at one process.
+/// The phases of the Chandra–Toueg ◇S consensus at one process.
 #[derive(Debug)]
-pub struct CtConsensus {
+pub struct Ct {
     me: ProcessId,
     n: usize,
-    cfg: ConsensusConfig,
     est: Estimate,
     round: u64,
     phase: Phase,
@@ -113,17 +112,17 @@ pub struct CtConsensus {
     /// semantics: later replies are ignored).
     acks_closed: bool,
     prop_value: Option<u64>,
-    decision: Option<DecidePayload>,
-    rounds_started: u64,
 }
+
+/// The Chandra–Toueg ◇S consensus protocol at one process.
+pub type CtConsensus = Round<Ct>;
 
 impl CtConsensus {
     /// Create the protocol instance for process `me` of `n`.
     pub fn new(me: ProcessId, n: usize, cfg: ConsensusConfig) -> CtConsensus {
-        CtConsensus {
+        let body = Ct {
             me,
             n,
-            cfg,
             est: Estimate::initial(0),
             round: 0,
             phase: Phase::Idle,
@@ -132,22 +131,14 @@ impl CtConsensus {
             ack_replies: BTreeMap::new(),
             acks_closed: false,
             prop_value: None,
-            decision: None,
-            rounds_started: 0,
-        }
+        };
+        Round::over(body, cfg)
     }
+}
 
-    /// Rounds started so far (instrumentation for experiment E3).
-    pub fn rounds_started(&self) -> u64 {
-        self.rounds_started
-    }
-
-    fn maj(&self) -> usize {
-        majority(self.n)
-    }
-
+impl Ct {
     /// The coordinator of this process's current round.
-    pub fn current_coordinator(&self) -> ProcessId {
+    fn current_coordinator(&self) -> ProcessId {
         rotating_coordinator(self.round, self.n)
     }
 
@@ -157,7 +148,6 @@ impl CtConsensus {
         round: u64,
     ) -> ProtocolStep {
         self.round = round;
-        self.rounds_started += 1;
         self.ack_replies.clear();
         self.acks_closed = false;
         self.prop_value = None;
@@ -202,22 +192,12 @@ impl CtConsensus {
             return ProtocolStep::none();
         }
         let round = self.round;
-        let maj = self.maj();
         let bucket = self.est_buckets.entry(round).or_default();
-        if bucket.len() < maj {
+        if bucket.len() < majority(self.n) {
             return ProtocolStep::none();
         }
-        // Select the estimate with the largest timestamp (scan in
-        // identity order for determinism).
-        let mut best: Option<Estimate> = None;
-        for q in (0..self.n).map(ProcessId) {
-            if let Some(e) = bucket.get(&q) {
-                best = Some(match best {
-                    None => *e,
-                    Some(b) => Estimate::newer_of(b, *e),
-                });
-            }
-        }
+        // Select the estimate with the largest timestamp.
+        let (best, _) = newest_estimate(bucket.values().copied());
         let v = best.expect("majority is non-empty").value;
         self.est = Estimate {
             value: v,
@@ -252,7 +232,7 @@ impl CtConsensus {
         if self.phase != Phase::AwaitAcks || self.acks_closed {
             return ProtocolStep::none();
         }
-        if self.ack_replies.len() < self.maj() {
+        if self.ack_replies.len() < majority(self.n) {
             return ProtocolStep::none();
         }
         self.acks_closed = true;
@@ -266,30 +246,16 @@ impl CtConsensus {
     }
 }
 
-impl RoundProtocol for CtConsensus {
+impl RoundProtocol for Ct {
     type Msg = CtMsg;
 
-    fn ns(&self) -> u32 {
-        fd_detectors::ns::CONSENSUS
-    }
-
-    fn on_propose<N: SimMessage>(
+    fn start<N: SimMessage>(
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, CtMsg>,
         value: u64,
         _fd: FdOutput,
     ) -> ProtocolStep {
-        if self.phase == Phase::Done {
-            // The decision broadcast can outrun a slow proposer: the
-            // instance is already over for this process. Record the
-            // proposal (for the validity bookkeeping) and do nothing.
-            ctx.observe(obs::PROPOSE, Payload::U64(value));
-            return ProtocolStep::none();
-        }
-        assert_eq!(self.phase, Phase::Idle, "propose called twice");
         self.est = Estimate::initial(value);
-        ctx.observe(obs::PROPOSE, Payload::U64(value));
-        ctx.set_timer(self.cfg.poll_period, TIMER_POLL, 0);
         self.enter_round(ctx, 1)
     }
 
@@ -339,18 +305,11 @@ impl RoundProtocol for CtConsensus {
         }
     }
 
-    fn on_timer<N: SimMessage>(
+    fn poll<N: SimMessage>(
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, CtMsg>,
-        kind: u32,
-        _data: u64,
         fd: FdOutput,
     ) -> ProtocolStep {
-        debug_assert_eq!(kind, TIMER_POLL);
-        if matches!(self.phase, Phase::Idle | Phase::Done) {
-            return ProtocolStep::none();
-        }
-        ctx.set_timer(self.cfg.poll_period, TIMER_POLL, 0);
         if self.phase == Phase::AwaitProposition {
             let c = self.current_coordinator();
             if fd.suspected.contains(c) {
@@ -364,21 +323,8 @@ impl RoundProtocol for CtConsensus {
         ProtocolStep::none()
     }
 
-    fn on_decide_delivered<N: SimMessage>(
-        &mut self,
-        ctx: &mut SubCtx<'_, '_, N, CtMsg>,
-        value: u64,
-        round: u64,
-    ) {
-        if self.decision.is_none() {
-            self.decision = Some((value, round));
-            self.phase = Phase::Done;
-            ctx.observe(obs::DECIDE, Payload::U64Pair(value, round));
-        }
-    }
-
-    fn decision(&self) -> Option<DecidePayload> {
-        self.decision
+    fn close(&mut self) {
+        self.phase = Phase::Done;
     }
 
     fn round(&self) -> u64 {
@@ -389,47 +335,8 @@ impl RoundProtocol for CtConsensus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fd_core::ProcessSet;
-    use fd_sim::{Action, Context, Time};
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
-
-    fn drive<R>(
-        me: usize,
-        n: usize,
-        f: impl FnOnce(&mut SubCtx<'_, '_, CtMsg, CtMsg>) -> R,
-    ) -> (R, Vec<Action<CtMsg>>) {
-        let mut rng = SmallRng::seed_from_u64(0);
-        let mut actions = Vec::new();
-        let mut next_timer = 0;
-        let r = {
-            let mut ctx = Context::for_executor(
-                ProcessId(me),
-                n,
-                Time::from_millis(1),
-                &mut rng,
-                &mut actions,
-                &mut next_timer,
-            );
-            let mut sub = SubCtx::new(&mut ctx, &std::convert::identity, 9);
-            f(&mut sub)
-        };
-        (r, actions)
-    }
-
-    fn no_fd() -> FdOutput {
-        FdOutput {
-            suspected: ProcessSet::new(),
-            trusted: None,
-        }
-    }
-
-    fn suspects(ids: &[usize]) -> FdOutput {
-        FdOutput {
-            suspected: ids.iter().map(|&i| ProcessId(i)).collect(),
-            trusted: None,
-        }
-    }
+    use crate::api::testkit::{drive, no_fd, suspects};
+    use fd_sim::Action;
 
     #[test]
     fn rotation_is_round_robin_one_based() {
@@ -455,7 +362,7 @@ mod tests {
             })
             .collect();
         assert_eq!(ests, vec![ProcessId(0)], "round 1's coordinator is p0");
-        assert_eq!(p.current_coordinator(), ProcessId(0));
+        assert_eq!(p.body.current_coordinator(), ProcessId(0));
     }
 
     #[test]
@@ -524,7 +431,7 @@ mod tests {
             .collect();
         assert_eq!(nacked, vec![ProcessId(0)]);
         assert_eq!(p.round(), 2, "and the participant rotates on");
-        assert_eq!(p.current_coordinator(), ProcessId(1));
+        assert_eq!(p.body.current_coordinator(), ProcessId(1));
     }
 
     #[test]
@@ -557,5 +464,26 @@ mod tests {
         });
         assert!(acked_round2, "buffered proposition consumed on entry");
         assert_eq!(p.round(), 3);
+    }
+
+    #[test]
+    fn a_late_ack_after_the_decision_does_nothing() {
+        // n = 3: p1's estimate and ack are each the first majority.
+        let mut p = CtConsensus::new(ProcessId(0), 3, ConsensusConfig::default());
+        drive(0, 3, |ctx| p.on_propose(ctx, 42, no_fd()));
+        let est = CtMsg::Estimate {
+            round: 1,
+            est: Estimate::initial(1),
+        };
+        drive(0, 3, |ctx| p.on_message(ctx, ProcessId(1), est, no_fd()));
+        let ack = CtMsg::Ack { round: 1 };
+        let (step, _) = drive(0, 3, |ctx| {
+            p.on_message(ctx, ProcessId(1), ack.clone(), no_fd())
+        });
+        assert_eq!(step, ProtocolStep::decide(42, 1));
+        drive(0, 3, |ctx| p.on_decide_delivered(ctx, 42, 1));
+        let (step, actions) = drive(0, 3, |ctx| p.on_message(ctx, ProcessId(2), ack, no_fd()));
+        assert_eq!(step, ProtocolStep::none());
+        assert!(actions.is_empty(), "{actions:?}");
     }
 }

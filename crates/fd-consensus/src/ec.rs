@@ -28,9 +28,12 @@
 //! estimate (Task 1), and a late coordinator's non-null proposition with
 //! a nack (Task 2); R-delivery of a decision decides (Task 3).
 
-use crate::api::{majority, ConsensusConfig, DecidePayload, Estimate, ProtocolStep, RoundProtocol};
-use fd_core::{obs, FdOutput, SubCtx};
-use fd_sim::{Payload, ProcessId, SimMessage};
+use crate::api::{
+    all_unsuspected_replied, majority, newest_estimate, ConsensusConfig, Estimate, ProtocolStep,
+    Round, RoundProtocol,
+};
+use fd_core::{FdOutput, SubCtx};
+use fd_sim::{ProcessId, SimMessage};
 use std::collections::BTreeMap;
 
 /// Wire messages of the ◇C consensus.
@@ -106,14 +109,11 @@ enum Phase {
     Done,
 }
 
-const TIMER_POLL: u32 = 0;
-
-/// The ◇C consensus protocol state at one process.
+/// The phases of the ◇C consensus protocol at one process.
 #[derive(Debug)]
-pub struct EcConsensus {
+pub struct Ec {
     me: ProcessId,
     n: usize,
-    cfg: ConsensusConfig,
     est: Estimate,
     round: u64,
     phase: Phase,
@@ -124,18 +124,17 @@ pub struct EcConsensus {
     prop_value: Option<u64>,
     /// Phase 4 replies: `true` = ack.
     ack_replies: BTreeMap<ProcessId, bool>,
-    decision: Option<DecidePayload>,
-    /// How many rounds this process has *started* (instrumentation).
-    rounds_started: u64,
 }
+
+/// The ◇C consensus protocol at one process.
+pub type EcConsensus = Round<Ec>;
 
 impl EcConsensus {
     /// Create the protocol instance for process `me` of `n`.
     pub fn new(me: ProcessId, n: usize, cfg: ConsensusConfig) -> EcConsensus {
-        EcConsensus {
+        let body = Ec {
             me,
             n,
-            cfg,
             est: Estimate::initial(0),
             round: 0,
             phase: Phase::Idle,
@@ -143,18 +142,25 @@ impl EcConsensus {
             est_replies: BTreeMap::new(),
             prop_value: None,
             ack_replies: BTreeMap::new(),
-            decision: None,
-            rounds_started: 0,
-        }
+        };
+        Round::over(body, cfg)
     }
 
-    /// Rounds started so far (instrumentation for experiments E3/E5).
-    pub fn rounds_started(&self) -> u64 {
-        self.rounds_started
+    /// [`Ec::retransmit`] on this instance's phases.
+    pub fn retransmit<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, EcMsg>, fd: &FdOutput) {
+        self.body.retransmit(ctx, fd)
     }
+}
 
-    fn maj(&self) -> usize {
-        majority(self.n)
+impl Ec {
+    /// Open `round` at Phase 0 with nothing collected.
+    fn reset_round(&mut self, round: u64) {
+        self.round = round;
+        self.phase = Phase::AwaitCoordinator;
+        self.coordinator = None;
+        self.est_replies.clear();
+        self.ack_replies.clear();
+        self.prop_value = None;
     }
 
     fn enter_round<N: SimMessage>(
@@ -163,13 +169,7 @@ impl EcConsensus {
         round: u64,
         fd: FdOutput,
     ) -> ProtocolStep {
-        self.round = round;
-        self.rounds_started += 1;
-        self.phase = Phase::AwaitCoordinator;
-        self.coordinator = None;
-        self.est_replies.clear();
-        self.ack_replies.clear();
-        self.prop_value = None;
+        self.reset_round(round);
         self.try_become_coordinator(ctx, fd)
     }
 
@@ -191,41 +191,20 @@ impl EcConsensus {
         self.try_complete_estimates(ctx, fd)
     }
 
-    /// The shared wait clause of Phases 2 and 4: every process has either
-    /// replied or is suspected by the local ◇C module.
-    fn all_unsuspected_replied<T>(&self, replies: &BTreeMap<ProcessId, T>, fd: &FdOutput) -> bool {
-        (0..self.n)
-            .map(ProcessId)
-            .all(|q| replies.contains_key(&q) || fd.suspected.contains(q))
-    }
-
     fn try_complete_estimates<N: SimMessage>(
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, EcMsg>,
         fd: FdOutput,
     ) -> ProtocolStep {
-        if self.phase != Phase::AwaitEstimates {
-            return ProtocolStep::none();
-        }
-        if self.est_replies.len() < self.maj()
-            || !self.all_unsuspected_replied(&self.est_replies, &fd)
+        if self.phase != Phase::AwaitEstimates
+            || !all_unsuspected_replied(self.n, &self.est_replies, &fd)
         {
             return ProtocolStep::none();
         }
-        // Count the valid (non-null) estimates.
-        let mut best: Option<Estimate> = None;
-        let mut non_null = 0;
-        for q in (0..self.n).map(ProcessId) {
-            if let Some(Some(e)) = self.est_replies.get(&q) {
-                non_null += 1;
-                best = Some(match best {
-                    None => *e,
-                    Some(b) => Estimate::newer_of(b, *e),
-                });
-            }
-        }
+        // Only the valid (non-null) estimates count.
+        let (best, non_null) = newest_estimate(self.est_replies.values().flatten().copied());
         let round = self.round;
-        if non_null >= self.maj() {
+        if non_null >= majority(self.n) {
             let v = best.expect("non_null > 0").value;
             // Propose: adopt our own proposition and count our own ack.
             self.est = Estimate {
@@ -253,17 +232,14 @@ impl EcConsensus {
         ctx: &mut SubCtx<'_, '_, N, EcMsg>,
         fd: FdOutput,
     ) -> ProtocolStep {
-        if self.phase != Phase::AwaitAcks {
-            return ProtocolStep::none();
-        }
-        if self.ack_replies.len() < self.maj()
-            || !self.all_unsuspected_replied(&self.ack_replies, &fd)
+        if self.phase != Phase::AwaitAcks
+            || !all_unsuspected_replied(self.n, &self.ack_replies, &fd)
         {
             return ProtocolStep::none();
         }
         let acks = self.ack_replies.values().filter(|&&a| a).count();
         let round = self.round;
-        if acks >= self.maj() {
+        if acks >= majority(self.n) {
             let v = self.prop_value.expect("proposing coordinator has a value");
             // The `decidable_p` flag of the paper: R-broadcast at most
             // once; the decision then comes back via Task 3.
@@ -347,30 +323,16 @@ impl EcConsensus {
     }
 }
 
-impl RoundProtocol for EcConsensus {
+impl RoundProtocol for Ec {
     type Msg = EcMsg;
 
-    fn ns(&self) -> u32 {
-        fd_detectors::ns::CONSENSUS
-    }
-
-    fn on_propose<N: SimMessage>(
+    fn start<N: SimMessage>(
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, EcMsg>,
         value: u64,
         fd: FdOutput,
     ) -> ProtocolStep {
-        if self.phase == Phase::Done {
-            // The decision broadcast can outrun a slow proposer: the
-            // instance is already over for this process. Record the
-            // proposal (for the validity bookkeeping) and do nothing.
-            ctx.observe(obs::PROPOSE, Payload::U64(value));
-            return ProtocolStep::none();
-        }
-        assert_eq!(self.phase, Phase::Idle, "propose called twice");
         self.est = Estimate::initial(value);
-        ctx.observe(obs::PROPOSE, Payload::U64(value));
-        ctx.set_timer(self.cfg.poll_period, TIMER_POLL, 0);
         self.enter_round(ctx, 1, fd)
     }
 
@@ -417,13 +379,7 @@ impl RoundProtocol for EcConsensus {
                 if !decided && round > self.round {
                     // Footnote 2: jump forward and treat `from` as the
                     // coordinator of that round.
-                    self.round = round;
-                    self.rounds_started += 1;
-                    self.phase = Phase::AwaitCoordinator;
-                    self.coordinator = None;
-                    self.est_replies.clear();
-                    self.ack_replies.clear();
-                    self.prop_value = None;
+                    self.reset_round(round);
                     self.coordinator = Some(from);
                     self.phase = Phase::AwaitProposition;
                     ctx.send(
@@ -531,20 +487,11 @@ impl RoundProtocol for EcConsensus {
         }
     }
 
-    fn on_timer<N: SimMessage>(
+    fn poll<N: SimMessage>(
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, EcMsg>,
-        kind: u32,
-        _data: u64,
         fd: FdOutput,
     ) -> ProtocolStep {
-        debug_assert_eq!(kind, TIMER_POLL);
-        if matches!(self.phase, Phase::Idle | Phase::Done) {
-            // Done is terminal and Task 1/2 replies are message-driven;
-            // stop polling.
-            return ProtocolStep::none();
-        }
-        ctx.set_timer(self.cfg.poll_period, TIMER_POLL, 0);
         match self.phase {
             Phase::AwaitCoordinator => self.try_become_coordinator(ctx, fd),
             Phase::AwaitEstimates => self.try_complete_estimates(ctx, fd),
@@ -560,25 +507,12 @@ impl RoundProtocol for EcConsensus {
                     ProtocolStep::none()
                 }
             }
-            Phase::Idle | Phase::Done => unreachable!(),
+            Phase::Idle | Phase::Done => unreachable!("polled only between start and close"),
         }
     }
 
-    fn on_decide_delivered<N: SimMessage>(
-        &mut self,
-        ctx: &mut SubCtx<'_, '_, N, EcMsg>,
-        value: u64,
-        round: u64,
-    ) {
-        if self.decision.is_none() {
-            self.decision = Some((value, round));
-            self.phase = Phase::Done;
-            ctx.observe(obs::DECIDE, Payload::U64Pair(value, round));
-        }
-    }
-
-    fn decision(&self) -> Option<DecidePayload> {
-        self.decision
+    fn close(&mut self) {
+        self.phase = Phase::Done;
     }
 
     fn round(&self) -> u64 {
@@ -589,48 +523,11 @@ impl RoundProtocol for EcConsensus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fd_core::ProcessSet;
-    use fd_sim::{Action, Context, SimDuration, Time};
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
-
-    /// Drive one protocol callback directly, returning the step and the
-    /// actions (sends/timers/observations) it produced.
-    fn drive<R>(
-        me: usize,
-        n: usize,
-        f: impl FnOnce(&mut SubCtx<'_, '_, EcMsg, EcMsg>) -> R,
-    ) -> (R, Vec<Action<EcMsg>>) {
-        let mut rng = SmallRng::seed_from_u64(0);
-        let mut actions = Vec::new();
-        let mut next_timer = 0;
-        let r = {
-            let mut ctx = Context::for_executor(
-                ProcessId(me),
-                n,
-                Time::from_millis(1),
-                &mut rng,
-                &mut actions,
-                &mut next_timer,
-            );
-            let mut sub = SubCtx::new(&mut ctx, &std::convert::identity, 9);
-            f(&mut sub)
-        };
-        (r, actions)
-    }
+    use crate::api::testkit::{drive, fd};
+    use fd_sim::{Action, SimDuration};
 
     fn sends(me: usize, n: usize, actions: &[Action<EcMsg>]) -> Vec<(ProcessId, EcMsg)> {
         fd_sim::expand_sends(ProcessId(me), n, actions)
-    }
-
-    fn fd(trusted: usize, suspects: &[usize]) -> FdOutput {
-        FdOutput {
-            suspected: suspects
-                .iter()
-                .map(|&i| ProcessId(i))
-                .collect::<ProcessSet>(),
-            trusted: Some(ProcessId(trusted)),
-        }
     }
 
     #[test]
@@ -852,5 +749,30 @@ mod tests {
         let (_, actions) = drive(1, 3, |ctx| p.on_timer(ctx, 0, 0, fd(0, &[])));
         let rearmed = actions.iter().any(|a| matches!(a, Action::SetTimer { after, .. } if *after == SimDuration::from_millis(2)));
         assert!(rearmed, "poll must be re-armed");
+    }
+
+    #[test]
+    fn a_late_ack_after_the_decision_does_nothing() {
+        // n = 3, p2 suspected: p1's ack completes Phase 4.
+        let mut p = EcConsensus::new(ProcessId(0), 3, ConsensusConfig::default());
+        drive(0, 3, |ctx| p.on_propose(ctx, 42, fd(0, &[])));
+        for q in 1..3 {
+            let est = EcMsg::Estimate {
+                round: 1,
+                est: Some(Estimate::initial(q as u64)),
+            };
+            drive(0, 3, |ctx| p.on_message(ctx, ProcessId(q), est, fd(0, &[])));
+        }
+        let ack = EcMsg::Ack { round: 1 };
+        let (step, _) = drive(0, 3, |ctx| {
+            p.on_message(ctx, ProcessId(1), ack.clone(), fd(0, &[2]))
+        });
+        assert_eq!(step, ProtocolStep::decide(42, 1));
+        drive(0, 3, |ctx| p.on_decide_delivered(ctx, 42, 1));
+        // The instance is over: p2's ack must not complete Phase 4 again
+        // and R-broadcast a second decision.
+        let (step, actions) = drive(0, 3, |ctx| p.on_message(ctx, ProcessId(2), ack, fd(0, &[])));
+        assert_eq!(step, ProtocolStep::none());
+        assert!(actions.is_empty(), "{actions:?}");
     }
 }

@@ -17,9 +17,12 @@
 //! original — the messages-vs-steps trade-off within the paper's own
 //! design space.
 
-use crate::api::{majority, ConsensusConfig, DecidePayload, Estimate, ProtocolStep, RoundProtocol};
-use fd_core::{obs, FdOutput, SubCtx};
-use fd_sim::{Payload, ProcessId, SimMessage};
+use crate::api::{
+    all_unsuspected_replied, majority, newest_estimate, ConsensusConfig, Estimate, ProtocolStep,
+    Round, RoundProtocol,
+};
+use fd_core::{FdOutput, SubCtx};
+use fd_sim::{ProcessId, SimMessage};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Wire messages of the merged variant.
@@ -86,14 +89,11 @@ enum Phase {
     Done,
 }
 
-const TIMER_POLL: u32 = 0;
-
-/// The merged-phase ◇C consensus state at one process.
+/// The phases of the merged-phase ◇C consensus at one process.
 #[derive(Debug)]
-pub struct EcMergedConsensus {
+pub struct EcMerged {
     me: ProcessId,
     n: usize,
-    cfg: ConsensusConfig,
     est: Estimate,
     round: u64,
     phase: Phase,
@@ -107,17 +107,17 @@ pub struct EcMergedConsensus {
     prop_value: Option<u64>,
     ack_replies: BTreeMap<ProcessId, bool>,
     nacked: BTreeSet<(ProcessId, u64)>,
-    decision: Option<DecidePayload>,
-    rounds_started: u64,
 }
+
+/// The merged-phase ◇C consensus protocol at one process.
+pub type EcMergedConsensus = Round<EcMerged>;
 
 impl EcMergedConsensus {
     /// Create the protocol instance for process `me` of `n`.
     pub fn new(me: ProcessId, n: usize, cfg: ConsensusConfig) -> EcMergedConsensus {
-        EcMergedConsensus {
+        let body = EcMerged {
             me,
             n,
-            cfg,
             est: Estimate::initial(0),
             round: 0,
             phase: Phase::Idle,
@@ -127,26 +127,12 @@ impl EcMergedConsensus {
             prop_value: None,
             ack_replies: BTreeMap::new(),
             nacked: BTreeSet::new(),
-            decision: None,
-            rounds_started: 0,
-        }
+        };
+        Round::over(body, cfg)
     }
+}
 
-    /// Rounds started so far.
-    pub fn rounds_started(&self) -> u64 {
-        self.rounds_started
-    }
-
-    fn maj(&self) -> usize {
-        majority(self.n)
-    }
-
-    fn all_unsuspected_replied<T>(&self, replies: &BTreeMap<ProcessId, T>, fd: &FdOutput) -> bool {
-        (0..self.n)
-            .map(ProcessId)
-            .all(|q| replies.contains_key(&q) || fd.suspected.contains(q))
-    }
-
+impl EcMerged {
     fn enter_round<N: SimMessage>(
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, EcmMsg>,
@@ -154,7 +140,6 @@ impl EcMergedConsensus {
         fd: FdOutput,
     ) -> ProtocolStep {
         self.round = round;
-        self.rounds_started += 1;
         self.phase = Phase::AwaitProposition;
         self.ack_replies.clear();
         self.prop_value = None;
@@ -200,26 +185,15 @@ impl EcMergedConsensus {
         {
             return ProtocolStep::none();
         }
-        let maj = self.maj();
         let Some(bucket) = self.est_buckets.get(&round) else {
             return ProtocolStep::none();
         };
-        if bucket.len() < maj || !self.all_unsuspected_replied(bucket, &fd) {
+        if !all_unsuspected_replied(self.n, bucket, &fd) {
             return ProtocolStep::none();
         }
-        let mut best: Option<Estimate> = None;
-        let mut non_null = 0;
-        for q in (0..self.n).map(ProcessId) {
-            if let Some(Some(e)) = bucket.get(&q) {
-                non_null += 1;
-                best = Some(match best {
-                    None => *e,
-                    Some(b) => Estimate::newer_of(b, *e),
-                });
-            }
-        }
+        let (best, non_null) = newest_estimate(bucket.values().flatten().copied());
         self.concluded_phase2.insert(round);
-        if non_null >= maj {
+        if non_null >= majority(self.n) {
             let v = best.expect("non-null exists").value;
             self.est = Estimate {
                 value: v,
@@ -246,17 +220,14 @@ impl EcMergedConsensus {
         ctx: &mut SubCtx<'_, '_, N, EcmMsg>,
         fd: FdOutput,
     ) -> ProtocolStep {
-        if self.phase != Phase::AwaitAcks {
-            return ProtocolStep::none();
-        }
-        if self.ack_replies.len() < self.maj()
-            || !self.all_unsuspected_replied(&self.ack_replies, &fd)
+        if self.phase != Phase::AwaitAcks
+            || !all_unsuspected_replied(self.n, &self.ack_replies, &fd)
         {
             return ProtocolStep::none();
         }
         let acks = self.ack_replies.values().filter(|&&a| a).count();
         let round = self.round;
-        if acks >= self.maj() {
+        if acks >= majority(self.n) {
             ProtocolStep::decide(self.prop_value.expect("proposed"), round)
         } else {
             self.enter_round(ctx, round + 1, fd)
@@ -277,27 +248,16 @@ impl EcMergedConsensus {
     }
 }
 
-impl RoundProtocol for EcMergedConsensus {
+impl RoundProtocol for EcMerged {
     type Msg = EcmMsg;
 
-    fn ns(&self) -> u32 {
-        fd_detectors::ns::CONSENSUS
-    }
-
-    fn on_propose<N: SimMessage>(
+    fn start<N: SimMessage>(
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, EcmMsg>,
         value: u64,
         fd: FdOutput,
     ) -> ProtocolStep {
-        if self.phase == Phase::Done {
-            ctx.observe(obs::PROPOSE, Payload::U64(value));
-            return ProtocolStep::none();
-        }
-        assert_eq!(self.phase, Phase::Idle, "propose called twice");
         self.est = Estimate::initial(value);
-        ctx.observe(obs::PROPOSE, Payload::U64(value));
-        ctx.set_timer(self.cfg.poll_period, TIMER_POLL, 0);
         self.enter_round(ctx, 1, fd)
     }
 
@@ -373,18 +333,11 @@ impl RoundProtocol for EcMergedConsensus {
         }
     }
 
-    fn on_timer<N: SimMessage>(
+    fn poll<N: SimMessage>(
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, EcmMsg>,
-        kind: u32,
-        _data: u64,
         fd: FdOutput,
     ) -> ProtocolStep {
-        debug_assert_eq!(kind, TIMER_POLL);
-        if matches!(self.phase, Phase::Idle | Phase::Done) {
-            return ProtocolStep::none();
-        }
-        ctx.set_timer(self.cfg.poll_period, TIMER_POLL, 0);
         match self.phase {
             Phase::AwaitProposition => {
                 // We may have *become* the leader (detector change), or
@@ -413,28 +366,44 @@ impl RoundProtocol for EcMergedConsensus {
                 ProtocolStep::none()
             }
             Phase::AwaitAcks => self.try_decide(ctx, fd),
-            Phase::Idle | Phase::Done => unreachable!(),
+            Phase::Idle | Phase::Done => unreachable!("polled only between start and close"),
         }
     }
 
-    fn on_decide_delivered<N: SimMessage>(
-        &mut self,
-        ctx: &mut SubCtx<'_, '_, N, EcmMsg>,
-        value: u64,
-        round: u64,
-    ) {
-        if self.decision.is_none() {
-            self.decision = Some((value, round));
-            self.phase = Phase::Done;
-            ctx.observe(obs::DECIDE, Payload::U64Pair(value, round));
-        }
-    }
-
-    fn decision(&self) -> Option<DecidePayload> {
-        self.decision
+    fn close(&mut self) {
+        self.phase = Phase::Done;
     }
 
     fn round(&self) -> u64 {
         self.round
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::api::testkit::{drive, fd};
+
+    #[test]
+    fn a_late_ack_after_the_decision_does_nothing() {
+        // n = 3, everyone's leader is p0, p2 suspected at Phase 4.
+        let mut p = EcMergedConsensus::new(ProcessId(0), 3, ConsensusConfig::default());
+        drive(0, 3, |ctx| p.on_propose(ctx, 42, fd(0, &[])));
+        for q in 1..3 {
+            let est = EcmMsg::Estimate {
+                round: 1,
+                est: Some(Estimate::initial(q as u64)),
+            };
+            drive(0, 3, |ctx| p.on_message(ctx, ProcessId(q), est, fd(0, &[])));
+        }
+        let ack = EcmMsg::Ack { round: 1 };
+        let (step, _) = drive(0, 3, |ctx| {
+            p.on_message(ctx, ProcessId(1), ack.clone(), fd(0, &[2]))
+        });
+        assert_eq!(step, ProtocolStep::decide(42, 1));
+        drive(0, 3, |ctx| p.on_decide_delivered(ctx, 42, 1));
+        let (step, actions) = drive(0, 3, |ctx| p.on_message(ctx, ProcessId(2), ack, fd(0, &[])));
+        assert_eq!(step, ProtocolStep::none());
+        assert!(actions.is_empty(), "{actions:?}");
     }
 }

@@ -1,6 +1,10 @@
 //! # fd-consensus — Uniform Consensus with unreliable failure detectors
 //!
-//! Five complete protocols sharing one skeleton ([`RoundProtocol`]):
+//! Five complete protocols in one shell. [`Round`] is the shell — the
+//! propose-once gate, the polling timer that runs from the proposal to
+//! the decision, and Fig. 4's decide task, each written once — and a
+//! protocol is the [`RoundProtocol`] inside it: its phases, nothing else
+//! (`EcConsensus` is `Round<Ec>`, and so on).
 //!
 //! * [`EcConsensus`] — **the paper's contribution** (Figs. 3–4): five
 //!   phases per round, the coordinator chosen by ◇C's leader output
@@ -35,15 +39,17 @@ pub mod multi;
 pub mod node;
 pub mod paxos;
 
-pub use api::{majority, ConsensusConfig, DecidePayload, Estimate, ProtocolStep, RoundProtocol};
-pub use ct::{rotating_coordinator, CtConsensus, CtMsg};
-pub use ec::{EcConsensus, EcMsg};
-pub use ec_merged::{EcMergedConsensus, EcmMsg};
+pub use api::{
+    majority, ConsensusConfig, DecidePayload, Estimate, ProtocolStep, Round, RoundProtocol,
+};
+pub use ct::{rotating_coordinator, Ct, CtConsensus, CtMsg};
+pub use ec::{Ec, EcConsensus, EcMsg};
+pub use ec_merged::{EcMerged, EcMergedConsensus, EcmMsg};
 pub use harness::{default_net, run_scenario, ConsensusRunner, RunResult, Scenario};
-pub use mr::{MrConsensus, MrMsg};
+pub use mr::{Mr, MrConsensus, MrMsg};
 pub use multi::{Log, LogMsg, MultiEc, MultiMsg, MultiNode, SlotDecide, LOG_APPEND, NOOP};
 pub use node::{ConsensusNode, Decider};
-pub use paxos::{PaxosConsensus, PaxosMsg};
+pub use paxos::{Paxos, PaxosConsensus, PaxosMsg};
 
 use fd_core::Stack;
 use fd_detectors::{
@@ -53,32 +59,32 @@ use fd_detectors::{
 use fd_sim::ProcessId;
 
 /// ◇C consensus over a heartbeat-◇P-based ◇C detector (high accuracy).
-pub type EcNodeHb = ConsensusNode<LeaderByFirstNonSuspected<HeartbeatDetector>, EcConsensus>;
+pub type EcNodeHb = ConsensusNode<LeaderByFirstNonSuspected<HeartbeatDetector>, Ec>;
 
 /// ◇C consensus over the candidate-based ◇C detector of \[16\]
 /// (Ω-grade accuracy, `n−1` messages per period).
-pub type EcNodeLeader = ConsensusNode<LeaderDetector, EcConsensus>;
+pub type EcNodeLeader = ConsensusNode<LeaderDetector, Ec>;
 
 /// Chandra–Toueg consensus over a heartbeat-based ◇S (◇P) detector.
-pub type CtNodeHb = ConsensusNode<LeaderByFirstNonSuspected<HeartbeatDetector>, CtConsensus>;
+pub type CtNodeHb = ConsensusNode<LeaderByFirstNonSuspected<HeartbeatDetector>, Ct>;
 
 /// MR-style consensus over the candidate-based Ω detector.
-pub type MrNodeLeader = ConsensusNode<LeaderDetector, MrConsensus>;
+pub type MrNodeLeader = ConsensusNode<LeaderDetector, Mr>;
 
 /// Any protocol over a scripted (adversarial) detector.
 pub type ScriptedNode<P> = ConsensusNode<ScriptedDetector, P>;
 
 /// Single-decree Paxos over the candidate-based Ω detector.
-pub type PaxosNodeLeader = ConsensusNode<LeaderDetector, PaxosConsensus>;
+pub type PaxosNodeLeader = ConsensusNode<LeaderDetector, Paxos>;
 
 /// A world-reusing [`ConsensusRunner`] for [`EcNodeHb`] scenarios.
-pub type EcHbRunner = ConsensusRunner<LeaderByFirstNonSuspected<HeartbeatDetector>, EcConsensus>;
+pub type EcHbRunner = ConsensusRunner<LeaderByFirstNonSuspected<HeartbeatDetector>, Ec>;
 
 /// A world-reusing [`ConsensusRunner`] for [`CtNodeHb`] scenarios.
-pub type CtHbRunner = ConsensusRunner<LeaderByFirstNonSuspected<HeartbeatDetector>, CtConsensus>;
+pub type CtHbRunner = ConsensusRunner<LeaderByFirstNonSuspected<HeartbeatDetector>, Ct>;
 
 /// A world-reusing [`ConsensusRunner`] for [`MrNodeLeader`] scenarios.
-pub type MrLeaderRunner = ConsensusRunner<LeaderDetector, MrConsensus>;
+pub type MrLeaderRunner = ConsensusRunner<LeaderDetector, Mr>;
 
 /// Build an [`EcNodeHb`].
 pub fn ec_node_hb(me: ProcessId, n: usize) -> EcNodeHb {
@@ -132,7 +138,7 @@ pub fn paxos_node_leader(me: ProcessId, n: usize) -> PaxosNodeLeader {
 pub fn scripted_node<P: RoundProtocol>(
     me: ProcessId,
     fd: ScriptedDetector,
-    cons: P,
+    cons: Round<P>,
 ) -> ScriptedNode<P> {
     Stack::new(fd, Decider::new(me, cons))
 }

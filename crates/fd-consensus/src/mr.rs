@@ -30,9 +30,9 @@
 //! Like the ◇C algorithm — and unlike Chandra–Toueg — stability of the
 //! leader yields a decision in a single round.
 
-use crate::api::{ConsensusConfig, DecidePayload, Estimate, ProtocolStep, RoundProtocol};
-use fd_core::{obs, FdOutput, SubCtx};
-use fd_sim::{Payload, ProcessId, SimMessage};
+use crate::api::{ConsensusConfig, Estimate, ProtocolStep, Round, RoundProtocol};
+use fd_core::{FdOutput, SubCtx};
+use fd_sim::{ProcessId, SimMessage};
 use std::collections::BTreeMap;
 
 /// Wire messages of the MR-style consensus.
@@ -91,16 +91,13 @@ enum Phase {
     Done,
 }
 
-const TIMER_POLL: u32 = 0;
-
-/// The MR-style Ω consensus state at one process.
+/// The phases of the MR-style Ω consensus at one process.
 #[derive(Debug)]
-pub struct MrConsensus {
+pub struct Mr {
     me: ProcessId,
     n: usize,
     /// The assumed upper bound on failures (quorum = `n − f`).
     assumed_f: usize,
-    cfg: ConsensusConfig,
     est: Estimate,
     round: u64,
     phase: Phase,
@@ -108,20 +105,20 @@ pub struct MrConsensus {
     p2_buckets: BTreeMap<u64, BTreeMap<ProcessId, Option<u64>>>,
     p3_buckets: BTreeMap<u64, BTreeMap<ProcessId, (bool, u64)>>,
     my_flag: bool,
-    decision: Option<DecidePayload>,
-    rounds_started: u64,
 }
+
+/// The MR-style Ω consensus protocol at one process.
+pub type MrConsensus = Round<Mr>;
 
 impl MrConsensus {
     /// Create the protocol instance for process `me` of `n`, assuming at
     /// most `assumed_f < n/2` failures.
     pub fn new(me: ProcessId, n: usize, assumed_f: usize, cfg: ConsensusConfig) -> MrConsensus {
         assert!(assumed_f * 2 < n, "MR consensus requires f < n/2");
-        MrConsensus {
+        let body = Mr {
             me,
             n,
             assumed_f,
-            cfg,
             est: Estimate::initial(0),
             round: 0,
             phase: Phase::Idle,
@@ -129,9 +126,8 @@ impl MrConsensus {
             p2_buckets: BTreeMap::new(),
             p3_buckets: BTreeMap::new(),
             my_flag: false,
-            decision: None,
-            rounds_started: 0,
-        }
+        };
+        Round::over(body, cfg)
     }
 
     /// The maximally pessimistic instance: `f = ⌈n/2⌉ − 1`, i.e. only
@@ -140,12 +136,9 @@ impl MrConsensus {
     pub fn with_unknown_f(me: ProcessId, n: usize, cfg: ConsensusConfig) -> MrConsensus {
         MrConsensus::new(me, n, n.div_ceil(2) - 1, cfg)
     }
+}
 
-    /// Rounds started so far (instrumentation).
-    pub fn rounds_started(&self) -> u64 {
-        self.rounds_started
-    }
-
+impl Mr {
     fn quorum(&self) -> usize {
         self.n - self.assumed_f
     }
@@ -157,7 +150,6 @@ impl MrConsensus {
         fd: FdOutput,
     ) -> ProtocolStep {
         self.round = round;
-        self.rounds_started += 1;
         self.phase = Phase::P1;
         self.my_flag = false;
         self.p1_buckets.retain(|r, _| *r >= round);
@@ -284,30 +276,16 @@ impl MrConsensus {
     }
 }
 
-impl RoundProtocol for MrConsensus {
+impl RoundProtocol for Mr {
     type Msg = MrMsg;
 
-    fn ns(&self) -> u32 {
-        fd_detectors::ns::CONSENSUS
-    }
-
-    fn on_propose<N: SimMessage>(
+    fn start<N: SimMessage>(
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, MrMsg>,
         value: u64,
         fd: FdOutput,
     ) -> ProtocolStep {
-        if self.phase == Phase::Done {
-            // The decision broadcast can outrun a slow proposer: the
-            // instance is already over for this process. Record the
-            // proposal (for the validity bookkeeping) and do nothing.
-            ctx.observe(obs::PROPOSE, Payload::U64(value));
-            return ProtocolStep::none();
-        }
-        assert_eq!(self.phase, Phase::Idle, "propose called twice");
         self.est = Estimate::initial(value);
-        ctx.observe(obs::PROPOSE, Payload::U64(value));
-        ctx.set_timer(self.cfg.poll_period, TIMER_POLL, 0);
         self.enter_round(ctx, 1, fd)
     }
 
@@ -358,37 +336,17 @@ impl RoundProtocol for MrConsensus {
         }
     }
 
-    fn on_timer<N: SimMessage>(
+    fn poll<N: SimMessage>(
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, MrMsg>,
-        kind: u32,
-        _data: u64,
         fd: FdOutput,
     ) -> ProtocolStep {
-        debug_assert_eq!(kind, TIMER_POLL);
-        if matches!(self.phase, Phase::Idle | Phase::Done) {
-            return ProtocolStep::none();
-        }
-        ctx.set_timer(self.cfg.poll_period, TIMER_POLL, 0);
         // The Phase 1 wait depends on the (mutable) Ω output.
         self.try_complete_p1(ctx, fd)
     }
 
-    fn on_decide_delivered<N: SimMessage>(
-        &mut self,
-        ctx: &mut SubCtx<'_, '_, N, MrMsg>,
-        value: u64,
-        round: u64,
-    ) {
-        if self.decision.is_none() {
-            self.decision = Some((value, round));
-            self.phase = Phase::Done;
-            ctx.observe(obs::DECIDE, Payload::U64Pair(value, round));
-        }
-    }
-
-    fn decision(&self) -> Option<DecidePayload> {
-        self.decision
+    fn close(&mut self) {
+        self.phase = Phase::Done;
     }
 
     fn round(&self) -> u64 {
@@ -399,40 +357,8 @@ impl RoundProtocol for MrConsensus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fd_core::ProcessSet;
-    use fd_sim::{Action, Context, Time};
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
-
-    fn drive<R>(
-        me: usize,
-        n: usize,
-        f: impl FnOnce(&mut SubCtx<'_, '_, MrMsg, MrMsg>) -> R,
-    ) -> (R, Vec<Action<MrMsg>>) {
-        let mut rng = SmallRng::seed_from_u64(0);
-        let mut actions = Vec::new();
-        let mut next_timer = 0;
-        let r = {
-            let mut ctx = Context::for_executor(
-                ProcessId(me),
-                n,
-                Time::from_millis(1),
-                &mut rng,
-                &mut actions,
-                &mut next_timer,
-            );
-            let mut sub = SubCtx::new(&mut ctx, &std::convert::identity, 9);
-            f(&mut sub)
-        };
-        (r, actions)
-    }
-
-    fn trusts(leader: usize) -> FdOutput {
-        FdOutput {
-            suspected: ProcessSet::new(),
-            trusted: Some(ProcessId(leader)),
-        }
-    }
+    use crate::api::testkit::{drive, trusts};
+    use fd_sim::Action;
 
     /// All outgoing messages, broadcasts expanded (me = p4, n = 5 in
     /// these tests).
@@ -454,11 +380,11 @@ mod tests {
     #[test]
     fn quorum_is_n_minus_f() {
         let p = MrConsensus::new(ProcessId(0), 5, 1, ConsensusConfig::default());
-        assert_eq!(p.quorum(), 4);
+        assert_eq!(p.body.quorum(), 4);
         let p = MrConsensus::with_unknown_f(ProcessId(0), 5, ConsensusConfig::default());
-        assert_eq!(p.quorum(), 3, "unknown f ⇒ bare majority");
+        assert_eq!(p.body.quorum(), 3, "unknown f ⇒ bare majority");
         let p = MrConsensus::with_unknown_f(ProcessId(0), 4, ConsensusConfig::default());
-        assert_eq!(p.quorum(), 3);
+        assert_eq!(p.body.quorum(), 3);
     }
 
     #[test]
@@ -638,5 +564,37 @@ mod tests {
             )
         });
         assert_eq!(step.broadcast_decision, Some((55, 1)));
+    }
+
+    #[test]
+    fn a_late_flag_after_the_decision_does_nothing() {
+        // n = 3, quorum 2: p1's vote, value and flag each complete a phase.
+        let mut p = MrConsensus::with_unknown_f(ProcessId(0), 3, ConsensusConfig::default());
+        drive(0, 3, |ctx| p.on_propose(ctx, 42, trusts(0)));
+        drive(0, 3, |ctx| {
+            p.on_message(ctx, ProcessId(1), p1(1, 0, 7), trusts(0))
+        });
+        let locked = MrMsg::Phase2 {
+            round: 1,
+            aux: Some(42),
+        };
+        drive(0, 3, |ctx| {
+            p.on_message(ctx, ProcessId(1), locked, trusts(0))
+        });
+        let flagged = MrMsg::Phase3 {
+            round: 1,
+            flag: true,
+            value: 42,
+        };
+        let (step, _) = drive(0, 3, |ctx| {
+            p.on_message(ctx, ProcessId(1), flagged.clone(), trusts(0))
+        });
+        assert_eq!(step, ProtocolStep::decide(42, 1));
+        drive(0, 3, |ctx| p.on_decide_delivered(ctx, 42, 1));
+        let (step, actions) = drive(0, 3, |ctx| {
+            p.on_message(ctx, ProcessId(2), flagged, trusts(0))
+        });
+        assert_eq!(step, ProtocolStep::none());
+        assert!(actions.is_empty(), "{actions:?}");
     }
 }

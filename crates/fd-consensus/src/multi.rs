@@ -54,8 +54,10 @@
 //! Paxos synod in [`crate::paxos`]) would additionally need client
 //! command *forwarding* to the leader — the Multi-Paxos design — which
 //! is out of this reproduction's scope.
+//!
+//! [`RoundProtocol`]: crate::RoundProtocol
 
-use crate::api::{ConsensusConfig, DecidePayload, ProtocolStep, RoundProtocol};
+use crate::api::{ConsensusConfig, DecidePayload, ProtocolStep};
 use crate::ec::{EcConsensus, EcMsg};
 use fd_broadcast::{RbMsg, ReliableBroadcast};
 use fd_core::{Component, EventuallyConsistentOracle, FdOutput, Over, Stack, SubCtx};
@@ -284,9 +286,10 @@ impl MultiEc {
 
     /// Raise the tracking base to `base` (never lowers it): every slot
     /// below is treated as decided-elsewhere. A recovering replica calls
-    /// this with `applied + 1` after snapshot catch-up so it re-enters
-    /// the proposer rotation at the log frontier instead of re-opening
-    /// slots whose decisions it learned wholesale.
+    /// this with its `applied` frontier (the first slot it has *not*
+    /// applied) after snapshot catch-up so it re-enters the proposer
+    /// rotation at the log frontier instead of re-opening slots whose
+    /// decisions it learned wholesale.
     pub fn raise_base(&mut self, base: u64) {
         if base > self.base {
             self.base = base;

@@ -8,13 +8,13 @@
 //! below, and above it a [`Decider`] — the protocol and the broadcast
 //! module it decides through.
 
-use crate::api::{DecidePayload, ProtocolStep, RoundProtocol};
+use crate::api::{DecidePayload, ProtocolStep, Round, RoundProtocol};
 use fd_broadcast::{RbMsg, ReliableBroadcast};
 use fd_core::{Component, EventuallyConsistentOracle, Over, Stack, StackMsg, SubCtx};
 use fd_sim::{ProcessId, SimMessage, TimerTag};
 
-/// A process running detector `D` and consensus protocol `P`. Build it
-/// with `Stack::new(fd, Decider::new(me, cons))`.
+/// A process running detector `D` and the consensus protocol with phases
+/// `P`. Build it with `Stack::new(fd, Decider::new(me, cons))`.
 pub type ConsensusNode<D, P> = Stack<D, Decider<P>>;
 
 /// What a [`Decider`] over protocol messages `C` sends: decision
@@ -27,12 +27,12 @@ pub struct Decider<P> {
     /// The decision dissemination module.
     pub rb: ReliableBroadcast<DecidePayload>,
     /// The consensus protocol.
-    pub cons: P,
+    pub cons: Round<P>,
 }
 
 impl<P: RoundProtocol> Decider<P> {
     /// Assemble the module for process `me`.
-    pub fn new(me: ProcessId, cons: P) -> Self {
+    pub fn new(me: ProcessId, cons: Round<P>) -> Self {
         let rb = ReliableBroadcast::new(me);
         assert_ne!(
             cons.ns(),

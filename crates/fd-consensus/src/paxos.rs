@@ -29,9 +29,9 @@
 //! "one round after stabilization" profile as the ◇C algorithm, at
 //! Paxos's 4-communication-step cost (prepare, promise, accept, accepted).
 
-use crate::api::{majority, ConsensusConfig, DecidePayload, ProtocolStep, RoundProtocol};
-use fd_core::{obs, FdOutput, SubCtx};
-use fd_sim::{Payload, ProcessId, SimMessage};
+use crate::api::{majority, ConsensusConfig, ProtocolStep, Round, RoundProtocol};
+use fd_core::{FdOutput, SubCtx};
+use fd_sim::{ProcessId, SimMessage};
 use std::collections::BTreeMap;
 
 /// Wire messages of the synod.
@@ -93,8 +93,6 @@ impl SimMessage for PaxosMsg {
     }
 }
 
-const TIMER_POLL: u32 = 0;
-
 /// How long a proposer lets a ballot sit without progress before
 /// retrying with a fresh one (also covers lost-to-crash acceptor waits).
 const RETRY_POLLS: u32 = 30;
@@ -107,13 +105,12 @@ enum ProposerPhase {
     Done,
 }
 
-/// The synod state at one process (every process is an acceptor; the
+/// The synod's phases at one process (every process is an acceptor; the
 /// Ω-trusted process additionally plays proposer).
 #[derive(Debug)]
-pub struct PaxosConsensus {
+pub struct Paxos {
     me: ProcessId,
     n: usize,
-    cfg: ConsensusConfig,
     // --- acceptor state ---
     promised: u64,
     accepted: Option<(u64, u64)>,
@@ -128,17 +125,18 @@ pub struct PaxosConsensus {
     stalled_polls: u32,
     /// Highest ballot seen anywhere (for jumping past contention).
     max_seen: u64,
-    decision: Option<DecidePayload>,
     ballots_started: u64,
 }
+
+/// The synod protocol at one process.
+pub type PaxosConsensus = Round<Paxos>;
 
 impl PaxosConsensus {
     /// Create the synod instance for process `me` of `n`.
     pub fn new(me: ProcessId, n: usize, cfg: ConsensusConfig) -> PaxosConsensus {
-        PaxosConsensus {
+        let body = Paxos {
             me,
             n,
-            cfg,
             promised: 0,
             accepted: None,
             proposal: None,
@@ -149,18 +147,16 @@ impl PaxosConsensus {
             chosen_value: None,
             stalled_polls: 0,
             max_seen: 0,
-            decision: None,
             ballots_started: 0,
-        }
+        };
+        Round::over(body, cfg)
     }
+}
 
+impl Paxos {
     /// Ballots this proposer has opened (instrumentation).
     pub fn ballots_started(&self) -> u64 {
         self.ballots_started
-    }
-
-    fn maj(&self) -> usize {
-        majority(self.n)
     }
 
     /// The smallest proposer-unique ballot above `floor`.
@@ -174,7 +170,10 @@ impl PaxosConsensus {
         k * n + id
     }
 
-    fn open_ballot<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, PaxosMsg>) {
+    fn open_ballot<N: SimMessage>(
+        &mut self,
+        ctx: &mut SubCtx<'_, '_, N, PaxosMsg>,
+    ) -> ProtocolStep {
         let ballot = self.next_ballot_above(self.max_seen.max(self.ballot));
         self.ballot = ballot;
         self.max_seen = self.max_seen.max(ballot);
@@ -190,10 +189,12 @@ impl PaxosConsensus {
             self.promises.insert(self.me, self.accepted);
         }
         ctx.send_to_others(PaxosMsg::Prepare { ballot });
+        // With n = 1 the self-promise is already a majority.
+        self.try_phase2(ctx)
     }
 
     fn try_phase2<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, PaxosMsg>) -> ProtocolStep {
-        if self.phase != ProposerPhase::AwaitPromises || self.promises.len() < self.maj() {
+        if self.phase != ProposerPhase::AwaitPromises || self.promises.len() < majority(self.n) {
             return ProtocolStep::none();
         }
         // The synod rule: adopt the value of the highest reported ballot,
@@ -220,7 +221,7 @@ impl PaxosConsensus {
     }
 
     fn try_decide(&mut self) -> ProtocolStep {
-        if self.phase == ProposerPhase::AwaitAccepts && self.accepts >= self.maj() {
+        if self.phase == ProposerPhase::AwaitAccepts && self.accepts >= majority(self.n) {
             self.phase = ProposerPhase::Idle; // the decision arrives by RB
             return ProtocolStep::decide(self.chosen_value.expect("phase 2 ran"), self.ballot);
         }
@@ -228,29 +229,18 @@ impl PaxosConsensus {
     }
 }
 
-impl RoundProtocol for PaxosConsensus {
+impl RoundProtocol for Paxos {
     type Msg = PaxosMsg;
 
-    fn ns(&self) -> u32 {
-        fd_detectors::ns::CONSENSUS
-    }
-
-    fn on_propose<N: SimMessage>(
+    fn start<N: SimMessage>(
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, PaxosMsg>,
         value: u64,
         fd: FdOutput,
     ) -> ProtocolStep {
-        if self.decision.is_some() {
-            ctx.observe(obs::PROPOSE, Payload::U64(value));
-            return ProtocolStep::none();
-        }
-        assert!(self.proposal.is_none(), "propose called twice");
         self.proposal = Some(value);
-        ctx.observe(obs::PROPOSE, Payload::U64(value));
-        ctx.set_timer(self.cfg.poll_period, TIMER_POLL, 0);
         if fd.trusted == Some(self.me) {
-            self.open_ballot(ctx);
+            return self.open_ballot(ctx);
         }
         ProtocolStep::none()
     }
@@ -333,21 +323,14 @@ impl RoundProtocol for PaxosConsensus {
         }
     }
 
-    fn on_timer<N: SimMessage>(
+    fn poll<N: SimMessage>(
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, PaxosMsg>,
-        kind: u32,
-        _data: u64,
         fd: FdOutput,
     ) -> ProtocolStep {
-        debug_assert_eq!(kind, TIMER_POLL);
-        if self.decision.is_some() || self.proposal.is_none() {
-            return ProtocolStep::none();
-        }
-        ctx.set_timer(self.cfg.poll_period, TIMER_POLL, 0);
         let lead = fd.trusted == Some(self.me);
         match self.phase {
-            ProposerPhase::Idle if lead => self.open_ballot(ctx),
+            ProposerPhase::Idle if lead => return self.open_ballot(ctx),
             ProposerPhase::AwaitPromises | ProposerPhase::AwaitAccepts => {
                 self.stalled_polls += 1;
                 if !lead {
@@ -356,7 +339,7 @@ impl RoundProtocol for PaxosConsensus {
                 } else if self.stalled_polls > RETRY_POLLS {
                     // Progress stalled (e.g. acceptors crashed before
                     // replying): retry with a fresh ballot.
-                    self.open_ballot(ctx);
+                    return self.open_ballot(ctx);
                 }
             }
             // Not leading while Idle: nothing to open. Done: decided.
@@ -365,21 +348,8 @@ impl RoundProtocol for PaxosConsensus {
         ProtocolStep::none()
     }
 
-    fn on_decide_delivered<N: SimMessage>(
-        &mut self,
-        ctx: &mut SubCtx<'_, '_, N, PaxosMsg>,
-        value: u64,
-        round: u64,
-    ) {
-        if self.decision.is_none() {
-            self.decision = Some((value, round));
-            self.phase = ProposerPhase::Done;
-            ctx.observe(obs::DECIDE, Payload::U64Pair(value, round));
-        }
-    }
-
-    fn decision(&self) -> Option<DecidePayload> {
-        self.decision
+    fn close(&mut self) {
+        self.phase = ProposerPhase::Done;
     }
 
     fn round(&self) -> u64 {
@@ -390,33 +360,8 @@ impl RoundProtocol for PaxosConsensus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fd_core::ProcessSet;
-    use fd_sim::{Action, Context, Time};
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
-
-    fn drive<R>(
-        me: usize,
-        n: usize,
-        f: impl FnOnce(&mut SubCtx<'_, '_, PaxosMsg, PaxosMsg>) -> R,
-    ) -> (R, Vec<Action<PaxosMsg>>) {
-        let mut rng = SmallRng::seed_from_u64(0);
-        let mut actions = Vec::new();
-        let mut next_timer = 0;
-        let r = {
-            let mut ctx = Context::for_executor(
-                ProcessId(me),
-                n,
-                Time::from_millis(1),
-                &mut rng,
-                &mut actions,
-                &mut next_timer,
-            );
-            let mut sub = SubCtx::new(&mut ctx, &std::convert::identity, 9);
-            f(&mut sub)
-        };
-        (r, actions)
-    }
+    use crate::api::testkit::{drive, trusts};
+    use fd_sim::Action;
 
     /// Outgoing messages of `me` (n = 5), broadcasts expanded.
     fn msgs(me: usize, actions: &[Action<PaxosMsg>]) -> Vec<PaxosMsg> {
@@ -426,23 +371,19 @@ mod tests {
             .collect()
     }
 
-    fn trusts(l: usize) -> FdOutput {
-        FdOutput {
-            suspected: ProcessSet::new(),
-            trusted: Some(ProcessId(l)),
-        }
-    }
-
     #[test]
     fn ballots_are_proposer_unique_and_increasing() {
         let p = PaxosConsensus::new(ProcessId(2), 5, ConsensusConfig::default());
-        assert_eq!(p.next_ballot_above(0), 2); // 0·5 + 2, the smallest > 0
-        assert_eq!(p.next_ballot_above(2), 7);
-        assert_eq!(p.next_ballot_above(7), 12);
-        assert_eq!(p.next_ballot_above(11), 12);
-        assert_eq!(p.next_ballot_above(12), 17);
+        assert_eq!(p.body.next_ballot_above(0), 2); // 0·5 + 2, the smallest > 0
+        assert_eq!(p.body.next_ballot_above(2), 7);
+        assert_eq!(p.body.next_ballot_above(7), 12);
+        assert_eq!(p.body.next_ballot_above(11), 12);
+        assert_eq!(p.body.next_ballot_above(12), 17);
         let q = PaxosConsensus::new(ProcessId(3), 5, ConsensusConfig::default());
-        assert_ne!(p.next_ballot_above(20) % 5, q.next_ballot_above(20) % 5);
+        assert_ne!(
+            p.body.next_ballot_above(20) % 5,
+            q.body.next_ballot_above(20) % 5
+        );
     }
 
     #[test]
@@ -454,7 +395,7 @@ mod tests {
             .filter(|m| matches!(m, PaxosMsg::Prepare { .. }))
             .count();
         assert_eq!(prepares, 4);
-        assert_eq!(p.ballots_started(), 1);
+        assert_eq!(p.body.ballots_started(), 1);
     }
 
     #[test]
@@ -570,7 +511,7 @@ mod tests {
     fn preempted_proposer_jumps_past_the_contention() {
         let mut p = PaxosConsensus::new(ProcessId(0), 5, ConsensusConfig::default());
         drive(0, 5, |ctx| p.on_propose(ctx, 1, trusts(0)));
-        let b0 = p.ballot;
+        let b0 = p.body.ballot;
         drive(0, 5, |ctx| {
             p.on_message(
                 ctx,
@@ -595,5 +536,39 @@ mod tests {
             new_ballot > 93,
             "new ballot {new_ballot} must clear the contention at 93"
         );
+    }
+
+    #[test]
+    fn late_replies_after_the_decision_do_nothing() {
+        // n = 3: p1's promise and accept are each a majority with p0's own.
+        let mut p = PaxosConsensus::new(ProcessId(0), 3, ConsensusConfig::default());
+        drive(0, 3, |ctx| p.on_propose(ctx, 42, trusts(0)));
+        let ballot = p.round();
+        let promise = PaxosMsg::Promise {
+            ballot,
+            accepted: None,
+        };
+        drive(0, 3, |ctx| {
+            p.on_message(ctx, ProcessId(1), promise.clone(), trusts(0))
+        });
+        let accepted = PaxosMsg::Accepted { ballot };
+        let (step, _) = drive(0, 3, |ctx| {
+            p.on_message(ctx, ProcessId(1), accepted.clone(), trusts(0))
+        });
+        assert_eq!(step, ProtocolStep::decide(42, ballot));
+        drive(0, 3, |ctx| p.on_decide_delivered(ctx, 42, ballot));
+        for late in [promise, accepted] {
+            let (step, actions) =
+                drive(0, 3, |ctx| p.on_message(ctx, ProcessId(2), late, trusts(0)));
+            assert_eq!(step, ProtocolStep::none());
+            assert!(actions.is_empty(), "{actions:?}");
+        }
+    }
+
+    #[test]
+    fn a_lone_process_decides_on_its_own_promise() {
+        let mut p = PaxosConsensus::new(ProcessId(0), 1, ConsensusConfig::default());
+        let (step, _) = drive(0, 1, |ctx| p.on_propose(ctx, 42, trusts(0)));
+        assert_eq!(step, ProtocolStep::decide(42, p.round()));
     }
 }

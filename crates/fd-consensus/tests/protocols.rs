@@ -563,3 +563,33 @@ fn paxos_uses_four_steps_like_ct() {
     check(&r);
     assert_eq!(r.decide_time.unwrap(), Time(5 * delta.ticks()));
 }
+
+// ------------------------------------------------- a system of one ---
+
+#[test]
+fn a_lone_process_decides_its_own_proposal_at_once() {
+    // Every quorum's degenerate case: n = 1 is a majority of itself, so
+    // each protocol decides in its first round with no message.
+    let sc = Scenario::failure_free(1, 1, Time::from_secs(1));
+    let lone_ecm = |pid, n| {
+        scripted_node(
+            pid,
+            ScriptedDetector::chaos_then_leader(pid, n, Time::ZERO, ProcessId(0)),
+            EcMergedConsensus::new(pid, n, ConsensusConfig::default()),
+        )
+    };
+    let runs = [
+        ("ec", run_scenario(net(1), &sc, ec_node_hb)),
+        ("ecm", run_scenario(net(1), &sc, lone_ecm)),
+        ("ct", run_scenario(net(1), &sc, ct_node_hb)),
+        ("mr", run_scenario(net(1), &sc, mr_node_leader)),
+        ("paxos", run_scenario(net(1), &sc, paxos_node_leader)),
+    ];
+    for (protocol, r) in runs {
+        assert!(r.all_decided, "{protocol}: no decision");
+        check(&r);
+        assert_eq!(r.decided_value(), sc.proposals[0], "{protocol}");
+        assert_eq!(r.decide_time, Some(Time::ZERO), "{protocol}");
+        assert_eq!(r.metrics.sent_total(), 0, "{protocol}");
+    }
+}

@@ -89,7 +89,7 @@ pub use omega_gossip::{GossipMsg, OmegaGossip, OmegaGossipConfig};
 pub use omega_stable::{StableAlive, StableLeaderConfig, StableLeaderDetector};
 pub use ring::{RingConfig, RingDetector, RingMsg};
 pub use scripted::{NoMsg, ScriptedDetector};
-pub use timeout::{GrowthPolicy, TimeoutTable};
+pub use timeout::TimeoutTable;
 pub use vcube::{VCubeConfig, VCubeDetector, VCubeMsg};
 pub use weak_to_strong::{W2sMsg, WeakToStrong, WeakToStrongConfig, W2S_SUSPECTS_OUT};
 

@@ -13,14 +13,8 @@
 use fd_core::{ProcessSet, SubCtx};
 use fd_sim::{ProcessId, SimDuration, SimMessage, Time};
 
-/// How a timeout grows after a false suspicion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GrowthPolicy {
-    /// Add a fixed increment (the classic Chandra–Toueg scheme).
-    Additive(SimDuration),
-    /// Double the current value (faster convergence, coarser bound).
-    Exponential,
-}
+/// No timeout grows past this.
+const CAP: SimDuration = SimDuration::from_secs(3600);
 
 /// A table of per-peer timeout intervals (`Δ_p(q)` in Fig. 2).
 ///
@@ -34,41 +28,25 @@ pub enum GrowthPolicy {
 pub struct TimeoutTable {
     n: usize,
     initial: SimDuration,
-    policy: GrowthPolicy,
-    cap: SimDuration,
+    /// Added after each false suspicion (the classic Chandra–Toueg scheme).
+    increment: SimDuration,
     /// `(peer index, current timeout, increase count)` for peers whose
     /// timeout has been increased at least once.
     grown: Vec<(u32, SimDuration, u32)>,
 }
 
 impl TimeoutTable {
-    /// A table for `n` peers, all starting at `initial`, growing per
-    /// `policy`, never exceeding `cap`.
-    pub fn new(
-        n: usize,
-        initial: SimDuration,
-        policy: GrowthPolicy,
-        cap: SimDuration,
-    ) -> TimeoutTable {
+    /// A table for `n` peers, all starting at `initial` and growing by
+    /// `increment`, never past an hour.
+    pub fn additive(n: usize, initial: SimDuration, increment: SimDuration) -> TimeoutTable {
         assert!(initial > SimDuration::ZERO, "timeouts must be positive");
-        assert!(cap >= initial, "cap below initial timeout");
+        assert!(CAP >= initial, "cap below initial timeout");
         TimeoutTable {
             n,
             initial,
-            policy,
-            cap,
+            increment,
             grown: Vec::new(),
         }
-    }
-
-    /// A table with the common additive policy and a generous cap.
-    pub fn additive(n: usize, initial: SimDuration, increment: SimDuration) -> TimeoutTable {
-        TimeoutTable::new(
-            n,
-            initial,
-            GrowthPolicy::Additive(increment),
-            SimDuration::from_secs(3600),
-        )
     }
 
     /// The current timeout for `q`.
@@ -97,11 +75,7 @@ impl TimeoutTable {
         };
         // fd-lint: allow(HP001, reason = "pos is either a scan hit or the index of the entry just pushed")
         let (_, cur, count) = &mut self.grown[pos];
-        let next = match self.policy {
-            GrowthPolicy::Additive(inc) => *cur + inc,
-            GrowthPolicy::Exponential => cur.saturating_mul(2),
-        };
-        let next = next.min(self.cap);
+        let next = (*cur + self.increment).min(CAP);
         *cur = next;
         *count += 1;
         next
@@ -261,16 +235,12 @@ mod tests {
     }
 
     #[test]
-    fn exponential_growth_hits_cap() {
-        let mut t = TimeoutTable::new(
-            1,
-            SimDuration::from_millis(10),
-            GrowthPolicy::Exponential,
-            SimDuration::from_millis(35),
-        );
-        assert_eq!(t.increase(ProcessId(0)), SimDuration::from_millis(20));
-        assert_eq!(t.increase(ProcessId(0)), SimDuration::from_millis(35));
-        assert_eq!(t.increase(ProcessId(0)), SimDuration::from_millis(35));
+    fn additive_growth_stops_at_the_cap() {
+        let below_cap = |ms| SimDuration::from_ticks(CAP.ticks() - MS(ms).ticks());
+        let mut t = TimeoutTable::additive(1, below_cap(10), MS(7));
+        assert_eq!(t.increase(ProcessId(0)), below_cap(3));
+        assert_eq!(t.increase(ProcessId(0)), CAP);
+        assert_eq!(t.increase(ProcessId(0)), CAP);
     }
 
     #[test]

@@ -37,7 +37,7 @@ use crate::store::{fnv_step, KvStore, DIGEST_SEED};
 use crate::wal::{self, WalRecord};
 use fd_broadcast::{RbMsg, ReliableBroadcast};
 use fd_consensus::multi::{commands, Body, MULTI_NS_BASE};
-use fd_consensus::{ConsensusConfig, MultiEc, MultiMsg, ProtocolStep, RoundProtocol, SlotDecide};
+use fd_consensus::{ConsensusConfig, MultiEc, MultiMsg, ProtocolStep, SlotDecide};
 use fd_core::{Component, EventuallyConsistentOracle, FdOutput, Over, Stack, SubCtx};
 use fd_sim::{Payload, ProcessId, SimDisk, SimMessage, StorageConfig, Time, TimerTag};
 use rand::Rng;

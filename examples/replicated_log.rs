@@ -14,7 +14,7 @@
 //! replicas end up applying the identical sequence.
 
 use ecfd::prelude::*;
-use fd_consensus::{ConsensusNode, Log, MultiEc, MultiNode, NOOP};
+use fd_consensus::{Log, MultiEc, MultiNode, NOOP};
 use fd_detectors::HeartbeatDetector;
 
 type Replica = MultiNode<LeaderByFirstNonSuspected<HeartbeatDetector>>;
@@ -116,8 +116,3 @@ fn main() {
         world.metrics().sent_of_kind("hb.alive"),
     );
 }
-
-// Silence an unused-import warning: ConsensusNode is re-exported for
-// users who want single-shot nodes alongside the multiplexer.
-#[allow(dead_code)]
-type _SingleShot = ConsensusNode<LeaderByFirstNonSuspected<HeartbeatDetector>, EcConsensus>;

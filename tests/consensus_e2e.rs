@@ -2,10 +2,10 @@
 //! partially synchronous links, staggered proposals, larger systems.
 
 use ecfd::prelude::*;
-use fd_consensus::{ConsensusNode, Decider, EcConsensus};
+use fd_consensus::{ConsensusNode, Decider, Ec, EcConsensus};
 use fd_detectors::{RingConfig, RingDetector};
 
-type RingEcNode = ConsensusNode<LeaderByFirstNonSuspected<RingDetector>, EcConsensus>;
+type RingEcNode = ConsensusNode<LeaderByFirstNonSuspected<RingDetector>, Ec>;
 
 fn ring_ec_node(pid: ProcessId, n: usize) -> RingEcNode {
     Stack::new(

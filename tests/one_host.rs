@@ -2,7 +2,9 @@
 //! implements `fd_sim::Actor` for the two `fd-core` hosts, two synthetic
 //! load generators, and one wrapper on its way out — nothing else. A
 //! protocol that wants a node of its own implements `Over<D>` and is
-//! hosted by `Stack`; a new hand-written host fails here.
+//! hosted by `Stack`; a new hand-written host fails here. Likewise one
+//! round shell: the consensus poll timer and the decide task live in
+//! `fd-consensus/src/api.rs`, and a protocol that grows its own fails.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -27,22 +29,35 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-#[test]
-fn only_the_listed_types_implement_actor_outside_tests() {
+/// `(path relative to the repo root, source before the first
+/// `#[cfg(test)]`)` of every file under `crates/*/src`.
+fn shipped_sources() -> Vec<(String, String)> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut files = Vec::new();
     for krate in fs::read_dir(root.join("crates")).expect("crates/ exists") {
         rust_files(&krate.unwrap().path().join("src"), &mut files);
     }
+    let mut sources: Vec<(String, String)> = files
+        .iter()
+        .map(|file| {
+            let src = fs::read_to_string(file).unwrap();
+            let shipped = src.split("#[cfg(test)]").next().unwrap();
+            let rel = file.strip_prefix(root).unwrap().to_str().unwrap();
+            (rel.replace('\\', "/"), shipped.to_string())
+        })
+        .collect();
+    sources.sort();
+    sources
+}
+
+#[test]
+fn only_the_listed_types_implement_actor_outside_tests() {
     let mut found = Vec::new();
-    for file in files {
-        let src = fs::read_to_string(&file).unwrap();
-        let shipped = src.split("#[cfg(test)]").next().unwrap();
+    for (rel, shipped) in shipped_sources() {
         for line in shipped.lines().filter(|l| l.starts_with("impl")) {
             if let Some((_, host)) = line.split_once(" Actor for ") {
                 let name: String = host.chars().take_while(|c| c.is_alphanumeric()).collect();
-                let rel = file.strip_prefix(root).unwrap().to_str().unwrap();
-                found.push((rel.replace('\\', "/"), name));
+                found.push((rel.clone(), name));
             }
         }
     }
@@ -51,5 +66,34 @@ fn only_the_listed_types_implement_actor_outside_tests() {
     assert_eq!(
         found, HOSTS,
         "left: `impl Actor for` on disk, right: allowed"
+    );
+}
+
+#[test]
+fn the_poll_is_armed_in_one_place() {
+    // Doc comments may name the knob; code may not.
+    let sources = shipped_sources();
+    let code_naming = |needle: &str| -> Vec<&str> {
+        sources
+            .iter()
+            .filter(|(_, src)| {
+                src.lines()
+                    .any(|l| !l.trim_start().starts_with("//") && l.contains(needle))
+            })
+            .map(|(rel, _)| &**rel)
+            .collect()
+    };
+    assert_eq!(
+        code_naming("poll_period"),
+        [
+            "crates/fd-bench/src/scenarios.rs", // sets the experiments' 500 µs
+            "crates/fd-consensus/src/api.rs",   // declares, defaults and reads it
+        ],
+        "ConsensusConfig::poll_period is read by `Round` and nowhere else"
+    );
+    assert_eq!(
+        code_naming("fn on_decide_delivered"),
+        ["crates/fd-consensus/src/api.rs"],
+        "Fig. 4's decide task is written once"
     );
 }
