@@ -31,15 +31,7 @@ pub fn run() -> Vec<Table> {
     );
     for proto in Protocol::ALL {
         for n in [3usize, 5, 9, 13, 21, 31, 63] {
-            let r = run_scripted(
-                proto,
-                n,
-                42,
-                jitter_net(n),
-                Time::from_secs(5),
-                fd_consensus::ConsensusConfig::default(),
-                stable_fd,
-            );
+            let r = run_scripted(proto, n, 42, jitter_net(n), Time::from_secs(5), stable_fd);
             assert!(r.all_decided, "{proto:?} n={n} did not decide");
             assert_eq!(
                 r.max_decision_round(),
@@ -86,7 +78,6 @@ pub fn run() -> Vec<Table> {
             7,
             jitter_net(n),
             Time::from_secs(5),
-            fd_consensus::ConsensusConfig::default(),
             |pid, n| ScriptedDetector::chaos_then_leader(pid, n, stab, ProcessId(0)),
         );
         assert!(r.all_decided);

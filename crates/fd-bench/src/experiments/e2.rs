@@ -3,8 +3,7 @@
 //! Paper claim: ◇C has 5 phases per round, CT 4, MR 3 — the flip side of
 //! the message-count trade-off (fewer messages ⇒ more sequential steps).
 //!
-//! Method: constant-delay links (Δ = 5 ms, poll ≪ Δ) and a stable
-//! detector; the time until the *deciding coordinator/flagger* commits is
+//! Method: constant-delay links (Δ = 5 ms) and a stable detector; the time until the *deciding coordinator/flagger* commits is
 //! a whole number of Δs equal to the pre-decision communication steps,
 //! and the last correct process decides one Reliable-Broadcast step
 //! later. We report `decide_time/Δ` for the last decider: expected
@@ -12,7 +11,7 @@
 //! the decision exists, matching the paper's five *phases*), CT = 3 + 1,
 //! MR = 3 (each process flags locally, no extra broadcast step).
 
-use crate::scenarios::{const_delay_net, fast_poll, run_scripted, stable_fd, Protocol};
+use crate::scenarios::{const_delay_net, run_scripted, stable_fd, Protocol};
 use crate::table::{fmt_num, Table};
 use fd_sim::{SimDuration, Time};
 
@@ -38,7 +37,6 @@ pub fn run() -> Vec<Table> {
                 3,
                 const_delay_net(n, delta),
                 Time::from_secs(5),
-                fast_poll(),
                 stable_fd,
             );
             assert!(r.all_decided, "{proto:?} n={n}");

@@ -16,7 +16,7 @@
 //! vote for themselves and emit ⊥). We sweep `k` and count how often the
 //! protocol still decides in round 1, over 20 seeds.
 
-use crate::scenarios::{fast_poll, jitter_net, run_scripted, Protocol};
+use crate::scenarios::{jitter_net, run_scripted, Protocol};
 use crate::table::{fmt_num, Table};
 use fd_core::{FdOutput, ProcessSet};
 use fd_detectors::ScriptedDetector;
@@ -91,7 +91,6 @@ pub fn run() -> Vec<Table> {
                     seed,
                     jitter_net(n),
                     Time::from_secs(20),
-                    fast_poll(),
                     move |pid, n| e5_fd(pid, n, &nackers, heal, proto == Protocol::Mr),
                 );
                 assert!(

@@ -14,7 +14,7 @@
 //!   the candidate algorithm of \[16\] pays n−1 — the gap that motivates
 //!   the paper's "at no additional cost" constructions.
 
-use crate::scenarios::{const_delay_net, fast_poll, jitter_net, stable_fd};
+use crate::scenarios::{const_delay_net, jitter_net, stable_fd};
 use crate::table::{fmt_num, Table};
 use fd_consensus::{run_scenario, scripted_node, EcConsensus, EcMergedConsensus, Scenario};
 use fd_core::{FdRun, Stack, Standalone};
@@ -41,11 +41,7 @@ fn e9a() -> Table {
         let sc = Scenario::failure_free(n, 3, Time::from_secs(5));
 
         let five = run_scenario(const_delay_net(n, delta), &sc, |pid, n| {
-            scripted_node(
-                pid,
-                stable_fd(pid, n),
-                EcConsensus::new(pid, n, fast_poll()),
-            )
+            scripted_node(pid, stable_fd(pid, n), EcConsensus::new(pid, n))
         });
         assert!(five.all_decided);
         t.row(vec![
@@ -57,11 +53,7 @@ fn e9a() -> Table {
         ]);
 
         let merged = run_scenario(const_delay_net(n, delta), &sc, |pid, n| {
-            scripted_node(
-                pid,
-                stable_fd(pid, n),
-                EcMergedConsensus::new(pid, n, fast_poll()),
-            )
+            scripted_node(pid, stable_fd(pid, n), EcMergedConsensus::new(pid, n))
         });
         assert!(merged.all_decided);
         t.row(vec![

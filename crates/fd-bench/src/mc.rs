@@ -38,8 +38,6 @@ use fd_sim::{
     WorldBuilder,
 };
 
-use crate::scenarios::fast_poll;
-
 /// The model-checking network: constant-delay reliable links, so the
 /// explorer owns all nondeterminism and the state digest is sound.
 pub fn mc_net(n: usize) -> NetworkConfig {
@@ -144,7 +142,7 @@ impl McEcNode {
     }
 
     fn build(me: ProcessId, n: usize, retransmit: bool) -> McEcNode {
-        let ec = EcConsensus::new(me, n, fast_poll());
+        let ec = EcConsensus::new(me, n);
         McEcNode {
             inner: Stack::new(hb_leader(me, n), Decider::new(me, ec)),
             retransmit,
@@ -154,7 +152,7 @@ impl McEcNode {
     /// Propose a value (call through `World::interact`).
     pub fn propose(&mut self, ctx: &mut Context<'_, <Self as Actor>::Msg>, value: u64) {
         self.inner
-            .with_above(ctx, |d, ctx, fd| d.propose(ctx, value, fd));
+            .with_above(ctx, |d, ctx, _| d.propose(ctx, value));
     }
 }
 
@@ -275,19 +273,19 @@ pub fn protocol_target(proto: McProtocol, n: usize, horizon: Time) -> McTarget {
             McProtocol::Ct => protocol_world(
                 n,
                 |pid| {
-                    let ct = CtConsensus::new(pid, n, fast_poll());
+                    let ct = CtConsensus::new(pid, n);
                     Stack::new(hb_leader(pid, n), Decider::new(pid, ct))
                 },
-                |node, ctx, v| node.with_above(ctx, |d, ctx, fd| d.propose(ctx, v, fd)),
+                |node, ctx, v| node.with_above(ctx, |d, ctx, _| d.propose(ctx, v)),
             ),
             McProtocol::Paxos => protocol_world(
                 n,
                 |pid| {
                     let fd = LeaderDetector::new(pid, n, LeaderConfig::default());
-                    let paxos = PaxosConsensus::new(pid, n, fast_poll());
+                    let paxos = PaxosConsensus::new(pid, n);
                     Stack::new(fd, Decider::new(pid, paxos))
                 },
-                |node, ctx, v| node.with_above(ctx, |d, ctx, fd| d.propose(ctx, v, fd)),
+                |node, ctx, v| node.with_above(ctx, |d, ctx, _| d.propose(ctx, v)),
             ),
             // p0 queues a second command behind its first. Its first
             // loses slot 0 to a higher pid's (equal lengths), returns to
@@ -297,14 +295,14 @@ pub fn protocol_target(proto: McProtocol, n: usize, horizon: Time) -> McTarget {
             McProtocol::Multi => protocol_world(
                 n,
                 |pid| {
-                    let multi = MultiEc::new(pid, n, fast_poll());
+                    let multi = MultiEc::new(pid, n);
                     Stack::new(hb_leader(pid, n), Log::new(pid, multi))
                 },
                 |node, ctx, command| {
-                    node.with_above(ctx, |log, ctx, fd| {
-                        log.submit(ctx, command, fd);
+                    node.with_above(ctx, |log, ctx, _| {
+                        log.submit(ctx, command);
                         if command == 100 {
-                            log.submit(ctx, 200, fd);
+                            log.submit(ctx, 200);
                         }
                     })
                 },
@@ -416,10 +414,10 @@ mod tests {
         }
     }
 
-    /// The first two genuine choice points of the EC worlds are timer
-    /// races (start-of-run and first poll); deliveries — and therefore
-    /// drop options — only appear at the third. Depth 3 puts the first
-    /// message batch inside the branching frontier.
+    /// The first genuine choice points of the EC worlds are same-instant
+    /// timer races at the start of the run; deliveries — and therefore
+    /// drop options — come after them. Depth 3 puts the first message
+    /// batch inside the branching frontier.
     fn wedge_cfg() -> McConfig {
         McConfig {
             depth: 3,

@@ -1,8 +1,6 @@
 //! Shared workload builders for the experiments.
 
-use fd_consensus::{
-    scripted_node, ConsensusConfig, CtConsensus, EcConsensus, MrConsensus, PaxosConsensus,
-};
+use fd_consensus::{scripted_node, CtConsensus, EcConsensus, MrConsensus, PaxosConsensus};
 use fd_core::ProcessSet;
 use fd_detectors::ScriptedDetector;
 use fd_sim::{LinkModel, NetworkConfig, ProcessId, SimDuration, Time};
@@ -16,15 +14,6 @@ pub fn const_delay_net(n: usize, delta: SimDuration) -> NetworkConfig {
 /// A jittery reliable network (the default experimental substrate).
 pub fn jitter_net(n: usize) -> NetworkConfig {
     fd_consensus::default_net(n)
-}
-
-/// Consensus config with a fast wait-condition poll, so suspicion-driven
-/// transitions happen well before the next message round trip — making
-/// nack/rotation behaviour deterministic in the adversarial experiments.
-pub fn fast_poll() -> ConsensusConfig {
-    ConsensusConfig {
-        poll_period: SimDuration::from_ticks(500),
-    }
 }
 
 /// A stable scripted ◇C detector: leader `p0`, suspects `Π \ {p0}`,
@@ -110,26 +99,21 @@ pub fn run_scripted(
     seed: u64,
     net: NetworkConfig,
     horizon: Time,
-    cfg: ConsensusConfig,
     mk_fd: impl Fn(ProcessId, usize) -> ScriptedDetector,
 ) -> fd_consensus::RunResult {
     let sc = fd_consensus::Scenario::failure_free(n, seed, horizon);
     match proto {
         Protocol::Ec => fd_consensus::run_scenario(net, &sc, |pid, n| {
-            scripted_node(pid, mk_fd(pid, n), EcConsensus::new(pid, n, cfg.clone()))
+            scripted_node(pid, mk_fd(pid, n), EcConsensus::new(pid, n))
         }),
         Protocol::Ct => fd_consensus::run_scenario(net, &sc, |pid, n| {
-            scripted_node(pid, mk_fd(pid, n), CtConsensus::new(pid, n, cfg.clone()))
+            scripted_node(pid, mk_fd(pid, n), CtConsensus::new(pid, n))
         }),
         Protocol::Mr => fd_consensus::run_scenario(net, &sc, |pid, n| {
-            scripted_node(
-                pid,
-                mk_fd(pid, n),
-                MrConsensus::with_unknown_f(pid, n, cfg.clone()),
-            )
+            scripted_node(pid, mk_fd(pid, n), MrConsensus::with_unknown_f(pid, n))
         }),
         Protocol::Paxos => fd_consensus::run_scenario(net, &sc, |pid, n| {
-            scripted_node(pid, mk_fd(pid, n), PaxosConsensus::new(pid, n, cfg.clone()))
+            scripted_node(pid, mk_fd(pid, n), PaxosConsensus::new(pid, n))
         }),
     }
 }

@@ -25,6 +25,28 @@ fn e2_phase_depth_produces_the_protocol_rows() {
     );
 }
 
+/// Theorem 3's shape: CT burns a round on every coordinator the detector
+/// suspects from t = 0, so it decides in round k + 1; the leader-based
+/// protocols decide in round 1. Suspected-from-the-start coordinators
+/// never change the detector's output, so a protocol that re-checked its
+/// clauses only on output changes would accept their propositions and
+/// decide everything in round 1 (and wait forever on a crashed one).
+#[test]
+fn e3_ct_rotates_past_every_coordinator_suspected_from_the_start() {
+    let tables = experiments::e3::run();
+    let rounds = |label: &str| -> Vec<&str> {
+        tables[0]
+            .rows
+            .iter()
+            .filter(|row| row[0] == label)
+            .map(|row| row[2].as_str())
+            .collect()
+    };
+    assert_eq!(rounds("CT ◇S"), ["1", "3", "5", "7", "9"]);
+    assert_eq!(rounds("◇C (paper)"), ["1"; 5]);
+    assert_eq!(rounds("MR Ω"), ["1"; 5]);
+}
+
 #[test]
 fn e7_accuracy_rows_hold_their_claims() {
     let tables = experiments::e7::run();

@@ -6,23 +6,31 @@
 //! phases. The shell, [`Round`], owns what no protocol's phases need to
 //! know: whether this process has proposed and whether it has decided,
 //! the `propose(v)` entry (at most once, and a no-op once the decision
-//! has outrun the proposer), the polling timer that runs from the
-//! proposal to the decision (wait conditions depend on the failure
-//! detector's output, which can change without a message arriving), and
-//! Fig. 4's decide task ("upon R-deliver(decide, v): decide v", once).
+//! has outrun the proposer), when the phases' detector clauses are
+//! evaluated, and Fig. 4's decide task ("upon R-deliver(decide, v):
+//! decide v", once).
 //!
 //! A protocol is a [`RoundProtocol`] and supplies only its phases: what
-//! to do when the instance starts, on each of its messages, on each
-//! poll, and how to stand down once the decision is in. It receives the
-//! co-located failure detector's current [`FdOutput`] on every callback
-//! (the paper's "a process interacts only with its local failure
-//! detection module") and signals decision broadcasts back to the host
-//! through [`ProtocolStep`]. Messages reach the phases in every stage —
-//! Fig. 4's Tasks 1 and 2 and a Paxos acceptor answer before the
+//! to do when the instance starts, on each of its messages, when the
+//! co-located failure detector's output changes, and how to stand down
+//! once the decision is in. It is handed that detector's [`FdOutput`] on
+//! every callback (the paper's "a process interacts only with its local
+//! failure detection module") and signals decision broadcasts back to
+//! the host through [`ProtocolStep`]. Messages reach the phases in every
+//! stage — Fig. 4's Tasks 1 and 2 and a Paxos acceptor answer before the
 //! proposal and after the decision — so the shell gates nothing there.
+//!
+//! The shell arms no timer. Every wait clause of Figs. 3–4 ("wait until
+//! … or `c_p ∈ D_p`") is a condition on the detector's output, and the
+//! output reaches the instance as an event
+//! ([`Round::on_fd_change`], fed by [`fd_core::Over::on_fd_change`]). The
+//! clauses are evaluated on that event and also right after the start,
+//! after every message, and again while a round change keeps entering
+//! new phases: a phase entered with its clause already true must not wait
+//! for a change that has already happened.
 
 use fd_core::{obs, FdOutput, SubCtx};
-use fd_sim::{Payload, ProcessId, SimDuration, SimMessage};
+use fd_sim::{Payload, ProcessId, SimMessage};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -83,24 +91,6 @@ impl ProtocolStep {
     }
 }
 
-/// Timing knobs shared by the protocols.
-#[derive(Debug, Clone)]
-pub struct ConsensusConfig {
-    /// Period of the wait-condition polling timer. Wait conditions depend
-    /// on the failure detector's output, which can change without any
-    /// protocol message arriving, so blocked phases re-check on this
-    /// cadence.
-    pub poll_period: SimDuration,
-}
-
-impl Default for ConsensusConfig {
-    fn default() -> Self {
-        ConsensusConfig {
-            poll_period: SimDuration::from_millis(2),
-        }
-    }
-}
-
 /// The phases of a round-based consensus protocol: what a [`Round`]
 /// runs between the proposal and the decision.
 pub trait RoundProtocol: 'static {
@@ -112,7 +102,7 @@ pub trait RoundProtocol: 'static {
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, Self::Msg>,
         value: u64,
-        fd: FdOutput,
+        fd: &FdOutput,
     ) -> ProtocolStep;
 
     /// A protocol message arrived — before the proposal, during the
@@ -122,17 +112,30 @@ pub trait RoundProtocol: 'static {
         ctx: &mut SubCtx<'_, '_, N, Self::Msg>,
         from: ProcessId,
         msg: Self::Msg,
-        fd: FdOutput,
+        fd: &FdOutput,
     ) -> ProtocolStep;
 
-    /// Re-evaluate the wait conditions against the detector's current
-    /// output. Called only between [`start`](RoundProtocol::start) and
-    /// [`close`](RoundProtocol::close).
-    fn poll<N: SimMessage>(
+    /// Evaluate the current phase's detector clause against `fd`. Called
+    /// only between [`start`](RoundProtocol::start) and
+    /// [`close`](RoundProtocol::close): when the output changes, and
+    /// after every other callback (see the module doc).
+    fn on_fd_change<N: SimMessage>(
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, Self::Msg>,
-        fd: FdOutput,
+        fd: &FdOutput,
     ) -> ProtocolStep;
+
+    /// A timer the phases armed fired (between `start` and `close`).
+    /// Phases that arm none keep the default.
+    fn on_timer<N: SimMessage>(
+        &mut self,
+        _ctx: &mut SubCtx<'_, '_, N, Self::Msg>,
+        _kind: u32,
+        _data: u64,
+        _fd: &FdOutput,
+    ) -> ProtocolStep {
+        ProtocolStep::none()
+    }
 
     /// The decision was delivered: the instance is over, and no reply
     /// that arrives from now on may complete a phase.
@@ -147,30 +150,26 @@ pub trait RoundProtocol: 'static {
 enum Stage {
     /// Not yet proposed.
     Idle,
-    /// Proposed, not yet decided: the poll timer is running.
+    /// Proposed, not yet decided: the detector clauses are live.
     Running,
     /// Decided `(value, round)`.
     Decided(u64, u64),
 }
 
-/// The poll timer: the only timer a consensus instance arms.
-const TIMER_POLL: u32 = 0;
-
 /// One process's side of one consensus instance: the propose-once gate,
-/// the poll timer and the decide task around the phases of `P`.
+/// the evaluation of the detector clauses and the decide task around the
+/// phases of `P`.
 #[derive(Debug)]
 pub struct Round<P> {
     pub(crate) body: P,
-    cfg: ConsensusConfig,
     stage: Stage,
 }
 
 impl<P: RoundProtocol> Round<P> {
     /// An instance that has neither proposed nor decided.
-    pub(crate) fn over(body: P, cfg: ConsensusConfig) -> Round<P> {
+    pub(crate) fn over(body: P) -> Round<P> {
         Round {
             body,
-            cfg,
             stage: Stage::Idle,
         }
     }
@@ -180,16 +179,12 @@ impl<P: RoundProtocol> Round<P> {
         fd_detectors::ns::CONSENSUS
     }
 
-    fn arm_poll<N: SimMessage>(&self, ctx: &mut SubCtx<'_, '_, N, P::Msg>) {
-        ctx.set_timer(self.cfg.poll_period, TIMER_POLL, 0);
-    }
-
     /// Propose a value (each process proposes exactly once).
     pub fn on_propose<N: SimMessage>(
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, P::Msg>,
         value: u64,
-        fd: FdOutput,
+        fd: &FdOutput,
     ) -> ProtocolStep {
         // Recorded (for the validity bookkeeping) even when the decision
         // broadcast outran a slow proposer and the instance is already
@@ -200,8 +195,8 @@ impl<P: RoundProtocol> Round<P> {
         }
         assert_eq!(self.stage, Stage::Idle, "propose called twice");
         self.stage = Stage::Running;
-        self.arm_poll(ctx);
-        self.body.start(ctx, value, fd)
+        let step = self.body.start(ctx, value, fd);
+        self.settle(ctx, fd, step)
     }
 
     /// A protocol message arrived.
@@ -210,26 +205,58 @@ impl<P: RoundProtocol> Round<P> {
         ctx: &mut SubCtx<'_, '_, N, P::Msg>,
         from: ProcessId,
         msg: P::Msg,
-        fd: FdOutput,
+        fd: &FdOutput,
     ) -> ProtocolStep {
-        self.body.on_message(ctx, from, msg, fd)
+        let step = self.body.on_message(ctx, from, msg, fd);
+        self.settle(ctx, fd, step)
     }
 
-    /// The poll timer fired. It re-arms from the proposal to the
-    /// decision; a poll already in flight at the decision ends the chain.
+    /// The detector's output changed to `fd`. Ignored before the
+    /// proposal and after the decision.
+    pub fn on_fd_change<N: SimMessage>(
+        &mut self,
+        ctx: &mut SubCtx<'_, '_, N, P::Msg>,
+        fd: &FdOutput,
+    ) -> ProtocolStep {
+        self.settle(ctx, fd, ProtocolStep::none())
+    }
+
+    /// A timer the phases armed fired. One still in flight at the
+    /// decision is swallowed.
     pub fn on_timer<N: SimMessage>(
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, P::Msg>,
         kind: u32,
-        _data: u64,
-        fd: FdOutput,
+        data: u64,
+        fd: &FdOutput,
     ) -> ProtocolStep {
-        debug_assert_eq!(kind, TIMER_POLL);
         if self.stage != Stage::Running {
             return ProtocolStep::none();
         }
-        self.arm_poll(ctx);
-        self.body.poll(ctx, fd)
+        let step = self.body.on_timer(ctx, kind, data, fd);
+        self.settle(ctx, fd, step)
+    }
+
+    /// While the instance runs and `step` decides nothing, evaluate the
+    /// phases' detector clause — again after each re-evaluation that
+    /// moved the round, since a round change enters fresh phases whose
+    /// clauses may hold already (a rotating coordinator that is itself
+    /// suspected is nacked at once, not at the next output change). A
+    /// round moves only when a phase completes, so this ends.
+    fn settle<N: SimMessage>(
+        &mut self,
+        ctx: &mut SubCtx<'_, '_, N, P::Msg>,
+        fd: &FdOutput,
+        mut step: ProtocolStep,
+    ) -> ProtocolStep {
+        while step.broadcast_decision.is_none() && self.stage == Stage::Running {
+            let round = self.body.round();
+            step = self.body.on_fd_change(ctx, fd);
+            if self.body.round() == round {
+                break;
+            }
+        }
+        step
     }
 
     /// The host R-delivered a decision broadcast: decide, once.
@@ -292,69 +319,92 @@ pub(crate) fn newest_estimate(
 
 #[cfg(test)]
 mod tests {
-    use super::testkit::{drive, no_fd};
+    use super::testkit::{drive, no_fd, trusts};
     use super::*;
-    use fd_detectors::NoMsg;
     use fd_sim::Action;
 
-    /// A body that sends nothing and counts what the shell asks of it.
+    #[derive(Clone, Debug)]
+    struct Nudge;
+    impl SimMessage for Nudge {}
+
+    /// A body that sends nothing and records what the shell asks of it.
     #[derive(Debug, Default)]
     struct Toy {
         started: Option<u64>,
-        polls: u32,
+        /// One entry per clause evaluation: the leader it was handed.
+        checks: Vec<Option<ProcessId>>,
+        messages: u32,
+        timers: u32,
         closes: u32,
+        round: u64,
+        /// Each evaluation moves the round up to here, as a rotation
+        /// past suspected coordinators does.
+        skip_to: u64,
+        decide_on_start: bool,
     }
 
-    type Ctx<'a, 'b, 'w, N> = &'a mut SubCtx<'b, 'w, N, NoMsg>;
+    type Ctx<'a, 'b, 'w, N> = &'a mut SubCtx<'b, 'w, N, Nudge>;
 
     impl RoundProtocol for Toy {
-        type Msg = NoMsg;
-        fn start<N: SimMessage>(&mut self, _: Ctx<N>, value: u64, _: FdOutput) -> ProtocolStep {
+        type Msg = Nudge;
+        fn start<N: SimMessage>(&mut self, _: Ctx<N>, value: u64, _: &FdOutput) -> ProtocolStep {
             self.started = Some(value);
-            ProtocolStep::none()
+            if self.decide_on_start {
+                ProtocolStep::decide(value, 1)
+            } else {
+                ProtocolStep::none()
+            }
         }
         fn on_message<N: SimMessage>(
             &mut self,
             _: Ctx<N>,
             _: ProcessId,
-            msg: NoMsg,
-            _: FdOutput,
+            _: Nudge,
+            _: &FdOutput,
         ) -> ProtocolStep {
-            match msg {}
+            self.messages += 1;
+            ProtocolStep::none()
         }
-        fn poll<N: SimMessage>(&mut self, _: Ctx<N>, _: FdOutput) -> ProtocolStep {
-            self.polls += 1;
+        fn on_fd_change<N: SimMessage>(&mut self, _: Ctx<N>, fd: &FdOutput) -> ProtocolStep {
+            self.checks.push(fd.trusted);
+            self.round = (self.round + 1).min(self.skip_to);
+            ProtocolStep::none()
+        }
+        fn on_timer<N: SimMessage>(
+            &mut self,
+            _: Ctx<N>,
+            _: u32,
+            _: u64,
+            _: &FdOutput,
+        ) -> ProtocolStep {
+            self.timers += 1;
             ProtocolStep::none()
         }
         fn close(&mut self) {
             self.closes += 1;
         }
         fn round(&self) -> u64 {
-            0
+            self.round
         }
     }
 
     fn toy() -> Round<Toy> {
-        Round::over(Toy::default(), ConsensusConfig::default())
+        Round::over(Toy::default())
     }
 
-    fn is_poll_arm(a: &Action<NoMsg>) -> bool {
-        let period = ConsensusConfig::default().poll_period;
-        matches!(a, Action::SetTimer { after, tag, .. } if *after == period && tag.kind == TIMER_POLL)
-    }
-
-    fn observes(a: &Action<NoMsg>, key: &str, what: Payload) -> bool {
+    fn observes(a: &Action<Nudge>, key: &str, what: Payload) -> bool {
         matches!(a, Action::Observe { tag, payload } if *tag == key && *payload == what)
     }
 
     #[test]
-    fn a_proposal_is_observed_then_arms_the_poll_then_starts_the_body() {
+    fn a_proposal_is_observed_then_starts_the_body_then_checks_its_clause() {
         let mut r = toy();
-        let (_, actions) = drive(0, 3, |ctx| r.on_propose(ctx, 9, no_fd()));
-        assert_eq!(actions.len(), 2);
+        let (_, actions) = drive(0, 3, |ctx| r.on_propose(ctx, 9, &trusts(2)));
+        assert_eq!(actions.len(), 1, "the shell arms no timer: {actions:?}");
         assert!(observes(&actions[0], obs::PROPOSE, Payload::U64(9)));
-        assert!(is_poll_arm(&actions[1]));
         assert_eq!(r.body.started, Some(9));
+        // The first phase may be entered with its clause already true.
+        assert_eq!(r.body.checks, [Some(ProcessId(2))]);
         assert_eq!(r.decision(), None);
     }
 
@@ -362,11 +412,12 @@ mod tests {
     fn a_proposal_after_the_decision_is_observed_and_arms_nothing() {
         let mut r = toy();
         drive(0, 3, |ctx| r.on_decide_delivered(ctx, 7, 2));
-        let (step, actions) = drive(0, 3, |ctx| r.on_propose(ctx, 9, no_fd()));
+        let (step, actions) = drive(0, 3, |ctx| r.on_propose(ctx, 9, &no_fd()));
         assert_eq!(step, ProtocolStep::none());
         assert_eq!(actions.len(), 1, "no timer: {actions:?}");
         assert!(observes(&actions[0], obs::PROPOSE, Payload::U64(9)));
         assert_eq!(r.body.started, None, "the body never starts");
+        assert!(r.body.checks.is_empty());
         assert_eq!(r.decision(), Some((7, 2)));
     }
 
@@ -374,38 +425,85 @@ mod tests {
     #[should_panic(expected = "propose called twice")]
     fn a_second_proposal_panics() {
         let mut r = toy();
-        drive(0, 3, |ctx| r.on_propose(ctx, 9, no_fd()));
-        drive(0, 3, |ctx| r.on_propose(ctx, 9, no_fd()));
+        drive(0, 3, |ctx| r.on_propose(ctx, 9, &no_fd()));
+        drive(0, 3, |ctx| r.on_propose(ctx, 9, &no_fd()));
     }
 
     #[test]
-    fn the_poll_runs_from_the_proposal_to_the_decision() {
+    fn fd_changes_reach_the_body_from_the_proposal_to_the_decision() {
         let mut r = toy();
-        // Before the proposal nothing is armed; a stray fire does nothing.
-        let (_, actions) = drive(0, 3, |ctx| r.on_timer(ctx, TIMER_POLL, 0, no_fd()));
-        assert!(actions.is_empty());
-        assert_eq!(r.body.polls, 0);
+        // Before the proposal a change, a timer and a message check
+        // nothing (the message still reaches the phases: Fig. 4's tasks).
+        drive(0, 3, |ctx| r.on_fd_change(ctx, &trusts(1)));
+        drive(0, 3, |ctx| r.on_timer(ctx, 0, 0, &trusts(1)));
+        drive(0, 3, |ctx| {
+            r.on_message(ctx, ProcessId(1), Nudge, &trusts(1))
+        });
+        assert_eq!(
+            (r.body.checks.len(), r.body.timers, r.body.messages),
+            (0, 0, 1)
+        );
 
-        drive(0, 3, |ctx| r.on_propose(ctx, 9, no_fd()));
-        for polls in 1..=3 {
-            let (_, actions) = drive(0, 3, |ctx| r.on_timer(ctx, TIMER_POLL, 0, no_fd()));
-            assert_eq!(actions.len(), 1, "re-armed exactly once: {actions:?}");
-            assert!(is_poll_arm(&actions[0]));
-            assert_eq!(r.body.polls, polls);
+        drive(0, 3, |ctx| r.on_propose(ctx, 9, &trusts(0)));
+        for leader in 1..=2 {
+            let (_, actions) = drive(0, 3, |ctx| r.on_fd_change(ctx, &trusts(leader)));
+            assert!(actions.is_empty(), "nothing is re-armed: {actions:?}");
         }
+        // Every message and every timer of the phases is followed by a
+        // check against the output the host keeps.
+        drive(0, 3, |ctx| {
+            r.on_message(ctx, ProcessId(1), Nudge, &trusts(2))
+        });
+        drive(0, 3, |ctx| r.on_timer(ctx, 0, 0, &trusts(2)));
+        let leaders =
+            |ids: &[usize]| -> Vec<_> { ids.iter().map(|&i| Some(ProcessId(i))).collect() };
+        assert_eq!(r.body.checks, leaders(&[0, 1, 2, 2, 2]));
+        assert_eq!((r.body.timers, r.body.messages), (1, 2));
 
-        // The poll armed by the last fire is in flight at the decision:
-        // it is swallowed, and the chain ends.
+        // Decided: changes and timers are swallowed, messages still
+        // reach the phases but are not followed by a check.
         drive(0, 3, |ctx| r.on_decide_delivered(ctx, 9, 1));
-        let (_, actions) = drive(0, 3, |ctx| r.on_timer(ctx, TIMER_POLL, 0, no_fd()));
-        assert!(actions.is_empty());
-        assert_eq!(r.body.polls, 3);
+        drive(0, 3, |ctx| r.on_fd_change(ctx, &trusts(0)));
+        drive(0, 3, |ctx| r.on_timer(ctx, 0, 0, &trusts(0)));
+        drive(0, 3, |ctx| {
+            r.on_message(ctx, ProcessId(1), Nudge, &trusts(0))
+        });
+        assert_eq!(r.body.checks.len(), 5);
+        assert_eq!((r.body.timers, r.body.messages), (1, 3));
+    }
+
+    #[test]
+    fn a_check_that_moves_the_round_is_followed_by_another() {
+        // Three evaluations each rotate past a coordinator; the fourth
+        // finds the round standing.
+        let mut r = Round::over(Toy {
+            skip_to: 3,
+            ..Toy::default()
+        });
+        drive(0, 3, |ctx| r.on_propose(ctx, 9, &no_fd()));
+        assert_eq!((r.round(), r.body.checks.len()), (3, 4));
+        drive(0, 3, |ctx| r.on_fd_change(ctx, &no_fd()));
+        assert_eq!(r.body.checks.len(), 5, "a standing round is checked once");
+    }
+
+    #[test]
+    fn a_step_that_decides_is_not_followed_by_a_check() {
+        let mut r = Round::over(Toy {
+            decide_on_start: true,
+            ..Toy::default()
+        });
+        let (step, _) = drive(0, 3, |ctx| r.on_propose(ctx, 9, &no_fd()));
+        assert_eq!(step, ProtocolStep::decide(9, 1));
+        assert!(
+            r.body.checks.is_empty(),
+            "the decision step must reach the host"
+        );
     }
 
     #[test]
     fn the_decide_task_runs_once() {
         let mut r = toy();
-        drive(0, 3, |ctx| r.on_propose(ctx, 9, no_fd()));
+        drive(0, 3, |ctx| r.on_propose(ctx, 9, &no_fd()));
         let (_, actions) = drive(0, 3, |ctx| r.on_decide_delivered(ctx, 77, 4));
         assert_eq!(actions.len(), 1);
         assert!(observes(&actions[0], obs::DECIDE, Payload::U64Pair(77, 4)));

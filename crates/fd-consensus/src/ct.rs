@@ -20,9 +20,7 @@
 //! waits never use accuracy information (no "wait for every unsuspected
 //! process").
 
-use crate::api::{
-    majority, newest_estimate, ConsensusConfig, Estimate, ProtocolStep, Round, RoundProtocol,
-};
+use crate::api::{majority, newest_estimate, Estimate, ProtocolStep, Round, RoundProtocol};
 use fd_core::{FdOutput, SubCtx};
 use fd_sim::{ProcessId, SimMessage};
 use std::collections::BTreeMap;
@@ -106,8 +104,11 @@ pub struct Ct {
     est_buckets: BTreeMap<u64, BTreeMap<ProcessId, Estimate>>,
     /// Propositions buffered per round.
     prop_buckets: BTreeMap<u64, u64>,
-    /// Phase 4 replies for the round currently coordinated; `true` = ack.
-    ack_replies: BTreeMap<ProcessId, bool>,
+    /// Phase 4 replies buffered per round this process coordinates;
+    /// `true` = ack. A participant that suspects the coordinator nacks
+    /// it at once, possibly before the coordinator has proposed (or even
+    /// reached the round): the reply must wait for Phase 4, not be lost.
+    reply_buckets: BTreeMap<u64, BTreeMap<ProcessId, bool>>,
     /// Whether the Phase 4 decision was already evaluated (first-majority
     /// semantics: later replies are ignored).
     acks_closed: bool,
@@ -119,7 +120,7 @@ pub type CtConsensus = Round<Ct>;
 
 impl CtConsensus {
     /// Create the protocol instance for process `me` of `n`.
-    pub fn new(me: ProcessId, n: usize, cfg: ConsensusConfig) -> CtConsensus {
+    pub fn new(me: ProcessId, n: usize) -> CtConsensus {
         let body = Ct {
             me,
             n,
@@ -128,11 +129,11 @@ impl CtConsensus {
             phase: Phase::Idle,
             est_buckets: BTreeMap::new(),
             prop_buckets: BTreeMap::new(),
-            ack_replies: BTreeMap::new(),
+            reply_buckets: BTreeMap::new(),
             acks_closed: false,
             prop_value: None,
         };
-        Round::over(body, cfg)
+        Round::over(body)
     }
 }
 
@@ -148,12 +149,12 @@ impl Ct {
         round: u64,
     ) -> ProtocolStep {
         self.round = round;
-        self.ack_replies.clear();
         self.acks_closed = false;
         self.prop_value = None;
         // Prune state from rounds that can no longer matter to us.
         self.est_buckets.retain(|r, _| *r >= round);
         self.prop_buckets.retain(|r, _| *r >= round);
+        self.reply_buckets.retain(|r, _| *r >= round);
 
         let coord = rotating_coordinator(round, self.n);
         // Phase 1: everyone sends its estimate to the coordinator.
@@ -206,7 +207,10 @@ impl Ct {
         self.prop_value = Some(v);
         ctx.send_to_others(CtMsg::Proposition { round, value: v });
         self.phase = Phase::AwaitAcks;
-        self.ack_replies.insert(self.me, true);
+        self.reply_buckets
+            .entry(round)
+            .or_default()
+            .insert(self.me, true);
         self.try_complete_acks(ctx)
     }
 
@@ -223,8 +227,10 @@ impl Ct {
         self.enter_round(ctx, round + 1)
     }
 
-    /// Phase 4: evaluate on exactly the first majority of replies; a
-    /// single nack among them kills the round.
+    /// Phase 4: evaluate once a majority has replied, on the replies
+    /// received by then — the first majority, plus any that were already
+    /// waiting when the phase began; a single nack among them kills the
+    /// round.
     fn try_complete_acks<N: SimMessage>(
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, CtMsg>,
@@ -232,11 +238,12 @@ impl Ct {
         if self.phase != Phase::AwaitAcks || self.acks_closed {
             return ProtocolStep::none();
         }
-        if self.ack_replies.len() < majority(self.n) {
+        let replies = self.reply_buckets.entry(self.round).or_default();
+        if replies.len() < majority(self.n) {
             return ProtocolStep::none();
         }
         self.acks_closed = true;
-        let all_acks = self.ack_replies.values().all(|&a| a);
+        let all_acks = replies.values().all(|&a| a);
         let round = self.round;
         if all_acks {
             ProtocolStep::decide(self.prop_value.expect("proposed"), round)
@@ -253,7 +260,7 @@ impl RoundProtocol for Ct {
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, CtMsg>,
         value: u64,
-        _fd: FdOutput,
+        _fd: &FdOutput,
     ) -> ProtocolStep {
         self.est = Estimate::initial(value);
         self.enter_round(ctx, 1)
@@ -264,7 +271,7 @@ impl RoundProtocol for Ct {
         ctx: &mut SubCtx<'_, '_, N, CtMsg>,
         from: ProcessId,
         msg: CtMsg,
-        _fd: FdOutput,
+        _fd: &FdOutput,
     ) -> ProtocolStep {
         match msg {
             CtMsg::Estimate { round, est } => {
@@ -286,29 +293,29 @@ impl RoundProtocol for Ct {
                     ProtocolStep::none()
                 }
             }
-            CtMsg::Ack { round } => {
-                if self.phase == Phase::AwaitAcks && round == self.round {
-                    self.ack_replies.insert(from, true);
-                    self.try_complete_acks(ctx)
-                } else {
-                    ProtocolStep::none()
+            CtMsg::Ack { round } | CtMsg::Nack { round } => {
+                let ack = matches!(msg, CtMsg::Ack { .. });
+                if round >= self.round
+                    && self.phase != Phase::Done
+                    && rotating_coordinator(round, self.n) == self.me
+                {
+                    self.reply_buckets
+                        .entry(round)
+                        .or_default()
+                        .insert(from, ack);
+                    if round == self.round {
+                        return self.try_complete_acks(ctx);
+                    }
                 }
-            }
-            CtMsg::Nack { round } => {
-                if self.phase == Phase::AwaitAcks && round == self.round {
-                    self.ack_replies.insert(from, false);
-                    self.try_complete_acks(ctx)
-                } else {
-                    ProtocolStep::none()
-                }
+                ProtocolStep::none()
             }
         }
     }
 
-    fn poll<N: SimMessage>(
+    fn on_fd_change<N: SimMessage>(
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, CtMsg>,
-        fd: FdOutput,
+        fd: &FdOutput,
     ) -> ProtocolStep {
         if self.phase == Phase::AwaitProposition {
             let c = self.current_coordinator();
@@ -349,8 +356,8 @@ mod tests {
 
     #[test]
     fn participant_sends_estimate_to_the_rotating_coordinator() {
-        let mut p = CtConsensus::new(ProcessId(2), 5, ConsensusConfig::default());
-        let (_, actions) = drive(2, 5, |ctx| p.on_propose(ctx, 30, no_fd()));
+        let mut p = CtConsensus::new(ProcessId(2), 5);
+        let (_, actions) = drive(2, 5, |ctx| p.on_propose(ctx, 30, &no_fd()));
         let ests: Vec<_> = actions
             .iter()
             .filter_map(|a| match a {
@@ -369,56 +376,79 @@ mod tests {
     fn one_nack_among_the_first_majority_kills_the_round() {
         // n = 5: coordinator p0's own ack + 1 ack + 1 nack = first
         // majority with a nack → no decision, next round.
-        let mut p = CtConsensus::new(ProcessId(0), 5, ConsensusConfig::default());
-        drive(0, 5, |ctx| p.on_propose(ctx, 1, no_fd()));
+        let mut p = CtConsensus::new(ProcessId(0), 5);
+        drive(0, 5, |ctx| p.on_propose(ctx, 1, &no_fd()));
         for q in [1usize, 2] {
             let est = CtMsg::Estimate {
                 round: 1,
                 est: Estimate::initial(q as u64),
             };
-            drive(0, 5, |ctx| p.on_message(ctx, ProcessId(q), est, no_fd()));
+            drive(0, 5, |ctx| p.on_message(ctx, ProcessId(q), est, &no_fd()));
         }
         // Coordinator proposed after majority estimates; now replies:
         drive(0, 5, |ctx| {
-            p.on_message(ctx, ProcessId(1), CtMsg::Ack { round: 1 }, no_fd())
+            p.on_message(ctx, ProcessId(1), CtMsg::Ack { round: 1 }, &no_fd())
         });
         let (step, _) = drive(0, 5, |ctx| {
-            p.on_message(ctx, ProcessId(2), CtMsg::Nack { round: 1 }, no_fd())
+            p.on_message(ctx, ProcessId(2), CtMsg::Nack { round: 1 }, &no_fd())
         });
         assert!(step.broadcast_decision.is_none(), "CT's one-nack rule");
         assert_eq!(p.round(), 2);
         // Late extra acks for the closed round are ignored.
         let (step, _) = drive(0, 5, |ctx| {
-            p.on_message(ctx, ProcessId(3), CtMsg::Ack { round: 1 }, no_fd())
+            p.on_message(ctx, ProcessId(3), CtMsg::Ack { round: 1 }, &no_fd())
         });
         assert_eq!(step, ProtocolStep::none());
     }
 
+    /// A participant that suspects the coordinator nacks before the
+    /// coordinator has proposed; the nack counts in Phase 4 all the same.
+    #[test]
+    fn a_nack_that_outruns_the_proposition_still_kills_the_round() {
+        let mut p = CtConsensus::new(ProcessId(0), 5);
+        drive(0, 5, |ctx| p.on_propose(ctx, 1, &no_fd()));
+        let nack = CtMsg::Nack { round: 1 };
+        drive(0, 5, |ctx| p.on_message(ctx, ProcessId(1), nack, &no_fd()));
+        for q in [1usize, 2] {
+            let est = CtMsg::Estimate {
+                round: 1,
+                est: Estimate::initial(q as u64),
+            };
+            drive(0, 5, |ctx| p.on_message(ctx, ProcessId(q), est, &no_fd()));
+        }
+        assert_eq!(p.round(), 1, "own ack and the early nack: no majority yet");
+        let (step, _) = drive(0, 5, |ctx| {
+            p.on_message(ctx, ProcessId(3), CtMsg::Ack { round: 1 }, &no_fd())
+        });
+        assert!(step.broadcast_decision.is_none(), "CT's one-nack rule");
+        assert_eq!(p.round(), 2);
+    }
+
     #[test]
     fn all_ack_first_majority_decides() {
-        let mut p = CtConsensus::new(ProcessId(0), 5, ConsensusConfig::default());
-        drive(0, 5, |ctx| p.on_propose(ctx, 1, no_fd()));
+        let mut p = CtConsensus::new(ProcessId(0), 5);
+        drive(0, 5, |ctx| p.on_propose(ctx, 1, &no_fd()));
         for q in [1usize, 2] {
             let est = CtMsg::Estimate {
                 round: 1,
                 est: Estimate::initial(0),
             };
-            drive(0, 5, |ctx| p.on_message(ctx, ProcessId(q), est, no_fd()));
+            drive(0, 5, |ctx| p.on_message(ctx, ProcessId(q), est, &no_fd()));
         }
         drive(0, 5, |ctx| {
-            p.on_message(ctx, ProcessId(1), CtMsg::Ack { round: 1 }, no_fd())
+            p.on_message(ctx, ProcessId(1), CtMsg::Ack { round: 1 }, &no_fd())
         });
         let (step, _) = drive(0, 5, |ctx| {
-            p.on_message(ctx, ProcessId(2), CtMsg::Ack { round: 1 }, no_fd())
+            p.on_message(ctx, ProcessId(2), CtMsg::Ack { round: 1 }, &no_fd())
         });
         assert!(step.broadcast_decision.is_some());
     }
 
     #[test]
-    fn suspected_coordinator_is_nacked_on_poll() {
-        let mut p = CtConsensus::new(ProcessId(3), 5, ConsensusConfig::default());
-        drive(3, 5, |ctx| p.on_propose(ctx, 9, no_fd()));
-        let (_, actions) = drive(3, 5, |ctx| p.on_timer(ctx, 0, 0, suspects(&[0])));
+    fn suspected_coordinator_is_nacked_on_fd_change() {
+        let mut p = CtConsensus::new(ProcessId(3), 5);
+        drive(3, 5, |ctx| p.on_propose(ctx, 9, &no_fd()));
+        let (_, actions) = drive(3, 5, |ctx| p.on_fd_change(ctx, &suspects(&[0])));
         let nacked: Vec<_> = actions
             .iter()
             .filter_map(|a| match a {
@@ -434,10 +464,33 @@ mod tests {
         assert_eq!(p.body.current_coordinator(), ProcessId(1));
     }
 
+    /// The trap a pure change handler falls into: rounds 1 and 2 are
+    /// coordinated by processes suspected since before the proposal, so
+    /// no change will ever come — the shell's clause checks nack both at
+    /// once and the participant waits in round 3, on a coordinator it
+    /// trusts.
+    #[test]
+    fn coordinators_suspected_before_the_proposal_are_nacked_at_once() {
+        let mut p = CtConsensus::new(ProcessId(3), 5);
+        let (_, actions) = drive(3, 5, |ctx| p.on_propose(ctx, 9, &suspects(&[0, 1])));
+        let nacked: Vec<_> = actions
+            .iter()
+            .filter_map(|a| match a {
+                Action::Send {
+                    to,
+                    msg: CtMsg::Nack { round },
+                } => Some((*to, *round)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(nacked, [(ProcessId(0), 1), (ProcessId(1), 2)]);
+        assert_eq!(p.round(), 3);
+    }
+
     #[test]
     fn buffered_proposition_is_used_on_round_entry() {
-        let mut p = CtConsensus::new(ProcessId(3), 5, ConsensusConfig::default());
-        drive(3, 5, |ctx| p.on_propose(ctx, 9, no_fd()));
+        let mut p = CtConsensus::new(ProcessId(3), 5);
+        drive(3, 5, |ctx| p.on_propose(ctx, 9, &no_fd()));
         // A proposition for round 2 arrives while we are still in round 1.
         drive(3, 5, |ctx| {
             p.on_message(
@@ -447,12 +500,12 @@ mod tests {
                     round: 2,
                     value: 55,
                 },
-                no_fd(),
+                &no_fd(),
             )
         });
         // Round 1's coordinator is suspected → advance to round 2, where
         // the buffered proposition must immediately be adopted + acked.
-        let (_, actions) = drive(3, 5, |ctx| p.on_timer(ctx, 0, 0, suspects(&[0])));
+        let (_, actions) = drive(3, 5, |ctx| p.on_fd_change(ctx, &suspects(&[0])));
         let acked_round2 = actions.iter().any(|a| {
             matches!(
                 a,
@@ -469,20 +522,20 @@ mod tests {
     #[test]
     fn a_late_ack_after_the_decision_does_nothing() {
         // n = 3: p1's estimate and ack are each the first majority.
-        let mut p = CtConsensus::new(ProcessId(0), 3, ConsensusConfig::default());
-        drive(0, 3, |ctx| p.on_propose(ctx, 42, no_fd()));
+        let mut p = CtConsensus::new(ProcessId(0), 3);
+        drive(0, 3, |ctx| p.on_propose(ctx, 42, &no_fd()));
         let est = CtMsg::Estimate {
             round: 1,
             est: Estimate::initial(1),
         };
-        drive(0, 3, |ctx| p.on_message(ctx, ProcessId(1), est, no_fd()));
+        drive(0, 3, |ctx| p.on_message(ctx, ProcessId(1), est, &no_fd()));
         let ack = CtMsg::Ack { round: 1 };
         let (step, _) = drive(0, 3, |ctx| {
-            p.on_message(ctx, ProcessId(1), ack.clone(), no_fd())
+            p.on_message(ctx, ProcessId(1), ack.clone(), &no_fd())
         });
         assert_eq!(step, ProtocolStep::decide(42, 1));
         drive(0, 3, |ctx| p.on_decide_delivered(ctx, 42, 1));
-        let (step, actions) = drive(0, 3, |ctx| p.on_message(ctx, ProcessId(2), ack, no_fd()));
+        let (step, actions) = drive(0, 3, |ctx| p.on_message(ctx, ProcessId(2), ack, &no_fd()));
         assert_eq!(step, ProtocolStep::none());
         assert!(actions.is_empty(), "{actions:?}");
     }

@@ -29,8 +29,8 @@
 //! a nack (Task 2); R-delivery of a decision decides (Task 3).
 
 use crate::api::{
-    all_unsuspected_replied, majority, newest_estimate, ConsensusConfig, Estimate, ProtocolStep,
-    Round, RoundProtocol,
+    all_unsuspected_replied, majority, newest_estimate, Estimate, ProtocolStep, Round,
+    RoundProtocol,
 };
 use fd_core::{FdOutput, SubCtx};
 use fd_sim::{ProcessId, SimMessage};
@@ -131,7 +131,7 @@ pub type EcConsensus = Round<Ec>;
 
 impl EcConsensus {
     /// Create the protocol instance for process `me` of `n`.
-    pub fn new(me: ProcessId, n: usize, cfg: ConsensusConfig) -> EcConsensus {
+    pub fn new(me: ProcessId, n: usize) -> EcConsensus {
         let body = Ec {
             me,
             n,
@@ -143,7 +143,7 @@ impl EcConsensus {
             prop_value: None,
             ack_replies: BTreeMap::new(),
         };
-        Round::over(body, cfg)
+        Round::over(body)
     }
 
     /// [`Ec::retransmit`] on this instance's phases.
@@ -167,7 +167,7 @@ impl Ec {
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, EcMsg>,
         round: u64,
-        fd: FdOutput,
+        fd: &FdOutput,
     ) -> ProtocolStep {
         self.reset_round(round);
         self.try_become_coordinator(ctx, fd)
@@ -177,7 +177,7 @@ impl Ec {
     fn try_become_coordinator<N: SimMessage>(
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, EcMsg>,
-        fd: FdOutput,
+        fd: &FdOutput,
     ) -> ProtocolStep {
         if self.phase != Phase::AwaitCoordinator || fd.trusted != Some(self.me) {
             return ProtocolStep::none();
@@ -194,10 +194,10 @@ impl Ec {
     fn try_complete_estimates<N: SimMessage>(
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, EcMsg>,
-        fd: FdOutput,
+        fd: &FdOutput,
     ) -> ProtocolStep {
         if self.phase != Phase::AwaitEstimates
-            || !all_unsuspected_replied(self.n, &self.est_replies, &fd)
+            || !all_unsuspected_replied(self.n, &self.est_replies, fd)
         {
             return ProtocolStep::none();
         }
@@ -230,10 +230,9 @@ impl Ec {
     fn try_complete_acks<N: SimMessage>(
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, EcMsg>,
-        fd: FdOutput,
+        fd: &FdOutput,
     ) -> ProtocolStep {
-        if self.phase != Phase::AwaitAcks
-            || !all_unsuspected_replied(self.n, &self.ack_replies, &fd)
+        if self.phase != Phase::AwaitAcks || !all_unsuspected_replied(self.n, &self.ack_replies, fd)
         {
             return ProtocolStep::none();
         }
@@ -300,7 +299,7 @@ impl Ec {
                     );
                 }
             }
-            // AwaitCoordinator re-evaluates on the poll timer; Idle and
+            // AwaitCoordinator re-evaluates on a detector change; Idle and
             // Done are purely message-driven. (AwaitEstimates with a
             // coordinator other than us cannot happen, but falls here.)
             Phase::Idle | Phase::AwaitCoordinator | Phase::AwaitEstimates | Phase::Done => {}
@@ -315,7 +314,7 @@ impl Ec {
         from: ProcessId,
         round: u64,
         value: u64,
-        fd: FdOutput,
+        fd: &FdOutput,
     ) -> ProtocolStep {
         self.est = Estimate { value, ts: round };
         ctx.send(from, EcMsg::Ack { round });
@@ -330,7 +329,7 @@ impl RoundProtocol for Ec {
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, EcMsg>,
         value: u64,
-        fd: FdOutput,
+        fd: &FdOutput,
     ) -> ProtocolStep {
         self.est = Estimate::initial(value);
         self.enter_round(ctx, 1, fd)
@@ -341,7 +340,7 @@ impl RoundProtocol for Ec {
         ctx: &mut SubCtx<'_, '_, N, EcMsg>,
         from: ProcessId,
         msg: EcMsg,
-        fd: FdOutput,
+        fd: &FdOutput,
     ) -> ProtocolStep {
         if self.phase == Phase::Idle {
             // Not yet proposed: we cannot contribute an estimate, but we
@@ -487,10 +486,10 @@ impl RoundProtocol for Ec {
         }
     }
 
-    fn poll<N: SimMessage>(
+    fn on_fd_change<N: SimMessage>(
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, EcMsg>,
-        fd: FdOutput,
+        fd: &FdOutput,
     ) -> ProtocolStep {
         match self.phase {
             Phase::AwaitCoordinator => self.try_become_coordinator(ctx, fd),
@@ -507,7 +506,7 @@ impl RoundProtocol for Ec {
                     ProtocolStep::none()
                 }
             }
-            Phase::Idle | Phase::Done => unreachable!("polled only between start and close"),
+            Phase::Idle | Phase::Done => unreachable!("checked only between start and close"),
         }
     }
 
@@ -524,7 +523,7 @@ impl RoundProtocol for Ec {
 mod tests {
     use super::*;
     use crate::api::testkit::{drive, fd};
-    use fd_sim::{Action, SimDuration};
+    use fd_sim::Action;
 
     fn sends(me: usize, n: usize, actions: &[Action<EcMsg>]) -> Vec<(ProcessId, EcMsg)> {
         fd_sim::expand_sends(ProcessId(me), n, actions)
@@ -532,8 +531,8 @@ mod tests {
 
     #[test]
     fn self_trusting_proposer_announces_and_collects_self_estimate() {
-        let mut p = EcConsensus::new(ProcessId(0), 5, ConsensusConfig::default());
-        let (step, actions) = drive(0, 5, |ctx| p.on_propose(ctx, 42, fd(0, &[])));
+        let mut p = EcConsensus::new(ProcessId(0), 5);
+        let (step, actions) = drive(0, 5, |ctx| p.on_propose(ctx, 42, &fd(0, &[])));
         assert_eq!(step, ProtocolStep::none());
         let coords: Vec<_> = sends(0, 5, &actions)
             .into_iter()
@@ -545,14 +544,14 @@ mod tests {
 
     #[test]
     fn participant_sends_estimate_to_announcer() {
-        let mut p = EcConsensus::new(ProcessId(1), 5, ConsensusConfig::default());
-        let (_, _) = drive(1, 5, |ctx| p.on_propose(ctx, 7, fd(0, &[])));
+        let mut p = EcConsensus::new(ProcessId(1), 5);
+        let (_, _) = drive(1, 5, |ctx| p.on_propose(ctx, 7, &fd(0, &[])));
         let (step, actions) = drive(1, 5, |ctx| {
             p.on_message(
                 ctx,
                 ProcessId(0),
                 EcMsg::Coordinator { round: 1 },
-                fd(0, &[]),
+                &fd(0, &[]),
             )
         });
         assert_eq!(step, ProtocolStep::none());
@@ -565,8 +564,8 @@ mod tests {
 
     #[test]
     fn task1_null_estimate_is_deduplicated() {
-        let mut p = EcConsensus::new(ProcessId(1), 5, ConsensusConfig::default());
-        drive(1, 5, |ctx| p.on_propose(ctx, 7, fd(0, &[])));
+        let mut p = EcConsensus::new(ProcessId(1), 5);
+        drive(1, 5, |ctx| p.on_propose(ctx, 7, &fd(0, &[])));
         // First coordinator adopted; a SECOND announcer for the same
         // round is a "late/other coordinator" — answered with one null.
         drive(1, 5, |ctx| {
@@ -574,7 +573,7 @@ mod tests {
                 ctx,
                 ProcessId(0),
                 EcMsg::Coordinator { round: 1 },
-                fd(0, &[]),
+                &fd(0, &[]),
             )
         });
         let (_, a1) = drive(1, 5, |ctx| {
@@ -582,7 +581,7 @@ mod tests {
                 ctx,
                 ProcessId(2),
                 EcMsg::Coordinator { round: 1 },
-                fd(0, &[]),
+                &fd(0, &[]),
             )
         });
         let (_, a2) = drive(1, 5, |ctx| {
@@ -590,7 +589,7 @@ mod tests {
                 ctx,
                 ProcessId(2),
                 EcMsg::Coordinator { round: 1 },
-                fd(0, &[]),
+                &fd(0, &[]),
             )
         });
         assert_eq!(
@@ -615,15 +614,15 @@ mod tests {
 
     #[test]
     fn coordinator_message_for_later_round_jumps_forward() {
-        let mut p = EcConsensus::new(ProcessId(1), 5, ConsensusConfig::default());
-        drive(1, 5, |ctx| p.on_propose(ctx, 7, fd(0, &[])));
+        let mut p = EcConsensus::new(ProcessId(1), 5);
+        drive(1, 5, |ctx| p.on_propose(ctx, 7, &fd(0, &[])));
         assert_eq!(p.round(), 1);
         drive(1, 5, |ctx| {
             p.on_message(
                 ctx,
                 ProcessId(3),
                 EcMsg::Coordinator { round: 9 },
-                fd(0, &[]),
+                &fd(0, &[]),
             )
         });
         assert_eq!(p.round(), 9, "footnote 2: advance to the announced round");
@@ -632,16 +631,16 @@ mod tests {
     #[test]
     fn coordinator_decides_on_majority_acks_despite_nacks() {
         // n = 5, majority = 3: the coordinator plus two acks beat two nacks.
-        let mut p = EcConsensus::new(ProcessId(0), 5, ConsensusConfig::default());
+        let mut p = EcConsensus::new(ProcessId(0), 5);
         let all_visible = fd(0, &[]); // good accuracy: wait for everyone
-        drive(0, 5, |ctx| p.on_propose(ctx, 42, all_visible.clone()));
+        drive(0, 5, |ctx| p.on_propose(ctx, 42, &all_visible));
         for q in 1..5 {
             let est = EcMsg::Estimate {
                 round: 1,
                 est: Some(Estimate::initial(10 + q as u64)),
             };
             drive(0, 5, |ctx| {
-                p.on_message(ctx, ProcessId(q), est.clone(), all_visible.clone())
+                p.on_message(ctx, ProcessId(q), est.clone(), &all_visible)
             });
         }
         // Two acks, then two nacks: no decision until all replied.
@@ -652,17 +651,12 @@ mod tests {
                 EcMsg::Nack { round: 1 }
             };
             let (step, _) = drive(0, 5, |ctx| {
-                p.on_message(ctx, ProcessId(q), msg.clone(), all_visible.clone())
+                p.on_message(ctx, ProcessId(q), msg.clone(), &all_visible)
             });
             assert_eq!(step, ProtocolStep::none(), "must wait for unsuspected p4");
         }
         let (step, _) = drive(0, 5, |ctx| {
-            p.on_message(
-                ctx,
-                ProcessId(4),
-                EcMsg::Nack { round: 1 },
-                all_visible.clone(),
-            )
+            p.on_message(ctx, ProcessId(4), EcMsg::Nack { round: 1 }, &all_visible)
         });
         // 3 acks (incl. self) ≥ majority even with 2 nacks — the paper's
         // feature. The decision value is the largest initial estimate.
@@ -675,35 +669,25 @@ mod tests {
 
     #[test]
     fn coordinator_fails_round_when_acks_below_majority() {
-        let mut p = EcConsensus::new(ProcessId(0), 5, ConsensusConfig::default());
+        let mut p = EcConsensus::new(ProcessId(0), 5);
         let all_visible = fd(0, &[]);
-        drive(0, 5, |ctx| p.on_propose(ctx, 42, all_visible.clone()));
+        drive(0, 5, |ctx| p.on_propose(ctx, 42, &all_visible));
         for q in 1..5 {
             let est = EcMsg::Estimate {
                 round: 1,
                 est: Some(Estimate::initial(5)),
             };
             drive(0, 5, |ctx| {
-                p.on_message(ctx, ProcessId(q), est.clone(), all_visible.clone())
+                p.on_message(ctx, ProcessId(q), est.clone(), &all_visible)
             });
         }
         for q in 1..4 {
             drive(0, 5, |ctx| {
-                p.on_message(
-                    ctx,
-                    ProcessId(q),
-                    EcMsg::Nack { round: 1 },
-                    all_visible.clone(),
-                )
+                p.on_message(ctx, ProcessId(q), EcMsg::Nack { round: 1 }, &all_visible)
             });
         }
         let (step, _) = drive(0, 5, |ctx| {
-            p.on_message(
-                ctx,
-                ProcessId(4),
-                EcMsg::Nack { round: 1 },
-                all_visible.clone(),
-            )
+            p.on_message(ctx, ProcessId(4), EcMsg::Nack { round: 1 }, &all_visible)
         });
         assert!(step.broadcast_decision.is_none());
         assert_eq!(p.round(), 2, "failed round rolls over");
@@ -711,18 +695,18 @@ mod tests {
 
     #[test]
     fn suspicion_of_coordinator_produces_nack_and_next_round() {
-        let mut p = EcConsensus::new(ProcessId(1), 5, ConsensusConfig::default());
-        drive(1, 5, |ctx| p.on_propose(ctx, 7, fd(0, &[])));
+        let mut p = EcConsensus::new(ProcessId(1), 5);
+        drive(1, 5, |ctx| p.on_propose(ctx, 7, &fd(0, &[])));
         drive(1, 5, |ctx| {
             p.on_message(
                 ctx,
                 ProcessId(0),
                 EcMsg::Coordinator { round: 1 },
-                fd(0, &[]),
+                &fd(0, &[]),
             )
         });
-        // Poll with the coordinator now suspected.
-        let (_, actions) = drive(1, 5, |ctx| p.on_timer(ctx, 0, 0, fd(1, &[0])));
+        // The detector now suspects the coordinator.
+        let (_, actions) = drive(1, 5, |ctx| p.on_fd_change(ctx, &fd(1, &[0])));
         let nacks: Vec<_> = sends(1, 5, &actions)
             .into_iter()
             .filter(|(_, m)| matches!(m, EcMsg::Nack { round: 1 }))
@@ -732,46 +716,65 @@ mod tests {
         assert_eq!(p.round(), 2);
     }
 
+    /// Adopting a coordinator the detector already suspects: no change
+    /// is coming to trigger Phase 3's failure path, so the check after
+    /// the announcement must take it.
+    #[test]
+    fn an_announcer_suspected_already_is_nacked_on_its_announcement() {
+        let mut p = EcConsensus::new(ProcessId(1), 5);
+        let detector = fd(2, &[0]);
+        drive(1, 5, |ctx| p.on_propose(ctx, 7, &detector));
+        let (_, actions) = drive(1, 5, |ctx| {
+            p.on_message(
+                ctx,
+                ProcessId(0),
+                EcMsg::Coordinator { round: 1 },
+                &detector,
+            )
+        });
+        let sent = sends(1, 5, &actions);
+        assert!(matches!(
+            sent[0],
+            (ProcessId(0), EcMsg::Estimate { round: 1, .. })
+        ));
+        assert!(matches!(sent[1], (ProcessId(0), EcMsg::Nack { round: 1 })));
+        assert_eq!(p.round(), 2);
+    }
+
     #[test]
     fn decide_delivery_is_idempotent_and_terminal() {
-        let mut p = EcConsensus::new(ProcessId(2), 3, ConsensusConfig::default());
-        drive(2, 3, |ctx| p.on_propose(ctx, 9, fd(0, &[])));
+        let mut p = EcConsensus::new(ProcessId(2), 3);
+        drive(2, 3, |ctx| p.on_propose(ctx, 9, &fd(0, &[])));
         drive(2, 3, |ctx| p.on_decide_delivered(ctx, 77, 4));
         drive(2, 3, |ctx| p.on_decide_delivered(ctx, 99, 5));
         assert_eq!(p.decision(), Some((77, 4)), "first delivery wins");
     }
 
     #[test]
-    fn timer_kind_round_trips_through_timer_tag() {
-        // The poll timer must be re-armed on every poll while undecided.
-        let mut p = EcConsensus::new(ProcessId(1), 3, ConsensusConfig::default());
-        drive(1, 3, |ctx| p.on_propose(ctx, 7, fd(0, &[])));
-        let (_, actions) = drive(1, 3, |ctx| p.on_timer(ctx, 0, 0, fd(0, &[])));
-        let rearmed = actions.iter().any(|a| matches!(a, Action::SetTimer { after, .. } if *after == SimDuration::from_millis(2)));
-        assert!(rearmed, "poll must be re-armed");
-    }
-
-    #[test]
     fn a_late_ack_after_the_decision_does_nothing() {
         // n = 3, p2 suspected: p1's ack completes Phase 4.
-        let mut p = EcConsensus::new(ProcessId(0), 3, ConsensusConfig::default());
-        drive(0, 3, |ctx| p.on_propose(ctx, 42, fd(0, &[])));
+        let mut p = EcConsensus::new(ProcessId(0), 3);
+        drive(0, 3, |ctx| p.on_propose(ctx, 42, &fd(0, &[])));
         for q in 1..3 {
             let est = EcMsg::Estimate {
                 round: 1,
                 est: Some(Estimate::initial(q as u64)),
             };
-            drive(0, 3, |ctx| p.on_message(ctx, ProcessId(q), est, fd(0, &[])));
+            drive(0, 3, |ctx| {
+                p.on_message(ctx, ProcessId(q), est, &fd(0, &[]))
+            });
         }
         let ack = EcMsg::Ack { round: 1 };
         let (step, _) = drive(0, 3, |ctx| {
-            p.on_message(ctx, ProcessId(1), ack.clone(), fd(0, &[2]))
+            p.on_message(ctx, ProcessId(1), ack.clone(), &fd(0, &[2]))
         });
         assert_eq!(step, ProtocolStep::decide(42, 1));
         drive(0, 3, |ctx| p.on_decide_delivered(ctx, 42, 1));
         // The instance is over: p2's ack must not complete Phase 4 again
         // and R-broadcast a second decision.
-        let (step, actions) = drive(0, 3, |ctx| p.on_message(ctx, ProcessId(2), ack, fd(0, &[])));
+        let (step, actions) = drive(0, 3, |ctx| {
+            p.on_message(ctx, ProcessId(2), ack, &fd(0, &[]))
+        });
         assert_eq!(step, ProtocolStep::none());
         assert!(actions.is_empty(), "{actions:?}");
     }

@@ -18,8 +18,8 @@
 //! design space.
 
 use crate::api::{
-    all_unsuspected_replied, majority, newest_estimate, ConsensusConfig, Estimate, ProtocolStep,
-    Round, RoundProtocol,
+    all_unsuspected_replied, majority, newest_estimate, Estimate, ProtocolStep, Round,
+    RoundProtocol,
 };
 use fd_core::{FdOutput, SubCtx};
 use fd_sim::{ProcessId, SimMessage};
@@ -114,7 +114,7 @@ pub type EcMergedConsensus = Round<EcMerged>;
 
 impl EcMergedConsensus {
     /// Create the protocol instance for process `me` of `n`.
-    pub fn new(me: ProcessId, n: usize, cfg: ConsensusConfig) -> EcMergedConsensus {
+    pub fn new(me: ProcessId, n: usize) -> EcMergedConsensus {
         let body = EcMerged {
             me,
             n,
@@ -128,7 +128,7 @@ impl EcMergedConsensus {
             ack_replies: BTreeMap::new(),
             nacked: BTreeSet::new(),
         };
-        Round::over(body, cfg)
+        Round::over(body)
     }
 }
 
@@ -137,7 +137,7 @@ impl EcMerged {
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, EcmMsg>,
         round: u64,
-        fd: FdOutput,
+        fd: &FdOutput,
     ) -> ProtocolStep {
         self.round = round;
         self.phase = Phase::AwaitProposition;
@@ -176,7 +176,7 @@ impl EcMerged {
     fn try_propose<N: SimMessage>(
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, EcmMsg>,
-        fd: FdOutput,
+        fd: &FdOutput,
     ) -> ProtocolStep {
         let round = self.round;
         if self.phase != Phase::AwaitProposition
@@ -188,7 +188,7 @@ impl EcMerged {
         let Some(bucket) = self.est_buckets.get(&round) else {
             return ProtocolStep::none();
         };
-        if !all_unsuspected_replied(self.n, bucket, &fd) {
+        if !all_unsuspected_replied(self.n, bucket, fd) {
             return ProtocolStep::none();
         }
         let (best, non_null) = newest_estimate(bucket.values().flatten().copied());
@@ -218,10 +218,9 @@ impl EcMerged {
     fn try_decide<N: SimMessage>(
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, EcmMsg>,
-        fd: FdOutput,
+        fd: &FdOutput,
     ) -> ProtocolStep {
-        if self.phase != Phase::AwaitAcks
-            || !all_unsuspected_replied(self.n, &self.ack_replies, &fd)
+        if self.phase != Phase::AwaitAcks || !all_unsuspected_replied(self.n, &self.ack_replies, fd)
         {
             return ProtocolStep::none();
         }
@@ -240,7 +239,7 @@ impl EcMerged {
         from: ProcessId,
         round: u64,
         value: u64,
-        fd: FdOutput,
+        fd: &FdOutput,
     ) -> ProtocolStep {
         self.est = Estimate { value, ts: round };
         ctx.send(from, EcmMsg::Ack { round });
@@ -255,7 +254,7 @@ impl RoundProtocol for EcMerged {
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, EcmMsg>,
         value: u64,
-        fd: FdOutput,
+        fd: &FdOutput,
     ) -> ProtocolStep {
         self.est = Estimate::initial(value);
         self.enter_round(ctx, 1, fd)
@@ -266,7 +265,7 @@ impl RoundProtocol for EcMerged {
         ctx: &mut SubCtx<'_, '_, N, EcmMsg>,
         from: ProcessId,
         msg: EcmMsg,
-        fd: FdOutput,
+        fd: &FdOutput,
     ) -> ProtocolStep {
         let decided = self.phase == Phase::Done;
         match msg {
@@ -333,10 +332,10 @@ impl RoundProtocol for EcMerged {
         }
     }
 
-    fn poll<N: SimMessage>(
+    fn on_fd_change<N: SimMessage>(
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, EcmMsg>,
-        fd: FdOutput,
+        fd: &FdOutput,
     ) -> ProtocolStep {
         match self.phase {
             Phase::AwaitProposition => {
@@ -366,7 +365,7 @@ impl RoundProtocol for EcMerged {
                 ProtocolStep::none()
             }
             Phase::AwaitAcks => self.try_decide(ctx, fd),
-            Phase::Idle | Phase::Done => unreachable!("polled only between start and close"),
+            Phase::Idle | Phase::Done => unreachable!("checked only between start and close"),
         }
     }
 
@@ -387,22 +386,26 @@ mod tests {
     #[test]
     fn a_late_ack_after_the_decision_does_nothing() {
         // n = 3, everyone's leader is p0, p2 suspected at Phase 4.
-        let mut p = EcMergedConsensus::new(ProcessId(0), 3, ConsensusConfig::default());
-        drive(0, 3, |ctx| p.on_propose(ctx, 42, fd(0, &[])));
+        let mut p = EcMergedConsensus::new(ProcessId(0), 3);
+        drive(0, 3, |ctx| p.on_propose(ctx, 42, &fd(0, &[])));
         for q in 1..3 {
             let est = EcmMsg::Estimate {
                 round: 1,
                 est: Some(Estimate::initial(q as u64)),
             };
-            drive(0, 3, |ctx| p.on_message(ctx, ProcessId(q), est, fd(0, &[])));
+            drive(0, 3, |ctx| {
+                p.on_message(ctx, ProcessId(q), est, &fd(0, &[]))
+            });
         }
         let ack = EcmMsg::Ack { round: 1 };
         let (step, _) = drive(0, 3, |ctx| {
-            p.on_message(ctx, ProcessId(1), ack.clone(), fd(0, &[2]))
+            p.on_message(ctx, ProcessId(1), ack.clone(), &fd(0, &[2]))
         });
         assert_eq!(step, ProtocolStep::decide(42, 1));
         drive(0, 3, |ctx| p.on_decide_delivered(ctx, 42, 1));
-        let (step, actions) = drive(0, 3, |ctx| p.on_message(ctx, ProcessId(2), ack, fd(0, &[])));
+        let (step, actions) = drive(0, 3, |ctx| {
+            p.on_message(ctx, ProcessId(2), ack, &fd(0, &[]))
+        });
         assert_eq!(step, ProtocolStep::none());
         assert!(actions.is_empty(), "{actions:?}");
     }

@@ -132,7 +132,7 @@ where
 
         for (i, &v) in sc.proposals.iter().enumerate() {
             world.interact(ProcessId(i), |node, ctx| {
-                node.with_above(ctx, |decider, ctx, fd| decider.propose(ctx, v, fd))
+                node.with_above(ctx, |decider, ctx, _| decider.propose(ctx, v))
             });
         }
 

@@ -1,10 +1,11 @@
 //! # fd-consensus — Uniform Consensus with unreliable failure detectors
 //!
 //! Five complete protocols in one shell. [`Round`] is the shell — the
-//! propose-once gate, the polling timer that runs from the proposal to
-//! the decision, and Fig. 4's decide task, each written once — and a
-//! protocol is the [`RoundProtocol`] inside it: its phases, nothing else
-//! (`EcConsensus` is `Round<Ec>`, and so on).
+//! propose-once gate, the evaluation of the detector clauses when the
+//! detector's output changes (an event, not a timer), and Fig. 4's
+//! decide task, each written once — and a protocol is the
+//! [`RoundProtocol`] inside it: its phases, nothing else (`EcConsensus`
+//! is `Round<Ec>`, and so on).
 //!
 //! * [`EcConsensus`] — **the paper's contribution** (Figs. 3–4): five
 //!   phases per round, the coordinator chosen by ◇C's leader output
@@ -39,9 +40,7 @@ pub mod multi;
 pub mod node;
 pub mod paxos;
 
-pub use api::{
-    majority, ConsensusConfig, DecidePayload, Estimate, ProtocolStep, Round, RoundProtocol,
-};
+pub use api::{majority, DecidePayload, Estimate, ProtocolStep, Round, RoundProtocol};
 pub use ct::{rotating_coordinator, Ct, CtConsensus, CtMsg};
 pub use ec::{Ec, EcConsensus, EcMsg};
 pub use ec_merged::{EcMerged, EcMergedConsensus, EcmMsg};
@@ -93,7 +92,7 @@ pub fn ec_node_hb(me: ProcessId, n: usize) -> EcNodeHb {
             HeartbeatDetector::new(me, n, HeartbeatConfig::default()),
             n,
         ),
-        Decider::new(me, EcConsensus::new(me, n, ConsensusConfig::default())),
+        Decider::new(me, EcConsensus::new(me, n)),
     )
 }
 
@@ -101,7 +100,7 @@ pub fn ec_node_hb(me: ProcessId, n: usize) -> EcNodeHb {
 pub fn ec_node_leader(me: ProcessId, n: usize) -> EcNodeLeader {
     Stack::new(
         LeaderDetector::new(me, n, LeaderConfig::default()),
-        Decider::new(me, EcConsensus::new(me, n, ConsensusConfig::default())),
+        Decider::new(me, EcConsensus::new(me, n)),
     )
 }
 
@@ -112,13 +111,13 @@ pub fn ct_node_hb(me: ProcessId, n: usize) -> CtNodeHb {
             HeartbeatDetector::new(me, n, HeartbeatConfig::default()),
             n,
         ),
-        Decider::new(me, CtConsensus::new(me, n, ConsensusConfig::default())),
+        Decider::new(me, CtConsensus::new(me, n)),
     )
 }
 
 /// Build an [`MrNodeLeader`] that only knows `f < n/2`.
 pub fn mr_node_leader(me: ProcessId, n: usize) -> MrNodeLeader {
-    let cons = MrConsensus::with_unknown_f(me, n, ConsensusConfig::default());
+    let cons = MrConsensus::with_unknown_f(me, n);
     Stack::new(
         LeaderDetector::new(me, n, LeaderConfig::default()),
         Decider::new(me, cons),
@@ -127,7 +126,7 @@ pub fn mr_node_leader(me: ProcessId, n: usize) -> MrNodeLeader {
 
 /// Build a [`PaxosNodeLeader`].
 pub fn paxos_node_leader(me: ProcessId, n: usize) -> PaxosNodeLeader {
-    let cons = PaxosConsensus::new(me, n, ConsensusConfig::default());
+    let cons = PaxosConsensus::new(me, n);
     Stack::new(
         LeaderDetector::new(me, n, LeaderConfig::default()),
         Decider::new(me, cons),

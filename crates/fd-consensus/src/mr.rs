@@ -30,7 +30,7 @@
 //! Like the ◇C algorithm — and unlike Chandra–Toueg — stability of the
 //! leader yields a decision in a single round.
 
-use crate::api::{ConsensusConfig, Estimate, ProtocolStep, Round, RoundProtocol};
+use crate::api::{Estimate, ProtocolStep, Round, RoundProtocol};
 use fd_core::{FdOutput, SubCtx};
 use fd_sim::{ProcessId, SimMessage};
 use std::collections::BTreeMap;
@@ -113,7 +113,7 @@ pub type MrConsensus = Round<Mr>;
 impl MrConsensus {
     /// Create the protocol instance for process `me` of `n`, assuming at
     /// most `assumed_f < n/2` failures.
-    pub fn new(me: ProcessId, n: usize, assumed_f: usize, cfg: ConsensusConfig) -> MrConsensus {
+    pub fn new(me: ProcessId, n: usize, assumed_f: usize) -> MrConsensus {
         assert!(assumed_f * 2 < n, "MR consensus requires f < n/2");
         let body = Mr {
             me,
@@ -127,14 +127,14 @@ impl MrConsensus {
             p3_buckets: BTreeMap::new(),
             my_flag: false,
         };
-        Round::over(body, cfg)
+        Round::over(body)
     }
 
     /// The maximally pessimistic instance: `f = ⌈n/2⌉ − 1`, i.e. only
     /// "a majority of processes are correct" is known — the §5.4 setting
     /// where one negative reply among the first majority blocks.
-    pub fn with_unknown_f(me: ProcessId, n: usize, cfg: ConsensusConfig) -> MrConsensus {
-        MrConsensus::new(me, n, n.div_ceil(2) - 1, cfg)
+    pub fn with_unknown_f(me: ProcessId, n: usize) -> MrConsensus {
+        MrConsensus::new(me, n, n.div_ceil(2) - 1)
     }
 }
 
@@ -147,7 +147,7 @@ impl Mr {
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, MrMsg>,
         round: u64,
-        fd: FdOutput,
+        fd: &FdOutput,
     ) -> ProtocolStep {
         self.round = round;
         self.phase = Phase::P1;
@@ -170,7 +170,7 @@ impl Mr {
     fn try_complete_p1<N: SimMessage>(
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, MrMsg>,
-        fd: FdOutput,
+        fd: &FdOutput,
     ) -> ProtocolStep {
         if self.phase != Phase::P1 {
             return ProtocolStep::none();
@@ -186,7 +186,7 @@ impl Mr {
         let my_leader = fd.trusted.unwrap_or(self.me);
         if !bucket.contains_key(&my_leader) {
             // The one wait Ω permits: hold for the leader's own vote.
-            // Re-evaluated on every arrival and on the poll timer (the
+            // Re-evaluated on every arrival and on a detector change (the
             // leader output may change).
             return ProtocolStep::none();
         }
@@ -212,7 +212,7 @@ impl Mr {
     fn try_complete_p2<N: SimMessage>(
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, MrMsg>,
-        fd: FdOutput,
+        fd: &FdOutput,
     ) -> ProtocolStep {
         if self.phase != Phase::P2 {
             return ProtocolStep::none();
@@ -255,7 +255,7 @@ impl Mr {
     fn try_complete_p3<N: SimMessage>(
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, MrMsg>,
-        fd: FdOutput,
+        fd: &FdOutput,
     ) -> ProtocolStep {
         if self.phase != Phase::P3 {
             return ProtocolStep::none();
@@ -283,7 +283,7 @@ impl RoundProtocol for Mr {
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, MrMsg>,
         value: u64,
-        fd: FdOutput,
+        fd: &FdOutput,
     ) -> ProtocolStep {
         self.est = Estimate::initial(value);
         self.enter_round(ctx, 1, fd)
@@ -294,7 +294,7 @@ impl RoundProtocol for Mr {
         ctx: &mut SubCtx<'_, '_, N, MrMsg>,
         from: ProcessId,
         msg: MrMsg,
-        fd: FdOutput,
+        fd: &FdOutput,
     ) -> ProtocolStep {
         if self.phase == Phase::Done {
             return ProtocolStep::none();
@@ -336,10 +336,10 @@ impl RoundProtocol for Mr {
         }
     }
 
-    fn poll<N: SimMessage>(
+    fn on_fd_change<N: SimMessage>(
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, MrMsg>,
-        fd: FdOutput,
+        fd: &FdOutput,
     ) -> ProtocolStep {
         // The Phase 1 wait depends on the (mutable) Ω output.
         self.try_complete_p1(ctx, fd)
@@ -379,31 +379,31 @@ mod tests {
 
     #[test]
     fn quorum_is_n_minus_f() {
-        let p = MrConsensus::new(ProcessId(0), 5, 1, ConsensusConfig::default());
+        let p = MrConsensus::new(ProcessId(0), 5, 1);
         assert_eq!(p.body.quorum(), 4);
-        let p = MrConsensus::with_unknown_f(ProcessId(0), 5, ConsensusConfig::default());
+        let p = MrConsensus::with_unknown_f(ProcessId(0), 5);
         assert_eq!(p.body.quorum(), 3, "unknown f ⇒ bare majority");
-        let p = MrConsensus::with_unknown_f(ProcessId(0), 4, ConsensusConfig::default());
+        let p = MrConsensus::with_unknown_f(ProcessId(0), 4);
         assert_eq!(p.body.quorum(), 3);
     }
 
     #[test]
     #[should_panic(expected = "f < n/2")]
     fn oversized_f_rejected() {
-        let _ = MrConsensus::new(ProcessId(0), 4, 2, ConsensusConfig::default());
+        let _ = MrConsensus::new(ProcessId(0), 4, 2);
     }
 
     #[test]
     fn phase1_waits_for_the_leaders_vote() {
         // n = 5, f = 2, quorum = 3. Two votes + self = quorum, but the
         // leader (p0) has not voted yet: Phase 1 must not complete.
-        let mut p = MrConsensus::with_unknown_f(ProcessId(4), 5, ConsensusConfig::default());
-        drive(4, 5, |ctx| p.on_propose(ctx, 9, trusts(0)));
+        let mut p = MrConsensus::with_unknown_f(ProcessId(4), 5);
+        drive(4, 5, |ctx| p.on_propose(ctx, 9, &trusts(0)));
         drive(4, 5, |ctx| {
-            p.on_message(ctx, ProcessId(3), p1(1, 0, 3), trusts(0))
+            p.on_message(ctx, ProcessId(3), p1(1, 0, 3), &trusts(0))
         });
         let (_, actions) = drive(4, 5, |ctx| {
-            p.on_message(ctx, ProcessId(2), p1(1, 0, 2), trusts(0))
+            p.on_message(ctx, ProcessId(2), p1(1, 0, 2), &trusts(0))
         });
         let sent_p2 = msgs(&actions)
             .iter()
@@ -412,7 +412,7 @@ mod tests {
         // The leader's vote arrives → Phase 2 fires with aux = leader's
         // estimate (everyone named p0: 4 > n/2).
         let (_, actions) = drive(4, 5, |ctx| {
-            p.on_message(ctx, ProcessId(0), p1(1, 0, 77), trusts(0))
+            p.on_message(ctx, ProcessId(0), p1(1, 0, 77), &trusts(0))
         });
         let auxes: Vec<Option<u64>> = msgs(&actions)
             .iter()
@@ -432,16 +432,16 @@ mod tests {
     fn split_leader_vote_yields_bottom() {
         // Votes name three different leaders: no one has > n/2, so the
         // auxiliary value must be ⊥ even though the quorum is met.
-        let mut p = MrConsensus::with_unknown_f(ProcessId(4), 5, ConsensusConfig::default());
-        drive(4, 5, |ctx| p.on_propose(ctx, 9, trusts(0)));
+        let mut p = MrConsensus::with_unknown_f(ProcessId(4), 5);
+        drive(4, 5, |ctx| p.on_propose(ctx, 9, &trusts(0)));
         drive(4, 5, |ctx| {
-            p.on_message(ctx, ProcessId(3), p1(1, 3, 3), trusts(0))
+            p.on_message(ctx, ProcessId(3), p1(1, 3, 3), &trusts(0))
         });
         drive(4, 5, |ctx| {
-            p.on_message(ctx, ProcessId(2), p1(1, 2, 2), trusts(0))
+            p.on_message(ctx, ProcessId(2), p1(1, 2, 2), &trusts(0))
         });
         let (_, actions) = drive(4, 5, |ctx| {
-            p.on_message(ctx, ProcessId(0), p1(1, 0, 77), trusts(0))
+            p.on_message(ctx, ProcessId(0), p1(1, 0, 77), &trusts(0))
         });
         let auxes: Vec<Option<u64>> = msgs(&actions)
             .iter()
@@ -458,15 +458,15 @@ mod tests {
 
     #[test]
     fn one_bottom_in_the_phase2_quorum_blocks_the_flag() {
-        let mut p = MrConsensus::with_unknown_f(ProcessId(4), 5, ConsensusConfig::default());
-        drive(4, 5, |ctx| p.on_propose(ctx, 9, trusts(4)));
+        let mut p = MrConsensus::with_unknown_f(ProcessId(4), 5);
+        drive(4, 5, |ctx| p.on_propose(ctx, 9, &trusts(4)));
         // Reach Phase 2 quickly: self-leader, so own vote satisfies the
         // leader condition once the quorum arrives.
         drive(4, 5, |ctx| {
-            p.on_message(ctx, ProcessId(3), p1(1, 4, 3), trusts(4))
+            p.on_message(ctx, ProcessId(3), p1(1, 4, 3), &trusts(4))
         });
         drive(4, 5, |ctx| {
-            p.on_message(ctx, ProcessId(2), p1(1, 4, 2), trusts(4))
+            p.on_message(ctx, ProcessId(2), p1(1, 4, 2), &trusts(4))
         });
         // Phase 2 replies: one ⊥ among the first quorum.
         drive(4, 5, |ctx| {
@@ -477,7 +477,7 @@ mod tests {
                     round: 1,
                     aux: Some(9),
                 },
-                trusts(4),
+                &trusts(4),
             )
         });
         let (_, actions) = drive(4, 5, |ctx| {
@@ -488,7 +488,7 @@ mod tests {
                     round: 1,
                     aux: None,
                 },
-                trusts(4),
+                &trusts(4),
             )
         });
         let flags: Vec<bool> = msgs(&actions)
@@ -507,13 +507,13 @@ mod tests {
 
     #[test]
     fn any_raised_flag_in_phase3_decides() {
-        let mut p = MrConsensus::with_unknown_f(ProcessId(4), 5, ConsensusConfig::default());
-        drive(4, 5, |ctx| p.on_propose(ctx, 9, trusts(4)));
+        let mut p = MrConsensus::with_unknown_f(ProcessId(4), 5);
+        drive(4, 5, |ctx| p.on_propose(ctx, 9, &trusts(4)));
         drive(4, 5, |ctx| {
-            p.on_message(ctx, ProcessId(3), p1(1, 4, 3), trusts(4))
+            p.on_message(ctx, ProcessId(3), p1(1, 4, 3), &trusts(4))
         });
         drive(4, 5, |ctx| {
-            p.on_message(ctx, ProcessId(2), p1(1, 4, 2), trusts(4))
+            p.on_message(ctx, ProcessId(2), p1(1, 4, 2), &trusts(4))
         });
         drive(4, 5, |ctx| {
             p.on_message(
@@ -523,7 +523,7 @@ mod tests {
                     round: 1,
                     aux: None,
                 },
-                trusts(4),
+                &trusts(4),
             )
         });
         drive(4, 5, |ctx| {
@@ -534,7 +534,7 @@ mod tests {
                     round: 1,
                     aux: None,
                 },
-                trusts(4),
+                &trusts(4),
             )
         });
         // Our own flag is false (all-⊥), but a flagged Phase 3 from a
@@ -548,7 +548,7 @@ mod tests {
                     flag: false,
                     value: 9,
                 },
-                trusts(4),
+                &trusts(4),
             )
         });
         let (step, _) = drive(4, 5, |ctx| {
@@ -560,7 +560,7 @@ mod tests {
                     flag: true,
                     value: 55,
                 },
-                trusts(4),
+                &trusts(4),
             )
         });
         assert_eq!(step.broadcast_decision, Some((55, 1)));
@@ -569,17 +569,17 @@ mod tests {
     #[test]
     fn a_late_flag_after_the_decision_does_nothing() {
         // n = 3, quorum 2: p1's vote, value and flag each complete a phase.
-        let mut p = MrConsensus::with_unknown_f(ProcessId(0), 3, ConsensusConfig::default());
-        drive(0, 3, |ctx| p.on_propose(ctx, 42, trusts(0)));
+        let mut p = MrConsensus::with_unknown_f(ProcessId(0), 3);
+        drive(0, 3, |ctx| p.on_propose(ctx, 42, &trusts(0)));
         drive(0, 3, |ctx| {
-            p.on_message(ctx, ProcessId(1), p1(1, 0, 7), trusts(0))
+            p.on_message(ctx, ProcessId(1), p1(1, 0, 7), &trusts(0))
         });
         let locked = MrMsg::Phase2 {
             round: 1,
             aux: Some(42),
         };
         drive(0, 3, |ctx| {
-            p.on_message(ctx, ProcessId(1), locked, trusts(0))
+            p.on_message(ctx, ProcessId(1), locked, &trusts(0))
         });
         let flagged = MrMsg::Phase3 {
             round: 1,
@@ -587,12 +587,12 @@ mod tests {
             value: 42,
         };
         let (step, _) = drive(0, 3, |ctx| {
-            p.on_message(ctx, ProcessId(1), flagged.clone(), trusts(0))
+            p.on_message(ctx, ProcessId(1), flagged.clone(), &trusts(0))
         });
         assert_eq!(step, ProtocolStep::decide(42, 1));
         drive(0, 3, |ctx| p.on_decide_delivered(ctx, 42, 1));
         let (step, actions) = drive(0, 3, |ctx| {
-            p.on_message(ctx, ProcessId(2), flagged, trusts(0))
+            p.on_message(ctx, ProcessId(2), flagged, &trusts(0))
         });
         assert_eq!(step, ProtocolStep::none());
         assert!(actions.is_empty(), "{actions:?}");

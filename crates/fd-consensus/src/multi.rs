@@ -3,12 +3,12 @@
 //! The standard way consensus is *used* (and the application the paper's
 //! introduction motivates): a sequence of independent Uniform Consensus
 //! instances, one per log slot. [`MultiEc`] multiplexes any number of
-//! [`EcConsensus`] instances over one node — messages and timers are
-//! tagged with the slot — and drives itself: each replica queues client
-//! commands with [`Log::submit`], proposes its **whole pending
-//! queue as one batch** for the next slot, and advances when the slot's
-//! decision arrives by Reliable Broadcast. All correct replicas end up
-//! with the identical decided log.
+//! [`EcConsensus`] instances over one node — messages are tagged with
+//! the slot; the instances arm no timers — and drives itself: each
+//! replica queues client commands with [`Log::submit`], proposes its
+//! **whole pending queue as one batch** for the next slot, and advances
+//! when the slot's decision arrives by Reliable Broadcast. All correct
+//! replicas end up with the identical decided log.
 //!
 //! # Names and bodies
 //!
@@ -57,7 +57,7 @@
 //!
 //! [`RoundProtocol`]: crate::RoundProtocol
 
-use crate::api::{ConsensusConfig, DecidePayload, ProtocolStep};
+use crate::api::{DecidePayload, ProtocolStep};
 use crate::ec::{EcConsensus, EcMsg};
 use fd_broadcast::{RbMsg, ReliableBroadcast};
 use fd_core::{Component, EventuallyConsistentOracle, FdOutput, Over, Stack, SubCtx};
@@ -71,21 +71,6 @@ use std::rc::Rc;
 /// what lets `multi.log_agreement` catch two replicas that agree on a
 /// slot's name but hold different bodies for it.
 pub use fd_obs::keys::MULTI_APPEND as LOG_APPEND;
-
-/// Timer-namespace base for slot instances: slot `s` uses `MULTI_NS_BASE + s`.
-pub const MULTI_NS_BASE: u32 = 0x1000_0000;
-
-/// Largest slot representable in the timer-namespace encoding.
-pub const MAX_SLOT: u64 = (u32::MAX - MULTI_NS_BASE) as u64;
-
-/// The timer namespace of log slot `slot` (`MULTI_NS_BASE + slot`).
-fn slot_ns(slot: u64) -> u32 {
-    assert!(
-        slot <= MAX_SLOT,
-        "log slot {slot} exceeds the namespace encoding (MAX_SLOT = {MAX_SLOT})"
-    );
-    MULTI_NS_BASE + slot as u32
-}
 
 /// The name of the empty batch, and the single log entry an empty slot
 /// contributes to [`MultiEc::log`]. A replica pulled into a slot it has
@@ -199,7 +184,6 @@ struct Slot {
 pub struct MultiEc {
     me: ProcessId,
     n: usize,
-    cfg: ConsensusConfig,
     /// Per-slot state, indexed by slot number. Nothing is ever removed
     /// or unset — a slot's `proposed` and `decided` only go from `None`
     /// to `Some` — and slots are opened in order (the depth-1 pipeline),
@@ -226,12 +210,11 @@ pub struct MultiEc {
 
 impl MultiEc {
     /// Create the multiplexer for process `me` of `n`.
-    pub fn new(me: ProcessId, n: usize, cfg: ConsensusConfig) -> MultiEc {
+    pub fn new(me: ProcessId, n: usize) -> MultiEc {
         assert!(n < 1 << 16, "batch names keep the proposer in 16 bits");
         MultiEc {
             me,
             n,
-            cfg,
             slots: Vec::new(),
             pending: VecDeque::new(),
             base: 0,
@@ -407,16 +390,31 @@ impl MultiEc {
         lift: fn(MultiMsg) -> M,
         f: impl FnOnce(&mut EcConsensus, &mut SubCtx<'_, '_, N, EcMsg>) -> R,
     ) -> R {
-        let (me, n, cfg) = (self.me, self.n, self.cfg.clone());
+        let (me, n) = (self.me, self.n);
         let Slot {
             instance, bodies, ..
         } = self.slot_mut(slot);
-        let instance = instance.get_or_insert_with(|| EcConsensus::new(me, n, cfg));
+        let instance = instance.get_or_insert_with(|| EcConsensus::new(me, n));
         let inject = |inner: EcMsg| {
             let body = named(&inner).and_then(|name| body_of(bodies, name));
             lift(MultiMsg { slot, inner, body })
         };
-        ctx.scoped(inject, slot_ns(slot), |sub| f(instance, sub))
+        ctx.scoped(inject, instance.ns(), |sub| f(instance, sub))
+    }
+
+    /// The slots whose instance is running here — proposed in, not yet
+    /// decided — in slot order. Touches no other slot, so it creates no
+    /// instance; all of them lie at or above the log frontier.
+    pub fn running(&self) -> Vec<u64> {
+        let frontier = self.first_undecided as usize;
+        self.slots
+            .get(frontier..)
+            .unwrap_or_default()
+            .iter()
+            .zip(self.first_undecided..)
+            .filter(|(s, _)| s.instance.is_some() && s.proposed.is_some() && s.decided.is_none())
+            .map(|(_, slot)| slot)
+            .collect()
     }
 
     /// Propose in `slot` with everything that is waiting (see
@@ -426,7 +424,7 @@ impl MultiEc {
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, M>,
         slot: u64,
-        fd: FdOutput,
+        fd: &FdOutput,
         lift: fn(MultiMsg) -> M,
     ) -> ProtocolStep {
         let name = self.take_batch(slot);
@@ -446,7 +444,7 @@ impl MultiEc {
         ctx: &mut SubCtx<'_, '_, N, M>,
         from: ProcessId,
         msg: MultiMsg,
-        fd: FdOutput,
+        fd: &FdOutput,
         lift: fn(MultiMsg) -> M,
     ) -> ProtocolStep {
         let MultiMsg { slot, inner, body } = msg;
@@ -537,8 +535,8 @@ pub struct Log {
     pub rb: ReliableBroadcast<SlotDecide>,
     /// The per-slot consensus instances.
     pub multi: MultiEc,
-    /// The detector's output as of the current callback: every entry
-    /// point reads it afresh, nothing keeps it across callbacks.
+    /// The detector's output, as handed over at the start and at every
+    /// change since.
     fd: FdOutput,
 }
 
@@ -557,13 +555,7 @@ impl Log {
     /// batch wins that slot, the batch is automatically re-queued, so
     /// every submitted command is eventually decided (at-least-once;
     /// deduplication is the application's concern).
-    pub fn submit<N: SimMessage>(
-        &mut self,
-        ctx: &mut SubCtx<'_, '_, N, LogMsg>,
-        command: u64,
-        fd: &impl EventuallyConsistentOracle,
-    ) {
-        self.fd = fd.output();
+    pub fn submit<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, LogMsg>, command: u64) {
         self.multi.push_pending(command);
         self.drive(ctx);
     }
@@ -610,7 +602,7 @@ impl Log {
                 }
             }
         }
-        let step = self.multi.propose(ctx, slot, self.fd.clone(), LogMsg::Cons);
+        let step = self.multi.propose(ctx, slot, &self.fd, LogMsg::Cons);
         self.apply_step(ctx, slot, step);
     }
 
@@ -640,17 +632,14 @@ impl Log {
 impl<D: EventuallyConsistentOracle + 'static> Over<D> for Log {
     type Msg = LogMsg;
 
-    /// The log arms no timer of its own; its slots' and its broadcast
-    /// module's are the namespaces it [`owns`](Over::owns).
+    /// Nothing in the log arms a timer: not the log, not its broadcast
+    /// module, not its slots' instances.
     fn ns(&self) -> u32 {
         self.rb.ns()
     }
 
-    fn owns(&self, ns: u32) -> bool {
-        ns == self.rb.ns() || ns >= MULTI_NS_BASE
-    }
-
-    fn on_start<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, LogMsg>, _: &D) {
+    fn on_start<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, LogMsg>, fd: &D) {
+        self.fd = fd.output();
         let rb = &mut self.rb;
         ctx.scoped(LogMsg::Rb, rb.ns(), |sub| rb.on_start(sub));
     }
@@ -660,9 +649,9 @@ impl<D: EventuallyConsistentOracle + 'static> Over<D> for Log {
         ctx: &mut SubCtx<'_, '_, N, LogMsg>,
         from: ProcessId,
         msg: LogMsg,
-        fd: &D,
+        below: &D,
     ) {
-        self.fd = fd.output();
+        self.fd.debug_assert_current(below);
         match msg {
             LogMsg::Rb(m) => {
                 let rb = &mut self.rb;
@@ -675,26 +664,24 @@ impl<D: EventuallyConsistentOracle + 'static> Over<D> for Log {
                 self.ensure_proposed(ctx, slot);
                 let step = self
                     .multi
-                    .on_message(ctx, from, msg, self.fd.clone(), LogMsg::Cons);
+                    .on_message(ctx, from, msg, &self.fd, LogMsg::Cons);
                 self.apply_step(ctx, slot, step);
             }
         }
     }
 
-    fn on_timer<N: SimMessage>(
-        &mut self,
-        ctx: &mut SubCtx<'_, '_, N, LogMsg>,
-        tag: TimerTag,
-        fd: &D,
-    ) {
-        // Only slot instances arm timers; the broadcast module has none.
-        if tag.ns >= MULTI_NS_BASE {
-            self.fd = fd.output();
-            let slot = (tag.ns - MULTI_NS_BASE) as u64;
+    fn on_timer<N: SimMessage>(&mut self, _: &mut SubCtx<'_, '_, N, LogMsg>, tag: TimerTag, _: &D) {
+        unreachable!("the log arms no timers: {tag:?}");
+    }
+
+    /// Re-check the detector clause of every slot still running here.
+    fn on_fd_change<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, LogMsg>, fd: &D) {
+        self.fd = fd.output();
+        for slot in self.multi.running() {
             let step = self
                 .multi
                 .with_instance(ctx, slot, LogMsg::Cons, |inst, sub| {
-                    inst.on_timer(sub, tag.kind, tag.data, self.fd.clone())
+                    inst.on_fd_change(sub, &self.fd)
                 });
             self.apply_step(ctx, slot, step);
         }
@@ -711,7 +698,6 @@ pub mod api_obs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ConsensusConfig;
     use fd_core::StackMsg;
     use fd_detectors::{HeartbeatConfig, HeartbeatDetector, LeaderByFirstNonSuspected};
     use fd_sim::{Actor, Time, World, WorldBuilder};
@@ -724,7 +710,7 @@ mod tests {
                 HeartbeatDetector::new(pid, n, HeartbeatConfig::default()),
                 n,
             ),
-            Log::new(pid, MultiEc::new(pid, n, ConsensusConfig::default())),
+            Log::new(pid, MultiEc::new(pid, n)),
         )
     }
 
@@ -739,7 +725,7 @@ mod tests {
         ctx: &mut fd_sim::Context<'_, <Replica as Actor>::Msg>,
         cmd: u64,
     ) {
-        node.with_above(ctx, |log, ctx, fd| log.submit(ctx, cmd, fd));
+        node.with_above(ctx, |log, ctx, _| log.submit(ctx, cmd));
     }
 
     /// All submitted commands, for containment checks.
@@ -840,7 +826,7 @@ mod tests {
 
     #[test]
     fn record_decision_tolerates_out_of_order_and_duplicates() {
-        let mut m = MultiEc::new(ProcessId(0), 4, ConsensusConfig::default());
+        let mut m = MultiEc::new(ProcessId(0), 4);
         let (n0, b0) = batch(1, &[20]);
         let (n1, b1) = batch(2, &[21, 23]);
         let (n2, b2) = batch(3, &[22]);
@@ -863,7 +849,7 @@ mod tests {
 
     #[test]
     fn raised_base_excludes_caught_up_slots() {
-        let mut m = MultiEc::new(ProcessId(1), 4, ConsensusConfig::default());
+        let mut m = MultiEc::new(ProcessId(1), 4);
         m.raise_base(5);
         let (n3, b3) = batch(0, &[33]);
         assert!(
@@ -889,7 +875,7 @@ mod tests {
         assert!(long_low_pid > short_high_pid && short_high_pid > short_low_pid);
         assert!(short_low_pid > NOOP);
         assert_eq!(batch(2, &[]), (NOOP, None));
-        let mut m = MultiEc::new(ProcessId(0), 4, ConsensusConfig::default());
+        let mut m = MultiEc::new(ProcessId(0), 4);
         assert!(m.record_decision(0, NOOP, 1, &None));
         assert_eq!(m.log(), vec![(0, NOOP)]);
     }
@@ -918,7 +904,7 @@ mod tests {
         fn frontier_cursors_equal_the_naive_scan(
             ops in proptest::prop::collection::vec((0u8..8, 0u64..24), 1..80),
         ) {
-            let mut m = MultiEc::new(ProcessId(0), 4, ConsensusConfig::default());
+            let mut m = MultiEc::new(ProcessId(0), 4);
             proptest::prop_assert_eq!(m.next_proposal(), None, "nothing waiting, nothing to open");
             // `abstain` marks proposals without taking the queue, so one
             // waiting command probes the gate after every step.
@@ -964,7 +950,7 @@ mod tests {
             ops in proptest::prop::collection::vec((0u8..8, 0usize..4), 1..120),
         ) {
             let me = 2;
-            let mut m = MultiEc::new(ProcessId(me), 4, ConsensusConfig::default());
+            let mut m = MultiEc::new(ProcessId(me), 4);
             let mut submitted = 0u64;
             let mut next_slot = 0u64;
             let mut in_flight: Vec<u64> = Vec::new();

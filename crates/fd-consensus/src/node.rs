@@ -10,7 +10,7 @@
 
 use crate::api::{DecidePayload, ProtocolStep, Round, RoundProtocol};
 use fd_broadcast::{RbMsg, ReliableBroadcast};
-use fd_core::{Component, EventuallyConsistentOracle, Over, Stack, StackMsg, SubCtx};
+use fd_core::{Component, EventuallyConsistentOracle, FdOutput, Over, Stack, StackMsg, SubCtx};
 use fd_sim::{ProcessId, SimMessage, TimerTag};
 
 /// A process running detector `D` and the consensus protocol with phases
@@ -28,6 +28,9 @@ pub struct Decider<P> {
     pub rb: ReliableBroadcast<DecidePayload>,
     /// The consensus protocol.
     pub cons: Round<P>,
+    /// The detector's output, as handed over at the start and at every
+    /// change since.
+    fd: FdOutput,
 }
 
 impl<P: RoundProtocol> Decider<P> {
@@ -39,18 +42,17 @@ impl<P: RoundProtocol> Decider<P> {
             rb.ns(),
             "components must own distinct timer namespaces"
         );
-        Decider { rb, cons }
+        Decider {
+            rb,
+            cons,
+            fd: FdOutput::default(),
+        }
     }
 
     /// Propose a value. Call through [`Stack::with_above`] under
     /// [`World::interact`](fd_sim::World::interact).
-    pub fn propose<N: SimMessage>(
-        &mut self,
-        ctx: &mut SubCtx<'_, '_, N, Msg<P::Msg>>,
-        value: u64,
-        fd: &impl EventuallyConsistentOracle,
-    ) {
-        let (cons, fd) = (&mut self.cons, fd.output());
+    pub fn propose<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, Msg<P::Msg>>, value: u64) {
+        let (cons, fd) = (&mut self.cons, &self.fd);
         let step = ctx.scoped(StackMsg::Above, cons.ns(), |sub| {
             cons.on_propose(sub, value, fd)
         });
@@ -69,7 +71,7 @@ impl<P: RoundProtocol> Decider<P> {
         ctx: &mut SubCtx<'_, '_, N, Msg<P::Msg>>,
         step: ProtocolStep,
     ) {
-        let Decider { rb, cons } = self;
+        let Decider { rb, cons, .. } = self;
         if let Some(payload) = step.broadcast_decision {
             ctx.scoped(StackMsg::Below, rb.ns(), |sub| rb.broadcast(sub, payload));
         }
@@ -94,7 +96,8 @@ impl<D: EventuallyConsistentOracle + 'static, P: RoundProtocol> Over<D> for Deci
     }
 
     /// The consensus protocol starts on [`propose`](Decider::propose).
-    fn on_start<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, Self::Msg>, _: &D) {
+    fn on_start<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, Self::Msg>, fd: &D) {
+        self.fd = fd.output();
         let rb = &mut self.rb;
         ctx.scoped(StackMsg::Below, rb.ns(), |sub| rb.on_start(sub));
     }
@@ -104,16 +107,17 @@ impl<D: EventuallyConsistentOracle + 'static, P: RoundProtocol> Over<D> for Deci
         ctx: &mut SubCtx<'_, '_, N, Self::Msg>,
         from: ProcessId,
         msg: Self::Msg,
-        fd: &D,
+        below: &D,
     ) {
-        let Decider { rb, cons } = self;
+        self.fd.debug_assert_current(below);
+        let Decider { rb, cons, fd } = self;
         let step = match msg {
             StackMsg::Below(m) => {
                 ctx.scoped(StackMsg::Below, rb.ns(), |sub| rb.on_message(sub, from, m));
                 ProtocolStep::none()
             }
             StackMsg::Above(m) => ctx.scoped(StackMsg::Above, cons.ns(), |sub| {
-                cons.on_message(sub, from, m, fd.output())
+                cons.on_message(sub, from, m, fd)
             }),
         };
         self.apply_step(ctx, step);
@@ -123,15 +127,23 @@ impl<D: EventuallyConsistentOracle + 'static, P: RoundProtocol> Over<D> for Deci
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, Self::Msg>,
         tag: TimerTag,
-        fd: &D,
+        below: &D,
     ) {
+        self.fd.debug_assert_current(below);
         // The broadcast module arms no timers.
         if tag.ns == self.cons.ns() {
-            let cons = &mut self.cons;
+            let (cons, fd) = (&mut self.cons, &self.fd);
             let step = ctx.scoped(StackMsg::Above, tag.ns, |sub| {
-                cons.on_timer(sub, tag.kind, tag.data, fd.output())
+                cons.on_timer(sub, tag.kind, tag.data, fd)
             });
             self.apply_step(ctx, step);
         }
+    }
+
+    fn on_fd_change<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, Self::Msg>, fd: &D) {
+        self.fd = fd.output();
+        let (cons, fd) = (&mut self.cons, &self.fd);
+        let step = ctx.scoped(StackMsg::Above, cons.ns(), |sub| cons.on_fd_change(sub, fd));
+        self.apply_step(ctx, step);
     }
 }

@@ -29,9 +29,9 @@
 //! "one round after stabilization" profile as the ◇C algorithm, at
 //! Paxos's 4-communication-step cost (prepare, promise, accept, accepted).
 
-use crate::api::{majority, ConsensusConfig, ProtocolStep, Round, RoundProtocol};
+use crate::api::{majority, ProtocolStep, Round, RoundProtocol};
 use fd_core::{FdOutput, SubCtx};
-use fd_sim::{ProcessId, SimMessage};
+use fd_sim::{ProcessId, SimDuration, SimMessage};
 use std::collections::BTreeMap;
 
 /// Wire messages of the synod.
@@ -93,9 +93,14 @@ impl SimMessage for PaxosMsg {
     }
 }
 
-/// How long a proposer lets a ballot sit without progress before
-/// retrying with a fresh one (also covers lost-to-crash acceptor waits).
-const RETRY_POLLS: u32 = 30;
+/// How long a proposer lets a ballot run before retrying with a fresh
+/// one, if it is still the leader and the ballot has not decided (it
+/// covers acceptors that crashed before replying and, until a link layer
+/// re-sends, lost replies).
+const RETRY_AFTER: SimDuration = SimDuration::from_millis(60);
+
+/// The retry deadline of the ballot in its `data`.
+const TIMER_RETRY: u32 = 0;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ProposerPhase {
@@ -121,8 +126,6 @@ pub struct Paxos {
     promises: BTreeMap<ProcessId, Option<(u64, u64)>>,
     accepts: usize,
     chosen_value: Option<u64>,
-    /// Polls since the current ballot last made progress.
-    stalled_polls: u32,
     /// Highest ballot seen anywhere (for jumping past contention).
     max_seen: u64,
     ballots_started: u64,
@@ -133,7 +136,7 @@ pub type PaxosConsensus = Round<Paxos>;
 
 impl PaxosConsensus {
     /// Create the synod instance for process `me` of `n`.
-    pub fn new(me: ProcessId, n: usize, cfg: ConsensusConfig) -> PaxosConsensus {
+    pub fn new(me: ProcessId, n: usize) -> PaxosConsensus {
         let body = Paxos {
             me,
             n,
@@ -145,11 +148,10 @@ impl PaxosConsensus {
             promises: BTreeMap::new(),
             accepts: 0,
             chosen_value: None,
-            stalled_polls: 0,
             max_seen: 0,
             ballots_started: 0,
         };
-        Round::over(body, cfg)
+        Round::over(body)
     }
 }
 
@@ -182,7 +184,7 @@ impl Paxos {
         self.promises.clear();
         self.accepts = 0;
         self.chosen_value = None;
-        self.stalled_polls = 0;
+        ctx.set_timer(RETRY_AFTER, TIMER_RETRY, ballot);
         // Self-promise (the proposer is also an acceptor).
         if ballot > self.promised {
             self.promised = ballot;
@@ -208,7 +210,6 @@ impl Paxos {
         let value = inherited.unwrap_or_else(|| self.proposal.expect("proposer has a proposal"));
         self.chosen_value = Some(value);
         self.phase = ProposerPhase::AwaitAccepts;
-        self.stalled_polls = 0;
         let ballot = self.ballot;
         // Self-accept.
         if ballot >= self.promised {
@@ -236,7 +237,7 @@ impl RoundProtocol for Paxos {
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, PaxosMsg>,
         value: u64,
-        fd: FdOutput,
+        fd: &FdOutput,
     ) -> ProtocolStep {
         self.proposal = Some(value);
         if fd.trusted == Some(self.me) {
@@ -250,7 +251,7 @@ impl RoundProtocol for Paxos {
         ctx: &mut SubCtx<'_, '_, N, PaxosMsg>,
         from: ProcessId,
         msg: PaxosMsg,
-        _fd: FdOutput,
+        _fd: &FdOutput,
     ) -> ProtocolStep {
         match msg {
             PaxosMsg::Prepare { ballot } => {
@@ -308,8 +309,9 @@ impl RoundProtocol for Paxos {
             }
             PaxosMsg::Reject { ballot, promised } => {
                 self.max_seen = self.max_seen.max(promised);
-                // Preempted: abandon the ballot; the poll timer reopens
-                // above the contention if we still trust ourselves.
+                // Preempted: abandon the ballot; the clause check that
+                // follows reopens above the contention if we still
+                // trust ourselves.
                 if ballot == self.ballot
                     && matches!(
                         self.phase,
@@ -323,27 +325,42 @@ impl RoundProtocol for Paxos {
         }
     }
 
-    fn poll<N: SimMessage>(
+    fn on_fd_change<N: SimMessage>(
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, PaxosMsg>,
-        fd: FdOutput,
+        fd: &FdOutput,
     ) -> ProtocolStep {
         let lead = fd.trusted == Some(self.me);
         match self.phase {
             ProposerPhase::Idle if lead => return self.open_ballot(ctx),
-            ProposerPhase::AwaitPromises | ProposerPhase::AwaitAccepts => {
-                self.stalled_polls += 1;
-                if !lead {
-                    // Deposed mid-ballot: stand down, let the new leader run.
-                    self.phase = ProposerPhase::Idle;
-                } else if self.stalled_polls > RETRY_POLLS {
-                    // Progress stalled (e.g. acceptors crashed before
-                    // replying): retry with a fresh ballot.
-                    return self.open_ballot(ctx);
-                }
+            // Deposed mid-ballot: stand down, let the new leader run.
+            ProposerPhase::AwaitPromises | ProposerPhase::AwaitAccepts if !lead => {
+                self.phase = ProposerPhase::Idle;
             }
-            // Not leading while Idle: nothing to open. Done: decided.
-            ProposerPhase::Idle | ProposerPhase::Done => {}
+            // Leading a ballot, or not leading while Idle: nothing to
+            // do. Done: decided.
+            ProposerPhase::Idle
+            | ProposerPhase::AwaitPromises
+            | ProposerPhase::AwaitAccepts
+            | ProposerPhase::Done => {}
+        }
+        ProtocolStep::none()
+    }
+
+    /// A ballot's retry deadline: if that ballot is still this leader's
+    /// (a ballot that was preempted or stood down has been replaced or
+    /// has no leader to retry it, and a decided instance swallows its
+    /// timers), progress stalled — retry with a fresh one.
+    fn on_timer<N: SimMessage>(
+        &mut self,
+        ctx: &mut SubCtx<'_, '_, N, PaxosMsg>,
+        kind: u32,
+        ballot: u64,
+        fd: &FdOutput,
+    ) -> ProtocolStep {
+        debug_assert_eq!(kind, TIMER_RETRY);
+        if ballot == self.ballot && fd.trusted == Some(self.me) {
+            return self.open_ballot(ctx);
         }
         ProtocolStep::none()
     }
@@ -373,13 +390,13 @@ mod tests {
 
     #[test]
     fn ballots_are_proposer_unique_and_increasing() {
-        let p = PaxosConsensus::new(ProcessId(2), 5, ConsensusConfig::default());
+        let p = PaxosConsensus::new(ProcessId(2), 5);
         assert_eq!(p.body.next_ballot_above(0), 2); // 0·5 + 2, the smallest > 0
         assert_eq!(p.body.next_ballot_above(2), 7);
         assert_eq!(p.body.next_ballot_above(7), 12);
         assert_eq!(p.body.next_ballot_above(11), 12);
         assert_eq!(p.body.next_ballot_above(12), 17);
-        let q = PaxosConsensus::new(ProcessId(3), 5, ConsensusConfig::default());
+        let q = PaxosConsensus::new(ProcessId(3), 5);
         assert_ne!(
             p.body.next_ballot_above(20) % 5,
             q.body.next_ballot_above(20) % 5
@@ -388,8 +405,8 @@ mod tests {
 
     #[test]
     fn leader_opens_a_ballot_on_propose() {
-        let mut p = PaxosConsensus::new(ProcessId(0), 5, ConsensusConfig::default());
-        let (_, actions) = drive(0, 5, |ctx| p.on_propose(ctx, 42, trusts(0)));
+        let mut p = PaxosConsensus::new(ProcessId(0), 5);
+        let (_, actions) = drive(0, 5, |ctx| p.on_propose(ctx, 42, &trusts(0)));
         let prepares = msgs(0, &actions)
             .iter()
             .filter(|m| matches!(m, PaxosMsg::Prepare { .. }))
@@ -400,14 +417,14 @@ mod tests {
 
     #[test]
     fn non_leader_stays_quiet_until_trusted() {
-        let mut p = PaxosConsensus::new(ProcessId(1), 5, ConsensusConfig::default());
-        let (_, actions) = drive(1, 5, |ctx| p.on_propose(ctx, 42, trusts(0)));
+        let mut p = PaxosConsensus::new(ProcessId(1), 5);
+        let (_, actions) = drive(1, 5, |ctx| p.on_propose(ctx, 42, &trusts(0)));
         assert!(
             msgs(1, &actions).is_empty(),
             "only the trusted process proposes"
         );
-        // Ω flips to us: the poll opens a ballot.
-        let (_, actions) = drive(1, 5, |ctx| p.on_timer(ctx, 0, 0, trusts(1)));
+        // Ω flips to us: the change opens a ballot.
+        let (_, actions) = drive(1, 5, |ctx| p.on_fd_change(ctx, &trusts(1)));
         assert!(msgs(1, &actions)
             .iter()
             .any(|m| matches!(m, PaxosMsg::Prepare { .. })));
@@ -418,8 +435,8 @@ mod tests {
         // The synod's value-locking rule, in isolation: acceptors report
         // accepted (ballot, value) pairs; phase 2 must pick the highest's
         // value, not the proposer's own.
-        let mut p = PaxosConsensus::new(ProcessId(0), 5, ConsensusConfig::default());
-        drive(0, 5, |ctx| p.on_propose(ctx, 42, trusts(0)));
+        let mut p = PaxosConsensus::new(ProcessId(0), 5);
+        drive(0, 5, |ctx| p.on_propose(ctx, 42, &trusts(0)));
         drive(0, 5, |ctx| {
             p.on_message(
                 ctx,
@@ -428,7 +445,7 @@ mod tests {
                     ballot: 5,
                     accepted: Some((2, 77)),
                 },
-                trusts(0),
+                &trusts(0),
             )
         });
         let (_, actions) = drive(0, 5, |ctx| {
@@ -439,7 +456,7 @@ mod tests {
                     ballot: 5,
                     accepted: Some((1, 66)),
                 },
-                trusts(0),
+                &trusts(0),
             )
         });
         let accepts: Vec<u64> = msgs(0, &actions)
@@ -458,14 +475,14 @@ mod tests {
 
     #[test]
     fn acceptor_rejects_below_its_promise() {
-        let mut p = PaxosConsensus::new(ProcessId(3), 5, ConsensusConfig::default());
-        drive(3, 5, |ctx| p.on_propose(ctx, 1, trusts(0)));
+        let mut p = PaxosConsensus::new(ProcessId(3), 5);
+        drive(3, 5, |ctx| p.on_propose(ctx, 1, &trusts(0)));
         drive(3, 5, |ctx| {
             p.on_message(
                 ctx,
                 ProcessId(0),
                 PaxosMsg::Prepare { ballot: 10 },
-                trusts(0),
+                &trusts(0),
             )
         });
         let (_, actions) = drive(3, 5, |ctx| {
@@ -473,7 +490,7 @@ mod tests {
                 ctx,
                 ProcessId(1),
                 PaxosMsg::Prepare { ballot: 6 },
-                trusts(0),
+                &trusts(0),
             )
         });
         assert!(actions.iter().any(|a| matches!(
@@ -495,7 +512,7 @@ mod tests {
                     ballot: 6,
                     value: 9,
                 },
-                trusts(0),
+                &trusts(0),
             )
         });
         assert!(actions.iter().any(|a| matches!(
@@ -509,10 +526,12 @@ mod tests {
 
     #[test]
     fn preempted_proposer_jumps_past_the_contention() {
-        let mut p = PaxosConsensus::new(ProcessId(0), 5, ConsensusConfig::default());
-        drive(0, 5, |ctx| p.on_propose(ctx, 1, trusts(0)));
+        let mut p = PaxosConsensus::new(ProcessId(0), 5);
+        drive(0, 5, |ctx| p.on_propose(ctx, 1, &trusts(0)));
         let b0 = p.body.ballot;
-        drive(0, 5, |ctx| {
+        // Still the leader: the clause check after the rejection reopens
+        // above the rejecting promise at once.
+        let (_, actions) = drive(0, 5, |ctx| {
             p.on_message(
                 ctx,
                 ProcessId(2),
@@ -520,11 +539,9 @@ mod tests {
                     ballot: b0,
                     promised: 93,
                 },
-                trusts(0),
+                &trusts(0),
             )
         });
-        // The poll reopens above the rejecting promise.
-        let (_, actions) = drive(0, 5, |ctx| p.on_timer(ctx, 0, 0, trusts(0)));
         let new_ballot = msgs(0, &actions)
             .iter()
             .find_map(|m| match m {
@@ -538,28 +555,61 @@ mod tests {
         );
     }
 
+    /// The retry deadline of every ballot is armed when it opens, and
+    /// reopens only if that very ballot is still running under a leader
+    /// that still leads.
+    #[test]
+    fn a_stalled_ballot_retries_at_its_deadline() {
+        let retry = |actions: &[Action<PaxosMsg>]| -> Vec<u64> {
+            actions
+                .iter()
+                .filter_map(|a| match a {
+                    Action::SetTimer { after, tag, .. } if *after == RETRY_AFTER => Some(tag.data),
+                    _ => None,
+                })
+                .collect()
+        };
+        let mut p = PaxosConsensus::new(ProcessId(0), 5);
+        let (_, actions) = drive(0, 5, |ctx| p.on_propose(ctx, 1, &trusts(0)));
+        let b0 = p.round();
+        assert_eq!(retry(&actions), [b0], "one deadline per ballot");
+        let (_, actions) = drive(0, 5, |ctx| p.on_timer(ctx, TIMER_RETRY, b0, &trusts(0)));
+        let b1 = p.round();
+        assert!(b1 > b0, "the stalled ballot was retried");
+        assert_eq!(retry(&actions), [b1]);
+        // The first ballot's deadline again, late: not the running ballot.
+        let (_, actions) = drive(0, 5, |ctx| p.on_timer(ctx, TIMER_RETRY, b0, &trusts(0)));
+        assert!(actions.is_empty(), "{actions:?}");
+        // Deposed: the ballot stands down, and its deadline does nothing.
+        drive(0, 5, |ctx| p.on_fd_change(ctx, &trusts(1)));
+        let (_, actions) = drive(0, 5, |ctx| p.on_timer(ctx, TIMER_RETRY, b1, &trusts(1)));
+        assert!(actions.is_empty(), "{actions:?}");
+        assert_eq!(p.round(), b1);
+    }
+
     #[test]
     fn late_replies_after_the_decision_do_nothing() {
         // n = 3: p1's promise and accept are each a majority with p0's own.
-        let mut p = PaxosConsensus::new(ProcessId(0), 3, ConsensusConfig::default());
-        drive(0, 3, |ctx| p.on_propose(ctx, 42, trusts(0)));
+        let mut p = PaxosConsensus::new(ProcessId(0), 3);
+        drive(0, 3, |ctx| p.on_propose(ctx, 42, &trusts(0)));
         let ballot = p.round();
         let promise = PaxosMsg::Promise {
             ballot,
             accepted: None,
         };
         drive(0, 3, |ctx| {
-            p.on_message(ctx, ProcessId(1), promise.clone(), trusts(0))
+            p.on_message(ctx, ProcessId(1), promise.clone(), &trusts(0))
         });
         let accepted = PaxosMsg::Accepted { ballot };
         let (step, _) = drive(0, 3, |ctx| {
-            p.on_message(ctx, ProcessId(1), accepted.clone(), trusts(0))
+            p.on_message(ctx, ProcessId(1), accepted.clone(), &trusts(0))
         });
         assert_eq!(step, ProtocolStep::decide(42, ballot));
         drive(0, 3, |ctx| p.on_decide_delivered(ctx, 42, ballot));
         for late in [promise, accepted] {
-            let (step, actions) =
-                drive(0, 3, |ctx| p.on_message(ctx, ProcessId(2), late, trusts(0)));
+            let (step, actions) = drive(0, 3, |ctx| {
+                p.on_message(ctx, ProcessId(2), late, &trusts(0))
+            });
             assert_eq!(step, ProtocolStep::none());
             assert!(actions.is_empty(), "{actions:?}");
         }
@@ -567,8 +617,8 @@ mod tests {
 
     #[test]
     fn a_lone_process_decides_on_its_own_promise() {
-        let mut p = PaxosConsensus::new(ProcessId(0), 1, ConsensusConfig::default());
-        let (step, _) = drive(0, 1, |ctx| p.on_propose(ctx, 42, trusts(0)));
+        let mut p = PaxosConsensus::new(ProcessId(0), 1);
+        let (step, _) = drive(0, 1, |ctx| p.on_propose(ctx, 42, &trusts(0)));
         assert_eq!(step, ProtocolStep::decide(42, p.round()));
     }
 }

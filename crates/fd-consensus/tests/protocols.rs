@@ -3,7 +3,7 @@
 
 use fd_consensus::{
     ct_node_hb, ec_node_hb, ec_node_leader, mr_node_leader, run_scenario, scripted_node,
-    ConsensusConfig, CtConsensus, Decider, EcConsensus, MrConsensus, RunResult, Scenario,
+    CtConsensus, Decider, EcConsensus, MrConsensus, RunResult, Scenario,
 };
 use fd_core::{ConsensusRun, Stack};
 use fd_detectors::ScriptedDetector;
@@ -81,7 +81,7 @@ fn ec_decides_one_round_after_scripted_stabilization() {
         scripted_node(
             pid,
             ScriptedDetector::chaos_then_leader(pid, n, stab, ProcessId(2)),
-            EcConsensus::new(pid, n, ConsensusConfig::default()),
+            EcConsensus::new(pid, n),
         )
     });
     assert!(r.all_decided);
@@ -244,7 +244,7 @@ fn scripted_ct_requires_rotation_to_reach_the_leader() {
         scripted_node(
             pid,
             ScriptedDetector::chaos_then_leader(pid, n, stab, leader),
-            CtConsensus::new(pid, n, ConsensusConfig::default()),
+            CtConsensus::new(pid, n),
         )
     });
     assert!(ct.all_decided);
@@ -259,7 +259,7 @@ fn scripted_ct_requires_rotation_to_reach_the_leader() {
         scripted_node(
             pid,
             ScriptedDetector::chaos_then_leader(pid, n, stab, leader),
-            EcConsensus::new(pid, n, ConsensusConfig::default()),
+            EcConsensus::new(pid, n),
         )
     });
     assert!(ec.all_decided);
@@ -275,7 +275,7 @@ fn mr_with_exact_f_collects_more_replies() {
     let r = run_scenario(net(n), &sc, |pid, n| {
         Stack::new(
             fd_detectors::LeaderDetector::new(pid, n, fd_detectors::LeaderConfig::default()),
-            Decider::new(pid, MrConsensus::new(pid, n, 1, ConsensusConfig::default())),
+            Decider::new(pid, MrConsensus::new(pid, n, 1)),
         )
     });
     assert!(r.all_decided);
@@ -294,7 +294,7 @@ fn ec_merged_failure_free_decides_in_round_one() {
         scripted_node(
             pid,
             ScriptedDetector::chaos_then_leader(pid, n, Time::ZERO, ProcessId(0)),
-            EcMergedConsensus::new(pid, n, ConsensusConfig::default()),
+            EcMergedConsensus::new(pid, n),
         )
     });
     assert!(r.all_decided);
@@ -314,7 +314,7 @@ fn ec_merged_uses_four_communication_steps() {
         scripted_node(
             pid,
             ScriptedDetector::chaos_then_leader(pid, n, Time::ZERO, ProcessId(0)),
-            EcMergedConsensus::new(pid, n, ConsensusConfig::default()),
+            EcMergedConsensus::new(pid, n),
         )
     });
     assert!(r.all_decided);
@@ -331,7 +331,7 @@ fn ec_merged_sends_quadratic_phase01_traffic() {
         scripted_node(
             pid,
             ScriptedDetector::chaos_then_leader(pid, n, Time::ZERO, ProcessId(0)),
-            EcMergedConsensus::new(pid, n, ConsensusConfig::default()),
+            EcMergedConsensus::new(pid, n),
         )
     });
     assert!(r.all_decided);
@@ -357,10 +357,7 @@ fn ec_merged_with_real_detector_and_crashes() {
                 HeartbeatDetector::new(pid, n, HeartbeatConfig::default()),
                 n,
             ),
-            Decider::new(
-                pid,
-                EcMergedConsensus::new(pid, n, ConsensusConfig::default()),
-            ),
+            Decider::new(pid, EcMergedConsensus::new(pid, n)),
         )
     });
     assert!(r.all_decided, "merged variant must survive f=2 crashes");
@@ -378,10 +375,7 @@ fn ec_merged_safety_across_seeds() {
         let r = run_scenario(net(n), &sc, |pid, n| {
             Stack::new(
                 fd_detectors::LeaderDetector::new(pid, n, fd_detectors::LeaderConfig::default()),
-                Decider::new(
-                    pid,
-                    EcMergedConsensus::new(pid, n, ConsensusConfig::default()),
-                ),
+                Decider::new(pid, EcMergedConsensus::new(pid, n)),
             )
         });
         check(&r);
@@ -418,11 +412,7 @@ fn a_long_enough_stability_window_suffices() {
         ])
     };
     let r = run_scenario(net(n), &sc, |pid, n| {
-        scripted_node(
-            pid,
-            mk_fd(pid, n),
-            EcConsensus::new(pid, n, ConsensusConfig::default()),
-        )
+        scripted_node(pid, mk_fd(pid, n), EcConsensus::new(pid, n))
     });
     assert!(r.all_decided, "a 250ms stability window must suffice");
     check(&r);
@@ -473,10 +463,7 @@ fn node_rejects_component_namespace_collisions() {
 
     let _ = Stack::new(
         BadNs,
-        Decider::new(
-            ProcessId(0),
-            EcConsensus::new(ProcessId(0), 3, ConsensusConfig::default()),
-        ),
+        Decider::new(ProcessId(0), EcConsensus::new(ProcessId(0), 3)),
     );
 }
 
@@ -532,7 +519,7 @@ fn paxos_safety_under_dueling_proposers() {
             scripted_node(
                 pid,
                 ScriptedDetector::chaos_then_leader(pid, n, stab, ProcessId((seed % 5) as usize)),
-                fd_consensus::PaxosConsensus::new(pid, n, ConsensusConfig::default()),
+                fd_consensus::PaxosConsensus::new(pid, n),
             )
         });
         check(&r);
@@ -556,7 +543,7 @@ fn paxos_uses_four_steps_like_ct() {
         scripted_node(
             pid,
             ScriptedDetector::chaos_then_leader(pid, n, Time::ZERO, ProcessId(0)),
-            fd_consensus::PaxosConsensus::new(pid, n, ConsensusConfig::default()),
+            fd_consensus::PaxosConsensus::new(pid, n),
         )
     });
     assert!(r.all_decided);
@@ -575,7 +562,7 @@ fn a_lone_process_decides_its_own_proposal_at_once() {
         scripted_node(
             pid,
             ScriptedDetector::chaos_then_leader(pid, n, Time::ZERO, ProcessId(0)),
-            EcMergedConsensus::new(pid, n, ConsensusConfig::default()),
+            EcMergedConsensus::new(pid, n),
         )
     };
     let runs = [

@@ -14,13 +14,20 @@
 //! detector with one module [`Over`] it — §2.1's "a process interacts
 //! only with its local failure detection module", so the upper module
 //! is handed `&D` on every callback and reads whichever output it needs:
-//! `trusted()`, `suspected()`, a counter vector). A detector adapter that
+//! `trusted()`, `suspected()`, a counter vector). The detector's output
+//! also reaches the upper module as an *event*: after a detector
+//! callback that announced a change on [`obs::SUSPECTS`] or
+//! [`obs::TRUSTED`], the stack calls [`Over::on_fd_change`] — the
+//! `Suspect(p)` / `Restore(p)` indications of an event-driven detector
+//! port — so a module that waits on the output keeps it rather than
+//! polling or rebuilding it. A detector adapter that
 //! adds no messages of its own needs neither: it wraps the inner
 //! `Component` and forwards (`fd-detectors::omega`). An upper module that
 //! hosts modules of its own — the consensus, log and KV modules each
 //! carry a Reliable Broadcast — hands them a [`SubCtx::scoped`] view and
 //! says which of their timer namespaces it [`owns`](Over::owns).
 
+use crate::obs;
 use fd_sim::{
     Actor, Context, Payload, ProcessId, SimDuration, SimMessage, Time, TimerId, TimerTag,
 };
@@ -110,6 +117,17 @@ impl<'a, 'w, N, C> SubCtx<'a, 'w, N, C> {
     /// Record a trace observation.
     pub fn observe(&mut self, tag: &'static str, payload: Payload) {
         self.inner.observe(tag, payload);
+    }
+
+    /// A mark in this callback's queued actions (see [`Context::mark`]).
+    pub fn mark(&self) -> usize {
+        self.inner.mark()
+    }
+
+    /// Whether an observation tagged one of `tags` was queued after
+    /// `mark` (see [`Context::observed_since`]).
+    pub fn observed_since(&self, mark: usize, tags: &[&str]) -> bool {
+        self.inner.observed_since(mark, tags)
     }
 
     /// Run `f` under the view of a module nested inside this one: its
@@ -253,6 +271,14 @@ pub trait Over<D>: 'static {
         tag: TimerTag,
         below: &D,
     );
+
+    /// Invoked right after a callback of `below` that changed its output
+    /// — one that announced [`obs::SUSPECTS`] or [`obs::TRUSTED`] — so a
+    /// module can keep the output it was handed at `on_start` and here
+    /// instead of re-reading it on every callback. The default ignores
+    /// the news.
+    fn on_fd_change<N: SimMessage>(&mut self, _ctx: &mut SubCtx<'_, '_, N, Self::Msg>, _below: &D) {
+    }
 }
 
 /// The node message of a [`Stack`]: the lower module's messages plus the
@@ -282,7 +308,9 @@ impl<A: SimMessage, B: SimMessage> SimMessage for StackMsg<A, B> {
 
 /// A node hosting a detector `D` and one module `U` over it — the only
 /// host a detector has. `below` starts first; a timer goes to `below`
-/// iff it carries `below`'s namespace, else to `above`.
+/// iff it carries `below`'s namespace, else to `above`; a `below`
+/// callback that changed its output is followed, in the same event, by
+/// `above`'s [`on_fd_change`](Over::on_fd_change).
 pub struct Stack<D, U> {
     /// The lower module (the detector).
     pub below: D,
@@ -315,6 +343,16 @@ impl<D: Component, U: Over<D>> Stack<D, U> {
             &self.below,
         )
     }
+
+    /// A callback of `below` queued everything after `mark`: if that
+    /// announced a change of its output, tell `above`. The detectors
+    /// announce exactly their changes, so this costs a scan of one
+    /// callback's actions — no snapshot is built or compared.
+    fn after_below(&mut self, ctx: &mut Context<'_, StackMsg<D::Msg, U::Msg>>, mark: usize) {
+        if ctx.observed_since(mark, &obs::OUTPUT) {
+            self.with_above(ctx, |above, ctx, below| above.on_fd_change(ctx, below));
+        }
+    }
 }
 
 impl<D: Component, U: Over<D>> Actor for Stack<D, U> {
@@ -330,9 +368,10 @@ impl<D: Component, U: Over<D>> Actor for Stack<D, U> {
     fn on_message(&mut self, ctx: &mut Context<'_, Self::Msg>, from: ProcessId, msg: Self::Msg) {
         match msg {
             StackMsg::Below(m) => {
-                let ns = self.below.ns();
+                let (ns, mark) = (self.below.ns(), ctx.mark());
                 self.below
                     .on_message(&mut SubCtx::new(ctx, &StackMsg::Below, ns), from, m);
+                self.after_below(ctx, mark);
             }
             StackMsg::Above(m) => {
                 self.with_above(ctx, |above, ctx, below| {
@@ -344,11 +383,13 @@ impl<D: Component, U: Over<D>> Actor for Stack<D, U> {
 
     fn on_timer(&mut self, ctx: &mut Context<'_, Self::Msg>, tag: TimerTag) {
         if tag.ns == self.below.ns() {
+            let mark = ctx.mark();
             self.below.on_timer(
                 &mut SubCtx::new(ctx, &StackMsg::Below, tag.ns),
                 tag.kind,
                 tag.data,
             );
+            self.after_below(ctx, mark);
         } else {
             debug_assert!(self.above.owns(tag.ns), "timer for an unknown namespace");
             self.with_above(ctx, |above, ctx, below| above.on_timer(ctx, tag, below));
@@ -449,6 +490,10 @@ mod tests {
         ) {
             assert_eq!(kind, 0, "the probe's timer reached the clock");
             self.ticks += 1;
+            // An even reading is announced as an output change.
+            if self.ticks.is_multiple_of(2) {
+                ctx.observe(obs::SUSPECTS, Payload::Pids(Vec::new()));
+            }
             ctx.send_to_others(Tick(1));
             ctx.set_timer(SimDuration::from_millis(10), 0, 0);
         }
@@ -463,7 +508,7 @@ mod tests {
     }
 
     /// Upper toy: on every callback, records the instant and the clock
-    /// reading it was handed.
+    /// reading it was handed — output changes included.
     struct Probe {
         ns: u32,
         seen: Vec<(&'static str, Time, u64)>,
@@ -498,6 +543,13 @@ mod tests {
             ctx.send_to_others(Ping);
             ctx.set_timer(SimDuration::from_millis(7), 1, 0);
         }
+        fn on_fd_change<N: SimMessage>(
+            &mut self,
+            ctx: &mut SubCtx<'_, '_, N, Ping>,
+            clock: &Clock,
+        ) {
+            self.seen.push(("change", ctx.now(), clock.ticks));
+        }
     }
 
     fn probe_over_clock(ns: u32) -> Stack<Clock, Probe> {
@@ -525,6 +577,17 @@ mod tests {
         assert_eq!(
             (count("start"), count("timer"), count("message")),
             (1, 6, 6)
+        );
+        // The clock announced a change at its even readings (at 10 and
+        // 30 ms); each reached the probe in the same event, and nothing
+        // else did.
+        let changes: Vec<_> = node.above.seen.iter().filter(|s| s.0 == "change").collect();
+        assert_eq!(
+            changes,
+            [
+                &("change", Time::from_millis(10), 2),
+                &("change", Time::from_millis(30), 4)
+            ]
         );
         assert_eq!(
             node.above.seen[0],

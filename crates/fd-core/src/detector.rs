@@ -54,6 +54,14 @@ pub struct FdOutput {
 }
 
 impl FdOutput {
+    /// Debug builds: panic unless this output, kept since the last change
+    /// `below` announced, is still `below`'s — a detector that changed its
+    /// output without announcing it would leave the module above waiting
+    /// on a stale one.
+    pub fn debug_assert_current(&self, below: &impl EventuallyConsistentOracle) {
+        debug_assert_eq!(*self, below.output(), "a detector change went unannounced");
+    }
+
     /// Whether this snapshot already satisfies the ◇C consistency clause
     /// `trusted ∉ suspected`.
     pub fn is_consistent(&self) -> bool {
@@ -76,6 +84,12 @@ pub mod obs {
     pub use fd_obs::keys::FD_SUSPECTS as SUSPECTS;
     /// Trusted-process change: payload [`Payload::Pid`] with the new leader.
     pub use fd_obs::keys::FD_TRUSTED as TRUSTED;
+
+    /// The two announcements of a change of a detector's output. Every
+    /// detector emits one of them in exactly the callbacks that change
+    /// its [`FdOutput`](crate::FdOutput), which is what lets a host
+    /// treat that output as a stream of events instead of re-reading it.
+    pub const OUTPUT: [&str; 2] = [SUSPECTS, TRUSTED];
 
     // Re-exported so the doc links above resolve.
     #[allow(unused_imports)]

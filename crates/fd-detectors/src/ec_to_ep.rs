@@ -24,7 +24,9 @@
 //! [`EcToEp`] is the upper half of a [`Stack`](fd_core::Stack): every
 //! callback receives the co-located detector `D` and reads `D.trusted`
 //! on its first line — exactly the paper's "the algorithm only uses
-//! detector D to query for its trusted process".
+//! detector D to query for its trusted process" — and a change of
+//! `D`'s output is a callback of its own, so leadership is noticed when
+//! it moves rather than at the next task timer.
 
 use crate::timeout::Watch;
 use fd_core::{LeaderOracle, Over, ProcessSet, SubCtx, SuspectOracle};
@@ -246,6 +248,13 @@ impl<D: LeaderOracle> Over<D> for EcToEp {
             }
             _ => unreachable!("unknown ec_to_ep timer kind {}", tag.kind),
         }
+        self.emit_if_changed(ctx);
+    }
+
+    /// `D.trusted` moved: a fresh leader opens its Task 3 window now,
+    /// not at its next task timer.
+    fn on_fd_change<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, EpMsg>, fd: &D) {
+        self.note_leadership(ctx, fd.trusted());
         self.emit_if_changed(ctx);
     }
 }

@@ -13,7 +13,9 @@
 //!
 //! Both are [`Component`] wrappers that piggyback on the inner detector's
 //! message traffic: they add zero messages, only a local recomputation and
-//! trace observation after every inner callback.
+//! trace observation after an inner callback that changed the inner
+//! output — one that announced it on [`fd_core::obs`] — and nothing after
+//! the heartbeats and probes that changed nothing.
 
 use fd_core::{Component, LeaderOracle, ProcessSet, SubCtx, SuspectOracle};
 use fd_sim::{ProcessId, SimMessage};
@@ -49,10 +51,15 @@ impl<D: SuspectOracle> LeaderByFirstNonSuspected<D> {
             .unwrap_or(ProcessId(0))
     }
 
-    fn refresh<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, D::Msg>)
+    /// Recompute the leader if the inner callback that queued everything
+    /// after `mark` changed the suspected set.
+    fn refresh<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, D::Msg>, mark: usize)
     where
         D: Component,
     {
+        if !ctx.observed_since(mark, &[fd_core::obs::SUSPECTS]) {
+            return;
+        }
         let next = Self::compute(&self.inner, self.n);
         if next != self.trusted {
             self.trusted = next;
@@ -94,8 +101,9 @@ impl<D: Component + SuspectOracle> Component for LeaderByFirstNonSuspected<D> {
         from: ProcessId,
         msg: D::Msg,
     ) {
+        let mark = ctx.mark();
         self.inner.on_message(ctx, from, msg);
-        self.refresh(ctx);
+        self.refresh(ctx, mark);
     }
 
     fn on_timer<N: SimMessage>(
@@ -104,8 +112,9 @@ impl<D: Component + SuspectOracle> Component for LeaderByFirstNonSuspected<D> {
         kind: u32,
         data: u64,
     ) {
+        let mark = ctx.mark();
         self.inner.on_timer(ctx, kind, data);
-        self.refresh(ctx);
+        self.refresh(ctx, mark);
     }
 }
 
@@ -132,10 +141,16 @@ impl<D: LeaderOracle> SuspectAllButLeader<D> {
         &self.inner
     }
 
-    fn refresh<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, D::Msg>)
+    /// Re-derive the suspected set if the inner callback that queued
+    /// everything after `mark` announced a leader (every Ω announces its
+    /// first at the start).
+    fn refresh<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, D::Msg>, mark: usize)
     where
         D: Component,
     {
+        if !ctx.observed_since(mark, &[fd_core::obs::TRUSTED]) {
+            return;
+        }
         let set = self.suspected();
         if self.last_emitted.as_ref() != Some(&set) {
             ctx.observe(fd_core::obs::SUSPECTS, fd_sim::Payload::Pids(set.to_vec()));
@@ -164,8 +179,9 @@ impl<D: Component + LeaderOracle> Component for SuspectAllButLeader<D> {
     }
 
     fn on_start<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, D::Msg>) {
+        let mark = ctx.mark();
         self.inner.on_start(ctx);
-        self.refresh(ctx);
+        self.refresh(ctx, mark);
     }
 
     fn on_message<N: SimMessage>(
@@ -174,8 +190,9 @@ impl<D: Component + LeaderOracle> Component for SuspectAllButLeader<D> {
         from: ProcessId,
         msg: D::Msg,
     ) {
+        let mark = ctx.mark();
         self.inner.on_message(ctx, from, msg);
-        self.refresh(ctx);
+        self.refresh(ctx, mark);
     }
 
     fn on_timer<N: SimMessage>(
@@ -184,8 +201,9 @@ impl<D: Component + LeaderOracle> Component for SuspectAllButLeader<D> {
         kind: u32,
         data: u64,
     ) {
+        let mark = ctx.mark();
         self.inner.on_timer(ctx, kind, data);
-        self.refresh(ctx);
+        self.refresh(ctx, mark);
     }
 }
 

@@ -36,15 +36,15 @@ use crate::command::{decode, uid_of};
 use crate::store::{fnv_step, KvStore, DIGEST_SEED};
 use crate::wal::{self, WalRecord};
 use fd_broadcast::{RbMsg, ReliableBroadcast};
-use fd_consensus::multi::{commands, Body, MULTI_NS_BASE};
-use fd_consensus::{ConsensusConfig, MultiEc, MultiMsg, ProtocolStep, SlotDecide};
+use fd_consensus::multi::{commands, Body};
+use fd_consensus::{MultiEc, MultiMsg, ProtocolStep, SlotDecide};
 use fd_core::{Component, EventuallyConsistentOracle, FdOutput, Over, Stack, SubCtx};
 use fd_sim::{Payload, ProcessId, SimDisk, SimMessage, StorageConfig, Time, TimerTag};
 use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Timer namespace of the KV layer (distinct from every detector, the
-/// broadcast module, and the per-slot range at [`MULTI_NS_BASE`]).
+/// Timer namespace of the KV layer (distinct from every detector's and
+/// the broadcast module's).
 pub const KV_NS: u32 = 16;
 
 const TIMER_ARRIVAL: u32 = 1;
@@ -157,8 +157,8 @@ pub type KvReplica<D> = Stack<D, Kv>;
 /// The serving stack over a detector (see the module doc).
 pub struct Kv {
     me: ProcessId,
-    /// The detector's output as of the current callback: every entry
-    /// point reads it afresh, nothing keeps it across callbacks.
+    /// The detector's output, as handed over at the start and at every
+    /// change since.
     fd: FdOutput,
     rb: ReliableBroadcast<SlotDecide>,
     multi: MultiEc,
@@ -223,7 +223,7 @@ impl Kv {
             me,
             fd: FdOutput::default(),
             rb,
-            multi: MultiEc::new(me, n, ConsensusConfig::default()),
+            multi: MultiEc::new(me, n),
             cfg,
             schedule,
             store: KvStore::new(),
@@ -330,7 +330,7 @@ impl Kv {
                 }
             }
         }
-        let step = self.multi.propose(ctx, slot, self.fd.clone(), KvMsg::Cons);
+        let step = self.multi.propose(ctx, slot, &self.fd, KvMsg::Cons);
         self.apply_step(ctx, slot, step);
         // Watchdog from the very first proposal: a slot can wedge before
         // any decision ever reaches try_apply's arm_repair.
@@ -752,7 +752,7 @@ impl Kv {
         self.sync_claims.clear();
         self.fetched = 0;
         let n = ctx.n();
-        self.multi = MultiEc::new(self.me, n, ConsensusConfig::default());
+        self.multi = MultiEc::new(self.me, n);
 
         // Durable state back in: snapshot first, then WAL replay.
         if let Some((store, applied, digest)) = KvStore::decode_snapshot(self.snap_disk.durable()) {
@@ -821,13 +821,14 @@ impl<D: EventuallyConsistentOracle + 'static> Over<D> for Kv {
     }
 
     fn owns(&self, ns: u32) -> bool {
-        ns == KV_NS || ns == self.rb.ns() || ns >= MULTI_NS_BASE
+        ns == KV_NS || ns == self.rb.ns()
     }
 
     /// A warm start (`starts > 0`) is a crash recovery. The detector has
     /// already restarted: its soft state survives a pause (it re-adapts
     /// on its own), but its timers died with the epoch.
-    fn on_start<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, KvMsg>, _: &D) {
+    fn on_start<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, KvMsg>, fd: &D) {
+        self.fd = fd.output();
         let rb = &mut self.rb;
         ctx.scoped(KvMsg::Rb, rb.ns(), |sub| rb.on_start(sub));
         if self.starts > 0 {
@@ -842,9 +843,9 @@ impl<D: EventuallyConsistentOracle + 'static> Over<D> for Kv {
         ctx: &mut SubCtx<'_, '_, N, KvMsg>,
         from: ProcessId,
         msg: KvMsg,
-        fd: &D,
+        below: &D,
     ) {
-        self.fd = fd.output();
+        self.fd.debug_assert_current(below);
         match msg {
             KvMsg::Rb(m) => {
                 let rb = &mut self.rb;
@@ -879,9 +880,7 @@ impl<D: EventuallyConsistentOracle + 'static> Over<D> for Kv {
                 if !self.syncing && !self.quarantined.contains(&slot) {
                     self.ensure_proposed(ctx, slot);
                 }
-                let step = self
-                    .multi
-                    .on_message(ctx, from, msg, self.fd.clone(), KvMsg::Cons);
+                let step = self.multi.on_message(ctx, from, msg, &self.fd, KvMsg::Cons);
                 self.apply_step(ctx, slot, step);
             }
             KvMsg::SyncReq { from_slot } => {
@@ -902,36 +901,44 @@ impl<D: EventuallyConsistentOracle + 'static> Over<D> for Kv {
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, KvMsg>,
         tag: TimerTag,
-        fd: &D,
+        below: &D,
     ) {
-        self.fd = fd.output();
-        if tag.ns == KV_NS {
-            match tag.kind {
-                TIMER_ARRIVAL => {
-                    let cmd = self.schedule[tag.data as usize].1;
-                    self.submit(ctx, cmd);
-                }
-                TIMER_FSYNC => self.on_fsync(ctx),
-                TIMER_REPAIR => self.on_repair(ctx),
-                TIMER_SYNC_RETRY => {
-                    if self.syncing {
-                        ctx.send_to_others(KvMsg::SyncReq {
-                            from_slot: self.applied,
-                        });
-                        ctx.set_timer(self.cfg.sync_retry, TIMER_SYNC_RETRY, 0);
-                    }
-                }
-                _ => debug_assert!(false, "unknown kv timer kind {}", tag.kind),
+        self.fd.debug_assert_current(below);
+        match tag.kind {
+            TIMER_ARRIVAL => {
+                let cmd = self.schedule[tag.data as usize].1;
+                self.submit(ctx, cmd);
             }
-        } else if tag.ns >= MULTI_NS_BASE {
-            let slot = (tag.ns - MULTI_NS_BASE) as u64;
-            if self.syncing || slot < self.multi.base() || self.quarantined.contains(&slot) {
-                return;
+            TIMER_FSYNC => self.on_fsync(ctx),
+            TIMER_REPAIR => self.on_repair(ctx),
+            TIMER_SYNC_RETRY => {
+                if self.syncing {
+                    ctx.send_to_others(KvMsg::SyncReq {
+                        from_slot: self.applied,
+                    });
+                    ctx.set_timer(self.cfg.sync_retry, TIMER_SYNC_RETRY, 0);
+                }
+            }
+            _ => debug_assert!(false, "unknown kv timer {tag:?}"),
+        }
+    }
+
+    /// Re-check the detector clause of every slot still running here —
+    /// none while catching up, and never a slot below the base or a
+    /// quarantined one, where this replica does not vote.
+    fn on_fd_change<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, KvMsg>, fd: &D) {
+        self.fd = fd.output();
+        if self.syncing {
+            return;
+        }
+        for slot in self.multi.running() {
+            if slot < self.multi.base() || self.quarantined.contains(&slot) {
+                continue;
             }
             let step = self
                 .multi
                 .with_instance(ctx, slot, KvMsg::Cons, |inst, sub| {
-                    inst.on_timer(sub, tag.kind, tag.data, self.fd.clone())
+                    inst.on_fd_change(sub, &self.fd)
                 });
             self.apply_step(ctx, slot, step);
         }

@@ -236,6 +236,23 @@ impl<'a, M> Context<'a, M> {
     pub fn observe(&mut self, tag: &'static str, payload: Payload) {
         self.actions.push(Action::Observe { tag, payload });
     }
+
+    /// A mark in this callback's queued actions, for
+    /// [`observed_since`](Context::observed_since).
+    pub fn mark(&self) -> usize {
+        self.actions.len()
+    }
+
+    /// Whether an observation tagged one of `tags` was queued after
+    /// `mark` — how a host learns what a module it called announced,
+    /// at the cost of scanning what that call queued.
+    pub fn observed_since(&self, mark: usize, tags: &[&str]) -> bool {
+        self.actions
+            .get(mark..)
+            .unwrap_or_default()
+            .iter()
+            .any(|a| matches!(a, Action::Observe { tag, .. } if tags.contains(tag)))
+    }
 }
 
 /// Protocol code hosted at one simulated process.
@@ -317,6 +334,20 @@ mod tests {
         });
         assert_ne!(a, b);
         assert_eq!(actions.len(), 2);
+    }
+
+    #[test]
+    fn observed_since_sees_only_what_was_queued_after_the_mark() {
+        let (seen, _) = with_ctx(|ctx| {
+            ctx.observe("a", Payload::None);
+            let mark = ctx.mark();
+            let before = ctx.observed_since(mark, &["a", "b"]);
+            ctx.send(ProcessId(0), Ping);
+            let other = ctx.observed_since(mark, &["b"]);
+            ctx.observe("b", Payload::None);
+            (before, other, ctx.observed_since(mark, &["b"]))
+        });
+        assert_eq!(seen, (false, false, true));
     }
 
     #[test]

@@ -150,9 +150,21 @@ pub struct TraceEvent {
 }
 
 /// The recorded history of one run.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Trace {
     events: Vec<TraceEvent>,
+    /// [`Trace::digest`] of `events`, folded as each one is pushed: the
+    /// digest's serial multiply chain then overlaps the simulation work
+    /// that produced the event instead of running as a pass of its own.
+    fold: Fnv,
+}
+
+// Hand-written so the JSON form stays `{"events": [...]}`: the running
+// digest is derived data, recomputed by whoever folds the events again.
+impl Serialize for Trace {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Obj(vec![("events".to_string(), self.events.to_value())])
+    }
 }
 
 impl Trace {
@@ -172,7 +184,9 @@ impl Trace {
     }
 
     pub(crate) fn push(&mut self, at: Time, kind: TraceKind) {
-        self.events.push(TraceEvent { at, kind });
+        let event = TraceEvent { at, kind };
+        self.fold.event(&event);
+        self.events.push(event);
     }
 
     /// Clear the trace and pre-size its arena for roughly `hint` events,
@@ -180,6 +194,7 @@ impl Trace {
     /// allocation instead of a growth chain.
     pub(crate) fn reset_with_capacity(&mut self, hint: usize) {
         self.events.clear();
+        self.fold = Fnv::new();
         if self.events.capacity() < hint {
             self.events.reserve(hint - self.events.len());
         }
@@ -189,7 +204,11 @@ impl Trace {
     /// that synthesize adversarial histories). Events must be supplied in
     /// the order they occurred.
     pub fn from_events(events: Vec<TraceEvent>) -> Trace {
-        Trace { events }
+        let mut fold = Fnv::new();
+        for e in &events {
+            fold.event(e);
+        }
+        Trace { events, fold }
     }
 
     /// The crash time of each process that crashed, in event order.
@@ -251,96 +270,10 @@ impl Trace {
     /// events in the same order (modulo hash collisions), independent of
     /// process layout in memory, worker-thread interleaving, or platform
     /// — the fingerprint campaign artifacts use to certify that a replay
-    /// reproduced the original run exactly.
+    /// reproduced the original run exactly. Folded as the events are
+    /// recorded, so reading it is O(1).
     pub fn digest(&self) -> u64 {
-        let mut h = Fnv::new();
-        for e in &self.events {
-            h.u64(e.at.0);
-            match &e.kind {
-                TraceKind::Sent {
-                    from,
-                    to,
-                    kind,
-                    round,
-                } => {
-                    h.u64(0);
-                    h.pid(*from);
-                    h.pid(*to);
-                    h.str(kind);
-                    h.opt_u64(*round);
-                }
-                TraceKind::Delivered {
-                    from,
-                    to,
-                    kind,
-                    round,
-                } => {
-                    h.u64(1);
-                    h.pid(*from);
-                    h.pid(*to);
-                    h.str(kind);
-                    h.opt_u64(*round);
-                }
-                TraceKind::Dropped {
-                    from,
-                    to,
-                    kind,
-                    reason,
-                } => {
-                    h.u64(2);
-                    h.pid(*from);
-                    h.pid(*to);
-                    h.str(kind);
-                    h.u64(match reason {
-                        DropReason::Link => 0,
-                        DropReason::ReceiverCrashed => 1,
-                        DropReason::Mangled => 2,
-                    });
-                }
-                TraceKind::Crashed { pid } => {
-                    h.u64(3);
-                    h.pid(*pid);
-                }
-                TraceKind::Observation { pid, tag, payload } => {
-                    h.u64(4);
-                    h.pid(*pid);
-                    h.str(tag);
-                    match payload {
-                        Payload::None => h.u64(0),
-                        Payload::U64(x) => {
-                            h.u64(1);
-                            h.u64(*x);
-                        }
-                        Payload::Pid(p) => {
-                            h.u64(2);
-                            h.pid(*p);
-                        }
-                        Payload::Pids(ps) => {
-                            h.u64(3);
-                            h.u64(ps.len() as u64);
-                            for p in ps {
-                                h.pid(*p);
-                            }
-                        }
-                        Payload::PidU64(p, x) => {
-                            h.u64(4);
-                            h.pid(*p);
-                            h.u64(*x);
-                        }
-                        Payload::U64Pair(a, b) => {
-                            h.u64(5);
-                            h.u64(*a);
-                            h.u64(*b);
-                        }
-                        Payload::Text(s) => {
-                            h.u64(6);
-                            h.str(s);
-                        }
-                    }
-                }
-            }
-        }
-        h.finish()
+        self.fold.finish()
     }
 }
 
@@ -351,6 +284,7 @@ impl Trace {
 /// model checker's state hashing (`fd-mc` keys its visited set on the
 /// exact fold [`Trace::digest`] uses) — one digest definition, one set
 /// of collision properties, everywhere.
+#[derive(Debug, Clone)]
 pub struct Fnv(u64);
 
 impl Fnv {
@@ -416,6 +350,95 @@ impl Fnv {
     /// The digest of everything folded so far.
     pub fn finish(&self) -> u64 {
         self.0
+    }
+
+    /// Fold one trace event in the canonical word encoding
+    /// [`Trace::digest`] is defined over.
+    fn event(&mut self, e: &TraceEvent) {
+        self.u64(e.at.0);
+        match &e.kind {
+            TraceKind::Sent {
+                from,
+                to,
+                kind,
+                round,
+            } => {
+                self.u64(0);
+                self.pid(*from);
+                self.pid(*to);
+                self.str(kind);
+                self.opt_u64(*round);
+            }
+            TraceKind::Delivered {
+                from,
+                to,
+                kind,
+                round,
+            } => {
+                self.u64(1);
+                self.pid(*from);
+                self.pid(*to);
+                self.str(kind);
+                self.opt_u64(*round);
+            }
+            TraceKind::Dropped {
+                from,
+                to,
+                kind,
+                reason,
+            } => {
+                self.u64(2);
+                self.pid(*from);
+                self.pid(*to);
+                self.str(kind);
+                self.u64(match reason {
+                    DropReason::Link => 0,
+                    DropReason::ReceiverCrashed => 1,
+                    DropReason::Mangled => 2,
+                });
+            }
+            TraceKind::Crashed { pid } => {
+                self.u64(3);
+                self.pid(*pid);
+            }
+            TraceKind::Observation { pid, tag, payload } => {
+                self.u64(4);
+                self.pid(*pid);
+                self.str(tag);
+                match payload {
+                    Payload::None => self.u64(0),
+                    Payload::U64(x) => {
+                        self.u64(1);
+                        self.u64(*x);
+                    }
+                    Payload::Pid(p) => {
+                        self.u64(2);
+                        self.pid(*p);
+                    }
+                    Payload::Pids(ps) => {
+                        self.u64(3);
+                        self.u64(ps.len() as u64);
+                        for p in ps {
+                            self.pid(*p);
+                        }
+                    }
+                    Payload::PidU64(p, x) => {
+                        self.u64(4);
+                        self.pid(*p);
+                        self.u64(*x);
+                    }
+                    Payload::U64Pair(a, b) => {
+                        self.u64(5);
+                        self.u64(*a);
+                        self.u64(*b);
+                    }
+                    Payload::Text(s) => {
+                        self.u64(6);
+                        self.str(s);
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -489,6 +512,21 @@ mod tests {
         let t = sample();
         assert_eq!(t.digest(), t.digest(), "digest must be a pure function");
         assert_eq!(t.digest(), t.clone().digest());
+        // Folded at push time or all at once: the same fold.
+        assert_eq!(Trace::from_events(t.events().to_vec()).digest(), t.digest());
+        let mut reset = sample();
+        reset.reset_with_capacity(8);
+        assert_eq!(
+            reset.digest(),
+            Trace::default().digest(),
+            "a reset starts afresh"
+        );
+        // The running fold is not part of the trace's JSON form.
+        let serde::Value::Obj(fields) = t.to_value() else {
+            panic!("a trace serializes as an object");
+        };
+        let names: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(names, ["events"]);
 
         // Any change to an event changes the digest.
         let mut other = sample();

@@ -30,38 +30,22 @@ fn main() {
     };
 
     let ec = run_scenario(default_net(n), &sc, |pid, n| {
-        scripted_node(
-            pid,
-            mk_fd(pid, n),
-            EcConsensus::new(pid, n, ConsensusConfig::default()),
-        )
+        scripted_node(pid, mk_fd(pid, n), EcConsensus::new(pid, n))
     });
     report("◇C (paper)", &ec, "ec.");
 
     let ct = run_scenario(default_net(n), &sc, |pid, n| {
-        scripted_node(
-            pid,
-            mk_fd(pid, n),
-            CtConsensus::new(pid, n, ConsensusConfig::default()),
-        )
+        scripted_node(pid, mk_fd(pid, n), CtConsensus::new(pid, n))
     });
     report("CT ◇S", &ct, "ct.");
 
     let mr = run_scenario(default_net(n), &sc, |pid, n| {
-        scripted_node(
-            pid,
-            mk_fd(pid, n),
-            MrConsensus::with_unknown_f(pid, n, ConsensusConfig::default()),
-        )
+        scripted_node(pid, mk_fd(pid, n), MrConsensus::with_unknown_f(pid, n))
     });
     report("MR Ω", &mr, "mr.");
 
     let paxos = run_scenario(default_net(n), &sc, |pid, n| {
-        scripted_node(
-            pid,
-            mk_fd(pid, n),
-            PaxosConsensus::new(pid, n, ConsensusConfig::default()),
-        )
+        scripted_node(pid, mk_fd(pid, n), PaxosConsensus::new(pid, n))
     });
     report("Paxos [13]", &paxos, "paxos.");
 

@@ -25,7 +25,7 @@ fn replica(pid: ProcessId, n: usize) -> Replica {
             HeartbeatDetector::new(pid, n, HeartbeatConfig::default()),
             n,
         ),
-        Log::new(pid, MultiEc::new(pid, n, ConsensusConfig::default())),
+        Log::new(pid, MultiEc::new(pid, n)),
     )
 }
 
@@ -41,7 +41,7 @@ fn main() {
             let cmd = (i as u64 + 1) * 100 + k;
             all_commands.push(cmd);
             world.interact(ProcessId(i), move |node, ctx| {
-                node.with_above(ctx, |log, ctx, fd| log.submit(ctx, cmd, fd))
+                node.with_above(ctx, |log, ctx, _| log.submit(ctx, cmd))
             });
         }
     }

@@ -509,7 +509,7 @@ fn cmd_consensus(m: &Matches) -> Result<(), Stop> {
         "mr" => run_scenario(default_net(n), &sc, fd_consensus::mr_node_leader),
         "paxos" => run_scenario(default_net(n), &sc, fd_consensus::paxos_node_leader),
         "ecm" => run_scenario(default_net(n), &sc, |pid, n| {
-            let protocol = EcMergedConsensus::new(pid, n, ConsensusConfig::default());
+            let protocol = EcMergedConsensus::new(pid, n);
             Stack::new(hb_leader(pid, n), Decider::new(pid, protocol))
         }),
         other => return Err(usage(format!("--protocol: unknown protocol {other}"))),
@@ -661,14 +661,14 @@ fn cmd_log(m: &Matches) -> Result<(), Stop> {
     let (Sim { n, seed, .. }, crashes) = (&sim, sim.crash_list());
     println!("replicated log: n={n} commands={commands} seed={seed} crashes={crashes}");
     let mut w = sim.builder(default_net(sim.n)).build(|pid, n| {
-        let log = MultiEc::new(pid, n, ConsensusConfig::default());
+        let log = MultiEc::new(pid, n);
         Stack::new(hb_leader(pid, n), Log::new(pid, log))
     });
     for k in 0..commands {
         let submitter = (k as usize) % n;
         let cmd = 1000 + k;
         w.interact(ProcessId(submitter), move |node, ctx| {
-            node.with_above(ctx, |log, ctx, fd| log.submit(ctx, cmd, fd))
+            node.with_above(ctx, |log, ctx, _| log.submit(ctx, cmd))
         });
     }
     let crashed: Vec<usize> = sim.crashes.iter().map(|&(p, _)| p).collect();

@@ -67,8 +67,8 @@ pub mod prelude {
     pub use fd_campaign::{Campaign, CampaignReport, RunPlan};
     pub use fd_consensus::{
         ct_node_hb, default_net, ec_node_hb, ec_node_leader, mr_node_leader, run_scenario,
-        scripted_node, ConsensusConfig, ConsensusNode, CtConsensus, EcConsensus, MrConsensus,
-        RoundProtocol, RunResult, Scenario,
+        scripted_node, ConsensusNode, CtConsensus, EcConsensus, MrConsensus, RoundProtocol,
+        RunResult, Scenario,
     };
     pub use fd_core::prelude::*;
     pub use fd_detectors::prelude::*;

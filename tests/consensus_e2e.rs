@@ -10,7 +10,7 @@ type RingEcNode = ConsensusNode<LeaderByFirstNonSuspected<RingDetector>, Ec>;
 fn ring_ec_node(pid: ProcessId, n: usize) -> RingEcNode {
     Stack::new(
         LeaderByFirstNonSuspected::new(RingDetector::new(pid, n, RingConfig::default()), n),
-        Decider::new(pid, EcConsensus::new(pid, n, ConsensusConfig::default())),
+        Decider::new(pid, EcConsensus::new(pid, n)),
     )
 }
 
@@ -59,14 +59,12 @@ fn staggered_proposals_still_terminate() {
     let mut world = builder.build(ec_node_hb);
     for i in 0..4 {
         world.interact(ProcessId(i), move |node, ctx| {
-            node.with_above(ctx, |decider, ctx, fd| {
-                decider.propose(ctx, 10 + i as u64, fd)
-            })
+            node.with_above(ctx, |decider, ctx, _| decider.propose(ctx, 10 + i as u64))
         });
     }
     world.run_until_time(Time::from_millis(200));
     world.interact(ProcessId(4), |node, ctx| {
-        node.with_above(ctx, |decider, ctx, fd| decider.propose(ctx, 14, fd))
+        node.with_above(ctx, |decider, ctx, _| decider.propose(ctx, 14))
     });
     let decided = world.run_until(Time::from_secs(20), |w| {
         w.correct()
@@ -147,9 +145,7 @@ fn consensus_survives_a_burst_partition_of_the_leader() {
     }
     for i in 0..n {
         w.interact(ProcessId(i), |node, ctx| {
-            node.with_above(ctx, |decider, ctx, fd| {
-                decider.propose(ctx, 100 + i as u64, fd)
-            })
+            node.with_above(ctx, |decider, ctx, _| decider.propose(ctx, 100 + i as u64))
         });
     }
     let all_decided = w.run_until(horizon, |w| {
@@ -236,11 +232,7 @@ fn coordinator_crash_exactly_between_proposition_and_acks() {
                 },
             ),
         ]);
-        scripted_node(
-            pid,
-            schedule,
-            EcConsensus::new(pid, n, ConsensusConfig::default()),
-        )
+        scripted_node(pid, schedule, EcConsensus::new(pid, n))
     });
     assert!(r.all_decided);
     check_all(&r);

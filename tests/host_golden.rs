@@ -26,6 +26,21 @@
 //! The licence those rows lost is carried by
 //! `tests/prop_detectors.rs::crash_free_runs_kept_their_digests`: six
 //! crash-free runs, byte-identical to the polled detectors'.
+//!
+//! The second dated exception, 2026-10-15 ("detector output is an
+//! event"): a consensus instance no longer re-checks its wait clauses on
+//! a 2 ms poll timer but when its detector's output changes (and after
+//! every message), so a protocol reacts to the crashed coordinator's
+//! suspicion at the suspicion's instant, 0–2 ms sooner. The four rows
+//! whose run suspects someone before every process decided were
+//! re-recorded once, message counts unchanged: `ec` decides at 48.892 ms
+//! (was 49.748), `ecm` at 47.702 (48.313), `paxos` at 54.399 (55.196),
+//! and `log`'s slots after the 40 ms crash move the same way. `ct` and
+//! `mr` decide before anyone is suspected, and the three KV rows did not
+//! move. That licence is carried by
+//! `tests/fd_events.rs::crash_free_runs_kept_their_digests`: nine
+//! crash-free E8 runs and a `kv-ramp`-shaped run, byte-identical to the
+//! polling shell's.
 
 use ecfd::prelude::*;
 use fd_chaos::DetectorKind;
@@ -35,12 +50,12 @@ use fd_kv::{standard_plan, KvScenario};
 
 /// `(host, Trace::digest(), messages sent)`.
 const GOLDEN: [(&str, u64, u64); 9] = [
-    ("ec", 0xc02349b0408e1a61, 126),
-    ("ecm", 0xcf95a3edcb536c38, 183),
+    ("ec", 0x658eb7d1d99a134f, 126),
+    ("ecm", 0xb198027d00d49dcf, 183),
     ("ct", 0xc0a894b8046f720f, 80),
     ("mr", 0x1ee528e343137700, 80),
-    ("paxos", 0xd349a8000913f15a, 46),
-    ("log", 0xdb7d1fe2e2370b57, 1806),
+    ("paxos", 0x536759a04f194b9c, 46),
+    ("log", 0x586982025f449097, 1806),
     ("kv-heartbeat", 0x7c18aac72f4144e6, 9638),
     ("kv-ring", 0x1321df4e601bc616, 6591),
     ("kv-stable-leader", 0xe28d7f4843a27b33, 9638),
@@ -75,12 +90,12 @@ fn log() -> (u64, u64) {
         .seed(0x1065)
         .crash_at(ProcessId(1), Time::from_millis(40))
         .build(|pid, n| {
-            let multi = MultiEc::new(pid, n, ConsensusConfig::default());
+            let multi = MultiEc::new(pid, n);
             Stack::new(hb_leader(pid, n), Log::new(pid, multi))
         });
     for k in 0..6u64 {
         w.interact(ProcessId(k as usize % 5), move |node, ctx| {
-            node.with_above(ctx, |log, ctx, fd| log.submit(ctx, 1000 + k, fd))
+            node.with_above(ctx, |log, ctx, _| log.submit(ctx, 1000 + k))
         });
     }
     w.run_until_time(Time::from_secs(1));
@@ -101,14 +116,14 @@ fn the_protocol_hosts_replay_the_actors_they_replaced() {
     let got = [
         consensus(0x4057, ec_node_hb),
         consensus(0x4058, |pid, n| {
-            let ecm = EcMergedConsensus::new(pid, n, ConsensusConfig::default());
+            let ecm = EcMergedConsensus::new(pid, n);
             Stack::new(hb_leader(pid, n), Decider::new(pid, ecm))
         }),
         consensus(0x4059, ct_node_hb),
         consensus(0x405a, mr_node_leader),
         consensus(0x405b, |pid, n| {
             let fd = LeaderDetector::new(pid, n, LeaderConfig::default());
-            let paxos = PaxosConsensus::new(pid, n, ConsensusConfig::default());
+            let paxos = PaxosConsensus::new(pid, n);
             Stack::new(fd, Decider::new(pid, paxos))
         }),
         log(),

@@ -46,7 +46,7 @@ fn at_most_one_nonnull_proposition_per_round_under_chaos() {
             scripted_node(
                 pid,
                 ScriptedDetector::chaos_then_leader(pid, n, stab, ProcessId((seed % 5) as usize)),
-                EcConsensus::new(pid, n, ConsensusConfig::default()),
+                EcConsensus::new(pid, n),
             )
         });
         assert!(r.all_decided, "seed {seed}");
@@ -66,7 +66,7 @@ fn lemma1_holds_for_the_merged_variant_too() {
             scripted_node(
                 pid,
                 ScriptedDetector::chaos_then_leader(pid, n, stab, ProcessId((seed % 5) as usize)),
-                EcMergedConsensus::new(pid, n, ConsensusConfig::default()),
+                EcMergedConsensus::new(pid, n),
             )
         });
         assert!(r.all_decided, "seed {seed}");

@@ -3,8 +3,9 @@
 //! load generators, and one wrapper on its way out — nothing else. A
 //! protocol that wants a node of its own implements `Over<D>` and is
 //! hosted by `Stack`; a new hand-written host fails here. Likewise one
-//! round shell: the consensus poll timer and the decide task live in
-//! `fd-consensus/src/api.rs`, and a protocol that grows its own fails.
+//! round shell: the decide task lives in `fd-consensus/src/api.rs`, and a
+//! protocol that grows its own fails — and nothing in the consensus or
+//! experiment crates polls the detector: its output arrives as an event.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -70,29 +71,29 @@ fn only_the_listed_types_implement_actor_outside_tests() {
 }
 
 #[test]
-fn the_poll_is_armed_in_one_place() {
-    // Doc comments may name the knob; code may not.
+fn nothing_polls() {
     let sources = shipped_sources();
-    let code_naming = |needle: &str| -> Vec<&str> {
+    let naming = |needle: &str| -> Vec<&str> {
         sources
             .iter()
-            .filter(|(_, src)| {
-                src.lines()
-                    .any(|l| !l.trim_start().starts_with("//") && l.contains(needle))
-            })
+            .filter(|(_, src)| src.contains(needle))
             .map(|(rel, _)| &**rel)
             .collect()
     };
+    for knob in ["TIMER_POLL", "poll_period", "fast_poll", "ConsensusConfig"] {
+        let found: Vec<&str> = naming(knob)
+            .into_iter()
+            .filter(|rel| {
+                rel.starts_with("crates/fd-consensus/") || rel.starts_with("crates/fd-bench/")
+            })
+            .collect();
+        assert!(
+            found.is_empty(),
+            "{knob} is back in {found:?}: the detector's output is an event"
+        );
+    }
     assert_eq!(
-        code_naming("poll_period"),
-        [
-            "crates/fd-bench/src/scenarios.rs", // sets the experiments' 500 µs
-            "crates/fd-consensus/src/api.rs",   // declares, defaults and reads it
-        ],
-        "ConsensusConfig::poll_period is read by `Round` and nowhere else"
-    );
-    assert_eq!(
-        code_naming("fn on_decide_delivered"),
+        naming("fn on_decide_delivered"),
         ["crates/fd-consensus/src/api.rs"],
         "Fig. 4's decide task is written once"
     );

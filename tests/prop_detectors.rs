@@ -236,12 +236,9 @@ enum Shape {
     /// candidate's timeout (leader, fused).
     Candidate,
     /// `out` is a suspect set that holds this process's own timeouts
-    /// while it trusts itself (fused).
+    /// while it trusts itself (fused; Fig. 2, which learns leadership
+    /// from the detector below the instant it changes).
     LeaderPeers,
-    /// As `LeaderPeers`, but leadership is read from the detector below
-    /// at the next callback (Fig. 2), at an instant the trace may not
-    /// show: a peer not heard since is checked for "never early" only.
-    Stacked,
 }
 
 impl Timed {
@@ -264,7 +261,12 @@ impl Timed {
             ],
             Timed::Transform => vec![
                 d(trusted, keys::LEADER_ALIVE, (40, 25), Shape::Candidate),
-                d(EP_SUSPECTS_OUT, keys::EP_ALIVE, (40, 25), Shape::Stacked),
+                d(
+                    EP_SUSPECTS_OUT,
+                    keys::EP_ALIVE,
+                    (40, 25),
+                    Shape::LeaderPeers,
+                ),
             ],
         }
     }
@@ -388,8 +390,6 @@ fn check_deadlines(trace: &Trace, n: usize, d: &Deadlines) -> Result<usize, Stri
                 ));
             }
             let exact = d.shape == Shape::PerPeer;
-            let unseen_window =
-                d.shape == Shape::Stacked && trusted[p].is_some_and(|(_, since)| last < since);
             let on_a_deadline = (lo..=hi).any(|k| {
                 let Some(w) = e.at.ticks().checked_sub((timeout(k) + tick).ticks()) else {
                     return false;
@@ -401,7 +401,7 @@ fn check_deadlines(trace: &Trace, n: usize, d: &Deadlines) -> Result<usize, Stri
                     w == started[p] || from_q.contains(&w) || moved[p].contains(&w)
                 }
             });
-            if !on_a_deadline && !unseen_window {
+            if !on_a_deadline {
                 return Err(format!(
                     "OFF ITS DEADLINE: {pid} suspects {q} at {}; last heard {last}, \
                      started {}, timeouts {}+k·{} ms, k in {lo}..={hi}",

@@ -5,7 +5,7 @@
 //! survivor is eventually decided exactly once per submission.
 
 use ecfd::prelude::*;
-use fd_consensus::{ConsensusConfig, Log, MultiEc, MultiNode, NOOP};
+use fd_consensus::{Log, MultiEc, MultiNode, NOOP};
 use fd_detectors::HeartbeatDetector;
 use fd_sim::chaos::{Intervention, NetChange, MANGLE};
 use fd_sim::link::LinkMangler;
@@ -20,7 +20,7 @@ fn replica(pid: ProcessId, n: usize) -> Replica {
             HeartbeatDetector::new(pid, n, HeartbeatConfig::default()),
             n,
         ),
-        Log::new(pid, MultiEc::new(pid, n, ConsensusConfig::default())),
+        Log::new(pid, MultiEc::new(pid, n)),
     )
 }
 
@@ -76,7 +76,7 @@ fn check_log_properties(plan: &LogPlan, mangler: Option<LinkMangler>) -> Result<
             survivor_cmds.push(cmd);
         }
         w.interact(ProcessId(replica_idx), move |node, ctx| {
-            node.with_above(ctx, |log, ctx, fd| log.submit(ctx, cmd, fd))
+            node.with_above(ctx, |log, ctx, _| log.submit(ctx, cmd))
         });
     }
     if let Some((victim, at)) = plan.crash {

@@ -16,6 +16,13 @@
 //! run has a crash were re-recorded once — the victim is suspected at
 //! its deadline, not at the next 5 ms check — with message counts
 //! unchanged; `quiescent` (no timeout detector in it) did not move.
+//!
+//! The second, 2026-10-15 ("detector output is an event"): `EcToEp`
+//! hears of a change of `D.trusted` the instant it happens
+//! (`Over::on_fd_change`) instead of at its next 10 ms task timer, so a
+//! new leader opens its Task 3 window up to 10 ms sooner. `ec_to_ep`
+//! (a leader crash) was re-recorded once, message count unchanged; the
+//! other three stacks have no change hook and did not move.
 
 use ecfd::prelude::*;
 use fd_detectors::{
@@ -25,7 +32,7 @@ use fd_detectors::{
 
 /// `(stack, Trace::digest(), Metrics::sent_total())`.
 const GOLDEN: [(&str, u64, u64); 4] = [
-    ("ec_to_ep", 0x1318be4fb0e5d9c6, 2215),
+    ("ec_to_ep", 0x8f5a277d2acf6446, 2215),
     ("weak_to_strong", 0x623653f05fabbf34, 4075),
     ("omega_gossip", 0xdfc5e983032bea59, 6572),
     ("quiescent", 0x8f61743fc1205fa6, 814),
