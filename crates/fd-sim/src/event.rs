@@ -6,21 +6,33 @@
 //! deterministically, so two events scheduled for the same instant fire
 //! in scheduling order and identical seeds always replay identical runs.
 //!
-//! * [`QueueImpl::Wheel`] (the default) is a timer wheel tuned for the
-//!   workload heartbeat protocols generate: almost every event lands
-//!   within a few milliseconds of *now*. Events are bucketed by coarse
-//!   time spans; the active span is kept sorted and consumed in place,
-//!   future spans stay unsorted until activated, and events beyond the
-//!   wheel horizon overflow into a binary heap that is migrated back as
-//!   the wheel turns.
+//! * [`QueueImpl::Wheel`] (the default) is a hierarchical timing wheel
+//!   (Varghese & Lauck, SOSP 1987) whose level-0 slots are single ticks:
+//!   six levels of 64 slots, slot width 64ˡ ticks at level l, and a
+//!   binary heap for events beyond the wheel's 2³⁶-tick block. A level-0
+//!   slot holds one instant in push order and a higher slot is re-filed
+//!   in order before anything can be pushed into its range, so the wheel
+//!   never compares two events: it pops in `(time, seq)` order without
+//!   sorting. `TimerWheel` states the invariants.
 //! * [`QueueImpl::Classic`] is the original `BinaryHeap` — kept so the
 //!   golden-digest tests can prove the wheel produces byte-identical
-//!   traces, and as a fallback for pathological schedules.
+//!   traces.
+//!
+//! **The kernel contract.** Both queues are drained up to a `bound`:
+//! `pop_due` and `pop_due_batch` hand out only events due at or before
+//! it. The wheel's clock moves only to slot starts at or before the bound
+//! of the drain that moves it, never past the instant that drain hands
+//! out; in return the kernel never schedules before the bound of its last
+//! drain — or, if that drain handed out instant `t`, before `t`. `World`
+//! keeps its side by scheduling at or after `now`: after a drain `now` is
+//! the instant handed out, or at least the bound when nothing was.
+//! `TimerWheel::push` `debug_assert`s it.
 
 use crate::actor::{TimerId, TimerTag};
 use crate::process::ProcessId;
 use crate::time::Time;
 use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
 
@@ -127,50 +139,53 @@ pub enum QueueImpl {
     Classic,
 }
 
-/// Ticks per bucket, as a shift: 2^10 = 1024 ticks ≈ 1ms per span.
-const BUCKET_SHIFT: u32 = 10;
-/// Number of wheel slots (power of two). Horizon = 256 × 1024 ticks
-/// ≈ 262ms, comfortably past the heartbeat periods and link delays the
-/// protocols schedule; only far-future timers and late crash plans
-/// overflow.
-const BUCKET_COUNT: usize = 256;
-const BUCKET_MASK: usize = BUCKET_COUNT - 1;
-const WORDS: usize = BUCKET_COUNT / 64;
+/// Bits of an event's time that one wheel level resolves: 64 slots.
+const LEVEL_BITS: u32 = 6;
+const SLOTS: usize = 1 << LEVEL_BITS;
+const LEVELS: usize = 6;
+/// The wheel holds the 2³⁶-tick block (≈ 19 simulated hours) containing
+/// its clock; later blocks wait in the overflow heap.
+const HORIZON_BITS: u32 = LEVEL_BITS * LEVELS as u32;
 
-fn bucket_of(at: Time) -> u64 {
-    at.0 >> BUCKET_SHIFT
-}
-
-/// The timer-wheel implementation.
+/// The hierarchical timing wheel.
 ///
 /// Ordering invariants (what makes pops come out in exact `(at, seq)`
-/// order, matching the classic heap event for event):
+/// order, matching the classic heap event for event, with no sort):
 ///
-/// * `current` holds the active span sorted ascending by `(at, seq)`;
-///   `cur_head` is the consumption point. Pushes that land at or before
-///   the active span go into the `inserts` min-heap instead of being
-///   spliced into `current` — a large-n broadcast scheduling thousands
-///   of same-span deliveries would otherwise pay O(span) per push via
-///   `Vec::insert`. Pops merge the two sorted sources by `(at, seq)`.
-///   The kernel never schedules into the past, so inserted keys are
-///   always at or after the consumption point.
-/// * `buckets[b & MASK]` holds the events of absolute bucket `b` for
-///   `cur_bucket < b < cur_bucket + BUCKET_COUNT`, unsorted; a bucket is
-///   sorted once, when it becomes the active span. Sequence numbers are
-///   unique, so the sort order is total and deterministic.
-/// * `overflow` holds everything at or beyond the horizon in a min-heap.
-///   Overflow times are always at or beyond every wheel time, so the
-///   wheel is exhausted first; on each span advance, overflow events
-///   that fell inside the new horizon migrate into their buckets.
-///   Span advance happens only when `current` *and* `inserts` are both
-///   exhausted, so `inserts` is empty at every `activate`.
+/// * **Level.** Every pending event has `at ≥ elapsed`. One whose `at`
+///   shares every bit from 2³⁶ up with `elapsed` is filed at the level
+///   of the highest 6-bit digit in which the two differ (level 0 when
+///   they agree above the lowest digit), in the slot of its own digit
+///   there. A level-l event therefore agrees with `elapsed` above digit
+///   l and exceeds it at digit l, so every level-0 event is due before
+///   every level-1 event, and so on; within a level the lowest occupied
+///   slot holds the earliest events. A level-0 slot holds exactly one
+///   instant.
+/// * **FIFO.** Within every slot, events of the same instant sit in
+///   `seq` order. A push appends the highest `seq` yet. When `elapsed`
+///   reaches the start of a higher slot, that slot is re-filed, front to
+///   back, into the levels below it (a *cascade*). Those levels are empty
+///   then — the slot held the earliest pending events — and until then
+///   every push into the slot's range landed in the slot itself, whose
+///   digit still differed from `elapsed`'s. So a level-0 slot holds its
+///   instant in push order through every cascade it came by, and pushes
+///   at the instant being drained join its back.
+/// * **Overflow.** An event in a later 2³⁶-tick block than `elapsed`
+///   waits in `overflow`, a min-heap, and is later than every wheel
+///   event. Only when the wheel is empty does `elapsed` move to the start
+///   of the earliest overflow event's block, and that block's events
+///   then leave the heap in `(at, seq)` order into their slots.
+/// * **Clock.** `elapsed` moves only inside a drain, only to the start of
+///   the slot (or block) holding the earliest pending event, and only if
+///   that start is at or before the drain's bound (module docs: the
+///   kernel contract). `ready` holds, last first, what is left of the
+///   instant `elapsed` after `pop_due` began it.
 pub(crate) struct TimerWheel<M> {
-    current: Vec<QueuedEvent<M>>,
-    cur_head: usize,
-    cur_bucket: u64,
-    buckets: Vec<Vec<QueuedEvent<M>>>,
-    occupied: [u64; WORDS],
-    inserts: BinaryHeap<QueuedEvent<M>>,
+    /// Bit `d` of `occupied[l]` ⇔ `slots[l][d]` is non-empty.
+    occupied: [u64; LEVELS],
+    slots: Box<[[Vec<QueuedEvent<M>>; SLOTS]; LEVELS]>,
+    elapsed: u64,
+    ready: Vec<QueuedEvent<M>>,
     overflow: BinaryHeap<QueuedEvent<M>>,
     len: usize,
     next_seq: u64,
@@ -179,12 +194,10 @@ pub(crate) struct TimerWheel<M> {
 impl<M> TimerWheel<M> {
     fn new() -> Self {
         TimerWheel {
-            current: Vec::new(),
-            cur_head: 0,
-            cur_bucket: 0,
-            buckets: (0..BUCKET_COUNT).map(|_| Vec::new()).collect(),
-            occupied: [0; WORDS],
-            inserts: BinaryHeap::new(),
+            occupied: [0; LEVELS],
+            slots: Box::new(std::array::from_fn(|_| std::array::from_fn(|_| Vec::new()))),
+            elapsed: 0,
+            ready: Vec::new(),
             overflow: BinaryHeap::new(),
             len: 0,
             next_seq: 0,
@@ -193,217 +206,154 @@ impl<M> TimerWheel<M> {
 
     // fd-lint: hot_path
     fn push(&mut self, at: Time, kind: EventKind<M>) {
+        debug_assert!(
+            at.0 >= self.elapsed,
+            "event at {} scheduled behind the wheel's clock {}: the kernel \
+             never schedules before the bound of its last drain",
+            at.0,
+            self.elapsed
+        );
         let seq = self.next_seq;
         self.next_seq += 1;
         self.len += 1;
-        let ev = QueuedEvent { at, seq, kind };
-        let b = bucket_of(at);
-        if b <= self.cur_bucket {
-            // Into (or before) the active span: heap-ordered side table,
-            // merged against `current` at pop time. O(log inserts) beats
-            // the old O(span) `Vec::insert` when a broadcast lands
-            // thousands of deliveries in the active span.
-            self.inserts.push(ev);
-        } else if b - self.cur_bucket < BUCKET_COUNT as u64 {
-            let slot = (b as usize) & BUCKET_MASK;
-            // fd-lint: allow(HP001, reason = "slot is masked with BUCKET_MASK, always within buckets")
-            self.buckets[slot].push(ev);
-            // fd-lint: allow(HP001, reason = "slot >> 6 < WORDS because slot < BUCKET_COUNT")
-            self.occupied[slot >> 6] |= 1u64 << (slot & 63);
-        } else {
+        self.file(QueuedEvent { at, seq, kind });
+    }
+
+    /// File `ev` by the level invariant: at the highest digit in which
+    /// its time differs from `elapsed`, or in the overflow heap.
+    fn file(&mut self, ev: QueuedEvent<M>) {
+        let diff = ev.at.0 ^ self.elapsed;
+        if diff >> HORIZON_BITS != 0 {
             self.overflow.push(ev);
+            return;
+        }
+        let level = ((u64::BITS - 1 - (diff | 1).leading_zeros()) / LEVEL_BITS) as usize;
+        let digit = (ev.at.0 >> (level as u32 * LEVEL_BITS)) as usize % SLOTS;
+        // `diff < 2^36` keeps `level` below LEVELS; `% SLOTS` bounds `digit`.
+        if let (Some(word), Some(slot)) = (
+            self.occupied.get_mut(level),
+            self.slots.get_mut(level).and_then(|l| l.get_mut(digit)),
+        ) {
+            *word |= 1 << digit;
+            slot.push(ev);
         }
     }
 
-    /// Whether the next event comes from `inserts` rather than `current`.
-    /// Caller guarantees at least one of the two is non-empty.
-    fn next_is_insert(&self) -> bool {
-        match (self.current.get(self.cur_head), self.inserts.peek()) {
-            (Some(c), Some(i)) => (i.at, i.seq) < (c.at, c.seq),
-            (Some(_), None) => false,
-            (None, _) => true,
+    /// Move `elapsed` to the earliest pending instant, cascading every
+    /// slot on the way, but never past `bound`. Returns the instant's
+    /// level-0 slot, or `None` if nothing is due by `bound`.
+    fn advance(&mut self, bound: Time) -> Option<usize> {
+        loop {
+            let Some(level) = self.occupied.iter().position(|&word| word != 0) else {
+                let block = self.overflow.peek()?.at.0 >> HORIZON_BITS;
+                if block << HORIZON_BITS > bound.0 {
+                    return None;
+                }
+                self.elapsed = block << HORIZON_BITS;
+                while self
+                    .overflow
+                    .peek()
+                    .is_some_and(|e| e.at.0 >> HORIZON_BITS == block)
+                {
+                    let Some(ev) = self.overflow.pop() else { break };
+                    self.file(ev);
+                }
+                continue;
+            };
+            let word = self.occupied.get_mut(level)?;
+            let digit = word.trailing_zeros() as usize;
+            let shift = level as u32 * LEVEL_BITS;
+            let above = shift + LEVEL_BITS;
+            let start = (self.elapsed >> above << above) | (digit as u64) << shift;
+            if start > bound.0 {
+                return None;
+            }
+            self.elapsed = start;
+            if level == 0 {
+                return Some(digit);
+            }
+            *word &= !(1 << digit);
+            let slot = self.slots.get_mut(level)?.get_mut(digit)?;
+            let mut cascade = std::mem::take(slot);
+            for ev in cascade.drain(..) {
+                self.file(ev);
+            }
+            // Hand the emptied buffer back so the slot keeps its capacity.
+            if let Some(slot) = self.slots.get_mut(level).and_then(|l| l.get_mut(digit)) {
+                *slot = cascade;
+            }
         }
     }
 
-    /// Take the head of `current`, advancing the consumption point.
-    fn take_current_head(&mut self) -> QueuedEvent<M> {
-        let dummy = QueuedEvent {
-            at: Time(0),
-            seq: 0,
-            kind: EventKind::Crash { pid: ProcessId(0) },
+    /// Take level-0 slot `digit` — the instant `elapsed` — appending it to
+    /// `out`, by swapping buffers when `out` is empty: the slot keeps
+    /// `out`'s emptied capacity.
+    fn take_instant(&mut self, digit: usize, out: &mut Vec<QueuedEvent<M>>) {
+        let (Some(word), Some(slot)) = (
+            self.occupied.first_mut(),
+            self.slots.first_mut().and_then(|l| l.get_mut(digit)),
+        ) else {
+            return;
         };
-        // fd-lint: allow(HP001, reason = "take_current_head is only called after peeking Some at cur_head")
-        let ev = std::mem::replace(&mut self.current[self.cur_head], dummy);
-        self.cur_head += 1;
-        if self.cur_head == self.current.len() {
-            self.current.clear();
-            self.cur_head = 0;
+        *word &= !(1 << digit);
+        if out.is_empty() {
+            std::mem::swap(out, slot);
+        } else {
+            out.append(slot);
         }
-        ev
     }
 
+    /// Remove and return the earliest event if it is due at or before
+    /// `bound`, FIFO among ties.
     // fd-lint: hot_path
-    fn pop(&mut self) -> Option<QueuedEvent<M>> {
-        if !self.ensure_current() {
+    fn pop_due(&mut self, bound: Time) -> Option<QueuedEvent<M>> {
+        if self.ready.is_empty() {
+            let digit = self.advance(bound)?;
+            let mut ready = std::mem::take(&mut self.ready);
+            self.take_instant(digit, &mut ready);
+            ready.reverse();
+            self.ready = ready;
+        } else if self.elapsed > bound.0 {
             return None;
         }
+        let ev = self.ready.pop()?;
         self.len -= 1;
-        if self.next_is_insert() {
-            let ev = self
-                .inserts
-                .pop()
-                // fd-lint: allow(UH002, HP001, reason = "next_is_insert returned true, so the inserts heap is non-empty")
-                .expect("next_is_insert implies non-empty");
-            return Some(ev);
-        }
-        Some(self.take_current_head())
+        Some(ev)
     }
 
-    /// Drain every event due at the earliest pending timestamp into
-    /// `out`, provided that timestamp is at or before `bound`. Returns
-    /// the number of events appended. One span/heap resolution serves
-    /// the whole same-instant batch — the kernel's per-timestamp
-    /// processing loop calls this instead of `pop_due` per event.
+    /// Append every event due at the earliest pending instant to `out`,
+    /// provided that instant is at or before `bound`; returns how many.
+    /// The instant is one level-0 slot, handed over whole.
+    // fd-lint: hot_path
     fn pop_due_batch(&mut self, bound: Time, out: &mut Vec<QueuedEvent<M>>) -> usize {
-        // An empty queue is the `(None, None)` arm below.
-        self.ensure_current();
-        let t = match (self.current.get(self.cur_head), self.inserts.peek()) {
-            (Some(c), Some(i)) => c.at.min(i.at),
-            (Some(c), None) => c.at,
-            (None, Some(i)) => i.at,
-            (None, None) => return 0,
-        };
-        if t > bound {
-            return 0;
-        }
-        let start = out.len();
-        loop {
-            let cur_due = self.current.get(self.cur_head).is_some_and(|e| e.at == t);
-            let ins_due = self.inserts.peek().is_some_and(|e| e.at == t);
-            let ev = match (cur_due, ins_due) {
-                (true, false) => self.take_current_head(),
-                (false, true) => {
-                    // fd-lint: allow(UH002, HP001, reason = "ins_due peeked a non-empty heap")
-                    self.inserts.pop().expect("ins_due implies non-empty")
-                }
-                (true, true) => {
-                    if self.next_is_insert() {
-                        // fd-lint: allow(UH002, HP001, reason = "ins_due peeked a non-empty heap")
-                        self.inserts.pop().expect("ins_due implies non-empty")
-                    } else {
-                        self.take_current_head()
-                    }
-                }
-                (false, false) => break,
+        let before = out.len();
+        if self.ready.is_empty() {
+            let Some(digit) = self.advance(bound) else {
+                return 0;
             };
-            out.push(ev);
+            self.take_instant(digit, out);
+        } else if self.elapsed <= bound.0 {
+            // What `pop_due` left of this instant, then what was pushed
+            // at it since.
+            out.extend(self.ready.drain(..).rev());
+            self.take_instant(self.elapsed as usize % SLOTS, out);
         }
-        let drained = out.len() - start;
+        let drained = out.len() - before;
         self.len -= drained;
         drained
     }
 
-    fn peek_time(&mut self) -> Option<Time> {
-        if !self.ensure_current() {
-            return None;
-        }
-        let cur = self.current.get(self.cur_head).map(|e| e.at);
-        let ins = self.inserts.peek().map(|e| e.at);
-        match (cur, ins) {
-            (Some(c), Some(i)) => Some(c.min(i)),
-            (c, i) => c.or(i),
-        }
-    }
-
-    /// Advance spans until the active one is non-empty. Returns `false`
-    /// iff the queue is empty.
-    fn ensure_current(&mut self) -> bool {
-        loop {
-            if self.cur_head < self.current.len() || !self.inserts.is_empty() {
-                return true;
-            }
-            if self.len == 0 {
-                return false;
-            }
-            self.current.clear();
-            self.cur_head = 0;
-            match self.next_occupied_bucket() {
-                Some(abs) => self.activate(abs),
-                None => {
-                    // Everything pending lives beyond the horizon.
-                    // fd-lint: allow(UH002, HP001, reason = "ensure_current checked len > 0, so an empty wheel implies a non-empty overflow heap; a panic here is a broken queue invariant, not an input")
-                    let at = self.overflow.peek().expect("len > 0 but wheel empty").at;
-                    self.activate(bucket_of(at));
-                }
-            }
-        }
-    }
-
-    /// Make absolute bucket `abs` the active span: migrate overflow
-    /// events that fell inside the new horizon, then sort the bucket's
-    /// events into `current`.
-    fn activate(&mut self, abs: u64) {
-        self.cur_bucket = abs;
-        while let Some(e) = self.overflow.peek() {
-            let b = bucket_of(e.at);
-            debug_assert!(b >= abs, "overflow behind the wheel");
-            if b - abs >= BUCKET_COUNT as u64 {
-                break;
-            }
-            let Some(e) = self.overflow.pop() else { break };
-            let slot = (b as usize) & BUCKET_MASK;
-            // fd-lint: allow(HP001, reason = "slot is masked with BUCKET_MASK, always within buckets")
-            self.buckets[slot].push(e);
-            // fd-lint: allow(HP001, reason = "slot >> 6 < WORDS because slot < BUCKET_COUNT")
-            self.occupied[slot >> 6] |= 1u64 << (slot & 63);
-        }
-        let slot = (abs as usize) & BUCKET_MASK;
-        // fd-lint: allow(HP001, reason = "slot >> 6 < WORDS because slot < BUCKET_COUNT")
-        self.occupied[slot >> 6] &= !(1u64 << (slot & 63));
-        // fd-lint: allow(HP001, reason = "slot is masked with BUCKET_MASK, always within buckets")
-        std::mem::swap(&mut self.current, &mut self.buckets[slot]);
-        self.current.sort_unstable_by_key(|e| (e.at, e.seq));
-        self.cur_head = 0;
-    }
-
-    /// The nearest occupied bucket strictly after `cur_bucket`, as an
-    /// absolute bucket index, via a circular bitmap scan.
-    fn next_occupied_bucket(&self) -> Option<u64> {
-        let start = ((self.cur_bucket as usize) + 1) & BUCKET_MASK;
-        let first_word = start >> 6;
-        for k in 0..=WORDS {
-            let wi = (first_word + k) % WORDS;
-            // fd-lint: allow(HP001, reason = "wi is reduced mod WORDS by the circular scan")
-            let mut w = self.occupied[wi];
-            if k == 0 {
-                w &= !0u64 << (start & 63);
-            }
-            if k == WORDS {
-                w &= !(!0u64 << (start & 63));
-            }
-            if w != 0 {
-                let slot = (wi << 6) | w.trailing_zeros() as usize;
-                let delta = (slot + BUCKET_COUNT - start) & BUCKET_MASK;
-                return Some(self.cur_bucket + 1 + delta as u64);
-            }
-        }
-        None
-    }
-
     fn clear(&mut self) {
-        self.current.clear();
-        self.cur_head = 0;
-        self.cur_bucket = 0;
-        for (wi, word) in self.occupied.iter_mut().enumerate() {
-            let mut w = *word;
-            while w != 0 {
-                let bit = w.trailing_zeros() as usize;
-                self.buckets[(wi << 6) | bit].clear();
-                w &= w - 1;
+        for (word, level) in self.occupied.iter_mut().zip(self.slots.iter_mut()) {
+            while *word != 0 {
+                if let Some(slot) = level.get_mut(word.trailing_zeros() as usize) {
+                    slot.clear();
+                }
+                *word &= *word - 1;
             }
-            *word = 0;
         }
-        self.inserts.clear();
+        self.elapsed = 0;
+        self.ready.clear();
         self.overflow.clear();
         self.len = 0;
         self.next_seq = 0;
@@ -432,7 +382,7 @@ impl<M> EventQueue<M> {
     }
 
     /// Schedule `kind` at time `at`, after everything already scheduled
-    /// at that instant.
+    /// at that instant. `at` keeps the kernel contract (module docs).
     // fd-lint: hot_path
     pub fn push(&mut self, at: Time, kind: EventKind<M>) {
         match self {
@@ -442,24 +392,6 @@ impl<M> EventQueue<M> {
                 *next_seq += 1;
                 heap.push(QueuedEvent { at, seq, kind });
             }
-        }
-    }
-
-    /// Remove and return the earliest event, FIFO among ties.
-    // fd-lint: hot_path
-    pub fn pop(&mut self) -> Option<QueuedEvent<M>> {
-        match self {
-            EventQueue::Wheel(w) => w.pop(),
-            EventQueue::Classic { heap, .. } => heap.pop(),
-        }
-    }
-
-    /// The time of the next event without removing it. Takes `&mut self`
-    /// because the wheel advances to the next occupied span to answer.
-    pub fn peek_time(&mut self) -> Option<Time> {
-        match self {
-            EventQueue::Wheel(w) => w.peek_time(),
-            EventQueue::Classic { heap, .. } => heap.peek().map(|e| e.at),
         }
     }
 
@@ -476,13 +408,16 @@ impl<M> EventQueue<M> {
         self.len() == 0
     }
 
-    /// Pop the earliest event only if it is due at or before `bound`.
-    /// The peek-then-pop pair lives here so callers never need a
-    /// "peeked therefore non-empty" unwrap.
+    /// Remove and return the earliest event if it is due at or before
+    /// `bound`, FIFO among ties.
+    // fd-lint: hot_path
     pub fn pop_due(&mut self, bound: Time) -> Option<QueuedEvent<M>> {
-        match self.peek_time() {
-            Some(t) if t <= bound => self.pop(),
-            _ => None,
+        match self {
+            EventQueue::Wheel(w) => w.pop_due(bound),
+            EventQueue::Classic { heap, .. } => {
+                let head = heap.peek_mut()?;
+                (head.at <= bound).then(|| PeekMut::pop(head))
+            }
         }
     }
 
@@ -493,30 +428,28 @@ impl<M> EventQueue<M> {
     /// amortize queue bookkeeping over a whole same-instant batch: at
     /// large n a single broadcast makes thousands of deliveries share one
     /// timestamp.
+    // fd-lint: hot_path
     pub fn pop_due_batch(&mut self, bound: Time, out: &mut Vec<QueuedEvent<M>>) -> usize {
         match self {
             EventQueue::Wheel(w) => w.pop_due_batch(bound, out),
             EventQueue::Classic { heap, .. } => {
-                let Some(first) = heap.peek() else { return 0 };
-                if first.at > bound {
+                let Some(t) = heap.peek().map(|e| e.at).filter(|&t| t <= bound) else {
                     return 0;
-                }
-                let t = first.at;
-                let start = out.len();
-                while let Some(e) = heap.peek() {
-                    if e.at != t {
+                };
+                let before = out.len();
+                while let Some(head) = heap.peek_mut() {
+                    if head.at != t {
                         break;
                     }
-                    // fd-lint: allow(UH002, HP001, reason = "peek just returned Some on the same heap")
-                    out.push(heap.pop().expect("peeked non-empty"));
+                    out.push(PeekMut::pop(head));
                 }
-                out.len() - start
+                out.len() - before
             }
         }
     }
 
-    /// Empty the queue and restart sequence numbering, keeping span,
-    /// bucket, and heap capacity warm for the next run.
+    /// Empty the queue and restart sequence numbering, keeping slot and
+    /// heap capacity warm for the next run.
     pub fn reset(&mut self) {
         match self {
             EventQueue::Wheel(w) => w.clear(),
@@ -532,6 +465,9 @@ impl<M> EventQueue<M> {
 mod tests {
     use super::*;
 
+    /// One past the last tick of the wheel's first block.
+    const HORIZON: u64 = 1 << HORIZON_BITS;
+
     fn crash(pid: usize) -> EventKind<()> {
         EventKind::Crash {
             pid: ProcessId(pid),
@@ -545,14 +481,25 @@ mod tests {
         ]
     }
 
+    fn pid_of(e: &QueuedEvent<()>) -> usize {
+        match e.kind {
+            EventKind::Crash { pid } => pid.index(),
+            _ => unreachable!(),
+        }
+    }
+
     fn drain_pids(q: &mut EventQueue<()>) -> Vec<(Time, usize)> {
-        std::iter::from_fn(|| {
-            q.pop().map(|e| match e.kind {
-                EventKind::Crash { pid } => (e.at, pid.index()),
-                _ => unreachable!(),
-            })
-        })
-        .collect()
+        std::iter::from_fn(|| q.pop_due(Time::MAX).map(|e| (e.at, pid_of(&e)))).collect()
+    }
+
+    /// A deterministic LCG stream for the randomized cross-checks.
+    fn lcg(mut x: u64) -> impl FnMut() -> u64 {
+        move || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            x >> 11
+        }
     }
 
     #[test]
@@ -561,7 +508,7 @@ mod tests {
             q.push(Time(30), crash(0));
             q.push(Time(10), crash(1));
             q.push(Time(20), crash(2));
-            let order: Vec<Time> = std::iter::from_fn(|| q.pop().map(|e| e.at)).collect();
+            let order: Vec<Time> = drain_pids(&mut q).into_iter().map(|(t, _)| t).collect();
             assert_eq!(order, vec![Time(10), Time(20), Time(30)]);
         }
     }
@@ -577,66 +524,54 @@ mod tests {
         }
     }
 
+    /// `pop_due` hands out nothing due after its bound, whatever the
+    /// wheel cascaded to look.
     #[test]
-    fn peek_matches_pop() {
+    fn pop_due_stops_at_its_bound() {
         for mut q in both() {
-            assert_eq!(q.peek_time(), None);
-            q.push(Time(5), crash(0));
-            q.push(Time(3), crash(1));
-            assert_eq!(q.peek_time(), Some(Time(3)));
+            assert!(q.pop_due(Time::MAX).is_none());
+            q.push(Time(5000), crash(0));
+            q.push(Time(3000), crash(1));
+            assert!(q.pop_due(Time(2999)).is_none());
             assert_eq!(q.len(), 2);
-            q.pop();
-            assert_eq!(q.peek_time(), Some(Time(5)));
-            q.pop();
+            assert_eq!(q.pop_due(Time(3000)).map(|e| e.at), Some(Time(3000)));
+            assert!(q.pop_due(Time(4999)).is_none());
+            assert_eq!(q.pop_due(Time(5000)).map(|e| e.at), Some(Time(5000)));
             assert!(q.is_empty());
         }
     }
 
-    /// Interleaved push/pop with ties at span boundaries, across the
-    /// wheel/overflow horizon: the wheel must agree with the classic
-    /// heap event for event.
+    /// Interleaved push/pop with ties, across every level and the
+    /// overflow horizon: the wheel must agree with the classic heap event
+    /// for event.
     #[test]
     fn interleaved_push_pop_matches_classic() {
-        let horizon = (BUCKET_COUNT as u64) << BUCKET_SHIFT;
         // A deterministic but irregular schedule touching every regime:
-        // same-tick ties, same-span inserts, far-future overflow events,
-        // and pops interleaved with pushes.
+        // same-tick ties, near-future events, far-future levels, events
+        // beyond the horizon, and pops interleaved with pushes.
         let mut wheel = EventQueue::with_impl(QueueImpl::Wheel);
         let mut classic = EventQueue::with_impl(QueueImpl::Classic);
         let mut pid = 0usize;
-        let mut x = 0x243f_6a88_85a3_08d3u64; // deterministic LCG-ish stream
-        let mut nextx = move || {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            x
-        };
+        let mut nextx = lcg(0x243f_6a88_85a3_08d3);
         let mut now = 0u64;
-        let mut log_wheel = Vec::new();
-        let mut log_classic = Vec::new();
         for round in 0..2000 {
-            let r = nextx();
-            let burst = (r % 4) as usize;
+            let burst = (nextx() % 4) as usize;
             for _ in 0..=burst {
                 let delta = match nextx() % 10 {
                     0 => 0,                           // same-tick tie
-                    1..=5 => 1 + nextx() % 4096,      // near future (in-wheel)
-                    6..=8 => nextx() % (horizon / 2), // mid wheel
-                    _ => horizon + nextx() % horizon, // beyond the horizon
+                    1..=5 => 1 + nextx() % 4096,      // near future
+                    6..=8 => nextx() % (HORIZON / 2), // a far level
+                    _ => HORIZON + nextx() % HORIZON, // beyond the horizon
                 };
                 wheel.push(Time(now + delta), crash(pid));
                 classic.push(Time(now + delta), crash(pid));
                 pid += 1;
             }
             if round % 3 != 0 {
-                let a = wheel.pop();
-                let b = classic.pop();
-                match (a, b) {
+                match (wheel.pop_due(Time::MAX), classic.pop_due(Time::MAX)) {
                     (Some(ea), Some(eb)) => {
                         assert_eq!((ea.at, ea.seq), (eb.at, eb.seq), "round {round}");
                         now = ea.at.0;
-                        log_wheel.push((ea.at, ea.seq));
-                        log_classic.push((eb.at, eb.seq));
                     }
                     (None, None) => {}
                     other => panic!("one queue empty, the other not: {other:?}"),
@@ -644,15 +579,7 @@ mod tests {
             }
             assert_eq!(wheel.len(), classic.len(), "round {round}");
         }
-        // Drain the rest.
-        loop {
-            match (wheel.pop(), classic.pop()) {
-                (Some(ea), Some(eb)) => assert_eq!((ea.at, ea.seq), (eb.at, eb.seq)),
-                (None, None) => break,
-                other => panic!("length mismatch at drain: {other:?}"),
-            }
-        }
-        assert_eq!(log_wheel, log_classic);
+        assert_eq!(drain_pids(&mut wheel), drain_pids(&mut classic));
     }
 
     /// Seq tie-breaks survive crossing the wheel/overflow boundary: two
@@ -660,8 +587,7 @@ mod tests {
     /// order after migrating from the overflow heap into the wheel.
     #[test]
     fn overflow_migration_preserves_seq_ties() {
-        let horizon = (BUCKET_COUNT as u64) << BUCKET_SHIFT;
-        let far = Time(horizon * 3 + 17);
+        let far = Time(HORIZON * 3 + 17);
         for mut q in both() {
             for i in 0..8 {
                 q.push(far, crash(i));
@@ -675,15 +601,14 @@ mod tests {
         }
     }
 
-    /// Pushing into the already-active span (e.g. a loopback delivery
+    /// Pushing near the instant being drained (e.g. a loopback delivery
     /// one tick from now) keeps order against events already there.
     #[test]
     fn same_span_insert_keeps_order() {
         for mut q in both() {
             q.push(Time(10), crash(0));
             q.push(Time(30), crash(1));
-            assert_eq!(q.peek_time(), Some(Time(10)));
-            let first = q.pop().unwrap();
+            let first = q.pop_due(Time::MAX).unwrap();
             assert_eq!(first.at, Time(10));
             // Now push between the popped event and the pending one,
             // plus a tie with the pending one (must lose by seq).
@@ -698,11 +623,12 @@ mod tests {
     fn reset_restarts_sequence_numbering() {
         for mut q in both() {
             q.push(Time(5), crash(0));
-            q.push(Time(900_000_000), crash(1)); // deep overflow
-            q.pop();
+            q.push(Time(900_000_000), crash(1)); // a high level
+            q.push(Time(HORIZON * 5), crash(2)); // deep overflow
+            q.pop_due(Time::MAX);
             q.reset();
             assert!(q.is_empty());
-            assert_eq!(q.peek_time(), None);
+            assert!(q.pop_due(Time::MAX).is_none());
             // Ties after reset break exactly as in a fresh queue.
             q.push(Time(7), crash(10));
             q.push(Time(7), crash(11));
@@ -711,51 +637,49 @@ mod tests {
         }
     }
 
-    /// Events landing at exactly the horizon boundary (`now + 256×1024`
-    /// ticks) must overflow, events one tick inside must bucket, and the
-    /// three groups must still pop in strict `(at, seq)` order. This is
-    /// the off-by-one regime a `<` vs `<=` slip in `push` would corrupt.
+    /// Events at the last tick of the wheel's block must be filed in the
+    /// wheel, events at its first tick past it must overflow, and the
+    /// groups must still pop in strict `(at, seq)` order. This is the
+    /// off-by-one regime a slip in the overflow test would corrupt.
     #[test]
     fn horizon_boundary_is_exact() {
-        let horizon = (BUCKET_COUNT as u64) << BUCKET_SHIFT;
         for mut q in both() {
-            // just inside (last in-wheel bucket), exactly at, just past
-            q.push(Time(horizon - 1), crash(0));
-            q.push(Time(horizon), crash(1));
-            q.push(Time(horizon + 1), crash(2));
+            // just inside (top slot of the top level), exactly at, just past
+            q.push(Time(HORIZON - 1), crash(0));
+            q.push(Time(HORIZON), crash(1));
+            q.push(Time(HORIZON + 1), crash(2));
             // ties straddling the boundary, pushed out of time order
-            q.push(Time(horizon), crash(3));
-            q.push(Time(horizon - 1), crash(4));
+            q.push(Time(HORIZON), crash(3));
+            q.push(Time(HORIZON - 1), crash(4));
             let order = drain_pids(&mut q);
             assert_eq!(
                 order,
                 vec![
-                    (Time(horizon - 1), 0),
-                    (Time(horizon - 1), 4),
-                    (Time(horizon), 1),
-                    (Time(horizon), 3),
-                    (Time(horizon + 1), 2),
+                    (Time(HORIZON - 1), 0),
+                    (Time(HORIZON - 1), 4),
+                    (Time(HORIZON), 1),
+                    (Time(HORIZON), 3),
+                    (Time(HORIZON + 1), 2),
                 ]
             );
         }
     }
 
     /// Large-n regime: thousands of same-instant events (one broadcast's
-    /// deliveries) pushed while the target span is already active, with
-    /// a tail beyond the horizon. Wheel must match classic exactly.
+    /// deliveries) pushed right after an instant drained, with a tail
+    /// beyond the horizon. Wheel must match classic exactly.
     #[test]
     fn large_n_same_instant_burst_matches_classic() {
-        let horizon = (BUCKET_COUNT as u64) << BUCKET_SHIFT;
         let mut wheel = EventQueue::with_impl(QueueImpl::Wheel);
         let mut classic = EventQueue::with_impl(QueueImpl::Classic);
         for q in [&mut wheel, &mut classic] {
             q.push(Time(5), crash(9999));
-            q.pop(); // activate span 0
+            q.pop_due(Time::MAX);
             for i in 0..4096 {
-                q.push(Time(7), crash(i)); // same-span burst (the old O(span) path)
+                q.push(Time(7), crash(i));
             }
             for i in 0..64 {
-                q.push(Time(horizon + 7), crash(10000 + i)); // overflow ties
+                q.push(Time(HORIZON + 7), crash(10000 + i)); // overflow ties
             }
             q.push(Time(6), crash(8888)); // lands before the burst
         }
@@ -765,32 +689,25 @@ mod tests {
         assert_eq!(a[0], (Time(6), 8888));
         assert_eq!(a[1], (Time(7), 0));
         assert_eq!(a[4096], (Time(7), 4095));
-        assert_eq!(a[4097], (Time(horizon + 7), 10000));
+        assert_eq!(a[4097], (Time(HORIZON + 7), 10000));
     }
 
     /// `pop_due_batch` drains exactly the earliest timestamp's events, in
     /// seq order, and agrees between the two implementations — including
-    /// when the batch is split across `current` and `inserts`.
+    /// when `pop_due` began the instant and more ties arrived since.
     #[test]
     fn pop_due_batch_matches_pop_due() {
         for mut q in both() {
             q.push(Time(10), crash(0));
             q.push(Time(10), crash(1));
             q.push(Time(20), crash(2));
-            // Activate the span, then land more ties at t=10 (these go
-            // through the wheel's insert path).
-            q.pop(); // (10, 0)
+            // Begin the instant, then land more ties at t=10.
+            q.pop_due(Time::MAX); // (10, 0)
             q.push(Time(10), crash(3));
             q.push(Time(10), crash(4));
             let mut out = Vec::new();
             assert_eq!(q.pop_due_batch(Time(15), &mut out), 3);
-            let pids: Vec<usize> = out
-                .iter()
-                .map(|e| match e.kind {
-                    EventKind::Crash { pid } => pid.index(),
-                    _ => unreachable!(),
-                })
-                .collect();
+            let pids: Vec<usize> = out.iter().map(pid_of).collect();
             assert_eq!(pids, vec![1, 3, 4]);
             // t=20 is beyond the bound: nothing more drains.
             out.clear();
@@ -803,19 +720,13 @@ mod tests {
 
     /// A randomized cross-check: a long interleaved schedule drained
     /// entirely through `pop_due_batch` must equal the classic heap's
-    /// event order.
+    /// event order. Like `World::run_until_time`, an empty drain moves
+    /// the clock to its bound, and nothing is scheduled behind it.
     #[test]
     fn batch_drain_matches_classic_order() {
-        let horizon = (BUCKET_COUNT as u64) << BUCKET_SHIFT;
         let mut wheel = EventQueue::with_impl(QueueImpl::Wheel);
         let mut classic = EventQueue::with_impl(QueueImpl::Classic);
-        let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        let mut nextx = move || {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            x
-        };
+        let mut nextx = lcg(0x9e37_79b9_7f4a_7c15);
         let mut now = 0u64;
         let mut pid = 0usize;
         for _ in 0..500 {
@@ -823,8 +734,8 @@ mod tests {
                 let delta = match nextx() % 8 {
                     0 => 0,
                     1..=4 => nextx() % 2048,
-                    5..=6 => nextx() % horizon,
-                    _ => horizon + nextx() % (horizon / 4),
+                    5..=6 => nextx() % (1 << 20),
+                    _ => HORIZON + nextx() % (HORIZON / 4),
                 };
                 let at = Time(now + delta);
                 wheel.push(at, crash(pid));
@@ -833,35 +744,151 @@ mod tests {
             }
             let mut wa = Vec::new();
             let mut ca = Vec::new();
-            let bound = Time(now + nextx() % 4096);
-            wheel.pop_due_batch(bound, &mut wa);
-            classic.pop_due_batch(bound, &mut ca);
+            let bound = now + nextx() % 4096;
+            wheel.pop_due_batch(Time(bound), &mut wa);
+            classic.pop_due_batch(Time(bound), &mut ca);
             let keys =
                 |v: &Vec<QueuedEvent<()>>| v.iter().map(|e| (e.at, e.seq)).collect::<Vec<_>>();
             assert_eq!(keys(&wa), keys(&ca));
-            if let Some(e) = wa.last() {
-                now = e.at.0;
-            } else {
-                now += 1024;
-            }
+            now = match wa.last() {
+                Some(e) => e.at.0,
+                None => (now + 1024).max(bound),
+            };
             assert_eq!(wheel.len(), classic.len());
         }
     }
 
-    /// Reset must drop pending active-span inserts too — a stale insert
-    /// surviving into the next run would corrupt replay determinism.
+    /// The wheel's clock, read through the enum.
+    fn elapsed(q: &EventQueue<()>) -> u64 {
+        match q {
+            EventQueue::Wheel(w) => w.elapsed,
+            EventQueue::Classic { .. } => unreachable!(),
+        }
+    }
+
+    /// The randomized cross-check of everything the kernel does to a
+    /// queue: bursts filed at every level and past the 2³⁶ horizon, then
+    /// `pop_due` and `pop_due_batch` mixed at the same instant, with
+    /// pushes at `now` between single pops, so a batch must hand out what
+    /// the single pops left ahead of the instant's later pushes. The clock
+    /// follows the kernel contract and the wheel's never passes it; the
+    /// counters prove each regime was reached.
     #[test]
-    fn reset_clears_active_span_inserts() {
+    fn mixed_single_and_batch_drains_match_classic() {
+        let mut wheel = EventQueue::with_impl(QueueImpl::Wheel);
+        let mut classic = EventQueue::with_impl(QueueImpl::Classic);
+        let head = |q: &EventQueue<()>| match q {
+            EventQueue::Classic { heap, .. } => heap.peek().map(|e| e.at.0),
+            EventQueue::Wheel(_) => unreachable!(),
+        };
+        let mut nextx = lcg(0x1319_8a2e_0370_7344);
+        // Start just below a block boundary so overflow events migrate
+        // while the wheel still holds events of the first block.
+        let mut now = HORIZON - (1 << 20);
+        let mut pid = 0usize;
+        let mut filed = [0u32; LEVELS + 1];
+        // Single pops left events at `now`, and then more were pushed there.
+        let (mut half_drained, mut pushed_behind) = (false, false);
+        let mut batches_behind_leftovers = 0;
+        for round in 0..20_000 {
+            for _ in 0..(nextx() % 4) {
+                // A level at random: 0 (same instant) … 6 (past the horizon).
+                let k = (nextx() % 8) as u32;
+                let delta = match k {
+                    0 => 0,
+                    7 => HORIZON + nextx() % HORIZON,
+                    _ => nextx() % (1u64 << (LEVEL_BITS * k)),
+                };
+                let at = now + delta;
+                let diff = at ^ elapsed(&wheel);
+                let level = if diff >> HORIZON_BITS != 0 {
+                    LEVELS
+                } else {
+                    ((u64::BITS - 1 - (diff | 1).leading_zeros()) / LEVEL_BITS) as usize
+                };
+                filed[level] += 1;
+                pushed_behind |= half_drained && delta == 0;
+                wheel.push(Time(at), crash(pid));
+                classic.push(Time(at), crash(pid));
+                pid += 1;
+            }
+            // Most drains stay at this instant or close to it.
+            let bound = match nextx() % 4 {
+                0 => now,
+                1 => now + nextx() % 64,
+                2 => now + nextx() % (1 << 14),
+                _ => now + nextx() % (1 << 30),
+            };
+            let batch = round % 3 == 0;
+            let drained = if batch {
+                let (mut wa, mut ca) = (Vec::new(), Vec::new());
+                wheel.pop_due_batch(Time(bound), &mut wa);
+                classic.pop_due_batch(Time(bound), &mut ca);
+                let keys =
+                    |v: &[QueuedEvent<()>]| v.iter().map(|e| (e.at, e.seq)).collect::<Vec<_>>();
+                assert_eq!(keys(&wa), keys(&ca), "round {round}");
+                if pushed_behind && !wa.is_empty() {
+                    batches_behind_leftovers += 1;
+                }
+                wa.last().map(|e| e.at.0)
+            } else {
+                let (a, b) = (wheel.pop_due(Time(bound)), classic.pop_due(Time(bound)));
+                let key = |e: &Option<QueuedEvent<()>>| e.as_ref().map(|e| (e.at, e.seq));
+                assert_eq!(key(&a), key(&b), "round {round}");
+                a.map(|e| e.at.0)
+            };
+            now = drained.unwrap_or(now.max(bound));
+            assert!(
+                elapsed(&wheel) <= now,
+                "round {round}: clock passed the bound"
+            );
+            assert_eq!(wheel.len(), classic.len(), "round {round}");
+            half_drained = !batch && drained.is_some() && head(&classic) == Some(now);
+            pushed_behind &= half_drained;
+        }
+        assert_eq!(drain_pids(&mut wheel), drain_pids(&mut classic));
+        assert!(
+            filed.iter().all(|&n| n > 0),
+            "every level and the overflow: {filed:?}"
+        );
+        assert!(
+            batches_behind_leftovers > 0,
+            "no batch met a half-drained instant"
+        );
+    }
+
+    /// The kernel contract is checked: a push behind the wheel's clock —
+    /// which only moves to slot starts at or before a drain's bound — is
+    /// a kernel bug, caught in debug builds.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "behind the wheel's clock")]
+    fn a_push_behind_the_last_drain_bound_is_caught() {
         let mut q = EventQueue::with_impl(QueueImpl::Wheel);
-        q.push(Time(5), crash(0));
-        q.pop(); // span 0 active
-        q.push(Time(6), crash(1)); // goes to the inserts heap
-        q.reset();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
-        q.push(Time(7), crash(2));
-        let order = drain_pids(&mut q);
-        assert_eq!(order, vec![(Time(7), 2)]);
+        q.push(Time(100), crash(0)); // level 1: the slot of ticks 64..128
+        let mut out = Vec::new();
+        assert_eq!(q.pop_due_batch(Time(80), &mut out), 0); // cascades to 64
+        q.push(Time(60), crash(1));
+    }
+
+    /// Reset must drop an instant `pop_due` began and what was pushed at
+    /// it since — a stale event surviving into the next run would corrupt
+    /// replay determinism.
+    #[test]
+    fn reset_clears_a_half_drained_instant() {
+        for mut q in both() {
+            q.push(Time(5), crash(0));
+            q.push(Time(5), crash(1));
+            q.pop_due(Time::MAX); // (5, 0); (5, 1) is left over
+            q.push(Time(5), crash(2));
+            q.push(Time(6), crash(3));
+            q.reset();
+            assert!(q.is_empty());
+            assert!(q.pop_due(Time::MAX).is_none());
+            q.push(Time(7), crash(4));
+            let order = drain_pids(&mut q);
+            assert_eq!(order, vec![(Time(7), 4)]);
+        }
     }
 
     #[test]

@@ -17,12 +17,16 @@ use ecfd::sim::{LinkModel, NetworkConfig, ProcessId, QueueImpl, SimDuration, Tim
 
 mod large_n {
     //! Large-n equivalence: at n = 512 a single detector period lands
-    //! hundreds of events in one wheel bucket and broadcasts cross the
-    //! active-span insert path constantly — the regime where a wheel
-    //! ordering bug would hide from the small-n consensus sweeps.
+    //! hundreds of events on one instant and broadcasts push into the
+    //! instant being drained constantly — the regime where a wheel
+    //! ordering bug would hide from the small-n consensus sweeps. The
+    //! all-to-all heartbeat at n = 128 is the n² message load, and the
+    //! wheel's cascades carry most of its events.
 
     use ecfd::core::Standalone;
-    use ecfd::detectors::{RingConfig, RingDetector, VCubeConfig, VCubeDetector};
+    use ecfd::detectors::{
+        HeartbeatConfig, HeartbeatDetector, RingConfig, RingDetector, VCubeConfig, VCubeDetector,
+    };
     use ecfd::sim::{
         LinkModel, NetworkConfig, ProcessId, QueueImpl, SimDuration, Time, TraceMode, WorldBuilder,
     };
@@ -40,13 +44,25 @@ mod large_n {
         queue: QueueImpl,
         mk: impl Fn(ProcessId, usize) -> A + Copy,
     ) -> (u64, u64, u64) {
-        let n = 512;
-        let mut w = WorldBuilder::new(lossy_net(n))
+        run_n(queue, 512, &[(100, 120)], mk)
+    }
+
+    /// Digest plus kernel counters of one run of `n` processes, crashing
+    /// each `(pid, ms)` of `crashes`.
+    fn run_n<A: ecfd::sim::Actor>(
+        queue: QueueImpl,
+        n: usize,
+        crashes: &[(usize, u64)],
+        mk: impl Fn(ProcessId, usize) -> A + Copy,
+    ) -> (u64, u64, u64) {
+        let mut b = WorldBuilder::new(lossy_net(n))
             .seed(99)
             .queue_impl(queue)
-            .trace_mode(TraceMode::ObsOnly)
-            .crash_at(ProcessId(100), Time::from_millis(120))
-            .build(mk);
+            .trace_mode(TraceMode::ObsOnly);
+        for &(pid, ms) in crashes {
+            b = b.crash_at(ProcessId(pid), Time::from_millis(ms));
+        }
+        let mut w = b.build(mk);
         w.run_until_time(Time::from_millis(400));
         let events = w.metrics().events_processed();
         let messages = w.metrics().sent_total();
@@ -68,6 +84,19 @@ mod large_n {
             run(QueueImpl::Classic, vcube),
             "vcube digests/counters must match across queue implementations"
         );
+    }
+
+    #[test]
+    fn wheel_and_classic_queues_agree_on_heartbeat_at_n_128() {
+        let hb = |pid, n| Standalone(HeartbeatDetector::new(pid, n, HeartbeatConfig::default()));
+        let crashes = [(17, 90), (64, 230)];
+        let wheel = run_n(QueueImpl::Wheel, 128, &crashes, hb);
+        assert_eq!(
+            wheel,
+            run_n(QueueImpl::Classic, 128, &crashes, hb),
+            "heartbeat digests/counters must match across queue implementations"
+        );
+        assert!(wheel.2 > 500_000, "an n² load: {} messages", wheel.2);
     }
 }
 
