@@ -135,18 +135,20 @@ impl SeedExecutor for E8Executor {
 }
 
 /// Look up a campaign scenario by registry name: the experiment
-/// scenarios defined here, then the `fd-campaign` built-ins.
+/// scenarios defined here, the `fd-campaign` built-ins, then the
+/// [`McScenario`](crate::mc::McScenario) families (`mc-ec`, …).
 pub fn scenario_by_name(name: &str) -> Option<Box<dyn Scenario>> {
     match name {
         E8 => Some(Box::new(E8Scenario)),
         crate::scale::SCALE => Some(Box::new(crate::scale::ScaleScenario)),
         fd_chaos::CHAOS => Some(Box::new(fd_chaos::ChaosScenario::generated())),
         fd_kv::KV => Some(Box::new(fd_kv::KvScenario::generated())),
-        _ => fd_campaign::builtin_scenario(name),
+        _ => fd_campaign::builtin_scenario(name)
+            .or_else(|| Some(Box::new(crate::mc::McScenario::by_name(name)?))),
     }
 }
 
-/// Every scenario name [`scenario_by_name`] resolves.
+/// Every scenario name `--scenario` sweeps (not the seedless mc ones).
 pub fn scenario_names() -> Vec<&'static str> {
     let mut names = vec![E8, crate::scale::SCALE, fd_chaos::CHAOS, fd_kv::KV];
     names.extend(fd_campaign::builtin_names());
@@ -183,6 +185,43 @@ mod tests {
         }
     }
 
+    /// Two of three `ec` processes crash, so the survivor can never
+    /// assemble a majority: a real `consensus.termination` violation.
+    /// Every prefix of the run fails termination too (nobody has decided
+    /// *yet*), so a shrinker that cut the horizon would trade it for a
+    /// spurious one — and then drop both crashes and a process, since a
+    /// 3 µs run violates termination with or without them. Termination
+    /// is not prefix-closed: the counterexample is already minimal.
+    #[test]
+    fn a_termination_counterexample_keeps_its_horizon_and_crashes() {
+        let plan = RunPlan::new(0, Time::from_secs(30), jitter_net(3))
+            .with_params(serde::Value::Obj(vec![(
+                "proto".to_string(),
+                serde::Value::Str("ec".to_string()),
+            )]))
+            .with_crash(ProcessId(1), Time::from_millis(1))
+            .with_crash(ProcessId(2), Time::from_millis(2));
+        let artifact = fd_campaign::Artifact {
+            scenario: E8.into(),
+            seed: 0,
+            property: fd_obs::keys::CONSENSUS_TERMINATION.into(),
+            detail: String::new(),
+            digest: 0,
+            plan,
+        };
+        let out = fd_campaign::shrink(&E8Scenario, &artifact).unwrap();
+        assert!(out.applied.is_empty(), "{:?}", out.applied);
+        let min = &out.artifact.plan;
+        assert_eq!(min.n(), 3);
+        assert_eq!(min.crashes, artifact.plan.crashes);
+        assert_eq!(min.horizon, Time::from_secs(30));
+        assert!(
+            out.artifact.detail.contains("p0 never decided"),
+            "{}",
+            out.artifact.detail
+        );
+    }
+
     #[test]
     fn registry_resolves_experiment_and_builtin_names() {
         assert!(scenario_by_name("e8").is_some());
@@ -190,6 +229,8 @@ mod tests {
         assert!(scenario_by_name("chaos").is_some());
         assert!(scenario_by_name("kv").is_some());
         assert!(scenario_by_name("blind").is_some());
+        assert!(scenario_by_name("mc-ec").is_some());
+        assert!(scenario_by_name("mc-hb").is_some());
         assert!(scenario_by_name("nope").is_none());
         assert_eq!(
             scenario_names(),

@@ -1,5 +1,6 @@
 //! Model-checking target adapters: [`McTarget`]s over the *real*
-//! detectors and consensus protocols, for `ecfd mc`.
+//! detectors and consensus protocols, for `ecfd mc`, and [`McScenario`],
+//! which makes a violation a campaign [`Artifact`].
 //!
 //! `fd-mc` explores abstract [`fd_sim::SchedWorld`]s; this module
 //! supplies the concrete ones. Detector targets box the same standalone
@@ -22,6 +23,8 @@
 //! EC terminate cleanly; the test-module constructor that disables it
 //! is the seeded-bug regression the acceptance test hunts.
 
+use fd_campaign::scenario::SeedExecutor;
+use fd_campaign::{Artifact, Monitor, NamedMonitor, RunOutcome, RunPlan, Scenario};
 use fd_chaos::DetectorKind;
 use fd_consensus::{
     ConsensusNode, CtConsensus, Decider, Ec, EcConsensus, Log, MultiEc, PaxosConsensus,
@@ -31,12 +34,13 @@ use fd_detectors::{
     HeartbeatConfig, HeartbeatDetector, LeaderByFirstNonSuspected, LeaderConfig, LeaderDetector,
     RingConfig, RingDetector, StableLeaderConfig, StableLeaderDetector,
 };
-use fd_mc::McTarget;
+use fd_mc::{Choice, FoundViolation, McConfig, McTarget};
 use fd_obs::keys;
 use fd_sim::{
     Actor, Context, LinkModel, NetworkConfig, ProcessId, SchedWorld, SimDuration, Time, TimerTag,
     WorldBuilder,
 };
+use serde::{Deserialize, Serialize};
 
 /// The model-checking network: constant-delay reliable links, so the
 /// explorer owns all nondeterminism and the state digest is sound.
@@ -98,7 +102,6 @@ pub fn detector_target(kind: DetectorKind, n: usize, horizon: Time) -> McTarget 
         name: format!("{}-n{n}", detector_label(kind)),
         n,
         horizon,
-        detector: kind,
         properties,
         factory: Box::new(move || detector_world(kind, n)),
     }
@@ -225,15 +228,9 @@ impl McProtocol {
         McProtocol::Multi,
     ];
 
-    /// Parse a CLI protocol name.
+    /// Parse a CLI protocol name (a [`label`](McProtocol::label)).
     pub fn parse(name: &str) -> Option<McProtocol> {
-        match name {
-            "ec" => Some(McProtocol::Ec),
-            "ct" => Some(McProtocol::Ct),
-            "paxos" => Some(McProtocol::Paxos),
-            "multi" => Some(McProtocol::Multi),
-            _ => None,
-        }
+        McProtocol::ALL.into_iter().find(|p| p.label() == name)
     }
 
     /// Short label (matches [`McProtocol::parse`] input).
@@ -257,16 +254,14 @@ impl McProtocol {
 /// fixed horizon is not a protocol guarantee under crashes, so it is
 /// not asserted here.
 pub fn protocol_target(proto: McProtocol, n: usize, horizon: Time) -> McTarget {
-    let (detector, properties): (DetectorKind, Vec<&'static str>) = match proto {
-        McProtocol::Ec | McProtocol::Ct => (DetectorKind::Heartbeat, vec![keys::CONSENSUS_ALL]),
-        McProtocol::Paxos => (DetectorKind::StableLeader, vec![keys::CONSENSUS_ALL]),
-        McProtocol::Multi => (DetectorKind::Heartbeat, vec![keys::MULTI_LOG_AGREEMENT]),
+    let properties = match proto {
+        McProtocol::Ec | McProtocol::Ct | McProtocol::Paxos => vec![keys::CONSENSUS_ALL],
+        McProtocol::Multi => vec![keys::MULTI_LOG_AGREEMENT],
     };
     McTarget {
         name: format!("{}-n{n}", proto.label()),
         n,
         horizon,
-        detector,
         properties,
         factory: Box::new(move || match proto {
             McProtocol::Ec => protocol_world(n, |pid| McEcNode::new(pid, n), McEcNode::propose),
@@ -311,10 +306,183 @@ pub fn protocol_target(proto: McProtocol, n: usize, horizon: Time) -> McTarget {
     }
 }
 
+/// What an mc plan's params hold: the choice script and the budgets it
+/// was found under. The [`fd_mc::Replayer`] counts a choice point only
+/// where it has two in-budget options, so the budgets are part of the run.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct McParams {
+    /// Recorded choice points per run ([`McConfig::depth`]).
+    pub depth: usize,
+    /// Forced losses per run ([`McConfig::drops`]).
+    pub drops: usize,
+    /// The choice script (canonical order after its last entry).
+    pub choices: Vec<Choice>,
+}
+
+impl McParams {
+    /// The params of an mc plan.
+    pub fn of(plan: &RunPlan) -> Result<McParams, String> {
+        serde_json::from_value(&plan.params).map_err(|e| format!("mc params: {e}"))
+    }
+
+    /// The plan of the one run these params name at `n`, `horizon` and
+    /// `crashes`.
+    fn plan(&self, n: usize, horizon: Time, crashes: &[(ProcessId, Time)]) -> RunPlan {
+        let mut plan = RunPlan::new(0, horizon, mc_net(n)).with_params(serde_json::to_value(self));
+        plan.crashes = crashes.to_vec();
+        plan
+    }
+}
+
+/// One family of model-checking targets — a detector or a protocol
+/// stack at any `n` — as the campaign [`Scenario`] `mc-<label>`, whose
+/// plan is one [`fd_mc::run_one`]. It has no seed space: every seed
+/// plans the canonical run at n = 3 over 300 ms.
+pub struct McScenario {
+    /// The registry name.
+    pub name: String,
+    /// Builds the family's target at `n` processes and a horizon.
+    pub build: Box<dyn Fn(usize, Time) -> McTarget + Send + Sync>,
+}
+
+impl McScenario {
+    /// Every family `ecfd mc --all` explores, in its order: `mc-hb`, …,
+    /// `mc-multi`.
+    pub fn all() -> Vec<McScenario> {
+        let detectors = DetectorKind::ALL.map(|kind| McScenario {
+            name: format!("mc-{}", detector_label(kind)),
+            build: Box::new(move |n, h| detector_target(kind, n, h)),
+        });
+        let protocols = McProtocol::ALL.map(|proto| McScenario {
+            name: format!("mc-{}", proto.label()),
+            build: Box::new(move |n, h| protocol_target(proto, n, h)),
+        });
+        detectors.into_iter().chain(protocols).collect()
+    }
+
+    /// The family registered as `name`.
+    pub fn by_name(name: &str) -> Option<McScenario> {
+        McScenario::all().into_iter().find(|s| s.name == name)
+    }
+
+    /// `v`, found exploring `target` under `cfg`, as an artifact of this
+    /// family that replays without either.
+    pub fn artifact(&self, target: &McTarget, cfg: &McConfig, v: &FoundViolation) -> Artifact {
+        let params = McParams {
+            depth: cfg.depth,
+            drops: cfg.drops,
+            choices: v.choices.clone(),
+        };
+        Artifact {
+            scenario: self.name.clone(),
+            seed: 0,
+            property: v.property.clone(),
+            detail: v.detail.clone(),
+            digest: v.trace_digest,
+            plan: params.plan(target.n, target.horizon, &v.schedule),
+        }
+    }
+}
+
+impl Scenario for McScenario {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn plan(&self, _seed: u64) -> RunPlan {
+        McParams::default().plan(3, Time::from_millis(300), &[])
+    }
+
+    fn monitors(&self) -> Vec<Box<dyn Monitor>> {
+        let properties = (self.build)(3, Time::from_millis(300)).properties;
+        properties.into_iter().map(NamedMonitor::boxed).collect()
+    }
+
+    /// Cut the choice script: halve it, drop its last choice, delete an
+    /// earlier one — forced losses first, since a script with fewer
+    /// faults is the more legible counterexample. A cut shifts later
+    /// choices onto other choice points; where one no longer fits, the
+    /// replayer plays the canonical event.
+    fn shrink_plan(&self, plan: &RunPlan) -> Vec<(String, RunPlan)> {
+        let Ok(params) = McParams::of(plan) else {
+            return Vec::new();
+        };
+        let (script, len) = (&params.choices, params.choices.len());
+        let mut cuts = Vec::new();
+        let mut cut = |label: String, choices: Vec<Choice>| {
+            let cut = McParams {
+                choices,
+                ..params.clone()
+            };
+            cuts.push((label, cut.plan(plan.n(), plan.horizon, &plan.crashes)));
+        };
+        if len >= 3 {
+            cut(
+                format!("halve the choice script to {}", len / 2),
+                script[..len / 2].to_vec(),
+            );
+        }
+        if len >= 1 {
+            cut(
+                "drop the last choice".to_string(),
+                script[..len - 1].to_vec(),
+            );
+        }
+        let mut earlier: Vec<usize> = (0..len.saturating_sub(1)).rev().collect();
+        earlier.sort_by_key(|&i| !script[i].is_drop());
+        for i in earlier {
+            let mut rest = script.clone();
+            let gone = rest.remove(i);
+            cut(format!("delete choice {i} ({gone:?})"), rest);
+        }
+        cuts
+    }
+
+    /// A plan runs only what it says: seed 0 and the net [`mc_net`] (the
+    /// target's, whatever the plan holds), crashes of its own processes,
+    /// params that parse.
+    fn check_plan(&self, plan: &RunPlan) -> Result<(), String> {
+        let n = plan.n();
+        let mc = n > 0 && serde_json::to_value(&plan.net) == serde_json::to_value(&mc_net(n));
+        if plan.seed != 0 || !mc || plan.crashes.iter().any(|(p, _)| p.index() >= n) {
+            return Err(format!(
+                "not an mc run: wants seed 0, net mc_net({n}) and crashes below p{n}"
+            ));
+        }
+        McParams::of(plan).map(drop)
+    }
+
+    fn make_executor(&self) -> Box<dyn SeedExecutor + '_> {
+        Box::new(self)
+    }
+}
+
+/// One [`fd_mc::run_one`] per plan, on a fresh, uninstrumented world.
+impl SeedExecutor for &McScenario {
+    fn execute(&mut self, plan: &RunPlan, _obs: Option<&fd_obs::Registry>) -> RunOutcome {
+        let params = McParams::of(plan).expect("check_plan accepted the params");
+        let cfg = McConfig {
+            depth: params.depth,
+            drops: params.drops,
+            ..McConfig::default()
+        };
+        let target = (self.build)(plan.n(), plan.horizon);
+        let exec = fd_mc::run_one(&target, &cfg, &plan.crashes, &params.choices);
+        RunOutcome {
+            n: plan.n(),
+            end: plan.horizon,
+            decision_latency: None,
+            messages: exec.metrics.sent_total(),
+            events: exec.metrics.events_processed(),
+            trace: exec.trace,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fd_mc::{explore, run_one, McConfig};
+    use fd_mc::{explore, run_one};
     use fd_sim::CanonicalScheduler;
 
     impl McEcNode {
@@ -402,7 +570,6 @@ mod tests {
             name: format!("ec-noretransmit-n{n}"),
             n,
             horizon,
-            detector: DetectorKind::Heartbeat,
             properties: vec![keys::CONSENSUS_TERMINATION],
             factory: Box::new(move || {
                 protocol_world(
@@ -427,45 +594,152 @@ mod tests {
         }
     }
 
-    /// Satellite 4, half 1: with retransmission reverted (the PR 6
-    /// wedge), exhaustive exploration at n=3 with one forced loss finds
-    /// the termination violation, and the shrunk witness is minimal —
-    /// exactly one dropped message, no crashes.
-    #[test]
-    fn mc_finds_the_seeded_retransmit_wedge() {
-        let n = 3;
-        let horizon = Time::from_millis(100);
-        let target = seeded_bug_target(n, horizon);
+    /// The seeded wedge as `ecfd mc` writes it: found by exhaustive
+    /// exploration at n = 3 with one forced loss, as an artifact of the
+    /// (unregistered) `mc-ec-noretransmit` family.
+    fn wedge_artifact() -> (McScenario, Artifact) {
+        let scenario = McScenario {
+            name: "mc-ec-noretransmit".into(),
+            build: Box::new(seeded_bug_target),
+        };
+        let target = (scenario.build)(3, Time::from_millis(100));
         let report = explore(&target, &wedge_cfg());
-
         assert_eq!(report.violations.len(), 1, "stats: {:?}", report.stats);
-        let v = &report.violations[0];
-        assert_eq!(v.property, keys::CONSENSUS_TERMINATION);
-        // Minimal witness shape: exactly one forced loss, every other
-        // choice canonical (choice scripts are positional, so the
-        // canonical prefix up to the drop's choice point must stay),
-        // and no crash events. One lost message is the whole fault.
-        let w = &v.witness;
-        assert_eq!(
-            w.choices.iter().filter(|c| c.is_drop()).count(),
-            1,
-            "witness: {:?}",
-            w.choices
-        );
-        assert!(
-            w.choices
-                .iter()
-                .all(|c| c.is_drop() || *c == fd_mc::Choice::Event(0)),
-            "non-canonical non-drop choices survived shrinking: {:?}",
-            w.choices
-        );
-        assert!(w.plan.events.is_empty(), "no crash needed");
-
-        let outcome = fd_mc::replay_witness(&target, &wedge_cfg(), &v.witness);
-        assert!(outcome.reproduced && outcome.violated);
+        let artifact = scenario.artifact(&target, &wedge_cfg(), &report.violations[0]);
+        (scenario, artifact)
     }
 
-    /// Satellite 4, half 2: the same exploration budget against the
+    /// With retransmission reverted (the round wedge), exhaustive
+    /// exploration at n=3 with one forced loss finds the termination
+    /// violation, and the campaign shrinker cuts it to a minimal script
+    /// — exactly one dropped message, no crashes.
+    #[test]
+    fn mc_finds_the_seeded_retransmit_wedge() {
+        let (scenario, artifact) = wedge_artifact();
+        assert_eq!(artifact.property, keys::CONSENSUS_TERMINATION);
+
+        let shrunk = fd_campaign::shrink(&scenario, &artifact).unwrap().artifact;
+        // Minimal shape: exactly one forced loss, every other choice
+        // canonical (choice scripts are positional, so the canonical
+        // prefix up to the drop's choice point must stay), and no crash
+        // events. One lost message is the whole fault.
+        let choices = McParams::of(&shrunk.plan).unwrap().choices;
+        assert_eq!(
+            choices.iter().filter(|c| c.is_drop()).count(),
+            1,
+            "shrunk script: {choices:?}"
+        );
+        assert!(
+            choices
+                .iter()
+                .all(|c| c.is_drop() || *c == Choice::Event(0)),
+            "non-canonical non-drop choices survived shrinking: {choices:?}"
+        );
+        assert!(shrunk.plan.crashes.is_empty(), "no crash needed");
+
+        let replayed = fd_campaign::replay(&scenario, &shrunk).unwrap();
+        assert!(replayed.reproduced() && replayed.digest_matches);
+    }
+
+    /// The artifact carries everything its run depends on: read back
+    /// from JSON with no exploration config and no target flags, it
+    /// replays to the recorded digest — and the drop budget in its
+    /// params is load-bearing: at budget 0 the same script is another
+    /// run, which terminates.
+    #[test]
+    fn a_wedge_artifact_replays_from_its_json_alone() {
+        let (scenario, artifact) = wedge_artifact();
+        let json = serde_json::to_string_pretty(&artifact).unwrap();
+        let back: Artifact = serde_json::from_str(&json).unwrap();
+        let replayed = fd_campaign::replay(&scenario, &back).unwrap();
+        assert!(replayed.reproduced(), "the violation must come back");
+        assert!(replayed.digest_matches, "byte-identical trace");
+
+        let mut no_budget = back;
+        let mut params = McParams::of(&no_budget.plan).unwrap();
+        params.drops = 0;
+        no_budget.plan.params = serde_json::to_value(&params);
+        let replayed = fd_campaign::replay(&scenario, &no_budget).unwrap();
+        assert!(!replayed.reproduced() && !replayed.digest_matches);
+    }
+
+    /// Every family resolves by its name, plans what `check_plan`
+    /// accepts, and refuses a plan that would run something else.
+    #[test]
+    fn mc_scenarios_check_their_plans() {
+        let names: Vec<String> = McScenario::all().iter().map(|s| s.name.clone()).collect();
+        assert_eq!(
+            names,
+            [
+                "mc-hb",
+                "mc-ring",
+                "mc-leader",
+                "mc-ec",
+                "mc-ct",
+                "mc-paxos",
+                "mc-multi"
+            ]
+        );
+        let sc = McScenario::by_name("mc-ec").unwrap();
+        let plan = sc.plan(7);
+        sc.check_plan(&plan).unwrap();
+        let outcome = sc.make_executor().execute(&plan, None);
+        assert!(outcome.events > 0 && outcome.messages > 0);
+
+        let mut seeded = plan.clone();
+        seeded.seed = 7;
+        assert!(sc.check_plan(&seeded).is_err());
+        let mut lossy = plan.clone();
+        lossy.net = crate::scenarios::jitter_net(3);
+        assert!(sc.check_plan(&lossy).is_err());
+        let mut stray = plan.clone();
+        stray.crashes.push((ProcessId(3), Time::ZERO));
+        assert!(sc.check_plan(&stray).is_err());
+        let mut bare = plan;
+        bare.params = serde::Value::Null;
+        assert!(sc.check_plan(&bare).is_err());
+    }
+
+    /// The script cuts, most aggressive first, drops before events.
+    #[test]
+    fn mc_shrink_moves_cut_the_choice_script() {
+        let sc = McScenario::by_name("mc-ec").unwrap();
+        let params = McParams {
+            depth: 6,
+            drops: 1,
+            choices: vec![
+                Choice::Event(1),
+                Choice::Drop(0),
+                Choice::Event(2),
+                Choice::Event(0),
+            ],
+        };
+        let plan = params.plan(3, Time::from_millis(300), &[]);
+        let moves = sc.shrink_plan(&plan);
+        let labels: Vec<&str> = moves.iter().map(|(l, _)| l.as_str()).collect();
+        assert_eq!(
+            labels,
+            [
+                "halve the choice script to 2",
+                "drop the last choice",
+                "delete choice 1 (Drop(0))",
+                "delete choice 2 (Event(2))",
+                "delete choice 0 (Event(1))",
+            ]
+        );
+        let scripts: Vec<Vec<Choice>> = moves
+            .iter()
+            .map(|(_, p)| McParams::of(p).unwrap().choices)
+            .collect();
+        assert_eq!(scripts[0], [Choice::Event(1), Choice::Drop(0)]);
+        assert_eq!(
+            scripts[2],
+            [Choice::Event(1), Choice::Event(2), Choice::Event(0)]
+        );
+        assert!(moves.iter().all(|(_, p)| sc.check_plan(p).is_ok()));
+    }
+
+    /// The same exploration budget against the
     /// shipped node (watchdog armed) is violation-free — the repair is
     /// what closes the wedge.
     #[test]

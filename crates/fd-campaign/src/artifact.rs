@@ -50,10 +50,15 @@ impl Artifact {
     pub fn save(&self, dir: &Path) -> std::io::Result<PathBuf> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(self.file_name());
+        self.write(&path)?;
+        Ok(path)
+    }
+
+    /// Write the artifact as pretty JSON to `path`.
+    pub fn write(&self, path: &Path) -> std::io::Result<()> {
         let json = serde_json::to_string_pretty(self)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        std::fs::write(&path, json)?;
-        Ok(path)
+        std::fs::write(path, json)
     }
 
     /// Load an artifact from a JSON file.

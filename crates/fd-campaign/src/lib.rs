@@ -16,8 +16,9 @@
 //! When a seed violates a property, the engine emits a JSON [`Artifact`]
 //! holding the full plan; [`replay`] re-executes it (verifying a
 //! byte-identical trace via digest) and [`shrink()`] greedily minimizes it
-//! — dropping crashes, shortening the horizon, removing processes,
-//! reducing link loss — while the violation persists.
+//! — dropping crashes, removing processes, shortening a safety
+//! violation's horizon, reducing link loss — while the violation
+//! persists. `ecfd mc` writes its counterexamples in the same format.
 //!
 //! ```
 //! use fd_campaign::{BlindScenario, Campaign};

@@ -1,11 +1,16 @@
 //! Greedy counterexample shrinking.
 //!
 //! Given an artifact whose plan violates a property, repeatedly try
-//! simpler plans — drop a crash, shorten the horizon, remove a process,
+//! simpler plans — drop a crash, remove a process, shorten the horizon,
 //! reduce link loss, plus any scenario-specific moves contributed via
 //! [`Scenario::shrink_plan`] — keeping any mutation under which the same
 //! property still fails. The result is a locally minimal counterexample:
 //! no single remaining simplification preserves the failure.
+//!
+//! The horizon is shortened only for a property in
+//! [`fd_core::PREFIX_CLOSED_CHECKS`]: any other can fail on a prefix of a
+//! run that satisfies it (nobody has decided *yet*). A candidate runs
+//! only if [`Scenario::check_plan`] accepts it, as its replay would.
 
 use crate::artifact::Artifact;
 use crate::monitor::check_property;
@@ -81,12 +86,15 @@ pub fn shrink(scenario: &dyn Scenario, artifact: &Artifact) -> Result<ShrinkOutc
     let mut applied = Vec::new();
     let mut attempts = 0usize;
     'progress: loop {
-        let moves = candidates(&current)
+        let moves = candidates(&current, &artifact.property)
             .into_iter()
             .chain(scenario.shrink_plan(&current));
         for (label, candidate) in moves {
             if attempts >= MAX_ATTEMPTS {
                 break 'progress;
+            }
+            if scenario.check_plan(&candidate).is_err() {
+                continue;
             }
             attempts += 1;
             if let Some((v, g)) = still_fails(&candidate)? {
@@ -115,8 +123,9 @@ pub fn shrink(scenario: &dyn Scenario, artifact: &Artifact) -> Result<ShrinkOutc
     })
 }
 
-/// The single-step simplifications of a plan, most aggressive first.
-fn candidates(plan: &RunPlan) -> Vec<(String, RunPlan)> {
+/// The single-step simplifications of a plan violating `property`, most
+/// aggressive first.
+fn candidates(plan: &RunPlan, property: &str) -> Vec<(String, RunPlan)> {
     let mut out = Vec::new();
     for i in 0..plan.crashes.len() {
         let (pid, at) = plan.crashes[i];
@@ -127,7 +136,8 @@ fn candidates(plan: &RunPlan) -> Vec<(String, RunPlan)> {
         out.push((format!("shrink n to {}", n - 1), plan.shrunk_to(n - 1)));
     }
     let shorter = Time(plan.horizon.ticks() / 4 * 3);
-    if shorter > Time::ZERO && shorter < plan.horizon {
+    let prefix_closed = fd_core::PREFIX_CLOSED_CHECKS.contains(&property);
+    if prefix_closed && shorter > Time::ZERO && shorter < plan.horizon {
         out.push((
             format!("shorten horizon to {shorter}"),
             plan.with_horizon(shorter),
@@ -186,9 +196,12 @@ mod tests {
         // One unsuspected crash suffices for the violation, so the greedy
         // pass must have dropped the rest.
         assert_eq!(out.artifact.plan.crashes.len(), 1);
-        assert!(
-            out.artifact.plan.horizon < artifact.plan.horizon,
-            "horizon shortened"
+        // Strong completeness is a liveness property ("eventually
+        // suspected"): a shorter run could fail it only because the
+        // crash is not yet detected, so the horizon stays.
+        assert_eq!(
+            out.artifact.plan.horizon, artifact.plan.horizon,
+            "horizon kept"
         );
         assert!(!out.applied.is_empty());
         assert!(out.attempts >= out.applied.len());
@@ -197,6 +210,53 @@ mod tests {
         let replayed = replay(&sc, &out.artifact).unwrap();
         assert!(replayed.reproduced());
         assert!(replayed.digest_matches);
+    }
+
+    /// The blind scenario, but its `check_plan` refuses fewer than three
+    /// processes.
+    struct AtLeastThree(BlindScenario);
+
+    impl Scenario for AtLeastThree {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+        fn plan(&self, seed: u64) -> RunPlan {
+            self.0.plan(seed)
+        }
+        fn monitors(&self) -> Vec<Box<dyn crate::Monitor>> {
+            self.0.monitors()
+        }
+        fn check_plan(&self, plan: &RunPlan) -> Result<(), String> {
+            match plan.n() {
+                n if n < 3 => Err(format!("n = {n} < 3")),
+                _ => Ok(()),
+            }
+        }
+        fn make_executor(&self) -> Box<dyn crate::SeedExecutor + '_> {
+            self.0.make_executor()
+        }
+    }
+
+    #[test]
+    fn candidates_the_scenario_refuses_never_run() {
+        // p0 crashes unsuspected: the violation survives every cut of n
+        // down to 2 (at n = 1 nobody is left to suspect it).
+        let artifact = Artifact {
+            scenario: "blind".into(),
+            seed: 0,
+            property: "fd.strong_completeness".into(),
+            detail: String::new(),
+            digest: 0,
+            plan: RunPlan::new(0, Time::from_secs(1), fd_sim::NetworkConfig::new(4))
+                .with_crash(fd_sim::ProcessId(0), Time::from_millis(50)),
+        };
+        let free = shrink(&BlindScenario, &artifact).unwrap();
+        assert_eq!(free.artifact.plan.n(), 2, "{:?}", free.applied);
+
+        let floor = shrink(&AtLeastThree(BlindScenario), &artifact).unwrap();
+        assert_eq!(floor.artifact.plan.n(), 3, "{:?}", floor.applied);
+        assert!(!floor.applied.iter().any(|s| s == "shrink n to 2"));
+        assert!(floor.attempts < free.attempts, "the refused cut never ran");
     }
 
     #[test]

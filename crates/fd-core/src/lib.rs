@@ -31,7 +31,8 @@ pub use detector::{
     obs, observe_suspects, observe_trusted, EventuallyConsistentOracle, FdOutput, LeaderOracle,
     SuspectOracle,
 };
-pub use properties::{run_named_check, CheckResult, ConsensusRun, FdRun, Violation, NAMED_CHECKS};
+pub use properties::{run_named_check, CheckResult, ConsensusRun, FdRun, Violation};
+pub use properties::{NAMED_CHECKS, PREFIX_CLOSED_CHECKS};
 pub use qos::{nearest_rank, DetectorQos};
 pub use set::{ProcessSet, MAX_PROCESSES};
 

@@ -668,6 +668,22 @@ pub const NAMED_CHECKS: &[&str] = &[
     keys::CHAOS_CLASS_AFTER_FAULTS,
 ];
 
+/// The safety properties: a run that violates one violates it on every
+/// extension, so a shrinker may cut its horizon. Each checker finds a bad
+/// thing that stays in the trace — two decisions that differ, a decided
+/// value nobody proposed (proposals are observed before they are sent),
+/// a second decision, two appends or applied digests for one slot
+/// (`kv.log_agreement` is an `fd-kv` monitor). Termination and the ◇
+/// properties can fail on a prefix of a run that satisfies them.
+pub const PREFIX_CLOSED_CHECKS: &[&str] = &[
+    keys::CONSENSUS_AGREEMENT,
+    keys::CONSENSUS_VALIDITY,
+    keys::CONSENSUS_INTEGRITY,
+    keys::CONSENSUS_SAFETY,
+    keys::MULTI_LOG_AGREEMENT,
+    keys::KV_LOG_AGREEMENT,
+];
+
 /// Run one trace check by its stable name (see [`NAMED_CHECKS`]).
 /// Returns `None` for an unknown name. `end` bounds the run for the
 /// FD-style checks (consensus checks ignore it).
@@ -906,6 +922,52 @@ mod tests {
     fn safety_subset_ignores_termination() {
         let tr = consensus_trace(&[(0, 9, 1)]);
         ConsensusRun::new(&tr, 3).check_safety().unwrap();
+    }
+
+    /// Each named safety check fails on a run that has done its bad
+    /// thing, and keeps failing however the run goes on; termination,
+    /// left off the list, fails on a prefix of a run that satisfies it.
+    #[test]
+    fn prefix_closed_checks_stay_violated_when_the_run_goes_on() {
+        let prefix = vec![
+            obs_ev(0, 0, obs::PROPOSE, Payload::U64(7)),
+            obs_ev(0, 1, obs::PROPOSE, Payload::U64(9)),
+            obs_ev(10, 0, obs::DECIDE, Payload::U64Pair(7, 1)),
+            obs_ev(10, 1, obs::DECIDE, Payload::U64Pair(8, 1)),
+            obs_ev(20, 0, obs::DECIDE, Payload::U64Pair(7, 2)),
+            obs_ev(30, 0, keys::MULTI_APPEND, Payload::U64Pair(0, 7)),
+            obs_ev(30, 1, keys::MULTI_APPEND, Payload::U64Pair(0, 8)),
+        ];
+        let mut longer = prefix.clone();
+        longer.extend([
+            obs_ev(40, 2, obs::DECIDE, Payload::U64Pair(7, 3)),
+            obs_ev(40, 2, keys::MULTI_APPEND, Payload::U64Pair(0, 7)),
+            obs_ev(50, 2, keys::MULTI_APPEND, Payload::U64Pair(1, 9)),
+        ]);
+        let (prefix, longer) = (Trace::from_events(prefix), Trace::from_events(longer));
+        for &name in PREFIX_CLOSED_CHECKS {
+            if name == keys::KV_LOG_AGREEMENT {
+                assert!(!NAMED_CHECKS.contains(&name), "a fd-kv monitor");
+                continue;
+            }
+            assert!(NAMED_CHECKS.contains(&name), "{name}");
+            for trace in [&prefix, &longer] {
+                let check = run_named_check(name, trace, 3, Time(100)).unwrap();
+                assert!(check.is_err(), "{name} passed a violating run");
+            }
+        }
+
+        let done = consensus_trace(&[(0, 9, 1), (1, 9, 1), (2, 9, 1)]);
+        let cut = Trace::from_events(
+            done.events()
+                .iter()
+                .filter(|e| e.at < Time(100))
+                .cloned()
+                .collect(),
+        );
+        assert!(ConsensusRun::new(&done, 3).check_termination().is_ok());
+        assert!(ConsensusRun::new(&cut, 3).check_termination().is_err());
+        assert!(!PREFIX_CLOSED_CHECKS.contains(&keys::CONSENSUS_TERMINATION));
     }
 
     #[test]

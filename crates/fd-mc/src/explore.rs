@@ -27,10 +27,8 @@
 //! set of final states.
 
 use crate::replay::{Choice, CpRecord, Replayer};
-use crate::witness::{shrink_witness, Witness};
-use fd_chaos::DetectorKind;
 use fd_core::properties::run_named_check;
-use fd_sim::{ProcessId, SchedWorld, SimDuration, Time, Trace};
+use fd_sim::{Metrics, ProcessId, SchedWorld, SimDuration, Time, Trace};
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -76,15 +74,12 @@ impl Default for McConfig {
 /// One system under exploration: a world factory plus the properties
 /// every explored run must satisfy.
 pub struct McTarget {
-    /// Human-readable name (labels reports and witnesses).
+    /// Human-readable name (labels reports and their artifact files).
     pub name: String,
     /// Number of processes.
     pub n: usize,
     /// Run horizon: every run executes all events up to this time.
     pub horizon: Time,
-    /// The detector kind recorded in witness plans (so a witness is a
-    /// self-contained `ChaosPlan` the campaign tooling understands).
-    pub detector: DetectorKind,
     /// Named property checks (see `fd_core::properties::NAMED_CHECKS`)
     /// evaluated on every explored run's trace.
     pub properties: Vec<&'static str>,
@@ -98,10 +93,8 @@ pub struct McTarget {
 /// Counters describing one exploration.
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct ExploreStats {
-    /// Full executions performed (excluding shrinking).
+    /// Full executions performed.
     pub runs: usize,
-    /// Extra executions spent shrinking witnesses.
-    pub shrink_runs: usize,
     /// Crash schedules enumerated.
     pub schedules: usize,
     /// Choice points expanded across all runs.
@@ -118,23 +111,28 @@ pub struct ExploreStats {
     /// canonically past the cap — coverage below the cap is exhaustive,
     /// beyond it is not).
     pub depth_capped_runs: usize,
-    /// Runs on which at least one property failed (each property gets
-    /// one shrunk witness per crash schedule; this counts every
+    /// Runs on which at least one property failed (each property is
+    /// reported once, by its first violating run; this counts every
     /// violating run).
     pub violating_runs: usize,
     /// True when `max_runs` stopped the search early.
     pub truncated: bool,
 }
 
-/// One violation found by exploration, with its replayable witness.
+/// One violating run, as exploration found it (unshrunk): everything
+/// [`run_one`] needs to execute it again under the same budgets.
 #[derive(Debug, Clone, Serialize)]
 pub struct FoundViolation {
     /// The named property that failed.
     pub property: String,
-    /// Human-readable failure detail (from the shrunk run).
+    /// Human-readable failure detail.
     pub detail: String,
-    /// The shrunk, replayable witness.
-    pub witness: Witness,
+    /// The run's crash schedule.
+    pub schedule: Vec<(ProcessId, Time)>,
+    /// The run's choice script (canonical order after the last entry).
+    pub choices: Vec<Choice>,
+    /// FNV digest of the run's trace.
+    pub trace_digest: u64,
 }
 
 /// The result of exploring one target.
@@ -146,8 +144,8 @@ pub struct McReport {
     pub n: usize,
     /// Exploration counters.
     pub stats: ExploreStats,
-    /// Every distinct violation found (deduplicated by property and
-    /// violating-trace digest), shrunk.
+    /// The first violating run of each failed property, in the order
+    /// found.
     pub violations: Vec<FoundViolation>,
     /// True when the bounded state space was fully explored (no
     /// `max_runs` truncation). Depth caps are reported separately in
@@ -163,8 +161,8 @@ impl McReport {
     /// This target's block of `ecfd mc` output: the counters line — with
     /// the caller-measured wall time and, when a POR-off baseline was
     /// run, the reduction factor — then two lines per violation naming
-    /// the property and its [`witness_file`](McReport::witness_file).
-    pub fn render(&self, wall_ms: u64, baseline_runs: Option<usize>, witness_dir: &str) -> String {
+    /// the property and its [`artifact_file`](McReport::artifact_file).
+    pub fn render(&self, wall_ms: u64, baseline_runs: Option<usize>, artifact_dir: &str) -> String {
         use std::fmt::Write;
         let s = &self.stats;
         let mut out = String::new();
@@ -194,15 +192,16 @@ visited_hits={:<6} capped={:<6} wall={:>6}ms {}",
         out.push('\n');
         for v in &self.violations {
             let _ = writeln!(out, "    VIOLATION {}: {}", v.property, v.detail);
-            let _ = writeln!(out, "    witness: {}", self.witness_file(witness_dir, v));
+            let _ = writeln!(out, "    artifact: {}", self.artifact_file(artifact_dir, v));
         }
         out
     }
 
-    /// Where `ecfd mc` writes `v`'s witness under `witness_dir`.
-    pub fn witness_file(&self, witness_dir: &str, v: &FoundViolation) -> String {
+    /// Where `ecfd mc` writes `v`'s counterexample under `artifact_dir`:
+    /// one file per (target, property).
+    pub fn artifact_file(&self, artifact_dir: &str, v: &FoundViolation) -> String {
         let property = v.property.replace('.', "-");
-        format!("{witness_dir}/{}-{property}.json", self.target)
+        format!("{artifact_dir}/{}-{property}.json", self.target)
     }
 
     /// The closing verdict line of `ecfd mc` over every explored target.
@@ -213,7 +212,7 @@ visited_hits={:<6} capped={:<6} wall={:>6}ms {}",
             truncated |= !r.complete;
         }
         if violated {
-            "mc: violations found — witnesses written\n"
+            "mc: violations found — artifacts written\n"
         } else if truncated {
             "mc: clean but truncated (raise --max-runs for an exhaustive verdict)\n"
         } else {
@@ -226,7 +225,7 @@ visited_hits={:<6} capped={:<6} wall={:>6}ms {}",
 #[derive(Debug, Clone)]
 pub struct CheckFailure {
     /// The `NAMED_CHECKS` name that failed (the stable identifier —
-    /// witnesses and reports key on this, not on the checker's
+    /// artifacts and reports key on this, not on the checker's
     /// internal violation label).
     pub check: &'static str,
     /// The underlying violation, with its human-readable detail.
@@ -243,10 +242,10 @@ pub struct Exec {
     pub final_digest: u64,
     /// Named checks that failed on this run's trace.
     pub violations: Vec<CheckFailure>,
-    /// The run's trace (kept for witness details).
+    /// The run's trace.
     pub trace: Trace,
-    /// True when a scripted choice did not match the enabled set.
-    pub diverged: bool,
+    /// The run's kernel counters.
+    pub metrics: Metrics,
     /// True when the depth budget truncated recording.
     pub depth_capped: bool,
 }
@@ -254,9 +253,9 @@ pub struct Exec {
 /// Execute one run of `target` under a crash schedule and choice
 /// script; check every target property on the resulting trace.
 ///
-/// This is *the* execution function — exploration, shrinking, and
-/// witness replay all go through it, which is what makes witnesses
-/// byte-identical to the runs that produced them.
+/// This is *the* execution function — exploration and the replay and
+/// shrinking of its counterexamples all go through it, which is what
+/// makes a counterexample byte-identical to the run that produced it.
 pub fn run_one(
     target: &McTarget,
     cfg: &McConfig,
@@ -271,7 +270,7 @@ pub fn run_one(
     let mut rep = Replayer::new(script, cfg.depth, cfg.drops);
     world.run_scheduled_until(target.horizon, &mut rep);
     let final_digest = world.state_digest();
-    let (trace, _metrics) = world.take_results();
+    let (trace, metrics) = world.take_results();
     let trace_digest = trace.digest();
     let mut violations = Vec::new();
     for name in &target.properties {
@@ -290,7 +289,7 @@ pub fn run_one(
         final_digest,
         violations,
         trace,
-        diverged: rep.diverged,
+        metrics,
         depth_capped: rep.depth_capped,
     }
 }
@@ -327,7 +326,8 @@ struct Dfs<'t> {
     /// digest → entries that were fully explored from that state.
     visited: BTreeMap<u64, Vec<VisitedEntry>>,
     stats: ExploreStats,
-    seen: BTreeSet<String>,
+    /// Properties already reported, across every crash schedule.
+    seen: BTreeSet<&'static str>,
     violations: Vec<FoundViolation>,
     final_digests: BTreeSet<u64>,
     stop: bool,
@@ -349,27 +349,15 @@ impl Dfs<'_> {
             self.stats.violating_runs += 1;
         }
         for f in &exec.violations {
-            if !self.seen.insert(f.check.to_string()) {
-                continue;
+            if self.seen.insert(f.check) {
+                self.violations.push(FoundViolation {
+                    property: f.check.to_string(),
+                    detail: f.violation.detail.clone(),
+                    schedule: self.schedule.clone(),
+                    choices: prefix.to_vec(),
+                    trace_digest: exec.trace_digest,
+                });
             }
-            let (schedule, choices, shrunk) = shrink_witness(
-                self.target,
-                self.cfg,
-                self.schedule.clone(),
-                prefix.to_vec(),
-                f.check,
-                &mut self.stats.shrink_runs,
-            );
-            self.violations.push(FoundViolation {
-                property: f.check.to_string(),
-                detail: shrunk
-                    .violations
-                    .iter()
-                    .find(|sf| sf.check == f.check)
-                    .map(|sf| sf.violation.detail.clone())
-                    .unwrap_or_else(|| f.violation.detail.clone()),
-                witness: Witness::new(self.target, &schedule, choices, f.check, &shrunk),
-            });
         }
     }
 
@@ -511,6 +499,7 @@ pub fn explore(target: &McTarget, cfg: &McConfig) -> McReport {
     let mut final_digests = BTreeSet::new();
     let mut truncated = false;
     let mut runs_so_far = 0usize;
+    let mut seen = BTreeSet::new();
     for schedule in crash_schedules(target.n, cfg) {
         stats.schedules += 1;
         let mut dfs = Dfs {
@@ -519,7 +508,7 @@ pub fn explore(target: &McTarget, cfg: &McConfig) -> McReport {
             schedule,
             visited: BTreeMap::new(),
             stats: ExploreStats::default(),
-            seen: BTreeSet::new(),
+            seen: std::mem::take(&mut seen),
             violations: Vec::new(),
             final_digests: BTreeSet::new(),
             stop: false,
@@ -528,7 +517,7 @@ pub fn explore(target: &McTarget, cfg: &McConfig) -> McReport {
         dfs.stats.runs = runs_so_far;
         dfs.visit(&mut Vec::new(), Vec::new());
         runs_so_far = dfs.stats.runs;
-        stats.shrink_runs += dfs.stats.shrink_runs;
+        seen = dfs.seen;
         stats.choice_points += dfs.stats.choice_points;
         stats.sleep_skips += dfs.stats.sleep_skips;
         stats.visited_hits += dfs.stats.visited_hits;

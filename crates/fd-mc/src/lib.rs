@@ -19,10 +19,12 @@
 //!   PROPERTIES.md) every explored run must satisfy.
 //! * [`explore()`] — the bounded DFS over scheduler nondeterminism,
 //!   pruned by sleep-set partial-order reduction and a state-digest
-//!   visited set (both switchable, both soundness-tested).
-//! * [`Witness`] — a violation's replayable counterexample: a
-//!   `ChaosPlan` plus choice trace, greedily shrunk, byte-identical
-//!   under [`replay_witness`].
+//!   visited set (both switchable, both soundness-tested). It reports
+//!   each failed property's first violating run raw ([`FoundViolation`]),
+//!   and [`run_one`] re-executes it byte-identically.
+//!
+//! `fd-bench::mc` writes a violation as an `fd_campaign::Artifact`, so
+//! `ecfd campaign --replay FILE [--shrink]` replays and shrinks it.
 //!
 //! Exploration is exact, not probabilistic: a clean [`McReport`] with
 //! `complete = true` and no depth caps means *no* schedule within the
@@ -56,7 +58,6 @@
 //!     name: "ping".into(),
 //!     n: 2,
 //!     horizon: Time::from_millis(10),
-//!     detector: fd_chaos::DetectorKind::Heartbeat,
 //!     properties: vec![],
 //!     factory: Box::new(|| {
 //!         let net = NetworkConfig::new(2)
@@ -74,14 +75,12 @@
 
 pub mod explore;
 pub mod replay;
-pub mod witness;
 
 pub use explore::{
     crash_schedules, explore, run_one, Exec, ExploreStats, FoundViolation, McConfig, McReport,
     McTarget,
 };
 pub use replay::{Choice, CpRecord, OptionRec, Replayer};
-pub use witness::{replay_witness, shrink_witness, ReplayOutcome, Witness};
 
 #[cfg(test)]
 mod tests {
@@ -154,7 +153,6 @@ mod tests {
             name: "race-decide".into(),
             n,
             horizon: Time::from_millis(20),
-            detector: fd_chaos::DetectorKind::Heartbeat,
             properties,
             factory: Box::new(move || race_world(n)),
         }
@@ -195,8 +193,12 @@ mod tests {
         assert_eq!(report.stats.depth_capped_runs, 0);
     }
 
+    /// A violation is reported raw — the first violating run, which
+    /// [`run_one`] re-executes to the same trace digest. (Shrinking it
+    /// and replaying it from disk are `ecfd campaign`'s, tested in
+    /// `tests/mc_artifacts.rs`.)
     #[test]
-    fn a_forced_loss_breaks_agreement_and_shrinks_to_one_drop() {
+    fn a_found_violation_reruns_to_its_digest() {
         let target = race_target(3, vec![fd_obs::keys::CONSENSUS_AGREEMENT]);
         let cfg = McConfig {
             drops: 1,
@@ -207,33 +209,12 @@ mod tests {
         assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
         let v = &report.violations[0];
         assert_eq!(v.property, fd_obs::keys::CONSENSUS_AGREEMENT);
-        // The shrunk witness is minimal: exactly one choice, a drop.
-        assert_eq!(v.witness.choices.len(), 1, "{:?}", v.witness.choices);
-        assert!(v.witness.choices[0].is_drop());
-        assert!(v.witness.plan.events.is_empty(), "no crashes needed");
-    }
+        assert!(v.schedule.is_empty(), "no crash budget, no crash");
+        assert!(v.choices.iter().any(|c| c.is_drop()), "{:?}", v.choices);
 
-    #[test]
-    fn witnesses_replay_byte_identically() {
-        let target = race_target(3, vec![fd_obs::keys::CONSENSUS_AGREEMENT]);
-        let cfg = McConfig {
-            drops: 1,
-            ..McConfig::default()
-        };
-        let report = explore(&target, &cfg);
-        let w = &report.violations[0].witness;
-
-        let once = replay_witness(&target, &cfg, w);
-        let twice = replay_witness(&target, &cfg, w);
-        assert!(once.reproduced, "replay must hit the recorded digest");
-        assert!(once.violated);
-        assert_eq!(once.trace_digest, twice.trace_digest);
-
-        // And the JSON round-trip preserves the witness exactly.
-        let back = Witness::from_json(&w.to_json()).unwrap();
-        assert_eq!(back.choices, w.choices);
-        assert_eq!(back.trace_digest, w.trace_digest);
-        assert!(replay_witness(&target, &cfg, &back).reproduced);
+        let again = run_one(&target, &cfg, &v.schedule, &v.choices);
+        assert_eq!(again.trace_digest, v.trace_digest);
+        assert!(again.violations.iter().any(|f| f.check == v.property));
     }
 
     #[test]
@@ -394,25 +375,16 @@ visited_hits=2      capped=40     wall=     7ms exhaustive por-reduction=2.50x\n
         let truncated = clean;
         assert!(McReport::render_verdict([&truncated]).starts_with("mc: clean but truncated"));
 
-        let horizon = Time::from_millis(20);
-        let witness = Witness {
-            target: "race-decide".into(),
-            n: 3,
-            horizon,
-            plan: fd_chaos::ChaosPlan::new(3, fd_chaos::DetectorKind::Heartbeat, horizon),
-            choices: vec![],
-            property: "consensus.agreement".into(),
-            detail: "p1 decided 7, p2 decided 2".into(),
-            trace_digest: 0,
-        };
         let violated = McReport {
             target: "race-decide".into(),
             n: 3,
             stats: ExploreStats::default(),
             violations: vec![FoundViolation {
-                property: witness.property.clone(),
-                detail: witness.detail.clone(),
-                witness,
+                property: "consensus.agreement".into(),
+                detail: "p1 decided 7, p2 decided 2".into(),
+                schedule: vec![],
+                choices: vec![Choice::Drop(1)],
+                trace_digest: 0,
             }],
             complete: true,
             final_digests: vec![],
@@ -426,11 +398,11 @@ visited_hits=2      capped=40     wall=     7ms exhaustive por-reduction=2.50x\n
         );
         assert_eq!(
             lines[2],
-            "    witness: target/w/race-decide-consensus-agreement.json"
+            "    artifact: target/w/race-decide-consensus-agreement.json"
         );
         assert_eq!(
             McReport::render_verdict([&truncated, &violated]),
-            "mc: violations found — witnesses written\n"
+            "mc: violations found — artifacts written\n"
         );
     }
 }

@@ -10,35 +10,12 @@
 //! digest, same metrics, same violations.
 
 use fd_sim::{ChoicePoint, ProcessId, SchedChoice, Scheduler, Time};
-use serde::{Deserialize, Serialize};
 
-/// One serializable decision at a recorded choice point. Indices refer
-/// to the canonical `(time, seq)` order of the enabled set at that
-/// point, so a choice trace is meaningful only relative to the world
-/// and the choices before it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Choice {
-    /// Fire the `i`-th enabled event (index 0 is the canonical pick).
-    Event(usize),
-    /// Drop the `i`-th enabled event — a forced link loss; the event
-    /// must be a message delivery.
-    Drop(usize),
-}
-
-impl Choice {
-    /// Whether this choice is a forced message loss.
-    pub fn is_drop(self) -> bool {
-        matches!(self, Choice::Drop(_))
-    }
-
-    /// The kernel-facing form of this choice.
-    pub fn to_sched(self) -> SchedChoice {
-        match self {
-            Choice::Event(i) => SchedChoice::Event(i),
-            Choice::Drop(i) => SchedChoice::Drop(i),
-        }
-    }
-}
+/// One decision at a recorded choice point: the kernel's own
+/// [`SchedChoice`]. Indices refer to the canonical `(time, seq)` order of
+/// the enabled set at that point, so a choice trace is meaningful only
+/// relative to the world and the choices before it.
+pub use fd_sim::SchedChoice as Choice;
 
 /// One explorable option at a recorded choice point, with the
 /// content digest and footprint the DFS keys its sleep sets on.
@@ -90,10 +67,6 @@ pub struct Replayer<'a> {
     drops_used: usize,
     /// Every recorded choice point, in execution order.
     pub log: Vec<CpRecord>,
-    /// Set when a scripted choice was invalid for the enabled set it
-    /// met (possible while shrinking, never during exploration); the
-    /// run continued canonically from there.
-    pub diverged: bool,
     /// Set when a genuine choice point was passed canonically because
     /// the depth budget was exhausted.
     pub depth_capped: bool,
@@ -109,7 +82,6 @@ impl<'a> Replayer<'a> {
             drop_budget,
             drops_used: 0,
             log: Vec::new(),
-            diverged: false,
             depth_capped: false,
         }
     }
@@ -148,18 +120,13 @@ impl Scheduler for Replayer<'_> {
             self.depth_capped = true;
             return SchedChoice::Event(0);
         }
-        let choice = if self.pos < self.script.len() {
-            let c = self.script[self.pos];
-            self.pos += 1;
-            if opts.iter().any(|o| o.choice == c) {
-                c
-            } else {
-                self.diverged = true;
-                Choice::Event(0)
-            }
-        } else {
-            Choice::Event(0)
-        };
+        // A scripted choice the enabled set does not offer (a script cut
+        // by the shrinker) plays the canonical event instead.
+        let scripted = self.script.get(self.pos).copied();
+        self.pos += 1;
+        let choice = scripted
+            .filter(|c| opts.iter().any(|o| o.choice == *c))
+            .unwrap_or(Choice::Event(0));
         self.log.push(CpRecord {
             now: cp.now,
             digest: cp.state_digest,
@@ -169,6 +136,6 @@ impl Scheduler for Replayer<'_> {
         if choice.is_drop() {
             self.drops_used += 1;
         }
-        choice.to_sched()
+        choice
     }
 }

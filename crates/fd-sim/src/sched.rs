@@ -108,8 +108,9 @@ pub struct ChoicePoint<'a> {
     pub state_digest: Option<u64>,
 }
 
-/// The scheduler's decision at a choice point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The scheduler's decision at a choice point. Serializable: a
+/// model-checking choice script is a list of these.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum SchedChoice {
     /// Fire `enabled[i]`.
     Event(usize),
@@ -121,6 +122,13 @@ pub enum SchedChoice {
     ///
     /// [`DropReason::Link`]: crate::trace::DropReason::Link
     Drop(usize),
+}
+
+impl SchedChoice {
+    /// Whether this choice is a forced message loss.
+    pub fn is_drop(self) -> bool {
+        matches!(self, SchedChoice::Drop(_))
+    }
 }
 
 /// A pluggable schedule over enabled events.

@@ -52,14 +52,15 @@ pub enum TraceMode {
 /// respect to simulation state — it observes wall clocks and queue
 /// depths but never the RNG streams — so a run's trace is byte-identical
 /// with observability on or off.
+///
+/// Counts the run's [`Metrics`] already keep — events processed,
+/// messages the mangler dropped, duplicated or reordered — are not
+/// counted twice: they are added to the registry once per run, when the
+/// results are taken ([`World::take_results`] / [`World::into_results`]).
 #[derive(Debug)]
 pub struct WorldObs {
     /// `sim.events`: kernel events processed.
     events: Arc<fd_obs::Counter>,
-    /// Events recorded by this world but not yet flushed to the shared
-    /// counter. Flushed on drop (a world's runs end before its metrics
-    /// are read), keeping the per-event cost free of atomics.
-    pending_events: std::cell::Cell<u64>,
     /// `sim.queue_depth_hwm`: high-water mark of the event queue depth,
     /// sampled at every pop (including the popped event).
     queue_depth_hwm: Arc<fd_obs::Gauge>,
@@ -104,7 +105,6 @@ impl WorldObs {
     pub fn new(registry: &fd_obs::Registry) -> WorldObs {
         WorldObs {
             events: registry.counter(fd_obs::keys::SIM_EVENTS),
-            pending_events: std::cell::Cell::new(0),
             queue_depth_hwm: registry.gauge(fd_obs::keys::SIM_QUEUE_DEPTH_HWM),
             callback_ns: registry.histogram(fd_obs::keys::SIM_CALLBACK_NS),
             callback_skip: std::cell::Cell::new(0),
@@ -138,41 +138,19 @@ impl WorldObs {
     }
 
     /// Record one processed event at queue depth `depth`.
-    fn record_event(&self, depth: u64) {
-        self.pending_events.set(self.pending_events.get() + 1);
+    fn record_depth(&self, depth: u64) {
         if depth > self.local_hwm.get() {
             self.local_hwm.set(depth);
             self.queue_depth_hwm.record_max(depth);
         }
     }
-}
 
-impl Clone for WorldObs {
-    /// A clone shares the registry handles but starts with fresh local
-    /// state — zero pending events and its own HWM/sampling counters.
-    fn clone(&self) -> WorldObs {
-        WorldObs {
-            events: Arc::clone(&self.events),
-            pending_events: std::cell::Cell::new(0),
-            queue_depth_hwm: Arc::clone(&self.queue_depth_hwm),
-            callback_ns: Arc::clone(&self.callback_ns),
-            callback_skip: std::cell::Cell::new(0),
-            sampler_rng: std::cell::Cell::new(SAMPLER_SEED),
-            local_hwm: std::cell::Cell::new(0),
-            chaos_dropped: Arc::clone(&self.chaos_dropped),
-            chaos_duplicated: Arc::clone(&self.chaos_duplicated),
-            chaos_reordered: Arc::clone(&self.chaos_reordered),
-            partitions_active: Arc::clone(&self.partitions_active),
-        }
-    }
-}
-
-impl Drop for WorldObs {
-    fn drop(&mut self) {
-        let pending = self.pending_events.replace(0);
-        if pending > 0 {
-            self.events.add(pending);
-        }
+    /// Add a finished run's counts to the registry.
+    fn record_run(&self, metrics: &Metrics) {
+        self.events.add(metrics.events_processed());
+        self.chaos_dropped.add(metrics.mangled_dropped_total());
+        self.chaos_duplicated.add(metrics.duplicated_total());
+        self.chaos_reordered.add(metrics.reordered_total());
     }
 }
 
@@ -554,9 +532,6 @@ impl<A: Actor> World<A> {
                 if let (Some(m), false) = (self.mangler, from == to) {
                     if m.drop > 0.0 && self.net_rng.gen_bool(m.drop.clamp(0.0, 1.0)) {
                         self.metrics.record_mangled_dropped();
-                        if let Some(obs) = &self.obs {
-                            obs.chaos_dropped.inc();
-                        }
                         if self.trace_full() {
                             self.trace.push(
                                 self.now,
@@ -574,17 +549,11 @@ impl<A: Actor> World<A> {
                     if m.reorder > 0.0 && self.net_rng.gen_bool(m.reorder.clamp(0.0, 1.0)) {
                         at += crate::time::SimDuration(self.net_rng.gen_range(1..=skew));
                         self.metrics.record_reordered();
-                        if let Some(obs) = &self.obs {
-                            obs.chaos_reordered.inc();
-                        }
                     }
                     if m.duplicate > 0.0 && self.net_rng.gen_bool(m.duplicate.clamp(0.0, 1.0)) {
                         let dup_at =
                             at + crate::time::SimDuration(self.net_rng.gen_range(1..=skew));
                         self.metrics.record_duplicated();
-                        if let Some(obs) = &self.obs {
-                            obs.chaos_duplicated.inc();
-                        }
                         // Both copies share one allocation; the original
                         // is enqueued first so equal delivery instants
                         // keep the original ahead of its duplicate.
@@ -709,7 +678,7 @@ impl<A: Actor> World<A> {
         self.metrics.record_event();
         if let Some(obs) = &self.obs {
             // Depth at pop time, counting the event being processed.
-            obs.record_event(self.queue.len() as u64 + 1 + self.batch_pending);
+            obs.record_depth(self.queue.len() as u64 + 1 + self.batch_pending);
         }
         // fd-lint: allow(HP001, reason = "the event-budget tripwire exists to panic: a zero-delay loop must halt the run, not spin")
         assert!(
@@ -883,6 +852,9 @@ impl<A: Actor> World<A> {
 
     /// Consume the world, returning its trace and metrics.
     pub fn into_results(self) -> (Trace, Metrics) {
+        if let Some(obs) = &self.obs {
+            obs.record_run(&self.metrics);
+        }
         (self.trace, self.metrics)
     }
 
@@ -890,6 +862,9 @@ impl<A: Actor> World<A> {
     /// [`reset`](World::reset) — the reuse-path twin of
     /// [`into_results`](World::into_results).
     pub fn take_results(&mut self) -> (Trace, Metrics) {
+        if let Some(obs) = &self.obs {
+            obs.record_run(&self.metrics);
+        }
         self.trace_hwm = self.trace_hwm.max(self.trace.len());
         (
             std::mem::take(&mut self.trace),
@@ -1428,10 +1403,12 @@ mod tests {
             observed.metrics().events_processed(),
             bare.metrics().events_processed()
         );
-        // The event count is batched per world and flushed when the
-        // world (and its `WorldObs`) drops.
-        drop(observed);
+        // The event count comes from the run's `Metrics`, once, when the
+        // results are taken — a second take adds nothing.
         let events = registry.counter(fd_obs::keys::SIM_EVENTS);
+        assert_eq!(events.get(), 0);
+        observed.take_results();
+        observed.take_results();
         assert_eq!(events.get(), bare.metrics().events_processed());
         assert!(registry.gauge(fd_obs::keys::SIM_QUEUE_DEPTH_HWM).get() >= 1);
         assert!(registry.histogram(fd_obs::keys::SIM_CALLBACK_NS).count() > 0);
@@ -1806,6 +1783,49 @@ mod chaos_tests {
         let mut fresh = beat_world(21);
         fresh.run_until_time(Time::from_millis(30));
         assert_eq!(w.trace().digest(), fresh.trace().digest());
+    }
+
+    /// The registry's event and mangler counts are the run's `Metrics`,
+    /// added when the results are taken.
+    #[test]
+    fn observed_counts_are_the_run_metrics() {
+        let registry = fd_obs::Registry::new();
+        let net = NetworkConfig::new(2)
+            .with_default(LinkModel::reliable_const(SimDuration::from_millis(1)));
+        let mut w = WorldBuilder::new(net)
+            .seed(9)
+            .observe(WorldObs::new(&registry))
+            .build(|_, _| Beater { seen: 0, starts: 0 });
+        w.schedule_intervention(
+            Time::ZERO,
+            crate::chaos::Intervention {
+                tag: crate::chaos::MANGLE,
+                payload: Payload::None,
+                change: crate::chaos::NetChange::SetMangler(Some(LinkMangler {
+                    drop: 0.25,
+                    duplicate: 0.25,
+                    reorder: 0.25,
+                    skew: SimDuration::from_millis(2),
+                })),
+            },
+        );
+        w.run_until_time(Time::from_millis(100));
+        let (_, m) = w.into_results();
+        let count = |key| registry.counter(key).get();
+        assert_eq!(count(fd_obs::keys::SIM_EVENTS), m.events_processed());
+        assert_eq!(
+            count(fd_obs::keys::CHAOS_MSGS_DROPPED),
+            m.mangled_dropped_total()
+        );
+        assert_eq!(
+            count(fd_obs::keys::CHAOS_MSGS_DUPLICATED),
+            m.duplicated_total()
+        );
+        assert_eq!(
+            count(fd_obs::keys::CHAOS_MSGS_REORDERED),
+            m.reordered_total()
+        );
+        assert!(m.mangled_dropped_total() > 0 && m.duplicated_total() > 0);
     }
 
     /// The partitions gauge tracks the high-water mark of open cuts.

@@ -19,6 +19,7 @@
 //! workspace deliberately has no CLI dependency.)
 
 use ecfd::prelude::*;
+use fd_bench::mc::McScenario;
 use fd_consensus::{Decider, EcMergedConsensus, Log, MultiEc};
 use fd_core::Standalone;
 use fd_detectors::{
@@ -188,8 +189,7 @@ static COMMANDS: &[Cmd] = &[
              [--n N] [--horizon-ms MS] [--depth D] [--crashes K] [--drops L]\n\
              [--crash-window-ms MS] [--crash-grid-ms MS] [--max-runs R]\n\
              [--no-por] [--no-dedup] [--por-baseline]\n\
-             [--witness-dir DIR] [--json FILE]",
-            "--replay FILE (--detector X | --protocol X)",
+             [--artifact-dir DIR] [--json FILE]",
         ],
         flags: &[
             Flag("--detector", "X", None, "explore a standalone detector world: hb, ring, leader"),
@@ -216,12 +216,10 @@ static COMMANDS: &[Cmd] = &[
             Flag("--no-por", "", None, "disable sleep-set partial-order reduction"),
             Flag("--no-dedup", "", None, "disable visited-state pruning"),
             Flag("--por-baseline", "", None, "also run with POR off and report the reduction factor"),
-            Flag("--witness-dir", "DIR", Some("target/mc-witnesses"),
-                "where violation witnesses are written"),
+            Flag("--artifact-dir", "DIR", Some("target/mc-artifacts"),
+                "where violations write shrunk repro JSON, which\n\
+                 `ecfd campaign` replays like a failing seed's"),
             Flag("--json", "FILE", None, "write the full exploration reports as JSON"),
-            Flag("--replay", "FILE", None,
-                "replay a witness JSON byte-identically instead of\n\
-                 exploring (target flags select the world to replay on)"),
         ],
     },
     Cmd { name: "classes", run: cmd_classes, args: NO_ARGS, usage: &[""], flags: &[] },
@@ -826,8 +824,9 @@ fn artifact_sibling(
         .and_then(|s| s.to_str())
         .unwrap_or("artifact");
     let path = original.with_file_name(format!("{stem}-min.json"));
-    let json = serde_json::to_string_pretty(artifact).map_err(|e| e.to_string())?;
-    std::fs::write(&path, json).map_err(|e| format!("{}: {e}", path.display()))?;
+    artifact
+        .write(&path)
+        .map_err(|e| format!("{}: {e}", path.display()))?;
     Ok(path)
 }
 
@@ -964,76 +963,29 @@ fn cmd_classes(_: &Matches) -> Result<(), Stop> {
     Ok(())
 }
 
-/// The targets `--detector` / `--protocol` / `--all` name, in order.
-fn mc_targets(m: &Matches, n: usize, horizon: Time) -> Result<Vec<fd_mc::McTarget>, Stop> {
-    use fd_bench::mc::{detector_kind, detector_target, protocol_target, McProtocol};
-    let mut out = Vec::new();
+/// The target families `--detector` / `--protocol` / `--all` name, in
+/// order.
+fn mc_scenarios(m: &Matches) -> Result<Vec<McScenario>, Stop> {
+    use fd_bench::mc::{detector_kind, detector_label, McProtocol};
     if m.has("--all") {
-        for kind in fd_chaos::DetectorKind::ALL {
-            out.push(detector_target(kind, n, horizon));
-        }
-        for proto in McProtocol::ALL {
-            out.push(protocol_target(proto, n, horizon));
-        }
-        return Ok(out);
+        return Ok(McScenario::all());
     }
+    let mut labels = Vec::new();
     if let Some(name) = m.opt::<String>("--detector")? {
         let kind = detector_kind(&name);
         let kind = kind.ok_or_else(|| usage(format!("--detector: unknown kind {name}")))?;
-        out.push(detector_target(kind, n, horizon));
+        labels.push(detector_label(kind));
     }
     if let Some(name) = m.opt::<String>("--protocol")? {
         let proto = McProtocol::parse(&name);
         let proto = proto.ok_or_else(|| usage(format!("--protocol: unknown protocol {name}")))?;
-        out.push(protocol_target(proto, n, horizon));
+        labels.push(proto.label());
     }
-    if out.is_empty() {
+    if labels.is_empty() {
         return Err(usage("pick a target: --detector, --protocol, or --all"));
     }
-    Ok(out)
-}
-
-/// `mc --replay FILE`: re-execute a witness on the one target named.
-fn mc_replay(m: &Matches, cfg: &fd_mc::McConfig, path: &str) -> Result<(), Stop> {
-    if m.has("--all") || (m.has("--detector") == m.has("--protocol")) {
-        return Err(usage(
-            "--replay wants exactly one of --detector / --protocol",
-        ));
-    }
-    let text = std::fs::read_to_string(path).map_err(|e| setup(format!("{path}: {e}")))?;
-    let w = fd_mc::Witness::from_json(&text).map_err(|e| setup(format!("{path}: {e}")))?;
-    let target = mc_targets(m, w.n, w.horizon)?.remove(0);
-    if target.name != w.target {
-        eprintln!(
-            "warning: witness was recorded on {:?}, replaying on {:?}",
-            w.target, target.name
-        );
-    }
-    let outcome = fd_mc::replay_witness(&target, cfg, &w);
-    println!(
-        "replay {}: property {} — digest {:#018x} ({}), violation {}",
-        w.target,
-        w.property,
-        outcome.trace_digest,
-        if outcome.reproduced {
-            "reproduced byte-identically"
-        } else {
-            "DIVERGED from witness"
-        },
-        if outcome.violated {
-            "reproduced"
-        } else {
-            "NOT reproduced"
-        },
-    );
-    if let Some(d) = &outcome.detail {
-        println!("  {d}");
-    }
-    if outcome.reproduced && outcome.violated {
-        Ok(())
-    } else {
-        Err(Stop::Found(String::new()))
-    }
+    let family = |label| McScenario::by_name(&format!("mc-{label}"));
+    Ok(labels.into_iter().filter_map(family).collect())
 }
 
 /// One target's exploration, timed, with the optional POR-off baseline.
@@ -1057,19 +1009,17 @@ fn cmd_mc(m: &Matches) -> Result<(), Stop> {
         dedup: !m.has("--no-dedup"),
         max_runs: m.get("--max-runs")?,
     };
-    let witness_dir: String = m.get("--witness-dir")?;
+    let artifact_dir: String = m.get("--artifact-dir")?;
     let json_out: Option<String> = m.opt("--json")?;
-    if let Some(path) = m.opt::<String>("--replay")? {
-        return mc_replay(m, &cfg, &path);
-    }
-    let targets = mc_targets(m, n, Time::from_millis(horizon_ms))?;
+    let scenarios = mc_scenarios(m)?;
     println!(
         "mc: n={n} horizon={horizon_ms}ms depth={} crashes={} drops={} por={} dedup={}",
         cfg.depth, cfg.crashes, cfg.drops, cfg.por, cfg.dedup
     );
     let mut cells = Vec::new();
-    for target in &targets {
-        // fd-lint: allow(ND002, reason = "wall-clock timing for the mc report; exploration results, witnesses, and digests never read it")
+    for scenario in &scenarios {
+        let target = &(scenario.build)(n, Time::from_millis(horizon_ms));
+        // fd-lint: allow(ND002, reason = "wall-clock timing for the mc report; exploration results, artifacts, and digests never read it")
         let start = std::time::Instant::now();
         let report = fd_mc::explore(target, &cfg);
         let wall_ms = start.elapsed().as_millis() as u64;
@@ -1081,15 +1031,18 @@ fn cmd_mc(m: &Matches) -> Result<(), Stop> {
             fd_mc::explore(target, &por_off).stats.runs
         });
         if !report.violations.is_empty() {
-            std::fs::create_dir_all(&witness_dir)
-                .map_err(|e| setup(format!("{witness_dir}: {e}")))?;
+            std::fs::create_dir_all(&artifact_dir)
+                .map_err(|e| setup(format!("{artifact_dir}: {e}")))?;
             for v in &report.violations {
-                let file = report.witness_file(&witness_dir, v);
-                std::fs::write(&file, v.witness.to_json() + "\n")
+                let raw = scenario.artifact(target, &cfg, v);
+                let shrunk = fd_campaign::shrink(scenario, &raw).map_err(found)?.artifact;
+                let file = report.artifact_file(&artifact_dir, v);
+                shrunk
+                    .write(file.as_ref())
                     .map_err(|e| setup(format!("{file}: {e}")))?;
             }
         }
-        print!("{}", report.render(wall_ms, baseline_runs, &witness_dir));
+        print!("{}", report.render(wall_ms, baseline_runs, &artifact_dir));
         cells.push(McCell {
             report,
             wall_ms,

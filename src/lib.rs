@@ -44,7 +44,7 @@
 //! | [`obs`] | counters/gauges/histograms, scoped spans, JSONL metrics export |
 //! | [`mod@bench`] | experiment harness regenerating the paper's tables (incl. campaign scenarios) |
 //! | [`lint`] | static determinism analyzer behind `ecfd lint` |
-//! | [`mc`] | bounded exhaustive schedule exploration (model checking) with replayable witnesses |
+//! | [`mc`] | bounded exhaustive schedule exploration (model checking); violations become campaign artifacts |
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,15 +1,17 @@
 //! No-panic soups for the JSON decoders that read files this process did
-//! not just write: a `campaign --plan` fault plan, a `campaign --replay`
-//! artifact, an `mc --replay` witness. Whatever the file holds, the
+//! not just write: a `campaign --plan` fault plan and a `campaign
+//! --replay` artifact, a seed's or an `ecfd mc` counterexample's.
+//! Whatever the file holds, the
 //! answer is an `Err` the CLI turns into exit 2 — never a panic, and
 //! never a value conjured from half a document. (The byte-level
 //! decoders, WAL frames and snapshots, have their soups beside them in
 //! `fd-kv`.)
 
 use ecfd::prelude::*;
+use fd_bench::mc::{mc_net, McParams};
 use fd_campaign::Artifact;
 use fd_chaos::{ChaosKind, ChaosPlan, DetectorKind};
-use fd_mc::{Choice, Witness};
+use fd_mc::Choice;
 use proptest::prelude::*;
 use serde::Deserialize;
 
@@ -62,30 +64,40 @@ fn documents() -> [String; 3] {
         digest: u64::MAX,
         plan: RunPlan::new(7, Time::from_secs(1), net).with_crash(ProcessId(2), Time(5)),
     };
-    let witness = Witness {
-        target: "ec-n3".into(),
-        n: 3,
-        horizon: Time::from_millis(300),
-        plan: plan(),
+    let params = McParams {
+        depth: 6,
+        drops: 1,
         choices: vec![Choice::Event(2), Choice::Drop(0)],
-        property: "termination".into(),
-        detail: "no decision".into(),
-        trace_digest: 1 << 63,
+    };
+    let mc = Artifact {
+        scenario: "mc-ec".into(),
+        seed: 0,
+        property: "consensus.termination".into(),
+        detail: "correct p1 never decided".into(),
+        digest: 1 << 63,
+        plan: RunPlan::new(0, Time::from_millis(300), mc_net(3))
+            .with_crash(ProcessId(2), Time::from_millis(25))
+            .with_params(serde_json::to_value(&params)),
     };
     [
         serde_json::to_string_pretty(&plan()).unwrap(),
         serde_json::to_string(&artifact).unwrap(),
-        serde_json::to_string_pretty(&witness).unwrap(),
+        serde_json::to_string_pretty(&mc).unwrap(),
     ]
 }
 
-/// Decode `text` as each of the three document types; `true` iff any of
-/// them accepted it. Returning at all is the no-panic property.
+/// Decode `text` as each document type, an mc artifact down to its
+/// params; `true` iff any of them accepted it. Returning at all is the
+/// no-panic property.
 fn any_decoder_accepts(text: &str) -> bool {
     fn ok<T: Deserialize>(text: &str) -> bool {
         serde_json::from_str::<T>(text).is_ok()
     }
-    ok::<ChaosPlan>(text) | ok::<Artifact>(text) | ok::<Witness>(text)
+    let mc_params = || {
+        let artifact = serde_json::from_str::<Artifact>(text).ok()?;
+        McParams::of(&artifact.plan).ok()
+    };
+    ok::<ChaosPlan>(text) | ok::<Artifact>(text) | mc_params().is_some()
 }
 
 #[test]
