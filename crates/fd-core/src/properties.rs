@@ -532,25 +532,48 @@ impl<'a> ConsensusRun<'a> {
     /// Uniform agreement: no two processes (correct or faulty) decide
     /// differently.
     pub fn check_uniform_agreement(&self) -> CheckResult {
-        let ds = self.decisions();
-        if let Some((p0, _, v0, _)) = ds.first() {
-            for (p, _, v, _) in &ds {
-                if v != v0 {
-                    return Err(Violation::new(
-                        "uniform-agreement",
-                        format!("{p0} decided {v0} but {p} decided {v}"),
-                    ));
-                }
-            }
-        }
-        Ok(())
+        agreement(&self.decisions())
     }
 
     /// Validity: every decided value was proposed by some process.
     pub fn check_validity(&self) -> CheckResult {
+        self.validity(&self.decisions())
+    }
+
+    /// Uniform integrity: every process decides at most once.
+    pub fn check_integrity(&self) -> CheckResult {
+        integrity(&self.decisions())
+    }
+
+    /// Termination: every correct process eventually decides.
+    pub fn check_termination(&self) -> CheckResult {
+        self.termination(&self.decisions())
+    }
+
+    /// All four Uniform Consensus properties (§5.1), reading the
+    /// decisions once for all four.
+    pub fn check_all(&self) -> CheckResult {
+        let ds = self.decisions();
+        agreement(&ds)?;
+        self.validity(&ds)?;
+        integrity(&ds)?;
+        self.termination(&ds)
+    }
+
+    /// The three safety properties only (agreement, validity, integrity) —
+    /// what must hold on *every* run, even ones stopped before liveness
+    /// could be observed.
+    pub fn check_safety(&self) -> CheckResult {
+        let ds = self.decisions();
+        agreement(&ds)?;
+        self.validity(&ds)?;
+        integrity(&ds)
+    }
+
+    fn validity(&self, ds: &[Decision]) -> CheckResult {
         let proposed: Vec<u64> = self.proposals().into_iter().map(|(_, v)| v).collect();
-        for (p, _, v, _) in self.decisions() {
-            if !proposed.contains(&v) {
+        for (p, _, v, _) in ds {
+            if !proposed.contains(v) {
                 return Err(Violation::new(
                     "validity",
                     format!("{p} decided {v}, which no process proposed"),
@@ -560,24 +583,9 @@ impl<'a> ConsensusRun<'a> {
         Ok(())
     }
 
-    /// Uniform integrity: every process decides at most once.
-    pub fn check_integrity(&self) -> CheckResult {
-        let mut seen = ProcessSet::new();
-        for (p, _, _, _) in self.decisions() {
-            if !seen.insert(p) {
-                return Err(Violation::new(
-                    "integrity",
-                    format!("{p} decided more than once"),
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    /// Termination: every correct process eventually decides.
-    pub fn check_termination(&self) -> CheckResult {
+    fn termination(&self, ds: &[Decision]) -> CheckResult {
         let crashed: ProcessSet = self.trace.crashes().iter().map(|(p, _)| *p).collect();
-        let deciders: ProcessSet = self.decisions().iter().map(|(p, _, _, _)| *p).collect();
+        let deciders: ProcessSet = ds.iter().map(|(p, _, _, _)| *p).collect();
         for p in all_processes(self.n) {
             if !crashed.contains(p) && !deciders.contains(p) {
                 return Err(Violation::new(
@@ -587,23 +595,6 @@ impl<'a> ConsensusRun<'a> {
             }
         }
         Ok(())
-    }
-
-    /// All four Uniform Consensus properties (§5.1).
-    pub fn check_all(&self) -> CheckResult {
-        self.check_uniform_agreement()?;
-        self.check_validity()?;
-        self.check_integrity()?;
-        self.check_termination()
-    }
-
-    /// The three safety properties only (agreement, validity, integrity) —
-    /// what must hold on *every* run, even ones stopped before liveness
-    /// could be observed.
-    pub fn check_safety(&self) -> CheckResult {
-        self.check_uniform_agreement()?;
-        self.check_validity()?;
-        self.check_integrity()
     }
 
     /// Slot-wise agreement for multi-instance consensus: no two
@@ -640,6 +631,36 @@ impl<'a> ConsensusRun<'a> {
         }
         Ok(())
     }
+}
+
+/// One `consensus.decide` observation: `(decider, time, value, round)`.
+type Decision = (ProcessId, Time, u64, u64);
+
+fn agreement(ds: &[Decision]) -> CheckResult {
+    if let Some((p0, _, v0, _)) = ds.first() {
+        for (p, _, v, _) in ds {
+            if v != v0 {
+                return Err(Violation::new(
+                    "uniform-agreement",
+                    format!("{p0} decided {v0} but {p} decided {v}"),
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+fn integrity(ds: &[Decision]) -> CheckResult {
+    let mut seen = ProcessSet::new();
+    for (p, _, _, _) in ds {
+        if !seen.insert(*p) {
+            return Err(Violation::new(
+                "integrity",
+                format!("{p} decided more than once"),
+            ));
+        }
+    }
+    Ok(())
 }
 
 use fd_obs::keys;

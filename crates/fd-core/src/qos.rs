@@ -55,9 +55,9 @@ pub fn nearest_rank(sorted: &[u64], per_mille: usize) -> Option<u64> {
 }
 
 impl FdRun<'_> {
-    /// The run's detector QoS, in one pass over the trace that costs
-    /// each suspect-set observation its own size (events are in time
-    /// order).
+    /// The run's detector QoS, in one pass over the crashes and the
+    /// suspect-set observations — the trace index's two position lists,
+    /// merged in event order — that costs each observation its own size.
     pub fn qos(&self) -> DetectorQos {
         let n = self.n;
         let crashes = self.trace.crashes();
@@ -84,7 +84,12 @@ impl FdRun<'_> {
             mistake_us: Vec::new(),
             process_seconds: n as f64 * self.end.ticks() as f64 / 1e6,
         };
-        for e in self.trace.events() {
+        let events = self.trace.events();
+        let merged = merge(
+            self.trace.crash_positions(),
+            self.trace.observation_positions(self.suspects_tag),
+        );
+        for e in merged.filter_map(|pos| events.get(pos)) {
             match &e.kind {
                 TraceKind::Crashed { pid } => {
                     dead[pid.index()] = true;
@@ -92,7 +97,7 @@ impl FdRun<'_> {
                         already[v] = suspecting[v].clone();
                     }
                 }
-                TraceKind::Observation { pid, tag, payload } if *tag == self.suspects_tag => {
+                TraceKind::Observation { pid, payload, .. } => {
                     let Some(set) = payload.as_pids() else {
                         continue;
                     };
@@ -149,6 +154,19 @@ impl FdRun<'_> {
         qos.mistake_us.sort_unstable();
         qos
     }
+}
+
+/// Two ascending position lists merged into one.
+fn merge(
+    a: impl Iterator<Item = usize>,
+    b: impl Iterator<Item = usize>,
+) -> impl Iterator<Item = usize> {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    std::iter::from_fn(move || match (a.peek(), b.peek()) {
+        (Some(x), Some(y)) if x < y => a.next(),
+        (Some(_), None) => a.next(),
+        _ => b.next(),
+    })
 }
 
 #[cfg(test)]

@@ -241,17 +241,30 @@ impl ProcessSet {
 
     /// Iterate members in identity order.
     pub fn iter(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        let words = self.word_len();
-        let mut w = 0usize;
-        let mut cur = self.word(0);
+        self.iter_range(0..usize::MAX)
+    }
+
+    /// Iterate the members in `range`, in identity order, reading only
+    /// the words the range covers.
+    pub fn iter_range(
+        &self,
+        range: std::ops::Range<usize>,
+    ) -> impl Iterator<Item = ProcessId> + '_ {
+        let end = range.end.min(self.word_len() * WORD_BITS);
+        let start = range.start.min(end);
+        let mut w = start / WORD_BITS;
+        let mut cur = self.word(w) & (u64::MAX << (start % WORD_BITS));
         std::iter::from_fn(move || loop {
             if cur != 0 {
-                let i = cur.trailing_zeros() as usize;
+                let p = w * WORD_BITS + cur.trailing_zeros() as usize;
+                if p >= end {
+                    return None;
+                }
                 cur &= cur - 1;
-                return Some(ProcessId(w * WORD_BITS + i));
+                return Some(ProcessId(p));
             }
             w += 1;
-            if w >= words {
+            if w * WORD_BITS >= end {
                 return None;
             }
             cur = self.word(w);
@@ -501,6 +514,33 @@ mod tests {
             INLINE_PROCESSES,
             "the inline/heap boundary itself"
         );
+    }
+
+    #[test]
+    fn iter_range_reads_exactly_the_members_in_range() {
+        let sets = [
+            set(&[]),
+            set(&[0, 5, 63, 64, 65, 127]),
+            set(&[1, 70, 128, 191, 192, 300, 1023]),
+        ];
+        for s in &sets {
+            for (lo, hi) in [
+                (0, 0),
+                (0, 64),
+                (5, 6),
+                (63, 65),
+                (64, 128),
+                (65, 300),
+                (128, 1024),
+                (200, 100),
+                (0, usize::MAX),
+            ] {
+                let want: Vec<ProcessId> =
+                    s.iter().filter(|p| (lo..hi).contains(&p.index())).collect();
+                let got: Vec<ProcessId> = s.iter_range(lo..hi).collect();
+                assert_eq!(got, want, "{s} in {lo}..{hi}");
+            }
+        }
     }
 
     #[test]

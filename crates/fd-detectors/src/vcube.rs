@@ -24,6 +24,15 @@
 //! each cluster, which is what lets a falsely-suspected process be
 //! noticed alive again (eventual accuracy).
 //!
+//! Cost of choosing a round's tests: the first non-suspected candidate
+//! is found by walking the cluster order, which stops at the first
+//! candidate unless it is suspected; the first suspected one is read off
+//! the suspect set's words that cover the cluster's aligned block — one
+//! word for blocks up to 64 identities, `2^{s−1}/64` beyond. A round
+//! thus reads about `log₂ n + n/64` words, not the `n − 1` membership
+//! probes a walk for a suspect makes when nothing is suspected, which
+//! is most of the time.
+//!
 //! ## Dissemination
 //!
 //! Each process keeps a per-peer event timestamp: even = up, odd = down
@@ -133,7 +142,7 @@ pub struct VCubeDetector {
     /// Tests in progress: `(target, deadline of the current attempt,
     /// attempts sent)`. An ack from the target ends the test, whichever
     /// attempt it answers. At most `2·dim` entries — scanned, not
-    /// indexed, so the per-round cost stays `O(log n)`.
+    /// indexed: `O(log n)` per scan.
     outstanding: Vec<(ProcessId, Time, u32)>,
     /// Recent news to share in acks: `(pid, ts, round_added)`. Entries
     /// retire after `dim + 2` rounds; receivers re-share what they learn,
@@ -195,11 +204,26 @@ impl VCubeDetector {
     }
 
     /// The first candidate of cluster `s` matching `want_suspected`.
+    ///
+    /// Cluster `s` is the aligned block of `2^{s−1}` identities that
+    /// differ from `me` in bit `s − 1` and agree with it above, and its
+    /// `k`-th candidate is `me ⊕ 2^{s−1} ⊕ k`. The first non-suspected
+    /// candidate is found by walking the order, which stops at once in
+    /// the usual case; the first suspected one is the suspect in the
+    /// block with the smallest `k`, read off the suspect set's words
+    /// for that block instead of probing every candidate.
     fn first_candidate(&self, s: usize, want_suspected: bool) -> Option<ProcessId> {
-        (0..1usize << (s - 1)).find_map(|k| {
-            self.candidate(s, k)
-                .filter(|&q| self.suspected.contains(q) == want_suspected)
-        })
+        if !want_suspected {
+            return (0..1usize << (s - 1)).find_map(|k| {
+                self.candidate(s, k)
+                    .filter(|&q| !self.suspected.contains(q))
+            });
+        }
+        let origin = self.me.index() ^ (1usize << (s - 1));
+        let block = origin & !((1usize << (s - 1)) - 1);
+        self.suspected
+            .iter_range(block..(block + (1usize << (s - 1))).min(self.n))
+            .min_by_key(|q| q.index() ^ origin)
     }
 
     /// Record the `down` event for `j` (local timeout detection).
@@ -584,6 +608,48 @@ mod tests {
         assert_eq!(replay_against_scanned_news(8, &sweep), 0, "cap 20 > n = 8");
         assert!(replay_against_scanned_news(64, &sweep) > 0, "cap 32");
         assert!(replay_against_scanned_news(4096, &sweep) > 0, "cap 56");
+    }
+
+    /// The linear search `first_candidate` replaced: walk the cluster's
+    /// candidates in order, probe each one.
+    fn first_candidate_by_walking(
+        d: &VCubeDetector,
+        s: usize,
+        want_suspected: bool,
+    ) -> Option<ProcessId> {
+        (0..1usize << (s - 1)).find_map(|k| {
+            d.candidate(s, k)
+                .filter(|&q| d.suspected.contains(q) == want_suspected)
+        })
+    }
+
+    #[test]
+    fn first_candidate_matches_the_linear_search() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0x7c);
+        for n in [5, 8, 13, 256] {
+            for me in 0..n {
+                let mut d = VCubeDetector::new(ProcessId(me), n, VCubeConfig::default());
+                // Empty, sparse, half and nearly full suspect sets.
+                for density in [0.0, 0.05, 0.5, 0.95] {
+                    d.suspected = (0..n)
+                        .filter(|&q| q != me && rng.gen_bool(density))
+                        .map(ProcessId)
+                        .collect();
+                    for s in 1..=d.dim {
+                        for want in [false, true] {
+                            assert_eq!(
+                                d.first_candidate(s, want),
+                                first_candidate_by_walking(&d, s, want),
+                                "n={n} me={me} s={s} suspected={want} set={}",
+                                d.suspected
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -32,10 +32,9 @@ use fd_detectors::{
     HeartbeatConfig, HeartbeatDetector, LeaderByFirstNonSuspected, RingConfig, RingDetector,
     StableLeaderConfig, StableLeaderDetector,
 };
-use fd_sim::{ProcessId, SimDuration, Time, Trace, WorldCache};
+use fd_sim::{FxHashMap, FxHashSet, ProcessId, SimDuration, Time, Trace, WorldCache};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
 
 /// Registry name of [`KvScenario`].
 pub const KV: &str = "kv";
@@ -286,21 +285,20 @@ impl SeedExecutor for KvExecutor {
 /// uid): `(pid, uid, latency)` per committed op. The commit fires at the
 /// group-commit fsync, so the latency covers consensus *and* the disk.
 pub fn commit_latencies(trace: &Trace) -> Vec<(ProcessId, u64, SimDuration)> {
-    let mut submits: BTreeMap<(usize, u64), Time> = BTreeMap::new();
+    let mut submits: FxHashMap<(usize, u64), Time> = FxHashMap::default();
     for (t, pid, payload) in trace.observations(obs::SUBMIT) {
         if let Some((uid, _)) = payload.as_u64_pair() {
             submits.entry((pid.index(), uid)).or_insert(t);
         }
     }
-    let mut out = Vec::new();
-    for (t, pid, payload) in trace.observations(obs::COMMIT) {
-        if let Some((uid, _)) = payload.as_u64_pair() {
-            if let Some(&at) = submits.get(&(pid.index(), uid)) {
-                out.push((pid, uid, t.since(at)));
-            }
-        }
-    }
-    out
+    trace
+        .observations(obs::COMMIT)
+        .filter_map(|(t, pid, payload)| {
+            let (uid, _) = payload.as_u64_pair()?;
+            let at = submits.get(&(pid.index(), uid))?;
+            Some((pid, uid, t.since(*at)))
+        })
+        .collect()
 }
 
 /// Replicas never disagree on the digest of an applied slot.
@@ -312,7 +310,7 @@ impl Monitor for LogAgreementMonitor {
     }
 
     fn check(&self, outcome: &RunOutcome) -> Result<(), Violation> {
-        let mut seen: BTreeMap<u64, (u64, ProcessId)> = BTreeMap::new();
+        let mut seen: FxHashMap<u64, (u64, ProcessId)> = FxHashMap::default();
         for (_, pid, payload) in outcome.trace.observations(obs::APPLY) {
             let Some((slot, digest)) = payload.as_u64_pair() else {
                 continue;
@@ -357,11 +355,11 @@ impl Monitor for CommittedMonitor {
             .into_iter()
             .map(|(p, _)| p)
             .collect();
-        let mut resolved: BTreeMap<(usize, u64), bool> = BTreeMap::new();
+        let mut resolved: FxHashSet<(usize, u64)> = FxHashSet::default();
         for tag in [obs::COMMIT, obs::ABANDON] {
             for (_, pid, payload) in outcome.trace.observations(tag) {
                 if let Some((uid, _)) = payload.as_u64_pair() {
-                    resolved.insert((pid.index(), uid), true);
+                    resolved.insert((pid.index(), uid));
                 }
             }
         }
@@ -372,7 +370,7 @@ impl Monitor for CommittedMonitor {
             let Some((uid, _)) = payload.as_u64_pair() else {
                 continue;
             };
-            if !resolved.contains_key(&(pid.index(), uid)) {
+            if !resolved.contains(&(pid.index(), uid)) {
                 return Err(Violation {
                     property: fd_obs::keys::KV_COMMITTED,
                     detail: format!("op uid {uid} submitted at {pid} never committed or abandoned"),
@@ -393,17 +391,21 @@ impl Monitor for RecoveryMonitor {
     }
 
     fn check(&self, outcome: &RunOutcome) -> Result<(), Violation> {
-        let restarts: Vec<(Time, ProcessId)> = outcome
-            .trace
-            .observations(fd_sim::chaos::RESTART)
-            .filter_map(|(t, _, payload)| payload.as_pid().map(|p| (t, p)))
-            .collect();
-        for (at, pid) in restarts {
-            let caught_up = outcome
-                .trace
-                .observations_of(pid, obs::SYNC_DONE)
-                .any(|(t, _)| t >= at);
-            if !caught_up {
+        // Trace order is time order: the last catch-up per replica is
+        // its latest.
+        let mut caught_up: Vec<Option<Time>> = Vec::new();
+        for (t, pid, _) in outcome.trace.observations(obs::SYNC_DONE) {
+            if caught_up.len() <= pid.index() {
+                caught_up.resize(pid.index() + 1, None);
+            }
+            caught_up[pid.index()] = Some(t);
+        }
+        for (at, _, payload) in outcome.trace.observations(fd_sim::chaos::RESTART) {
+            let Some(pid) = payload.as_pid() else {
+                continue;
+            };
+            let last = caught_up.get(pid.index()).copied().flatten();
+            if last.is_none_or(|t| t < at) {
                 return Err(Violation {
                     property: fd_obs::keys::KV_RECOVERY,
                     detail: format!("{pid} restarted at {at} but never finished catch-up"),
@@ -417,6 +419,68 @@ impl Monitor for RecoveryMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The monitors and `commit_latencies` over hand-written traces:
+    /// each violation they exist for, and its absence.
+    #[test]
+    fn monitors_judge_synthetic_traces() {
+        use fd_sim::{Payload, TraceEvent, TraceKind};
+        let obs = |at: u64, pid: usize, tag: &'static str, payload: Payload| TraceEvent {
+            at: Time(at),
+            kind: TraceKind::Observation {
+                pid: ProcessId(pid),
+                tag,
+                payload,
+            },
+        };
+        let check = |m: &dyn Monitor, events: Vec<TraceEvent>| {
+            m.check(&RunOutcome {
+                trace: Trace::from_events(events),
+                n: 3,
+                end: Time(100),
+                decision_latency: None,
+                messages: 0,
+                events: 0,
+            })
+            .map_err(|v| v.detail)
+        };
+        let restart = obs(10, 0, fd_sim::chaos::RESTART, Payload::Pid(ProcessId(2)));
+        let synced = |at| obs(at, 2, obs::SYNC_DONE, Payload::U64Pair(0, 0));
+        assert!(check(&RecoveryMonitor, vec![synced(5), restart.clone()]).is_err());
+        assert!(check(&RecoveryMonitor, vec![restart.clone(), synced(20)]).is_ok());
+        assert!(check(&RecoveryMonitor, vec![synced(5), restart, synced(20)]).is_ok());
+
+        let submit = obs(3, 0, obs::SUBMIT, Payload::U64Pair(1, 9));
+        let commit = |pid| obs(7, pid, obs::COMMIT, Payload::U64Pair(1, 4));
+        assert_eq!(
+            check(&CommittedMonitor, vec![submit.clone(), commit(1)]),
+            Err("op uid 1 submitted at p0 never committed or abandoned".to_string())
+        );
+        assert!(check(&CommittedMonitor, vec![submit.clone(), commit(0)]).is_ok());
+        let abandon = obs(7, 0, obs::ABANDON, Payload::U64Pair(1, 4));
+        assert!(check(&CommittedMonitor, vec![submit.clone(), abandon]).is_ok());
+        let crash = TraceEvent {
+            at: Time(5),
+            kind: TraceKind::Crashed { pid: ProcessId(0) },
+        };
+        assert!(check(&CommittedMonitor, vec![submit.clone(), crash]).is_ok());
+
+        let apply = |pid, digest| obs(8, pid, obs::APPLY, Payload::U64Pair(4, digest));
+        assert!(check(&LogAgreementMonitor, vec![apply(0, 7), apply(1, 7)]).is_ok());
+        assert_eq!(
+            check(&LogAgreementMonitor, vec![apply(0, 7), apply(2, 8)]),
+            Err("slot 4: p0 applied digest 0x7, p2 applied 0x8".to_string())
+        );
+
+        // The first submit of an op counts; commits without a submit at
+        // the same replica are not matched.
+        let resubmit = obs(5, 0, obs::SUBMIT, Payload::U64Pair(1, 9));
+        let trace = Trace::from_events(vec![submit, resubmit, commit(1), commit(0)]);
+        assert_eq!(
+            commit_latencies(&trace),
+            vec![(ProcessId(0), 1, SimDuration::from_ticks(4))]
+        );
+    }
 
     #[test]
     fn plans_are_pure_functions_of_the_seed() {

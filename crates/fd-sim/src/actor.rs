@@ -65,10 +65,11 @@ pub enum Action<M> {
         /// The message.
         msg: M,
     },
-    /// Send one `msg` to every process in identity order — the
-    /// allocation-free form of all-to-all: the kernel fans the single
-    /// payload out behind a reference count instead of the sender
-    /// cloning it per destination. Trace, metrics, and delivery order
+    /// Send one `msg` to every process in identity order — the cheap
+    /// form of all-to-all: the kernel copies a drop-free payload into
+    /// each delivery and fans one that owns heap data out behind a
+    /// reference count, instead of the sender cloning it per
+    /// destination. Trace, metrics, and delivery order
     /// are exactly as if the sender had queued one [`Action::Send`] per
     /// destination.
     Broadcast {
@@ -193,8 +194,8 @@ impl<'a, M> Context<'a, M> {
 
     /// Send `msg` to every process except this one, in identity order.
     ///
-    /// Queues a single [`Action::Broadcast`]; the kernel shares the one
-    /// payload across all deliveries instead of cloning per destination.
+    /// Queues a single [`Action::Broadcast`] (see there for how the
+    /// kernel fans the payload out).
     pub fn send_to_others(&mut self, msg: M)
     where
         M: Clone,

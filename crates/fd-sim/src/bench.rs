@@ -15,7 +15,7 @@ use crate::link::LinkModel;
 use crate::process::ProcessId;
 use crate::time::{SimDuration, Time};
 use crate::topology::NetworkConfig;
-use crate::trace::{Trace, TraceKind};
+use crate::trace::{Trace, TraceHwm, TraceKind, CHUNK};
 use crate::world::WorldBuilder;
 
 /// A tiny deterministic LCG — the benches must not consume the workspace
@@ -142,7 +142,11 @@ pub fn trace_fill(events: u64) -> u64 {
     let mut trace = Trace::default();
     let mut digest = 0u64;
     for round in 0..2u64 {
-        trace.reset_with_capacity(events as usize);
+        trace.reset_with_capacity(TraceHwm {
+            events: events as usize,
+            chunks: (events.div_ceil(3) as usize).div_ceil(CHUNK),
+            tags: 0,
+        });
         for i in 0..events {
             let from = ProcessId((i % 5) as usize);
             let to = ProcessId(((i + 1) % 5) as usize);
@@ -159,7 +163,10 @@ pub fn trace_fill(events: u64) -> u64 {
                     kind: "beat",
                     round: Some(round),
                 },
-                _ => TraceKind::Crashed { pid: from },
+                _ => {
+                    trace.push_indexed(Time(i * 100), TraceKind::Crashed { pid: from });
+                    continue;
+                }
             };
             trace.push(Time(i * 100), kind);
         }

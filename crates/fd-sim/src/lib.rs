@@ -71,7 +71,7 @@ pub use cache::WorldCache;
 pub use chaos::{Intervention, NetChange};
 pub use event::QueueImpl;
 pub use link::{DelayDist, LinkMangler, LinkModel};
-pub use metrics::Metrics;
+pub use metrics::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher, Metrics};
 pub use process::{all_processes, ProcessId};
 pub use sched::{
     CanonicalScheduler, ChoicePoint, EnabledEvent, EnabledKind, SchedChoice, SchedWorld, Scheduler,

@@ -17,10 +17,12 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A fast, non-cryptographic multiply-xor hasher (FxHash-style) for the
-/// kernel's internal tables. Not DoS-resistant — keys are protocol
-/// labels and round numbers, never attacker-controlled.
+/// kernel's internal tables and the trace readers above it. Not
+/// DoS-resistant — keys are protocol labels, round numbers and
+/// operation ids, never attacker-controlled. Iteration order over an
+/// Fx-hashed map is not part of any result: use them for lookups.
 #[derive(Default)]
-pub(crate) struct FxHasher(u64);
+pub struct FxHasher(u64);
 
 const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
@@ -66,7 +68,14 @@ impl Hasher for FxHasher {
     }
 }
 
-pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher>;
+/// [`FxHasher`]'s `BuildHasher`.
+pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
+
+/// A `HashMap` keyed through [`FxHasher`].
+pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
+
+/// A `HashSet` keyed through [`FxHasher`].
+pub type FxHashSet<K> = std::collections::HashSet<K, FxBuildHasher>;
 
 /// Label equality with a pointer fast path: kind labels are `&'static
 /// str` literals, so repeat sends of the same kind compare in two

@@ -7,6 +7,18 @@
 //! consensus component records its decision — and are what the property
 //! checkers in `fd-core` consume to verify the paper's completeness,
 //! accuracy, leadership, and consensus properties on concrete runs.
+//!
+//! Those checkers, the `fd-kv` monitors and the QoS and benchmark
+//! extractors ask a trace one kind of question: "the observations tagged
+//! T" (of one process, or its last one) and "the crashes". A [`Trace`]
+//! answers them from an index it keeps as events are recorded — per tag,
+//! the positions of its observations; and the positions of the crashes —
+//! so a reader costs O(matches), not O(run). The upkeep runs only when
+//! an observation or a crash is pushed, out of line from the per-message
+//! `Sent` / `Delivered` / `Dropped` path; tags are matched by address
+//! first and by content second; and a reused world reserves the index
+//! from its high-water mark like the event arena, so steady state grows
+//! nothing. The index is not part of the digest or the JSON form.
 
 use crate::process::ProcessId;
 use crate::time::Time;
@@ -150,6 +162,13 @@ pub struct TraceEvent {
 }
 
 /// The recorded history of one run.
+///
+/// [`observations`](Trace::observations),
+/// [`observations_of`](Trace::observations_of),
+/// [`last_observation_of`](Trace::last_observation_of),
+/// [`crashes`](Trace::crashes) and the two position lists walk the
+/// trace's index (module docs): they cost the events they return plus
+/// one tag lookup, not the length of the run.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     events: Vec<TraceEvent>,
@@ -157,13 +176,34 @@ pub struct Trace {
     /// digest's serial multiply chain then overlaps the simulation work
     /// that produced the event instead of running as a pass of its own.
     fold: Fnv,
+    index: TagIndex,
 }
 
 // Hand-written so the JSON form stays `{"events": [...]}`: the running
-// digest is derived data, recomputed by whoever folds the events again.
+// digest and the index are derived data, rebuilt by whoever reads the
+// events again.
 impl Serialize for Trace {
     fn to_value(&self) -> serde::Value {
         serde::Value::Obj(vec![("events".to_string(), self.events.to_value())])
+    }
+}
+
+/// The sizes a trace reached — what a reused world reserves for its
+/// next run, so neither the event arena nor the index grows in steady
+/// state.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct TraceHwm {
+    pub(crate) events: usize,
+    pub(crate) chunks: usize,
+    pub(crate) tags: usize,
+}
+
+impl TraceHwm {
+    /// Raise the marks to cover `trace`.
+    pub(crate) fn raise(&mut self, trace: &Trace) {
+        self.events = self.events.max(trace.events.len());
+        self.chunks = self.chunks.max(trace.index.chunks.len());
+        self.tags = self.tags.max(trace.index.tags.len());
     }
 }
 
@@ -183,21 +223,43 @@ impl Trace {
         self.events.is_empty()
     }
 
+    /// Record a message event (`Sent`, `Delivered`, `Dropped`): folded
+    /// into the digest, not indexed. Observations and crashes go through
+    /// [`push_indexed`](Trace::push_indexed).
+    #[inline]
     pub(crate) fn push(&mut self, at: Time, kind: TraceKind) {
+        debug_assert!(
+            !TagIndex::indexes(&kind),
+            "observations and crashes are recorded with push_indexed"
+        );
+        self.record(at, kind);
+    }
+
+    /// Record an observation or a crash and add it to the index. Kept
+    /// out of line so the kernel's per-message path carries none of it.
+    #[inline(never)]
+    pub(crate) fn push_indexed(&mut self, at: Time, kind: TraceKind) {
+        self.index.add(self.events.len(), &kind);
+        self.record(at, kind);
+    }
+
+    #[inline]
+    fn record(&mut self, at: Time, kind: TraceKind) {
         let event = TraceEvent { at, kind };
         self.fold.event(&event);
         self.events.push(event);
     }
 
-    /// Clear the trace and pre-size its arena for roughly `hint` events,
-    /// so a reused world records a whole run into one up-front
-    /// allocation instead of a growth chain.
-    pub(crate) fn reset_with_capacity(&mut self, hint: usize) {
+    /// Clear the trace and pre-size its arena and index to `hint`, so a
+    /// reused world records a whole run into up-front allocations
+    /// instead of growth chains.
+    pub(crate) fn reset_with_capacity(&mut self, hint: TraceHwm) {
         self.events.clear();
         self.fold = Fnv::new();
-        if self.events.capacity() < hint {
-            self.events.reserve(hint - self.events.len());
+        if self.events.capacity() < hint.events {
+            self.events.reserve(hint.events);
         }
+        self.index.reset_with_capacity(hint);
     }
 
     /// Build a trace from pre-recorded events (used by tests and by tools
@@ -205,21 +267,39 @@ impl Trace {
     /// the order they occurred.
     pub fn from_events(events: Vec<TraceEvent>) -> Trace {
         let mut fold = Fnv::new();
-        for e in &events {
+        let mut index = TagIndex::default();
+        for (pos, e) in events.iter().enumerate() {
             fold.event(e);
+            index.add(pos, &e.kind);
         }
-        Trace { events, fold }
+        Trace {
+            events,
+            fold,
+            index,
+        }
     }
 
     /// The crash time of each process that crashed, in event order.
     pub fn crashes(&self) -> Vec<(ProcessId, Time)> {
-        self.events
-            .iter()
+        self.events_of(self.index.crashes)
             .filter_map(|e| match e.kind {
                 TraceKind::Crashed { pid } => Some((pid, e.at)),
                 _ => None,
             })
             .collect()
+    }
+
+    /// Positions in [`events`](Trace::events) of the `Crashed` events,
+    /// ascending — for readers that merge them with an observation
+    /// chain in event order.
+    pub fn crash_positions(&self) -> impl Iterator<Item = usize> + '_ {
+        self.index.positions(self.index.crashes)
+    }
+
+    /// Positions in [`events`](Trace::events) of the observations with
+    /// tag `tag`, ascending.
+    pub fn observation_positions(&self, tag: &str) -> impl Iterator<Item = usize> + '_ {
+        self.index.positions(self.index.chain(tag))
     }
 
     /// All observations with tag `tag`, as `(time, pid, payload)` triples
@@ -228,14 +308,8 @@ impl Trace {
         &'a self,
         tag: &'a str,
     ) -> impl Iterator<Item = (Time, ProcessId, &'a Payload)> + 'a {
-        self.events.iter().filter_map(move |e| match &e.kind {
-            TraceKind::Observation {
-                pid,
-                tag: t,
-                payload,
-            } if *t == tag => Some((e.at, *pid, payload)),
-            _ => None,
-        })
+        self.events_of(self.index.chain(tag))
+            .filter_map(observation)
     }
 
     /// Observations with tag `tag` emitted by `pid`.
@@ -255,14 +329,19 @@ impl Trace {
         pid: ProcessId,
         tag: &str,
     ) -> Option<(Time, &'a Payload)> {
-        self.events.iter().rev().find_map(|e| match &e.kind {
-            TraceKind::Observation {
-                pid: p,
-                tag: t,
-                payload,
-            } if *p == pid && *t == tag => Some((e.at, payload)),
-            _ => None,
-        })
+        self.index
+            .segments(self.index.chain(tag), true)
+            .flat_map(|positions| positions.iter().rev())
+            .filter_map(|&pos| self.events.get(pos as usize).and_then(observation))
+            .find(|(_, p, _)| *p == pid)
+            .map(|(t, _, pl)| (t, pl))
+    }
+
+    /// The events along `chain`, in order.
+    fn events_of(&self, chain: Chain) -> impl Iterator<Item = &TraceEvent> + '_ {
+        self.index
+            .positions(chain)
+            .filter_map(|pos| self.events.get(pos))
     }
 
     /// A 64-bit FNV-style digest over a canonical word encoding of every
@@ -448,6 +527,186 @@ impl Default for Fnv {
     }
 }
 
+/// No chunk: the end of a chain, or a chain not started.
+const NIL: u32 = u32::MAX;
+
+/// Event positions per [`Chunk`]: with its two links a chunk fills one
+/// 64-byte line, so the index costs about 4.6 bytes per indexed event.
+pub(crate) const CHUNK: usize = 14;
+
+/// A run of one chain's event positions, linked to its neighbours.
+#[derive(Debug, Clone, Copy)]
+struct Chunk {
+    pos: [u32; CHUNK],
+    next: u32,
+    prev: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Chunk>() == 64);
+
+/// One chain: the positions of every event of one kind, in order, as a
+/// doubly linked list of chunks. All chunks are full but the tail.
+#[derive(Debug, Clone, Copy)]
+struct Chain {
+    head: u32,
+    tail: u32,
+    /// Positions used in the tail chunk.
+    fill: u32,
+}
+
+impl Chain {
+    const EMPTY: Chain = Chain {
+        head: NIL,
+        tail: NIL,
+        fill: 0,
+    };
+}
+
+/// The trace's index: one chain per observation tag and one for crashes,
+/// their chunks in a single arena. Arena and tag table are reserved from
+/// the world's high-water marks like the event arena, so a reused world
+/// grows neither in steady state. Tags are compared by address before
+/// content (the same literal may live at several addresses across
+/// crates).
+#[derive(Debug, Clone)]
+struct TagIndex {
+    chunks: Vec<Chunk>,
+    tags: Vec<(&'static str, Chain)>,
+    crashes: Chain,
+}
+
+impl Default for TagIndex {
+    fn default() -> TagIndex {
+        TagIndex {
+            chunks: Vec::new(),
+            tags: Vec::new(),
+            crashes: Chain::EMPTY,
+        }
+    }
+}
+
+/// The `(time, pid, payload)` of an observation event.
+fn observation(e: &TraceEvent) -> Option<(Time, ProcessId, &Payload)> {
+    match &e.kind {
+        TraceKind::Observation { pid, payload, .. } => Some((e.at, *pid, payload)),
+        _ => None,
+    }
+}
+
+impl TagIndex {
+    /// Whether events of this kind are indexed.
+    fn indexes(kind: &TraceKind) -> bool {
+        matches!(
+            kind,
+            TraceKind::Crashed { .. } | TraceKind::Observation { .. }
+        )
+    }
+
+    fn reset_with_capacity(&mut self, hint: TraceHwm) {
+        self.chunks.clear();
+        self.tags.clear();
+        self.crashes = Chain::EMPTY;
+        if self.chunks.capacity() < hint.chunks {
+            self.chunks.reserve(hint.chunks);
+        }
+        if self.tags.capacity() < hint.tags {
+            self.tags.reserve(hint.tags);
+        }
+    }
+
+    /// Append the event at `pos`, of kind `kind`, to its chain.
+    // fd-lint: hot_path
+    fn add(&mut self, pos: usize, kind: &TraceKind) {
+        let chain = match kind {
+            TraceKind::Crashed { .. } => &mut self.crashes,
+            TraceKind::Observation { tag, .. } => {
+                let i = match self.find(tag) {
+                    Some(i) => i,
+                    None => {
+                        self.tags.push((tag, Chain::EMPTY));
+                        self.tags.len() - 1
+                    }
+                };
+                match self.tags.get_mut(i) {
+                    Some((_, chain)) => chain,
+                    None => return,
+                }
+            }
+            _ => return,
+        };
+        let pos = pos as u32;
+        if chain.head != NIL && (chain.fill as usize) < CHUNK {
+            if let Some(slot) = self
+                .chunks
+                .get_mut(chain.tail as usize)
+                .and_then(|c| c.pos.get_mut(chain.fill as usize))
+            {
+                *slot = pos;
+            }
+            chain.fill += 1;
+            return;
+        }
+        let new = self.chunks.len() as u32;
+        if let Some(tail) = self.chunks.get_mut(chain.tail as usize) {
+            tail.next = new;
+        }
+        let mut chunk = Chunk {
+            pos: [NIL; CHUNK],
+            next: NIL,
+            prev: chain.tail,
+        };
+        if let Some(first) = chunk.pos.first_mut() {
+            *first = pos;
+        }
+        self.chunks.push(chunk);
+        if chain.head == NIL {
+            chain.head = new;
+        }
+        chain.tail = new;
+        chain.fill = 1;
+    }
+
+    /// Where `tag`'s chain sits in the tag table: by address first, then
+    /// by content.
+    fn find(&self, tag: &str) -> Option<usize> {
+        let same_address = |t: &str| std::ptr::eq(t.as_ptr(), tag.as_ptr()) && t.len() == tag.len();
+        self.tags
+            .iter()
+            .position(|(t, _)| same_address(t))
+            .or_else(|| self.tags.iter().position(|(t, _)| *t == tag))
+    }
+
+    /// `tag`'s chain (empty if the tag was never observed).
+    fn chain(&self, tag: &str) -> Chain {
+        self.find(tag)
+            .and_then(|i| self.tags.get(i))
+            .map_or(Chain::EMPTY, |(_, chain)| *chain)
+    }
+
+    /// The used part of each of `chain`'s chunks, first to last or, when
+    /// `backward`, last to first.
+    fn segments(&self, chain: Chain, backward: bool) -> impl Iterator<Item = &[u32]> + '_ {
+        let mut cur = if backward { chain.tail } else { chain.head };
+        std::iter::from_fn(move || {
+            let chunk = self.chunks.get(cur as usize)?;
+            let used = if cur == chain.tail {
+                chain.fill as usize
+            } else {
+                CHUNK
+            };
+            cur = if backward { chunk.prev } else { chunk.next };
+            chunk.pos.get(..used)
+        })
+    }
+
+    /// Event positions along `chain`, ascending.
+    fn positions(&self, chain: Chain) -> impl Iterator<Item = usize> + '_ {
+        self.segments(chain, false)
+            .flatten()
+            .map(|&pos| pos as usize)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -463,8 +722,8 @@ mod tests {
                 round: None,
             },
         );
-        t.push(Time(2), TraceKind::Crashed { pid: ProcessId(2) });
-        t.push(
+        t.push_indexed(Time(2), TraceKind::Crashed { pid: ProcessId(2) });
+        t.push_indexed(
             Time(3),
             TraceKind::Observation {
                 pid: ProcessId(0),
@@ -472,7 +731,7 @@ mod tests {
                 payload: Payload::Pid(ProcessId(1)),
             },
         );
-        t.push(
+        t.push_indexed(
             Time(5),
             TraceKind::Observation {
                 pid: ProcessId(0),
@@ -480,7 +739,7 @@ mod tests {
                 payload: Payload::Pid(ProcessId(0)),
             },
         );
-        t.push(
+        t.push_indexed(
             Time(4),
             TraceKind::Observation {
                 pid: ProcessId(1),
@@ -515,7 +774,11 @@ mod tests {
         // Folded at push time or all at once: the same fold.
         assert_eq!(Trace::from_events(t.events().to_vec()).digest(), t.digest());
         let mut reset = sample();
-        reset.reset_with_capacity(8);
+        reset.reset_with_capacity(TraceHwm {
+            events: 8,
+            chunks: 2,
+            tags: 1,
+        });
         assert_eq!(
             reset.digest(),
             Trace::default().digest(),
@@ -530,7 +793,7 @@ mod tests {
 
         // Any change to an event changes the digest.
         let mut other = sample();
-        other.push(Time(9), TraceKind::Crashed { pid: ProcessId(0) });
+        other.push_indexed(Time(9), TraceKind::Crashed { pid: ProcessId(0) });
         assert_ne!(t.digest(), other.digest());
 
         // Event order matters.

@@ -18,7 +18,7 @@ use crate::rng::{derive_network_rng, derive_process_rng};
 use crate::sched::{ChoicePoint, EnabledEvent, EnabledKind, SchedChoice, Scheduler};
 use crate::time::Time;
 use crate::topology::NetworkConfig;
-use crate::trace::{DropReason, Fnv, Payload, Trace, TraceKind};
+use crate::trace::{DropReason, Fnv, Payload, Trace, TraceHwm, TraceKind};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::collections::HashSet;
@@ -266,7 +266,7 @@ impl WorldBuilder {
             scratch: Vec::new(),
             batch: Vec::new(),
             batch_pending: 0,
-            trace_hwm: 0,
+            trace_hwm: TraceHwm::default(),
             mangler: None,
             partitions_open: 0,
             track_state: self.track_state,
@@ -322,9 +322,9 @@ pub struct World<A: Actor> {
     /// queue length so the `sim.queue_depth_hwm` gauge stays honest
     /// while a batch is in flight.
     batch_pending: u64,
-    /// Largest trace length seen across resets — the reserve hint that
-    /// turns per-seed trace growth into one up-front arena allocation.
-    trace_hwm: usize,
+    /// Largest trace and index sizes seen across resets — the reserve
+    /// hint that turns per-seed trace growth into up-front allocations.
+    trace_hwm: TraceHwm,
     /// The installed message mangler, if any (see
     /// [`crate::chaos::NetChange::SetMangler`]). Applied in `route` on
     /// top of each non-loopback link's base verdict.
@@ -615,19 +615,22 @@ impl<A: Actor> World<A> {
                 // Fan out in identity order — the same per-destination
                 // metric, trace, link-sampling, and enqueue sequence the
                 // sender's own per-destination Send loop used to
-                // produce. Small drop-free payloads (heartbeats and other
-                // plain-data messages) are cloned per destination: no
-                // shared allocation, no pointer chase at delivery time.
-                // Anything bigger or owning heap data shares one `Rc`.
+                // produce. Drop-free payloads (heartbeats, consensus
+                // messages and other plain data) are copied per
+                // destination: a queued slot reserves the message's size
+                // whether it holds the message or an `Rc`, so sharing
+                // would only add an allocation per broadcast and a copy
+                // per delivery. Payloads that own heap data share one
+                // `Rc`.
                 let kind = msg.kind();
                 let round = msg.round();
-                if std::mem::size_of::<A::Msg>() <= 16 && !std::mem::needs_drop::<A::Msg>() {
+                if !std::mem::needs_drop::<A::Msg>() {
                     for i in 0..self.n {
                         let to = ProcessId(i);
                         if !include_self && to == from {
                             continue;
                         }
-                        // fd-lint: allow(HP002, reason = "inline arm is gated to 16-byte no-drop payloads, so the clone is a register copy")
+                        // fd-lint: allow(HP002, reason = "inline arm is gated to drop-free payloads, which own no heap data, so the clone is a bitwise copy")
                         self.route(from, to, kind, round, MsgSlot::Inline(msg.clone()));
                     }
                 } else {
@@ -660,7 +663,7 @@ impl<A: Actor> World<A> {
             }
             Action::Observe { tag, payload } => {
                 if self.trace_obs() {
-                    self.trace.push(
+                    self.trace.push_indexed(
                         self.now,
                         TraceKind::Observation {
                             pid: from,
@@ -747,7 +750,8 @@ impl<A: Actor> World<A> {
             // fd-lint: allow(HP001, reason = "crashed has one flag per process; pid.index() < n by construction")
             self.crashed[pid.index()] = true;
             if self.trace_obs() {
-                self.trace.push(self.now, TraceKind::Crashed { pid });
+                self.trace
+                    .push_indexed(self.now, TraceKind::Crashed { pid });
             }
         }
     }
@@ -761,7 +765,7 @@ impl<A: Actor> World<A> {
             change,
         } = iv;
         if self.trace_obs() {
-            self.trace.push(
+            self.trace.push_indexed(
                 self.now,
                 TraceKind::Observation {
                     pid: ProcessId(0),
@@ -865,7 +869,7 @@ impl<A: Actor> World<A> {
         if let Some(obs) = &self.obs {
             obs.record_run(&self.metrics);
         }
-        self.trace_hwm = self.trace_hwm.max(self.trace.len());
+        self.trace_hwm.raise(&self.trace);
         (
             std::mem::take(&mut self.trace),
             std::mem::take(&mut self.metrics),
@@ -891,7 +895,7 @@ impl<A: Actor> World<A> {
     {
         let n = net.n();
         assert!(n > 0, "a world needs at least one process");
-        self.trace_hwm = self.trace_hwm.max(self.trace.len());
+        self.trace_hwm.raise(&self.trace);
         self.n = n;
         self.now = Time::ZERO;
         self.queue.reset();
@@ -914,8 +918,11 @@ impl<A: Actor> World<A> {
         self.proc_hash.resize(n, 0);
         self.queue_hash = 0;
         self.env_hash = 0;
-        self.trace
-            .reset_with_capacity(if self.trace_obs() { self.trace_hwm } else { 0 });
+        self.trace.reset_with_capacity(if self.trace_obs() {
+            self.trace_hwm
+        } else {
+            TraceHwm::default()
+        });
         self.metrics = Metrics::default();
         self.metrics.presize(n);
         self.started = false;
@@ -926,7 +933,7 @@ impl<A: Actor> World<A> {
     /// scenario phases in traces).
     pub fn annotate(&mut self, tag: &'static str, payload: Payload) {
         if self.trace_obs() {
-            self.trace.push(
+            self.trace.push_indexed(
                 self.now,
                 TraceKind::Observation {
                     pid: ProcessId(0),
@@ -1500,6 +1507,62 @@ mod tests {
         w.run_until_time(Time::from_millis(50));
         assert!(w.trace().is_empty());
         assert!(w.metrics().sent_total() > 0, "metrics stay on");
+    }
+
+    /// Broadcasts a message of type `M` from p0 when asked.
+    struct Caster<M>(std::marker::PhantomData<M>);
+
+    impl<M: SimMessage> Actor for Caster<M> {
+        type Msg = M;
+        fn on_start(&mut self, _: &mut Context<'_, M>) {}
+        fn on_message(&mut self, _: &mut Context<'_, M>, _: ProcessId, _: M) {}
+        fn on_timer(&mut self, _: &mut Context<'_, M>, _: TimerTag) {}
+    }
+
+    /// Broadcast `msg` from p0 in a 4-process world and report, per
+    /// queued delivery, whether it holds its own copy of the payload.
+    fn queued_inline<M: SimMessage>(msg: M) -> Vec<bool> {
+        let mut w = WorldBuilder::new(NetworkConfig::new(4))
+            .trace_mode(TraceMode::Off)
+            .build(|_, _| Caster::<M>(std::marker::PhantomData));
+        w.interact(ProcessId(0), |_, ctx| ctx.send_to_others(msg));
+        let mut inline = Vec::new();
+        while let Some(ev) = w.queue.pop_due(Time::MAX) {
+            if let EventKind::Deliver { msg, .. } = ev.kind {
+                inline.push(matches!(msg, MsgSlot::Inline(_)));
+            }
+        }
+        inline
+    }
+
+    /// A drop-free payload is copied into each delivery — 40 bytes, like
+    /// a consensus message — so a broadcast makes no shared `Rc`
+    /// allocation; a payload owning heap data is shared.
+    #[test]
+    fn drop_free_broadcasts_are_copied_not_shared() {
+        #[derive(Clone, Debug)]
+        struct Wide([u64; 5]);
+        impl SimMessage for Wide {
+            fn kind(&self) -> &'static str {
+                "wide"
+            }
+            fn round(&self) -> Option<u64> {
+                self.0.first().copied()
+            }
+        }
+        #[derive(Clone, Debug)]
+        struct Owning(Vec<u64>);
+        impl SimMessage for Owning {
+            fn kind(&self) -> &'static str {
+                "owning"
+            }
+            fn round(&self) -> Option<u64> {
+                self.0.first().copied()
+            }
+        }
+        assert_eq!(std::mem::size_of::<Wide>(), 40);
+        assert_eq!(queued_inline(Wide([1; 5])), [true; 3]);
+        assert_eq!(queued_inline(Owning(vec![1])), [false; 3]);
     }
 }
 
