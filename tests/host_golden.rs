@@ -41,6 +41,14 @@
 //! `tests/fd_events.rs::crash_free_runs_kept_their_digests`: nine
 //! crash-free E8 runs and a `kv-ramp`-shaped run, byte-identical to the
 //! polling shell's.
+//!
+//! The KV rows above run one fault plan. `kv-generated-0..64` folds the
+//! digests and message counts of the generated `kv` campaign's seeds
+//! 0..64, whose plans heal minority partitions (gap repair, slot
+//! re-announcement, retransmission) and crash and restart a replica
+//! (WAL replay, quarantine, snapshot adoption, catch-up). It was recorded
+//! at bea9cf7, before the KV service stopped keeping its own copy of the
+//! replicated log's slot drive, and is held to the same rule.
 
 use ecfd::prelude::*;
 use fd_chaos::DetectorKind;
@@ -49,7 +57,7 @@ use fd_detectors::HeartbeatDetector;
 use fd_kv::{standard_plan, KvScenario};
 
 /// `(host, Trace::digest(), messages sent)`.
-const GOLDEN: [(&str, u64, u64); 9] = [
+const GOLDEN: [(&str, u64, u64); 10] = [
     ("ec", 0x658eb7d1d99a134f, 126),
     ("ecm", 0xb198027d00d49dcf, 183),
     ("ct", 0xc0a894b8046f720f, 80),
@@ -59,6 +67,7 @@ const GOLDEN: [(&str, u64, u64); 9] = [
     ("kv-heartbeat", 0x7c18aac72f4144e6, 9638),
     ("kv-ring", 0x1321df4e601bc616, 6591),
     ("kv-stable-leader", 0xe28d7f4843a27b33, 9638),
+    ("kv-generated-0..64", 0xef947aa0a57301c4, 577884),
 ];
 
 fn hb_leader(pid: ProcessId, n: usize) -> LeaderByFirstNonSuspected<HeartbeatDetector> {
@@ -111,6 +120,34 @@ fn kv(detector: DetectorKind) -> (u64, u64) {
     (outcome.trace.digest(), outcome.messages)
 }
 
+/// Seeds `0..64` of the generated `kv` campaign: every run's digest
+/// folded in seed order, and the messages of all of them. Asserts, from
+/// the plans, that the range heals partitions and restarts replicas.
+fn kv_generated() -> (u64, u64) {
+    use fd_campaign::Scenario as _;
+    use fd_chaos::ChaosKind;
+    let sc = KvScenario::generated();
+    let mut executor = sc.make_executor();
+    let (mut fold, mut messages) = (fd_sim::Fnv::new(), 0);
+    let (mut partitioned, mut restarted) = (0, 0);
+    for seed in 0..64 {
+        let plan = sc.plan(seed);
+        let chaos = fd_kv::kv_spec_of(&plan).expect("a kv plan").chaos;
+        let has = |pick: fn(&ChaosKind) -> bool| chaos.events.iter().any(|e| pick(&e.kind));
+        partitioned += u32::from(has(|k| matches!(k, ChaosKind::Partition { .. })));
+        restarted += u32::from(has(|k| matches!(k, ChaosKind::Restart { .. })));
+        let outcome = executor.execute(&plan, None);
+        fold.u64(outcome.trace.digest());
+        messages += outcome.messages;
+    }
+    assert!(
+        partitioned >= 8 && restarted >= 32,
+        "seeds 0..64 must heal partitions and restart replicas: \
+         {partitioned} partitioned, {restarted} restarted"
+    );
+    (fold.finish(), messages)
+}
+
 #[test]
 fn the_protocol_hosts_replay_the_actors_they_replaced() {
     let got = [
@@ -130,6 +167,7 @@ fn the_protocol_hosts_replay_the_actors_they_replaced() {
         kv(DetectorKind::Heartbeat),
         kv(DetectorKind::Ring),
         kv(DetectorKind::StableLeader),
+        kv_generated(),
     ];
     let mut drifted = String::new();
     for (&(name, digest, sent), got) in GOLDEN.iter().zip(got) {
