@@ -46,7 +46,7 @@ pub use ec::{Ec, EcConsensus, EcMsg};
 pub use ec_merged::{EcMerged, EcMergedConsensus, EcmMsg};
 pub use harness::{default_net, run_scenario, ConsensusRunner, RunResult, Scenario};
 pub use mr::{Mr, MrConsensus, MrMsg};
-pub use multi::{Log, LogMsg, MultiEc, MultiMsg, MultiNode, SlotDecide, LOG_APPEND, NOOP};
+pub use multi::{Log, LogHost, LogMsg, MultiEc, MultiMsg, MultiNode, SlotDecide, LOG_APPEND, NOOP};
 pub use node::{ConsensusNode, Decider};
 pub use paxos::{Paxos, PaxosConsensus, PaxosMsg};
 

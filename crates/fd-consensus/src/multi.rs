@@ -4,11 +4,23 @@
 //! introduction motivates): a sequence of independent Uniform Consensus
 //! instances, one per log slot. [`MultiEc`] multiplexes any number of
 //! [`EcConsensus`] instances over one node — messages are tagged with
-//! the slot; the instances arm no timers — and drives itself: each
+//! the slot; the instances arm no timers — and [`Log`] drives it: each
 //! replica queues client commands with [`Log::submit`], proposes its
 //! **whole pending queue as one batch** for the next slot, and advances
 //! when the slot's decision arrives by Reliable Broadcast. All correct
 //! replicas end up with the identical decided log.
+//!
+//! # One slot drive, two hosts
+//!
+//! [`Log`] alone announces, joins, proposes in and re-checks a slot,
+//! and R-broadcasts and learns its decision. A [`MultiNode`] runs it
+//! bare; the KV service (`fd_kv::Kv`) runs it with its store and WAL
+//! plugged in through [`LogHost`]'s three hooks — so `ecfd mc --protocol
+//! multi` explores the slot drive the KV service runs. One rule,
+//! [`Log::votes`], says where a replica votes: not while catching up,
+//! not below its base, not in a slot quarantined after a crash (state
+//! only a recovering host sets). A learned decision closes a slot's
+//! instance only where the replica joined and votes.
 //!
 //! # Names and bodies
 //!
@@ -23,7 +35,7 @@
 //! value: a non-null estimate, a non-null proposition, and the
 //! `SlotDecide` broadcast. So *whoever holds a name holds its body*, by
 //! construction: there is no fetch protocol and no extra message type.
-//! [`MultiEc::with_instance`] is the one place a body is attached to an
+//! `MultiEc::with_instance` is the one place a body is attached to an
 //! outgoing message, [`MultiEc::on_message`] the one place an incoming
 //! one is kept. Batching is natural — a batch of one at light load,
 //! whatever has queued up under backlog — with no timer and no knob.
@@ -62,7 +74,7 @@ use crate::ec::{EcConsensus, EcMsg};
 use fd_broadcast::{RbMsg, ReliableBroadcast};
 use fd_core::{Component, EventuallyConsistentOracle, FdOutput, Over, Stack, SubCtx};
 use fd_sim::{Fnv, Payload, ProcessId, SimMessage, TimerTag};
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 use std::rc::Rc;
 
 /// Observation tag for log appends: payload `U64Pair(slot, fold)` with
@@ -369,9 +381,9 @@ impl MultiEc {
         self.first_undecided
     }
 
-    /// The depth-1 pipeline gate both hosts drive: the slot to open
-    /// next, if a command is waiting and the slot before the proposal
-    /// frontier is decided (or the frontier sits on the tracking base).
+    /// The depth-1 pipeline gate [`Log`] drives: the slot to open next,
+    /// if a command is waiting and the slot before the proposal frontier
+    /// is decided (or the frontier sits on the tracking base).
     pub fn next_proposal(&self) -> Option<u64> {
         let slot = self.next_unproposed;
         let open = slot == self.base || self.decided(slot - 1).is_some();
@@ -379,15 +391,13 @@ impl MultiEc {
     }
 
     /// Run `f` on the consensus instance of `slot` (created on first
-    /// touch) under a context that tags what it sends with the slot,
-    /// lifts it into the host's message type with `lift`, and attaches
-    /// the body of the batch it names — the only place a body joins an
-    /// outgoing message.
-    pub fn with_instance<N: SimMessage, M, R>(
+    /// touch) under a context that tags what it sends with the slot and
+    /// attaches the body of the batch it names — the only place a body
+    /// joins an outgoing message.
+    fn with_instance<N: SimMessage, R>(
         &mut self,
-        ctx: &mut SubCtx<'_, '_, N, M>,
+        ctx: &mut SubCtx<'_, '_, N, LogMsg>,
         slot: u64,
-        lift: fn(MultiMsg) -> M,
         f: impl FnOnce(&mut EcConsensus, &mut SubCtx<'_, '_, N, EcMsg>) -> R,
     ) -> R {
         let (me, n) = (self.me, self.n);
@@ -397,7 +407,7 @@ impl MultiEc {
         let instance = instance.get_or_insert_with(|| EcConsensus::new(me, n));
         let inject = |inner: EcMsg| {
             let body = named(&inner).and_then(|name| body_of(bodies, name));
-            lift(MultiMsg { slot, inner, body })
+            LogMsg::Cons(MultiMsg { slot, inner, body })
         };
         ctx.scoped(inject, instance.ns(), |sub| f(instance, sub))
     }
@@ -405,7 +415,7 @@ impl MultiEc {
     /// The slots whose instance is running here — proposed in, not yet
     /// decided — in slot order. Touches no other slot, so it creates no
     /// instance; all of them lie at or above the log frontier.
-    pub fn running(&self) -> Vec<u64> {
+    pub fn running(&self) -> impl Iterator<Item = u64> + '_ {
         let frontier = self.first_undecided as usize;
         self.slots
             .get(frontier..)
@@ -414,18 +424,16 @@ impl MultiEc {
             .zip(self.first_undecided..)
             .filter(|(s, _)| s.instance.is_some() && s.proposed.is_some() && s.decided.is_none())
             .map(|(_, slot)| slot)
-            .collect()
     }
 
     /// Propose in `slot` with everything that is waiting (see
     /// [`next_proposal`](MultiEc::next_proposal) for *when*). A
     /// non-empty batch is announced on `multi.propose`.
-    pub fn propose<N: SimMessage, M>(
+    pub fn propose<N: SimMessage>(
         &mut self,
-        ctx: &mut SubCtx<'_, '_, N, M>,
+        ctx: &mut SubCtx<'_, '_, N, LogMsg>,
         slot: u64,
         fd: &FdOutput,
-        lift: fn(MultiMsg) -> M,
     ) -> ProtocolStep {
         let name = self.take_batch(slot);
         if name != NOOP {
@@ -434,18 +442,17 @@ impl MultiEc {
                 Payload::U64Pair(slot, batch_len(name)),
             );
         }
-        self.with_instance(ctx, slot, lift, |inst, sub| inst.on_propose(sub, name, fd))
+        self.with_instance(ctx, slot, |inst, sub| inst.on_propose(sub, name, fd))
     }
 
     /// Route a slot message into its instance, first keeping the body
     /// it carries (an open slot holds one body per name it has seen).
-    pub fn on_message<N: SimMessage, M>(
+    pub fn on_message<N: SimMessage>(
         &mut self,
-        ctx: &mut SubCtx<'_, '_, N, M>,
+        ctx: &mut SubCtx<'_, '_, N, LogMsg>,
         from: ProcessId,
         msg: MultiMsg,
         fd: &FdOutput,
-        lift: fn(MultiMsg) -> M,
     ) -> ProtocolStep {
         let MultiMsg { slot, inner, body } = msg;
         if let (Some(name), Some(body)) = (named(&inner), body) {
@@ -454,40 +461,14 @@ impl MultiEc {
                 entry.bodies.push((name, body));
             }
         }
-        self.with_instance(ctx, slot, lift, |inst, sub| {
-            inst.on_message(sub, from, inner, fd)
-        })
+        self.with_instance(ctx, slot, |inst, sub| inst.on_message(sub, from, inner, fd))
     }
 
     /// The decision `step` asks the host to R-broadcast for `slot`, with
     /// its body attached.
-    pub fn decision_of(&self, slot: u64, step: ProtocolStep) -> Option<SlotDecide> {
+    fn decision_of(&self, slot: u64, step: ProtocolStep) -> Option<SlotDecide> {
         let (name, round) = step.broadcast_decision?;
         Some((slot, name, round, self.body(slot, name)))
-    }
-
-    /// A slot's decision reached this node, by R-delivery or a peer's
-    /// catch-up reply: record it (see `record_decision`), announce it on
-    /// `multi.append` and, if `close`, hand it to the slot's instance
-    /// (Fig. 4, Task 3). Returns `false`, having done nothing, when the
-    /// decision is not news.
-    pub fn learn_decision<N: SimMessage, M>(
-        &mut self,
-        ctx: &mut SubCtx<'_, '_, N, M>,
-        (slot, name, round, body): &SlotDecide,
-        close: bool,
-        lift: fn(MultiMsg) -> M,
-    ) -> bool {
-        if !self.record_decision(*slot, *name, *round, body) {
-            return false;
-        }
-        ctx.observe(LOG_APPEND, Payload::U64Pair(*slot, fold_body(body)));
-        if close {
-            self.with_instance(ctx, *slot, lift, |inst, sub| {
-                inst.on_decide_delivered(sub, *name, *round)
-            });
-        }
-        true
     }
 }
 
@@ -506,6 +487,18 @@ pub enum LogMsg {
         /// The opened slot.
         slot: u64,
     },
+}
+
+impl LogMsg {
+    /// The slot a peer is working in, for an `Open` or a consensus
+    /// message; `None` for a decision broadcast.
+    pub fn slot(&self) -> Option<u64> {
+        match self {
+            LogMsg::Cons(m) => Some(m.slot),
+            LogMsg::Open { slot } => Some(*slot),
+            LogMsg::Rb(_) => None,
+        }
+    }
 }
 
 impl SimMessage for LogMsg {
@@ -528,6 +521,26 @@ impl SimMessage for LogMsg {
 /// `Stack::new(fd, Log::new(me, multi))`.
 pub type MultiNode<D> = Stack<D, Log>;
 
+/// What a module hosting a [`Log`] keeps beside it (the KV service's
+/// store and WAL), plugged into the slot drive. Each hook runs inside
+/// the callback that reached it, in the drive's order: every delivered
+/// decision is learned, the deliveries settle, the next slot opens.
+/// `()` is the bare log of a [`MultiNode`].
+pub trait LogHost {
+    /// This replica is about to join `slot`; its first messages there
+    /// leave after this returns.
+    fn joined(&mut self, _slot: u64) {}
+
+    /// A slot's decision reached this replica and was news.
+    fn learned(&mut self, _decide: SlotDecide) {}
+
+    /// Every decision this step delivered has been learned; the log
+    /// opens its next slot after this returns.
+    fn settled<N: SimMessage>(&mut self, _ctx: &mut SubCtx<'_, '_, N, LogMsg>, _log: &mut Log) {}
+}
+
+impl LogHost for () {}
+
 /// The replicated log over a detector: Reliable Broadcast + the
 /// consensus multiplexer, driving itself.
 pub struct Log {
@@ -538,6 +551,13 @@ pub struct Log {
     /// The detector's output, as handed over at the start and at every
     /// change since.
     fd: FdOutput,
+    /// Catching up after a restart: this replica votes in no slot and
+    /// opens none. Set only by a recovering host.
+    pub catching_up: bool,
+    /// Slots this replica may have voted in before a crash it recovered
+    /// from: it never votes in them again, so it cannot equivocate. Set
+    /// only by a recovering host.
+    pub quarantined: BTreeSet<u64>,
 }
 
 impl Log {
@@ -547,6 +567,8 @@ impl Log {
             rb: ReliableBroadcast::new(me),
             multi,
             fd: FdOutput::default(),
+            catching_up: false,
+            quarantined: BTreeSet::new(),
         }
     }
 
@@ -557,7 +579,7 @@ impl Log {
     /// deduplication is the application's concern).
     pub fn submit<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, LogMsg>, command: u64) {
         self.multi.push_pending(command);
-        self.drive(ctx);
+        self.drive(ctx, &mut ());
     }
 
     /// The replica's decided log (contiguous prefix, one entry per
@@ -566,31 +588,160 @@ impl Log {
         self.multi.log()
     }
 
-    /// Propose what is pending for the next free slot (one outstanding
-    /// slot at a time, the classic SMR pipeline of depth 1).
-    fn drive<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, LogMsg>) {
-        if let Some(slot) = self.multi.next_proposal() {
-            self.propose_in_slot(ctx, slot, true);
-        }
+    /// The detector output the log holds (the one of the last change).
+    pub fn fd(&self) -> &FdOutput {
+        &self.fd
     }
 
-    /// A message/timer arrived for a slot we never proposed in: another
-    /// replica opened it. Join with our pending batch (it may win the
-    /// slot) or a NOOP, so the slot's coordinator can gather a majority
-    /// of real estimates.
-    fn ensure_proposed<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, LogMsg>, slot: u64) {
-        if self.multi.proposed_in(slot).is_some() || self.multi.decided(slot).is_some() {
+    /// Whether this replica votes in `slot`: it is not catching up, the
+    /// slot is not below the base and not quarantined. Below the base a
+    /// slot is decided elsewhere — an adopted snapshot holds its
+    /// decision, and no longer this replica's vote there — so a fresh
+    /// instance could re-decide it with no memory of the locked value.
+    pub fn votes(&self, slot: u64) -> bool {
+        !self.catching_up && slot >= self.multi.base() && !self.quarantined.contains(&slot)
+    }
+
+    /// The slots whose instance is running here and in which this
+    /// replica votes, in slot order: the ones a detector change can
+    /// move, and a lost message can wedge.
+    pub fn voting(&self) -> impl Iterator<Item = u64> + '_ {
+        self.multi.running().filter(|&slot| self.votes(slot))
+    }
+
+    /// Propose what is pending for the next free slot (one outstanding
+    /// slot at a time, the classic SMR pipeline of depth 1) — not while
+    /// catching up.
+    pub fn drive<N: SimMessage, H: LogHost>(
+        &mut self,
+        ctx: &mut SubCtx<'_, '_, N, LogMsg>,
+        host: &mut H,
+    ) {
+        if self.catching_up {
             return;
         }
-        self.propose_in_slot(ctx, slot, false);
+        if let Some(slot) = self.multi.next_proposal() {
+            self.propose_in_slot(ctx, slot, true, host);
+        }
     }
 
-    fn propose_in_slot<N: SimMessage>(
+    /// A peer's message. A consensus message for a slot this replica
+    /// does not vote in still reaches the slot's instance, without a
+    /// proposal: staying *silent* would wedge the round, whose wait
+    /// clause needs every alive unsuspected process to reply. An idle
+    /// instance answers announcements with null estimates and
+    /// propositions with nacks (the Fig. 4 tasks), unblocking peers
+    /// without contributing an estimate.
+    pub fn deliver<N: SimMessage, H: LogHost>(
+        &mut self,
+        ctx: &mut SubCtx<'_, '_, N, LogMsg>,
+        from: ProcessId,
+        msg: LogMsg,
+        host: &mut H,
+    ) {
+        match msg {
+            LogMsg::Rb(m) => {
+                let rb = &mut self.rb;
+                ctx.scoped(LogMsg::Rb, rb.ns(), |sub| rb.on_message(sub, from, m));
+                self.drain_deliveries(ctx, host);
+            }
+            LogMsg::Open { slot } => self.ensure_proposed(ctx, slot, host),
+            LogMsg::Cons(msg) => {
+                let slot = msg.slot;
+                self.ensure_proposed(ctx, slot, host);
+                let step = self.multi.on_message(ctx, from, msg, &self.fd);
+                self.apply_step(ctx, slot, step, host);
+            }
+        }
+    }
+
+    /// The detector's output changed to `fd`: re-check the detector
+    /// clause of every slot in [`voting`](Log::voting).
+    pub fn refresh<N: SimMessage, H: LogHost>(
+        &mut self,
+        ctx: &mut SubCtx<'_, '_, N, LogMsg>,
+        fd: FdOutput,
+        host: &mut H,
+    ) {
+        self.fd = fd;
+        let slots: Vec<u64> = self.voting().collect();
+        for slot in slots {
+            let step = self
+                .multi
+                .with_instance(ctx, slot, |inst, sub| inst.on_fd_change(sub, &self.fd));
+            self.apply_step(ctx, slot, step, host);
+        }
+    }
+
+    /// A slot's decision reached this replica, R-delivered or fetched
+    /// by a host's catch-up: record it (see `record_decision`), announce
+    /// it on `multi.append`, close the slot's instance where this
+    /// replica joined and votes (Fig. 4, Task 3), and hand it to the
+    /// host. `false`, having done nothing, when it is not news.
+    pub fn learn<N: SimMessage, H: LogHost>(
+        &mut self,
+        ctx: &mut SubCtx<'_, '_, N, LogMsg>,
+        decide: SlotDecide,
+        host: &mut H,
+    ) -> bool {
+        let (slot, name, round, ref body) = decide;
+        let close = self.votes(slot) && self.multi.proposed_in(slot).is_some();
+        if !self.multi.record_decision(slot, name, round, body) {
+            return false;
+        }
+        ctx.observe(LOG_APPEND, Payload::U64Pair(slot, fold_body(body)));
+        if close {
+            self.multi.with_instance(ctx, slot, |inst, sub| {
+                inst.on_decide_delivered(sub, name, round)
+            });
+        }
+        host.learned(decide);
+        true
+    }
+
+    /// The per-slot half of a repair watchdog, for a host over lossy
+    /// links: re-announce every slot in [`voting`](Log::voting) — if
+    /// the first `Open` was lost, a peer, possibly the very coordinator
+    /// the round waits on, never joined — and re-send its instance's
+    /// outstanding phase message, since the round protocol itself never
+    /// re-sends. Peers that joined ignore the announcement; a KV
+    /// replica that decided answers it with the decision.
+    pub fn retransmit<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, LogMsg>) {
+        let slots: Vec<u64> = self.voting().collect();
+        for slot in slots {
+            ctx.send_to_others(LogMsg::Open { slot });
+            self.multi
+                .with_instance(ctx, slot, |inst, sub| inst.retransmit(sub, &self.fd));
+        }
+    }
+
+    /// Another replica opened `slot`: join with our pending batch (it
+    /// may win the slot) or a NOOP, so the slot's coordinator can gather
+    /// a majority of real estimates — where this replica votes and has
+    /// not joined or learned the decision yet.
+    fn ensure_proposed<N: SimMessage, H: LogHost>(
+        &mut self,
+        ctx: &mut SubCtx<'_, '_, N, LogMsg>,
+        slot: u64,
+        host: &mut H,
+    ) {
+        if !self.votes(slot)
+            || self.multi.proposed_in(slot).is_some()
+            || self.multi.decided(slot).is_some()
+        {
+            return;
+        }
+        self.propose_in_slot(ctx, slot, false, host);
+    }
+
+    fn propose_in_slot<N: SimMessage, H: LogHost>(
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, LogMsg>,
         slot: u64,
         announce: bool,
+        host: &mut H,
     ) {
+        host.joined(slot);
         if announce {
             // Tell every replica the slot exists; each joins with its own
             // pending batch or a NOOP. Without this, a slot whose
@@ -602,30 +753,35 @@ impl Log {
                 }
             }
         }
-        let step = self.multi.propose(ctx, slot, &self.fd, LogMsg::Cons);
-        self.apply_step(ctx, slot, step);
+        let step = self.multi.propose(ctx, slot, &self.fd);
+        self.apply_step(ctx, slot, step, host);
     }
 
-    fn apply_step<N: SimMessage>(
+    fn apply_step<N: SimMessage, H: LogHost>(
         &mut self,
         ctx: &mut SubCtx<'_, '_, N, LogMsg>,
         slot: u64,
         step: ProtocolStep,
+        host: &mut H,
     ) {
         if let Some(decide) = self.multi.decision_of(slot, step) {
             let rb = &mut self.rb;
             ctx.scoped(LogMsg::Rb, rb.ns(), |sub| rb.broadcast(sub, decide));
         }
-        self.drain_deliveries(ctx);
+        self.drain_deliveries(ctx, host);
     }
 
-    fn drain_deliveries<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, LogMsg>) {
+    fn drain_deliveries<N: SimMessage, H: LogHost>(
+        &mut self,
+        ctx: &mut SubCtx<'_, '_, N, LogMsg>,
+        host: &mut H,
+    ) {
         for d in self.rb.take_delivered() {
-            self.multi
-                .learn_decision(ctx, &d.payload, true, LogMsg::Cons);
+            self.learn(ctx, d.payload, host);
         }
+        host.settled(ctx, self);
         // A decision may have unblocked the next slot.
-        self.drive(ctx);
+        self.drive(ctx, host);
     }
 }
 
@@ -652,39 +808,15 @@ impl<D: EventuallyConsistentOracle + 'static> Over<D> for Log {
         below: &D,
     ) {
         self.fd.debug_assert_current(below);
-        match msg {
-            LogMsg::Rb(m) => {
-                let rb = &mut self.rb;
-                ctx.scoped(LogMsg::Rb, rb.ns(), |sub| rb.on_message(sub, from, m));
-                self.drain_deliveries(ctx);
-            }
-            LogMsg::Open { slot } => self.ensure_proposed(ctx, slot),
-            LogMsg::Cons(msg) => {
-                let slot = msg.slot;
-                self.ensure_proposed(ctx, slot);
-                let step = self
-                    .multi
-                    .on_message(ctx, from, msg, &self.fd, LogMsg::Cons);
-                self.apply_step(ctx, slot, step);
-            }
-        }
+        self.deliver(ctx, from, msg, &mut ());
     }
 
     fn on_timer<N: SimMessage>(&mut self, _: &mut SubCtx<'_, '_, N, LogMsg>, tag: TimerTag, _: &D) {
         unreachable!("the log arms no timers: {tag:?}");
     }
 
-    /// Re-check the detector clause of every slot still running here.
     fn on_fd_change<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, LogMsg>, fd: &D) {
-        self.fd = fd.output();
-        for slot in self.multi.running() {
-            let step = self
-                .multi
-                .with_instance(ctx, slot, LogMsg::Cons, |inst, sub| {
-                    inst.on_fd_change(sub, &self.fd)
-                });
-            self.apply_step(ctx, slot, step);
-        }
+        self.refresh(ctx, fd.output(), &mut ());
     }
 }
 
@@ -1120,6 +1252,36 @@ mod tests {
         run(&[70, 71], &[70, 71]).expect("equal bodies agree");
         let err = run(&[70, 71], &[70, 72]).expect_err("a differing body must be caught");
         assert!(err.to_string().contains("slot 0"), "{err}");
+    }
+
+    /// The one close rule: a learned decision closes a slot's instance
+    /// only where this replica joined the slot and votes in it. A
+    /// replica that learns slot 0's decision before it joins creates no
+    /// instance there and decides nothing in it — it only appends.
+    #[test]
+    fn a_decision_learned_before_joining_closes_no_instance() {
+        let mut w = world(3, 207);
+        let (name, body) = batch(2, &[70]);
+        let decide = RbMsg {
+            origin: ProcessId(2),
+            seq: 0,
+            payload: (0, name, 1, body),
+        };
+        w.interact(ProcessId(0), move |node, ctx| {
+            node.on_message(ctx, ProcessId(2), StackMsg::Above(LogMsg::Rb(decide)));
+        });
+        let log = &w.actor(ProcessId(0)).above;
+        assert_eq!(log.log(), vec![(0, 70)], "the decision is learned");
+        assert_eq!(log.multi.proposed_in(0), None, "the slot was never joined");
+        assert!(
+            log.multi.slots[0].instance.is_none(),
+            "learning a decision created an instance"
+        );
+        let decides = w
+            .trace()
+            .observations_of(ProcessId(0), fd_core::obs::DECIDE)
+            .count();
+        assert_eq!(decides, 0, "consensus.decide in a slot never joined");
     }
 
     /// Duplicate `SlotDecide` deliveries and reordered decision traffic

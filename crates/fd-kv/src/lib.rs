@@ -1,12 +1,13 @@
 //! # fd-kv — a durable replicated KV service on the consensus log
 //!
 //! The serving stack the paper's introduction motivates: each replica
-//! drives the slot-multiplexed ◇C consensus of
-//! [`fd-consensus::multi`](fd_consensus::multi) — each log slot decides
-//! a batch of bit-packed KV commands ([`command`]) — over a per-replica
-//! durability module: an append-only CRC-framed WAL ([`wal`]), periodic atomic
-//! snapshots with log compaction ([`store`]), and crash-restart
-//! catch-up from a peer's snapshot + log tail ([`replica`]).
+//! runs the replicated log of
+//! [`fd-consensus::multi`](fd_consensus::multi) — slot-multiplexed ◇C
+//! consensus, each log slot deciding a batch of bit-packed KV commands
+//! ([`command`]) — and plugs into it a per-replica durability module:
+//! an append-only CRC-framed WAL ([`wal`]), periodic atomic snapshots
+//! with log compaction ([`store`]), and crash-restart catch-up from a
+//! peer's snapshot + log tail ([`replica`]).
 //!
 //! The [`scenario`] module registers the `kv` campaign scenario — an
 //! open-loop, seed-deterministic client workload under generated

@@ -6,6 +6,8 @@
 //! round shell: the decide task lives in `fd-consensus/src/api.rs`, and a
 //! protocol that grows its own fails — and nothing in the consensus or
 //! experiment crates polls the detector: its output arrives as an event.
+//! And one slot drive: `fd_consensus::Log` announces, joins and proposes
+//! in a log slot for every host, the KV service included.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -96,5 +98,31 @@ fn nothing_polls() {
         naming("fn on_decide_delivered"),
         ["crates/fd-consensus/src/api.rs"],
         "Fig. 4's decide task is written once"
+    );
+}
+
+#[test]
+fn the_slot_drive_is_written_once() {
+    let sources = shipped_sources();
+    for needle in ["fn ensure_proposed", "fn propose_in_slot", "Open { slot"] {
+        let found: Vec<&str> = sources
+            .iter()
+            .filter(|(_, src)| src.contains(needle))
+            .map(|(rel, _)| &**rel)
+            .collect();
+        assert_eq!(
+            found,
+            ["crates/fd-consensus/src/multi.rs"],
+            "`{needle}` outside the log: a second copy of the slot drive"
+        );
+    }
+    let lifted: Vec<&str> = sources
+        .iter()
+        .filter(|(_, src)| src.contains("lift: fn("))
+        .map(|(rel, _)| &**rel)
+        .collect();
+    assert!(
+        lifted.is_empty(),
+        "a multiplexer method lifts into a host's message type again: {lifted:?}"
     );
 }
